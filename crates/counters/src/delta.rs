@@ -239,12 +239,12 @@ impl CounterScheme for DeltaCounters {
         let bits = cfg.reference_bits + cfg.delta_bits * cfg.blocks_per_group as u32;
         assert!(bits <= 512, "delta group does not fit one metadata block");
         let mut image = [0u8; 64];
-        let (reference, deltas) = match self.groups.get(&meta_block) {
-            Some(grp) => (grp.reference, grp.deltas.clone()),
-            None => (0, vec![0; cfg.blocks_per_group]),
+        // A never-written group is all zeros, which is the empty image.
+        let Some(grp) = self.groups.get(&meta_block) else {
+            return image;
         };
-        crate::packing::write_bits(&mut image, 0, cfg.reference_bits, reference);
-        for (i, &d) in deltas.iter().enumerate() {
+        crate::packing::write_bits(&mut image, 0, cfg.reference_bits, grp.reference);
+        for (i, &d) in grp.deltas.iter().enumerate() {
             crate::packing::write_bits(
                 &mut image,
                 cfg.reference_bits + cfg.delta_bits * i as u32,

@@ -287,10 +287,11 @@ impl CounterScheme for DualLengthDeltaCounters {
         );
 
         let mut image = [0u8; 64];
-        let (reference, deltas, expanded) = match self.groups.get(&meta_block) {
-            Some(grp) => (grp.reference, grp.deltas.clone(), grp.expanded),
-            None => (0, vec![0; cfg.blocks_per_group], None),
+        // A never-written group is all zeros, which is the empty image.
+        let Some(grp) = self.groups.get(&meta_block) else {
+            return image;
         };
+        let (reference, deltas, expanded) = (grp.reference, &grp.deltas, grp.expanded);
         let mut off = 0;
         crate::packing::write_bits(&mut image, off, cfg.reference_bits, reference);
         off += cfg.reference_bits;

@@ -31,18 +31,37 @@ const DUAL_EXTRA_BITS: u32 = 4;
 const DUAL_GROUPS: usize = 4;
 const DUAL_BLOCKS_PER_DG: usize = GROUP_BLOCKS / DUAL_GROUPS;
 
-/// Reads `width` bits (LSB-first) starting at bit `offset` of `block`.
+/// Little-endian 64-bit word `index` of `block`.
+fn word(block: &[u8; 64], index: usize) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes.copy_from_slice(&block[index * 8..index * 8 + 8]);
+    u64::from_le_bytes(bytes)
+}
+
+/// Mask selecting the low `width` bits.
+fn low_mask(width: u32) -> u64 {
+    if width == 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    }
+}
+
+/// Reads `width` bits (LSB-first) starting at bit `offset` of `block`:
+/// one shifted word, plus the spill from the next word when the field
+/// straddles a 64-bit boundary.
 #[must_use]
 pub fn read_bits(block: &[u8; 64], offset: u32, width: u32) -> u64 {
     debug_assert!(width <= 64 && offset + width <= 512);
-    let mut value = 0u64;
-    for i in 0..width {
-        let bit = offset + i;
-        let byte = (bit / 8) as usize;
-        let shift = bit % 8;
-        value |= u64::from(block[byte] >> shift & 1) << i;
+    if width == 0 {
+        return 0;
     }
-    value
+    let (index, shift) = ((offset / 64) as usize, offset % 64);
+    let mut value = word(block, index) >> shift;
+    if shift + width > 64 {
+        value |= word(block, index + 1) << (64 - shift);
+    }
+    value & low_mask(width)
 }
 
 /// Writes `width` bits of `value` (LSB-first) at bit `offset` of `block`.
@@ -52,16 +71,18 @@ pub fn write_bits(block: &mut [u8; 64], offset: u32, width: u32, value: u64) {
         width == 64 || value < (1u64 << width),
         "value exceeds field width"
     );
-    for i in 0..width {
-        let bit = offset + i;
-        let byte = (bit / 8) as usize;
-        let shift = bit % 8;
-        let mask = 1u8 << shift;
-        if value >> i & 1 == 1 {
-            block[byte] |= mask;
-        } else {
-            block[byte] &= !mask;
-        }
+    if width == 0 {
+        return;
+    }
+    let (index, shift) = ((offset / 64) as usize, offset % 64);
+    let (mask, value) = (low_mask(width), value & low_mask(width));
+    let mut merge = |index: usize, mask: u64, bits: u64| {
+        let merged = word(block, index) & !mask | bits;
+        block[index * 8..index * 8 + 8].copy_from_slice(&merged.to_le_bytes());
+    };
+    merge(index, mask << shift, value << shift);
+    if shift + width > 64 {
+        merge(index + 1, mask >> (64 - shift), value >> (64 - shift));
     }
 }
 
@@ -293,6 +314,58 @@ mod tests {
         assert_eq!(read_bits(&block, 0, 3), 0);
         write_bits(&mut block, 3, 13, 0);
         assert_eq!(block, [0u8; 64]);
+    }
+
+    /// The per-bit loops the word accesses replaced.
+    fn read_bits_oracle(block: &[u8; 64], offset: u32, width: u32) -> u64 {
+        (0..width).fold(0, |value, i| {
+            let bit = offset + i;
+            value | u64::from(block[(bit / 8) as usize] >> (bit % 8) & 1) << i
+        })
+    }
+
+    fn write_bits_oracle(block: &mut [u8; 64], offset: u32, width: u32, value: u64) {
+        for i in 0..width {
+            let bit = offset + i;
+            let mask = 1u8 << (bit % 8);
+            if value >> i & 1 == 1 {
+                block[(bit / 8) as usize] |= mask;
+            } else {
+                block[(bit / 8) as usize] &= !mask;
+            }
+        }
+    }
+
+    #[test]
+    fn bit_io_matches_the_per_bit_oracle_at_every_offset_and_width() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut background = [0u8; 64];
+        for chunk in background.chunks_exact_mut(8) {
+            chunk.copy_from_slice(&next().to_le_bytes());
+        }
+        // Every field, including the ones straddling 8- and 16-byte
+        // boundaries and the full-width `width == 64`.
+        for width in 0..=64u32 {
+            for offset in 0..=512 - width {
+                assert_eq!(
+                    read_bits(&background, offset, width),
+                    read_bits_oracle(&background, offset, width),
+                    "read {offset}+{width}"
+                );
+                let value = next() & low_mask(width);
+                let (mut fast, mut slow) = (background, background);
+                write_bits(&mut fast, offset, width, value);
+                write_bits_oracle(&mut slow, offset, width, value);
+                assert_eq!(fast, slow, "write {offset}+{width}");
+                assert_eq!(read_bits(&fast, offset, width), value);
+            }
+        }
     }
 
     #[test]

@@ -158,12 +158,12 @@ impl CounterScheme for SplitCounters {
             "split-counter group does not fit one metadata block"
         );
         let mut image = [0u8; 64];
-        let (major, minors) = match self.groups.get(&meta_block) {
-            Some(grp) => (grp.major, grp.minors.clone()),
-            None => (0, vec![0; self.blocks_per_group]),
+        // A never-written group is all zeros, which is the empty image.
+        let Some(grp) = self.groups.get(&meta_block) else {
+            return image;
         };
-        crate::packing::write_bits(&mut image, 0, 64, major);
-        for (i, &m) in minors.iter().enumerate() {
+        crate::packing::write_bits(&mut image, 0, 64, grp.major);
+        for (i, &m) in grp.minors.iter().enumerate() {
             crate::packing::write_bits(
                 &mut image,
                 64 + self.minor_bits * i as u32,

@@ -252,12 +252,12 @@ unsafe fn poly_hash_batch_impl(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> V
     let hv = _mm_set_epi64x(0, h as i64);
     let poly = _mm_set_epi64x(0, POLY as i64);
     let mut out = Vec::with_capacity(blocks.len());
-    let mut groups = blocks.chunks_exact(MAC_LANES);
-    for group in &mut groups {
-        // Eight independent Horner chains: step every chain through word
-        // `w` before any chain touches word `w + 1`, so the three-deep
-        // CLMUL dependency of one chain executes under the latency of
-        // the other seven.
+    for group in blocks.chunks(MAC_LANES) {
+        // Up to eight independent Horner chains: step every chain through
+        // word `w` before any chain touches word `w + 1`, so the
+        // three-deep CLMUL dependency of one chain executes under the
+        // latency of the others. A short last group (a tree path's seven
+        // nodes) interleaves the same way with fewer lanes.
         let mut acc = [_mm_setzero_si128(); MAC_LANES];
         for word in 0..8 {
             for (lane, block) in acc.iter_mut().zip(group.iter()) {
@@ -267,19 +267,9 @@ unsafe fn poly_hash_batch_impl(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> V
                 *lane = horner_step128(*lane, m, hv, poly);
             }
         }
-        for lane in acc {
-            out.push(_mm_cvtsi128_si64(lane) as u64);
+        for lane in &acc[..group.len()] {
+            out.push(_mm_cvtsi128_si64(*lane) as u64);
         }
-    }
-    for block in groups.remainder() {
-        // Serial tail, same arithmetic word by word.
-        let mut acc = 0u64;
-        for chunk in block.chunks_exact(8) {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(chunk);
-            acc = gf64_mul_impl(acc ^ u64::from_le_bytes(w), h);
-        }
-        out.push(acc);
     }
     out
 }
@@ -339,8 +329,8 @@ mod tests {
             return;
         }
         let h = 0x9e37_79b9_7f4a_7c15u64;
-        // Lengths straddling MAC_LANES exercise the interleaved groups
-        // and the serial tail.
+        // Lengths straddling MAC_LANES exercise full and short
+        // interleaved groups.
         for n in [0usize, 1, 7, 8, 9, 16, 23] {
             let blocks: Vec<[u8; crate::BLOCK_BYTES]> = (0..n)
                 .map(|i| core::array::from_fn(|j| (i * 67 + j * 13) as u8))

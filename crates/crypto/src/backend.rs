@@ -355,19 +355,20 @@ fn self_test_accelerated() -> bool {
             return false;
         }
     }
-    // Batched MAC hash: one full interleaved group plus a serial tail.
+    // Batched MAC hash: one full interleaved group plus a short one.
     batched_poly_hash_matches_portable(accel::poly_hash_batch)
 }
 
 /// Shared known-answer check for the batched polynomial-hash kernels:
-/// 11 structured messages (a full interleaved group plus a tail for
-/// every kernel width in use) hashed under two keys must match the
-/// portable per-message evaluation.
+/// 15 structured messages (a full group of every kernel width in use —
+/// 8 zmm or accel lanes, then 4 ymm — plus a 3-message tail, or a
+/// 7-message short group on accel) hashed under two keys must match
+/// the portable per-message evaluation.
 #[cfg(target_arch = "x86_64")]
 fn batched_poly_hash_matches_portable(
     kernel: impl Fn(u64, &[[u8; crate::BLOCK_BYTES]]) -> Vec<u64>,
 ) -> bool {
-    let blocks: Vec<[u8; crate::BLOCK_BYTES]> = (0..11)
+    let blocks: Vec<[u8; crate::BLOCK_BYTES]> = (0..15)
         .map(|i| core::array::from_fn(|j| (i * 53 + j * 11 + 1) as u8))
         .collect();
     for h in [0x9e37_79b9_7f4a_7c15u64, 0x0123_4567_89ab_cdef | 1] {

@@ -204,6 +204,42 @@ impl MemoryCipher {
         mac::tag_full(&self.mac_key, self.hash_key, addr, counter, node)
     }
 
+    /// Full-width MACs of many nodes in one multi-message pass —
+    /// bit-identical to calling [`MemoryCipher::mac_node`] per node. This
+    /// is how an integrity-tree walk verifies a whole leaf-to-root path
+    /// at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nonces` and `nodes` have different lengths.
+    #[must_use]
+    pub fn mac_node_batch(&self, nonces: &[(u64, u64)], nodes: &[[u8; BLOCK_BYTES]]) -> Vec<u64> {
+        mac::tags_full_batch_with(
+            backend::active(),
+            &self.mac_key,
+            self.hash_key,
+            nonces,
+            nodes,
+        )
+    }
+
+    /// The AES masks of the node MACs at `nonces`, from one pipelined
+    /// pass. An integrity-tree path update needs each node's MAC before
+    /// it can form the parent's content, so only the hashes are serial:
+    /// the masks are fetched here and each MAC finished with
+    /// [`MemoryCipher::mac_node_padded`].
+    #[must_use]
+    pub fn mac_node_pads(&self, nonces: &[(u64, u64)]) -> Vec<u64> {
+        mac::pads_batch_with(backend::active(), &self.mac_key, nonces)
+    }
+
+    /// [`MemoryCipher::mac_node`] under a mask from
+    /// [`MemoryCipher::mac_node_pads`].
+    #[must_use]
+    pub fn mac_node_padded(&self, pad: u64, node: &[u8; BLOCK_BYTES]) -> u64 {
+        mac::tag_full_padded_with(backend::active(), self.hash_key, pad, node)
+    }
+
     /// Builds a [`mac::MacProbe`] for fast flip-and-check error correction
     /// over `ct` under nonce `(addr, counter)`.
     #[must_use]
@@ -273,6 +309,27 @@ mod tests {
         assert!(c.verify_block(0x40, 1, &ct, tag));
         assert!(!c.verify_block(0x80, 1, &ct, tag), "address must be bound");
         assert!(!c.verify_block(0x40, 2, &ct, tag), "counter must be bound");
+    }
+
+    #[test]
+    fn batched_and_padded_node_macs_equal_mac_node() {
+        let c = MemoryCipher::from_seed(11);
+        let nonces: Vec<(u64, u64)> = (0..7u64)
+            .map(|l| (((l + 1) << 48) ^ (900 >> l), 0))
+            .collect();
+        let nodes: Vec<[u8; 64]> = (0..7usize)
+            .map(|l| core::array::from_fn(|j| (l * 37 + j * 5) as u8))
+            .collect();
+        let batch = c.mac_node_batch(&nonces, &nodes);
+        let pads = c.mac_node_pads(&nonces);
+        for (i, (&(addr, ctr), node)) in nonces.iter().zip(&nodes).enumerate() {
+            assert_eq!(batch[i], c.mac_node(addr, ctr, node), "node {i}");
+            assert_eq!(
+                c.mac_node_padded(pads[i], node),
+                batch[i],
+                "padded node {i}"
+            );
+        }
     }
 
     #[test]

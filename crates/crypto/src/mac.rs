@@ -219,11 +219,43 @@ pub fn tags_full_batch_with(
     let pads = mac_pads_batch_with(backend, mac_key, nonces);
     backend::count_mac_batch(backend, nonces.len() as u64);
     for (tag, pad) in tags.iter_mut().zip(&pads) {
-        let mut p8 = [0u8; 8];
-        p8.copy_from_slice(&pad[..8]);
-        *tag ^= u64::from_le_bytes(p8);
+        *tag ^= pad_word(pad);
     }
     tags
+}
+
+/// The 64 mask bits a tag takes from its 16-byte AES pad.
+fn pad_word(pad: &[u8; 16]) -> u64 {
+    let mut p8 = [0u8; 8];
+    p8.copy_from_slice(&pad[..8]);
+    u64::from_le_bytes(p8)
+}
+
+/// The tag masks of many `(addr, counter)` nonces from one pipelined AES
+/// pass. A mask does not depend on the message, so a caller whose
+/// messages depend on each other's tags (an integrity-tree path update)
+/// can fetch every mask up front and finish each tag with
+/// [`tag_full_padded_with`] as its message becomes known.
+#[must_use]
+pub fn pads_batch_with(backend: Backend, mac_key: &Aes128, nonces: &[(u64, u64)]) -> Vec<u64> {
+    mac_pads_batch_with(backend, mac_key, nonces)
+        .iter()
+        .map(pad_word)
+        .collect()
+}
+
+/// Full 64-bit tag of `block` under a mask prefetched by
+/// [`pads_batch_with`] — bit-identical to [`tag_full_with`] on the
+/// mask's nonce.
+#[must_use]
+pub fn tag_full_padded_with(
+    backend: Backend,
+    hash_key: u64,
+    pad: u64,
+    block: &[u8; BLOCK_BYTES],
+) -> u64 {
+    backend::count_mac(backend);
+    poly_hash_with(backend, hash_key, block) ^ pad
 }
 
 /// Full 64-bit Carter-Wegman tag over `block`, bound to `(addr, counter)`.
@@ -248,12 +280,8 @@ pub fn tag_full_with(
     counter: u64,
     block: &[u8; BLOCK_BYTES],
 ) -> u64 {
-    let hash = poly_hash_with(backend, hash_key, block);
-    let pad = mac_pad_with(backend, mac_key, addr, counter);
-    backend::count_mac(backend);
-    let mut p8 = [0u8; 8];
-    p8.copy_from_slice(&pad[..8]);
-    hash ^ u64::from_le_bytes(p8)
+    let pad = pad_word(&mac_pad_with(backend, mac_key, addr, counter));
+    tag_full_padded_with(backend, hash_key, pad, block)
 }
 
 /// 56-bit truncated tag (the SGX data-block width used throughout the
@@ -585,6 +613,20 @@ mod tests {
                 );
             }
             assert!(tags_batch_with(backend, &k, h, &[], &[]).is_empty());
+
+            // Full-width node MACs: the batch and the pad-prefetched
+            // chain both equal the per-node tag.
+            let full = tags_full_batch_with(backend, &k, h, &nonces, &blocks);
+            let pads = pads_batch_with(backend, &k, &nonces);
+            for (i, (&(addr, ctr), block)) in nonces.iter().zip(&blocks).enumerate() {
+                let serial = tag_full_with(backend, &k, h, addr, ctr, block);
+                assert_eq!(full[i], serial, "{backend} node {i}");
+                assert_eq!(
+                    tag_full_padded_with(backend, h, pads[i], block),
+                    serial,
+                    "{backend} padded node {i}"
+                );
+            }
         }
     }
 

@@ -153,7 +153,8 @@ pub(crate) fn poly_hash(h: u64, block: &[u8; crate::BLOCK_BYTES]) -> u64 {
 /// The `H²`/`H⁴` squarings run once per call and the lane constants are
 /// shared by every message's recombination, so their cost vanishes as
 /// the batch grows; the Horner chains themselves run [`MAC_GROUP_512`]
-/// (zmm) or [`MAC_GROUP_256`] (ymm) messages at a time.
+/// (zmm, where available) and then [`MAC_GROUP_256`] (ymm) messages at a
+/// time, so only the last `len % 4` messages run alone.
 #[must_use]
 pub(crate) fn poly_hash_batch(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> Vec<u64> {
     assert_capable();
@@ -162,24 +163,25 @@ pub(crate) fn poly_hash_batch(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> Ve
     // the whole batch.
     let h2 = crate::accel::gf64_mul(h, h);
     let h4 = crate::accel::gf64_mul(h2, h2);
-    let group = if shape_512() {
-        MAC_GROUP_512
-    } else {
-        MAC_GROUP_256
-    };
-    let main = blocks.len() - blocks.len() % group;
-    let (groups, tail) = blocks.split_at(main);
+    // Widest kernel first, then the ymm kernel over what is left (a run
+    // shorter than a zmm group — a tree path's seven nodes — still gets
+    // four chains in flight), then single messages. A kernel is entered
+    // only when it has a group to run: its prologue alone executes wide
+    // vector instructions, and a zmm one taxes the scalar code after it.
+    let mut rest = blocks;
+    if shape_512() && rest.len() >= MAC_GROUP_512 {
+        let (groups, tail) = rest.split_at(rest.len() - rest.len() % MAC_GROUP_512);
+        // SAFETY: reached only via `Backend::Wide` dispatch (or the
+        // backend self-test), both gated on `wide_available()`, and
+        // `shape_512` just confirmed `avx512f`.
+        unsafe { poly_hash_groups_512(h, h4, groups, &mut out) }
+        rest = tail;
+    }
+    let (groups, tail) = rest.split_at(rest.len() - rest.len() % MAC_GROUP_256);
     if !groups.is_empty() {
-        if shape_512() {
-            // SAFETY: reached only via `Backend::Wide` dispatch (or the
-            // backend self-test), both gated on `wide_available()`, and
-            // `shape_512` just confirmed `avx512f`.
-            unsafe { poly_hash_groups_512(h, h4, groups, &mut out) }
-        } else {
-            // SAFETY: as above — `wide_available()` guarantees
-            // `vpclmulqdq`+`avx2` plus the `pclmulqdq` baseline.
-            unsafe { poly_hash_groups_256(h, h4, groups, &mut out) }
-        }
+        // SAFETY: as above — `wide_available()` guarantees
+        // `vpclmulqdq`+`avx2` plus the `pclmulqdq` baseline.
+        unsafe { poly_hash_groups_256(h, h4, groups, &mut out) }
     }
     for block in tail {
         // Single-message wide path — same split, same recombination.

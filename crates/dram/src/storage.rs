@@ -79,13 +79,16 @@ impl DramStorage {
         self.blocks.contains_key(&Self::align(addr))
     }
 
+    /// The block containing `addr`, or `None` if it was never written.
+    #[must_use]
+    pub fn get(&self, addr: u64) -> Option<StoredBlock> {
+        self.blocks.get(&Self::align(addr)).copied()
+    }
+
     /// Reads the block containing `addr` (zeros if never written).
     #[must_use]
     pub fn read(&self, addr: u64) -> StoredBlock {
-        self.blocks
-            .get(&Self::align(addr))
-            .copied()
-            .unwrap_or_default()
+        self.get(addr).unwrap_or_default()
     }
 
     /// Writes the block containing `addr`.

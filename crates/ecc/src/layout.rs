@@ -34,11 +34,8 @@ pub fn words_to_block(words: &[u64; WORDS_PER_BLOCK]) -> [u8; BLOCK_BYTES] {
 /// Even parity over a full 64-byte block (0 or 1).
 #[must_use]
 pub fn block_parity(block: &[u8; BLOCK_BYTES]) -> u8 {
-    (block
-        .iter()
-        .map(|b| u32::from(b.count_ones() as u8))
-        .sum::<u32>()
-        & 1) as u8
+    let folded = block_words(block).iter().fold(0u64, |acc, w| acc ^ w);
+    (folded.count_ones() & 1) as u8
 }
 
 /// Standard ECC side-band: one SEC-DED(72,64) check byte per 8-byte word.
@@ -242,6 +239,18 @@ mod tests {
             *byte = (i as u8).wrapping_mul(37).wrapping_add(11);
         }
         b
+    }
+
+    #[test]
+    fn block_parity_matches_the_per_bit_count() {
+        let mut block = sample_block();
+        for bit in 0..512 {
+            block[bit / 8] ^= 1 << (bit % 8);
+            let ones: u32 = block.iter().map(|b| b.count_ones()).sum();
+            assert_eq!(block_parity(&block), (ones & 1) as u8, "after bit {bit}");
+        }
+        assert_eq!(block_parity(&[0; BLOCK_BYTES]), 0);
+        assert_eq!(block_parity(&[0xff; BLOCK_BYTES]), 0);
     }
 
     #[test]

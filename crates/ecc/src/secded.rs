@@ -102,32 +102,46 @@ const fn position_to_data<const N: usize, const MAXPOS: usize>(
     out
 }
 
+/// Per-check-bit parity masks: bit `i` of mask `k` is set when data bit
+/// `i` sits at a codeword position with bit `k` set, so Hamming parity
+/// bit `k` is the parity of `data & masks[k]`.
+const fn parity_masks<const N: usize, const HPAR: usize>(positions: &[u32; N]) -> [u64; HPAR] {
+    let mut masks = [0u64; HPAR];
+    let mut k = 0;
+    while k < HPAR {
+        let mut i = 0;
+        while i < N {
+            if positions[i] >> k & 1 == 1 {
+                masks[k] |= 1u64 << i;
+            }
+            i += 1;
+        }
+        k += 1;
+    }
+    masks
+}
+
 /// Generic positional extended-Hamming engine shared by both code widths.
 ///
 /// `DATA` is the number of data bits, `HPAR` the number of Hamming parity
 /// bits, and `MAXPOS` must be one greater than the largest used codeword
 /// position (so position arrays can be indexed directly).
-struct Engine<const DATA: usize, const HPAR: u32, const MAXPOS: usize>;
+struct Engine<const DATA: usize, const HPAR: usize, const MAXPOS: usize>;
 
-impl<const DATA: usize, const HPAR: u32, const MAXPOS: usize> Engine<DATA, HPAR, MAXPOS> {
+impl<const DATA: usize, const HPAR: usize, const MAXPOS: usize> Engine<DATA, HPAR, MAXPOS> {
     /// Hamming parity bits for `data`, packed LSB-first (bit k of the result
-    /// is the parity bit at codeword position `2^k`).
-    fn hamming_parity(data: u64, positions: &[u32; DATA]) -> u8 {
+    /// is the parity bit at codeword position `2^k`): one masked popcount
+    /// per check bit.
+    fn hamming_parity(data: u64, masks: &[u64; HPAR]) -> u8 {
         let mut par = 0u8;
-        for k in 0..HPAR {
-            let mut p = 0u64;
-            for (i, &pos) in positions.iter().enumerate() {
-                if pos >> k & 1 == 1 {
-                    p ^= data >> i & 1;
-                }
-            }
-            par |= (p as u8) << k;
+        for (k, &mask) in masks.iter().enumerate() {
+            par |= ((data & mask).count_ones() as u8 & 1) << k;
         }
         par
     }
 
-    fn encode(data: u64, positions: &[u32; DATA]) -> u8 {
-        let hpar = Self::hamming_parity(data, positions);
+    fn encode(data: u64, masks: &[u64; HPAR]) -> u8 {
+        let hpar = Self::hamming_parity(data, masks);
         // Overall parity over data bits + hamming parity bits, stored so the
         // full codeword (incl. the overall bit) has even parity.
         let overall = (data.count_ones() + hpar.count_ones()) & 1;
@@ -137,7 +151,7 @@ impl<const DATA: usize, const HPAR: u32, const MAXPOS: usize> Engine<DATA, HPAR,
     fn decode(
         data: u64,
         check: u8,
-        positions: &[u32; DATA],
+        masks: &[u64; HPAR],
         pos_to_data: &[u32; MAXPOS],
     ) -> DecodeOutcome {
         let data = if DATA < 64 {
@@ -147,7 +161,7 @@ impl<const DATA: usize, const HPAR: u32, const MAXPOS: usize> Engine<DATA, HPAR,
         };
         let stored_hpar = check & ((1u8 << HPAR) - 1);
         let stored_overall = check >> HPAR & 1;
-        let computed_hpar = Self::hamming_parity(data, positions);
+        let computed_hpar = Self::hamming_parity(data, masks);
         let syndrome = (stored_hpar ^ computed_hpar) as u32;
         let computed_overall = ((data.count_ones() + stored_hpar.count_ones()) & 1) as u8;
         let overall_mismatch = stored_overall != computed_overall;
@@ -182,11 +196,13 @@ impl<const DATA: usize, const HPAR: u32, const MAXPOS: usize> Engine<DATA, HPAR,
 // (72,64): 64 data bits over positions 1..=71, parity at 1,2,4,8,16,32,64.
 const POS72: [u32; 64] = data_positions::<64>();
 const P2D72: [u32; 72] = position_to_data::<64, 72>(&POS72);
+const MASKS72: [u64; 7] = parity_masks::<64, 7>(&POS72);
 
 // (63,56): 56 data bits over the first 56 non-power positions of 1..=62,
 // parity at 1,2,4,8,16,32. Position 63 is left unused (shortened).
 const POS63: [u32; 56] = data_positions::<56>();
 const P2D63: [u32; 64] = position_to_data::<56, 64>(&POS63);
+const MASKS63: [u64; 6] = parity_masks::<56, 6>(&POS63);
 
 /// Extended Hamming (72,64) SEC-DED code: protects one 8-byte word with an
 /// 8-bit check byte, exactly as mainstream ECC DIMMs do.
@@ -212,14 +228,14 @@ impl Secded72 {
     /// Computes the 8-bit check byte for a 64-bit data word.
     #[must_use]
     pub fn encode(word: u64) -> u8 {
-        Engine::<64, 7, 72>::encode(word, &POS72)
+        Engine::<64, 7, 72>::encode(word, &MASKS72)
     }
 
     /// Decodes a stored (word, check) pair, correcting a single-bit error
     /// anywhere in the 72 stored bits and detecting double-bit errors.
     #[must_use]
     pub fn decode(word: u64, check: u8) -> DecodeOutcome {
-        Engine::<64, 7, 72>::decode(word, check, &POS72, &P2D72)
+        Engine::<64, 7, 72>::decode(word, check, &MASKS72, &P2D72)
     }
 }
 
@@ -253,20 +269,134 @@ impl Secded63 {
     /// Computes the 7-bit check value for a 56-bit tag (low bits of `tag`).
     #[must_use]
     pub fn encode(tag: u64) -> u8 {
-        Engine::<56, 6, 64>::encode(tag & Self::TAG_MASK, &POS63)
+        Engine::<56, 6, 64>::encode(tag & Self::TAG_MASK, &MASKS63)
     }
 
     /// Decodes a stored (tag, check) pair, correcting single-bit errors and
     /// detecting double-bit errors across the 63 stored bits.
     #[must_use]
     pub fn decode(tag: u64, check: u8) -> DecodeOutcome {
-        Engine::<56, 6, 64>::decode(tag & Self::TAG_MASK, check, &POS63, &P2D63)
+        Engine::<56, 6, 64>::decode(tag & Self::TAG_MASK, check, &MASKS63, &P2D63)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-bit-loop parity the masked popcount replaced, kept as the
+    /// oracle the codes are checked against.
+    fn oracle_parity(data: u64, positions: &[u32], hpar: u32) -> u8 {
+        let mut par = 0u8;
+        for k in 0..hpar {
+            let mut p = 0u64;
+            for (i, &pos) in positions.iter().enumerate() {
+                if pos >> k & 1 == 1 {
+                    p ^= data >> i & 1;
+                }
+            }
+            par |= (p as u8) << k;
+        }
+        par
+    }
+
+    fn oracle_encode(data: u64, positions: &[u32], hpar: u32) -> u8 {
+        let par = oracle_parity(data, positions, hpar);
+        par | ((((data.count_ones() + par.count_ones()) & 1) as u8) << hpar)
+    }
+
+    fn oracle_decode(data: u64, check: u8, positions: &[u32], hpar: u32) -> DecodeOutcome {
+        let data = data & (u64::MAX >> (64 - positions.len()));
+        let stored_hpar = check & ((1u8 << hpar) - 1);
+        let syndrome = u32::from(stored_hpar ^ oracle_parity(data, positions, hpar));
+        let overall = ((data.count_ones() + stored_hpar.count_ones()) & 1) as u8;
+        match (syndrome, check >> hpar & 1 != overall) {
+            (0, false) => DecodeOutcome::Clean { word: data },
+            (0, true) => DecodeOutcome::CorrectedCheck { word: data },
+            // Every power of two an `hpar`-bit syndrome can hold is a
+            // parity position of the code.
+            (s, true) if s.is_power_of_two() => DecodeOutcome::CorrectedCheck { word: data },
+            (s, true) => match positions.iter().position(|&pos| pos == s) {
+                Some(bit) => DecodeOutcome::CorrectedData {
+                    word: data ^ (1u64 << bit),
+                    bit: bit as u8,
+                },
+                None => DecodeOutcome::Uncorrectable,
+            },
+            (_, false) => DecodeOutcome::DoubleError,
+        }
+    }
+
+    /// Every single and double flip over the `data_bits + check_bits`
+    /// stored bits of 1 000 seeded words decodes exactly as the oracle.
+    fn equivalent_on_all_flips(
+        positions: &[u32],
+        hpar: u32,
+        encode: fn(u64) -> u8,
+        decode: fn(u64, u8) -> DecodeOutcome,
+    ) {
+        let data_bits = positions.len() as u32;
+        let stored_bits = data_bits + hpar + 1;
+        let flip = |word: u64, check: u8, bit: u32| {
+            if bit < data_bits {
+                (word ^ (1u64 << bit), check)
+            } else {
+                (word, check ^ (1u8 << (bit - data_bits)))
+            }
+        };
+        let mut rng = ame_prng::StdRng::seed_from_u64(0x5ec_ded0 + u64::from(data_bits));
+        for _ in 0..1_000 {
+            let word = rng.next_u64() & (u64::MAX >> (64 - data_bits));
+            let check = encode(word);
+            assert_eq!(check, oracle_encode(word, positions, hpar), "{word:#x}");
+            assert_eq!(decode(word, check), DecodeOutcome::Clean { word });
+            for a in 0..stored_bits {
+                let (w1, c1) = flip(word, check, a);
+                assert_eq!(
+                    decode(w1, c1),
+                    oracle_decode(w1, c1, positions, hpar),
+                    "{word:#x} flip {a}"
+                );
+                assert_eq!(decode(w1, c1).corrected_word(), Some(word));
+                for b in a + 1..stored_bits {
+                    let (w2, c2) = flip(w1, c1, b);
+                    assert_eq!(
+                        decode(w2, c2),
+                        oracle_decode(w2, c2, positions, hpar),
+                        "{word:#x} flips {a},{b}"
+                    );
+                    assert_eq!(decode(w2, c2), DecodeOutcome::DoubleError);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn secded72_matches_the_per_bit_oracle_on_all_single_and_double_flips() {
+        equivalent_on_all_flips(&POS72, 7, Secded72::encode, Secded72::decode);
+    }
+
+    #[test]
+    fn secded63_matches_the_per_bit_oracle_on_all_single_and_double_flips() {
+        equivalent_on_all_flips(&POS63, 6, Secded63::encode, Secded63::decode);
+    }
+
+    #[test]
+    fn shortened_position_syndrome_is_uncorrectable_63() {
+        // Three flips whose positions XOR to 63, the one position the
+        // shortened code leaves unused: odd weight, but no single stored
+        // bit explains the syndrome.
+        let tag = 0x00c0_ffee_1234_5678u64 & Secded63::TAG_MASK;
+        let check = Secded63::encode(tag);
+        let (a, b, c) = (P2D63[3], P2D63[12], P2D63[48]);
+        assert_eq!(3 ^ 12 ^ 48, 63);
+        let bad = tag ^ (1u64 << a) ^ (1u64 << b) ^ (1u64 << c);
+        assert_eq!(Secded63::decode(bad, check), DecodeOutcome::Uncorrectable);
+        assert_eq!(
+            oracle_decode(bad, check, &POS63, 6),
+            DecodeOutcome::Uncorrectable
+        );
+    }
 
     #[test]
     fn positions_are_non_powers_in_order() {

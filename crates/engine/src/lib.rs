@@ -519,18 +519,52 @@ impl MemoryEncryptionEngine {
     /// Ensures a block has valid ciphertext/MAC state (memory is zero at
     /// boot; the first touch seals zeros under the current counter).
     fn ensure_initialized(&mut self, addr: u64) {
-        if !self.storage.contains(addr) {
-            let counter = self.counters.counter(Self::block_index(addr));
-            self.seal(addr, counter, &[0u8; BLOCK_BYTES]);
-            self.sync_tree(Self::block_index(addr));
+        self.stored_or_first_touch(addr, &mut Vec::new());
+    }
+
+    /// The stored bits of the block at `addr`, sealing zeros under its
+    /// current counter first if it was never touched. A first touch
+    /// syncs the block's metadata block into the tree unless `synced`
+    /// says this run already did: reads bump no counter, so a second
+    /// sync inside one run would rewrite the same leaf and re-derive the
+    /// same path.
+    fn stored_or_first_touch(&mut self, addr: u64, synced: &mut Vec<u64>) -> StoredBlock {
+        if let Some(stored) = self.storage.get(addr) {
+            return stored;
         }
+        let block = Self::block_index(addr);
+        self.seal(addr, self.counters.counter(block), &[0u8; BLOCK_BYTES]);
+        let meta = self.counters.metadata_block_of(block);
+        if !synced.contains(&meta) {
+            synced.push(meta);
+            self.sync_meta(meta);
+        }
+        self.storage.read(addr)
     }
 
     /// Mirrors the (updated) packed counter block into the integrity tree.
     fn sync_tree(&mut self, block: u64) {
-        let meta = self.counters.metadata_block_of(block);
+        self.sync_meta(self.counters.metadata_block_of(block));
+    }
+
+    fn sync_meta(&mut self, meta: u64) {
         let image = self.counters.metadata_block_image(meta);
         self.tree.write_counter_block(meta, image);
+    }
+
+    /// Mirrors each distinct metadata block of `metas` into the
+    /// integrity tree, once. A leaf image is a pure function of the
+    /// current counter state and a path update a pure function of the
+    /// stored images, so once every counter of a run has been bumped,
+    /// one sync per metadata block leaves the tree bit-identical to one
+    /// sync per data block — at one leaf-to-root re-MAC instead of (for a
+    /// delta group) sixty-four.
+    fn sync_tree_metas(&mut self, mut metas: Vec<u64>) {
+        metas.sort_unstable();
+        metas.dedup();
+        for meta in metas {
+            self.sync_meta(meta);
+        }
     }
 
     /// Re-encrypts every *resident* block of an overflowed group under the
@@ -595,16 +629,13 @@ impl MemoryEncryptionEngine {
             "address must be block-aligned"
         );
         let block = Self::block_index(addr);
-        let outcome = self.counters.record_write(block);
         if let WriteOutcome::Reencrypted {
             group,
             old_counters,
             new_counter,
-        } = &outcome
+        } = self.counters.record_write(block)
         {
-            let (group, new_counter) = (*group, *new_counter);
-            let old = old_counters.clone();
-            self.reencrypt_group(group, &old, new_counter);
+            self.reencrypt_group(group, &old_counters, new_counter);
         }
         let counter = self.counters.counter(block);
         self.seal(addr, counter, plain);
@@ -679,11 +710,9 @@ impl MemoryEncryptionEngine {
         let tags = self.cipher.mac_batch(&nonces, &ciphertexts);
         self.mac_batch_dist.record(ciphertexts.len() as u64);
         for ((&(i, _), ct), tag) in run.iter().zip(ciphertexts).zip(tags) {
-            let addr = items[i].0;
-            self.seal_ciphertext_with_tag(addr, ct, tag);
-            self.sync_tree(Self::block_index(addr));
-            self.stats.writes += 1;
+            self.seal_ciphertext_with_tag(items[i].0, ct, tag);
         }
+        self.finish_write_run(items, &run);
     }
 
     /// Seals a pending `(item index, counter)` run per-block — the slow
@@ -693,9 +722,23 @@ impl MemoryEncryptionEngine {
         for &(i, counter) in run {
             let (addr, plain) = items[i];
             self.seal(addr, counter, &plain);
-            self.sync_tree(Self::block_index(addr));
-            self.stats.writes += 1;
         }
+        self.finish_write_run(items, run);
+    }
+
+    /// Accounts a sealed write run and syncs the tree once per metadata
+    /// block it touched: every counter of the run was bumped before the
+    /// first seal, so per-block syncs would all write the same images.
+    fn finish_write_run(&mut self, items: &[(u64, [u8; BLOCK_BYTES])], run: &[(usize, u64)]) {
+        self.stats.writes += run.len() as u64;
+        let metas = run
+            .iter()
+            .map(|&(i, _)| {
+                self.counters
+                    .metadata_block_of(Self::block_index(items[i].0))
+            })
+            .collect();
+        self.sync_tree_metas(metas);
     }
 
     /// Reads and verifies one 64-byte block at a block-aligned address.
@@ -710,22 +753,26 @@ impl MemoryEncryptionEngine {
     ///
     /// Panics if `addr` is not 64-byte aligned.
     pub fn read_block(&mut self, addr: u64) -> Result<[u8; BLOCK_BYTES], ReadError> {
-        self.read_block_with_counter(addr).map(|(plain, _)| plain)
+        self.read_block_with_counter(addr, &mut Vec::new())
+            .map(|(plain, _)| plain)
     }
 
     /// [`Self::read_block`], additionally returning the verified counter
     /// the block was sealed under so read-modify-write paths can reuse
-    /// the metadata fetch for the seal.
+    /// the metadata fetch for the seal. `synced` carries the metadata
+    /// blocks the enclosing run's first touches already synced (empty
+    /// for a read on its own).
     fn read_block_with_counter(
         &mut self,
         addr: u64,
+        synced: &mut Vec<u64>,
     ) -> Result<([u8; BLOCK_BYTES], u64), ReadError> {
         assert_eq!(
             addr % BLOCK_BYTES as u64,
             0,
             "address must be block-aligned"
         );
-        self.ensure_initialized(addr);
+        let stored = self.stored_or_first_touch(addr, synced);
         let block = Self::block_index(addr);
 
         // 1. Fetch + verify the counter through the Bonsai Merkle tree.
@@ -742,7 +789,6 @@ impl MemoryEncryptionEngine {
         debug_assert_eq!(verified_image, self.counters.metadata_block_image(meta));
         let counter = self.counters.counter(block);
 
-        let stored = self.storage.read(addr);
         let plain = match self.config.mac_placement {
             MacPlacement::MacInEcc => self.read_mac_in_ecc(addr, counter, stored)?,
             MacPlacement::SeparateMac => self.read_separate_mac(addr, counter, stored)?,
@@ -897,14 +943,16 @@ impl MemoryEncryptionEngine {
     }
 
     /// The per-block fallback of [`Self::read_blocks`]: sequential
-    /// [`Self::read_block`] calls, stopping at the first failure.
+    /// [`Self::read_block`]s, stopping at the first failure; the first
+    /// touches of the run sync each metadata block once.
     fn read_blocks_sequential(&mut self, addrs: &[u64]) -> ReadRun {
         let mut blocks = Vec::with_capacity(addrs.len());
         let mut counter_fetches = 0u64;
+        let mut synced = Vec::new();
         for (i, &addr) in addrs.iter().enumerate() {
             counter_fetches += 1;
-            match self.read_block(addr) {
-                Ok(plain) => blocks.push(plain),
+            match self.read_block_with_counter(addr, &mut synced) {
+                Ok((plain, _)) => blocks.push(plain),
                 Err(e) => {
                     return ReadRun {
                         blocks,
@@ -941,7 +989,7 @@ impl MemoryEncryptionEngine {
         addr: u64,
         f: impl FnOnce(&mut [u8; BLOCK_BYTES]),
     ) -> Result<[u8; BLOCK_BYTES], ReadError> {
-        let (old, counter) = self.read_block_with_counter(addr)?;
+        let (old, counter) = self.read_block_with_counter(addr, &mut Vec::new())?;
         let mut block = old;
         f(&mut block);
         let blk = Self::block_index(addr);
@@ -1274,12 +1322,7 @@ impl MemoryEncryptionEngine {
             metas.push(self.counters.metadata_block_of(block));
             Ok(())
         });
-        metas.sort_unstable();
-        metas.dedup();
-        for meta in metas {
-            let image = self.counters.metadata_block_image(meta);
-            self.tree.write_counter_block(meta, image);
-        }
+        self.sync_tree_metas(metas);
         result
     }
 

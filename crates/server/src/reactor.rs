@@ -57,8 +57,8 @@ use crate::protocol::{
     self, code, encode_server_error, encode_store_error, op, write_frame, Frame, WireError,
 };
 use crate::server::{
-    evaluate_hello, exec_tamper, submit_op, try_parse_frame, ConnEnd, HelloDecision, Shared,
-    Submitted, Tenant,
+    evaluate_hello, exec_tamper, submit_op, try_parse_frame, ConnEnd, ConnectionSlot,
+    HelloDecision, Shared, Submitted, Tenant,
 };
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use ame_store::{
@@ -194,6 +194,9 @@ pub(crate) fn reactor_thread(shared: &Arc<Shared>, seed: ReactorSeed) {
 /// An open session: the store-facing half of one granted connection.
 struct Pipe<'a> {
     tenant: &'a Tenant,
+    /// The session's share of the tenant's connection quota, handed back
+    /// when the pipe is dropped.
+    _slot: ConnectionSlot<'a>,
     /// `Some` while admitting; dropped (→ `None`) to begin draining —
     /// the store sees the pipeline close, in-flight completions still
     /// arrive.
@@ -542,6 +545,7 @@ fn handle_hello<'a>(
     match evaluate_hello(shared, frame) {
         HelloDecision::Grant {
             tenant,
+            slot,
             window,
             reply,
         } => {
@@ -567,7 +571,6 @@ fn handle_hello<'a>(
                 queue_wire_err(&mut conn.wbuf, frame.req_id, &WireError::QuotaExceeded);
                 return Some(ConnEnd::Goodbye);
             }
-            tenant.connections.fetch_add(1, Ordering::SeqCst);
             tenant
                 .counters
                 .connections_accepted
@@ -575,6 +578,7 @@ fn handle_hello<'a>(
             queue_frame(&mut conn.wbuf, protocol::STATUS_OK, frame.req_id, &reply);
             conn.state = State::Open(Pipe {
                 tenant,
+                _slot: slot,
                 submitter: Some(submitter),
                 reaper,
                 by_ticket: HashMap::new(),
@@ -863,9 +867,9 @@ fn advance<'a>(conn: &mut Conn<'a>, shared: &'a Shared, epoll: &Epoll) {
         }
         if let State::Open(pipe) = std::mem::replace(&mut conn.state, State::Flush) {
             epoll.del(pipe.wake_fd);
-            pipe.tenant.connections.fetch_sub(1, Ordering::SeqCst);
-            // `pipe` drops here: the reaper releases the session and
-            // (with the last Arc) closes the eventfd.
+            // `pipe` drops here: the quota slot is handed back, the
+            // reaper releases the session and (with the last Arc) closes
+            // the eventfd.
         }
     }
     flush_wbuf(conn);
@@ -904,7 +908,6 @@ fn force_close(conn: &mut Conn<'_>, epoll: &Epoll) {
     conn.wbuf.clear();
     if let State::Open(pipe) = std::mem::replace(&mut conn.state, State::Flush) {
         epoll.del(pipe.wake_fd);
-        pipe.tenant.connections.fetch_sub(1, Ordering::SeqCst);
     }
     if conn.end.is_none() {
         conn.end = Some(ConnEnd::Shutdown);

@@ -579,14 +579,44 @@ pub(crate) enum ConnEnd {
     Malformed,
 }
 
+/// One connection's share of a tenant's `max_connections`, reserved by
+/// [`evaluate_hello`] before any reply is written and handed back when
+/// dropped — whether the reply never made it out, the session could not
+/// be set up, or the connection has ended.
+pub(crate) struct ConnectionSlot<'a>(&'a Tenant);
+
+impl<'a> ConnectionSlot<'a> {
+    /// Takes a slot unless the tenant is at its quota. One atomic
+    /// update, so concurrent hellos (connection threads, or reactor
+    /// loops) can never be granted past `max_connections` between a
+    /// check and a later increment.
+    fn reserve(tenant: &'a Tenant) -> Option<Self> {
+        tenant
+            .connections
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |held| {
+                (held < tenant.max_connections).then_some(held + 1)
+            })
+            .ok()
+            .map(|_| Self(tenant))
+    }
+}
+
+impl Drop for ConnectionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Outcome of evaluating a `Hello` frame against server state. Counter
-/// updates happen inside [`evaluate_hello`]; admission bookkeeping
-/// (`connections` increment, session split) stays with the caller.
+/// updates and the quota reservation happen inside [`evaluate_hello`];
+/// the session split stays with the caller.
 pub(crate) enum HelloDecision<'a> {
     /// Admit: reply with `reply` (tagged `STATUS_OK`), then serve
-    /// `tenant` with a per-shard window of `window`.
+    /// `tenant` with a per-shard window of `window`, holding `slot` for
+    /// as long as the connection lives.
     Grant {
         tenant: &'a Tenant,
+        slot: ConnectionSlot<'a>,
         window: usize,
         reply: Vec<u8>,
     },
@@ -619,19 +649,20 @@ pub(crate) fn evaluate_hello<'a>(shared: &'a Shared, frame: &Frame) -> HelloDeci
             .fetch_add(1, Ordering::Relaxed);
         return HelloDecision::Refuse(WireError::UnknownTenant(tenant_id));
     };
-    if tenant.connections.load(Ordering::SeqCst) >= tenant.max_connections {
+    let Some(slot) = ConnectionSlot::reserve(tenant) else {
         tenant
             .counters
             .quota_rejections
             .fetch_add(1, Ordering::Relaxed);
         return HelloDecision::Refuse(WireError::QuotaExceeded);
-    }
+    };
     let granted = (requested.max(1) as usize).min(tenant.max_window);
     let mut reply = Vec::with_capacity(8);
     reply.extend_from_slice(&(granted as u32).to_le_bytes());
     reply.extend_from_slice(&(tenant.store.shards() as u32).to_le_bytes());
     HelloDecision::Grant {
         tenant,
+        slot,
         window: granted,
         reply,
     }
@@ -650,10 +681,11 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
     };
     let wr: WriteHalf = Arc::new(Mutex::new(stream));
 
-    let Some((tenant, window)) = handshake(shared, &mut reader, &wr) else {
+    // `_slot` is this connection's share of the tenant's quota until the
+    // function returns.
+    let Some((tenant, _slot, window)) = handshake(shared, &mut reader, &wr) else {
         return;
     };
-    tenant.connections.fetch_add(1, Ordering::SeqCst);
     tenant
         .counters
         .connections_accepted
@@ -674,7 +706,6 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
     if matches!(end, ConnEnd::Shutdown) {
         let _ = respond(&wr, code::SHUTTING_DOWN, 0, &[]);
     }
-    tenant.connections.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// Runs the `Hello` exchange. `None` means the connection was refused
@@ -683,7 +714,7 @@ fn handshake<'a>(
     shared: &'a Arc<Shared>,
     reader: &mut ConnReader,
     wr: &WriteHalf,
-) -> Option<(&'a Tenant, usize)> {
+) -> Option<(&'a Tenant, ConnectionSlot<'a>, usize)> {
     let frame = loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             let _ = respond_err(wr, 0, &WireError::ShuttingDown);
@@ -706,13 +737,14 @@ fn handshake<'a>(
     match evaluate_hello(shared, &frame) {
         HelloDecision::Grant {
             tenant,
+            slot,
             window,
             reply,
         } => {
             if respond(wr, protocol::STATUS_OK, frame.req_id, &reply).is_err() {
                 return None;
             }
-            Some((tenant, window))
+            Some((tenant, slot, window))
         }
         HelloDecision::Refuse(e) => {
             let _ = respond_err(wr, frame.req_id, &e);

@@ -196,6 +196,71 @@ fn handshake_policy_unknown_tenant_quota_and_window_clamp(mode: ServerMode) {
 }
 
 #[test]
+fn concurrent_hellos_never_exceed_the_quota_reactor() {
+    concurrent_hellos_never_exceed_the_quota(ServerMode::reactor());
+}
+
+#[test]
+fn concurrent_hellos_never_exceed_the_quota_threaded() {
+    concurrent_hellos_never_exceed_the_quota(ServerMode::Threaded);
+}
+
+/// Sixteen connections, already accepted, say `Hello` to a tenant with
+/// `max_connections = 1` at the same instant, and every one of them
+/// stays open until all sixteen have their answer: exactly one may be
+/// granted, whichever serving thread evaluates which hello when.
+fn concurrent_hellos_never_exceed_the_quota(mode: ServerMode) {
+    use ame_server::protocol::{self, op, read_frame, write_frame, DEFAULT_MAX_FRAME};
+    use std::sync::Barrier;
+
+    const PEERS: usize = 16;
+    for round in 0..8 {
+        let mut tight = TenantSpec::new(3, small_store());
+        tight.max_connections = 1;
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                tenants: vec![tight],
+                mode,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let (start, answered) = (Barrier::new(PEERS), Barrier::new(PEERS));
+        let granted: usize = std::thread::scope(|s| {
+            let peers: Vec<_> = (0..PEERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+                        let mut hello = Vec::new();
+                        hello.extend_from_slice(&ame_server::PROTOCOL_VERSION.to_le_bytes());
+                        hello.extend_from_slice(&3u32.to_le_bytes());
+                        hello.extend_from_slice(&4u32.to_le_bytes());
+                        start.wait();
+                        write_frame(&mut stream, op::HELLO, 1, &hello).unwrap();
+                        let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+                        // Hold the connection (and, if granted, its slot)
+                        // until nobody is still waiting for an answer.
+                        answered.wait();
+                        if reply.tag == protocol::STATUS_OK {
+                            return 1;
+                        }
+                        assert_eq!(
+                            protocol::decode_error(reply.tag, &reply.payload),
+                            WireError::QuotaExceeded
+                        );
+                        0
+                    })
+                })
+                .collect();
+            peers.into_iter().map(|p| p.join().unwrap()).sum()
+        });
+        assert_eq!(granted, 1, "round {round}: max_connections = 1");
+        let _ = server.shutdown();
+    }
+}
+
+#[test]
 fn saturated_store_applies_backpressure_reactor() {
     saturated_store_applies_backpressure(ServerMode::reactor());
 }

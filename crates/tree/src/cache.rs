@@ -16,8 +16,7 @@
 //!   soon as the block is re-fetched — the same observable behaviour as
 //!   real metadata caches.
 
-use crate::merkle::{BonsaiTree, VerifyError, NODE_BYTES};
-use std::collections::HashMap;
+use crate::merkle::{BonsaiTree, IndexMap, VerifyError, NODE_BYTES};
 
 /// Counter-cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,7 +72,7 @@ pub struct CachedTree {
     tree: BonsaiTree,
     capacity: usize,
     /// On-chip verified copies.
-    contents: HashMap<u64, [u8; NODE_BYTES]>,
+    contents: IndexMap<[u8; NODE_BYTES]>,
     /// LRU order, most recent last.
     order: Vec<u64>,
     stats: CounterCacheStats,
@@ -91,7 +90,7 @@ impl CachedTree {
         Self {
             tree,
             capacity,
-            contents: HashMap::new(),
+            contents: IndexMap::default(),
             order: Vec::new(),
             stats: CounterCacheStats::default(),
         }
@@ -115,6 +114,11 @@ impl CachedTree {
     }
 
     fn touch(&mut self, idx: u64) {
+        // Consecutive data blocks share a counter block, so the common
+        // touch is of the entry that is already most recent.
+        if self.order.last() == Some(&idx) {
+            return;
+        }
         if let Some(pos) = self.order.iter().position(|&i| i == idx) {
             self.order.remove(pos);
         }

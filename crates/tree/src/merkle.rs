@@ -12,6 +12,7 @@
 use ame_crypto::MemoryCipher;
 use ame_persist::{invalid_data, put_u64, read_section, write_section, ByteReader};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 
 /// Size of a counter block / tree node in bytes.
@@ -39,6 +40,60 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
+/// Multiplicative hasher for maps keyed by a counter-block or tree-node
+/// index. Those keys are dense integers bounded by the protected region,
+/// never attacker-sized strings, so SipHash's flooding resistance buys
+/// nothing here; the fold keeps keys that differ only in their high bits
+/// apart in the table's low (bucket) bits.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// A map keyed by block/node index behind [`IndexHasher`].
+pub(crate) type IndexMap<V> = HashMap<u64, V, BuildHasherDefault<IndexHasher>>;
+
+/// One off-chip tree node: the 64-bit MACs of its (up to eight)
+/// children, plus which child slots were ever written — an absent child
+/// reads as MAC 0, but only written ones are part of the serialized state.
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
+    child_macs: [u64; 8],
+    present: u8,
+}
+
+impl Node {
+    /// The node as it sits in node storage and as it is MAC'd: the child
+    /// MACs packed little-endian.
+    fn image(&self) -> [u8; NODE_BYTES] {
+        let mut image = [0u8; NODE_BYTES];
+        for (bytes, mac) in image.chunks_exact_mut(8).zip(self.child_macs) {
+            bytes.copy_from_slice(&mac.to_le_bytes());
+        }
+        image
+    }
+
+    fn set_child_mac(&mut self, slot: usize, mac: u64) {
+        self.child_macs[slot] = mac;
+        self.present |= 1 << slot;
+    }
+}
+
 /// A functional Bonsai Merkle tree over counter blocks.
 ///
 /// # Example
@@ -59,15 +114,16 @@ impl std::error::Error for VerifyError {}
 pub struct BonsaiTree {
     cipher: MemoryCipher,
     arity: usize,
-    /// Number of *off-chip* MAC levels. Level index 0 stores leaf MACs;
-    /// level `off_chip_levels` is the on-chip root map.
+    /// Number of *off-chip* MAC levels. MACs of level-`l` nodes (level 0
+    /// = leaf counter blocks) live in the level-`l + 1` node above them;
+    /// the MACs of level `off_chip_levels` are the on-chip root map.
     off_chip_levels: usize,
-    counter_blocks: HashMap<u64, [u8; NODE_BYTES]>,
-    /// `stored_macs[l][i]` = MAC of node `i` of level `l` (level 0 = leaf
-    /// counter blocks), held in off-chip node storage.
-    stored_macs: Vec<HashMap<u64, u64>>,
+    counter_blocks: IndexMap<[u8; NODE_BYTES]>,
+    /// `nodes[l][p]` = off-chip node `p` of level `l + 1`: the image of
+    /// its children's MACs, i.e. of nodes `p * arity ..` of level `l`.
+    nodes: Vec<IndexMap<Node>>,
     /// On-chip (tamper-proof) MACs of the top off-chip level.
-    root_macs: HashMap<u64, u64>,
+    root_macs: IndexMap<u64>,
 }
 
 impl BonsaiTree {
@@ -88,9 +144,9 @@ impl BonsaiTree {
             cipher,
             arity,
             off_chip_levels,
-            counter_blocks: HashMap::new(),
-            stored_macs: vec![HashMap::new(); off_chip_levels],
-            root_macs: HashMap::new(),
+            counter_blocks: IndexMap::default(),
+            nodes: vec![IndexMap::default(); off_chip_levels],
+            root_macs: IndexMap::default(),
         }
     }
 
@@ -100,53 +156,67 @@ impl BonsaiTree {
         self.off_chip_levels
     }
 
-    /// Domain-separated MAC of a node's content.
-    fn node_mac(&self, level: usize, idx: u64, content: &[u8; NODE_BYTES]) -> u64 {
-        // Encode (level, index) in the MAC's address input so identical
-        // content at different tree positions yields different MACs.
-        let addr = ((level as u64 + 1) << 48) ^ idx;
-        self.cipher.mac_node(addr, 0, content)
+    /// The `(address, counter)` nonce of a node's MAC: (level, index) in
+    /// the address input so identical content at different tree
+    /// positions yields different MACs.
+    fn node_nonce(level: usize, idx: u64) -> (u64, u64) {
+        (((level as u64 + 1) << 48) ^ idx, 0)
     }
 
-    /// Packs the child MACs of node `parent` at MAC level `level` (whose
-    /// children live at `level`) into a 64-byte node image.
-    fn node_content(&self, child_level: usize, parent: u64) -> [u8; NODE_BYTES] {
-        let mut content = [0u8; NODE_BYTES];
-        for c in 0..self.arity {
-            let child = parent * self.arity as u64 + c as u64;
-            let mac = self.stored_macs[child_level]
-                .get(&child)
-                .copied()
-                .unwrap_or(0);
-            content[c * 8..(c + 1) * 8].copy_from_slice(&mac.to_le_bytes());
-        }
-        content
+    /// `(parent index, slot within the parent)` of node `idx`.
+    fn parent_of(&self, idx: u64) -> (u64, usize) {
+        let arity = self.arity as u64;
+        (idx / arity, (idx % arity) as usize)
     }
 
-    /// Re-MACs the path from leaf `idx` to the root after a change.
+    /// The stored MAC of node `idx` of off-chip level `level` (0 if
+    /// never written).
+    fn stored_mac(&self, level: usize, idx: u64) -> u64 {
+        let (parent, slot) = self.parent_of(idx);
+        self.nodes[level]
+            .get(&parent)
+            .map_or(0, |node| node.child_macs[slot])
+    }
+
+    fn set_stored_mac(&mut self, level: usize, idx: u64, mac: u64) -> &Node {
+        let (parent, slot) = self.parent_of(idx);
+        let node = self.nodes[level].entry(parent).or_default();
+        node.set_child_mac(slot, mac);
+        node
+    }
+
+    /// The nonces of the `off_chip_levels + 1` MACs on the path from leaf
+    /// `idx` to the root, bottom up.
+    fn path_nonces(&self, idx: u64) -> Vec<(u64, u64)> {
+        let mut node = idx;
+        (0..=self.off_chip_levels)
+            .map(|level| {
+                let nonce = Self::node_nonce(level, node);
+                node /= self.arity as u64;
+                nonce
+            })
+            .collect()
+    }
+
+    /// Re-MACs the path from leaf `idx` to the root after a change. Each
+    /// node's MAC feeds its parent's image, so the hash chains are
+    /// serial; the AES pads do not depend on content and are fetched for
+    /// the whole path in one pipelined pass.
     fn update_path(&mut self, idx: u64) {
         let leaf = self
             .counter_blocks
             .get(&idx)
             .copied()
             .unwrap_or([0; NODE_BYTES]);
-        let mac = self.node_mac(0, idx, &leaf);
-        if self.off_chip_levels == 0 {
-            self.root_macs.insert(idx, mac);
-            return;
-        }
-        self.stored_macs[0].insert(idx, mac);
+        let pads = self.cipher.mac_node_pads(&self.path_nonces(idx));
+        let mut mac = self.cipher.mac_node_padded(pads[0], &leaf);
         let mut node = idx;
-        for level in 1..=self.off_chip_levels {
+        for level in 0..self.off_chip_levels {
+            let image = self.set_stored_mac(level, node, mac).image();
+            mac = self.cipher.mac_node_padded(pads[level + 1], &image);
             node /= self.arity as u64;
-            let content = self.node_content(level - 1, node);
-            let mac = self.node_mac(level, node, &content);
-            if level == self.off_chip_levels {
-                self.root_macs.insert(node, mac);
-            } else {
-                self.stored_macs[level].insert(node, mac);
-            }
         }
+        self.root_macs.insert(node, mac);
     }
 
     /// Writes a counter block and updates the MAC path to the root.
@@ -158,44 +228,54 @@ impl BonsaiTree {
     /// Reads and verifies a counter block. Never-written blocks are
     /// lazily initialized to zeros (trusted boot state).
     ///
+    /// The leaf and its ancestors are gathered first and all
+    /// `off_chip_levels + 1` MACs are computed in one multi-message pass;
+    /// the leaf is returned only if every one of them matched.
+    ///
     /// # Errors
     ///
-    /// Returns [`VerifyError`] naming the level where the MAC chain broke
-    /// if any node on the path was tampered with or replayed.
+    /// Returns [`VerifyError`] naming the lowest level where the MAC
+    /// chain broke if any node on the path was tampered with or replayed.
     pub fn read_counter_block(&mut self, idx: u64) -> Result<[u8; NODE_BYTES], VerifyError> {
-        if !self.counter_blocks.contains_key(&idx) {
-            self.write_counter_block(idx, [0; NODE_BYTES]);
-        }
-        let leaf = self.counter_blocks[&idx];
-
-        // Level 0: the counter block against its stored MAC.
-        let expected0 = if self.off_chip_levels == 0 {
-            self.root_macs.get(&idx).copied().unwrap_or(0)
-        } else {
-            self.stored_macs[0].get(&idx).copied().unwrap_or(0)
-        };
-        if self.node_mac(0, idx, &leaf) != expected0 {
-            return Err(VerifyError {
-                level: 0,
-                node: idx,
-            });
-        }
-
-        // Levels 1..: each node of packed child MACs against its parent.
-        let mut node = idx;
-        for level in 1..=self.off_chip_levels {
-            node /= self.arity as u64;
-            let content = self.node_content(level - 1, node);
-            let expected = if level == self.off_chip_levels {
-                self.root_macs.get(&node).copied().unwrap_or(0)
-            } else {
-                self.stored_macs[level].get(&node).copied().unwrap_or(0)
-            };
-            if self.node_mac(level, node, &content) != expected {
-                return Err(VerifyError { level, node });
+        let leaf = match self.counter_blocks.get(&idx) {
+            Some(&leaf) => leaf,
+            None => {
+                self.write_counter_block(idx, [0; NODE_BYTES]);
+                [0; NODE_BYTES]
             }
+        };
+
+        // `contents[l]` is the path's node at level `l`, `expected[l]` the
+        // MAC its parent (or the on-chip root) holds for it.
+        let levels = self.off_chip_levels;
+        let mut contents = Vec::with_capacity(levels + 1);
+        let mut expected = Vec::with_capacity(levels + 1);
+        contents.push(leaf);
+        let mut node = idx;
+        for level in 0..levels {
+            let (parent, slot) = self.parent_of(node);
+            let above = self.nodes[level].get(&parent).copied().unwrap_or_default();
+            expected.push(above.child_macs[slot]);
+            contents.push(above.image());
+            node = parent;
         }
-        Ok(leaf)
+        expected.push(self.root_macs.get(&node).copied().unwrap_or(0));
+
+        let macs = self
+            .cipher
+            .mac_node_batch(&self.path_nonces(idx), &contents);
+        match macs
+            .iter()
+            .zip(&expected)
+            .position(|(mac, want)| mac != want)
+        {
+            None => Ok(leaf),
+            // The lowest broken level, as a bottom-up walk would find it.
+            Some(level) => Err(VerifyError {
+                level,
+                node: (0..level).fold(idx, |node, _| node / self.arity as u64),
+            }),
+        }
     }
 
     /// Simulates an attacker mutating off-chip counter storage directly.
@@ -215,7 +295,7 @@ impl BonsaiTree {
             level < self.off_chip_levels,
             "level {level} is not off-chip"
         );
-        self.stored_macs[level].insert(idx, mac);
+        self.set_stored_mac(level, idx, mac);
     }
 
     /// Snapshot of all off-chip state for one leaf (counter block + its
@@ -230,7 +310,7 @@ impl BonsaiTree {
         let mac = if self.off_chip_levels == 0 {
             self.root_macs.get(&idx).copied().unwrap_or(0)
         } else {
-            self.stored_macs[0].get(&idx).copied().unwrap_or(0)
+            self.stored_mac(0, idx)
         };
         (block, mac)
     }
@@ -245,7 +325,7 @@ impl BonsaiTree {
             // With no off-chip MAC levels the "stored MAC" is on-chip and
             // the attacker cannot restore it; only the block reverts.
         } else {
-            self.stored_macs[0].insert(idx, snapshot.1);
+            self.set_stored_mac(0, idx, snapshot.1);
         }
     }
 
@@ -254,25 +334,25 @@ impl BonsaiTree {
     /// Section version of the serialized form.
     const VERSION: u32 = 1;
 
-    fn put_map(payload: &mut Vec<u8>, map: &HashMap<u64, u64>) {
-        let mut keys: Vec<u64> = map.keys().copied().collect();
-        keys.sort_unstable();
-        put_u64(payload, keys.len() as u64);
-        for k in keys {
+    fn put_pairs(payload: &mut Vec<u8>, mut pairs: Vec<(u64, u64)>) {
+        pairs.sort_unstable();
+        put_u64(payload, pairs.len() as u64);
+        for (k, v) in pairs {
             put_u64(payload, k);
-            put_u64(payload, map[&k]);
+            put_u64(payload, v);
         }
     }
 
-    fn read_map(payload: &mut ByteReader<'_>) -> io::Result<HashMap<u64, u64>> {
-        let count = payload.u64()? as usize;
-        let mut map = HashMap::with_capacity(count.min(1 << 24));
-        for _ in 0..count {
+    fn read_pairs(
+        payload: &mut ByteReader<'_>,
+        mut insert: impl FnMut(u64, u64),
+    ) -> io::Result<()> {
+        for _ in 0..payload.u64()? {
             let k = payload.u64()?;
             let v = payload.u64()?;
-            map.insert(k, v);
+            insert(k, v);
         }
-        Ok(map)
+        Ok(())
     }
 
     /// Serializes the tree's complete state — counter blocks, every
@@ -290,10 +370,22 @@ impl BonsaiTree {
             put_u64(&mut payload, idx);
             payload.extend_from_slice(&self.counter_blocks[&idx]);
         }
-        for level in &self.stored_macs {
-            Self::put_map(&mut payload, level);
+        // The v1 layout is per-child: every level lists the `(child
+        // index, MAC)` pairs ever written, not node images.
+        let arity = self.arity as u64;
+        for level in &self.nodes {
+            let pairs = level
+                .iter()
+                .flat_map(|(&parent, node)| {
+                    (0..self.arity)
+                        .filter(|&slot| node.present >> slot & 1 == 1)
+                        .map(move |slot| (parent * arity + slot as u64, node.child_macs[slot]))
+                })
+                .collect();
+            Self::put_pairs(&mut payload, pairs);
         }
-        Self::put_map(&mut payload, &self.root_macs);
+        let roots = self.root_macs.iter().map(|(&k, &v)| (k, v)).collect();
+        Self::put_pairs(&mut payload, roots);
         write_section(out, Self::MAGIC, Self::VERSION, &payload);
     }
 
@@ -322,26 +414,21 @@ impl BonsaiTree {
         if off_chip_levels > 64 {
             return Err(invalid_data("implausible tree depth"));
         }
-        let count = payload.u64()? as usize;
-        let mut counter_blocks = HashMap::with_capacity(count.min(1 << 24));
-        for _ in 0..count {
+        let mut tree = Self::new(cipher, off_chip_levels, arity);
+        for _ in 0..payload.u64()? {
             let idx = payload.u64()?;
             let block: [u8; NODE_BYTES] = payload.array()?;
-            counter_blocks.insert(idx, block);
+            tree.counter_blocks.insert(idx, block);
         }
-        let mut stored_macs = Vec::with_capacity(off_chip_levels);
-        for _ in 0..off_chip_levels {
-            stored_macs.push(Self::read_map(&mut payload)?);
+        for level in 0..off_chip_levels {
+            Self::read_pairs(&mut payload, |child, mac| {
+                tree.set_stored_mac(level, child, mac);
+            })?;
         }
-        let root_macs = Self::read_map(&mut payload)?;
-        Ok(Self {
-            cipher,
-            arity,
-            off_chip_levels,
-            counter_blocks,
-            stored_macs,
-            root_macs,
-        })
+        Self::read_pairs(&mut payload, |node, mac| {
+            tree.root_macs.insert(node, mac);
+        })?;
+        Ok(tree)
     }
 }
 
