@@ -257,7 +257,7 @@ impl CounterScheme for DeltaCounters {
 
     fn encode_state(&self, out: &mut Vec<u8>) {
         let cfg = &self.config;
-        let mut body = Vec::new();
+        let mut body = codec::begin_state(out, self.name());
         put_u32(&mut body, cfg.delta_bits);
         put_u64(&mut body, cfg.blocks_per_group as u64);
         put_u32(&mut body, cfg.reference_bits);
@@ -275,7 +275,12 @@ impl CounterScheme for DeltaCounters {
                 put_u64(&mut body, d);
             }
         }
-        codec::write_state(out, self.name(), &body);
+        body.finish();
+    }
+
+    fn encoded_state_len(&self) -> usize {
+        let group = 16 + 8 * self.config.blocks_per_group;
+        codec::state_len(self.name(), 4 + 8 + 4 + 2 + 8 + self.groups.len() * group)
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
@@ -551,6 +556,7 @@ mod tests {
         c.record_write(5); // second group
         let mut buf = Vec::new();
         c.encode_state(&mut buf);
+        assert_eq!(buf.len(), c.encoded_state_len());
         let mut back = DeltaCounters::default();
         back.decode_state(&mut ByteReader::new(&buf)).unwrap();
         assert_eq!(back.config(), c.config(), "configuration is adopted");

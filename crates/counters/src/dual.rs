@@ -323,7 +323,7 @@ impl CounterScheme for DualLengthDeltaCounters {
 
     fn encode_state(&self, out: &mut Vec<u8>) {
         let cfg = &self.config;
-        let mut body = Vec::new();
+        let mut body = codec::begin_state(out, self.name());
         put_u32(&mut body, cfg.base_bits);
         put_u32(&mut body, cfg.extra_bits);
         put_u64(&mut body, cfg.delta_groups as u64);
@@ -353,7 +353,15 @@ impl CounterScheme for DualLengthDeltaCounters {
                 put_u64(&mut body, d);
             }
         }
-        codec::write_state(out, self.name(), &body);
+        body.finish();
+    }
+
+    fn encoded_state_len(&self) -> usize {
+        let group = 16 + 9 + 8 * self.config.blocks_per_group;
+        codec::state_len(
+            self.name(),
+            4 + 4 + 8 + 8 + 4 + 2 + 8 + self.groups.len() * group,
+        )
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
@@ -663,6 +671,7 @@ mod tests {
         assert_eq!(c.expanded_group(0), Some(0));
         let mut buf = Vec::new();
         c.encode_state(&mut buf);
+        assert_eq!(buf.len(), c.encoded_state_len());
         let mut back = DualLengthDeltaCounters::default();
         back.decode_state(&mut ByteReader::new(&buf)).unwrap();
         assert_eq!(back.config(), c.config(), "configuration is adopted");

@@ -51,18 +51,25 @@ use std::io;
 /// the wrong scheme configured fails loudly instead of misparsing.
 pub(crate) mod codec {
     use super::CounterStats;
-    use ame_persist::{invalid_data, put_u64, read_section, write_section, ByteReader};
+    use ame_persist::{invalid_data, put_u64, read_section, ByteReader, SectionWriter};
     use std::io;
 
     pub(crate) const MAGIC: &[u8; 8] = b"AMECTRS\0";
     pub(crate) const VERSION: u32 = 1;
 
-    pub(crate) fn write_state(out: &mut Vec<u8>, name: &str, body: &[u8]) {
-        let mut payload = Vec::with_capacity(1 + name.len() + body.len());
+    /// Opens the state section at the end of `out`; the scheme appends
+    /// its body through the returned writer and `finish`es it.
+    pub(crate) fn begin_state<'a>(out: &'a mut Vec<u8>, name: &str) -> SectionWriter<'a> {
+        let mut payload = SectionWriter::begin(out, MAGIC, VERSION);
         payload.push(name.len() as u8);
         payload.extend_from_slice(name.as_bytes());
-        payload.extend_from_slice(body);
-        write_section(out, MAGIC, VERSION, &payload);
+        payload
+    }
+
+    /// Length of a state section whose scheme-specific body is `body`
+    /// bytes after the statistics.
+    pub(crate) fn state_len(name: &str, body: usize) -> usize {
+        ame_persist::SECTION_OVERHEAD + 1 + name.len() + 5 * 8 + body
     }
 
     pub(crate) fn read_state<'a>(r: &mut ByteReader<'a>, name: &str) -> io::Result<ByteReader<'a>> {
@@ -235,6 +242,10 @@ pub trait CounterScheme: Send {
     /// statistics, every lazily allocated group) into a checksummed
     /// section appended to `out`.
     fn encode_state(&self, out: &mut Vec<u8>);
+
+    /// Exact length in bytes of what [`CounterScheme::encode_state`]
+    /// appends, so a caller can reserve an image's buffer once.
+    fn encoded_state_len(&self) -> usize;
 
     /// Restores state captured by [`CounterScheme::encode_state`],
     /// replacing this instance's state (including its configuration) and

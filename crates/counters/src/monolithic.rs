@@ -123,7 +123,7 @@ impl CounterScheme for MonolithicCounters {
     }
 
     fn encode_state(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::with_capacity(4 + 40 + 8 + self.counters.len() * 16);
+        let mut body = codec::begin_state(out, self.name());
         put_u32(&mut body, self.bits);
         codec::put_stats(&mut body, &self.stats);
         let mut blocks: Vec<u64> = self.counters.keys().copied().collect();
@@ -133,7 +133,11 @@ impl CounterScheme for MonolithicCounters {
             put_u64(&mut body, block);
             put_u64(&mut body, self.counters[&block]);
         }
-        codec::write_state(out, self.name(), &body);
+        body.finish();
+    }
+
+    fn encoded_state_len(&self) -> usize {
+        codec::state_len(self.name(), 4 + 8 + self.counters.len() * 16)
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
@@ -225,6 +229,7 @@ mod tests {
         }
         let mut buf = Vec::new();
         c.encode_state(&mut buf);
+        assert_eq!(buf.len(), c.encoded_state_len());
         let mut back = MonolithicCounters::default();
         back.decode_state(&mut ByteReader::new(&buf)).unwrap();
         assert_eq!(back.bits(), 16);

@@ -175,7 +175,7 @@ impl CounterScheme for SplitCounters {
     }
 
     fn encode_state(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::new();
+        let mut body = codec::begin_state(out, self.name());
         put_u32(&mut body, self.minor_bits);
         put_u64(&mut body, self.blocks_per_group as u64);
         codec::put_stats(&mut body, &self.stats);
@@ -190,7 +190,12 @@ impl CounterScheme for SplitCounters {
                 put_u64(&mut body, m);
             }
         }
-        codec::write_state(out, self.name(), &body);
+        body.finish();
+    }
+
+    fn encoded_state_len(&self) -> usize {
+        let group = 16 + 8 * self.blocks_per_group;
+        codec::state_len(self.name(), 4 + 8 + 8 + self.groups.len() * group)
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
@@ -351,6 +356,7 @@ mod tests {
         c.record_write(6);
         let mut buf = Vec::new();
         c.encode_state(&mut buf);
+        assert_eq!(buf.len(), c.encoded_state_len());
         let mut back = SplitCounters::default();
         back.decode_state(&mut ByteReader::new(&buf)).unwrap();
         assert_eq!(back.stats(), c.stats());

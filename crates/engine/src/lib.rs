@@ -47,7 +47,7 @@ use ame_crypto::MemoryCipher;
 use ame_dram::storage::{DramStorage, StoredBlock};
 use ame_ecc::layout::{MacSideband, StandardSideband};
 use ame_ecc::secded::DecodeOutcome;
-use ame_persist::{invalid_data, put_u32, put_u64, read_section, write_section, ByteReader};
+use ame_persist::{invalid_data, put_u32, put_u64, read_section, ByteReader, SectionWriter};
 use ame_tree::cache::CachedTree;
 use ame_tree::merkle::{BonsaiTree, VerifyError};
 use std::collections::HashMap;
@@ -1243,11 +1243,9 @@ impl MemoryEncryptionEngine {
         Ok(())
     }
 
-    /// Block-aligned addresses currently resident in storage.
+    /// Block-aligned addresses currently resident in storage, ascending.
     fn resident_addrs(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.storage.addrs().collect();
-        v.sort_unstable();
-        v
+        self.storage.addrs().collect()
     }
 
     // ---- durable storage plane ----
@@ -1360,7 +1358,8 @@ impl MemoryEncryptionEngine {
     /// where the seed stands in for an on-die key that real hardware
     /// would never export.
     pub fn freeze_into(&self, out: &mut Vec<u8>) {
-        let mut payload = Vec::new();
+        let start = out.len();
+        let mut payload = SectionWriter::begin(out, Self::MAGIC, Self::VERSION);
         put_u64(&mut payload, self.config.seed);
         payload.push(match self.config.mac_placement {
             MacPlacement::SeparateMac => 0,
@@ -1383,9 +1382,9 @@ impl MemoryEncryptionEngine {
         put_u64(&mut payload, self.stats.data_corrections);
         put_u64(&mut payload, self.stats.flip_checks);
         put_u64(&mut payload, self.stats.failed_reads);
-        self.storage.encode(&mut payload);
-        self.counters.encode_state(&mut payload);
-        self.tree.inner().encode_state(&mut payload);
+        payload.nested(|out| self.storage.encode(out));
+        payload.nested(|out| self.counters.encode_state(out));
+        payload.nested(|out| self.tree.inner().encode_state(out));
         let mut blocks: Vec<u64> = self.mac_region.keys().copied().collect();
         blocks.sort_unstable();
         put_u64(&mut payload, blocks.len() as u64);
@@ -1393,7 +1392,22 @@ impl MemoryEncryptionEngine {
             put_u64(&mut payload, block);
             put_u64(&mut payload, self.mac_region[&block]);
         }
-        write_section(out, Self::MAGIC, Self::VERSION, &payload);
+        payload.finish();
+        debug_assert_eq!(out.len() - start, self.frozen_len());
+    }
+
+    /// Exact length in bytes of what [`Self::freeze_into`] appends, so
+    /// the image's buffer is reserved once and never regrown.
+    #[must_use]
+    pub fn frozen_len(&self) -> usize {
+        // seed, placement, scheme, flips, levels, cache blocks, prefetch;
+        // seven statistics; the MAC-region count.
+        ame_persist::SECTION_OVERHEAD
+            + (8 + 1 + 1 + 4 + 8 + 8 + 1 + 7 * 8 + 8)
+            + self.storage.encoded_len()
+            + self.counters.encoded_state_len()
+            + self.tree.inner().encoded_state_len()
+            + self.mac_region.len() * 16
     }
 
     /// Rebuilds an engine from a section produced by
@@ -2216,19 +2230,20 @@ mod tests {
 
     #[test]
     fn thaw_rejects_flipped_bit_anywhere() {
-        let mut e = engine(MacPlacement::MacInEcc, CounterSchemeKind::Delta);
+        // Enumerated, not sampled: every bit of a small region image.
+        let mut region = crate::region::SecureRegion::new(EngineConfig::default(), 4096);
         for b in 0..4u64 {
-            e.write_block(b * 64, &[b as u8; 64]);
+            region.write_bytes(b * 64, &[b as u8; 64]).unwrap();
         }
-        let mut img = Vec::new();
-        e.freeze_into(&mut img);
-        for pos in [9, img.len() / 3, img.len() / 2, img.len() - 2] {
+        let img = region.freeze();
+        assert!(img.len() <= 4096, "small enough to enumerate");
+        assert!(crate::region::SecureRegion::thaw(&img).is_ok());
+        for bit in 0..img.len() * 8 {
             let mut bad = img.clone();
-            bad[pos] ^= 0x10;
-            assert!(
-                MemoryEncryptionEngine::thaw_from(&mut ByteReader::new(&bad)).is_err(),
-                "flip at byte {pos} must be detected"
-            );
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let err = crate::region::SecureRegion::thaw(&bad)
+                .expect_err("a flipped image bit must be detected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "bit {bit}");
         }
     }
 

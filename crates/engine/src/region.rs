@@ -12,7 +12,7 @@
 //! fixed-size protected region.
 
 use crate::{MemoryEncryptionEngine, ReadError, ReadRun, SealedBlockState, BLOCK_BYTES};
-use ame_persist::{invalid_data, put_u64, read_section, write_section, ByteReader};
+use ame_persist::{invalid_data, put_u64, read_section, ByteReader, SectionWriter};
 use std::io;
 
 /// Errors from byte-granular region access.
@@ -251,7 +251,9 @@ impl SecureRegion {
 
     /// Captures a consistent snapshot of the whole region — size plus the
     /// engine's complete sealed image (ciphertext, counters, tree, MACs;
-    /// never plaintext) — as one checksummed byte vector.
+    /// never plaintext) — as one checksummed byte vector. Every nested
+    /// section is appended in place into that one vector, reserved to
+    /// the image's exact length, and each byte is checksummed once.
     ///
     /// The image embeds the key-derivation seed and is therefore **not
     /// confidential** against a reader of the image itself; see
@@ -259,11 +261,13 @@ impl SecureRegion {
     /// caveat.
     #[must_use]
     pub fn freeze(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
+        let len = ame_persist::SECTION_OVERHEAD + 8 + self.engine.frozen_len();
+        let mut out = Vec::with_capacity(len);
+        let mut payload = SectionWriter::begin(&mut out, Self::MAGIC, Self::VERSION);
         put_u64(&mut payload, self.size);
-        self.engine.freeze_into(&mut payload);
-        let mut out = Vec::with_capacity(payload.len() + 32);
-        write_section(&mut out, Self::MAGIC, Self::VERSION, &payload);
+        payload.nested(|out| self.engine.freeze_into(out));
+        payload.finish();
+        debug_assert_eq!(out.len(), len);
         out
     }
 

@@ -15,45 +15,95 @@
 //!   but failing its CRC — evidence of tampering or media failure, which
 //!   must quarantine the shard).
 //!
-//! The CRC is CRC-64/XZ (ECMA-182 polynomial, reflected), table-driven.
+//! The CRC is CRC-64/XZ (ECMA-182 polynomial, reflected), computed
+//! sixteen bytes per step (slice-by-16). Sections are written in place
+//! ([`SectionWriter`]): an image of nested sections is appended into one
+//! buffer and every byte of it is checksummed once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::io;
-use std::sync::OnceLock;
+use std::ops::{Deref, DerefMut};
 
 /// Reflected ECMA-182 polynomial (CRC-64/XZ).
 const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
 
-fn crc_table() -> &'static [u64; 256] {
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u64; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u64;
-            for _ in 0..8 {
-                crc = if crc & 1 == 1 {
-                    (crc >> 1) ^ CRC64_POLY
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
+/// One bit-step of the reflected CRC register: multiplication by `x`.
+const fn crc_step(crc: u64) -> u64 {
+    (crc >> 1) ^ (CRC64_POLY & (crc & 1).wrapping_neg())
+}
+
+/// Slice-by-16 tables: `CRC_TABLES[k][b]` is the register after byte `b`
+/// and then `k` zero bytes, so sixteen input bytes fold into the state
+/// with sixteen independent lookups.
+static CRC_TABLES: [[u64; 256]; 16] = {
+    let mut tables = [[0u64; 256]; 16];
+    let mut n = 0;
+    while n < 16 * 256 {
+        let (k, byte) = (n / 256, n % 256);
+        let mut crc = byte as u64;
+        let mut bit = 0;
+        while bit < 8 * (k + 1) {
+            crc = crc_step(crc);
+            bit += 1;
         }
-        table
-    })
+        tables[k][byte] = crc;
+        n += 1;
+    }
+    tables
+};
+
+/// Advances the raw (un-inverted) CRC state over `bytes`, sixteen bytes
+/// per step.
+fn crc64_update(mut crc: u64, bytes: &[u8]) -> u64 {
+    let mut chunks = bytes.chunks_exact(16);
+    for chunk in &mut chunks {
+        let chunk = u128::from_le_bytes(chunk.try_into().expect("16 bytes"));
+        let mixed = (chunk ^ u128::from(crc)).to_le_bytes();
+        crc = 0;
+        for (byte, table) in mixed.iter().zip(CRC_TABLES.iter().rev()) {
+            crc ^= table[usize::from(*byte)];
+        }
+    }
+    for &b in chunks.remainder() {
+        crc = CRC_TABLES[0][((crc ^ u64::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc
 }
 
 /// CRC-64/XZ of `bytes`.
 #[must_use]
 pub fn crc64(bytes: &[u8]) -> u64 {
-    let table = crc_table();
-    let mut crc = !0u64;
-    for &b in bytes {
-        crc = table[((crc ^ u64::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    !crc64_update(!0, bytes)
+}
+
+/// `a * b mod P` in the CRC's reflected bit order (bit 63 is `x^0`).
+fn mul_mod(a: u64, mut b: u64) -> u64 {
+    let mut product = 0;
+    for bit in (0..64).rev() {
+        product ^= b & (a >> bit & 1).wrapping_neg();
+        b = crc_step(b);
     }
-    !crc
+    product
+}
+
+/// `crc64(a || b)` from `crc64(a)`, `crc64(b)` and `b`'s length: the
+/// checksum is linear over GF(2), so appending `len_b` bytes multiplies
+/// `a`'s checksum by `x^(8 * len_b) mod P` (square-and-multiply, ~`log2
+/// len_b` steps) instead of walking `b` again.
+fn crc64_concat(crc_a: u64, crc_b: u64, len_b: usize) -> u64 {
+    let mut shift = 1 << 63; // x^0
+    let mut power = 1 << 55; // x^8: one byte
+    let mut n = len_b;
+    while n != 0 {
+        if n & 1 == 1 {
+            shift = mul_mod(shift, power);
+        }
+        power = mul_mod(power, power);
+        n >>= 1;
+    }
+    mul_mod(shift, crc_a) ^ crc_b
 }
 
 /// Builds an `InvalidData` error with `msg`.
@@ -158,16 +208,95 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Appends a checksummed section: `magic | version | len | payload | crc64`
-/// with the CRC covering everything before it.
-pub fn write_section(out: &mut Vec<u8>, magic: &[u8; 8], version: u32, payload: &[u8]) {
-    let start = out.len();
-    out.extend_from_slice(magic);
-    put_u32(out, version);
-    put_u64(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    let crc = crc64(&out[start..]);
-    put_u64(out, crc);
+/// Bytes of a section header: `magic(8) | version(u32) | len(u64)`.
+const SECTION_HEADER: usize = 20;
+
+/// Bytes a section adds around its payload: the header plus the
+/// trailing CRC.
+pub const SECTION_OVERHEAD: usize = SECTION_HEADER + 8;
+
+/// `crc64` of any finished section taken over *all* its bytes, trailer
+/// included: appending a CRC-64/XZ to the bytes it covers always leaves
+/// this residue, whatever the bytes were.
+const SECTION_RESIDUE: u64 = 0xB66A_7365_4282_CAC0;
+
+/// Writes one checksummed section — `magic | version | len | payload |
+/// crc64`, the CRC covering everything before it — in place at the end
+/// of a buffer: [`begin`](Self::begin) appends the header, the writer
+/// dereferences to the buffer so the payload is appended straight into
+/// it, and [`finish`](Self::finish) back-patches `len` and appends the
+/// CRC. Nothing is staged in a second buffer.
+#[derive(Debug)]
+pub struct SectionWriter<'a> {
+    out: &'a mut Vec<u8>,
+    start: usize,
+    /// Raw CRC state over the payload bytes before `summed`.
+    state: u64,
+    summed: usize,
+}
+
+impl<'a> SectionWriter<'a> {
+    /// Opens a section at the end of `out`.
+    pub fn begin(out: &'a mut Vec<u8>, magic: &[u8; 8], version: u32) -> Self {
+        let start = out.len();
+        out.extend_from_slice(magic);
+        put_u32(out, version);
+        put_u64(out, 0); // len, patched by `finish`
+        Self {
+            out,
+            start,
+            state: !0,
+            summed: start + SECTION_HEADER,
+        }
+    }
+
+    /// Walks the payload bytes not yet in the running checksum.
+    fn absorb(&mut self) {
+        self.state = crc64_update(self.state, &self.out[self.summed..]);
+        self.summed = self.out.len();
+    }
+
+    /// Lets `write` append **exactly one finished section** as the next
+    /// part of this payload. Its bytes were walked when it computed its
+    /// own CRC and their checksum is [`SECTION_RESIDUE`] by
+    /// construction, so they enter this section's checksum by
+    /// arithmetic on its length: every byte of a nested image is walked
+    /// once, however deep it sits. (A nested section written without
+    /// this call is still checksummed correctly — it is just walked
+    /// again.)
+    pub fn nested(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        self.absorb();
+        write(self.out);
+        let child = &self.out[self.summed..];
+        debug_assert_eq!(crc64(child), SECTION_RESIDUE, "not one finished section");
+        self.state = !crc64_concat(!self.state, SECTION_RESIDUE, child.len());
+        self.summed = self.out.len();
+    }
+
+    /// Closes the section: patches the payload length into the header
+    /// and appends the CRC of header and payload.
+    pub fn finish(mut self) {
+        self.absorb();
+        let payload = self.start + SECTION_HEADER;
+        let len = self.out.len() - payload;
+        self.out[payload - 8..payload].copy_from_slice(&(len as u64).to_le_bytes());
+        let header = crc64(&self.out[self.start..payload]);
+        let crc = crc64_concat(header, !self.state, len);
+        put_u64(self.out, crc);
+    }
+}
+
+impl Deref for SectionWriter<'_> {
+    type Target = Vec<u8>;
+    fn deref(&self) -> &Vec<u8> {
+        self.out
+    }
+}
+
+impl DerefMut for SectionWriter<'_> {
+    fn deref_mut(&mut self) -> &mut Vec<u8> {
+        self.out
+    }
 }
 
 /// Reads one section, verifying magic and checksum; the cursor advances
@@ -201,13 +330,28 @@ pub fn read_section<'a>(
     Ok((version, ByteReader::new(payload)))
 }
 
-/// Frames one write-intent log record: `len(u32) | crc64(payload) | payload`.
+/// Bytes of a log record's header: `len(u32) | crc64(payload)`.
+const RECORD_HEADER: usize = 12;
+
+/// Appends one framed write-intent log record — `len(u32) |
+/// crc64(payload) | payload` — to `out`, the payload written in place by
+/// `encode` and the header back-patched once its length is known.
+pub fn frame_record_into(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER]);
+    encode(out);
+    let payload = start + RECORD_HEADER;
+    let len = (out.len() - payload) as u32;
+    let crc = crc64(&out[payload..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Frames `payload` as one write-intent log record.
 #[must_use]
 pub fn frame_record(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    put_u64(&mut out, crc64(payload));
-    out.extend_from_slice(payload);
+    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
+    frame_record_into(&mut out, |out| out.extend_from_slice(payload));
     out
 }
 
@@ -277,11 +421,77 @@ pub fn scan_wal(bytes: &[u8]) -> io::Result<WalScan> {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time table loop `crc64` replaced: the oracle.
+    fn crc64_bytewise(bytes: &[u8]) -> u64 {
+        let mut crc = !0u64;
+        for &b in bytes {
+            crc = CRC_TABLES[0][((crc ^ u64::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    /// The copy-the-payload section encoder [`SectionWriter`] replaced,
+    /// over the bytewise CRC: the oracle for section bytes.
+    fn write_section(out: &mut Vec<u8>, magic: &[u8; 8], version: u32, payload: &[u8]) {
+        let start = out.len();
+        out.extend_from_slice(magic);
+        put_u32(out, version);
+        put_u64(out, payload.len() as u64);
+        out.extend_from_slice(payload);
+        let crc = crc64_bytewise(&out[start..]);
+        put_u64(out, crc);
+    }
+
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc64_check_value() {
         // The CRC-64/XZ reference check value.
         assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
         assert_eq!(crc64(b""), 0);
+    }
+
+    #[test]
+    fn crc64_matches_the_bytewise_oracle_at_every_length_and_alignment() {
+        let data = noise(16 + 257, 7);
+        for start in 0..16 {
+            for len in 0..=257 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc64(slice),
+                    crc64_bytewise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        for (len, seed) in [(3 << 20, 1), ((5 << 20) + 7, 2), ((2 << 20) - 3, 3)] {
+            let big = noise(len, seed);
+            assert_eq!(crc64(&big), crc64_bytewise(&big), "len {len}");
+            assert_eq!(crc64(&big[5..]), crc64_bytewise(&big[5..]), "len {len} + 5");
+        }
+    }
+
+    #[test]
+    fn crc64_concat_equals_checksumming_the_concatenation() {
+        let data = noise(5000, 11);
+        for split in [0, 1, 7, 16, 255, 2500, 4999, 5000] {
+            let (a, b) = data.split_at(split);
+            assert_eq!(
+                crc64_concat(crc64(a), crc64(b), b.len()),
+                crc64(&data),
+                "split {split}"
+            );
+        }
     }
 
     #[test]
@@ -295,6 +505,84 @@ mod tests {
             let mut flipped = data.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             assert_ne!(crc64(&flipped), clean, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn every_finished_section_leaves_the_residue() {
+        for len in [0, 1, 15, 16, 17, 300] {
+            let mut buf = Vec::new();
+            write_section(&mut buf, b"AMETEST\0", len as u32, &noise(len, 5));
+            assert_eq!(crc64_bytewise(&buf), SECTION_RESIDUE, "len {len}");
+        }
+    }
+
+    #[test]
+    fn section_writer_bytes_equal_the_copying_encoder() {
+        // Three levels deep, with plain bytes before, between and after
+        // the nested sections, written with and without `nested`.
+        let (a, b, c, d) = (noise(33, 1), noise(700, 2), noise(5, 3), noise(64, 4));
+        let mut inner = Vec::new();
+        write_section(&mut inner, b"AMEINNER", 1, &b);
+        let mut empty = Vec::new();
+        write_section(&mut empty, b"AMEEMPTY", 9, &[]);
+        let mut mid_payload = a.clone();
+        mid_payload.extend_from_slice(&inner);
+        mid_payload.extend_from_slice(&empty);
+        mid_payload.extend_from_slice(&c);
+        let mut mid = Vec::new();
+        write_section(&mut mid, b"AMEMIDDL", 2, &mid_payload);
+        let mut outer_payload = d.clone();
+        outer_payload.extend_from_slice(&mid);
+        let mut expected = vec![0xEE; 3]; // the section need not start the buffer
+        write_section(&mut expected, b"AMEOUTER", 3, &outer_payload);
+
+        for use_nested in [true, false] {
+            let write_inner = |out: &mut Vec<u8>| {
+                let mut s = SectionWriter::begin(out, b"AMEINNER", 1);
+                s.extend_from_slice(&b);
+                s.finish();
+            };
+            let write_empty =
+                |out: &mut Vec<u8>| SectionWriter::begin(out, b"AMEEMPTY", 9).finish();
+            let write_mid = |out: &mut Vec<u8>| {
+                let mut s = SectionWriter::begin(out, b"AMEMIDDL", 2);
+                s.extend_from_slice(&a);
+                if use_nested {
+                    s.nested(write_inner);
+                    s.nested(write_empty);
+                } else {
+                    write_inner(&mut s);
+                    write_empty(&mut s);
+                }
+                s.extend_from_slice(&c);
+                s.finish();
+            };
+            let mut got = vec![0xEE; 3];
+            let mut s = SectionWriter::begin(&mut got, b"AMEOUTER", 3);
+            s.extend_from_slice(&d);
+            if use_nested {
+                s.nested(write_mid);
+            } else {
+                write_mid(&mut s);
+            }
+            s.finish();
+            assert_eq!(got, expected, "nested={use_nested}");
+        }
+    }
+
+    #[test]
+    fn in_place_framing_equals_len_crc_payload() {
+        for len in [0, 1, 82, 1000] {
+            let payload = noise(len, 9);
+            let mut expected = vec![1, 2, 3];
+            put_u32(&mut expected, len as u32);
+            put_u64(&mut expected, crc64_bytewise(&payload));
+            expected.extend_from_slice(&payload);
+            let mut got = vec![1, 2, 3];
+            frame_record_into(&mut got, |out| out.extend_from_slice(&payload));
+            assert_eq!(got, expected);
+            assert_eq!(frame_record(&payload), expected[3..]);
         }
     }
 

@@ -208,6 +208,10 @@ struct Pipe<'a> {
     wake_fd: i32,
 }
 
+// `Open` is the state a connection spends its life in, so sizing every
+// `Conn` for it wastes nothing; boxing the pipe would add an allocation
+// per session and a pointer chase to every operation on the hot path.
+#[allow(clippy::large_enum_variant)]
 enum State<'a> {
     /// Waiting for a well-formed HELLO.
     Handshake,

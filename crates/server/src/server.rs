@@ -140,7 +140,7 @@ impl ServerMode {
 #[must_use]
 pub fn default_reactor_threads() -> usize {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    cores.min(4).max(1)
+    cores.clamp(1, 4)
 }
 
 /// Server-wide knobs.

@@ -189,7 +189,7 @@ fn idle_horde_holds_fds_while_one_client_streams() {
         "the pool must not grow with connections"
     );
     let snap = server.telemetry();
-    assert!(snap.counter("server/connections_accepted").unwrap() >= (HORDE as u64) + 1);
+    assert!(snap.counter("server/connections_accepted").unwrap() > HORDE as u64);
 
     drop(horde);
     let _ = server.shutdown();

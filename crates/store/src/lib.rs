@@ -445,6 +445,7 @@ impl SecureStore {
         let mut senders = Vec::with_capacity(config.shards);
         let mut shared = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
+        let mut booting = Vec::with_capacity(config.shards);
         for s in 0..config.shards {
             let (tx, rx): (SyncSender<Request>, Receiver<Request>) =
                 sync_channel(config.queue_depth);
@@ -459,9 +460,10 @@ impl SecureStore {
             // pinning*, so its pages are first-touched from the shard's
             // own core — on NUMA hosts with the default first-touch
             // policy the DRAM image and recovery replay land in the
-            // worker's local node. Boot I/O errors come back over a
-            // one-shot channel; booting shard-by-shard preserves the
-            // pre-placement serial-boot semantics.
+            // worker's local node. Every worker is spawned before any
+            // boot result is awaited, so the shards recover side by side
+            // and reopening costs the slowest shard, not their sum; boot
+            // I/O errors come back over a one-shot channel each.
             let core = config.placement.core_for(s);
             let boot_config = config.clone();
             let boot_persist = persist.clone();
@@ -479,6 +481,7 @@ impl SecureStore {
                                     .store(core as i64, Ordering::Relaxed);
                             }
                         }
+                        let started = Instant::now();
                         let boot = match &boot_persist {
                             // A missing shard directory recovers to a
                             // fresh region with an empty log — creation
@@ -507,6 +510,9 @@ impl SecureStore {
                                 persist: None,
                             },
                         };
+                        let recovery_ns = boot_persist
+                            .as_ref()
+                            .map_or(0, |_| started.elapsed().as_nanos() as u64);
                         let worker = ShardWorker::new(
                             s,
                             boot.region,
@@ -516,32 +522,31 @@ impl SecureStore {
                             boot_config.fuse_reads,
                             worker_shared,
                         )
-                        .with_persist(boot.persist)
+                        .with_persist(boot.persist, recovery_ns)
                         .with_boot_failure(boot.poisoned, boot.dead);
                         let _ = booted_tx.send(Ok(()));
                         worker.run(&rx)
                     })
                     .expect("spawn shard worker"),
             );
-            let booted = match booted_rx.recv() {
-                Ok(result) => result,
-                Err(_) => Err(io::Error::other(format!(
-                    "shard {s} worker died during boot"
-                ))),
-            };
-            if let Err(e) = booted {
-                // Tear the partially booted store down: closing the
-                // queues lets the already-running workers drain and exit
-                // before the error propagates.
-                drop(tx);
-                drop(senders);
-                for worker in workers {
-                    let _ = worker.join();
-                }
-                return Err(e);
-            }
+            booting.push(booted_rx);
             senders.push(tx);
             shared.push(sh);
+        }
+        // Collected in shard order, so of several failures the
+        // lowest-indexed shard's error is the one reported.
+        let failed = booting.into_iter().enumerate().find_map(|(s, booted)| {
+            let died = || io::Error::other(format!("shard {s} worker died during boot"));
+            booted.recv().unwrap_or_else(|_| Err(died())).err()
+        });
+        if let Some(e) = failed {
+            // Tear the store down: closing the queues lets the workers
+            // that did boot drain and exit before the error propagates.
+            drop(senders);
+            for worker in workers {
+                let _ = worker.join();
+            }
+            return Err(e);
         }
         // The decision log is append-only across lives: a quarantined
         // shard's dangling prepares may still need old ids resolved

@@ -42,7 +42,7 @@
 //! [`read_blocks`]: ame_engine::region::SecureRegion::read_blocks
 
 use ame_engine::region::{RegionError, SecureRegion};
-use ame_engine::{ReadError, SealedBlockState, BLOCK_BYTES};
+use ame_engine::{ReadError, BLOCK_BYTES};
 use ame_telemetry::{Histogram, MetricSink, Metrics, Snapshot, StatsRegistry};
 use std::collections::{BTreeMap, HashSet};
 use std::io;
@@ -52,7 +52,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::wake::WakeFd;
-use crate::wal::{write_snapshot, ShardPersist, ShardWal, WalRecord};
+use crate::wal::{write_snapshot, PrepareEntry, ShardPersist, ShardWal, WalRecord};
 use crate::StoreError;
 
 /// The mutator a read-modify-write runs on the shard worker's thread.
@@ -228,6 +228,15 @@ pub struct ShardStats {
     pub wal_bytes: u64,
     /// Snapshot rotations (log truncated into a fresh snapshot).
     pub checkpoints: u64,
+    /// Bytes of sealed image written by those rotations.
+    pub snapshot_bytes: u64,
+    /// Wall time of each rotation in nanoseconds — freeze, durable
+    /// snapshot write and log replacement — all of it on the worker,
+    /// with the shard's queue waiting.
+    pub checkpoint_ns: Histogram,
+    /// Wall time of this shard's recovery at boot in nanoseconds: thaw,
+    /// log replay, verification sweep and the fresh checkpoint.
+    pub recovery_ns: u64,
     /// Explicit `fdatasync` calls on the write-intent log (group-commit
     /// flushes; rotations and 2PC records sync separately).
     pub wal_syncs: u64,
@@ -274,6 +283,9 @@ impl Metrics for ShardStats {
         sink.counter("wal_records", self.wal_records);
         sink.counter("wal_bytes", self.wal_bytes);
         sink.counter("checkpoints", self.checkpoints);
+        sink.counter("snapshot_bytes", self.snapshot_bytes);
+        sink.histogram("checkpoint_ns", &self.checkpoint_ns);
+        sink.gauge("recovery_ns", self.recovery_ns as f64);
         sink.counter("wal_syncs", self.wal_syncs);
         sink.counter("wal_group_commits", self.wal_group_commits);
         sink.counter("txns_prepared", self.txns_prepared);
@@ -373,7 +385,7 @@ pub(crate) struct ShardWorker {
     persist: Option<ShardPersist>,
     /// Prepared-but-unresolved transactions: `(local, pre, post)` per
     /// entry, kept so `Abort` can restore and rotation can re-log them.
-    pending_txns: BTreeMap<u64, Vec<(u64, SealedBlockState, SealedBlockState)>>,
+    pending_txns: BTreeMap<u64, Vec<PrepareEntry>>,
     /// Blocks held by a prepared-but-unresolved transaction. Writes,
     /// RMWs, and other prepares touching these are rejected with
     /// [`StoreError::TxnConflict`] until the transaction resolves —
@@ -423,9 +435,11 @@ impl ShardWorker {
         }
     }
 
-    /// Attaches the durable storage plane (recovered or fresh).
-    pub(crate) fn with_persist(mut self, persist: Option<ShardPersist>) -> Self {
+    /// Attaches the durable storage plane (recovered or fresh) and
+    /// records how long recovering it took.
+    pub(crate) fn with_persist(mut self, persist: Option<ShardPersist>, recovery_ns: u64) -> Self {
         self.persist = persist;
+        self.stats.recovery_ns = recovery_ns;
         self
     }
 
@@ -1113,31 +1127,41 @@ impl ShardWorker {
         let outcome = if self.rotation_due() {
             self.checkpoint()
         } else {
-            let mut entries = Vec::with_capacity(locals.len());
-            for &local in locals {
-                let state = self
-                    .region
-                    .export_sealed(local)
-                    .expect("fused locals are bounds-checked and aligned");
-                entries.push((local, state));
-            }
-            let payload = WalRecord::Writes(entries).encode();
+            let region = &mut self.region;
             let p = self.persist.as_mut().expect("checked above");
             // Unsynced append: the record reaches the page cache now and
             // becomes durable at the wakeup's shared sync
             // ([`flush_deferred`](Self::flush_deferred)); the covered
             // acks are held until then.
-            match p.wal.append_unsynced(&payload) {
-                Ok(bytes) => {
-                    self.wal_unsynced += 1;
-                    self.stats.wal_records += 1;
-                    self.stats.wal_bytes += bytes;
-                    Ok(())
+            let appended = p.wal.append_unsynced(|out| {
+                WalRecord::put_writes_head(out, locals.len());
+                for &local in locals {
+                    let state = region
+                        .export_sealed(local)
+                        .expect("fused locals are bounds-checked and aligned");
+                    WalRecord::put_write(out, local, &state);
                 }
-                Err(e) => Err(e),
-            }
+            });
+            appended.map(|bytes| {
+                self.wal_unsynced += 1;
+                self.stats.wal_records += 1;
+                self.stats.wal_bytes += bytes;
+            })
         };
         outcome.map_err(|_| self.poison_io())
+    }
+
+    /// Appends one record to the log, makes it durable (`fdatasync`) and
+    /// accounts it.
+    fn log_durably(
+        wal: &mut ShardWal,
+        stats: &mut ShardStats,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<()> {
+        let bytes = wal.append(encode)?;
+        stats.wal_records += 1;
+        stats.wal_bytes += bytes;
+        Ok(())
     }
 
     /// Rotates the durable state: freezes the region into a fresh
@@ -1148,6 +1172,7 @@ impl ShardWorker {
     /// byte exists, which is what lets recovery discard a stale log
     /// instead of regressing.
     fn checkpoint(&mut self) -> io::Result<()> {
+        let started = Instant::now();
         let image = self.region.freeze();
         let reencryptions = self.region.engine().counter_stats().reencryptions;
         let Some(p) = self.persist.as_mut() else {
@@ -1162,16 +1187,15 @@ impl ShardWorker {
         // log, synced or not: the tail is clean again.
         self.wal_unsynced = 0;
         for (&txn, entries) in &self.pending_txns {
-            let payload = WalRecord::Prepare {
-                txn,
-                entries: entries.clone(),
-            }
-            .encode();
-            let bytes = p.wal.append(&payload)?;
-            self.stats.wal_records += 1;
-            self.stats.wal_bytes += bytes;
+            Self::log_durably(&mut p.wal, &mut self.stats, |out| {
+                WalRecord::put_prepare(out, txn, entries);
+            })?;
         }
         self.stats.checkpoints += 1;
+        self.stats.snapshot_bytes += image.len() as u64;
+        self.stats
+            .checkpoint_ns
+            .record(started.elapsed().as_nanos() as u64);
         Ok(())
     }
 
@@ -1234,17 +1258,11 @@ impl ShardWorker {
                 // applied post-images.
                 self.checkpoint()
             } else {
-                let entries = self.pending_txns.get(&txn).expect("just inserted").clone();
-                let payload = WalRecord::Prepare { txn, entries }.encode();
+                let entries = self.pending_txns.get(&txn).expect("just inserted");
                 let p = self.persist.as_mut().expect("checked above");
-                match p.wal.append(&payload) {
-                    Ok(bytes) => {
-                        self.stats.wal_records += 1;
-                        self.stats.wal_bytes += bytes;
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                }
+                Self::log_durably(&mut p.wal, &mut self.stats, |out| {
+                    WalRecord::put_prepare(out, txn, entries);
+                })
             };
             if outcome.is_err() {
                 return Err(self.poison_io());
@@ -1270,15 +1288,12 @@ impl ShardWorker {
                 self.prepared_blocks.remove(local);
             }
         }
-        if self.persist.is_some() {
-            let payload = WalRecord::Commit { txn }.encode();
-            let p = self.persist.as_mut().expect("checked above");
-            match p.wal.append(&payload) {
-                Ok(bytes) => {
-                    self.stats.wal_records += 1;
-                    self.stats.wal_bytes += bytes;
-                }
-                Err(_) => return Err(self.poison_io()),
+        if let Some(p) = self.persist.as_mut() {
+            let record = WalRecord::Commit { txn };
+            if Self::log_durably(&mut p.wal, &mut self.stats, |out| record.encode_into(out))
+                .is_err()
+            {
+                return Err(self.poison_io());
             }
         }
         Ok(())
@@ -1303,15 +1318,12 @@ impl ShardWorker {
         if !self.rollback(&entries) {
             return Err(self.poison_io());
         }
-        if self.persist.is_some() {
-            let payload = WalRecord::Abort { txn }.encode();
-            let p = self.persist.as_mut().expect("checked above");
-            match p.wal.append(&payload) {
-                Ok(bytes) => {
-                    self.stats.wal_records += 1;
-                    self.stats.wal_bytes += bytes;
-                }
-                Err(_) => return Err(self.poison_io()),
+        if let Some(p) = self.persist.as_mut() {
+            let record = WalRecord::Abort { txn };
+            if Self::log_durably(&mut p.wal, &mut self.stats, |out| record.encode_into(out))
+                .is_err()
+            {
+                return Err(self.poison_io());
             }
         }
         self.stats.txns_aborted += 1;
@@ -1323,7 +1335,7 @@ impl ShardWorker {
     /// quarantined by the caller). Sound because `prepared_blocks`
     /// rejected every mutation of these blocks since the prepare: the
     /// pre-image is still the last acknowledged non-transactional state.
-    fn rollback(&mut self, entries: &[(u64, SealedBlockState, SealedBlockState)]) -> bool {
+    fn rollback(&mut self, entries: &[PrepareEntry]) -> bool {
         entries
             .iter()
             .rev()

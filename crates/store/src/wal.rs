@@ -11,7 +11,7 @@
 //!   intact and a renamed snapshot is durable, not merely staged in the
 //!   page cache.
 //! * **`wal.bin`** — an append-only write-intent log of
-//!   [`frame_record`]-framed [`WalRecord`]s. A record is appended *and
+//!   framed ([`frame_record_into`]) [`WalRecord`]s. A record is appended *and
 //!   `fdatasync`ed* before the write it describes is acknowledged, so
 //!   every acknowledged write is either in the snapshot or in the log —
 //!   across a power cut, not just a process kill. The log's first
@@ -57,7 +57,7 @@
 
 use ame_engine::region::SecureRegion;
 use ame_engine::{ReadError, SealedBlockState};
-use ame_persist::{frame_record, invalid_data, put_u32, put_u64, scan_wal, ByteReader};
+use ame_persist::{frame_record_into, invalid_data, put_u32, put_u64, scan_wal, ByteReader};
 use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -75,11 +75,9 @@ const TAG_ABORT: u8 = 4;
 const TAG_GENERATION: u8 = 5;
 
 /// Encodes the generation header record payload.
-fn encode_generation(generation: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9);
+fn encode_generation(out: &mut Vec<u8>, generation: u64) {
     out.push(TAG_GENERATION);
-    put_u64(&mut out, generation);
-    out
+    put_u64(out, generation);
 }
 
 /// Decodes a generation header record payload; `None` if the record is
@@ -165,7 +163,7 @@ pub(crate) enum WalRecord {
     /// prepare time, the pre-images roll them back on abort.
     Prepare {
         txn: u64,
-        entries: Vec<(u64, SealedBlockState, SealedBlockState)>,
+        entries: Vec<PrepareEntry>,
     },
     /// Transaction `txn`'s prepared writes are final.
     Commit { txn: u64 },
@@ -173,38 +171,56 @@ pub(crate) enum WalRecord {
     Abort { txn: u64 },
 }
 
+/// One `(local, pre-image, post-image)` entry of a prepare intent.
+pub(crate) type PrepareEntry = (u64, SealedBlockState, SealedBlockState);
+
 impl WalRecord {
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Appends the head of a `Writes` payload announcing `count`
+    /// entries; each follows through [`Self::put_write`]. The worker
+    /// encodes a run straight from the region this way, without
+    /// building the record first.
+    pub(crate) fn put_writes_head(out: &mut Vec<u8>, count: usize) {
+        out.push(TAG_WRITES);
+        put_u32(out, count as u32);
+    }
+
+    /// Appends one entry of a `Writes` payload.
+    pub(crate) fn put_write(out: &mut Vec<u8>, local: u64, state: &SealedBlockState) {
+        put_u64(out, local);
+        state.encode(out);
+    }
+
+    /// Appends a `Prepare` payload.
+    pub(crate) fn put_prepare(out: &mut Vec<u8>, txn: u64, entries: &[PrepareEntry]) {
+        out.push(TAG_PREPARE);
+        put_u64(out, txn);
+        put_u32(out, entries.len() as u32);
+        for (local, pre, post) in entries {
+            put_u64(out, *local);
+            pre.encode(out);
+            post.encode(out);
+        }
+    }
+
+    /// Appends this record's payload to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Writes(entries) => {
-                out.push(TAG_WRITES);
-                put_u32(&mut out, entries.len() as u32);
+                Self::put_writes_head(out, entries.len());
                 for (local, state) in entries {
-                    put_u64(&mut out, *local);
-                    state.encode(&mut out);
+                    Self::put_write(out, *local, state);
                 }
             }
-            WalRecord::Prepare { txn, entries } => {
-                out.push(TAG_PREPARE);
-                put_u64(&mut out, *txn);
-                put_u32(&mut out, entries.len() as u32);
-                for (local, pre, post) in entries {
-                    put_u64(&mut out, *local);
-                    pre.encode(&mut out);
-                    post.encode(&mut out);
-                }
-            }
+            WalRecord::Prepare { txn, entries } => Self::put_prepare(out, *txn, entries),
             WalRecord::Commit { txn } => {
                 out.push(TAG_COMMIT);
-                put_u64(&mut out, *txn);
+                put_u64(out, *txn);
             }
             WalRecord::Abort { txn } => {
                 out.push(TAG_ABORT);
-                put_u64(&mut out, *txn);
+                put_u64(out, *txn);
             }
         }
-        out
     }
 
     pub(crate) fn decode(payload: &[u8]) -> io::Result<Self> {
@@ -244,12 +260,15 @@ impl WalRecord {
 
 /// An open, append-only write-intent log.
 ///
-/// Appends are framed ([`frame_record`]), written whole, and
-/// `fdatasync`ed before the caller acknowledges anything — a power cut
-/// can tear at most the final, unacknowledged record.
+/// Appends are encoded and framed in place ([`frame_record_into`]) in
+/// one reusable buffer, written whole, and `fdatasync`ed before the
+/// caller acknowledges anything — a power cut can tear at most the
+/// final, unacknowledged record.
 pub(crate) struct ShardWal {
     file: File,
     len: u64,
+    /// The record being appended: payload and frame, reused per append.
+    record: Vec<u8>,
 }
 
 impl ShardWal {
@@ -268,35 +287,41 @@ impl ShardWal {
             .create(true)
             .truncate(true)
             .open(&tmp)?;
-        let framed = frame_record(&encode_generation(generation));
-        file.write_all(&framed)?;
+        let mut record = Vec::new();
+        frame_record_into(&mut record, |out| encode_generation(out, generation));
+        file.write_all(&record)?;
         file.sync_data()?;
         fs::rename(&tmp, path)?;
         sync_dir(path.parent().expect("log path has a parent"))?;
         Ok(Self {
             file,
-            len: framed.len() as u64,
+            len: record.len() as u64,
+            record,
         })
     }
 
-    /// Appends one framed record and makes it durable (`fdatasync`).
-    pub(crate) fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        let written = self.append_unsynced(payload)?;
+    /// Appends the record whose payload `encode` writes and makes it
+    /// durable (`fdatasync`).
+    pub(crate) fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<u64> {
+        let written = self.append_unsynced(encode)?;
         self.sync()?;
         Ok(written)
     }
 
-    /// Appends one framed record into the OS page cache without
-    /// syncing. The record is NOT durable until [`sync`](Self::sync)
+    /// Appends the record whose payload `encode` writes into the OS page
+    /// cache without syncing, returning its framed length. The record is
+    /// NOT durable until [`sync`](Self::sync)
     /// returns — callers must not acknowledge it before then. This is
     /// the group-commit half: a shard worker appends every run that
     /// arrived in one wakeup unsynced, then pays a single `fdatasync`
     /// for all of them.
-    pub(crate) fn append_unsynced(&mut self, payload: &[u8]) -> io::Result<u64> {
-        let framed = frame_record(payload);
-        self.file.write_all(&framed)?;
-        self.len += framed.len() as u64;
-        Ok(framed.len() as u64)
+    pub(crate) fn append_unsynced(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<u64> {
+        self.record.clear();
+        frame_record_into(&mut self.record, encode);
+        self.file.write_all(&self.record)?;
+        let written = self.record.len() as u64;
+        self.len += written;
+        Ok(written)
     }
 
     /// Makes every previously appended record durable (`fdatasync`).
@@ -411,8 +436,7 @@ pub(crate) fn recover_shard(
 
     // Replay the intent log in append order, tracking unresolved
     // prepares.
-    let mut pending: BTreeMap<u64, Vec<(u64, SealedBlockState, SealedBlockState)>> =
-        BTreeMap::new();
+    let mut pending: BTreeMap<u64, Vec<PrepareEntry>> = BTreeMap::new();
     if wal_path.exists() {
         let bytes = fs::read(&wal_path)?;
         let scan = match scan_wal(&bytes) {
@@ -571,6 +595,12 @@ mod tests {
         dir
     }
 
+    fn encoded(record: &WalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        record.encode_into(&mut out);
+        out
+    }
+
     fn sealed_pair() -> (SealedBlockState, SealedBlockState) {
         let mut region = SecureRegion::new(EngineConfig::default(), 1 << 12);
         region.write_bytes(0, &[7u8; BLOCK_BYTES]).unwrap();
@@ -593,10 +623,50 @@ mod tests {
             WalRecord::Abort { txn: 43 },
         ];
         for record in &records {
-            let bytes = record.encode();
+            let bytes = encoded(record);
             let back = WalRecord::decode(&bytes).unwrap();
-            assert_eq!(bytes, back.encode(), "decode/encode is the identity");
+            assert_eq!(bytes, encoded(&back), "decode/encode is the identity");
         }
+    }
+
+    #[test]
+    fn a_record_appended_in_place_is_the_framed_copy_of_its_payload() {
+        // What `append` used to write: the payload encoded into its own
+        // vector, then copied behind `len | crc64(payload)`.
+        let (pre, post) = sealed_pair();
+        let records = [
+            WalRecord::Writes(vec![(0, pre.clone()), (128, post.clone())]),
+            WalRecord::Writes(vec![]),
+            WalRecord::Prepare {
+                txn: 42,
+                entries: vec![(64, pre, post)],
+            },
+            WalRecord::Commit { txn: 42 },
+            WalRecord::Abort { txn: 43 },
+        ];
+        let dir = temp_dir("inplace");
+        let path = dir.join("wal.bin");
+        let mut wal = ShardWal::create(&path, 7).unwrap();
+        let mut expected = Vec::new();
+        for record in std::iter::once(None).chain(records.iter().map(Some)) {
+            let payload = match record {
+                Some(record) => {
+                    wal.append(|out| record.encode_into(out)).unwrap();
+                    encoded(record)
+                }
+                None => {
+                    let mut header = vec![TAG_GENERATION];
+                    header.extend_from_slice(&7u64.to_le_bytes());
+                    header
+                }
+            };
+            expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            expected.extend_from_slice(&ame_persist::crc64(&payload).to_le_bytes());
+            expected.extend_from_slice(&payload);
+        }
+        assert_eq!(fs::read(&path).unwrap(), expected);
+        assert_eq!(wal.size(), expected.len() as u64);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -605,7 +675,7 @@ mod tests {
             WalRecord::decode(&[9]).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
-        let mut bytes = WalRecord::Commit { txn: 1 }.encode();
+        let mut bytes = encoded(&WalRecord::Commit { txn: 1 });
         bytes.push(0);
         assert_eq!(
             WalRecord::decode(&bytes).unwrap_err().kind(),
@@ -618,8 +688,10 @@ mod tests {
         let dir = temp_dir("log");
         let path = dir.join("wal.bin");
         let mut wal = ShardWal::create(&path, 3).unwrap();
-        wal.append(&WalRecord::Commit { txn: 1 }.encode()).unwrap();
-        wal.append(&WalRecord::Abort { txn: 2 }.encode()).unwrap();
+        wal.append(|out| WalRecord::Commit { txn: 1 }.encode_into(out))
+            .unwrap();
+        wal.append(|out| WalRecord::Abort { txn: 2 }.encode_into(out))
+            .unwrap();
         let scan = scan_wal(&fs::read(&path).unwrap()).unwrap();
         assert_eq!(scan.records.len(), 3);
         assert!(!scan.torn);
@@ -655,8 +727,8 @@ mod tests {
         let dir = temp_dir("txns");
         let path = dir.join("txns.log");
         let mut log = Vec::new();
-        log.extend_from_slice(&frame_record(&5u64.to_le_bytes()));
-        log.extend_from_slice(&frame_record(&9u64.to_le_bytes()));
+        log.extend_from_slice(&ame_persist::frame_record(&5u64.to_le_bytes()));
+        log.extend_from_slice(&ame_persist::frame_record(&9u64.to_le_bytes()));
         fs::write(&path, &log).unwrap();
         let committed = read_committed_txns(&path);
         assert!(committed.contains(&5) && committed.contains(&9));

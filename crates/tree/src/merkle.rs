@@ -10,7 +10,7 @@
 //! detected.
 
 use ame_crypto::MemoryCipher;
-use ame_persist::{invalid_data, put_u64, read_section, write_section, ByteReader};
+use ame_persist::{invalid_data, put_u64, read_section, ByteReader, SectionWriter};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
@@ -360,7 +360,7 @@ impl BonsaiTree {
     /// section (sorted, so the encoding is deterministic). The cipher is
     /// *not* serialized: it is key material the caller re-derives.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
-        let mut payload = Vec::new();
+        let mut payload = SectionWriter::begin(out, Self::MAGIC, Self::VERSION);
         put_u64(&mut payload, self.arity as u64);
         put_u64(&mut payload, self.off_chip_levels as u64);
         let mut leaves: Vec<u64> = self.counter_blocks.keys().copied().collect();
@@ -386,7 +386,19 @@ impl BonsaiTree {
         }
         let roots = self.root_macs.iter().map(|(&k, &v)| (k, v)).collect();
         Self::put_pairs(&mut payload, roots);
-        write_section(out, Self::MAGIC, Self::VERSION, &payload);
+        payload.finish();
+    }
+
+    /// Exact length in bytes of what [`BonsaiTree::encode_state`]
+    /// appends, so a caller can reserve an image's buffer once.
+    #[must_use]
+    pub fn encoded_state_len(&self) -> usize {
+        let levels = self.nodes.iter().flatten();
+        let macs = levels.map(|(_, node)| node.present.count_ones() as usize);
+        ame_persist::SECTION_OVERHEAD
+            + 8 * (3 + self.nodes.len() + 1)
+            + self.counter_blocks.len() * (8 + NODE_BYTES)
+            + (macs.sum::<usize>() + self.root_macs.len()) * 16
     }
 
     /// Rebuilds a tree from a section produced by
@@ -563,6 +575,7 @@ mod tests {
         }
         let mut a = Vec::new();
         t.encode_state(&mut a);
+        assert_eq!(a.len(), t.encoded_state_len());
         let mut back =
             BonsaiTree::decode_state(MemoryCipher::from_seed(99), &mut ByteReader::new(&a))
                 .unwrap();
