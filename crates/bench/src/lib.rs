@@ -23,8 +23,6 @@ pub mod micro;
 pub mod nvmm;
 pub mod reliability;
 pub mod results;
-pub mod server_load;
-pub mod store_load;
 pub mod table2;
 
 use ame_cache::{AccessKind, Cache, CacheConfig};

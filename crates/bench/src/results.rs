@@ -69,48 +69,6 @@ pub fn display(path: &Path) -> String {
     path.display().to_string()
 }
 
-/// The `parameters.crypto_backend` string recorded in a results
-/// document, if the document carries one.
-#[must_use]
-pub fn recorded_backend(doc: &Json) -> Option<&str> {
-    let Json::Obj(fields) = doc else { return None };
-    let params = fields
-        .iter()
-        .find_map(|(k, v)| (k == "parameters").then_some(v))?;
-    let Json::Obj(params) = params else {
-        return None;
-    };
-    params.iter().find_map(|(k, v)| match v {
-        Json::Str(s) if k == "crypto_backend" => Some(s.as_str()),
-        _ => None,
-    })
-}
-
-/// Provenance gate: verifies that the backend a results document
-/// *claims* to have measured (`parameters.crypto_backend`) is the
-/// backend actually serving this process right now.
-///
-/// Benchmarks call this immediately before writing their artifact, so a
-/// results file can never say "wide" while the process was quietly
-/// downgraded (or vice versa) — a stale string would silently poison
-/// every later cross-run comparison.
-///
-/// # Errors
-///
-/// Returns the mismatch (or the missing parameter) as a message; the
-/// caller refuses to write the artifact.
-pub fn check_backend_provenance(doc: &Json, active: &str) -> Result<(), String> {
-    match recorded_backend(doc) {
-        Some(recorded) if recorded == active => Ok(()),
-        Some(recorded) => Err(format!(
-            "results claim crypto_backend={recorded} but the process is serving {active}"
-        )),
-        None => Err(String::from(
-            "results record no parameters.crypto_backend to attribute the numbers to",
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,23 +76,6 @@ mod tests {
     /// `AME_RESULTS_DIR` is process-global; tests that touch it take
     /// this lock so the parallel test runner cannot interleave them.
     static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn provenance_gate_matches_recorded_backend() {
-        let mut params = Json::object();
-        params.push("crypto_backend", "wide");
-        let doc = envelope("demo", params, Json::Arr(Vec::new()));
-        assert_eq!(recorded_backend(&doc), Some("wide"));
-        assert!(check_backend_provenance(&doc, "wide").is_ok());
-        let err = check_backend_provenance(&doc, "portable").unwrap_err();
-        assert!(err.contains("wide") && err.contains("portable"), "{err}");
-        // A document with no recorded backend is refused, not waved
-        // through — unattributed numbers are the failure mode the gate
-        // exists to stop.
-        let bare = envelope("demo", Json::object(), Json::Arr(Vec::new()));
-        assert_eq!(recorded_backend(&bare), None);
-        assert!(check_backend_provenance(&bare, "portable").is_err());
-    }
 
     #[test]
     fn envelope_shape() {

@@ -4,7 +4,7 @@
 //! ```text
 //! ame_server [--addr HOST:PORT] [--tenants N] [--persist DIR]
 //!            [--shards N] [--shard-kib N] [--max-conns N] [--max-window N]
-//!            [--mode reactor|threaded] [--reactor-threads N]
+//!            [--reactor-threads N]
 //! ```
 //!
 //! Environment: `AME_SERVER_ADDR` is the default listen address
@@ -13,8 +13,8 @@
 //! per-tenant quotas (`--max-conns` / `--max-window` override them),
 //! and `AME_SERVER_REACTOR_THREADS` is the default event-loop thread
 //! count (`--reactor-threads` overrides it; built-in default
-//! `min(4, cores)`). `--mode threaded` selects the two-threads-per-
-//! connection plane instead of the epoll reactor.
+//! `min(4, cores)`). Needs epoll + eventfd (Linux); elsewhere `bind`
+//! fails with `Unsupported`.
 
 #![deny(unsafe_code)]
 
@@ -113,17 +113,6 @@ fn parse_args() -> Args {
             "--max-window" => {
                 args.max_window = value("--max-window").parse().expect("--max-window");
             }
-            "--mode" => {
-                args.mode = match value("--mode").as_str() {
-                    "threaded" => ServerMode::Threaded,
-                    "reactor" => match args.mode {
-                        // Keep an earlier --reactor-threads / env value.
-                        ServerMode::Reactor { threads } => ServerMode::Reactor { threads },
-                        ServerMode::Threaded => ServerMode::reactor(),
-                    },
-                    other => panic!("--mode expects reactor|threaded, got {other:?}"),
-                };
-            }
             "--reactor-threads" => {
                 let threads: usize = value("--reactor-threads")
                     .parse()
@@ -165,12 +154,11 @@ fn main() {
     )
     .expect("bind");
     println!(
-        "ame-server listening on {} ({} tenants, {} shards x {} KiB each, {} mode, {} reactor threads)",
+        "ame-server listening on {} ({} tenants, {} shards x {} KiB each, {} reactor threads)",
         server.addr(),
         args.tenants,
         args.shards,
         args.shard_kib,
-        server.mode_name(),
         server.reactor_threads(),
     );
 

@@ -16,8 +16,9 @@
 //! arrive as typed codes that decode back to the exact
 //! [`StoreError`](ame_store::StoreError) the store raised.
 //!
-//! * [`server`] — listener, serving modes (thread-per-connection or a
-//!   fixed epoll reactor pool), tenants, quotas, graceful drain.
+//! * [`server`] — listener, the fixed epoll reactor pool that serves
+//!   every connection (Linux: epoll + eventfd), tenants, quotas,
+//!   graceful drain.
 //! * [`client`] — blocking [`Client`] and windowed [`PipelinedClient`].
 //! * [`protocol`] — frames, opcodes, the exhaustive error-code table.
 

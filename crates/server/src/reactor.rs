@@ -1,10 +1,10 @@
 //! Event-driven connection serving: a fixed pool of epoll loops.
 //!
-//! The threaded plane in [`crate::server`] spends two OS threads per
-//! connection; past a few hundred clients the scheduler, stacks, and
-//! context switches dominate. This module serves the same wire protocol
-//! from a **fixed** pool of event-loop threads: every connection is a
-//! nonblocking state machine owned by exactly one loop, and the loop
+//! A thread per connection stops scaling past a few hundred clients:
+//! the scheduler, stacks, and context switches dominate. This module
+//! serves the wire protocol from a **fixed** pool of event-loop threads:
+//! every connection is a nonblocking state machine owned by exactly one
+//! loop, and the loop
 //! blocks in a single `epoll_wait` over all of its sockets *plus* one
 //! eventfd per open session (see
 //! [`SecureStore::split_session_with_wake`](ame_store::SecureStore::split_session_with_wake))
@@ -30,15 +30,13 @@
 //! connection stops parsing (and stops reading — `EPOLLIN` interest
 //! drops, so TCP pushes back) until the peer drains its responses. A
 //! stalled or hostile peer therefore costs its own *bounded* buffers,
-//! never a thread and never unbounded server memory — the threaded
-//! plane gets the same property from its blocking writes.
+//! never a thread and never unbounded server memory.
 //!
 //! Store saturation (`StoreError::Overloaded`, from the shared shard
 //! queue or the session window) is **backpressure, not an error**: the
 //! refused op is parked, `EPOLLIN` interest drops so TCP pushes back on
 //! the peer, and every loop tick retries parked ops until the store
-//! breathes — a valid operation is never bounced. The threaded plane
-//! applies the same policy by sleeping its reader thread.
+//! breathes — a valid operation is never bounced.
 //!
 //! # Wakeup path
 //!
@@ -49,9 +47,8 @@
 //! a completion that lands between the reap and the next `epoll_wait`
 //! re-rings the fd, so nothing is ever stranded.
 //!
-//! Admission (HELLO policy), operation decode, duplicate-id checks, and
-//! the shutdown-drain contract are all shared with the threaded plane —
-//! the two modes cannot drift apart because they run the same functions.
+//! Admission (HELLO policy), frame parsing, and operation decode live
+//! in [`crate::server`] next to the tenant state they consult.
 
 use crate::protocol::{
     self, code, encode_server_error, encode_store_error, op, write_frame, Frame, WireError,
@@ -91,9 +88,9 @@ const MAX_CHUNKS_PER_EVENT: usize = 16;
 /// Write-buffer occupancy past which a connection stops admitting input:
 /// parsing pauses and `EPOLLIN` interest drops until the peer reads its
 /// responses down. Without this a peer that streams frames (each earning
-/// a response) but never reads its socket grows `wbuf` without limit —
-/// the threaded plane's blocking writes gave it natural backpressure,
-/// the reactor must impose the same bound explicitly. A single oversized
+/// a response) but never reads its socket grows `wbuf` without limit:
+/// nonblocking writes give no natural backpressure, so the reactor
+/// imposes the bound explicitly. A single oversized
 /// response may overshoot the threshold; the stall then holds until the
 /// flush brings it back under.
 const WBUF_STALL: usize = 256 * 1024;
@@ -117,7 +114,7 @@ struct Injector {
 }
 
 /// Everything one event-loop thread owns, built before the thread
-/// spawns so a host without epoll/eventfd fails the whole mode up
+/// spawns so a host without epoll/eventfd fails `Server::bind` up
 /// front instead of half-starting.
 pub(crate) struct ReactorSeed {
     rx: Receiver<TcpStream>,
@@ -126,8 +123,8 @@ pub(crate) struct ReactorSeed {
 }
 
 /// Builds the pool plus one seed per loop. `None` means the host cannot
-/// run a reactor (no epoll or no eventfd) — the caller falls back to
-/// threaded serving and records the fallback.
+/// run a reactor (no epoll or no eventfd) — `Server::bind` reports it
+/// as `Unsupported`.
 pub(crate) fn prepare(threads: usize) -> Option<(ReactorPool, Vec<ReactorSeed>)> {
     let mut injectors = Vec::with_capacity(threads);
     let mut seeds = Vec::with_capacity(threads);
@@ -598,9 +595,9 @@ fn handle_hello<'a>(
     }
 }
 
-/// The reactor's port of the threaded `reader_loop` dispatch — same
-/// opcodes, same counters, same duplicate-id rules, but rejections and
-/// synchronous replies land in the write buffer instead of a socket.
+/// Dispatches one frame on an open session: opcodes, counters and
+/// duplicate-id rules; rejections and synchronous replies land in the
+/// write buffer.
 fn handle_op(conn: &mut Conn<'_>, frame: &Frame) -> Option<ConnEnd> {
     let Conn {
         ref mut wbuf,
@@ -745,9 +742,9 @@ fn on_session_wake(conn: &mut Conn<'_>) {
         if let Some(id) = req_id {
             pipe.ids.remove(&id);
         }
-        // Same rationale as the threaded writer: an unknown ticket
-        // cannot happen, but a best-effort id of 0 beats losing a
-        // response silently.
+        // An unknown ticket cannot happen (every submitted ticket is
+        // registered before the next event is handled), but a
+        // best-effort id of 0 beats losing a response silently.
         let req_id = req_id.unwrap_or(0);
         match result {
             Ok(value) => {
@@ -788,10 +785,9 @@ fn begin_drain(conn: &mut Conn<'_>, why: ConnEnd) {
     }
 }
 
-/// The reactor's port of the threaded shutdown contract: buffered
-/// frames get typed rejections (never silence), nothing new is
-/// admitted, in-flight completions drain, and the connection ends with
-/// a shutting-down notice.
+/// The shutdown contract: buffered frames get typed rejections (never
+/// silence), nothing new is admitted, in-flight completions drain, and
+/// the connection ends with a shutting-down notice.
 fn begin_shutdown(conn: &mut Conn<'_>, max_frame: u32) {
     if conn.end.is_some() {
         // Already ending for another reason; that drain continues.

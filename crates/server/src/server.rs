@@ -1,27 +1,17 @@
 //! The serving loop: a TCP listener, per-tenant stores with quotas and
-//! telemetry, and two interchangeable connection-serving planes.
+//! telemetry, and the admission and decode rules the reactor applies to
+//! every connection.
 //!
 //! # Threading model
 //!
-//! One accept thread, plus one of two serving modes ([`ServerMode`],
-//! identical wire behaviour, no async runtime):
-//!
-//! * **Reactor** (the default): a small fixed pool of epoll event-loop
-//!   threads (see [`crate::reactor`]); each connection is a nonblocking
-//!   state machine owned by one loop, and shard workers rouse the loop
-//!   through per-session eventfd wakeups when completions land. Thread
-//!   count is constant no matter how many clients connect. On hosts
-//!   without epoll the server falls back to threaded mode with a
-//!   recorded telemetry gauge — never a silent behaviour change.
-//! * **Threaded** (the PR 7 model): **two** threads per connection. The
-//!   connection's *reader* thread parses frames and submits operations
-//!   through a [`SessionSubmitter`]; a scoped *writer* thread blocks on
-//!   the paired [`SessionReaper`] and streams completions back as they
-//!   finish (out of order across shards, FIFO within one — the store's
-//!   ordering contract travels the wire unchanged). Rejections that
-//!   never reach the store (malformed frames, duplicate request ids,
-//!   window overload) are answered inline by the reader through a
-//!   shared write-half mutex.
+//! One accept thread plus a small fixed pool of epoll event-loop threads
+//! (see [`crate::reactor`]; no async runtime): each connection is a
+//! nonblocking state machine owned by one loop, and shard workers rouse
+//! the loop through per-session eventfd wakeups when completions land.
+//! Thread count is constant no matter how many clients connect. The
+//! pool needs epoll + eventfd, so the wire server is Linux-only:
+//! elsewhere [`Server::bind`] fails with
+//! [`ErrorKind::Unsupported`](std::io::ErrorKind::Unsupported).
 //!
 //! # Tenancy
 //!
@@ -36,10 +26,11 @@
 //! # Shutdown
 //!
 //! [`Server::shutdown`] flips a flag, wakes the accept loop, and lets
-//! every connection drain: readers stop admitting operations (answering
+//! every connection drain: the loops stop admitting operations
+//! (answering
 //! [`code::SHUTTING_DOWN`](crate::protocol::code::SHUTTING_DOWN)),
-//! writers flush every already-submitted completion — no acked response
-//! is lost — and each connection ends with a typed shutting-down notice
+//! flush every already-submitted completion — no acked response is
+//! lost — and end each connection with a typed shutting-down notice
 //! (request id 0). Only then are the stores shut down through their
 //! durable checkpoint path.
 
@@ -48,16 +39,15 @@ use crate::protocol::{
     WireError, DEFAULT_MAX_FRAME, HEADER_BYTES, PROTOCOL_VERSION,
 };
 use ame_store::{
-    Reaped, SecureStore, SessionConfig, SessionSubmitter, ShutdownReport, StoreConfig, StoreError,
-    StoreOp, StoreValue, Ticket, BLOCK_BYTES,
+    SecureStore, SessionSubmitter, ShutdownReport, StoreConfig, StoreError, StoreOp, Ticket,
+    BLOCK_BYTES,
 };
 use ame_telemetry::{Snapshot, StatsRegistry};
-use std::collections::{HashMap, HashSet};
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -98,16 +88,14 @@ impl TenantSpec {
 }
 
 /// How connections are served after `accept`.
+// One variant: kept an enum (and `ServerConfig::mode` its name) only
+// because `bench_ladder/src/workloads/wire.rs` constructs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerMode {
-    /// Two OS threads per connection. Simple, but thread count grows
-    /// with the client population.
-    Threaded,
     /// A fixed pool of epoll event-loop threads; each connection is a
     /// nonblocking state machine. Thread count stays constant no matter
-    /// how many clients connect. Requires epoll + eventfd; on other
-    /// hosts the server falls back to [`ServerMode::Threaded`] and
-    /// records the fallback in telemetry.
+    /// how many clients connect. Requires epoll + eventfd (see
+    /// [`Server::bind`]).
     Reactor {
         /// Event-loop thread count (clamped to at least 1).
         threads: usize,
@@ -120,16 +108,6 @@ impl ServerMode {
     pub fn reactor() -> Self {
         Self::Reactor {
             threads: default_reactor_threads(),
-        }
-    }
-
-    /// `"threaded"` or `"reactor"` — the provenance string benches
-    /// record next to their numbers.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Threaded => "threaded",
-            Self::Reactor { .. } => "reactor",
         }
     }
 }
@@ -151,10 +129,11 @@ pub struct ServerConfig {
     /// Ceiling on the frame length prefix; larger prefixes are hostile
     /// and close the connection.
     pub max_frame: u32,
-    /// How often blocked reads and reaps wake to check the shutdown
-    /// flag. Latency of shutdown, not of requests.
+    /// Ceiling on how long an idle event loop sleeps in `epoll_wait`
+    /// before it re-checks the shutdown flag and retries parked
+    /// operations. Latency of shutdown, not of requests.
     pub poll_interval: Duration,
-    /// Connection-serving plane. Defaults to the reactor.
+    /// Event-loop pool shape. Defaults to [`ServerMode::reactor`].
     pub mode: ServerMode,
 }
 
@@ -180,7 +159,7 @@ pub(crate) struct TenantCounters {
     pub(crate) duplicate_request_ids: AtomicU64,
     pub(crate) unknown_opcodes: AtomicU64,
     pub(crate) shutdown_rejections: AtomicU64,
-    /// Times a serving plane paused reading a connection because the
+    /// Times the reactor paused reading a connection because the
     /// store reported [`StoreError::Overloaded`] — backpressure applied
     /// instead of bouncing a valid operation back to the client.
     pub(crate) overload_stalls: AtomicU64,
@@ -210,12 +189,7 @@ pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
     pub(crate) max_frame: u32,
     pub(crate) poll_interval: Duration,
-    pub(crate) conn_handles: Mutex<Vec<JoinHandle<()>>>,
-    /// `Some` when serving in reactor mode.
-    pub(crate) reactor: Option<crate::reactor::ReactorPool>,
-    /// True when a reactor was requested but the host has no epoll, so
-    /// the server is running threaded instead.
-    pub(crate) reactor_fallback: bool,
+    pub(crate) reactor: crate::reactor::ReactorPool,
 }
 
 impl Shared {
@@ -243,9 +217,16 @@ impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), boots
     /// every tenant's store, and starts accepting connections.
     ///
+    /// The wire server requires epoll + eventfd — Linux, the only
+    /// platform CI builds, `bench_ladder` measures or any committed
+    /// artifact comes from. The engine, store, simulator and figure
+    /// crates stay portable.
+    ///
     /// # Errors
     ///
-    /// Propagates bind failures and durable-store open failures.
+    /// [`ErrorKind::Unsupported`] on a host without epoll + eventfd,
+    /// returned before any tenant store is opened. Otherwise propagates
+    /// bind failures and durable-store open failures.
     ///
     /// # Panics
     ///
@@ -261,6 +242,13 @@ impl Server {
             ids.dedup();
             assert_eq!(ids.len(), config.tenants.len(), "tenant ids must be unique");
         }
+        let ServerMode::Reactor { threads } = config.mode;
+        let (pool, seeds) = crate::reactor::prepare(threads.max(1)).ok_or_else(|| {
+            io::Error::new(
+                ErrorKind::Unsupported,
+                "ame-server needs epoll + eventfd (Linux)",
+            )
+        })?;
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let mut tenants = Vec::with_capacity(config.tenants.len());
@@ -280,26 +268,13 @@ impl Server {
                 counters: TenantCounters::default(),
             });
         }
-        // Resolve the serving mode up front: if the host cannot build
-        // the epoll/eventfd plumbing, fall back to threaded serving and
-        // say so in telemetry — never a silent half-working reactor.
-        let (pool, seeds) = match config.mode {
-            ServerMode::Threaded => (None, Vec::new()),
-            ServerMode::Reactor { threads } => match crate::reactor::prepare(threads.max(1)) {
-                Some((pool, seeds)) => (Some(pool), seeds),
-                None => (None, Vec::new()),
-            },
-        };
-        let reactor_fallback = matches!(config.mode, ServerMode::Reactor { .. }) && pool.is_none();
         let shared = Arc::new(Shared {
             tenants,
             counters: ServerCounters::default(),
             shutdown: AtomicBool::new(false),
             max_frame: config.max_frame,
             poll_interval: config.poll_interval,
-            conn_handles: Mutex::new(Vec::new()),
             reactor: pool,
-            reactor_fallback,
         });
         for seed in seeds {
             let reactor_shared = Arc::clone(&shared);
@@ -307,11 +282,7 @@ impl Server {
                 .name("ame-server-reactor".into())
                 .spawn(move || crate::reactor::reactor_thread(&reactor_shared, seed))
                 .expect("spawn reactor thread");
-            shared
-                .reactor
-                .as_ref()
-                .expect("seeds imply a pool")
-                .push_handle(handle);
+            shared.reactor.push_handle(handle);
         }
         let accept_shared = Arc::clone(&shared);
         let accept_handle = thread::Builder::new()
@@ -331,21 +302,10 @@ impl Server {
         self.addr
     }
 
-    /// The serving mode actually running — `"reactor"` or `"threaded"`.
-    /// Reports the post-fallback truth, not what was requested.
-    #[must_use]
-    pub fn mode_name(&self) -> &'static str {
-        if self.shared.reactor.is_some() {
-            "reactor"
-        } else {
-            "threaded"
-        }
-    }
-
-    /// Event-loop thread count (0 when serving threaded).
+    /// Event-loop thread count.
     #[must_use]
     pub fn reactor_threads(&self) -> usize {
-        self.shared.reactor.as_ref().map_or(0, |p| p.threads())
+        self.shared.reactor.threads()
     }
 
     /// Snapshot of the full metric tree: per-tenant store metrics under
@@ -369,10 +329,6 @@ impl Server {
             c.pre_hello_failures.load(Ordering::Relaxed),
         );
         reg.set_gauge("server/reactor_threads", self.reactor_threads() as f64);
-        reg.set_gauge(
-            "server/reactor_fallback",
-            f64::from(u8::from(self.shared.reactor_fallback)),
-        );
         for t in &self.shared.tenants {
             let scope = format!("server/tenant{}", t.id);
             t.store.collect(&mut reg, &format!("{scope}/store"));
@@ -417,15 +373,9 @@ impl Server {
         if let Some(handle) = self.accept_handle.take() {
             handle.join().expect("accept thread panicked");
         }
-        if let Some(pool) = &self.shared.reactor {
-            pool.wake_all();
-            for handle in pool.take_handles() {
-                handle.join().expect("reactor thread panicked");
-            }
-        }
-        let handles = std::mem::take(&mut *self.shared.conn_handles.lock().unwrap());
-        for handle in handles {
-            handle.join().expect("connection thread panicked");
+        self.shared.reactor.wake_all();
+        for handle in self.shared.reactor.take_handles() {
+            handle.join().expect("reactor thread panicked");
         }
         let shared = Arc::try_unwrap(self.shared)
             .unwrap_or_else(|_| panic!("serving threads still hold the server state"));
@@ -457,68 +407,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             .counters
             .connections_accepted
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(pool) = &shared.reactor {
-            pool.dispatch(stream);
-            continue;
-        }
-        let conn_shared = Arc::clone(shared);
-        let handle = thread::Builder::new()
-            .name("ame-server-conn".into())
-            .spawn(move || serve_connection(&conn_shared, stream))
-            .expect("spawn connection thread");
-        shared.conn_handles.lock().unwrap().push(handle);
-    }
-}
-
-/// Incremental frame reader: accumulates bytes across read timeouts so
-/// a poll deadline in the middle of a frame never desynchronises the
-/// stream.
-struct ConnReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    max_frame: u32,
-}
-
-enum Polled {
-    Frame(Frame),
-    /// Read timeout with no complete frame buffered.
-    Idle,
-    /// Peer closed (or the transport failed).
-    Eof,
-    /// Unrecoverable framing violation.
-    Malformed,
-}
-
-impl ConnReader {
-    fn poll(&mut self) -> Polled {
-        loop {
-            match self.try_parse() {
-                Ok(Some(frame)) => return Polled::Frame(frame),
-                Ok(None) => {}
-                Err(_) => return Polled::Malformed,
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Polled::Eof,
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Polled::Idle
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Polled::Eof,
-            }
-        }
-    }
-
-    fn try_parse(&mut self) -> Result<Option<Frame>, FrameError> {
-        try_parse_frame(&mut self.buf, self.max_frame)
+        shared.reactor.dispatch(stream);
     }
 }
 
 /// Pops one complete frame off the front of `buf`, if one is buffered.
 /// `Ok(None)` means "keep reading"; an error is a framing violation that
-/// desynchronises the stream (the connection must close). Shared by the
-/// threaded reader and the reactor's per-connection state machine.
+/// desynchronises the stream (the connection must close).
 pub(crate) fn try_parse_frame(
     buf: &mut Vec<u8>,
     max_frame: u32,
@@ -551,26 +446,6 @@ pub(crate) fn try_parse_frame(
     }))
 }
 
-/// Reader/writer shared bookkeeping for one connection: which request
-/// id each in-flight ticket answers.
-#[derive(Default)]
-struct InFlight {
-    by_ticket: HashMap<Ticket, u64>,
-    ids: HashSet<u64>,
-}
-
-type WriteHalf = Arc<Mutex<TcpStream>>;
-
-fn respond(wr: &WriteHalf, tag: u8, req_id: u64, payload: &[u8]) -> io::Result<()> {
-    let mut stream = wr.lock().unwrap();
-    write_frame(&mut *stream, tag, req_id, payload)
-}
-
-fn respond_err(wr: &WriteHalf, req_id: u64, e: &WireError) -> io::Result<()> {
-    let (tag, payload) = encode_server_error(e);
-    respond(wr, tag, req_id, &payload)
-}
-
 /// Why a connection's serving loop ended, deciding the closing notice.
 pub(crate) enum ConnEnd {
     Goodbye,
@@ -587,8 +462,8 @@ pub(crate) struct ConnectionSlot<'a>(&'a Tenant);
 
 impl<'a> ConnectionSlot<'a> {
     /// Takes a slot unless the tenant is at its quota. One atomic
-    /// update, so concurrent hellos (connection threads, or reactor
-    /// loops) can never be granted past `max_connections` between a
+    /// update, so concurrent hellos (on different reactor loops) can
+    /// never be granted past `max_connections` between a
     /// check and a later increment.
     fn reserve(tenant: &'a Tenant) -> Option<Self> {
         tenant
@@ -624,9 +499,8 @@ pub(crate) enum HelloDecision<'a> {
     Refuse(WireError),
 }
 
-/// Shared `Hello` policy: frame shape, protocol version, tenant lookup,
-/// connection quota, window clamp. Both serving planes route their
-/// handshake through here so admission rules can never drift apart.
+/// `Hello` policy: frame shape, protocol version, tenant lookup,
+/// connection quota, window clamp.
 pub(crate) fn evaluate_hello<'a>(shared: &'a Shared, frame: &Frame) -> HelloDecision<'a> {
     if frame.tag != op::HELLO || frame.payload.len() != 12 {
         shared
@@ -668,213 +542,6 @@ pub(crate) fn evaluate_hello<'a>(shared: &'a Shared, frame: &Frame) -> HelloDeci
     }
 }
 
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.poll_interval));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = ConnReader {
-        stream: read_half,
-        buf: Vec::new(),
-        max_frame: shared.max_frame,
-    };
-    let wr: WriteHalf = Arc::new(Mutex::new(stream));
-
-    // `_slot` is this connection's share of the tenant's quota until the
-    // function returns.
-    let Some((tenant, _slot, window)) = handshake(shared, &mut reader, &wr) else {
-        return;
-    };
-    tenant
-        .counters
-        .connections_accepted
-        .fetch_add(1, Ordering::Relaxed);
-
-    let (submitter, reaper) = tenant.store.split_session_with(SessionConfig {
-        in_flight_window: window,
-    });
-    let in_flight = Mutex::new(InFlight::default());
-    let end = thread::scope(|s| {
-        let writer = s.spawn(|| writer_loop(reaper, &in_flight, &wr, tenant, shared.poll_interval));
-        let end = reader_loop(shared, tenant, &mut reader, submitter, &in_flight, &wr);
-        // `submitter` died with reader_loop; the writer drains the
-        // stragglers (acked work is never dropped) and sees Closed.
-        writer.join().expect("connection writer panicked");
-        end
-    });
-    if matches!(end, ConnEnd::Shutdown) {
-        let _ = respond(&wr, code::SHUTTING_DOWN, 0, &[]);
-    }
-}
-
-/// Runs the `Hello` exchange. `None` means the connection was refused
-/// (a typed response was already sent where possible).
-fn handshake<'a>(
-    shared: &'a Arc<Shared>,
-    reader: &mut ConnReader,
-    wr: &WriteHalf,
-) -> Option<(&'a Tenant, ConnectionSlot<'a>, usize)> {
-    let frame = loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = respond_err(wr, 0, &WireError::ShuttingDown);
-            return None;
-        }
-        match reader.poll() {
-            Polled::Frame(frame) => break frame,
-            Polled::Idle => {}
-            Polled::Eof => return None,
-            Polled::Malformed => {
-                shared
-                    .counters
-                    .pre_hello_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = respond_err(wr, 0, &WireError::BadFrame);
-                return None;
-            }
-        }
-    };
-    match evaluate_hello(shared, &frame) {
-        HelloDecision::Grant {
-            tenant,
-            slot,
-            window,
-            reply,
-        } => {
-            if respond(wr, protocol::STATUS_OK, frame.req_id, &reply).is_err() {
-                return None;
-            }
-            Some((tenant, slot, window))
-        }
-        HelloDecision::Refuse(e) => {
-            let _ = respond_err(wr, frame.req_id, &e);
-            None
-        }
-    }
-}
-
-fn reader_loop(
-    shared: &Arc<Shared>,
-    tenant: &Tenant,
-    reader: &mut ConnReader,
-    mut submitter: SessionSubmitter<'_>,
-    in_flight: &Mutex<InFlight>,
-    wr: &WriteHalf,
-) -> ConnEnd {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Already-buffered requests get a typed rejection instead of
-            // silence; nothing new is admitted to the store.
-            while let Ok(Some(frame)) = reader.try_parse() {
-                tenant
-                    .counters
-                    .shutdown_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = respond_err(wr, frame.req_id, &WireError::ShuttingDown);
-            }
-            return ConnEnd::Shutdown;
-        }
-        let frame = match reader.poll() {
-            Polled::Frame(frame) => frame,
-            Polled::Idle => continue,
-            Polled::Eof => return ConnEnd::Eof,
-            Polled::Malformed => {
-                tenant.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let _ = respond_err(wr, 0, &WireError::BadFrame);
-                return ConnEnd::Malformed;
-            }
-        };
-        match frame.tag {
-            op::GOODBYE => {
-                let _ = respond(wr, protocol::STATUS_OK, frame.req_id, &[]);
-                return ConnEnd::Goodbye;
-            }
-            op::READ | op::WRITE | op::CAS => {
-                // The state lock is held across submit → map insert so
-                // the writer (which takes the same lock before looking a
-                // completion up) can never observe a ticket whose
-                // request id is not yet recorded.
-                let mut state = in_flight.lock().unwrap();
-                if !state.ids.insert(frame.req_id) {
-                    drop(state);
-                    reject_duplicate(tenant, wr, frame.req_id);
-                    continue;
-                }
-                loop {
-                    match submit_op(&mut submitter, &frame) {
-                        Submitted::Ticket(ticket) => {
-                            state.by_ticket.insert(ticket, frame.req_id);
-                            break;
-                        }
-                        Submitted::Rejected(StoreError::Overloaded { .. }) => {
-                            // Saturation is backpressure, not an error:
-                            // stop reading this connection (the lock is
-                            // released so the writer keeps draining) and
-                            // retry once the store has breathed.
-                            drop(state);
-                            tenant
-                                .counters
-                                .overload_stalls
-                                .fetch_add(1, Ordering::Relaxed);
-                            thread::sleep(Duration::from_micros(200));
-                            if shared.shutdown.load(Ordering::SeqCst) {
-                                tenant
-                                    .counters
-                                    .shutdown_rejections
-                                    .fetch_add(1, Ordering::Relaxed);
-                                let _ = respond_err(wr, frame.req_id, &WireError::ShuttingDown);
-                                return ConnEnd::Shutdown;
-                            }
-                            state = in_flight.lock().unwrap();
-                        }
-                        Submitted::Rejected(e) => {
-                            state.ids.remove(&frame.req_id);
-                            drop(state);
-                            tenant.counters.ops_err.fetch_add(1, Ordering::Relaxed);
-                            let (tag, payload) = encode_store_error(&e);
-                            let _ = respond(wr, tag, frame.req_id, &payload);
-                            break;
-                        }
-                        Submitted::Malformed => {
-                            state.ids.remove(&frame.req_id);
-                            drop(state);
-                            tenant.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                            let _ = respond_err(wr, frame.req_id, &WireError::BadFrame);
-                            break;
-                        }
-                    }
-                }
-            }
-            op::TAMPER => {
-                if !in_flight.lock().unwrap().ids.contains(&frame.req_id) {
-                    handle_tamper(tenant, wr, &frame);
-                } else {
-                    reject_duplicate(tenant, wr, frame.req_id);
-                }
-            }
-            op::HELLO => {
-                tenant.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let _ = respond_err(wr, frame.req_id, &WireError::BadFrame);
-            }
-            other => {
-                tenant
-                    .counters
-                    .unknown_opcodes
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = respond_err(wr, frame.req_id, &WireError::UnknownOpcode(other));
-            }
-        }
-    }
-}
-
-fn reject_duplicate(tenant: &Tenant, wr: &WriteHalf, req_id: u64) {
-    tenant
-        .counters
-        .duplicate_request_ids
-        .fetch_add(1, Ordering::Relaxed);
-    let _ = respond_err(wr, req_id, &WireError::DuplicateRequestId);
-}
-
 pub(crate) enum Submitted {
     Ticket(Ticket),
     Rejected(StoreError),
@@ -911,14 +578,9 @@ pub(crate) fn submit_op(submitter: &mut SessionSubmitter<'_>, frame: &Frame) -> 
     }
 }
 
-fn handle_tamper(tenant: &Tenant, wr: &WriteHalf, frame: &Frame) {
-    let (tag, payload) = exec_tamper(tenant, frame);
-    let _ = respond(wr, tag, frame.req_id, &payload);
-}
-
 /// Executes a tamper-injection frame synchronously (it bypasses the
 /// session pipeline by design) and returns the reply's tag + payload.
-/// Counter updates happen here; shared by both serving planes.
+/// Counter updates happen here.
 pub(crate) fn exec_tamper(tenant: &Tenant, frame: &Frame) -> (u8, Vec<u8>) {
     let p = &frame.payload;
     let bad_frame = |tenant: &Tenant| {
@@ -947,47 +609,127 @@ pub(crate) fn exec_tamper(tenant: &Tenant, frame: &Frame) -> (u8, Vec<u8>) {
     }
 }
 
-fn writer_loop(
-    mut reaper: ame_store::SessionReaper<'_>,
-    in_flight: &Mutex<InFlight>,
-    wr: &WriteHalf,
-    tenant: &Tenant,
-    poll: Duration,
-) {
-    loop {
-        match reaper.recv_timeout(poll) {
-            Reaped::Completion(ticket, result) => {
-                let req_id = {
-                    let mut state = in_flight.lock().unwrap();
-                    let req_id = state.by_ticket.remove(&ticket);
-                    if let Some(id) = req_id {
-                        state.ids.remove(&id);
-                    }
-                    req_id
-                };
-                // A ticket with no request id cannot happen (every
-                // submitted ticket is registered before the reader moves
-                // on), but losing a response silently would be worse
-                // than a best-effort id of 0.
-                let req_id = req_id.unwrap_or(0);
-                match result {
-                    Ok(value) => {
-                        tenant.counters.ops_ok.fetch_add(1, Ordering::Relaxed);
-                        let payload: &[u8] = match &value {
-                            StoreValue::Data(b) | StoreValue::Modified(b) => b,
-                            StoreValue::Written => &[],
-                        };
-                        let _ = respond(wr, protocol::STATUS_OK, req_id, payload);
-                    }
-                    Err(e) => {
-                        tenant.counters.ops_err.fetch_add(1, Ordering::Relaxed);
-                        let (tag, payload) = encode_store_error(&e);
-                        let _ = respond(wr, tag, req_id, &payload);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::read_frame;
+    use ame_prng::StdRng;
+
+    /// One-shot parse of a whole byte string with the blocking reader
+    /// the clients use: the frames, then either the unparsed tail or
+    /// the framing violation at that boundary.
+    fn reference_parse(mut rest: &[u8], max_frame: u32) -> (Vec<Frame>, Result<&[u8], FrameError>) {
+        let mut frames = Vec::new();
+        loop {
+            let boundary = rest;
+            match read_frame(&mut rest, max_frame) {
+                Ok(frame) => frames.push(frame),
+                Err(FrameError::Io(_)) => return (frames, Ok(boundary)),
+                Err(violation) => return (frames, Err(violation)),
+            }
+        }
+    }
+
+    fn push_frame(bytes: &mut Vec<u8>, rng: &mut StdRng, max_frame: u32) {
+        let room = max_frame as usize - HEADER_BYTES;
+        let payload = match rng.gen_range(0..4u32) {
+            0 => 0,
+            1 => room,
+            _ => rng.gen_range(0..=room),
+        };
+        let mut body = vec![0u8; HEADER_BYTES + payload];
+        rng.fill(&mut body);
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&body);
+    }
+
+    /// Random streams — well-formed frames ending cleanly, in a
+    /// truncation, or in an oversized or undersized length prefix —
+    /// fed in random chunks down to one byte: the incremental parser
+    /// must agree with the one-shot reference on every frame, on the
+    /// bytes left over, and on whether and why the stream is refused.
+    #[test]
+    fn try_parse_frame_matches_one_shot_reference_under_any_chunking() {
+        let mut rng = StdRng::seed_from_u64(0x19_f2a3);
+        let mut endings = [0usize; 4];
+        for case in 0..2000 {
+            let max_frame = if case % 8 == 0 {
+                DEFAULT_MAX_FRAME
+            } else {
+                rng.gen_range(HEADER_BYTES as u32..=96)
+            };
+            let mut bytes = Vec::new();
+            let whole = rng.gen_range(0..6usize);
+            for _ in 0..whole {
+                push_frame(&mut bytes, &mut rng, max_frame);
+            }
+            let ending = rng.gen_range(0..4usize);
+            endings[ending] += 1;
+            let bad_len = match ending {
+                0 => None,
+                1 => {
+                    let start = bytes.len();
+                    push_frame(&mut bytes, &mut rng, max_frame);
+                    bytes.truncate(rng.gen_range(start + 1..bytes.len()));
+                    None
+                }
+                2 => Some(match rng.gen_range(0..3u32) {
+                    0 => max_frame + 1,
+                    1 => u32::MAX,
+                    _ => rng.gen_range(max_frame + 1..=u32::MAX),
+                }),
+                _ => Some(rng.gen_range(0..HEADER_BYTES as u32)),
+            };
+            if let Some(len) = bad_len {
+                bytes.extend_from_slice(&len.to_le_bytes());
+                let mut garbage = vec![0u8; rng.gen_range(0..24usize)];
+                rng.fill(&mut garbage);
+                bytes.extend_from_slice(&garbage);
+            }
+
+            let (want, want_tail) = reference_parse(&bytes, max_frame);
+            assert_eq!(want.len(), whole, "case {case}: reference frame count");
+            assert_eq!(want_tail.is_err(), bad_len.is_some(), "case {case}");
+
+            let max_chunk = [1usize, 3, 17, 4096][rng.gen_range(0..4usize)];
+            let (mut buf, mut got) = (Vec::new(), Vec::new());
+            let (mut fed, mut consumed) = (0usize, 0usize);
+            let mut refused = None;
+            'feed: while fed < bytes.len() {
+                let n = rng.gen_range(1..=max_chunk).min(bytes.len() - fed);
+                buf.extend_from_slice(&bytes[fed..fed + n]);
+                fed += n;
+                loop {
+                    match try_parse_frame(&mut buf, max_frame) {
+                        Ok(Some(frame)) => {
+                            assert!(HEADER_BYTES + frame.payload.len() <= max_frame as usize);
+                            consumed += 4 + HEADER_BYTES + frame.payload.len();
+                            got.push(frame);
+                        }
+                        Ok(None) => break,
+                        Err(violation) => {
+                            refused = Some(violation);
+                            break 'feed;
+                        }
                     }
                 }
+                assert_eq!(consumed + buf.len(), fed, "case {case}");
             }
-            Reaped::TimedOut => {}
-            Reaped::Closed => return,
+            assert_eq!(consumed + buf.len(), fed, "case {case}");
+            assert_eq!(got, want, "case {case}: frames");
+            match (refused, want_tail) {
+                (None, Ok(tail)) => assert_eq!(buf, tail, "case {case}: leftover"),
+                (
+                    Some(FrameError::Oversized { len, max }),
+                    Err(FrameError::Oversized { len: want_len, .. }),
+                ) => assert_eq!((len, max), (want_len, max_frame), "case {case}"),
+                (
+                    Some(FrameError::TooShort { len }),
+                    Err(FrameError::TooShort { len: want_len }),
+                ) => assert_eq!(len, want_len, "case {case}"),
+                (got, want) => panic!("case {case}: parser {got:?}, reference {want:?}"),
+            }
         }
+        assert!(endings.iter().all(|&n| n > 100), "{endings:?}");
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! Failure is never silent but always *detectable up front*:
 //! [`Epoll::new`] returns `None` on hosts without epoll (any non-Linux
-//! OS, or fd exhaustion), and the server reacts by falling back to
-//! thread-per-connection serving with a recorded telemetry gauge —
-//! the reactor is an acceleration, not a correctness requirement.
+//! OS, or fd exhaustion), and `Server::bind` turns that into
+//! `io::ErrorKind::Unsupported` before it opens a tenant store. The
+//! non-Linux stub below exists so the workspace still type-checks
+//! there.
 
 #![allow(unsafe_code)]
 
@@ -184,7 +185,7 @@ mod imp {
 /// A safe handle on one epoll interest set.
 ///
 /// `None` from [`Epoll::new`] is the host's way of saying "no reactor
-/// here" — the caller must fall back, visibly.
+/// here" — the caller must fail, visibly.
 #[derive(Debug)]
 pub(crate) struct Epoll {
     raw: imp::RawEpoll,

@@ -1,12 +1,11 @@
 //! Satellite: malformed and hostile frames are rejected per-connection
 //! — typed codes where the stream is still coherent, a close where it
-//! is not — and never disturb another tenant's live session. Every
-//! scenario runs in **both** serving modes.
+//! is not — and never disturb another tenant's live session.
 
 use ame_server::protocol::{
     self, code, op, read_frame, write_frame, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
-use ame_server::{Client, Server, ServerConfig, ServerMode, TenantSpec};
+use ame_server::{Client, Server, ServerConfig, TenantSpec};
 use ame_store::{StoreConfig, BLOCK_BYTES};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -20,7 +19,7 @@ fn small_store() -> StoreConfig {
     }
 }
 
-fn two_tenant_server(mode: ServerMode) -> Server {
+fn two_tenant_server() -> Server {
     Server::bind(
         "127.0.0.1:0",
         ServerConfig {
@@ -28,7 +27,6 @@ fn two_tenant_server(mode: ServerMode) -> Server {
                 TenantSpec::new(0, small_store()),
                 TenantSpec::new(1, small_store()),
             ],
-            mode,
             ..ServerConfig::default()
         },
     )
@@ -67,16 +65,7 @@ fn assert_other_tenant_healthy(server: &Server, fill: u8) {
 
 #[test]
 fn oversized_length_prefix_gets_bad_frame_and_close_reactor() {
-    oversized_length_prefix_gets_bad_frame_and_close(ServerMode::reactor());
-}
-
-#[test]
-fn oversized_length_prefix_gets_bad_frame_and_close_threaded() {
-    oversized_length_prefix_gets_bad_frame_and_close(ServerMode::Threaded);
-}
-
-fn oversized_length_prefix_gets_bad_frame_and_close(mode: ServerMode) {
-    let server = two_tenant_server(mode);
+    let server = two_tenant_server();
     let mut attacker = raw_hello(server.addr());
 
     // A 4 GiB length prefix: the server must answer BAD_FRAME without
@@ -105,16 +94,7 @@ fn oversized_length_prefix_gets_bad_frame_and_close(mode: ServerMode) {
 
 #[test]
 fn truncated_frame_closes_without_poisoning_the_server_reactor() {
-    truncated_frame_closes_without_poisoning_the_server(ServerMode::reactor());
-}
-
-#[test]
-fn truncated_frame_closes_without_poisoning_the_server_threaded() {
-    truncated_frame_closes_without_poisoning_the_server(ServerMode::Threaded);
-}
-
-fn truncated_frame_closes_without_poisoning_the_server(mode: ServerMode) {
-    let server = two_tenant_server(mode);
+    let server = two_tenant_server();
     let mut attacker = raw_hello(server.addr());
 
     // Claim 80 bytes, deliver 10, walk away: the server can never
@@ -131,16 +111,7 @@ fn truncated_frame_closes_without_poisoning_the_server(mode: ServerMode) {
 
 #[test]
 fn unknown_opcode_is_typed_and_survivable_reactor() {
-    unknown_opcode_is_typed_and_survivable(ServerMode::reactor());
-}
-
-#[test]
-fn unknown_opcode_is_typed_and_survivable_threaded() {
-    unknown_opcode_is_typed_and_survivable(ServerMode::Threaded);
-}
-
-fn unknown_opcode_is_typed_and_survivable(mode: ServerMode) {
-    let server = two_tenant_server(mode);
+    let server = two_tenant_server();
     let mut attacker = raw_hello(server.addr());
 
     write_frame(&mut attacker, 0x7e, 9, &[1, 2, 3]).unwrap();
@@ -163,16 +134,7 @@ fn unknown_opcode_is_typed_and_survivable(mode: ServerMode) {
 
 #[test]
 fn replayed_request_id_within_window_is_rejected_reactor() {
-    replayed_request_id_within_window_is_rejected(ServerMode::reactor());
-}
-
-#[test]
-fn replayed_request_id_within_window_is_rejected_threaded() {
-    replayed_request_id_within_window_is_rejected(ServerMode::Threaded);
-}
-
-fn replayed_request_id_within_window_is_rejected(mode: ServerMode) {
-    let server = two_tenant_server(mode);
+    let server = two_tenant_server();
     let mut attacker = raw_hello(server.addr());
 
     // Pairs of back-to-back reads sharing a request id, written in one
@@ -218,23 +180,14 @@ fn replayed_request_id_within_window_is_rejected(mode: ServerMode) {
     let _ = server.shutdown();
 }
 
-#[test]
-fn send_without_reading_gets_bounded_backpressure_reactor() {
-    send_without_reading_gets_bounded_backpressure(ServerMode::reactor());
-}
-
-#[test]
-fn send_without_reading_gets_bounded_backpressure_threaded() {
-    send_without_reading_gets_bounded_backpressure(ServerMode::Threaded);
-}
-
 /// A peer that streams response-earning frames while refusing to read
 /// must be throttled by backpressure (bounded server memory), and every
 /// buffered response must still arrive, in order, once it starts
 /// reading again.
-fn send_without_reading_gets_bounded_backpressure(mode: ServerMode) {
+#[test]
+fn send_without_reading_gets_bounded_backpressure_reactor() {
     const FRAMES: u64 = 200_000;
-    let server = two_tenant_server(mode);
+    let server = two_tenant_server();
     let attacker = raw_hello(server.addr());
 
     // ~2.8 MiB of unknown-opcode frames in one burst — far past the
@@ -273,7 +226,7 @@ fn send_without_reading_gets_bounded_backpressure(mode: ServerMode) {
 
 #[test]
 fn shutdown_is_not_hostage_to_a_peer_that_never_reads_reactor() {
-    let server = two_tenant_server(ServerMode::reactor());
+    let server = two_tenant_server();
     let attacker = raw_hello(server.addr());
 
     // Keep streaming response-earning frames without ever reading, so
@@ -303,16 +256,7 @@ fn shutdown_is_not_hostage_to_a_peer_that_never_reads_reactor() {
 
 #[test]
 fn operation_before_hello_is_refused_reactor() {
-    operation_before_hello_is_refused(ServerMode::reactor());
-}
-
-#[test]
-fn operation_before_hello_is_refused_threaded() {
-    operation_before_hello_is_refused(ServerMode::Threaded);
-}
-
-fn operation_before_hello_is_refused(mode: ServerMode) {
-    let server = two_tenant_server(mode);
+    let server = two_tenant_server();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))

@@ -1,14 +1,12 @@
-//! Satellite: reactor-specific connection behaviour — partial frames
-//! arriving a byte at a time (slow-loris), frames split across multiple
-//! writes, and a horde of idle connections holding fds while one client
-//! streams. These are exactly the shapes a per-connection-thread server
-//! handles by burning a blocked thread; the reactor must handle them
-//! with buffers alone.
+//! Satellite: connection shapes an event loop must handle with buffers
+//! alone — partial frames arriving a byte at a time (slow-loris),
+//! frames split across multiple writes, and a horde of idle connections
+//! holding fds while one client streams.
 
 use ame_server::protocol::{
     self, op, read_frame, write_frame, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
-use ame_server::{PipelinedClient, Server, ServerConfig, ServerMode, TenantSpec};
+use ame_server::{PipelinedClient, Server, ServerConfig, TenantSpec};
 use ame_store::{StoreConfig, BLOCK_BYTES};
 use std::io::Write;
 use std::net::TcpStream;
@@ -29,7 +27,6 @@ fn reactor_server(max_connections: usize) -> Server {
         "127.0.0.1:0",
         ServerConfig {
             tenants: vec![spec],
-            mode: ServerMode::reactor(),
             ..ServerConfig::default()
         },
     )
@@ -62,11 +59,6 @@ fn write_op_frame(req_id: u64, addr: u64, fill: u8) -> Vec<u8> {
 #[test]
 fn slow_loris_hello_completes_and_blocks_nobody() {
     let server = reactor_server(8);
-    if server.mode_name() != "reactor" {
-        eprintln!("host has no epoll; reactor fallback active, skipping");
-        let _ = server.shutdown();
-        return;
-    }
 
     let mut loris = TcpStream::connect(server.addr()).unwrap();
     loris.set_nodelay(true).unwrap();
@@ -102,11 +94,6 @@ fn slow_loris_hello_completes_and_blocks_nobody() {
 #[test]
 fn frame_split_across_three_writes_is_reassembled() {
     let server = reactor_server(8);
-    if server.mode_name() != "reactor" {
-        eprintln!("host has no epoll; reactor fallback active, skipping");
-        let _ = server.shutdown();
-        return;
-    }
 
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
@@ -138,17 +125,11 @@ fn frame_split_across_three_writes_is_reassembled() {
 
 /// 500 granted-but-idle connections hold fds and sessions while one
 /// client streams a full workload — and the server never grows beyond
-/// its fixed reactor thread count. The threaded plane would need 1000
-/// OS threads for the idle horde alone.
+/// its fixed reactor thread count.
 #[test]
 fn idle_horde_holds_fds_while_one_client_streams() {
     const HORDE: usize = 500;
     let server = reactor_server(HORDE + 2);
-    if server.mode_name() != "reactor" {
-        eprintln!("host has no epoll; reactor fallback active, skipping");
-        let _ = server.shutdown();
-        return;
-    }
     let fixed_threads = server.reactor_threads();
     assert!(fixed_threads >= 1);
 

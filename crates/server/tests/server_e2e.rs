@@ -1,11 +1,9 @@
-//! End-to-end coverage of the serving planes: blocking and pipelined
+//! End-to-end coverage of the wire server: blocking and pipelined
 //! clients against a live loopback server, handshake policy (tenants,
 //! quotas, window clamping), and the per-tenant telemetry subtree.
-//! Every scenario runs in **both** serving modes — the reactor must be
-//! wire-indistinguishable from thread-per-connection.
 
 use ame_server::{
-    Client, ClientError, PipelinedClient, Server, ServerConfig, ServerMode, TenantSpec, WireError,
+    Client, ClientError, PipelinedClient, Server, ServerConfig, TenantSpec, WireError,
 };
 use ame_store::{StoreConfig, StoreError, BLOCK_BYTES};
 
@@ -17,7 +15,7 @@ fn small_store() -> StoreConfig {
     }
 }
 
-fn two_tenant_server(mode: ServerMode) -> Server {
+fn two_tenant_server() -> Server {
     Server::bind(
         "127.0.0.1:0",
         ServerConfig {
@@ -25,7 +23,6 @@ fn two_tenant_server(mode: ServerMode) -> Server {
                 TenantSpec::new(0, small_store()),
                 TenantSpec::new(1, small_store()),
             ],
-            mode,
             ..ServerConfig::default()
         },
     )
@@ -38,16 +35,7 @@ fn block(fill: u8) -> [u8; BLOCK_BYTES] {
 
 #[test]
 fn blocking_client_read_write_cas_reactor() {
-    blocking_client_read_write_cas(ServerMode::reactor());
-}
-
-#[test]
-fn blocking_client_read_write_cas_threaded() {
-    blocking_client_read_write_cas(ServerMode::Threaded);
-}
-
-fn blocking_client_read_write_cas(mode: ServerMode) {
-    let server = two_tenant_server(mode);
+    let server = two_tenant_server();
     let mut client = Client::connect(server.addr(), 0).unwrap();
 
     client.write(0, &block(0xa1)).unwrap();
@@ -79,16 +67,7 @@ fn blocking_client_read_write_cas(mode: ServerMode) {
 
 #[test]
 fn pipelined_window_and_out_of_order_completions_reactor() {
-    pipelined_window_and_out_of_order_completions(ServerMode::reactor());
-}
-
-#[test]
-fn pipelined_window_and_out_of_order_completions_threaded() {
-    pipelined_window_and_out_of_order_completions(ServerMode::Threaded);
-}
-
-fn pipelined_window_and_out_of_order_completions(mode: ServerMode) {
-    let server = two_tenant_server(mode);
+    let server = two_tenant_server();
     let mut client = PipelinedClient::connect(server.addr(), 1, 8).unwrap();
     assert_eq!(client.window(), 8);
     assert_eq!(client.shards(), 2);
@@ -136,15 +115,6 @@ fn pipelined_window_and_out_of_order_completions(mode: ServerMode) {
 
 #[test]
 fn handshake_policy_unknown_tenant_quota_and_window_clamp_reactor() {
-    handshake_policy_unknown_tenant_quota_and_window_clamp(ServerMode::reactor());
-}
-
-#[test]
-fn handshake_policy_unknown_tenant_quota_and_window_clamp_threaded() {
-    handshake_policy_unknown_tenant_quota_and_window_clamp(ServerMode::Threaded);
-}
-
-fn handshake_policy_unknown_tenant_quota_and_window_clamp(mode: ServerMode) {
     let mut tight = TenantSpec::new(3, small_store());
     tight.max_connections = 1;
     tight.max_window = 4;
@@ -152,7 +122,6 @@ fn handshake_policy_unknown_tenant_quota_and_window_clamp(mode: ServerMode) {
         "127.0.0.1:0",
         ServerConfig {
             tenants: vec![tight],
-            mode,
             ..ServerConfig::default()
         },
     )
@@ -195,21 +164,12 @@ fn handshake_policy_unknown_tenant_quota_and_window_clamp(mode: ServerMode) {
     let _ = server.shutdown();
 }
 
-#[test]
-fn concurrent_hellos_never_exceed_the_quota_reactor() {
-    concurrent_hellos_never_exceed_the_quota(ServerMode::reactor());
-}
-
-#[test]
-fn concurrent_hellos_never_exceed_the_quota_threaded() {
-    concurrent_hellos_never_exceed_the_quota(ServerMode::Threaded);
-}
-
 /// Sixteen connections, already accepted, say `Hello` to a tenant with
 /// `max_connections = 1` at the same instant, and every one of them
 /// stays open until all sixteen have their answer: exactly one may be
 /// granted, whichever serving thread evaluates which hello when.
-fn concurrent_hellos_never_exceed_the_quota(mode: ServerMode) {
+#[test]
+fn concurrent_hellos_never_exceed_the_quota_reactor() {
     use ame_server::protocol::{self, op, read_frame, write_frame, DEFAULT_MAX_FRAME};
     use std::sync::Barrier;
 
@@ -221,7 +181,6 @@ fn concurrent_hellos_never_exceed_the_quota(mode: ServerMode) {
             "127.0.0.1:0",
             ServerConfig {
                 tenants: vec![tight],
-                mode,
                 ..ServerConfig::default()
             },
         )
@@ -260,21 +219,12 @@ fn concurrent_hellos_never_exceed_the_quota(mode: ServerMode) {
     }
 }
 
-#[test]
-fn saturated_store_applies_backpressure_reactor() {
-    saturated_store_applies_backpressure(ServerMode::reactor());
-}
-
-#[test]
-fn saturated_store_applies_backpressure_threaded() {
-    saturated_store_applies_backpressure(ServerMode::Threaded);
-}
-
 /// A store sized to choke (single shard, one queue slot, one op per
 /// batch) under a 16-deep pipelined client: saturation must surface as
 /// *backpressure* — every operation still completes, none is bounced
 /// with `Overloaded` — and the stall counter proves the path ran.
-fn saturated_store_applies_backpressure(mode: ServerMode) {
+#[test]
+fn saturated_store_applies_backpressure_reactor() {
     let store = StoreConfig {
         shards: 1,
         shard_bytes: 64 * 1024,
@@ -286,7 +236,6 @@ fn saturated_store_applies_backpressure(mode: ServerMode) {
         "127.0.0.1:0",
         ServerConfig {
             tenants: vec![TenantSpec::new(0, store)],
-            mode,
             ..ServerConfig::default()
         },
     )
@@ -321,34 +270,14 @@ fn saturated_store_applies_backpressure(mode: ServerMode) {
 
 #[test]
 fn telemetry_has_per_tenant_subtrees_reactor() {
-    telemetry_has_per_tenant_subtrees(ServerMode::reactor());
-}
-
-#[test]
-fn telemetry_has_per_tenant_subtrees_threaded() {
-    telemetry_has_per_tenant_subtrees(ServerMode::Threaded);
-}
-
-fn telemetry_has_per_tenant_subtrees(mode: ServerMode) {
-    let server = two_tenant_server(mode);
+    let server = two_tenant_server();
     let mut c0 = Client::connect(server.addr(), 0).unwrap();
     c0.write(0, &block(1)).unwrap();
     assert_eq!(c0.read(0).unwrap(), block(1));
     c0.goodbye().unwrap();
 
     let snap = server.telemetry();
-    // Serving-mode provenance: the gauge must agree with what actually
-    // runs (post-fallback), and on Linux a requested reactor must not
-    // have silently fallen back.
-    let reactor_threads = snap.gauge("server/reactor_threads").unwrap();
-    match server.mode_name() {
-        "reactor" => assert!(reactor_threads >= 1.0),
-        _ => assert_eq!(reactor_threads, 0.0),
-    }
-    if cfg!(target_os = "linux") && matches!(mode, ServerMode::Reactor { .. }) {
-        assert_eq!(server.mode_name(), "reactor");
-        assert_eq!(snap.gauge("server/reactor_fallback"), Some(0.0));
-    }
+    assert!(snap.gauge("server/reactor_threads").unwrap() >= 1.0);
     assert!(snap.counter("server/connections_accepted").unwrap() >= 1);
     assert_eq!(snap.counter("server/tenant0/connections_accepted"), Some(1));
     assert!(snap.counter("server/tenant0/ops_ok").unwrap() >= 2);

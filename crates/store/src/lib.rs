@@ -61,9 +61,7 @@ mod topology;
 mod wake;
 mod wal;
 
-pub use session::{
-    Reaped, Session, SessionConfig, SessionReaper, SessionStats, SessionSubmitter, Ticket,
-};
+pub use session::{Session, SessionConfig, SessionReaper, SessionStats, SessionSubmitter, Ticket};
 pub use shard::{SealReport, ShardStats};
 pub use wake::WakeFd;
 

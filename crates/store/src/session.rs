@@ -525,26 +525,13 @@ struct SplitShared {
     per_shard: Vec<AtomicUsize>,
 }
 
-/// What [`SessionReaper::recv_timeout`] produced.
-#[derive(Debug)]
-pub enum Reaped {
-    /// One operation finished; same payload contract as
-    /// [`Session::wait_any`].
-    Completion(Ticket, Result<StoreValue, StoreError>),
-    /// Nothing completed within the timeout; in-flight tickets are
-    /// untouched.
-    TimedOut,
-    /// The submitting half is gone and every completion has been
-    /// drained: the pipeline is finished, `recv` will never yield again.
-    Closed,
-}
-
 /// The submitting half of a split session (see
-/// [`SecureStore::split_session_with`]): submissions without reaping.
+/// [`SecureStore::split_session_with_wake`]): submissions without
+/// reaping.
 ///
 /// Dropping the submitter closes the pipeline: once the in-flight
 /// operations drain, the paired [`SessionReaper`] reports
-/// [`Reaped::Closed`].
+/// [`pipeline_closed`](SessionReaper::pipeline_closed).
 pub struct SessionSubmitter<'a> {
     store: &'a SecureStore,
     window: usize,
@@ -553,7 +540,7 @@ pub struct SessionSubmitter<'a> {
     shared: Arc<SplitShared>,
     /// Rung by the worker after each completion send, so an
     /// event-driven reaper blocked in `epoll_wait` learns the queue
-    /// went non-empty. `None` for plain split sessions.
+    /// went non-empty. `None` on hosts without eventfd.
     wake: Option<Arc<WakeFd>>,
 }
 
@@ -687,39 +674,6 @@ impl<'a> SessionSubmitter<'a> {
 }
 
 impl<'a> SessionReaper<'a> {
-    /// Blocks for the next completion. `None` once the paired submitter
-    /// is dropped **and** every in-flight completion has been drained —
-    /// the natural exit condition for a dedicated reaping thread.
-    pub fn recv(&mut self) -> Option<(Ticket, Result<StoreValue, StoreError>)> {
-        match self.rx.recv() {
-            Ok(completion) => Some(self.absorb(completion)),
-            Err(_) => None,
-        }
-    }
-
-    /// Like [`SessionReaper::recv`], but gives up after `timeout` so the
-    /// reaping thread can interleave periodic work (shutdown checks,
-    /// liveness) with the blocking drain.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Reaped {
-        match self.rx.recv_timeout(timeout) {
-            Ok(completion) => {
-                let (ticket, result) = self.absorb(completion);
-                Reaped::Completion(ticket, result)
-            }
-            Err(RecvTimeoutError::Timeout) => Reaped::TimedOut,
-            Err(RecvTimeoutError::Disconnected) => Reaped::Closed,
-        }
-    }
-
-    /// Non-blocking variant: `None` when nothing has completed yet (or
-    /// the pipeline is closed).
-    pub fn try_recv(&mut self) -> Option<(Ticket, Result<StoreValue, StoreError>)> {
-        self.rx
-            .try_recv()
-            .ok()
-            .map(|completion| self.absorb(completion))
-    }
-
     /// Drains every completion available right now without blocking, in
     /// arrival (per-shard FIFO) order. The event-driven reap: a reactor
     /// woken by this session's [`wake_fd`](Self::wake_fd) calls
@@ -752,8 +706,8 @@ impl<'a> SessionReaper<'a> {
 
     /// The raw wake descriptor to register in an `epoll(7)` interest
     /// set, for sessions opened with
-    /// [`SecureStore::split_session_with_wake`]; `None` for plain split
-    /// sessions and hosts without eventfd.
+    /// [`SecureStore::split_session_with_wake`]; `None` on hosts without
+    /// eventfd.
     #[must_use]
     pub fn wake_fd(&self) -> Option<i32> {
         self.wake.as_ref().map(|w| w.raw_fd())
@@ -775,39 +729,22 @@ impl<'a> SessionReaper<'a> {
 
 impl SecureStore {
     /// Opens a **split** pipelined session: a [`SessionSubmitter`] and a
-    /// [`SessionReaper`] that can live on two different threads, unlike
-    /// the single-owner [`Session`]. This is the serving-layer hook: a
-    /// network front-end drives submissions from its socket-reader
-    /// thread while a dedicated writer thread blocks on completions and
-    /// streams responses out — no polling between the two event sources.
+    /// [`SessionReaper`] that are separate values, unlike the
+    /// single-owner [`Session`], with the completion queue paired to a
+    /// kernel-visible [`WakeFd`]: shard workers ring it after each
+    /// completion send, and the reaper exposes it via
+    /// [`SessionReaper::wake_fd`] for registration in an `epoll(7)`
+    /// interest set. This is what lets one event-loop thread block in
+    /// `epoll_wait` over many sessions *and* their sockets at once —
+    /// the reactor's completion path. When the host has no eventfd,
+    /// `wake_fd()` is `None` and the caller must refuse the session or
+    /// poll [`SessionReaper::try_recv_all`]; there is no silent
+    /// half-working state.
     ///
     /// Window semantics are identical to [`Session`]: at most
     /// `config.in_flight_window` operations in flight per shard, then
     /// [`StoreError::Overloaded`]. Dropping the submitter ends the
-    /// pipeline; the reaper drains the stragglers and reports
-    /// [`Reaped::Closed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.in_flight_window` is zero.
-    #[must_use]
-    pub fn split_session_with(
-        &self,
-        config: SessionConfig,
-    ) -> (SessionSubmitter<'_>, SessionReaper<'_>) {
-        self.split_session_inner(config, None)
-    }
-
-    /// Like [`SecureStore::split_session_with`], but pairs the pipeline
-    /// with a kernel-visible [`WakeFd`]: shard workers ring it after
-    /// each completion send, and the reaper exposes it via
-    /// [`SessionReaper::wake_fd`] for registration in an `epoll(7)`
-    /// interest set. This is what lets one event-loop thread block in
-    /// `epoll_wait` over many sessions *and* their sockets at once —
-    /// the reactor's completion path. When the host has no eventfd the
-    /// session is identical to a plain split session (`wake_fd()` is
-    /// `None`) and the caller must poll or block instead; there is no
-    /// silent half-working state.
+    /// pipeline; the reaper drains the stragglers.
     ///
     /// # Panics
     ///
