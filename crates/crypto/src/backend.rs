@@ -391,7 +391,7 @@ fn self_test_accelerated() -> bool {
 /// One-time power-on cross-check of the wide (VAES/VPCLMULQDQ) kernels
 /// against the portable reference: a batch long enough to exercise the
 /// four-blocks-per-instruction main loop *and* the scalar tail, plus
-/// the two-lane polynomial hash over structured blocks.
+/// the batched two-lane polynomial hash over structured blocks.
 #[cfg(target_arch = "x86_64")]
 fn self_test_wide() -> bool {
     use crate::wide;
@@ -409,22 +409,8 @@ fn self_test_wide() -> bool {
     if batch != expected {
         return false;
     }
-    // Two-lane Horner hash vs the sequential reference.
-    for (h, fill) in [
-        (0x9e37_79b9_7f4a_7c15u64, 0x00u8),
-        (0x0123_4567_89ab_cdefu64 | 1, 0xa5),
-        (u64::MAX, 0x3c),
-    ] {
-        let mut block = [0u8; crate::BLOCK_BYTES];
-        for (i, b) in block.iter_mut().enumerate() {
-            *b = fill.wrapping_add((i as u8).wrapping_mul(17));
-        }
-        if wide::poly_hash(h, &block) != crate::mac::poly_hash_with(Backend::Portable, h, &block) {
-            return false;
-        }
-    }
-    // Batched MAC hash: full packed groups (both shapes) plus the
-    // single-message tail.
+    // Batched MAC hash: full packed groups (both shapes) plus the tail
+    // handed to the AES-NI tier.
     batched_poly_hash_matches_portable(wide::poly_hash_batch)
 }
 

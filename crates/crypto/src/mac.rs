@@ -110,12 +110,6 @@ pub fn poly_hash(h: u64, block: &[u8; BLOCK_BYTES]) -> u64 {
 /// resolved once for all eight word multiplies).
 #[must_use]
 pub fn poly_hash_with(backend: Backend, h: u64, block: &[u8; BLOCK_BYTES]) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    if backend.is_wide() && backend::wide_available() {
-        // Two-lane VPCLMULQDQ Horner — bit-identical to the sequential
-        // evaluation below.
-        return crate::wide::poly_hash(h, block);
-    }
     let mut acc = 0u64;
     for chunk in block.chunks_exact(8) {
         let mut w = [0u8; 8];

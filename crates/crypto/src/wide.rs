@@ -28,9 +28,9 @@
 //! `accel_available()`, making the wide tier a strict superset.
 //!
 //! The Carter-Wegman polynomial hash is GF(2^64) Horner evaluation,
-//! which is serial in the message words. [`poly_hash`] splits the
-//! eight-word chain into two four-word chains run in the two 128-bit
-//! lanes of one ymm register (`_mm256_clmulepi64_epi128` multiplies
+//! which is serial in the message words. [`poly_hash_batch`] splits a
+//! message's eight-word chain into two four-word chains run in the two
+//! 128-bit lanes of one lane pair (`_mm256_clmulepi64_epi128` multiplies
 //! both lanes per instruction) and recombines as `A·H⁴ ^ B` — halving
 //! the serial carry-less-multiply depth per block. The recombination
 //! itself stays in the vector domain: one selector-`0x00` multiply
@@ -39,13 +39,15 @@
 //! single deferred reduction finishes the tag — no scalar GF multiply
 //! on the path.
 //!
-//! [`poly_hash_batch`] extends this to N independent messages: each
+//! It runs N independent messages at once: each
 //! accumulator register carries whole messages per 128-bit lane pair
 //! (four in-flight messages in the ymm shape, eight in the zmm shape),
 //! so the three-deep CLMUL dependency of one message's Horner step
 //! executes under the latency of its neighbours'. The `H⁴` lane
 //! constants are squared once per batch and shared by every
-//! recombination.
+//! recombination. A message without neighbours has nothing to hide that
+//! latency under and pays the recombination besides, so single messages
+//! — and the last `len % 4` of a batch — run on the AES-NI tier's chain.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
@@ -134,27 +136,15 @@ pub(crate) fn encrypt_blocks64(
     encrypt_blocks(round_keys, chunks);
 }
 
-/// Two-lane Horner evaluation of the polynomial hash over a 64-byte
-/// block under hash key `h` — bit-identical to
-/// [`crate::mac::poly_hash_with`] on the portable backend.
-#[must_use]
-pub(crate) fn poly_hash(h: u64, block: &[u8; crate::BLOCK_BYTES]) -> u64 {
-    assert_capable();
-    // SAFETY: reached only via `Backend::Wide` dispatch (or the backend
-    // self-test), both gated on `wide_available()` which confirms
-    // `vpclmulqdq`+`avx2` (and the `pclmulqdq` baseline the squarings
-    // and deferred reduction run on).
-    unsafe { poly_hash_impl(h, block) }
-}
-
 /// Polynomial hashes of many independent 64-byte messages under one
-/// hash key — bit-identical to evaluating [`poly_hash`] per message.
+/// hash key — bit-identical to evaluating
+/// [`crate::mac::poly_hash_with`] per message on the portable backend.
 ///
 /// The `H²`/`H⁴` squarings run once per call and the lane constants are
 /// shared by every message's recombination, so their cost vanishes as
 /// the batch grows; the Horner chains themselves run [`MAC_GROUP_512`]
 /// (zmm, where available) and then [`MAC_GROUP_256`] (ymm) messages at a
-/// time, so only the last `len % 4` messages run alone.
+/// time, and the last `len % 4` messages run on the AES-NI tier.
 #[must_use]
 pub(crate) fn poly_hash_batch(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> Vec<u64> {
     assert_capable();
@@ -165,7 +155,7 @@ pub(crate) fn poly_hash_batch(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> Ve
     let h4 = crate::accel::gf64_mul(h2, h2);
     // Widest kernel first, then the ymm kernel over what is left (a run
     // shorter than a zmm group — a tree path's seven nodes — still gets
-    // four chains in flight), then single messages. A kernel is entered
+    // four chains in flight), then the AES-NI tier. A kernel is entered
     // only when it has a group to run: its prologue alone executes wide
     // vector instructions, and a zmm one taxes the scalar code after it.
     let mut rest = blocks;
@@ -183,11 +173,7 @@ pub(crate) fn poly_hash_batch(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> Ve
         // `vpclmulqdq`+`avx2` plus the `pclmulqdq` baseline.
         unsafe { poly_hash_groups_256(h, h4, groups, &mut out) }
     }
-    for block in tail {
-        // Single-message wide path — same split, same recombination.
-        // SAFETY: as for `poly_hash`.
-        out.push(unsafe { poly_hash_impl(h, block) });
-    }
+    out.extend(crate::accel::poly_hash_batch(h, tail));
     out
 }
 
@@ -305,37 +291,6 @@ unsafe fn recombine_256(acc: __m256i, h4v: __m256i, poly128: __m128i) -> u64 {
     reduce_deferred(combined, poly128)
 }
 
-#[target_feature(
-    enable = "avx2",
-    enable = "vpclmulqdq",
-    enable = "pclmulqdq",
-    enable = "sse2"
-)]
-unsafe fn poly_hash_impl(h: u64, block: &[u8; crate::BLOCK_BYTES]) -> u64 {
-    let mut words = [0u64; 8];
-    for (w, chunk) in words.iter_mut().zip(block.chunks_exact(8)) {
-        *w = u64::from_le_bytes(chunk.try_into().unwrap());
-    }
-    // The sequential Horner result is Σ mᵢ·H^(8-i). Split at word 4:
-    //   A = Horner(m0..m3) = Σ_{i<4} mᵢ·H^(4-i)
-    //   B = Horner(m4..m7) = Σ_{i<4} m₄₊ᵢ·H^(4-i)
-    //   full = A·H⁴ ^ B
-    // Lane 0 runs the A chain, lane 1 the B chain — four serial steps
-    // instead of eight.
-    let h_v = _mm256_set_epi64x(0, h as i64, 0, h as i64);
-    let poly = _mm256_set_epi64x(0, POLY as i64, 0, POLY as i64);
-    let mut acc = _mm256_setzero_si256();
-    for i in 0..4 {
-        let m = _mm256_set_epi64x(0, words[4 + i] as i64, 0, words[i] as i64);
-        acc = horner_step(acc, m, h_v, poly);
-    }
-    // H⁴ by two squarings, then the vector-domain recombination.
-    let h2 = crate::accel::gf64_mul(h, h);
-    let h4 = crate::accel::gf64_mul(h2, h2);
-    let h4v = _mm256_set_epi64x(0, 1, 0, h4 as i64);
-    recombine_256(acc, h4v, _mm_set_epi64x(0, POLY as i64))
-}
-
 /// Batched ymm kernel: [`MAC_GROUP_256`] messages per iteration, one
 /// two-lane accumulator each, stepped in lockstep so the four Horner
 /// chains hide each other's CLMUL latency.
@@ -353,6 +308,10 @@ unsafe fn poly_hash_groups_256(h: u64, h4: u64, blocks: &[[u8; 64]], out: &mut V
     let poly128 = _mm_set_epi64x(0, POLY as i64);
     for group in blocks.chunks_exact(MAC_GROUP_256) {
         let mut acc = [_mm256_setzero_si256(); MAC_GROUP_256];
+        // The sequential Horner result is Σ mᵢ·H^(8-i). Split at word 4:
+        //   A = Horner(m0..m3), B = Horner(m4..m7), full = A·H⁴ ^ B
+        // Lane 0 runs the A chain, lane 1 the B chain — four serial steps
+        // instead of eight.
         for step in 0..4 {
             for (lane, block) in acc.iter_mut().zip(group.iter()) {
                 let lo = u64::from_le_bytes(block[step * 8..step * 8 + 8].try_into().unwrap());
@@ -474,44 +433,13 @@ mod tests {
     }
 
     #[test]
-    fn wide_poly_hash_matches_portable() {
-        if !capable() {
-            return;
-        }
-        let mut block = [0u8; 64];
-        for (i, b) in block.iter_mut().enumerate() {
-            *b = (i as u8).wrapping_mul(0x4d).wrapping_add(3);
-        }
-        for h in [1u64, 0x1b, 0x9e37_79b9_7f4a_7c15, u64::MAX, 1 << 63] {
-            assert_eq!(
-                poly_hash(h, &block),
-                crate::mac::poly_hash_with(Backend::Portable, h, &block),
-                "h={h:#x}"
-            );
-        }
-        // Degenerate messages too: all-zero, single-bit, all-ones.
-        for block in [[0u8; 64], {
-            let mut b = [0u8; 64];
-            b[0] = 1;
-            b
-        }] {
-            for h in [3u64, u64::MAX] {
-                assert_eq!(
-                    poly_hash(h, &block),
-                    crate::mac::poly_hash_with(Backend::Portable, h, &block)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn wide_poly_hash_batch_matches_portable_across_remainders() {
         if !capable() {
             return;
         }
         let h = 0x0123_4567_89ab_cdefu64 | 1;
         // Lengths straddling both group widths (4 for ymm, 8 for zmm)
-        // exercise the packed kernels and the single-message tail.
+        // exercise the packed kernels and the AES-NI tail.
         for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 64] {
             let blocks: Vec<[u8; 64]> = (0..n)
                 .map(|i| core::array::from_fn(|j| (i * 73 + j * 29 + 1) as u8))

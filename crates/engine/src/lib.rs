@@ -753,20 +753,17 @@ impl MemoryEncryptionEngine {
     ///
     /// Panics if `addr` is not 64-byte aligned.
     pub fn read_block(&mut self, addr: u64) -> Result<[u8; BLOCK_BYTES], ReadError> {
-        self.read_block_with_counter(addr, &mut Vec::new())
-            .map(|(plain, _)| plain)
+        self.read_block_in_run(addr, &mut Vec::new())
     }
 
-    /// [`Self::read_block`], additionally returning the verified counter
-    /// the block was sealed under so read-modify-write paths can reuse
-    /// the metadata fetch for the seal. `synced` carries the metadata
-    /// blocks the enclosing run's first touches already synced (empty
-    /// for a read on its own).
-    fn read_block_with_counter(
+    /// [`Self::read_block`] as one step of a sequential run: `synced`
+    /// carries the metadata blocks the run's first touches already
+    /// synced (empty for a read on its own).
+    fn read_block_in_run(
         &mut self,
         addr: u64,
         synced: &mut Vec<u64>,
-    ) -> Result<([u8; BLOCK_BYTES], u64), ReadError> {
+    ) -> Result<[u8; BLOCK_BYTES], ReadError> {
         assert_eq!(
             addr % BLOCK_BYTES as u64,
             0,
@@ -789,11 +786,10 @@ impl MemoryEncryptionEngine {
         debug_assert_eq!(verified_image, self.counters.metadata_block_image(meta));
         let counter = self.counters.counter(block);
 
-        let plain = match self.config.mac_placement {
-            MacPlacement::MacInEcc => self.read_mac_in_ecc(addr, counter, stored)?,
-            MacPlacement::SeparateMac => self.read_separate_mac(addr, counter, stored)?,
-        };
-        Ok((plain, counter))
+        match self.config.mac_placement {
+            MacPlacement::MacInEcc => self.read_mac_in_ecc(addr, counter, stored),
+            MacPlacement::SeparateMac => self.read_separate_mac(addr, counter, stored),
+        }
     }
 
     /// Reads and verifies a run of block-aligned addresses as one unit,
@@ -951,8 +947,8 @@ impl MemoryEncryptionEngine {
         let mut synced = Vec::new();
         for (i, &addr) in addrs.iter().enumerate() {
             counter_fetches += 1;
-            match self.read_block_with_counter(addr, &mut synced) {
-                Ok((plain, _)) => blocks.push(plain),
+            match self.read_block_in_run(addr, &mut synced) {
+                Ok(plain) => blocks.push(plain),
                 Err(e) => {
                     return ReadRun {
                         blocks,
@@ -967,53 +963,6 @@ impl MemoryEncryptionEngine {
             failed: None,
             counter_fetches,
         }
-    }
-
-    /// Atomically reads, verifies, transforms, and re-seals one block,
-    /// returning the pre-image. Behaviourally identical to a
-    /// [`Self::read_block`] followed by a [`Self::write_block`] of the
-    /// transformed plaintext, but the seal reuses the verified counter
-    /// fetched by the read, so the operation costs one metadata fetch
-    /// instead of two.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ReadError`] if the verified read fails; nothing is
-    /// written in that case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is not 64-byte aligned.
-    pub fn read_modify_write_block(
-        &mut self,
-        addr: u64,
-        f: impl FnOnce(&mut [u8; BLOCK_BYTES]),
-    ) -> Result<[u8; BLOCK_BYTES], ReadError> {
-        let (old, counter) = self.read_block_with_counter(addr, &mut Vec::new())?;
-        let mut block = old;
-        f(&mut block);
-        let blk = Self::block_index(addr);
-        let outcome = self.counters.record_write(blk);
-        let new_counter = if let WriteOutcome::Reencrypted {
-            group,
-            old_counters,
-            new_counter,
-        } = outcome
-        {
-            self.reencrypt_group(group, &old_counters, new_counter);
-            self.counters.counter(blk)
-        } else {
-            // Every non-overflow outcome (increment, reset, re-encode,
-            // expansion) leaves the block's counter at exactly
-            // `read counter + 1` — resets and re-encodes rebalance the
-            // encoding without changing counter values.
-            debug_assert_eq!(self.counters.counter(blk), counter + 1);
-            counter + 1
-        };
-        self.seal(addr, new_counter, &block);
-        self.sync_tree(blk);
-        self.stats.writes += 1;
-        Ok(old)
     }
 
     fn read_mac_in_ecc(
@@ -2131,58 +2080,6 @@ mod tests {
     }
 
     #[test]
-    fn rmw_matches_read_then_write() {
-        // read_modify_write_block must be bit-identical to read_block +
-        // write_block — same counters, same readback, same stats — while
-        // charging only one metadata fetch.
-        for mut e in all_configs() {
-            let mut scalar = engine(e.config().mac_placement, e.config().counter_scheme);
-            for round in 0..10u8 {
-                let addr = u64::from(round % 3) * 64;
-                let old = e
-                    .read_modify_write_block(addr, |b| {
-                        for x in b.iter_mut() {
-                            *x = x.wrapping_add(round);
-                        }
-                    })
-                    .unwrap();
-                let s_old = scalar.read_block(addr).unwrap();
-                let mut s_new = s_old;
-                for x in s_new.iter_mut() {
-                    *x = x.wrapping_add(round);
-                }
-                scalar.write_block(addr, &s_new);
-                assert_eq!(old, s_old, "{:?}", e.config());
-                assert_eq!(e.counter_of(addr), scalar.counter_of(addr));
-            }
-            for b in 0..3u64 {
-                assert_eq!(
-                    e.read_block(b * 64).unwrap(),
-                    scalar.read_block(b * 64).unwrap(),
-                    "{:?}",
-                    e.config()
-                );
-            }
-            assert_eq!(e.stats().writes, scalar.stats().writes);
-        }
-    }
-
-    #[test]
-    fn rmw_survives_counter_overflow() {
-        // Hammering one block with RMWs far past the wrap point exercises
-        // the Reencrypted arm, where the seal counter must be re-derived
-        // instead of reusing read counter + 1.
-        let mut e = engine(MacPlacement::MacInEcc, CounterSchemeKind::Delta);
-        for round in 0..600u64 {
-            e.read_modify_write_block(0, |b| b[0] = round as u8)
-                .unwrap();
-        }
-        assert!(e.counter_stats().reencryptions > 0);
-        let blk = e.read_block(0).unwrap();
-        assert_eq!(blk[0], 87, "600 rounds end at round 599 => b[0] = 87");
-    }
-
-    #[test]
     fn prefetch_on_off_is_functionally_identical() {
         // The prefetching fast path only reschedules counter fetches; the
         // released plaintext, stats, and fetch counts must be identical.
@@ -2293,22 +2190,5 @@ mod tests {
         });
         fresh.apply_sealed(0, &forged).unwrap();
         assert!(fresh.verify_all().is_err(), "forged bits must not verify");
-    }
-
-    #[test]
-    fn rmw_refuses_tampered_block() {
-        // A failed verified read must leave storage untouched — RMW can
-        // never launder attacker bits into a fresh seal.
-        let mut e = MemoryEncryptionEngine::new(EngineConfig {
-            max_correctable_flips: 0,
-            ..EngineConfig::default()
-        });
-        e.write_block(0, &[7; 64]);
-        let counter_before = e.counter_of(0);
-        e.tamper_data_bit(0, 13);
-        let ct_before = e.snapshot_block(0).stored.data;
-        assert!(e.read_modify_write_block(0, |b| b[0] = 9).is_err());
-        assert_eq!(e.counter_of(0), counter_before, "no counter bump");
-        assert_eq!(e.snapshot_block(0).stored.data, ct_before, "no write");
     }
 }

@@ -116,6 +116,19 @@ impl SecureRegion {
         Ok(())
     }
 
+    /// The check of every whole-block entry point: `addr` names one
+    /// block-aligned block inside the region.
+    fn check_block(&self, addr: u64) -> Result<(), RegionError> {
+        self.check(addr, BLOCK_BYTES)?;
+        if !addr.is_multiple_of(BLOCK_BYTES as u64) {
+            return Err(RegionError::OutOfBounds {
+                addr,
+                len: BLOCK_BYTES,
+            });
+        }
+        Ok(())
+    }
+
     /// Reads `buf.len()` bytes starting at byte offset `addr`. Every
     /// touched block is verified.
     ///
@@ -149,13 +162,7 @@ impl SecureRegion {
     /// of range — in that case no block of the batch is written.
     pub fn write_blocks(&mut self, items: &[(u64, [u8; BLOCK_BYTES])]) -> Result<(), RegionError> {
         for &(addr, _) in items {
-            self.check(addr, BLOCK_BYTES)?;
-            if !addr.is_multiple_of(BLOCK_BYTES as u64) {
-                return Err(RegionError::OutOfBounds {
-                    addr,
-                    len: BLOCK_BYTES,
-                });
-            }
+            self.check_block(addr)?;
         }
         self.engine.write_blocks(items);
         Ok(())
@@ -175,40 +182,9 @@ impl SecureRegion {
     /// keep the successfully released prefix.
     pub fn read_blocks(&mut self, addrs: &[u64]) -> Result<ReadRun, RegionError> {
         for &addr in addrs {
-            self.check(addr, BLOCK_BYTES)?;
-            if !addr.is_multiple_of(BLOCK_BYTES as u64) {
-                return Err(RegionError::OutOfBounds {
-                    addr,
-                    len: BLOCK_BYTES,
-                });
-            }
+            self.check_block(addr)?;
         }
         Ok(self.engine.read_blocks(addrs))
-    }
-
-    /// Atomically reads, verifies, transforms, and re-seals one aligned
-    /// block, returning the pre-image. The seal reuses the verified
-    /// read's counter fetch, so the whole operation costs one metadata
-    /// lookup.
-    ///
-    /// # Errors
-    ///
-    /// [`RegionError::OutOfBounds`] for a bad or unaligned address;
-    /// [`RegionError::Read`] if the verified read fails (nothing is
-    /// written in that case).
-    pub fn rmw_block(
-        &mut self,
-        addr: u64,
-        f: impl FnOnce(&mut [u8; BLOCK_BYTES]),
-    ) -> Result<[u8; BLOCK_BYTES], RegionError> {
-        self.check(addr, BLOCK_BYTES)?;
-        if !addr.is_multiple_of(BLOCK_BYTES as u64) {
-            return Err(RegionError::OutOfBounds {
-                addr,
-                len: BLOCK_BYTES,
-            });
-        }
-        Ok(self.engine.read_modify_write_block(addr, f)?)
     }
 
     /// Writes `data` starting at byte offset `addr`. Partially covered
@@ -300,13 +276,7 @@ impl SecureRegion {
     ///
     /// [`RegionError::OutOfBounds`] for a bad or unaligned address.
     pub fn export_sealed(&mut self, addr: u64) -> Result<SealedBlockState, RegionError> {
-        self.check(addr, BLOCK_BYTES)?;
-        if !addr.is_multiple_of(BLOCK_BYTES as u64) {
-            return Err(RegionError::OutOfBounds {
-                addr,
-                len: BLOCK_BYTES,
-            });
-        }
+        self.check_block(addr)?;
         Ok(self.engine.export_sealed(addr))
     }
 
@@ -318,9 +288,8 @@ impl SecureRegion {
     /// counter value cannot be represented — either way the log is
     /// corrupt and the shard quarantines.
     pub fn apply_sealed(&mut self, addr: u64, state: &SealedBlockState) -> io::Result<()> {
-        if self.check(addr, BLOCK_BYTES).is_err() || !addr.is_multiple_of(BLOCK_BYTES as u64) {
-            return Err(invalid_data("replayed address outside the region"));
-        }
+        self.check_block(addr)
+            .map_err(|_| invalid_data("replayed address outside the region"))?;
         self.engine.apply_sealed(addr, state)
     }
 
@@ -337,9 +306,8 @@ impl SecureRegion {
     /// corrupt and the shard quarantines.
     pub fn apply_sealed_run(&mut self, entries: &[(u64, SealedBlockState)]) -> io::Result<()> {
         for &(addr, _) in entries {
-            if self.check(addr, BLOCK_BYTES).is_err() || !addr.is_multiple_of(BLOCK_BYTES as u64) {
-                return Err(invalid_data("replayed address outside the region"));
-            }
+            self.check_block(addr)
+                .map_err(|_| invalid_data("replayed address outside the region"))?;
         }
         self.engine.apply_sealed_run(entries)
     }

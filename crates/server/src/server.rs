@@ -178,6 +178,9 @@ pub(crate) struct Tenant {
 #[derive(Debug, Default)]
 pub(crate) struct ServerCounters {
     pub(crate) connections_accepted: AtomicU64,
+    /// Failed `accept()` calls (descriptor exhaustion and the like),
+    /// each followed by one [`ACCEPT_BACKOFF`] sleep.
+    pub(crate) accept_errors: AtomicU64,
     pub(crate) bad_version: AtomicU64,
     pub(crate) unknown_tenant: AtomicU64,
     pub(crate) pre_hello_failures: AtomicU64,
@@ -319,6 +322,10 @@ impl Server {
             "server/connections_accepted",
             c.connections_accepted.load(Ordering::Relaxed),
         );
+        reg.set_counter(
+            "server/accept_errors",
+            c.accept_errors.load(Ordering::Relaxed),
+        );
         reg.set_counter("server/bad_version", c.bad_version.load(Ordering::Relaxed));
         reg.set_counter(
             "server/unknown_tenant",
@@ -387,6 +394,11 @@ impl Server {
     }
 }
 
+/// How long the accept thread sleeps after a failed `accept()` before
+/// retrying. A persistent failure (`EMFILE`/`ENFILE` until a descriptor
+/// frees) then costs a hundred wake-ups a second instead of a core.
+pub const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         let stream = match listener.accept() {
@@ -395,6 +407,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
+                shared
+                    .counters
+                    .accept_errors
+                    .fetch_add(1, Ordering::Relaxed);
+                thread::sleep(ACCEPT_BACKOFF);
                 continue;
             }
         };

@@ -23,7 +23,7 @@
 //!   operations into one queue slot, amortizing channel and scheduling
 //!   costs.
 //! * **Backpressure** — queues are bounded: the blocking API waits for a
-//!   slot, the `try_*` API fast-fails with [`StoreError::Overloaded`].
+//!   slot, a [`Session`] fast-fails with [`StoreError::Overloaded`].
 //! * **Fault isolation** — a MAC/tree verification failure quarantines
 //!   only the affected shard ([`StoreError::ShardPoisoned`]); the other
 //!   shards keep serving.
@@ -77,7 +77,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -153,14 +153,6 @@ pub struct StoreConfig {
     pub queue_depth: usize,
     /// Maximum operations a worker coalesces into one service interval.
     pub max_batch: usize,
-    /// Fuse runs of consecutive full-block writes into one engine
-    /// `write_blocks` call per run (on by default; off serves every
-    /// write individually — the scalar baseline for benchmarks).
-    pub fuse_writes: bool,
-    /// Fuse runs of consecutive verified reads (and RMW read halves)
-    /// into one engine `read_blocks` call per run (on by default; off
-    /// serves every read individually).
-    pub fuse_reads: bool,
     /// Size threshold (bytes) at which a persistent shard's write-intent
     /// log rotates into a fresh snapshot. Only consulted by stores
     /// opened with [`SecureStore::open`]; a rotation also triggers
@@ -188,8 +180,6 @@ impl Default for StoreConfig {
             shard_bytes: 1 << 20,
             queue_depth: 128,
             max_batch: 64,
-            fuse_writes: true,
-            fuse_reads: true,
             wal_rotate_bytes: 1 << 20,
             tenant: 0,
             engine: EngineConfig::default(),
@@ -202,17 +192,17 @@ impl Default for StoreConfig {
 ///
 /// Which variants an API path can produce:
 ///
-/// | Variant | blocking `read`/`write`/`read_modify_write` | `try_read`/`try_write` | [`Session::submit`] | `submit_batch` |
-/// |---|---|---|---|---|
-/// | [`OutOfRange`](StoreError::OutOfRange) / [`Unaligned`](StoreError::Unaligned) | yes | yes | yes | yes (inline per op) |
-/// | [`Overloaded`](StoreError::Overloaded) | never (waits) | yes, queue full | yes, queue **or** in-flight window full | never (waits) |
-/// | [`ShardPoisoned`](StoreError::ShardPoisoned) | yes | yes (fast-fail, no queue slot) | yes (fast-fail at submit, or on a completion) | yes |
-/// | [`Disconnected`](StoreError::Disconnected) | yes | yes | yes | yes |
-/// | [`TxnConflict`](StoreError::TxnConflict) | write/RMW only | write only | yes (on a write/RMW completion) | yes (write ops) |
+/// | Variant | blocking `read`/`write`/`read_modify_write` | [`Session::submit`] | `submit_batch` |
+/// |---|---|---|---|
+/// | [`OutOfRange`](StoreError::OutOfRange) / [`Unaligned`](StoreError::Unaligned) | yes | yes | yes (inline per op) |
+/// | [`Overloaded`](StoreError::Overloaded) | never (waits) | yes, queue **or** in-flight window full | never (waits) |
+/// | [`ShardPoisoned`](StoreError::ShardPoisoned) | yes | yes (fast-fail at submit, or on a completion) | yes |
+/// | [`Disconnected`](StoreError::Disconnected) | yes | yes | yes |
+/// | [`TxnConflict`](StoreError::TxnConflict) | write/RMW only | yes (on a write/RMW completion) | yes (write ops) |
 ///
-/// Every `try_*` or session fast-fail rejection — queue full, window
-/// full, or the poisoned-shard early return — also increments the
-/// shard's `overloads` counter ([`SecureStore::overloads`]).
+/// Every session fast-fail rejection — queue full, window full, or the
+/// poisoned-shard early return — also increments the shard's
+/// `overloads` counter ([`SecureStore::overloads`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreError {
     /// The address range falls outside the store's capacity.
@@ -227,8 +217,8 @@ pub enum StoreError {
         /// Offending address.
         addr: u64,
     },
-    /// The shard's bounded queue is full (fast-fail `try_*` path only;
-    /// the blocking API waits instead).
+    /// The shard's bounded queue or the session's in-flight window is
+    /// full (session submissions only; the blocking API waits instead).
     Overloaded {
         /// The saturated shard.
         shard: usize,
@@ -516,8 +506,6 @@ impl SecureStore {
                             boot.region,
                             reseal_seed,
                             boot_config.max_batch,
-                            boot_config.fuse_writes,
-                            boot_config.fuse_reads,
                             worker_shared,
                         )
                         .with_persist(boot.persist, recovery_ns)
@@ -621,24 +609,37 @@ impl SecureStore {
         Ok((shard, local))
     }
 
+    /// Maps one public operation to its shard and shard-local [`Op`].
+    fn route(&self, op: StoreOp) -> Result<(usize, Op), StoreError> {
+        let (StoreOp::Read { addr } | StoreOp::Write { addr, .. }) = op;
+        let (shard, local) = self.locate(addr)?;
+        let op = match op {
+            StoreOp::Read { .. } => Op::Read { local },
+            StoreOp::Write { data, .. } => Op::Write { local, data },
+        };
+        Ok((shard, op))
+    }
+
+    /// [`route`](Self::route) for a read-modify-write of the block at `addr`.
+    fn route_rmw(
+        &self,
+        addr: u64,
+        f: impl FnOnce(&mut [u8; BLOCK_BYTES]) + Send + 'static,
+    ) -> Result<(usize, Op), StoreError> {
+        let (shard, local) = self.locate(addr)?;
+        let f = Box::new(f);
+        Ok((shard, Op::Rmw { local, f }))
+    }
+
     /// Sends one operation to its shard and waits for its completion —
     /// the blocking API is literally a one-shot submit+wait over the
     /// same completion machinery [`Session`] pipelines: the request
     /// carries a single-slot completion channel and the caller parks on
-    /// it. `blocking` selects between waiting for a queue slot and the
-    /// `Overloaded`/poisoned fast-fails. The depth counter is
-    /// incremented only after a successful send, so a non-zero
-    /// [`SecureStore::queue_depth`] reading proves an operation really
-    /// occupies a queue slot.
-    fn roundtrip(&self, shard: usize, op: Op, blocking: bool) -> Result<OpOutput, StoreError> {
-        let sh = &self.shared[shard];
-        if !blocking && sh.poisoned.load(Ordering::Relaxed) {
-            // Poisoned-shard early return: don't burn a queue slot on an
-            // operation the worker would only bounce. Counted as an
-            // overload like every other fast-fail rejection.
-            sh.overloads.fetch_add(1, Ordering::Relaxed);
-            return Err(StoreError::ShardPoisoned { shard, cause: None });
-        }
+    /// it, after waiting for a queue slot if the shard is saturated. The
+    /// depth counter is incremented only after a successful send, so a
+    /// non-zero [`SecureStore::queue_depth`] reading proves an operation
+    /// really occupies a queue slot.
+    fn roundtrip(&self, shard: usize, op: Op) -> Result<OpOutput, StoreError> {
         let (reply, response) = sync_channel(1);
         let request = Request::Op {
             op,
@@ -647,22 +648,10 @@ impl SecureStore {
             reply,
             wake: None,
         };
-        let sent = if blocking {
-            self.senders[shard].send(request).map_err(|_| ())
-        } else {
-            match self.senders[shard].try_send(request) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(_)) => {
-                    sh.overloads.fetch_add(1, Ordering::Relaxed);
-                    return Err(StoreError::Overloaded { shard });
-                }
-                Err(TrySendError::Disconnected(_)) => Err(()),
-            }
-        };
-        if sent.is_err() {
-            return Err(StoreError::Disconnected { shard });
-        }
-        sh.depth.fetch_add(1, Ordering::Relaxed);
+        self.senders[shard]
+            .send(request)
+            .map_err(|_| StoreError::Disconnected { shard })?;
+        self.shared[shard].depth.fetch_add(1, Ordering::Relaxed);
         response
             .recv()
             .map_err(|_| StoreError::Disconnected { shard })?
@@ -681,9 +670,8 @@ impl SecureStore {
     }
 
     /// How many submissions shard `shard` has fast-failed without
-    /// queueing: `try_*` calls bounced with [`StoreError::Overloaded`]
-    /// or the poisoned-shard early return, and [`Session::submit`]
-    /// rejections (queue full, in-flight window full, or poisoned).
+    /// queueing: [`Session::submit`] rejections (queue full, in-flight
+    /// window full, or the poisoned-shard early return).
     ///
     /// # Panics
     ///
@@ -718,7 +706,7 @@ impl SecureStore {
     /// the shard is quarantined.
     pub fn read(&self, addr: u64) -> Result<[u8; BLOCK_BYTES], StoreError> {
         let (shard, local) = self.locate(addr)?;
-        match self.roundtrip(shard, Op::Read { local }, true)? {
+        match self.roundtrip(shard, Op::Read { local })? {
             OpOutput::Read(data) => Ok(data),
             _ => unreachable!("read op replies with data"),
         }
@@ -744,22 +732,6 @@ impl SecureStore {
         Session::new(self, config)
     }
 
-    /// Like [`SecureStore::read`], but fails with
-    /// [`StoreError::Overloaded`] instead of waiting when the shard
-    /// queue is full, and with [`StoreError::ShardPoisoned`] — without
-    /// consuming a queue slot — when the shard is already quarantined.
-    ///
-    /// # Errors
-    ///
-    /// As [`SecureStore::read`], plus [`StoreError::Overloaded`].
-    pub fn try_read(&self, addr: u64) -> Result<[u8; BLOCK_BYTES], StoreError> {
-        let (shard, local) = self.locate(addr)?;
-        match self.roundtrip(shard, Op::Read { local }, false)? {
-            OpOutput::Read(data) => Ok(data),
-            _ => unreachable!("read op replies with data"),
-        }
-    }
-
     /// Writes the 64-byte block at `addr`, waiting for queue space if
     /// the shard is saturated. Returns once the shard has sealed the
     /// block (the write is then *acknowledged*).
@@ -773,19 +745,7 @@ impl SecureStore {
     /// transaction — retry once it resolves.
     pub fn write(&self, addr: u64, data: &[u8; BLOCK_BYTES]) -> Result<(), StoreError> {
         let (shard, local) = self.locate(addr)?;
-        self.roundtrip(shard, Op::Write { local, data: *data }, true)
-            .map(|_| ())
-    }
-
-    /// Like [`SecureStore::write`], but fails with
-    /// [`StoreError::Overloaded`] instead of waiting.
-    ///
-    /// # Errors
-    ///
-    /// As [`SecureStore::write`], plus [`StoreError::Overloaded`].
-    pub fn try_write(&self, addr: u64, data: &[u8; BLOCK_BYTES]) -> Result<(), StoreError> {
-        let (shard, local) = self.locate(addr)?;
-        self.roundtrip(shard, Op::Write { local, data: *data }, false)
+        self.roundtrip(shard, Op::Write { local, data: *data })
             .map(|_| ())
     }
 
@@ -803,12 +763,8 @@ impl SecureStore {
         addr: u64,
         f: impl FnOnce(&mut [u8; BLOCK_BYTES]) + Send + 'static,
     ) -> Result<[u8; BLOCK_BYTES], StoreError> {
-        let (shard, local) = self.locate(addr)?;
-        let op = Op::Rmw {
-            local,
-            f: Box::new(f),
-        };
-        match self.roundtrip(shard, op, true)? {
+        let (shard, op) = self.route_rmw(addr, f)?;
+        match self.roundtrip(shard, op)? {
             OpOutput::Modified { old } => Ok(old),
             _ => unreachable!("rmw op replies with the pre-image"),
         }
@@ -819,7 +775,7 @@ impl SecureStore {
     /// result per operation in submission order.
     ///
     /// Waits for queue space per shard (batches are the throughput path;
-    /// use `try_*` for latency-sensitive fast-fail traffic). Operations
+    /// use a [`Session`] for latency-sensitive fast-fail traffic). Operations
     /// on different shards execute concurrently; operations on the same
     /// shard execute in submission order.
     #[must_use]
@@ -827,17 +783,11 @@ impl SecureStore {
         let mut results: Vec<Option<Result<StoreValue, StoreError>>> = vec![None; ops.len()];
         let mut shard_ops: Vec<Vec<Op>> = (0..self.config.shards).map(|_| Vec::new()).collect();
         let mut shard_idx: Vec<Vec<usize>> = (0..self.config.shards).map(|_| Vec::new()).collect();
-        for (i, op) in ops.iter().enumerate() {
-            let addr = match op {
-                StoreOp::Read { addr } | StoreOp::Write { addr, .. } => *addr,
-            };
-            match self.locate(addr) {
+        for (i, &op) in ops.iter().enumerate() {
+            match self.route(op) {
                 Err(e) => results[i] = Some(Err(e)),
-                Ok((shard, local)) => {
-                    shard_ops[shard].push(match op {
-                        StoreOp::Read { .. } => Op::Read { local },
-                        StoreOp::Write { data, .. } => Op::Write { local, data: *data },
-                    });
+                Ok((shard, op)) => {
+                    shard_ops[shard].push(op);
                     shard_idx[shard].push(i);
                 }
             }
@@ -872,10 +822,7 @@ impl SecureStore {
             match response.recv() {
                 Ok(replies) => {
                     for (i, reply) in indices.into_iter().zip(replies) {
-                        results[i] = Some(reply.map(|out| match out {
-                            OpOutput::Read(data) => StoreValue::Data(data),
-                            OpOutput::Written | OpOutput::Modified { .. } => StoreValue::Written,
-                        }));
+                        results[i] = Some(reply.map(session::to_value));
                     }
                 }
                 Err(_) => {
@@ -1352,12 +1299,19 @@ mod tests {
         while store.queue_depth(0) < 1 {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        // The queue is provably full: the fast-fail path must reject.
+        // The queue is provably full: the fast-fail path must reject —
+        // as a queue bounce, not a window bounce (the window is open).
+        let mut session = store.session_with(SessionConfig {
+            in_flight_window: 2,
+        });
+        let data = [2; 64];
         assert_eq!(
-            store.try_write(128, &[2; 64]),
+            session.submit(StoreOp::Write { addr: 128, data }),
             Err(StoreError::Overloaded { shard: 0 })
         );
+        assert_eq!(session.stats().window_rejections, 0);
         assert_eq!(store.overloads(0), 1);
+        drop(session);
         gate_tx.send(()).unwrap();
         jam.join().unwrap();
         filler.join().unwrap();

@@ -14,10 +14,10 @@
 //!
 //! A submission travels: session window check → shard request queue
 //! (bounded, one slot per submission) → worker dequeue (queue wait ends,
-//! service begins) → execution (fused with neighbouring writes — or, for
-//! reads and RMW read halves, into one batch-verified `read_blocks` run —
-//! where possible) → completion push onto the session's queue → client
-//! reap.
+//! service begins) → execution as part of a run (with neighbouring
+//! writes in one batched seal — or, for reads and RMW read halves, in
+//! one batch-verified `read_blocks` call; alone, a run of one) →
+//! completion push onto the session's queue → client reap.
 //! The completion queue is sized `shards × in_flight_window`, which the
 //! window accounting makes an upper bound on undrained completions — the
 //! worker's completion push therefore never blocks, so a slow client can
@@ -31,7 +31,10 @@
 //! [`StoreError::Overloaded`] instead of parking the thread; the client
 //! reaps a completion and retries. This turns queue pressure into a
 //! visible, countable event (the shard `overloads` counter) rather than
-//! an invisible stall.
+//! an invisible stall. Both session kinds — the single-owner [`Session`]
+//! and the split [`SessionSubmitter`]/[`SessionReaper`] pair — submit
+//! through the same code: a [`Session`] owns a [`SessionSubmitter`] and
+//! adds ticket bookkeeping and statistics around it.
 //!
 //! # Ordering contract
 //!
@@ -146,15 +149,12 @@ impl Metrics for SessionStats {
 /// let _ = store.shutdown();
 /// ```
 pub struct Session<'a> {
-    store: &'a SecureStore,
-    window: usize,
-    next_seq: u64,
-    tx: SyncSender<Completion>,
+    /// The one submit path, shared with split sessions (no wake: this
+    /// session blocks on the completion channel itself).
+    submitter: SessionSubmitter<'a>,
     rx: Receiver<Completion>,
     /// Outstanding tickets and the shard serving each.
     pending: HashMap<u64, usize>,
-    /// Per-shard outstanding counts (the backpressure windows).
-    in_flight: Vec<usize>,
     total_in_flight: usize,
     /// Completed-but-unreaped results in arrival order.
     done: VecDeque<(Ticket, Result<StoreValue, StoreError>)>,
@@ -164,14 +164,14 @@ pub struct Session<'a> {
 impl std::fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("window", &self.window)
+            .field("window", &self.submitter.window)
             .field("in_flight", &self.total_in_flight)
             .field("unreaped", &self.done.len())
             .finish_non_exhaustive()
     }
 }
 
-fn to_value(output: OpOutput) -> StoreValue {
+pub(crate) fn to_value(output: OpOutput) -> StoreValue {
     match output {
         OpOutput::Read(data) => StoreValue::Data(data),
         OpOutput::Written => StoreValue::Written,
@@ -181,22 +181,11 @@ fn to_value(output: OpOutput) -> StoreValue {
 
 impl<'a> Session<'a> {
     pub(crate) fn new(store: &'a SecureStore, config: SessionConfig) -> Self {
-        assert!(
-            config.in_flight_window > 0,
-            "the in-flight window must admit at least one operation"
-        );
-        let shards = store.config.shards;
-        // Sized so every outstanding completion fits: workers never block
-        // pushing completions, no matter how lazily the client reaps.
-        let (tx, rx) = sync_channel(shards * config.in_flight_window);
+        let (submitter, rx) = store.open_pipeline(config, None);
         Self {
-            store,
-            window: config.in_flight_window,
-            next_seq: 1,
-            tx,
+            submitter,
             rx,
             pending: HashMap::new(),
-            in_flight: vec![0; shards],
             total_in_flight: 0,
             done: VecDeque::new(),
             stats: SessionStats::default(),
@@ -206,7 +195,7 @@ impl<'a> Session<'a> {
     /// The per-shard in-flight window.
     #[must_use]
     pub fn window(&self) -> usize {
-        self.window
+        self.submitter.window
     }
 
     /// Operations submitted and not yet reaped, across all shards.
@@ -255,15 +244,7 @@ impl<'a> Session<'a> {
     /// slot) when the shard is already quarantined;
     /// [`StoreError::Disconnected`] if the shard worker is gone.
     pub fn submit(&mut self, op: StoreOp) -> Result<Ticket, StoreError> {
-        let (addr, shard_op) = match op {
-            StoreOp::Read { addr } => (addr, None),
-            StoreOp::Write { addr, data } => (addr, Some(data)),
-        };
-        let (shard, local) = self.store.locate(addr)?;
-        let op = match shard_op {
-            None => Op::Read { local },
-            Some(data) => Op::Write { local, data },
-        };
+        let (shard, op) = self.submitter.store.route(op)?;
         self.submit_op(shard, op)
     }
 
@@ -279,59 +260,35 @@ impl<'a> Session<'a> {
         addr: u64,
         f: impl FnOnce(&mut [u8; BLOCK_BYTES]) + Send + 'static,
     ) -> Result<Ticket, StoreError> {
-        let (shard, local) = self.store.locate(addr)?;
-        self.submit_op(
-            shard,
-            Op::Rmw {
-                local,
-                f: Box::new(f),
-            },
-        )
+        let (shard, op) = self.submitter.store.route_rmw(addr, f)?;
+        self.submit_op(shard, op)
     }
 
+    /// Submits through the one [`SessionSubmitter`] path and keeps this
+    /// session's ticket bookkeeping and statistics.
     fn submit_op(&mut self, shard: usize, op: Op) -> Result<Ticket, StoreError> {
         // Opportunistically absorb finished work first: a steady-state
         // submit loop never has to call a wait method just to free its
         // window.
         self.drain();
-        let sh = &self.store.shared[shard];
-        if sh.poisoned.load(Ordering::Relaxed) {
-            sh.overloads.fetch_add(1, Ordering::Relaxed);
-            return Err(StoreError::ShardPoisoned { shard, cause: None });
-        }
-        if self.in_flight[shard] >= self.window {
-            self.stats.window_rejections += 1;
-            sh.overloads.fetch_add(1, Ordering::Relaxed);
-            return Err(StoreError::Overloaded { shard });
-        }
-        let seq = self.next_seq;
-        let request = Request::Op {
-            op,
-            seq,
-            enqueued: Instant::now(),
-            reply: self.tx.clone(),
-            wake: None,
-        };
-        match self.store.senders[shard].try_send(request) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                sh.overloads.fetch_add(1, Ordering::Relaxed);
-                return Err(StoreError::Overloaded { shard });
+        let outcome = self.submitter.submit_op(shard, op);
+        match outcome {
+            Ok(Ticket(seq)) => {
+                self.pending.insert(seq, shard);
+                self.total_in_flight += 1;
+                self.stats.submitted += 1;
+                self.stats
+                    .in_flight_depth
+                    .record(self.total_in_flight as u64);
             }
-            Err(TrySendError::Disconnected(_)) => {
-                return Err(StoreError::Disconnected { shard });
+            // A queue-full bounce leaves the window open, so an
+            // `Overloaded` with the window full was the window's.
+            Err(StoreError::Overloaded { .. }) if self.submitter.window_full(shard) => {
+                self.stats.window_rejections += 1;
             }
+            Err(_) => {}
         }
-        sh.depth.fetch_add(1, Ordering::Relaxed);
-        self.next_seq += 1;
-        self.pending.insert(seq, shard);
-        self.in_flight[shard] += 1;
-        self.total_in_flight += 1;
-        self.stats.submitted += 1;
-        self.stats
-            .in_flight_depth
-            .record(self.total_in_flight as u64);
-        Ok(Ticket(seq))
+        outcome
     }
 
     /// Non-blocking check of one ticket: `Some(result)` exactly once,
@@ -408,15 +365,7 @@ impl<'a> Session<'a> {
                 return Err(StoreError::Timeout);
             };
             match self.rx.recv_timeout(remaining) {
-                Ok(completion) => {
-                    self.absorb(completion);
-                    let mut burst = 1u64;
-                    while let Ok(more) = self.rx.try_recv() {
-                        self.absorb(more);
-                        burst += 1;
-                    }
-                    self.stats.completion_batch.record(burst);
-                }
+                Ok(completion) => self.absorb_burst(completion),
                 Err(RecvTimeoutError::Timeout) => return Err(StoreError::Timeout),
                 Err(RecvTimeoutError::Disconnected) => self.resolve_orphans(),
             }
@@ -464,17 +413,21 @@ impl<'a> Session<'a> {
     /// flight), then absorbs any burst behind it.
     fn block_on_next(&mut self) {
         match self.rx.recv() {
-            Ok(completion) => {
-                self.absorb(completion);
-                let mut burst = 1u64;
-                while let Ok(more) = self.rx.try_recv() {
-                    self.absorb(more);
-                    burst += 1;
-                }
-                self.stats.completion_batch.record(burst);
-            }
+            Ok(completion) => self.absorb_burst(completion),
             Err(_) => self.resolve_orphans(),
         }
+    }
+
+    /// Absorbs the completion a blocking receive returned and every one
+    /// already queued behind it, as one burst.
+    fn absorb_burst(&mut self, first: Completion) {
+        self.absorb(first);
+        let mut burst = 1u64;
+        while let Ok(more) = self.rx.try_recv() {
+            self.absorb(more);
+            burst += 1;
+        }
+        self.stats.completion_batch.record(burst);
     }
 
     /// Every worker owning our pending ops is gone (worker panic —
@@ -485,7 +438,7 @@ impl<'a> Session<'a> {
         let mut orphans: Vec<(u64, usize)> = self.pending.drain().collect();
         orphans.sort_unstable();
         for (seq, shard) in orphans {
-            self.in_flight[shard] -= 1;
+            self.submitter.shared.release(shard);
             self.total_in_flight -= 1;
             self.done
                 .push_back((Ticket(seq), Err(StoreError::Disconnected { shard })));
@@ -501,7 +454,7 @@ impl<'a> Session<'a> {
             service_ns,
         } = completion;
         self.pending.remove(&seq);
-        self.in_flight[shard] -= 1;
+        self.submitter.shared.release(shard);
         self.total_in_flight -= 1;
         self.stats.completed += 1;
         self.stats.queue_wait_ns.record(queue_ns);
@@ -516,18 +469,27 @@ impl<'a> Session<'a> {
     }
 }
 
-/// Window accounting shared by the two halves of a split session: only
-/// the submitter increments, only the reaper decrements, so the
-/// submitter's window check can never race itself — a concurrent reap
-/// only ever makes *more* room.
+/// Per-shard in-flight counts — the backpressure windows — shared by
+/// the submitting and the reaping side of a pipeline (the two halves of
+/// a split session, or one [`Session`] playing both): only the submit
+/// path increments, only reaping decrements, so the window check can
+/// never race itself — a concurrent reap only ever makes *more* room.
 #[derive(Debug)]
 struct SplitShared {
     per_shard: Vec<AtomicUsize>,
 }
 
+impl SplitShared {
+    /// One operation of `shard` was reaped: its window slot is free.
+    fn release(&self, shard: usize) {
+        self.per_shard[shard].fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// The submitting half of a split session (see
 /// [`SecureStore::split_session_with_wake`]): submissions without
-/// reaping.
+/// reaping. Every pipelined submission goes through this type — a
+/// [`Session`] owns one — so the fast-fail rules live in one place.
 ///
 /// Dropping the submitter closes the pipeline: once the in-flight
 /// operations drain, the paired [`SessionReaper`] reports
@@ -599,16 +561,7 @@ impl<'a> SessionSubmitter<'a> {
     /// request queue is full, [`StoreError::ShardPoisoned`] fast-fail,
     /// [`StoreError::Disconnected`] for a vanished worker.
     pub fn submit(&mut self, op: StoreOp) -> Result<Ticket, StoreError> {
-        let (shard, op) = match op {
-            StoreOp::Read { addr } => {
-                let (shard, local) = self.store.locate(addr)?;
-                (shard, Op::Read { local })
-            }
-            StoreOp::Write { addr, data } => {
-                let (shard, local) = self.store.locate(addr)?;
-                (shard, Op::Write { local, data })
-            }
-        };
+        let (shard, op) = self.store.route(op)?;
         self.submit_op(shard, op)
     }
 
@@ -623,27 +576,31 @@ impl<'a> SessionSubmitter<'a> {
         addr: u64,
         f: impl FnOnce(&mut [u8; BLOCK_BYTES]) + Send + 'static,
     ) -> Result<Ticket, StoreError> {
-        let (shard, local) = self.store.locate(addr)?;
-        self.submit_op(
-            shard,
-            Op::Rmw {
-                local,
-                f: Box::new(f),
-            },
-        )
+        let (shard, op) = self.store.route_rmw(addr, f)?;
+        self.submit_op(shard, op)
     }
 
+    /// `true` when `shard`'s in-flight window is full.
+    fn window_full(&self, shard: usize) -> bool {
+        self.shared.per_shard[shard].load(Ordering::Relaxed) >= self.window
+    }
+
+    /// The one pipelined submit path. Nothing here waits: a quarantined
+    /// shard, a full window and a full queue each bounce the operation
+    /// (counted in the shard's `overloads`) without holding a slot.
     fn submit_op(&mut self, shard: usize, op: Op) -> Result<Ticket, StoreError> {
         let sh = &self.store.shared[shard];
         if sh.poisoned.load(Ordering::Relaxed) {
+            // Don't burn a queue slot on an operation the worker would
+            // only bounce.
             sh.overloads.fetch_add(1, Ordering::Relaxed);
             return Err(StoreError::ShardPoisoned { shard, cause: None });
         }
-        let in_flight = &self.shared.per_shard[shard];
-        if in_flight.load(Ordering::Relaxed) >= self.window {
+        if self.window_full(shard) {
             sh.overloads.fetch_add(1, Ordering::Relaxed);
             return Err(StoreError::Overloaded { shard });
         }
+        let in_flight = &self.shared.per_shard[shard];
         let seq = self.next_seq;
         let request = Request::Op {
             op,
@@ -658,12 +615,12 @@ impl<'a> SessionSubmitter<'a> {
         match self.store.senders[shard].try_send(request) {
             Ok(()) => {}
             Err(TrySendError::Full(_)) => {
-                in_flight.fetch_sub(1, Ordering::Relaxed);
+                self.shared.release(shard);
                 sh.overloads.fetch_add(1, Ordering::Relaxed);
                 return Err(StoreError::Overloaded { shard });
             }
             Err(TrySendError::Disconnected(_)) => {
-                in_flight.fetch_sub(1, Ordering::Relaxed);
+                self.shared.release(shard);
                 return Err(StoreError::Disconnected { shard });
             }
         }
@@ -722,7 +679,7 @@ impl<'a> SessionReaper<'a> {
     }
 
     fn absorb(&mut self, completion: Completion) -> (Ticket, Result<StoreValue, StoreError>) {
-        self.shared.per_shard[completion.shard].fetch_sub(1, Ordering::Relaxed);
+        self.shared.release(completion.shard);
         (Ticket(completion.seq), completion.result.map(to_value))
     }
 }
@@ -754,42 +711,44 @@ impl SecureStore {
         &self,
         config: SessionConfig,
     ) -> (SessionSubmitter<'_>, SessionReaper<'_>) {
-        self.split_session_inner(config, WakeFd::new().map(Arc::new))
+        let wake = WakeFd::new().map(Arc::new);
+        let (submitter, rx) = self.open_pipeline(config, wake.clone());
+        let reaper = SessionReaper {
+            _store: self,
+            rx,
+            shared: Arc::clone(&submitter.shared),
+            wake,
+            closed: false,
+        };
+        (submitter, reaper)
     }
 
-    fn split_session_inner(
+    /// Opens one submission pipeline: the submitter and the completion
+    /// queue its operations report to.
+    fn open_pipeline(
         &self,
         config: SessionConfig,
         wake: Option<Arc<WakeFd>>,
-    ) -> (SessionSubmitter<'_>, SessionReaper<'_>) {
+    ) -> (SessionSubmitter<'_>, Receiver<Completion>) {
         assert!(
             config.in_flight_window > 0,
             "the in-flight window must admit at least one operation"
         );
         let shards = self.config.shards;
-        // Same sizing rule as `Session`: every outstanding completion
-        // fits, so workers never block pushing completions.
+        // Sized so every outstanding completion fits: workers never block
+        // pushing completions, no matter how lazily the client reaps.
         let (tx, rx) = sync_channel(shards * config.in_flight_window);
-        let shared = Arc::new(SplitShared {
-            per_shard: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
-        });
-        (
-            SessionSubmitter {
-                store: self,
-                window: config.in_flight_window,
-                next_seq: 1,
-                tx,
-                shared: Arc::clone(&shared),
-                wake: wake.clone(),
-            },
-            SessionReaper {
-                _store: self,
-                rx,
-                shared,
-                wake,
-                closed: false,
-            },
-        )
+        let submitter = SessionSubmitter {
+            store: self,
+            window: config.in_flight_window,
+            next_seq: 1,
+            tx,
+            shared: Arc::new(SplitShared {
+                per_shard: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
+            }),
+            wake,
+        };
+        (submitter, rx)
     }
 }
 

@@ -14,7 +14,11 @@
 //! one verified counter fetch per distinct metadata block instead of one
 //! per block, and decrypts from one pipelined keystream batch, with the
 //! engine falling back to per-block reads on any anomaly so failure
-//! semantics stay bit-identical to sequential service. At most one fusion
+//! semantics stay bit-identical to sequential service. That is the one
+//! way a data operation is served — a lone operation is a run of one —
+//! and outside a run the worker only ever *rejects*: an operation on a
+//! quarantined shard, a mutation of a block held by an unresolved
+//! prepare, an address outside the region. At most one fusion
 //! buffer is ever non-empty — parking a write flushes pending reads and
 //! vice versa — and a read parking behind a pending RMW to the *same*
 //! block flushes first, so fusion never changes what any operation
@@ -174,8 +178,8 @@ pub(crate) enum Request {
 pub(crate) struct ShardShared {
     /// Operations enqueued but not yet dequeued by the worker.
     pub depth: AtomicI64,
-    /// Fast-fail rejections: `try_*` and session submissions bounced
-    /// with `Overloaded` or the poisoned-shard early return.
+    /// Fast-fail rejections: session submissions bounced with
+    /// `Overloaded` or the poisoned-shard early return.
     pub overloads: AtomicU64,
     /// Set (never cleared) by the worker when the shard is quarantined.
     pub poisoned: AtomicBool,
@@ -365,14 +369,20 @@ struct PendingRead {
     rmw: Option<RmwFn>,
 }
 
+/// The error of a shard-local block address outside the region.
+fn out_of_range(local: u64) -> StoreError {
+    StoreError::OutOfRange {
+        addr: local,
+        len: BLOCK_BYTES as u64,
+    }
+}
+
 pub(crate) struct ShardWorker {
     shard: usize,
     region: SecureRegion,
     /// Seed the shard re-keys to on graceful shutdown.
     reseal_seed: u64,
     max_batch: usize,
-    fuse_writes: bool,
-    fuse_reads: bool,
     shared: Arc<ShardShared>,
     poisoned: Option<ReadError>,
     /// Quarantined without a verification error: corrupt durable state
@@ -411,8 +421,6 @@ impl ShardWorker {
         region: SecureRegion,
         reseal_seed: u64,
         max_batch: usize,
-        fuse_writes: bool,
-        fuse_reads: bool,
         shared: Arc<ShardShared>,
     ) -> Self {
         Self {
@@ -420,8 +428,6 @@ impl ShardWorker {
             region,
             reseal_seed,
             max_batch,
-            fuse_writes,
-            fuse_reads,
             shared,
             poisoned: None,
             persist_dead: false,
@@ -639,8 +645,9 @@ impl ShardWorker {
         }
     }
 
-    /// Parks a fusable operation in the matching buffer or executes it
-    /// immediately (flushing both buffers first, so order is preserved).
+    /// Parks a data operation in the matching run buffer — the only way
+    /// one is ever served — or, when it cannot join a run, flushes both
+    /// buffers (so order is preserved) and rejects it.
     ///
     /// A read or RMW may not park behind a pending RMW to the *same*
     /// block: the later op must observe the earlier RMW's write, while a
@@ -656,82 +663,83 @@ impl ShardWorker {
         reads: &mut Vec<PendingRead>,
         slots: &mut [BatchSlot],
     ) {
-        let op = if self.healthy() {
-            let in_bounds = |local: u64| local + BLOCK_BYTES as u64 <= self.region.size();
-            // A flush can itself poison the shard (a fused read run that
-            // fails verification), so each arm re-checks after flushing
-            // and falls through to immediate (rejecting) execution
-            // instead of parking behind the failure.
-            // Mutations of a prepared block fall through to immediate
-            // execution, where they are rejected with `TxnConflict`.
+        let in_bounds = |local: u64| local + BLOCK_BYTES as u64 <= self.region.size();
+        // Mutations of a block held by an unresolved prepare never park:
+        // acknowledged, they would be silently revoked by an abort's
+        // pre-image restore. Reads stay allowed (the store disclaims
+        // isolation, not write atomicity).
+        let parks = self.healthy()
+            && match op {
+                Op::Read { local } => in_bounds(local),
+                Op::Write { local, .. } | Op::Rmw { local, .. } => {
+                    in_bounds(local) && !self.prepared_blocks.contains(&local)
+                }
+            };
+        if parks {
             match op {
-                Op::Write { local, data }
-                    if self.fuse_writes
-                        && in_bounds(local)
-                        && !self.prepared_blocks.contains(&local) =>
-                {
-                    // Pending reads arrived first and must observe the
-                    // pre-write snapshot.
-                    self.flush_fused_reads(reads, slots);
-                    if self.healthy() {
-                        writes.push(PendingWrite {
-                            local,
-                            data,
-                            queue_ns,
-                            dest,
-                        });
-                        return;
-                    }
-                    Op::Write { local, data }
-                }
-                Op::Read { local } if self.fuse_reads && in_bounds(local) => {
+                // Pending reads arrived first and must observe the
+                // pre-write snapshot.
+                Op::Write { .. } => self.flush_fused_reads(reads, slots),
+                Op::Read { local } | Op::Rmw { local, .. } => {
                     self.flush_fused(writes, slots);
                     if reads.iter().any(|r| r.rmw.is_some() && r.local == local) {
                         self.flush_fused_reads(reads, slots);
                     }
-                    if self.healthy() {
-                        reads.push(PendingRead {
-                            local,
-                            queue_ns,
-                            dest,
-                            rmw: None,
-                        });
-                        return;
-                    }
-                    Op::Read { local }
                 }
-                Op::Rmw { local, f }
-                    if self.fuse_reads
-                        && in_bounds(local)
-                        && !self.prepared_blocks.contains(&local) =>
-                {
-                    self.flush_fused(writes, slots);
-                    if reads.iter().any(|r| r.rmw.is_some() && r.local == local) {
-                        self.flush_fused_reads(reads, slots);
-                    }
-                    if self.healthy() {
-                        reads.push(PendingRead {
-                            local,
-                            queue_ns,
-                            dest,
-                            rmw: Some(f),
-                        });
-                        return;
-                    }
-                    Op::Rmw { local, f }
-                }
-                other => other,
             }
-        } else {
-            op
-        };
+            // A flush can itself quarantine the shard (a read run that
+            // fails verification, an intent that cannot be logged): the
+            // op is then rejected below instead of parking behind the
+            // failure.
+            if self.healthy() {
+                match op {
+                    Op::Write { local, data } => writes.push(PendingWrite {
+                        local,
+                        data,
+                        queue_ns,
+                        dest,
+                    }),
+                    Op::Read { local } => reads.push(PendingRead {
+                        local,
+                        queue_ns,
+                        dest,
+                        rmw: None,
+                    }),
+                    Op::Rmw { local, f } => reads.push(PendingRead {
+                        local,
+                        queue_ns,
+                        dest,
+                        rmw: Some(f),
+                    }),
+                }
+                return;
+            }
+        }
         self.flush_fused(writes, slots);
         self.flush_fused_reads(reads, slots);
         let start = Instant::now();
-        let result = self.exec(op);
+        let result = Err(self.reject(&op));
         let service_ns = start.elapsed().as_nanos() as u64;
         self.stats.service_latency_ns.record(service_ns);
         self.deliver(dest, result, queue_ns, service_ns, slots);
+    }
+
+    /// Why `op` cannot join a run. The worker serves data operations
+    /// only as runs; outside one it only ever rejects.
+    fn reject(&mut self, op: &Op) -> StoreError {
+        if !self.healthy() {
+            return self.reject_poisoned();
+        }
+        match *op {
+            Op::Write { local, .. } | Op::Rmw { local, .. }
+                if self.prepared_blocks.contains(&local) =>
+            {
+                StoreError::TxnConflict { addr: local }
+            }
+            Op::Read { local } | Op::Write { local, .. } | Op::Rmw { local, .. } => {
+                out_of_range(local)
+            }
+        }
     }
 
     /// Routes one finished operation's result to its submitter.
@@ -845,41 +853,28 @@ impl ShardWorker {
         let start = Instant::now();
         let items: Vec<(u64, [u8; BLOCK_BYTES])> =
             fused.iter().map(|w| (w.local, w.data)).collect();
-        // Addresses were bounds-checked at park time and alignment is
-        // guaranteed by the front-end's `locate`, so this cannot fail in
-        // practice; fall back to per-op service if it somehow does.
-        let batch_ok = self.region.write_blocks(&items).is_ok();
-        // Compute every result, then log the whole run as ONE intent
-        // record, then deliver: no acknowledgement leaves the worker
-        // before its write is durable.
-        let mut results: Vec<OpReply> = Vec::with_capacity(fused.len());
-        let mut sealed: Vec<u64> = Vec::with_capacity(fused.len());
-        for w in fused.iter() {
-            let result = if batch_ok {
-                Ok(())
-            } else {
-                self.write(w.local, &w.data)
-            };
-            results.push(result.map(|()| {
-                self.stats.writes += 1;
-                sealed.push(w.local);
-                OpOutput::Written
-            }));
-        }
-        if let Err(e) = self.persist_writes(&sealed) {
-            // The run's intent never reached the log: nothing in it may
-            // be acknowledged.
-            for r in &mut results {
-                if r.is_ok() {
-                    *r = Err(e);
-                }
+        if self.region.write_blocks(&items).is_err() {
+            // Unreachable in practice (bounds-checked at park time,
+            // alignment guaranteed by `locate`): nothing was written,
+            // every op of the run fails.
+            for w in fused.drain(..) {
+                self.deliver(w.dest, Err(out_of_range(w.local)), w.queue_ns, 0, slots);
             }
+            return;
         }
+        self.stats.writes += n;
+        // The whole run is logged as ONE intent record before any
+        // delivery: no acknowledgement leaves the worker before its write
+        // is durable, and a run whose intent never reached the log
+        // acknowledges nothing.
+        let locals: Vec<u64> = items.iter().map(|&(local, _)| local).collect();
+        let logged = self.persist_writes(&locals);
         let elapsed_ns = start.elapsed().as_nanos() as u64;
         let share_ns = elapsed_ns / n;
         self.stats.fused_writes.record(n);
         self.stats.service_latency_ns.record_n(share_ns, n);
-        for (w, result) in fused.drain(..).zip(results) {
+        for w in fused.drain(..) {
+            let result = logged.map(|()| OpOutput::Written);
             self.deliver(w.dest, result, w.queue_ns, share_ns, slots);
         }
     }
@@ -904,25 +899,15 @@ impl ShardWorker {
         let n = fused.len() as u64;
         let start = Instant::now();
         let addrs: Vec<u64> = fused.iter().map(|r| r.local).collect();
-        let run = match self.region.read_blocks(&addrs) {
-            Ok(run) => run,
-            Err(RegionError::OutOfBounds { .. }) => {
-                // Unreachable in practice (bounds-checked at park time,
-                // alignment guaranteed by `locate`); serve per-op.
-                for r in fused.drain(..) {
-                    let op = match r.rmw {
-                        Some(f) => Op::Rmw { local: r.local, f },
-                        None => Op::Read { local: r.local },
-                    };
-                    let start = Instant::now();
-                    let result = self.exec(op);
-                    let service_ns = start.elapsed().as_nanos() as u64;
-                    self.stats.service_latency_ns.record(service_ns);
-                    self.deliver(r.dest, result, r.queue_ns, service_ns, slots);
-                }
-                return;
+        let Ok(run) = self.region.read_blocks(&addrs) else {
+            // Unreachable in practice (bounds-checked at park time,
+            // alignment guaranteed by `locate`, verification failures
+            // reported inside the run): nothing was read, every op of the
+            // run fails.
+            for r in fused.drain(..) {
+                self.deliver(r.dest, Err(out_of_range(r.local)), r.queue_ns, 0, slots);
             }
-            Err(RegionError::Read(_)) => unreachable!("read_blocks reports failures in the run"),
+            return;
         };
 
         // Apply RMW mutators to the verified prefix and stage their
@@ -967,11 +952,7 @@ impl ShardWorker {
             debug_assert_eq!(index, released);
             results.push(Err(self.poison(error)));
             for _ in index + 1..fused.len() {
-                self.stats.rejected_poisoned += 1;
-                results.push(Err(StoreError::ShardPoisoned {
-                    shard: self.shard,
-                    cause: None,
-                }));
+                results.push(Err(self.reject_poisoned()));
             }
         }
 
@@ -992,82 +973,22 @@ impl ShardWorker {
         }
     }
 
-    fn exec(&mut self, op: Op) -> OpReply {
-        if !self.healthy() {
-            self.stats.rejected_poisoned += 1;
-            return Err(StoreError::ShardPoisoned {
-                shard: self.shard,
-                cause: None,
-            });
-        }
-        // Mutations of a block held by an unresolved prepare are
-        // rejected, not applied: if they were acknowledged, an abort's
-        // pre-image restore would silently revoke them. Reads stay
-        // allowed (the store disclaims isolation, not write atomicity).
-        if let Op::Write { local, .. } | Op::Rmw { local, .. } = op {
-            if self.prepared_blocks.contains(&local) {
-                return Err(StoreError::TxnConflict { addr: local });
-            }
-        }
-        match op {
-            Op::Read { local } => self.read(local).map(|block| {
-                self.stats.reads += 1;
-                OpOutput::Read(block)
-            }),
-            Op::Write { local, data } => self
-                .write(local, &data)
-                .and_then(|()| self.persist_writes(&[local]))
-                .map(|()| {
-                    self.stats.writes += 1;
-                    OpOutput::Written
-                }),
-            // The verified read's counter fetch is reused for the seal,
-            // so an RMW costs one metadata lookup, not two.
-            Op::Rmw { local, f } => self
-                .rmw(local, f)
-                .and_then(|old| self.persist_writes(&[local]).map(|()| old))
-                .map(|old| {
-                    self.stats.rmws += 1;
-                    OpOutput::Modified { old }
-                }),
-        }
-    }
-
-    fn read(&mut self, local: u64) -> Result<[u8; BLOCK_BYTES], StoreError> {
-        let mut buf = [0u8; BLOCK_BYTES];
-        match self.region.read_bytes(local, &mut buf) {
-            Ok(()) => Ok(buf),
-            Err(RegionError::Read(e)) => Err(self.poison(e)),
-            Err(RegionError::OutOfBounds { addr, len }) => {
-                // The front-end bounds-checks global addresses, so this is
-                // unreachable in practice; fail the op, not the worker.
-                Err(StoreError::OutOfRange {
-                    addr,
-                    len: len as u64,
-                })
-            }
-        }
-    }
-
+    /// One full-block write outside a run: a prepare interleaves it with
+    /// the sealed-state exports that bracket it.
     fn write(&mut self, local: u64, data: &[u8; BLOCK_BYTES]) -> Result<(), StoreError> {
         match self.region.write_bytes(local, data) {
             Ok(()) => Ok(()),
             Err(RegionError::Read(e)) => Err(self.poison(e)),
-            Err(RegionError::OutOfBounds { addr, len }) => Err(StoreError::OutOfRange {
-                addr,
-                len: len as u64,
-            }),
+            Err(RegionError::OutOfBounds { .. }) => Err(out_of_range(local)),
         }
     }
 
-    fn rmw(&mut self, local: u64, f: RmwFn) -> Result<[u8; BLOCK_BYTES], StoreError> {
-        match self.region.rmw_block(local, f) {
-            Ok(old) => Ok(old),
-            Err(RegionError::Read(e)) => Err(self.poison(e)),
-            Err(RegionError::OutOfBounds { addr, len }) => Err(StoreError::OutOfRange {
-                addr,
-                len: len as u64,
-            }),
+    /// Counts and reports one operation bounced off the quarantine.
+    fn reject_poisoned(&mut self) -> StoreError {
+        self.stats.rejected_poisoned += 1;
+        StoreError::ShardPoisoned {
+            shard: self.shard,
+            cause: None,
         }
     }
 
@@ -1210,11 +1131,7 @@ impl ShardWorker {
         writes: Vec<(u64, [u8; BLOCK_BYTES])>,
     ) -> Result<(), StoreError> {
         if !self.healthy() {
-            self.stats.rejected_poisoned += 1;
-            return Err(StoreError::ShardPoisoned {
-                shard: self.shard,
-                cause: None,
-            });
+            return Err(self.reject_poisoned());
         }
         // A block held by another unresolved prepare rejects this whole
         // prepare before any effect — two overlapping atomic batches
@@ -1234,10 +1151,7 @@ impl ShardWorker {
                     // unreachable; roll back what this shard applied and
                     // let the coordinator abort the transaction.
                     self.rollback(&entries);
-                    return Err(StoreError::OutOfRange {
-                        addr: local,
-                        len: BLOCK_BYTES as u64,
-                    });
+                    return Err(out_of_range(local));
                 }
             };
             self.write(local, &data)?; // a ReadError here poisons: no rollback needed
@@ -1277,11 +1191,7 @@ impl ShardWorker {
     /// revocable.
     fn handle_commit(&mut self, txn: u64) -> Result<(), StoreError> {
         if !self.healthy() {
-            self.stats.rejected_poisoned += 1;
-            return Err(StoreError::ShardPoisoned {
-                shard: self.shard,
-                cause: None,
-            });
+            return Err(self.reject_poisoned());
         }
         if let Some(entries) = self.pending_txns.remove(&txn) {
             for (local, _, _) in &entries {
@@ -1303,11 +1213,7 @@ impl ShardWorker {
     /// a prepared transaction and logs the rollback.
     fn handle_abort(&mut self, txn: u64) -> Result<(), StoreError> {
         if !self.healthy() {
-            self.stats.rejected_poisoned += 1;
-            return Err(StoreError::ShardPoisoned {
-                shard: self.shard,
-                cause: None,
-            });
+            return Err(self.reject_poisoned());
         }
         let Some(entries) = self.pending_txns.remove(&txn) else {
             return Ok(()); // never prepared here (or already resolved)
