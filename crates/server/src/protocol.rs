@@ -121,6 +121,75 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+impl Frame {
+    /// The frame as a borrowed [`FrameRef`].
+    pub(crate) fn borrowed(&self) -> FrameRef<'_> {
+        FrameRef {
+            tag: self.tag,
+            req_id: self.req_id,
+            payload: &self.payload,
+        }
+    }
+}
+
+/// One frame parsed in place: the payload borrows the buffer it was
+/// parsed from, so taking a frame off a read buffer copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameRef<'a> {
+    pub(crate) tag: u8,
+    pub(crate) req_id: u64,
+    pub(crate) payload: &'a [u8],
+}
+
+impl FrameRef<'_> {
+    /// Bytes the frame occupies on the wire, length prefix included.
+    pub(crate) fn wire_len(&self) -> usize {
+        4 + HEADER_BYTES + self.payload.len()
+    }
+
+    /// An owned copy, for a frame that must outlive its buffer.
+    pub(crate) fn to_frame(self) -> Frame {
+        Frame {
+            tag: self.tag,
+            req_id: self.req_id,
+            payload: self.payload.to_vec(),
+        }
+    }
+}
+
+/// Parses the complete frame at the front of `buf`, if one is buffered,
+/// without copying it out. `Ok(None)` means "keep reading"; an error is
+/// a framing violation that desynchronises the stream (the connection
+/// must close). The length prefix is checked against `max_frame` as soon
+/// as its four bytes are present, so a hostile prefix is refused before
+/// any of its body needs buffering.
+pub(crate) fn try_parse_frame(
+    buf: &[u8],
+    max_frame: u32,
+) -> Result<Option<FrameRef<'_>>, FrameError> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix);
+    if len > max_frame {
+        return Err(FrameError::Oversized {
+            len,
+            max: max_frame,
+        });
+    }
+    if (len as usize) < HEADER_BYTES {
+        return Err(FrameError::TooShort { len });
+    }
+    let Some(body) = buf.get(4..4 + len as usize) else {
+        return Ok(None);
+    };
+    Ok(Some(FrameRef {
+        tag: body[0],
+        req_id: u64::from_le_bytes(body[1..HEADER_BYTES].try_into().unwrap()),
+        payload: &body[HEADER_BYTES..],
+    }))
+}
+
 /// Why a frame could not be read.
 #[derive(Debug)]
 pub enum FrameError {
@@ -204,14 +273,19 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Frame, FrameError> 
 ///
 /// Propagates transport errors.
 pub fn write_frame(w: &mut impl Write, tag: u8, req_id: u64, payload: &[u8]) -> io::Result<()> {
-    let len = (HEADER_BYTES + payload.len()) as u32;
-    let mut buf = Vec::with_capacity(4 + len as usize);
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.push(tag);
-    buf.extend_from_slice(&req_id.to_le_bytes());
-    buf.extend_from_slice(payload);
+    let mut buf = Vec::with_capacity(4 + HEADER_BYTES + payload.len());
+    encode_frame(&mut buf, tag, req_id, payload);
     w.write_all(&buf)?;
     w.flush()
+}
+
+/// Appends one encoded frame to `out`.
+pub(crate) fn encode_frame(out: &mut Vec<u8>, tag: u8, req_id: u64, payload: &[u8]) {
+    let len = (HEADER_BYTES + payload.len()) as u32;
+    out.extend_from_slice(&len.to_le_bytes());
+    out.push(tag);
+    out.extend_from_slice(&req_id.to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// An error as decoded off the wire: either a faithful [`StoreError`]

@@ -22,10 +22,14 @@
 //!     GOODBYE/EOF/shutdown: drop submitter, drain in-flight
 //! ```
 //!
-//! Reads accumulate into a per-connection buffer (partial frames are
-//! normal — a frame may arrive one byte at a time); responses accumulate
-//! into a write buffer flushed until `EWOULDBLOCK`, with `EPOLLOUT`
-//! interest registered only while that buffer is non-empty. Both buffers
+//! Reads land straight in a per-connection buffer (partial frames are
+//! normal — a frame may arrive one byte at a time); every complete frame
+//! in it is parsed in place and the consumed prefix dropped once per
+//! pass. Responses accumulate into a write buffer flushed until
+//! `EWOULDBLOCK`, with `EPOLLOUT` interest registered only while that
+//! buffer is non-empty. A loop pass handles every ready event first and
+//! then advances each connection it touched once, so a connection whose
+//! socket and session both fired pays one flush for all of it. Both buffers
 //! are bounded: once the write buffer passes [`WBUF_STALL`] the
 //! connection stops parsing (and stops reading — `EPOLLIN` interest
 //! drops, so TCP pushes back) until the peer drains its responses. A
@@ -40,8 +44,9 @@
 //!
 //! # Wakeup path
 //!
-//! Shard workers ring the session's eventfd *after* pushing each
-//! completion. The loop handles a wake event by draining the eventfd
+//! A shard worker rings a session's eventfd once per service wakeup,
+//! *after* pushing every completion of that wakeup it owes the session.
+//! The loop handles a wake event by draining the eventfd
 //! **first** and then reaping everything
 //! ([`SessionReaper::try_recv_all`](ame_store::SessionReaper::try_recv_all)):
 //! a completion that lands between the reap and the next `epoll_wait`
@@ -51,18 +56,21 @@
 //! in [`crate::server`] next to the tenant state they consult.
 
 use crate::protocol::{
-    self, code, encode_server_error, encode_store_error, op, write_frame, Frame, WireError,
+    self, code, encode_frame, encode_server_error, encode_store_error, op, try_parse_frame,
+    write_frame, Frame, FrameRef, WireError,
 };
 use crate::server::{
-    evaluate_hello, exec_tamper, submit_op, try_parse_frame, ConnEnd, ConnectionSlot,
-    HelloDecision, Shared, Submitted, Tenant,
+    evaluate_hello, exec_tamper, submit_op, ConnEnd, ConnectionSlot, HelloDecision, Shared,
+    Submitted, Tenant,
 };
-use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::sys::{
+    read_append, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
 use ame_store::{
     SessionConfig, SessionReaper, SessionSubmitter, StoreError, StoreValue, Ticket, WakeFd,
 };
 use std::collections::{HashMap, HashSet};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -190,7 +198,6 @@ pub(crate) fn reactor_thread(shared: &Arc<Shared>, seed: ReactorSeed) {
 
 /// An open session: the store-facing half of one granted connection.
 struct Pipe<'a> {
-    tenant: &'a Tenant,
     /// The session's share of the tenant's connection quota, handed back
     /// when the pipe is dropped.
     _slot: ConnectionSlot<'a>,
@@ -223,6 +230,11 @@ enum State<'a> {
 struct Conn<'a> {
     stream: TcpStream,
     id: u64,
+    /// The tenant granted at HELLO; its counters take this connection's
+    /// operations and socket calls.
+    tenant: Option<&'a Tenant>,
+    /// Set while the connection waits in this loop pass's advance list.
+    touched: bool,
     /// Accumulated unparsed input (partial frames live here).
     rbuf: Vec<u8>,
     /// Responses not yet accepted by the socket.
@@ -264,6 +276,7 @@ fn reactor_loop<'a>(
     let mut conns: HashMap<u64, Conn<'a>> = HashMap::new();
     let mut next_id: u64 = 0;
     let mut events = vec![EpollEvent::default(); EVENT_BATCH];
+    let mut touched: Vec<u64> = Vec::new();
     let mut draining = false;
     let mut drain_deadline: Option<Instant> = None;
     loop {
@@ -285,12 +298,9 @@ fn reactor_loop<'a>(
                 return;
             }
         };
-        let ready: Vec<(u64, u32)> = events[..n]
-            .iter()
-            .map(|e| (e.token(), e.events()))
-            .collect();
+        let ready = &events[..n];
 
-        if ready.iter().any(|&(token, _)| token == INJECT_TOKEN) {
+        if ready.iter().any(|e| e.token() == INJECT_TOKEN) {
             inject_wake.drain();
         }
         // Drain the injection queue every iteration (wake signals
@@ -314,14 +324,15 @@ fn reactor_loop<'a>(
             }
         }
 
-        for &(token, evs) in &ready {
+        for event in ready {
+            let token = event.token();
             if token == INJECT_TOKEN {
                 continue;
             }
             let id = token >> 1;
             let Some(conn) = conns.get_mut(&id) else {
-                // Stale event for a connection closed earlier in this
-                // batch (tokens are ids, never reused).
+                // Stale event for a connection closed in an earlier pass
+                // (tokens are ids, never reused).
                 continue;
             };
             if conn.closed {
@@ -330,9 +341,21 @@ fn reactor_loop<'a>(
             if token & 1 == 1 {
                 on_session_wake(conn);
             } else {
-                on_socket(conn, evs, shared, epoll);
+                on_socket(conn, event.events(), shared, epoll);
             }
-            advance(conn, shared, epoll);
+            if !conn.touched {
+                conn.touched = true;
+                touched.push(id);
+            }
+        }
+        // Every event of the pass is in: one advance — so one flush — per
+        // connection, however many of its events (socket and session
+        // wake) the pass handled.
+        for id in touched.drain(..) {
+            if let Some(conn) = conns.get_mut(&id) {
+                conn.touched = false;
+                advance(conn, shared, epoll);
+            }
         }
 
         // Backpressure retry: a stall caused by *other* sessions
@@ -396,6 +419,8 @@ fn admit<'a>(
         Conn {
             stream,
             id,
+            tenant: None,
+            touched: false,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             mask: EPOLLIN | EPOLLRDHUP,
@@ -409,15 +434,9 @@ fn admit<'a>(
     );
 }
 
-/// Appends one frame to a connection's write buffer (a `Vec` never
-/// fails as a writer).
-fn queue_frame(wbuf: &mut Vec<u8>, tag: u8, req_id: u64, payload: &[u8]) {
-    let _ = write_frame(wbuf, tag, req_id, payload);
-}
-
 fn queue_wire_err(wbuf: &mut Vec<u8>, req_id: u64, e: &WireError) {
     let (tag, payload) = encode_server_error(e);
-    queue_frame(wbuf, tag, req_id, &payload);
+    encode_frame(wbuf, tag, req_id, &payload);
 }
 
 fn on_socket<'a>(conn: &mut Conn<'a>, evs: u32, shared: &'a Shared, epoll: &Epoll) {
@@ -433,21 +452,21 @@ fn on_socket<'a>(conn: &mut Conn<'a>, evs: u32, shared: &'a Shared, epoll: &Epol
             conn.rbuf.clear();
         }
     }
-    if evs & EPOLLOUT != 0 {
-        flush_wbuf(conn);
-    }
+    // `EPOLLOUT` needs no work here: the pass's `advance` flushes.
 }
 
 fn read_some(conn: &mut Conn<'_>) {
     for _ in 0..MAX_CHUNKS_PER_EVENT {
-        let mut chunk = [0u8; READ_CHUNK];
-        match conn.stream.read(&mut chunk) {
+        let read = read_append(raw_fd(&conn.stream), &mut conn.rbuf, READ_CHUNK);
+        if let Some(tenant) = conn.tenant {
+            tenant.counters.socket_reads.fetch_add(1, Ordering::Relaxed);
+        }
+        match read {
             Ok(0) => {
                 conn.eof = true;
                 return;
             }
             Ok(n) => {
-                conn.rbuf.extend_from_slice(&chunk[..n]);
                 if n < READ_CHUNK {
                     return;
                 }
@@ -465,7 +484,14 @@ fn read_some(conn: &mut Conn<'_>) {
 
 fn flush_wbuf(conn: &mut Conn<'_>) {
     while !conn.wbuf.is_empty() {
-        match conn.stream.write(&conn.wbuf) {
+        let written = conn.stream.write(&conn.wbuf);
+        if let Some(tenant) = conn.tenant {
+            tenant
+                .counters
+                .socket_writes
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        match written {
             Ok(0) => {
                 conn.peer_gone = true;
                 break;
@@ -487,24 +513,27 @@ fn flush_wbuf(conn: &mut Conn<'_>) {
     }
 }
 
+/// Handles every complete frame buffered in `rbuf`, parsed in place by
+/// offset; the consumed prefix is dropped once, at the end.
 fn process_frames<'a>(conn: &mut Conn<'a>, shared: &'a Shared, epoll: &Epoll) {
+    // The handlers borrow the connection mutably while frames borrow the
+    // input, so the input is held outside the connection for the pass.
+    let rbuf = std::mem::take(&mut conn.rbuf);
+    let mut parsed = 0;
     // The `wbuf` bound is backpressure on a peer that sends but never
     // reads: parsing pauses here and `advance` drops `EPOLLIN` interest;
     // once a flush brings the buffer back under the threshold, `advance`
     // resumes parsing whatever input accumulated behind the stall.
     while conn.end.is_none() && conn.stalled.is_none() && conn.wbuf.len() < WBUF_STALL {
-        let frame = match try_parse_frame(&mut conn.rbuf, shared.max_frame) {
+        let frame = match try_parse_frame(&rbuf[parsed..], shared.max_frame) {
             Ok(Some(frame)) => frame,
             Ok(None) => break,
             Err(_) => {
-                match &conn.state {
-                    State::Open(pipe) => {
-                        pipe.tenant
-                            .counters
-                            .bad_frames
-                            .fetch_add(1, Ordering::Relaxed);
+                match conn.tenant {
+                    Some(tenant) => {
+                        tenant.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
                     }
-                    _ => {
+                    None => {
                         shared
                             .counters
                             .pre_hello_failures
@@ -516,9 +545,17 @@ fn process_frames<'a>(conn: &mut Conn<'a>, shared: &'a Shared, epoll: &Epoll) {
                 break;
             }
         };
-        if let Some(why) = handle_frame(conn, &frame, shared, epoll) {
+        parsed += frame.wire_len();
+        if let Some(why) = handle_frame(conn, frame, shared, epoll) {
             begin_drain(conn, why);
         }
+    }
+    conn.rbuf = rbuf;
+    if conn.end.is_some() {
+        // The drain began this pass: buffered input is never admitted.
+        conn.rbuf.clear();
+    } else {
+        conn.rbuf.drain(..parsed);
     }
 }
 
@@ -526,7 +563,7 @@ fn process_frames<'a>(conn: &mut Conn<'a>, shared: &'a Shared, epoll: &Epoll) {
 /// stop admitting and begin the drain.
 fn handle_frame<'a>(
     conn: &mut Conn<'a>,
-    frame: &Frame,
+    frame: FrameRef<'_>,
     shared: &'a Shared,
     epoll: &Epoll,
 ) -> Option<ConnEnd> {
@@ -539,7 +576,7 @@ fn handle_frame<'a>(
 
 fn handle_hello<'a>(
     conn: &mut Conn<'a>,
-    frame: &Frame,
+    frame: FrameRef<'_>,
     shared: &'a Shared,
     epoll: &Epoll,
 ) -> Option<ConnEnd> {
@@ -576,9 +613,9 @@ fn handle_hello<'a>(
                 .counters
                 .connections_accepted
                 .fetch_add(1, Ordering::Relaxed);
-            queue_frame(&mut conn.wbuf, protocol::STATUS_OK, frame.req_id, &reply);
+            encode_frame(&mut conn.wbuf, protocol::STATUS_OK, frame.req_id, &reply);
+            conn.tenant = Some(tenant);
             conn.state = State::Open(Pipe {
-                tenant,
                 _slot: slot,
                 submitter: Some(submitter),
                 reaper,
@@ -598,56 +635,57 @@ fn handle_hello<'a>(
 /// Dispatches one frame on an open session: opcodes, counters and
 /// duplicate-id rules; rejections and synchronous replies land in the
 /// write buffer.
-fn handle_op(conn: &mut Conn<'_>, frame: &Frame) -> Option<ConnEnd> {
+fn handle_op(conn: &mut Conn<'_>, frame: FrameRef<'_>) -> Option<ConnEnd> {
     let Conn {
         ref mut wbuf,
         ref mut state,
         ref mut stalled,
+        tenant,
         ..
     } = *conn;
-    let State::Open(pipe) = state else {
+    let (State::Open(pipe), Some(tenant)) = (state, tenant) else {
         return None;
     };
     match frame.tag {
         op::GOODBYE => {
-            queue_frame(wbuf, protocol::STATUS_OK, frame.req_id, &[]);
+            encode_frame(wbuf, protocol::STATUS_OK, frame.req_id, &[]);
             Some(ConnEnd::Goodbye)
         }
         op::READ | op::WRITE | op::CAS => {
             if !pipe.ids.insert(frame.req_id) {
-                pipe.tenant
+                tenant
                     .counters
                     .duplicate_request_ids
                     .fetch_add(1, Ordering::Relaxed);
                 queue_wire_err(wbuf, frame.req_id, &WireError::DuplicateRequestId);
                 return None;
             }
-            *stalled = submit_checked(pipe, wbuf, frame.clone());
+            if submit_checked(pipe, tenant, wbuf, frame) {
+                // The only frame that outlives the read buffer.
+                *stalled = Some(frame.to_frame());
+            }
             None
         }
         op::TAMPER => {
             if pipe.ids.contains(&frame.req_id) {
-                pipe.tenant
+                tenant
                     .counters
                     .duplicate_request_ids
                     .fetch_add(1, Ordering::Relaxed);
                 queue_wire_err(wbuf, frame.req_id, &WireError::DuplicateRequestId);
             } else {
-                let (tag, payload) = exec_tamper(pipe.tenant, frame);
-                queue_frame(wbuf, tag, frame.req_id, &payload);
+                let (tag, payload) = exec_tamper(tenant, frame);
+                encode_frame(wbuf, tag, frame.req_id, &payload);
             }
             None
         }
         op::HELLO => {
-            pipe.tenant
-                .counters
-                .bad_frames
-                .fetch_add(1, Ordering::Relaxed);
+            tenant.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
             queue_wire_err(wbuf, frame.req_id, &WireError::BadFrame);
             None
         }
         other => {
-            pipe.tenant
+            tenant
                 .counters
                 .unknown_opcodes
                 .fetch_add(1, Ordering::Relaxed);
@@ -657,45 +695,47 @@ fn handle_op(conn: &mut Conn<'_>, frame: &Frame) -> Option<ConnEnd> {
     }
 }
 
-/// Submits one already-dup-checked operation frame. Returns the frame
-/// back when the store is saturated ([`StoreError::Overloaded`] covers
-/// both the shared shard queue and the session window): the caller
-/// parks it, stops reading the connection, and retries on the next loop
-/// tick — backpressure instead of bouncing a valid op.
-fn submit_checked(pipe: &mut Pipe<'_>, wbuf: &mut Vec<u8>, frame: Frame) -> Option<Frame> {
+/// Submits one already-dup-checked operation frame. `true` when the
+/// store is saturated ([`StoreError::Overloaded`] covers both the shared
+/// shard queue and the session window): the caller parks the frame,
+/// stops reading the connection, and retries on the next loop tick —
+/// backpressure instead of bouncing a valid op.
+fn submit_checked(
+    pipe: &mut Pipe<'_>,
+    tenant: &Tenant,
+    wbuf: &mut Vec<u8>,
+    frame: FrameRef<'_>,
+) -> bool {
     let Some(submitter) = pipe.submitter.as_mut() else {
         // Unreachable: an open pipe without a submitter means the
         // connection is draining, and draining connections never reach
         // frame dispatch (nor retry stalls — the drain clears them).
-        return None;
+        return false;
     };
-    match submit_op(submitter, &frame) {
+    match submit_op(submitter, frame) {
         Submitted::Ticket(ticket) => {
             pipe.by_ticket.insert(ticket, frame.req_id);
-            None
+            false
         }
         Submitted::Rejected(StoreError::Overloaded { .. }) => {
-            pipe.tenant
+            tenant
                 .counters
                 .overload_stalls
                 .fetch_add(1, Ordering::Relaxed);
-            Some(frame)
+            true
         }
         Submitted::Rejected(e) => {
             pipe.ids.remove(&frame.req_id);
-            pipe.tenant.counters.ops_err.fetch_add(1, Ordering::Relaxed);
+            tenant.counters.ops_err.fetch_add(1, Ordering::Relaxed);
             let (tag, payload) = encode_store_error(&e);
-            queue_frame(wbuf, tag, frame.req_id, &payload);
-            None
+            encode_frame(wbuf, tag, frame.req_id, &payload);
+            false
         }
         Submitted::Malformed => {
             pipe.ids.remove(&frame.req_id);
-            pipe.tenant
-                .counters
-                .bad_frames
-                .fetch_add(1, Ordering::Relaxed);
+            tenant.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
             queue_wire_err(wbuf, frame.req_id, &WireError::BadFrame);
-            None
+            false
         }
     }
 }
@@ -711,10 +751,13 @@ fn retry_stalled<'a>(conn: &mut Conn<'a>, shared: &'a Shared, epoll: &Epoll) {
             ref mut wbuf,
             ref mut state,
             ref mut stalled,
+            tenant,
             ..
         } = *conn;
-        if let State::Open(pipe) = state {
-            *stalled = submit_checked(pipe, wbuf, frame);
+        if let (State::Open(pipe), Some(tenant)) = (state, tenant) {
+            if submit_checked(pipe, tenant, wbuf, frame.borrowed()) {
+                *stalled = Some(frame);
+            }
         }
         // Any other state: the connection began draining; the parked op
         // was never submitted or acked, and its peer is past caring.
@@ -731,9 +774,10 @@ fn on_session_wake(conn: &mut Conn<'_>) {
     let Conn {
         ref mut wbuf,
         ref mut state,
+        tenant,
         ..
     } = *conn;
-    let State::Open(pipe) = state else {
+    let (State::Open(pipe), Some(tenant)) = (state, tenant) else {
         return;
     };
     pipe.reaper.drain_wake();
@@ -748,17 +792,17 @@ fn on_session_wake(conn: &mut Conn<'_>) {
         let req_id = req_id.unwrap_or(0);
         match result {
             Ok(value) => {
-                pipe.tenant.counters.ops_ok.fetch_add(1, Ordering::Relaxed);
+                tenant.counters.ops_ok.fetch_add(1, Ordering::Relaxed);
                 let payload: &[u8] = match &value {
                     StoreValue::Data(b) | StoreValue::Modified(b) => b,
                     StoreValue::Written => &[],
                 };
-                queue_frame(wbuf, protocol::STATUS_OK, req_id, payload);
+                encode_frame(wbuf, protocol::STATUS_OK, req_id, payload);
             }
             Err(e) => {
-                pipe.tenant.counters.ops_err.fetch_add(1, Ordering::Relaxed);
+                tenant.counters.ops_err.fetch_add(1, Ordering::Relaxed);
                 let (tag, payload) = encode_store_error(&e);
-                queue_frame(wbuf, tag, req_id, &payload);
+                encode_frame(wbuf, tag, req_id, &payload);
             }
         }
     }
@@ -799,6 +843,7 @@ fn begin_shutdown(conn: &mut Conn<'_>, max_frame: u32) {
         ref mut state,
         ref mut end,
         ref mut stalled,
+        tenant,
         ..
     } = *conn;
     match state {
@@ -808,21 +853,24 @@ fn begin_shutdown(conn: &mut Conn<'_>, max_frame: u32) {
             *state = State::Flush;
         }
         State::Open(pipe) => {
+            let mut reject = |req_id| {
+                if let Some(tenant) = tenant {
+                    tenant
+                        .counters
+                        .shutdown_rejections
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                queue_wire_err(wbuf, req_id, &WireError::ShuttingDown);
+            };
             // A parked op is a buffered frame like any other: typed
             // rejection, never silence.
             if let Some(frame) = stalled.take() {
-                pipe.tenant
-                    .counters
-                    .shutdown_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                queue_wire_err(wbuf, frame.req_id, &WireError::ShuttingDown);
+                reject(frame.req_id);
             }
-            while let Ok(Some(frame)) = try_parse_frame(rbuf, max_frame) {
-                pipe.tenant
-                    .counters
-                    .shutdown_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                queue_wire_err(wbuf, frame.req_id, &WireError::ShuttingDown);
+            let mut parsed = 0;
+            while let Ok(Some(frame)) = try_parse_frame(&rbuf[parsed..], max_frame) {
+                parsed += frame.wire_len();
+                reject(frame.req_id);
             }
             pipe.submitter = None;
             *end = Some(ConnEnd::Shutdown);
@@ -832,8 +880,9 @@ fn begin_shutdown(conn: &mut Conn<'_>, max_frame: u32) {
     rbuf.clear();
 }
 
-/// Runs the connection's state transitions after any event: pipe-drain
-/// completion, write flushing, `EPOLLOUT` interest, and final close.
+/// Runs the connection's state transitions once its events of a pass
+/// are handled: pipe-drain completion, write flushing, `EPOLLOUT`
+/// interest, and final close.
 fn advance<'a>(conn: &mut Conn<'a>, shared: &'a Shared, epoll: &Epoll) {
     // A half-closed peer may still be reading: give a parked op its
     // retries before draining. A gone peer can't receive the response
@@ -847,7 +896,11 @@ fn advance<'a>(conn: &mut Conn<'a>, shared: &'a Shared, epoll: &Epoll) {
         }
     }
     // A wbuf-bounded stall ends when the peer reads responses down:
-    // resume parsing the input that accumulated behind it.
+    // flush first, then resume parsing the input that accumulated behind
+    // it. (Only a stalled connection pays this second flush.)
+    if conn.wbuf.len() >= WBUF_STALL {
+        flush_wbuf(conn);
+    }
     if conn.end.is_none()
         && conn.stalled.is_none()
         && conn.wbuf.len() < WBUF_STALL
@@ -863,7 +916,7 @@ fn advance<'a>(conn: &mut Conn<'a>, shared: &'a Shared, epoll: &Epoll) {
     );
     if finished {
         if matches!(conn.end, Some(ConnEnd::Shutdown)) {
-            queue_frame(&mut conn.wbuf, code::SHUTTING_DOWN, 0, &[]);
+            encode_frame(&mut conn.wbuf, code::SHUTTING_DOWN, 0, &[]);
         }
         if let State::Open(pipe) = std::mem::replace(&mut conn.state, State::Flush) {
             epoll.del(pipe.wake_fd);

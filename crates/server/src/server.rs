@@ -35,8 +35,8 @@
 //! durable checkpoint path.
 
 use crate::protocol::{
-    self, code, encode_server_error, encode_store_error, op, write_frame, Frame, FrameError,
-    WireError, DEFAULT_MAX_FRAME, HEADER_BYTES, PROTOCOL_VERSION,
+    self, code, encode_server_error, encode_store_error, op, write_frame, FrameRef, WireError,
+    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use ame_store::{
     SecureStore, SessionSubmitter, ShutdownReport, StoreConfig, StoreError, StoreOp, Ticket,
@@ -163,6 +163,10 @@ pub(crate) struct TenantCounters {
     /// store reported [`StoreError::Overloaded`] — backpressure applied
     /// instead of bouncing a valid operation back to the client.
     pub(crate) overload_stalls: AtomicU64,
+    /// `read(2)` calls on the tenant's granted connections.
+    pub(crate) socket_reads: AtomicU64,
+    /// `write(2)` calls on the tenant's granted connections.
+    pub(crate) socket_writes: AtomicU64,
 }
 
 pub(crate) struct Tenant {
@@ -354,6 +358,8 @@ impl Server {
                 ("unknown_opcodes", &tc.unknown_opcodes),
                 ("shutdown_rejections", &tc.shutdown_rejections),
                 ("overload_stalls", &tc.overload_stalls),
+                ("socket_reads", &tc.socket_reads),
+                ("socket_writes", &tc.socket_writes),
             ] {
                 reg.set_counter(&format!("{scope}/{name}"), v.load(Ordering::Relaxed));
             }
@@ -428,41 +434,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Pops one complete frame off the front of `buf`, if one is buffered.
-/// `Ok(None)` means "keep reading"; an error is a framing violation that
-/// desynchronises the stream (the connection must close).
-pub(crate) fn try_parse_frame(
-    buf: &mut Vec<u8>,
-    max_frame: u32,
-) -> Result<Option<Frame>, FrameError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap());
-    if len > max_frame {
-        return Err(FrameError::Oversized {
-            len,
-            max: max_frame,
-        });
-    }
-    if (len as usize) < HEADER_BYTES {
-        return Err(FrameError::TooShort { len });
-    }
-    let total = 4 + len as usize;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let tag = buf[4];
-    let req_id = u64::from_le_bytes(buf[5..13].try_into().unwrap());
-    let payload = buf[13..total].to_vec();
-    buf.drain(..total);
-    Ok(Some(Frame {
-        tag,
-        req_id,
-        payload,
-    }))
-}
-
 /// Why a connection's serving loop ended, deciding the closing notice.
 pub(crate) enum ConnEnd {
     Goodbye,
@@ -518,7 +489,7 @@ pub(crate) enum HelloDecision<'a> {
 
 /// `Hello` policy: frame shape, protocol version, tenant lookup,
 /// connection quota, window clamp.
-pub(crate) fn evaluate_hello<'a>(shared: &'a Shared, frame: &Frame) -> HelloDecision<'a> {
+pub(crate) fn evaluate_hello<'a>(shared: &'a Shared, frame: FrameRef<'_>) -> HelloDecision<'a> {
     if frame.tag != op::HELLO || frame.payload.len() != 12 {
         shared
             .counters
@@ -565,8 +536,8 @@ pub(crate) enum Submitted {
     Malformed,
 }
 
-pub(crate) fn submit_op(submitter: &mut SessionSubmitter<'_>, frame: &Frame) -> Submitted {
-    let p = &frame.payload;
+pub(crate) fn submit_op(submitter: &mut SessionSubmitter<'_>, frame: FrameRef<'_>) -> Submitted {
+    let p = frame.payload;
     let result = match frame.tag {
         op::READ if p.len() == 8 => {
             let addr = u64::from_le_bytes(p[..8].try_into().unwrap());
@@ -598,8 +569,8 @@ pub(crate) fn submit_op(submitter: &mut SessionSubmitter<'_>, frame: &Frame) -> 
 /// Executes a tamper-injection frame synchronously (it bypasses the
 /// session pipeline by design) and returns the reply's tag + payload.
 /// Counter updates happen here.
-pub(crate) fn exec_tamper(tenant: &Tenant, frame: &Frame) -> (u8, Vec<u8>) {
-    let p = &frame.payload;
+pub(crate) fn exec_tamper(tenant: &Tenant, frame: FrameRef<'_>) -> (u8, Vec<u8>) {
+    let p = frame.payload;
     let bad_frame = |tenant: &Tenant| {
         tenant.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
         encode_server_error(&WireError::BadFrame)
@@ -629,12 +600,12 @@ pub(crate) fn exec_tamper(tenant: &Tenant, frame: &Frame) -> (u8, Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::read_frame;
+    use crate::protocol::{read_frame, try_parse_frame, Frame, FrameError, HEADER_BYTES};
     use ame_prng::StdRng;
 
     /// One-shot parse of a whole byte string with the blocking reader
-    /// the clients use: the frames, then either the unparsed tail or
-    /// the framing violation at that boundary.
+    /// `read_frame`: the frames, then either the unparsed tail or the
+    /// framing violation at that boundary.
     fn reference_parse(mut rest: &[u8], max_frame: u32) -> (Vec<Frame>, Result<&[u8], FrameError>) {
         let mut frames = Vec::new();
         loop {
@@ -716,20 +687,26 @@ mod tests {
                 let n = rng.gen_range(1..=max_chunk).min(bytes.len() - fed);
                 buf.extend_from_slice(&bytes[fed..fed + n]);
                 fed += n;
+                // Parse by offset, then drop the consumed prefix once, as
+                // the reactor does per pass.
+                let mut pos = 0;
                 loop {
-                    match try_parse_frame(&mut buf, max_frame) {
+                    match try_parse_frame(&buf[pos..], max_frame) {
                         Ok(Some(frame)) => {
                             assert!(HEADER_BYTES + frame.payload.len() <= max_frame as usize);
                             consumed += 4 + HEADER_BYTES + frame.payload.len();
-                            got.push(frame);
+                            pos += frame.wire_len();
+                            got.push(frame.to_frame());
                         }
                         Ok(None) => break,
                         Err(violation) => {
                             refused = Some(violation);
+                            buf.drain(..pos);
                             break 'feed;
                         }
                     }
                 }
+                buf.drain(..pos);
                 assert_eq!(consumed + buf.len(), fed, "case {case}");
             }
             assert_eq!(consumed + buf.len(), fed, "case {case}");

@@ -1,8 +1,11 @@
-//! Quarantined `epoll(7)` binding for the connection reactor.
+//! Quarantined `epoll(7)` binding for the connection reactor, plus the
+//! one socket `read(2)` it issues straight into a buffer's spare
+//! capacity.
 //!
 //! Same construction rules as `ame-store`'s `affinity`/`wake` modules:
-//! the workspace links no libc crate, so the four syscalls the reactor
-//! needs are declared by hand and wrapped in a safe [`Epoll`] handle.
+//! the workspace links no libc crate, so the syscalls the reactor
+//! needs are declared by hand and wrapped in a safe [`Epoll`] handle and
+//! a safe [`read_append`].
 //! Everything else in the server stays under `#![deny(unsafe_code)]`.
 //!
 //! Failure is never silent but always *detectable up front*:
@@ -13,6 +16,8 @@
 //! there.
 
 #![allow(unsafe_code)]
+
+use std::io;
 
 /// Readable (`EPOLLIN`).
 pub(crate) const EPOLLIN: u32 = 0x001;
@@ -68,6 +73,7 @@ mod imp {
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         fn close(fd: i32) -> i32;
+        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         // glibc and musl both export errno's thread-local address under
         // this name on Linux.
         fn __errno_location() -> *mut i32;
@@ -149,6 +155,23 @@ mod imp {
             let _ = unsafe { close(self.fd) };
         }
     }
+
+    pub fn read_append(fd: i32, buf: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
+        buf.reserve(max);
+        let spare = buf.spare_capacity_mut();
+        // SAFETY: `reserve` guarantees at least `max` bytes of spare
+        // capacity, a live writable allocation the kernel writes at most
+        // `max` bytes into; nothing reads them before `set_len` below.
+        let n = unsafe { read(fd, spare.as_mut_ptr().cast::<u8>(), max) };
+        if n < 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+        let n = n as usize;
+        // SAFETY: read(2) initialised the first `n <= max` spare bytes,
+        // and `len + n` stays within the capacity reserved above.
+        unsafe { buf.set_len(buf.len() + n) };
+        Ok(n)
+    }
 }
 
 #[cfg(not(target_os = "linux"))]
@@ -179,6 +202,10 @@ mod imp {
         pub fn wait(&self, _events: &mut [EpollEvent], _timeout_ms: i32) -> Result<usize, i32> {
             Ok(0)
         }
+    }
+
+    pub fn read_append(_fd: i32, _buf: &mut Vec<u8>, _max: usize) -> std::io::Result<usize> {
+        Err(std::io::ErrorKind::Unsupported.into())
     }
 }
 
@@ -219,6 +246,14 @@ impl Epoll {
     pub(crate) fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> Result<usize, i32> {
         self.raw.wait(events, timeout_ms)
     }
+}
+
+/// Reads at most `max` bytes from `fd` straight into `buf`'s spare
+/// capacity and appends them: no zeroed staging chunk and no copy.
+/// `Ok(0)` is end of stream; errors are the socket's own (`WouldBlock`
+/// on a drained nonblocking socket).
+pub(crate) fn read_append(fd: i32, buf: &mut Vec<u8>, max: usize) -> io::Result<usize> {
+    imp::read_append(fd, buf, max)
 }
 
 #[cfg(test)]
@@ -265,5 +300,27 @@ mod tests {
         wake.drain();
         assert_eq!(ep.wait(&mut events, 0), Ok(0), "drained fd is not ready");
         assert!(ep.del(wake.raw_fd()));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn read_append_fills_spare_capacity_and_keeps_the_prefix() {
+        use std::io::Write;
+        use std::os::fd::AsRawFd;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        tx.write_all(b"hello, reactor").unwrap();
+        let mut buf = b"<<".to_vec();
+        let mut got = 0;
+        while got < 14 {
+            let n = read_append(rx.as_raw_fd(), &mut buf, 5).unwrap();
+            assert!((1..=5).contains(&n), "read {n} bytes, asked for at most 5");
+            got += n;
+            assert_eq!(buf.len(), 2 + got);
+        }
+        assert_eq!(buf, b"<<hello, reactor");
+        drop(tx);
+        assert_eq!(read_append(rx.as_raw_fd(), &mut buf, 5).unwrap(), 0, "EOF");
     }
 }

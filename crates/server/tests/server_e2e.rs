@@ -113,6 +113,37 @@ fn pipelined_window_and_out_of_order_completions_reactor() {
     let _ = server.shutdown();
 }
 
+/// A window's burst of requests crosses the socket as a burst: the
+/// client writes it in one go and the server reads it in far fewer
+/// `read` calls than it has frames.
+#[test]
+fn pipelined_burst_reaches_the_server_in_fewer_reads_than_frames_reactor() {
+    let server = two_tenant_server();
+    let mut client = PipelinedClient::connect(server.addr(), 1, 32).unwrap();
+    assert_eq!(client.window(), 32);
+    let mut expect = std::collections::HashMap::new();
+    for i in 0..16u64 {
+        let id = client.submit_write(i * 64, &block(i as u8 + 7)).unwrap();
+        expect.insert(id, ame_server::PipelinedValue::Written);
+    }
+    for i in 0..16u64 {
+        let id = client.submit_read(i * 64).unwrap();
+        expect.insert(id, ame_server::PipelinedValue::Data(block(i as u8 + 7)));
+    }
+    let responses = client.drain().unwrap();
+    assert_eq!(responses.len(), 32);
+    for (id, outcome) in responses {
+        assert_eq!(outcome, Ok(expect.remove(&id).unwrap()), "request {id}");
+    }
+
+    let snap = server.telemetry();
+    let reads = snap.counter("server/tenant1/socket_reads").unwrap();
+    assert!(reads < 32, "{reads} socket reads for 32 pipelined requests");
+    assert!(snap.counter("server/tenant1/socket_writes").unwrap() >= 1);
+    client.goodbye().unwrap();
+    let _ = server.shutdown();
+}
+
 #[test]
 fn handshake_policy_unknown_tenant_quota_and_window_clamp_reactor() {
     let mut tight = TenantSpec::new(3, small_store());

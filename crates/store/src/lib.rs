@@ -1020,8 +1020,9 @@ impl SecureStore {
     /// `batch_size`/`service_latency_ns`/`queue_wait_ns`/`fused_writes`/
     /// `fused_reads`/`counter_fetch_amortization`/
     /// `queue_depth_seen` histograms, the instantaneous `queue_depth`
-    /// gauge, the `overloads` counter, the `pinned_core` gauge (the core
-    /// the worker pinned to, `-1` when unpinned),
+    /// gauge, the `overloads` and `wake_rings` counters, the
+    /// `pinned_core` gauge (the core the worker pinned to, `-1` when
+    /// unpinned),
     /// and the shard engine's own metrics under
     /// `<scope>/shard<N>/engine/...`.
     ///
@@ -1069,6 +1070,10 @@ impl SecureStore {
             registry.set_counter(
                 &format!("{prefix}/overloads"),
                 self.shared[shard].overloads.load(Ordering::Relaxed),
+            );
+            registry.set_counter(
+                &format!("{prefix}/wake_rings"),
+                self.shared[shard].wake_rings.load(Ordering::Relaxed),
             );
             registry.set_gauge(
                 &format!("{prefix}/pinned_core"),

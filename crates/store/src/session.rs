@@ -500,7 +500,8 @@ pub struct SessionSubmitter<'a> {
     next_seq: u64,
     tx: SyncSender<Completion>,
     shared: Arc<SplitShared>,
-    /// Rung by the worker after each completion send, so an
+    /// Rung by the worker once per service wakeup that completed any
+    /// of this session's operations, after those completion sends, so an
     /// event-driven reaper blocked in `epoll_wait` learns the queue
     /// went non-empty. `None` on hosts without eventfd.
     wake: Option<Arc<WakeFd>>,
@@ -688,10 +689,10 @@ impl SecureStore {
     /// Opens a **split** pipelined session: a [`SessionSubmitter`] and a
     /// [`SessionReaper`] that are separate values, unlike the
     /// single-owner [`Session`], with the completion queue paired to a
-    /// kernel-visible [`WakeFd`]: shard workers ring it after each
-    /// completion send, and the reaper exposes it via
-    /// [`SessionReaper::wake_fd`] for registration in an `epoll(7)`
-    /// interest set. This is what lets one event-loop thread block in
+    /// kernel-visible [`WakeFd`]: a shard worker rings it once per
+    /// service wakeup, after sending every completion of that wakeup, and
+    /// the reaper exposes it via [`SessionReaper::wake_fd`] for
+    /// registration in an `epoll(7)` interest set. This is what lets one event-loop thread block in
     /// `epoll_wait` over many sessions *and* their sockets at once —
     /// the reactor's completion path. When the host has no eventfd,
     /// `wake_fd()` is `None` and the caller must refuse the session or

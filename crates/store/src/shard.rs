@@ -116,10 +116,11 @@ pub(crate) enum Request {
         /// When the request was enqueued, for queue-wait accounting.
         enqueued: Instant,
         reply: SyncSender<Completion>,
-        /// Kernel-visible wakeup rung after the completion send, so an
-        /// event-driven reaper blocked in `epoll_wait` learns the
-        /// in-memory completion queue went non-empty. `None` for
-        /// blocking submitters (they wait on the channel itself).
+        /// Kernel-visible wakeup rung once the wakeup that served the
+        /// request has sent all its completions, so an event-driven
+        /// reaper blocked in `epoll_wait` learns the in-memory completion
+        /// queue went non-empty. `None` for blocking submitters (they
+        /// wait on the channel itself).
         wake: Option<Arc<WakeFd>>,
     },
     Batch {
@@ -187,6 +188,9 @@ pub(crate) struct ShardShared {
     /// when placement was off or the pin was recorded as a no-op
     /// (unsupported host, core out of range, kernel rejection).
     pub pinned_core: AtomicI64,
+    /// Session eventfd rings: one per wake-enabled session per service
+    /// wakeup that sent it at least one completion.
+    pub wake_rings: AtomicU64,
 }
 
 impl Default for ShardShared {
@@ -196,6 +200,7 @@ impl Default for ShardShared {
             overloads: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             pinned_core: AtomicI64::new(-1),
+            wake_rings: AtomicU64::new(0),
         }
     }
 }
@@ -412,6 +417,10 @@ pub(crate) struct ShardWorker {
     /// flush, 2PC record, or rotation). Non-zero means the log's tail is
     /// not yet durable.
     wal_unsynced: u64,
+    /// Session wakeups owed for completions sent during the current
+    /// service wakeup, one entry per eventfd; rung by
+    /// [`ring_wakes`](Self::ring_wakes) once the wakeup is served.
+    wakes: Vec<Arc<WakeFd>>,
     stats: ShardStats,
 }
 
@@ -437,6 +446,7 @@ impl ShardWorker {
             prepared_blocks: HashSet::new(),
             deferred: Vec::new(),
             wal_unsynced: 0,
+            wakes: Vec::new(),
             stats: ShardStats::default(),
         }
     }
@@ -484,6 +494,9 @@ impl ShardWorker {
                 }
             }
             self.service_wakeup(requests);
+            // After every send of the wakeup, on every exit path: the
+            // completions a `Crash` let out still wake their reactor.
+            self.ring_wakes();
             if self.crashed {
                 // Simulated power cut: abandon everything, leave the
                 // durable artifacts exactly as the last acknowledged
@@ -777,22 +790,41 @@ impl ShardWorker {
                         wake,
                     });
                 } else {
-                    Self::send_completion(&reply, completion, wake.as_ref());
+                    Self::send_completion(&mut self.wakes, &reply, completion, wake);
                 }
             }
             Dest::Batch { slot, index } => slots[slot].1[index] = Some(result),
         }
     }
 
-    /// Sends one completion and rings the submitter's wakeup, if any.
+    /// Sends one completion and records that the submitter's wakeup, if
+    /// any, is owed a ring — once per wakeup however many completions it
+    /// gets, and only after they are all sent, so the reaper's
+    /// drain-then-reap finds every one of them.
     fn send_completion(
+        wakes: &mut Vec<Arc<WakeFd>>,
         reply: &SyncSender<Completion>,
         completion: Completion,
-        wake: Option<&Arc<WakeFd>>,
+        wake: Option<Arc<WakeFd>>,
     ) {
         let _ = reply.send(completion);
         if let Some(w) = wake {
-            w.signal();
+            if !wakes.iter().any(|owed| Arc::ptr_eq(owed, &w)) {
+                wakes.push(w);
+            }
+        }
+    }
+
+    /// Rings every wakeup the last service wakeup owes, once each.
+    fn ring_wakes(&mut self) {
+        if self.wakes.is_empty() {
+            return;
+        }
+        self.shared
+            .wake_rings
+            .fetch_add(self.wakes.len() as u64, Ordering::Relaxed);
+        for wake in self.wakes.drain(..) {
+            wake.signal();
         }
     }
 
@@ -838,7 +870,7 @@ impl ShardWorker {
             }
         }
         for d in self.deferred.drain(..) {
-            Self::send_completion(&d.reply, d.completion, d.wake.as_ref());
+            Self::send_completion(&mut self.wakes, &d.reply, d.completion, d.wake);
         }
     }
 
@@ -1257,5 +1289,45 @@ impl ShardWorker {
             stats,
             engine: registry.snapshot(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ame_engine::EngineConfig;
+    use std::sync::mpsc::sync_channel;
+
+    /// A wakeup that ends in a power cut still rings for the completions
+    /// it already sent: their reaper must not sleep through them.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_crash_still_rings_for_the_completions_its_wakeup_sent() {
+        let shared = Arc::new(ShardShared::default());
+        let region = SecureRegion::new(EngineConfig::default(), 1 << 16);
+        let worker = ShardWorker::new(0, region, 1, 8, Arc::clone(&shared));
+        let (tx, rx) = sync_channel(8);
+        let (reply, completions) = sync_channel(8);
+        let (collect, _report) = sync_channel(1);
+        let (ack, _acked) = sync_channel(1);
+        let wake = Arc::new(WakeFd::new().expect("linux hosts have eventfd"));
+        // One wakeup: the collect flushes the write's run (a volatile
+        // shard sends its completion right away), then the crash.
+        tx.send(Request::Op {
+            op: Op::Write {
+                local: 0,
+                data: [1; BLOCK_BYTES],
+            },
+            seq: 1,
+            enqueued: Instant::now(),
+            reply,
+            wake: Some(wake),
+        })
+        .unwrap();
+        tx.send(Request::Collect { reply: collect }).unwrap();
+        tx.send(Request::Crash { ack }).unwrap();
+        assert!(!worker.run(&rx).resealed);
+        assert_eq!(completions.try_iter().count(), 1);
+        assert_eq!(shared.wake_rings.load(Ordering::Relaxed), 1);
     }
 }

@@ -7,8 +7,9 @@
 //! multiplexing thousands of connections on a handful of threads has
 //! nothing to block on when a completion lands. A [`WakeFd`] closes that
 //! gap: the submitter attaches one to every request, the worker
-//! [`signal`](WakeFd::signal)s it right after the completion send, and
-//! the serving reactor registers the raw fd in its epoll set. Semantics
+//! [`signal`](WakeFd::signal)s it once per service wakeup, after that
+//! wakeup's completion sends, and the serving reactor registers the raw
+//! fd in its epoll set. Semantics
 //! are the classic eventfd ones: signals coalesce (the counter
 //! accumulates; N signals may wake one `epoll_wait`), so a woken reader
 //! must [`drain`](WakeFd::drain) and then reap *everything* available.
