@@ -11,8 +11,8 @@
 //! [`keystream_batch`] over many blocks — are independent, so they are
 //! pushed through [`Aes128::encrypt_blocks`] as one pipelined batch: the
 //! key is scheduled once and, on AES-NI hosts, eight AES streams stay in
-//! flight at a time. Bulk paths (group re-encryption, page swaps, shard
-//! batches) should prefer [`keystream_batch`] over per-block calls.
+//! flight at a time. Bulk paths (group re-encryption, shard batches)
+//! should prefer [`keystream_batch`] over per-block calls.
 
 use crate::aes::Aes128;
 use crate::backend::{self, Backend};
@@ -28,11 +28,17 @@ const DOMAIN_KEYSTREAM: u8 = 0x4b; // 'K'
 /// Domain-separation tag for MAC masks (chunk index fixed at 0).
 const DOMAIN_MAC: u8 = 0x4d; // 'M'
 
+/// Exclusive upper bound on a data block address: `nonce_block` keeps
+/// only the low 48 address bits, so blocks `A` and `A + ADDR_LIMIT`
+/// would share a keystream and a MAC pad. 256 TiB, far beyond the
+/// 512 MB protected region the paper evaluates; every entry point that
+/// accepts a data address or a region size checks against it.
+pub const ADDR_LIMIT: u64 = 1 << 48;
+
 /// Builds the 16-byte AES input for one keystream chunk:
 /// `counter (8 bytes LE) || address (6 low bytes LE) || chunk || domain`.
 ///
-/// Addresses are block-aligned physical addresses; 48 bits cover 256 TB,
-/// far beyond the 512 MB protected region the paper evaluates.
+/// Addresses are block-aligned physical addresses below [`ADDR_LIMIT`].
 #[must_use]
 fn nonce_block(addr: u64, counter: u64, chunk: u8, domain: u8) -> [u8; 16] {
     let mut inp = [0u8; 16];
@@ -93,7 +99,7 @@ pub fn keystream_with(
 /// Generates the keystreams for many `(addr, counter)` nonces in one
 /// pipelined pass: the key is scheduled once and all `4×N` AES blocks
 /// flow through the cipher back to back. This is the fast path for bulk
-/// work — group re-encryption, page swap-out/in, shard batch drains.
+/// work — group re-encryption, shard batch drains.
 ///
 /// # Example
 ///

@@ -130,9 +130,9 @@ impl MemoryCipher {
     }
 
     /// Generates the keystreams for many `(addr, counter)` nonces in one
-    /// pipelined pass — the bulk-path primitive for group re-encryption,
-    /// page swaps and batched shard drains. XOR-ing a block with its
-    /// keystream encrypts *and* decrypts (counter mode is an involution).
+    /// pipelined pass — the bulk-path primitive for group re-encryption
+    /// and batched shard drains. XOR-ing a block with its keystream
+    /// encrypts *and* decrypts (counter mode is an involution).
     ///
     /// # Example
     ///

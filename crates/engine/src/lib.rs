@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod correction;
-pub mod paging;
 pub mod region;
 pub mod scrub;
 pub mod timing;
@@ -43,6 +42,7 @@ use ame_counters::dual::{DualLengthConfig, DualLengthDeltaCounters};
 use ame_counters::monolithic::MonolithicCounters;
 use ame_counters::split::SplitCounters;
 use ame_counters::{CounterScheme, CounterStats, WriteOutcome};
+use ame_crypto::ctr::ADDR_LIMIT;
 use ame_crypto::MemoryCipher;
 use ame_dram::storage::{DramStorage, StoredBlock};
 use ame_ecc::layout::{MacSideband, StandardSideband};
@@ -483,6 +483,21 @@ impl MemoryEncryptionEngine {
         addr / BLOCK_BYTES as u64
     }
 
+    /// The check of every public block entry point: `addr` is
+    /// block-aligned and below [`ADDR_LIMIT`], the range the cipher
+    /// binds in full.
+    fn check_addr(addr: u64) {
+        assert_eq!(
+            addr % BLOCK_BYTES as u64,
+            0,
+            "address must be block-aligned"
+        );
+        assert!(
+            addr < ADDR_LIMIT,
+            "address {addr:#x} is past the 48-bit address limit"
+        );
+    }
+
     fn block_addr(block: u64) -> u64 {
         block * BLOCK_BYTES as u64
     }
@@ -621,13 +636,10 @@ impl MemoryEncryptionEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `addr` is not 64-byte aligned.
+    /// Panics if `addr` is not 64-byte aligned or not below
+    /// [`ADDR_LIMIT`].
     pub fn write_block(&mut self, addr: u64, plain: &[u8; BLOCK_BYTES]) {
-        assert_eq!(
-            addr % BLOCK_BYTES as u64,
-            0,
-            "address must be block-aligned"
-        );
+        Self::check_addr(addr);
         let block = Self::block_index(addr);
         if let WriteOutcome::Reencrypted {
             group,
@@ -658,17 +670,14 @@ impl MemoryEncryptionEngine {
     ///
     /// # Panics
     ///
-    /// Panics if any address is not 64-byte aligned.
+    /// Panics if any address is not 64-byte aligned or not below
+    /// [`ADDR_LIMIT`].
     pub fn write_blocks(&mut self, items: &[(u64, [u8; BLOCK_BYTES])]) {
         // Phase 1: bump counters in order, accumulating `(item, counter)`
         // runs that are safe to seal from one batched keystream.
         let mut run: Vec<(usize, u64)> = Vec::with_capacity(items.len());
         for (i, &(addr, _)) in items.iter().enumerate() {
-            assert_eq!(
-                addr % BLOCK_BYTES as u64,
-                0,
-                "address must be block-aligned"
-            );
+            Self::check_addr(addr);
             let block = Self::block_index(addr);
             let outcome = self.counters.record_write(block);
             if let WriteOutcome::Reencrypted {
@@ -751,7 +760,8 @@ impl MemoryEncryptionEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `addr` is not 64-byte aligned.
+    /// Panics if `addr` is not 64-byte aligned or not below
+    /// [`ADDR_LIMIT`].
     pub fn read_block(&mut self, addr: u64) -> Result<[u8; BLOCK_BYTES], ReadError> {
         self.read_block_in_run(addr, &mut Vec::new())
     }
@@ -764,11 +774,7 @@ impl MemoryEncryptionEngine {
         addr: u64,
         synced: &mut Vec<u64>,
     ) -> Result<[u8; BLOCK_BYTES], ReadError> {
-        assert_eq!(
-            addr % BLOCK_BYTES as u64,
-            0,
-            "address must be block-aligned"
-        );
+        Self::check_addr(addr);
         let stored = self.stored_or_first_touch(addr, synced);
         let block = Self::block_index(addr);
 
@@ -810,14 +816,11 @@ impl MemoryEncryptionEngine {
     ///
     /// # Panics
     ///
-    /// Panics if any address is not 64-byte aligned.
+    /// Panics if any address is not 64-byte aligned or not below
+    /// [`ADDR_LIMIT`].
     pub fn read_blocks(&mut self, addrs: &[u64]) -> ReadRun {
         for &addr in addrs {
-            assert_eq!(
-                addr % BLOCK_BYTES as u64,
-                0,
-                "address must be block-aligned"
-            );
+            Self::check_addr(addr);
         }
         if addrs.len() > 1 {
             if let Some(run) = self.try_read_blocks_fast(addrs) {

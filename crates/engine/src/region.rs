@@ -12,6 +12,7 @@
 //! fixed-size protected region.
 
 use crate::{MemoryEncryptionEngine, ReadError, ReadRun, SealedBlockState, BLOCK_BYTES};
+use ame_crypto::ctr::ADDR_LIMIT;
 use ame_persist::{invalid_data, put_u64, read_section, ByteReader, SectionWriter};
 use std::io;
 
@@ -76,13 +77,15 @@ impl SecureRegion {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is zero or not a multiple of the 64-byte block.
+    /// Panics if `size` is zero, not a multiple of the 64-byte block, or
+    /// past [`ADDR_LIMIT`].
     #[must_use]
     pub fn new(config: crate::EngineConfig, size: u64) -> Self {
         assert!(
             size > 0 && size.is_multiple_of(BLOCK_BYTES as u64),
             "size must be whole blocks"
         );
+        assert!(size <= ADDR_LIMIT, "size is past the 48-bit address limit");
         Self {
             engine: MemoryEncryptionEngine::new(config),
             size,
@@ -253,7 +256,8 @@ impl SecureRegion {
     ///
     /// # Errors
     ///
-    /// `InvalidData` on any framing/checksum failure in the image.
+    /// `InvalidData` on any framing/checksum failure in the image, or a
+    /// size past [`ADDR_LIMIT`].
     pub fn thaw(image: &[u8]) -> io::Result<Self> {
         let mut r = ByteReader::new(image);
         let (version, mut payload) = read_section(&mut r, Self::MAGIC)?;
@@ -265,6 +269,9 @@ impl SecureRegion {
         let size = payload.u64()?;
         if size == 0 || !size.is_multiple_of(BLOCK_BYTES as u64) {
             return Err(invalid_data("region size must be whole blocks"));
+        }
+        if size > ADDR_LIMIT {
+            return Err(invalid_data("region size past the 48-bit address limit"));
         }
         let engine = MemoryEncryptionEngine::thaw_from(&mut payload)?;
         Ok(Self { engine, size })

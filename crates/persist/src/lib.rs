@@ -1,8 +1,8 @@
 //! Checksummed binary framing for the durable storage plane.
 //!
 //! Every persistent artifact of the store is built from two primitives,
-//! both following the `workloads::tracefile` conventions (8-byte magic,
-//! little-endian integers, `InvalidData` on anything malformed):
+//! both with the same conventions (8-byte magic, little-endian integers,
+//! `InvalidData` on anything malformed):
 //!
 //! * **Sections** — a self-describing envelope for whole-state snapshots:
 //!   `magic(8) | version(u32) | len(u64) | payload | crc64`, where the

@@ -131,7 +131,10 @@ fn main() {
 
     let template = StoreConfig {
         shards: args.shards,
-        shard_bytes: args.shard_kib * 1024,
+        shard_bytes: args
+            .shard_kib
+            .checked_mul(1024)
+            .expect("--shard-kib overflows a byte count"),
         ..StoreConfig::default()
     };
     let tenants = (0..args.tenants)

@@ -2,7 +2,7 @@
 //! one socket `read(2)` it issues straight into a buffer's spare
 //! capacity.
 //!
-//! Same construction rules as `ame-store`'s `affinity`/`wake` modules:
+//! Same construction rules as `ame-store`'s `wake` module:
 //! the workspace links no libc crate, so the syscalls the reactor
 //! needs are declared by hand and wrapped in a safe [`Epoll`] handle and
 //! a safe [`read_append`].

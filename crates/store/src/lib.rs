@@ -54,10 +54,8 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod affinity;
 mod session;
 mod shard;
-mod topology;
 mod wake;
 mod wal;
 
@@ -82,63 +80,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use wal::{read_committed_txns, recover_shard, ShardBoot};
-
-/// How shard worker threads are placed on CPU cores.
-///
-/// Placement is a **performance hint, never a correctness requirement**:
-/// when the host cannot honour a pin (non-Linux OS, core index past the
-/// kernel's cpuset width, or a kernel rejection) the worker records the
-/// attempt as a no-op — [`SecureStore::pinned_core`] returns `None` and
-/// the `pinned_core` telemetry gauge reads `-1` — and serves unpinned.
-/// It never fails the boot and never silently claims to be pinned.
-///
-/// Pinning happens *before* the worker builds its shard image (fresh
-/// region or crash recovery), so every page of the shard's DRAM image is
-/// first-touched from the pinned core: on NUMA hosts with default
-/// first-touch policy the image lands in the worker's local node.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum Placement {
-    /// No pinning (the default): the OS scheduler places workers freely.
-    #[default]
-    None,
-    /// Pin shard `s` to `cores[s % cores.len()]`. An explicit core list
-    /// lets deployments align shards with a NUMA topology (e.g. all of
-    /// node 0's cores first). An empty list pins nothing.
-    Pinned(Vec<usize>),
-    /// Spread shards across the host's cores NUMA-aware: the core list
-    /// is read from `/sys/devices/system/node/node*/cpulist` and
-    /// interleaved across nodes (`node0[0], node1[0], node0[1], …`), so
-    /// consecutive shards — and their first-touched images — alternate
-    /// memory controllers. When sysfs topology is unavailable
-    /// (non-Linux, masked `/sys`) this falls back to plain round-robin
-    /// by index (shard `s` on core `s % available_parallelism`).
-    Spread,
-}
-
-impl Placement {
-    /// Stable lowercase label, recorded in benchmark results JSON.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Placement::None => "none",
-            Placement::Pinned(_) => "pinned",
-            Placement::Spread => "spread",
-        }
-    }
-
-    /// The core shard `shard`'s worker should pin to, if any.
-    #[must_use]
-    pub fn core_for(&self, shard: usize) -> Option<usize> {
-        match self {
-            Placement::None => None,
-            Placement::Pinned(cores) => (!cores.is_empty()).then(|| cores[shard % cores.len()]),
-            Placement::Spread => Some(match topology::numa_interleaved_cores() {
-                Some(cores) => cores[shard % cores.len()],
-                None => shard % affinity::core_count(),
-            }),
-        }
-    }
-}
 
 /// Configuration of a [`SecureStore`].
 #[derive(Debug, Clone)]
@@ -168,9 +109,6 @@ pub struct StoreConfig {
     /// Engine configuration template; each shard derives an independent
     /// key seed from it via [`EngineConfig::for_tenant`].
     pub engine: EngineConfig,
-    /// Core placement of the shard worker threads (best-effort; see
-    /// [`Placement`]).
-    pub placement: Placement,
 }
 
 impl Default for StoreConfig {
@@ -183,7 +121,6 @@ impl Default for StoreConfig {
             wal_rotate_bytes: 1 << 20,
             tenant: 0,
             engine: EngineConfig::default(),
-            placement: Placement::None,
         }
     }
 }
@@ -372,7 +309,8 @@ impl SecureStore {
     /// # Panics
     ///
     /// Panics if `shards` is zero, `shard_bytes` is not a positive
-    /// multiple of 64, or `queue_depth`/`max_batch` are zero.
+    /// multiple of 64 or is past [`ame_crypto::ctr::ADDR_LIMIT`], or
+    /// `queue_depth`/`max_batch` are zero.
     #[must_use]
     pub fn new(config: StoreConfig) -> Self {
         Self::boot(config, None).expect("in-memory boot performs no I/O")
@@ -421,6 +359,10 @@ impl SecureStore {
             config.shard_bytes > 0 && config.shard_bytes.is_multiple_of(BLOCK_BYTES as u64),
             "shard capacity must be whole blocks"
         );
+        assert!(
+            config.shard_bytes <= ame_crypto::ctr::ADDR_LIMIT,
+            "shard capacity is past the 48-bit address limit"
+        );
         assert!(config.queue_depth > 0, "queues must hold at least one slot");
         assert!(config.max_batch > 0, "service batches need at least one op");
         let committed = Arc::new(match &persist {
@@ -444,15 +386,11 @@ impl SecureStore {
                 .engine
                 .for_tenant(config.tenant, s + config.shards)
                 .seed;
-            // The shard image is built *on the worker thread, after
-            // pinning*, so its pages are first-touched from the shard's
-            // own core — on NUMA hosts with the default first-touch
-            // policy the DRAM image and recovery replay land in the
-            // worker's local node. Every worker is spawned before any
-            // boot result is awaited, so the shards recover side by side
-            // and reopening costs the slowest shard, not their sum; boot
-            // I/O errors come back over a one-shot channel each.
-            let core = config.placement.core_for(s);
+            // The shard image is built on the worker thread. Every worker
+            // is spawned before any boot result is awaited, so the shards
+            // recover side by side and reopening costs the slowest shard,
+            // not their sum; boot I/O errors come back over a one-shot
+            // channel each.
             let boot_config = config.clone();
             let boot_persist = persist.clone();
             let boot_committed = Arc::clone(&committed);
@@ -462,13 +400,6 @@ impl SecureStore {
                 std::thread::Builder::new()
                     .name(format!("ame-shard{s}"))
                     .spawn(move || {
-                        if let Some(core) = core {
-                            if affinity::pin_current_thread(core) {
-                                worker_shared
-                                    .pinned_core
-                                    .store(core as i64, Ordering::Relaxed);
-                            }
-                        }
                         let started = Instant::now();
                         let boot = match &boot_persist {
                             // A missing shard directory recovers to a
@@ -679,21 +610,6 @@ impl SecureStore {
     #[must_use]
     pub fn overloads(&self, shard: usize) -> u64 {
         self.shared[shard].overloads.load(Ordering::Relaxed)
-    }
-
-    /// The core shard `shard`'s worker actually pinned itself to, or
-    /// `None` if placement was off or the pin was recorded as a no-op
-    /// (unsupported host, out-of-range core, kernel rejection). This is
-    /// the *observed* placement, not the requested one — the honest
-    /// record benchmarks embed next to their numbers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.shards()`.
-    #[must_use]
-    pub fn pinned_core(&self, shard: usize) -> Option<usize> {
-        let core = self.shared[shard].pinned_core.load(Ordering::Relaxed);
-        usize::try_from(core).ok()
     }
 
     /// Reads and verifies the 64-byte block at `addr`, waiting for queue
@@ -1020,10 +936,8 @@ impl SecureStore {
     /// `batch_size`/`service_latency_ns`/`queue_wait_ns`/`fused_writes`/
     /// `fused_reads`/`counter_fetch_amortization`/
     /// `queue_depth_seen` histograms, the instantaneous `queue_depth`
-    /// gauge, the `overloads` and `wake_rings` counters, the
-    /// `pinned_core` gauge (the core the worker pinned to, `-1` when
-    /// unpinned),
-    /// and the shard engine's own metrics under
+    /// gauge, the `overloads` and `wake_rings` counters, and the shard
+    /// engine's own metrics under
     /// `<scope>/shard<N>/engine/...`.
     ///
     /// Process-wide crypto-backend state (which implementation is
@@ -1074,10 +988,6 @@ impl SecureStore {
             registry.set_counter(
                 &format!("{prefix}/wake_rings"),
                 self.shared[shard].wake_rings.load(Ordering::Relaxed),
-            );
-            registry.set_gauge(
-                &format!("{prefix}/pinned_core"),
-                self.shared[shard].pinned_core.load(Ordering::Relaxed) as f64,
             );
             for (path, value) in report.engine.iter() {
                 let full = format!("{prefix}/engine/{path}");
@@ -1367,6 +1277,11 @@ mod tests {
         // shard, and the active backend has served this test's traffic.
         assert!(snap.gauge("store/crypto/backend_accelerated").is_some());
         let active = ame_crypto::backend::active();
+        // The backend tier gauge mirrors the process-wide active tier.
+        assert_eq!(
+            snap.gauge("store/crypto/backend_tier"),
+            Some(active.index() as f64)
+        );
         assert!(
             snap.counter(&format!("store/crypto/{active}/keystream_calls"))
                 .unwrap()
@@ -1389,104 +1304,6 @@ mod tests {
                 .unwrap()
                 > 0
         );
-        let _ = store.shutdown();
-    }
-
-    #[test]
-    fn placement_core_mapping() {
-        assert_eq!(Placement::None.core_for(3), None);
-        assert_eq!(Placement::Pinned(vec![]).core_for(0), None);
-        let pinned = Placement::Pinned(vec![4, 9]);
-        assert_eq!(pinned.core_for(0), Some(4));
-        assert_eq!(pinned.core_for(1), Some(9));
-        assert_eq!(pinned.core_for(2), Some(4));
-        // Spread follows the NUMA-interleaved core list when sysfs
-        // topology is readable, round-robin-by-index otherwise — and is
-        // deterministic either way.
-        for s in 0..8 {
-            let core = Placement::Spread.core_for(s).unwrap();
-            let expected = match topology::numa_interleaved_cores() {
-                Some(list) => list[s % list.len()],
-                None => s % affinity::core_count(),
-            };
-            assert_eq!(core, expected, "shard {s}");
-        }
-        assert_eq!(Placement::None.name(), "none");
-        assert_eq!(pinned.name(), "pinned");
-        assert_eq!(Placement::Spread.name(), "spread");
-    }
-
-    #[test]
-    fn spread_placement_pins_and_reports() {
-        let store = SecureStore::new(StoreConfig {
-            shards: 2,
-            shard_bytes: 1 << 16,
-            placement: Placement::Spread,
-            ..StoreConfig::default()
-        });
-        store.write(0, &[3; 64]).unwrap();
-        assert_eq!(store.read(0).unwrap(), [3; 64]);
-        for s in 0..2 {
-            // On Linux the pin must take (Spread only requests cores the
-            // kernel reports as present); elsewhere it must be a
-            // recorded no-op, never a lie.
-            let observed = store.pinned_core(s);
-            if cfg!(target_os = "linux") {
-                assert_eq!(observed, Placement::Spread.core_for(s), "shard {s}");
-            } else {
-                assert_eq!(observed, None, "shard {s}");
-            }
-        }
-        let snap = store.telemetry();
-        for s in 0..2 {
-            let gauge = snap.gauge(&format!("store/shard{s}/pinned_core")).unwrap();
-            let expected = store.pinned_core(s).map_or(-1.0, |c| c as f64);
-            assert_eq!(gauge, expected, "shard {s}");
-        }
-        // The backend tier gauge mirrors the process-wide active tier.
-        assert_eq!(
-            snap.gauge("store/crypto/backend_tier"),
-            Some(ame_crypto::backend::active().index() as f64)
-        );
-        let _ = store.shutdown();
-    }
-
-    #[test]
-    fn unsatisfiable_pin_is_a_recorded_noop() {
-        // Core 1024 is past the affinity mask width on every host, so
-        // the pin degrades to a recorded no-op: the store still boots,
-        // serves, and reports -1 — placement is a hint, not a gate.
-        let store = SecureStore::new(StoreConfig {
-            shards: 1,
-            shard_bytes: 1 << 16,
-            placement: Placement::Pinned(vec![1024]),
-            ..StoreConfig::default()
-        });
-        store.write(0, &[7; 64]).unwrap();
-        assert_eq!(store.read(0).unwrap(), [7; 64]);
-        assert_eq!(store.pinned_core(0), None);
-        let snap = store.telemetry();
-        assert_eq!(snap.gauge("store/shard0/pinned_core"), Some(-1.0));
-        let _ = store.shutdown();
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn explicit_pin_to_core_zero_is_observed() {
-        let store = SecureStore::new(StoreConfig {
-            shards: 2,
-            shard_bytes: 1 << 16,
-            placement: Placement::Pinned(vec![0]),
-            ..StoreConfig::default()
-        });
-        for b in 0..16u64 {
-            store.write(b * 64, &[b as u8; 64]).unwrap();
-        }
-        for b in 0..16u64 {
-            assert_eq!(store.read(b * 64).unwrap(), [b as u8; 64]);
-        }
-        assert_eq!(store.pinned_core(0), Some(0));
-        assert_eq!(store.pinned_core(1), Some(0));
         let _ = store.shutdown();
     }
 

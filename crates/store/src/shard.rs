@@ -175,7 +175,7 @@ pub(crate) enum Request {
 /// send (so a non-zero reading proves an operation really is enqueued)
 /// while the worker decrements at dequeue, and the two can interleave
 /// such that the worker transiently wins the race. Readers clamp at 0.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ShardShared {
     /// Operations enqueued but not yet dequeued by the worker.
     pub depth: AtomicI64,
@@ -184,25 +184,9 @@ pub(crate) struct ShardShared {
     pub overloads: AtomicU64,
     /// Set (never cleared) by the worker when the shard is quarantined.
     pub poisoned: AtomicBool,
-    /// The core this shard's worker pinned itself to at spawn, or `-1`
-    /// when placement was off or the pin was recorded as a no-op
-    /// (unsupported host, core out of range, kernel rejection).
-    pub pinned_core: AtomicI64,
     /// Session eventfd rings: one per wake-enabled session per service
     /// wakeup that sent it at least one completion.
     pub wake_rings: AtomicU64,
-}
-
-impl Default for ShardShared {
-    fn default() -> Self {
-        Self {
-            depth: AtomicI64::new(0),
-            overloads: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-            pinned_core: AtomicI64::new(-1),
-            wake_rings: AtomicU64::new(0),
-        }
-    }
 }
 
 impl ShardShared {

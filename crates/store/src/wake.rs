@@ -14,9 +14,9 @@
 //! accumulates; N signals may wake one `epoll_wait`), so a woken reader
 //! must [`drain`](WakeFd::drain) and then reap *everything* available.
 //!
-//! Same construction rules as [`crate::affinity`]: the workspace links
-//! no libc crate, so the three syscalls we need are declared by hand and
-//! wrapped in safe methods. Everything is best-effort — on a host
+//! **This module is the crate's only `unsafe` surface**: the workspace
+//! links no libc crate, so the three syscalls we need are declared by
+//! hand and wrapped in safe methods. Everything is best-effort — on a host
 //! without eventfd (any non-Linux OS) [`WakeFd::new`] returns `None`
 //! and callers fall back to blocking reaps; a failed signal is ignored
 //! (the reader also drains opportunistically, so a lost edge costs one

@@ -41,9 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod phases;
-pub mod tracefile;
-
 use ame_prng::StdRng;
 
 /// One record of a memory trace: `compute` non-memory instructions, then

@@ -131,46 +131,6 @@ fn geometry_scales_down_with_denser_counters() {
 }
 
 #[test]
-fn phased_workloads_stress_the_metadata_cache() {
-    use ame::workloads::phases::{Phase, PhasedGenerator};
-    // Alternating compute/memory phases vs the pure memory app: phase
-    // changes flush useful metadata locality, so the phased run's
-    // metadata hit rate must not exceed the steady-state one by much.
-    let cfg = config(Protection::Bmt {
-        mac: MacPlacement::MacInEcc,
-        counters: CounterSchemeKind::Delta,
-    });
-    let phased: Vec<_> = (0..4u64)
-        .map(|t| {
-            PhasedGenerator::new(
-                vec![
-                    Phase {
-                        profile: ParsecApp::Canneal.profile(),
-                        ops: 2_000,
-                    },
-                    Phase {
-                        profile: ParsecApp::Blackscholes.profile(),
-                        ops: 2_000,
-                    },
-                ],
-                3,
-                t,
-            )
-            .take_ops(12_000)
-        })
-        .collect();
-    let r = Simulator::new(cfg).run(&phased);
-    assert!(r.instructions > 0);
-    assert!(
-        r.engine.meta_dram_reads > 0,
-        "memory phases must reach the engine"
-    );
-    // Determinism holds through phase switching.
-    let r2 = Simulator::new(cfg).run(&phased);
-    assert_eq!(r.cycles, r2.cycles);
-}
-
-#[test]
 fn reencryption_queue_serializes_sweeps() {
     use ame::dram::timing::{DramConfig, DramTiming};
     use ame::engine::timing::TimingEngine;

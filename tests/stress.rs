@@ -2,28 +2,25 @@
 //! a few seconds; the `#[ignore]`d heavy variants are for nightly runs
 //! (`cargo test --release -- --ignored`).
 
-use ame::engine::paging::PagingController;
 use ame::engine::region::SecureRegion;
 use ame::engine::scrub::{ScrubMode, Scrubber};
 use ame::engine::{CounterSchemeKind, EngineConfig, MacPlacement, MemoryEncryptionEngine};
 use ame_prng::StdRng;
 use std::collections::HashMap;
 
-/// Mixed workload: reads, writes, faults, scrubs and page swaps, all
-/// interleaved, against a reference model.
+/// Mixed workload: reads, writes, faults and scrubs, all interleaved,
+/// against a reference model.
 fn chaos(ops: usize, seed: u64) {
     let mut engine = MemoryEncryptionEngine::new(EngineConfig {
         mac_placement: MacPlacement::MacInEcc,
         counter_scheme: CounterSchemeKind::Delta,
         ..EngineConfig::default()
     });
-    let mut pager = PagingController::new(seed);
     let mut scrubber = Scrubber::new(ScrubMode::MacInEcc);
     let mut reference: HashMap<u64, [u8; 64]> = HashMap::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let pages = 4u64; // 256 blocks
     let blocks = pages * 64;
-    let mut swapped: HashMap<u64, ame::engine::paging::SwappedPage> = HashMap::new();
     // Outstanding injected flips per block: the flip-and-check budget is
     // two, so the harness (like a real scrub policy) never lets more
     // accumulate before a heal.
@@ -35,9 +32,6 @@ fn chaos(ops: usize, seed: u64) {
             0..=44 => {
                 let block = rng.gen_range(0..blocks);
                 let addr = block * 64;
-                if swapped.contains_key(&(addr / 4096 * 4096)) {
-                    continue; // page is out; the OS owns it
-                }
                 let mut data = [0u8; 64];
                 rng.fill(&mut data[..]);
                 engine.write_block(addr, &data);
@@ -45,12 +39,9 @@ fn chaos(ops: usize, seed: u64) {
                 outstanding.remove(&addr);
             }
             // Read + verify against the model.
-            45..=84 => {
+            45..=84 | 94..=99 => {
                 let block = rng.gen_range(0..blocks);
                 let addr = block * 64;
-                if swapped.contains_key(&(addr / 4096 * 4096)) {
-                    continue;
-                }
                 let expected = reference.get(&addr).copied().unwrap_or([0u8; 64]);
                 let got = engine.read_block(addr).unwrap_or_else(|e| {
                     panic!("step {step}: read failed: {e}");
@@ -69,8 +60,8 @@ fn chaos(ops: usize, seed: u64) {
                     *count += 1;
                 }
             }
-            // Scrub a random page.
-            90..=93 => {
+            // Scrub a random page (90..=93).
+            _ => {
                 let page = rng.gen_range(0..pages);
                 let report =
                     scrubber.sweep(engine.storage_mut(), (0..64).map(|i| page * 4096 + i * 64));
@@ -81,35 +72,9 @@ fn chaos(ops: usize, seed: u64) {
                 }
                 assert!(report.uncorrectable.is_empty(), "single faults only");
             }
-            // Swap a page out.
-            94..=96 => {
-                let page_addr = rng.gen_range(0..pages) * 4096;
-                #[allow(clippy::map_entry)] // swap_out needs &mut engine too
-                if !swapped.contains_key(&page_addr) {
-                    // Heal any outstanding faults in the page first (swap
-                    // refuses to launder corrupted blocks, and our faults
-                    // stay within the correction budget).
-                    for i in 0..64 {
-                        let _ = engine.read_block(page_addr + i * 64);
-                        outstanding.remove(&(page_addr + i * 64));
-                    }
-                    let page = pager.swap_out(&mut engine, page_addr).expect("swap out");
-                    swapped.insert(page_addr, page);
-                }
-            }
-            // Swap a page back in.
-            _ => {
-                if let Some(&page_addr) = swapped.keys().next() {
-                    let page = swapped.remove(&page_addr).expect("present");
-                    pager.swap_in(&mut engine, &page).expect("swap in");
-                }
-            }
         }
     }
-    // Swap everything back and do a full verification sweep.
-    for (_, page) in swapped.drain() {
-        pager.swap_in(&mut engine, &page).expect("final swap in");
-    }
+    // Full verification sweep.
     for block in 0..blocks {
         let addr = block * 64;
         let expected = reference.get(&addr).copied().unwrap_or([0u8; 64]);
