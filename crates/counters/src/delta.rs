@@ -16,9 +16,9 @@
 //! Only when both fail does the group get re-encrypted under a fresh
 //! counter (Figure 5a).
 
+use crate::deltas::Deltas;
 use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
-use ame_persist::{invalid_data, put_u32, put_u64, ByteReader};
-use std::collections::HashMap;
+use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
 use std::io;
 
 /// Configuration of a flat (single-width) delta-encoding scheme.
@@ -77,10 +77,17 @@ impl DeltaConfig {
 #[derive(Debug, Clone)]
 struct Group {
     reference: u64,
-    deltas: Vec<u64>,
+    deltas: Deltas,
 }
 
 impl Group {
+    fn new(blocks_per_group: usize) -> Self {
+        Self {
+            reference: 0,
+            deltas: Deltas::zeros(blocks_per_group),
+        }
+    }
+
     fn counters(&self) -> Vec<u64> {
         self.deltas.iter().map(|d| self.reference + d).collect()
     }
@@ -104,7 +111,7 @@ impl Group {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeltaCounters {
-    groups: HashMap<u64, Group>,
+    groups: IndexMap<Group>,
     config: DeltaConfig,
     stats: CounterStats,
 }
@@ -120,7 +127,7 @@ impl DeltaCounters {
     pub fn new(config: DeltaConfig) -> Self {
         config.validate();
         Self {
-            groups: HashMap::new(),
+            groups: IndexMap::default(),
             config,
             stats: CounterStats::default(),
         }
@@ -164,21 +171,21 @@ impl CounterScheme for DeltaCounters {
     fn record_write(&mut self, block: u64) -> WriteOutcome {
         let (g, i) = split_block(block, self.config.blocks_per_group);
         let cfg = self.config;
-        let grp = self.groups.entry(g).or_insert_with(|| Group {
-            reference: 0,
-            deltas: vec![0; cfg.blocks_per_group],
-        });
+        let grp = self
+            .groups
+            .entry(g)
+            .or_insert_with(|| Group::new(cfg.blocks_per_group));
 
         let outcome = if grp.deltas[i] < cfg.delta_max() {
-            grp.deltas[i] += 1;
+            grp.deltas.bump(i);
             // Figure 5b: fold converged deltas into the reference.
-            let first = grp.deltas[0];
-            if cfg.reset_enabled && first > 0 && grp.deltas.iter().all(|&d| d == first) {
-                grp.reference += first;
-                grp.deltas.iter_mut().for_each(|d| *d = 0);
-                WriteOutcome::Reset
-            } else {
-                WriteOutcome::Incremented
+            match grp.deltas.converged() {
+                Some(common) if cfg.reset_enabled => {
+                    grp.reference += common;
+                    grp.deltas.rewrite(|_, d| *d = 0);
+                    WriteOutcome::Reset
+                }
+                _ => WriteOutcome::Incremented,
             }
         } else {
             // Overflow. Figure 5c: re-encode with a larger reference if
@@ -186,8 +193,8 @@ impl CounterScheme for DeltaCounters {
             let min = grp.deltas.iter().copied().min().unwrap_or(0);
             if cfg.reencode_enabled && min > 0 {
                 grp.reference += min;
-                grp.deltas.iter_mut().for_each(|d| *d -= min);
-                grp.deltas[i] += 1;
+                grp.deltas.rewrite(|_, d| *d -= min);
+                grp.deltas.bump(i);
                 WriteOutcome::Reencoded
             } else {
                 // Figure 5a: re-encrypt the group under the largest
@@ -195,7 +202,7 @@ impl CounterScheme for DeltaCounters {
                 let old_counters = grp.counters();
                 let new_counter = grp.reference + cfg.delta_max() + 1;
                 grp.reference = new_counter;
-                grp.deltas.iter_mut().for_each(|d| *d = 0);
+                grp.deltas.rewrite(|_, d| *d = 0);
                 WriteOutcome::Reencrypted {
                     group: g,
                     old_counters,
@@ -271,7 +278,7 @@ impl CounterScheme for DeltaCounters {
             let grp = &self.groups[&idx];
             put_u64(&mut body, idx);
             put_u64(&mut body, grp.reference);
-            for &d in &grp.deltas {
+            for &d in grp.deltas.iter() {
                 put_u64(&mut body, d);
             }
         }
@@ -301,10 +308,8 @@ impl CounterScheme for DeltaCounters {
             return Err(invalid_data("inconsistent delta configuration"));
         }
         let stats = codec::read_stats(&mut body)?;
-        let count = body.u64()? as usize;
-        let mut groups = HashMap::with_capacity(count.min(1 << 24));
-        for _ in 0..count {
-            let idx = body.u64()?;
+        let entry = codec::group_entry_bytes(8, config.blocks_per_group)?;
+        let groups = read_index_table(&mut body, entry, |body| {
             let reference = body.u64()?;
             let mut deltas = Vec::with_capacity(config.blocks_per_group);
             for _ in 0..config.blocks_per_group {
@@ -314,8 +319,9 @@ impl CounterScheme for DeltaCounters {
                 }
                 deltas.push(d);
             }
-            groups.insert(idx, Group { reference, deltas });
-        }
+            let deltas = Deltas::from_values(deltas);
+            Ok(Group { reference, deltas })
+        })?;
         self.config = config;
         self.stats = stats;
         self.groups = groups;
@@ -330,10 +336,10 @@ impl CounterScheme for DeltaCounters {
     fn force_counter(&mut self, block: u64, value: u64) -> io::Result<()> {
         let (g, i) = split_block(block, self.config.blocks_per_group);
         let cfg = self.config;
-        let grp = self.groups.entry(g).or_insert_with(|| Group {
-            reference: 0,
-            deltas: vec![0; cfg.blocks_per_group],
-        });
+        let grp = self
+            .groups
+            .entry(g)
+            .or_insert_with(|| Group::new(cfg.blocks_per_group));
         let mut counters = grp.counters();
         counters[i] = value;
         let min = counters.iter().copied().min().expect("non-empty group");
@@ -344,9 +350,7 @@ impl CounterScheme for DeltaCounters {
             ));
         }
         grp.reference = min;
-        for (d, c) in grp.deltas.iter_mut().zip(&counters) {
-            *d = c - min;
-        }
+        grp.deltas.rewrite(|j, d| *d = counters[j] - min);
         Ok(())
     }
 }
@@ -354,7 +358,113 @@ impl CounterScheme for DeltaCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deltas::{converged_by_scan, tally_of};
     use crate::split::SplitCounters as SplitScheme;
+    use ame_prng::StdRng;
+
+    /// `record_write` as it was before the tally — the convergence check
+    /// is the full scan — applied to one group's plain state: the oracle
+    /// the tallied scheme must match outcome for outcome.
+    fn scan_write(
+        cfg: &DeltaConfig,
+        g: u64,
+        i: usize,
+        reference: &mut u64,
+        deltas: &mut [u64],
+    ) -> WriteOutcome {
+        if deltas[i] < cfg.delta_max() {
+            deltas[i] += 1;
+            match converged_by_scan(deltas) {
+                Some(first) if cfg.reset_enabled => {
+                    *reference += first;
+                    deltas.fill(0);
+                    WriteOutcome::Reset
+                }
+                _ => WriteOutcome::Incremented,
+            }
+        } else {
+            let min = deltas.iter().copied().min().unwrap_or(0);
+            if cfg.reencode_enabled && min > 0 {
+                *reference += min;
+                deltas.iter_mut().for_each(|d| *d -= min);
+                deltas[i] += 1;
+                WriteOutcome::Reencoded
+            } else {
+                let old_counters = deltas.iter().map(|d| *reference + d).collect();
+                let new_counter = *reference + cfg.delta_max() + 1;
+                *reference = new_counter;
+                deltas.fill(0);
+                WriteOutcome::Reencrypted {
+                    group: g,
+                    old_counters,
+                    new_counter,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn write_outcomes_match_the_scan_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x5ca7);
+        for (reset_enabled, reencode_enabled) in
+            [(true, true), (true, false), (false, true), (false, false)]
+        {
+            let cfg = DeltaConfig {
+                delta_bits: 3,
+                blocks_per_group: 8,
+                reference_bits: 56,
+                reset_enabled,
+                reencode_enabled,
+            };
+            let bpg = cfg.blocks_per_group as u64;
+            let mut c = DeltaCounters::new(cfg);
+            let (mut forced, mut thawed) = (0, 0);
+            for step in 0..30_000u64 {
+                let r = rng.next_u64();
+                // Phases of sequential sweeps (resets), uniform writes
+                // over three groups (re-encodes) and a hot block
+                // (re-encryptions).
+                let block = match step / 1000 % 3 {
+                    0 => step % (2 * bpg),
+                    1 => r % (3 * bpg),
+                    _ if r.is_multiple_of(4) => r % bpg,
+                    _ => 5,
+                };
+                match r >> 56 {
+                    0 => {
+                        let mut image = Vec::new();
+                        c.encode_state(&mut image);
+                        c = DeltaCounters::default();
+                        c.decode_state(&mut ByteReader::new(&image)).unwrap();
+                        thawed += 1;
+                    }
+                    1 => {
+                        let value = c.counter(block) + (r >> 8) % 3;
+                        forced += usize::from(c.force_counter(block, value).is_ok());
+                    }
+                    _ => {
+                        let (g, i) = split_block(block, cfg.blocks_per_group);
+                        let (mut reference, mut deltas) = c.groups.get(&g).map_or_else(
+                            || (0, vec![0; cfg.blocks_per_group]),
+                            |grp| (grp.reference, grp.deltas.to_vec()),
+                        );
+                        let expected = scan_write(&cfg, g, i, &mut reference, &mut deltas);
+                        assert_eq!(c.record_write(block), expected, "step {step}");
+                        let grp = &c.groups[&g];
+                        assert_eq!((grp.reference, &*grp.deltas), (reference, &deltas[..]));
+                    }
+                }
+                for grp in c.groups.values() {
+                    assert_eq!(grp.deltas.tally(), tally_of(&grp.deltas), "step {step}");
+                }
+            }
+            let stats = c.stats();
+            assert!(forced > 0 && thawed > 0, "{forced} forced, {thawed} thawed");
+            assert_eq!(stats.resets > 0, reset_enabled, "{stats}");
+            assert_eq!(stats.reencodes > 0, reencode_enabled, "{stats}");
+            assert!(stats.reencryptions > 0, "{stats}");
+        }
+    }
 
     fn small() -> DeltaCounters {
         DeltaCounters::new(DeltaConfig {
@@ -576,6 +686,18 @@ mod tests {
         // Forcing into an untouched group works from the zero state.
         back.force_counter(100, 6).unwrap();
         assert_eq!(back.counter(100), 6);
+    }
+
+    #[test]
+    fn decode_refuses_forged_group_tables() {
+        let mut c = small();
+        c.record_write(1);
+        c.record_write(6);
+        let mut image = Vec::new();
+        c.encode_state(&mut image);
+        crate::tests::assert_forged_tables_refused(&image, 2, 16 + 8 * 4, |r| {
+            DeltaCounters::default().decode_state(r)
+        });
     }
 
     #[test]

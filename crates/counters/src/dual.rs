@@ -14,9 +14,9 @@
 //! is why Table 2 shows dual-length doing *worse* than flat 7-bit deltas
 //! there — this implementation reproduces that behaviour.
 
+use crate::deltas::Deltas;
 use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
-use ame_persist::{invalid_data, put_u32, put_u64, ByteReader};
-use std::collections::HashMap;
+use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
 use std::io;
 
 /// Configuration of the dual-length delta scheme.
@@ -89,12 +89,20 @@ impl DualLengthConfig {
 #[derive(Debug, Clone)]
 struct Group {
     reference: u64,
-    deltas: Vec<u64>,
+    deltas: Deltas,
     /// Which delta-group currently holds the shared overflow bits.
     expanded: Option<usize>,
 }
 
 impl Group {
+    fn new(blocks_per_group: usize) -> Self {
+        Self {
+            reference: 0,
+            deltas: Deltas::zeros(blocks_per_group),
+            expanded: None,
+        }
+    }
+
     fn counters(&self) -> Vec<u64> {
         self.deltas.iter().map(|d| self.reference + d).collect()
     }
@@ -119,7 +127,7 @@ impl Group {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DualLengthDeltaCounters {
-    groups: HashMap<u64, Group>,
+    groups: IndexMap<Group>,
     config: DualLengthConfig,
     stats: CounterStats,
 }
@@ -135,7 +143,7 @@ impl DualLengthDeltaCounters {
     pub fn new(config: DualLengthConfig) -> Self {
         config.validate();
         Self {
-            groups: HashMap::new(),
+            groups: IndexMap::default(),
             config,
             stats: CounterStats::default(),
         }
@@ -180,11 +188,10 @@ impl CounterScheme for DualLengthDeltaCounters {
         let (g, i) = split_block(block, self.config.blocks_per_group);
         let cfg = self.config;
         let dg = i / cfg.blocks_per_delta_group();
-        let grp = self.groups.entry(g).or_insert_with(|| Group {
-            reference: 0,
-            deltas: vec![0; cfg.blocks_per_group],
-            expanded: None,
-        });
+        let grp = self
+            .groups
+            .entry(g)
+            .or_insert_with(|| Group::new(cfg.blocks_per_group));
 
         let cap = if grp.expanded == Some(dg) {
             cfg.expanded_max()
@@ -192,20 +199,20 @@ impl CounterScheme for DualLengthDeltaCounters {
             cfg.base_max()
         };
         let outcome = if grp.deltas[i] < cap {
-            grp.deltas[i] += 1;
-            let first = grp.deltas[0];
-            if cfg.reset_enabled && first > 0 && grp.deltas.iter().all(|&d| d == first) {
-                grp.reference += first;
-                grp.deltas.iter_mut().for_each(|d| *d = 0);
-                grp.expanded = None; // all deltas fit base width again
-                WriteOutcome::Reset
-            } else {
-                WriteOutcome::Incremented
+            grp.deltas.bump(i);
+            match grp.deltas.converged() {
+                Some(common) if cfg.reset_enabled => {
+                    grp.reference += common;
+                    grp.deltas.rewrite(|_, d| *d = 0);
+                    grp.expanded = None; // all deltas fit base width again
+                    WriteOutcome::Reset
+                }
+                _ => WriteOutcome::Incremented,
             }
         } else if grp.expanded.is_none() {
             // Assign the shared overflow bits to this delta-group.
             grp.expanded = Some(dg);
-            grp.deltas[i] += 1;
+            grp.deltas.bump(i);
             WriteOutcome::Expanded
         } else {
             // Overflow bits already taken (possibly by this very group at
@@ -213,18 +220,17 @@ impl CounterScheme for DualLengthDeltaCounters {
             let min = grp.deltas.iter().copied().min().unwrap_or(0);
             if cfg.reencode_enabled && min > 0 {
                 grp.reference += min;
-                grp.deltas.iter_mut().for_each(|d| *d -= min);
-                grp.deltas[i] += 1;
+                grp.deltas.rewrite(|_, d| *d -= min);
+                grp.deltas.bump(i);
                 WriteOutcome::Reencoded
             } else {
                 let old_counters = grp.counters();
                 // Every block must jump strictly above its old counter;
                 // with a widened group the largest delta may exceed the
                 // overflowing one, so take the true maximum.
-                let max_delta = grp.deltas.iter().copied().max().unwrap_or(0);
-                let new_counter = grp.reference + max_delta + 1;
+                let new_counter = grp.reference + grp.deltas.max() + 1;
                 grp.reference = new_counter;
-                grp.deltas.iter_mut().for_each(|d| *d = 0);
+                grp.deltas.rewrite(|_, d| *d = 0);
                 grp.expanded = None;
                 WriteOutcome::Reencrypted {
                     group: g,
@@ -291,7 +297,7 @@ impl CounterScheme for DualLengthDeltaCounters {
         let Some(grp) = self.groups.get(&meta_block) else {
             return image;
         };
-        let (reference, deltas, expanded) = (grp.reference, &grp.deltas, grp.expanded);
+        let (reference, deltas, expanded) = (grp.reference, &*grp.deltas, grp.expanded);
         let mut off = 0;
         crate::packing::write_bits(&mut image, off, cfg.reference_bits, reference);
         off += cfg.reference_bits;
@@ -349,7 +355,7 @@ impl CounterScheme for DualLengthDeltaCounters {
                     put_u64(&mut body, 0);
                 }
             }
-            for &d in &grp.deltas {
+            for &d in grp.deltas.iter() {
                 put_u64(&mut body, d);
             }
         }
@@ -388,10 +394,8 @@ impl CounterScheme for DualLengthDeltaCounters {
             return Err(invalid_data("inconsistent dual-length configuration"));
         }
         let stats = codec::read_stats(&mut body)?;
-        let count = body.u64()? as usize;
-        let mut groups = HashMap::with_capacity(count.min(1 << 24));
-        for _ in 0..count {
-            let idx = body.u64()?;
+        let entry = codec::group_entry_bytes(8 + 1 + 8, config.blocks_per_group)?;
+        let groups = read_index_table(&mut body, entry, |body| {
             let reference = body.u64()?;
             let has_expanded = body.u8()? != 0;
             let expanded_idx = body.u64()? as usize;
@@ -416,15 +420,13 @@ impl CounterScheme for DualLengthDeltaCounters {
                 }
                 deltas.push(d);
             }
-            groups.insert(
-                idx,
-                Group {
-                    reference,
-                    deltas,
-                    expanded,
-                },
-            );
-        }
+            let deltas = Deltas::from_values(deltas);
+            Ok(Group {
+                reference,
+                deltas,
+                expanded,
+            })
+        })?;
         self.config = config;
         self.stats = stats;
         self.groups = groups;
@@ -441,11 +443,10 @@ impl CounterScheme for DualLengthDeltaCounters {
     fn force_counter(&mut self, block: u64, value: u64) -> io::Result<()> {
         let (g, i) = split_block(block, self.config.blocks_per_group);
         let cfg = self.config;
-        let grp = self.groups.entry(g).or_insert_with(|| Group {
-            reference: 0,
-            deltas: vec![0; cfg.blocks_per_group],
-            expanded: None,
-        });
+        let grp = self
+            .groups
+            .entry(g)
+            .or_insert_with(|| Group::new(cfg.blocks_per_group));
         let mut counters = grp.counters();
         counters[i] = value;
         let min = counters.iter().copied().min().expect("non-empty group");
@@ -468,9 +469,7 @@ impl CounterScheme for DualLengthDeltaCounters {
             ));
         }
         grp.reference = min;
-        for (d, c) in grp.deltas.iter_mut().zip(&counters) {
-            *d = c - min;
-        }
+        grp.deltas.rewrite(|j, d| *d = counters[j] - min);
         grp.expanded = need.first().copied();
         Ok(())
     }
@@ -479,6 +478,126 @@ impl CounterScheme for DualLengthDeltaCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deltas::{converged_by_scan, tally_of};
+    use ame_prng::StdRng;
+
+    /// One group's plain state: `(reference, deltas, expanded)`.
+    type Plain = (u64, Vec<u64>, Option<usize>);
+
+    /// `record_write` as it was before the tally — the convergence check
+    /// is the full scan — applied to one group's plain state: the oracle
+    /// the tallied scheme must match outcome for outcome.
+    fn scan_write(cfg: &DualLengthConfig, g: u64, i: usize, state: &mut Plain) -> WriteOutcome {
+        let (reference, deltas, expanded) = state;
+        let dg = i / cfg.blocks_per_delta_group();
+        let cap = if *expanded == Some(dg) {
+            cfg.expanded_max()
+        } else {
+            cfg.base_max()
+        };
+        if deltas[i] < cap {
+            deltas[i] += 1;
+            match converged_by_scan(deltas) {
+                Some(first) if cfg.reset_enabled => {
+                    *reference += first;
+                    deltas.fill(0);
+                    *expanded = None;
+                    WriteOutcome::Reset
+                }
+                _ => WriteOutcome::Incremented,
+            }
+        } else if expanded.is_none() {
+            *expanded = Some(dg);
+            deltas[i] += 1;
+            WriteOutcome::Expanded
+        } else {
+            let min = deltas.iter().copied().min().unwrap_or(0);
+            if cfg.reencode_enabled && min > 0 {
+                *reference += min;
+                deltas.iter_mut().for_each(|d| *d -= min);
+                deltas[i] += 1;
+                WriteOutcome::Reencoded
+            } else {
+                let old_counters = deltas.iter().map(|d| *reference + d).collect();
+                let max_delta = deltas.iter().copied().max().unwrap_or(0);
+                let new_counter = *reference + max_delta + 1;
+                *reference = new_counter;
+                deltas.fill(0);
+                *expanded = None;
+                WriteOutcome::Reencrypted {
+                    group: g,
+                    old_counters,
+                    new_counter,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn write_outcomes_match_the_scan_oracle() {
+        let mut rng = StdRng::seed_from_u64(0xd0a1);
+        for (reset_enabled, reencode_enabled) in
+            [(true, true), (true, false), (false, true), (false, false)]
+        {
+            let cfg = DualLengthConfig {
+                base_bits: 3,
+                extra_bits: 2,
+                delta_groups: 2,
+                blocks_per_group: 8,
+                reference_bits: 56,
+                reset_enabled,
+                reencode_enabled,
+            };
+            let bpg = cfg.blocks_per_group as u64;
+            let mut c = DualLengthDeltaCounters::new(cfg);
+            let (mut forced, mut thawed) = (0, 0);
+            for step in 0..30_000u64 {
+                let r = rng.next_u64();
+                // Phases of sequential sweeps (resets), uniform writes
+                // over three groups (re-encodes) and a hot block in each
+                // delta-group (expansions, then re-encryptions).
+                let block = match step / 1000 % 3 {
+                    0 => step % (2 * bpg),
+                    1 => r % (3 * bpg),
+                    _ if r.is_multiple_of(4) => r % bpg,
+                    _ => [1, 6][(r >> 8) as usize % 2],
+                };
+                match r >> 56 {
+                    0 => {
+                        let mut image = Vec::new();
+                        c.encode_state(&mut image);
+                        c = DualLengthDeltaCounters::default();
+                        c.decode_state(&mut ByteReader::new(&image)).unwrap();
+                        thawed += 1;
+                    }
+                    1 => {
+                        let value = c.counter(block) + (r >> 8) % 3;
+                        forced += usize::from(c.force_counter(block, value).is_ok());
+                    }
+                    _ => {
+                        let (g, i) = split_block(block, cfg.blocks_per_group);
+                        let mut state = c.groups.get(&g).map_or_else(
+                            || (0, vec![0; cfg.blocks_per_group], None),
+                            |grp| (grp.reference, grp.deltas.to_vec(), grp.expanded),
+                        );
+                        let expected = scan_write(&cfg, g, i, &mut state);
+                        assert_eq!(c.record_write(block), expected, "step {step}");
+                        let grp = &c.groups[&g];
+                        let got = (grp.reference, grp.deltas.to_vec(), grp.expanded);
+                        assert_eq!(got, state, "step {step}");
+                    }
+                }
+                for grp in c.groups.values() {
+                    assert_eq!(grp.deltas.tally(), tally_of(&grp.deltas), "step {step}");
+                }
+            }
+            let stats = c.stats();
+            assert!(forced > 0 && thawed > 0, "{forced} forced, {thawed} thawed");
+            assert_eq!(stats.resets > 0, reset_enabled, "{stats}");
+            assert_eq!(stats.reencodes > 0, reencode_enabled, "{stats}");
+            assert!(stats.expansions > 0 && stats.reencryptions > 0, "{stats}");
+        }
+    }
 
     fn tiny() -> DualLengthDeltaCounters {
         DualLengthDeltaCounters::new(DualLengthConfig {
@@ -697,6 +816,18 @@ mod tests {
         assert_eq!(back.counter(0), next, "values preserved across re-base");
         // Beyond even the widened cap is always an error.
         assert!(back.force_counter(0, next + 100).is_err());
+    }
+
+    #[test]
+    fn decode_refuses_forged_group_tables() {
+        let mut c = tiny();
+        c.record_write(1);
+        c.record_write(6);
+        let mut image = Vec::new();
+        c.encode_state(&mut image);
+        crate::tests::assert_forged_tables_refused(&image, 2, 25 + 8 * 4, |r| {
+            DualLengthDeltaCounters::default().decode_state(r)
+        });
     }
 
     #[test]

@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod delta;
+mod deltas;
 pub mod dual;
 pub mod monolithic;
 pub mod packing;
@@ -88,6 +89,19 @@ pub(crate) mod codec {
             )));
         }
         Ok(payload)
+    }
+
+    /// Bytes of one serialized group: its index, `head` bytes of
+    /// per-group fields, then one `u64` per block.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` if a decoded group size makes that overflow.
+    pub(crate) fn group_entry_bytes(head: usize, blocks_per_group: usize) -> io::Result<usize> {
+        blocks_per_group
+            .checked_mul(8)
+            .and_then(|blocks| blocks.checked_add(8 + head))
+            .ok_or_else(|| invalid_data("counter group too large"))
     }
 
     pub(crate) fn put_stats(out: &mut Vec<u8>, stats: &CounterStats) {
@@ -284,6 +298,43 @@ pub fn split_block(block: u64, blocks_per_group: usize) -> (u64, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ame_persist::{ByteReader, SectionWriter};
+
+    /// Re-seals a counter-state `image` with its trailing table (`count`
+    /// entries of `entry` bytes, `count >= 2`) replaced by forgeries the
+    /// CRC cannot catch — a huge count over no entries, the first entry
+    /// twice, the first two swapped — and checks that `decode` refuses
+    /// each with `InvalidData`.
+    pub(crate) fn assert_forged_tables_refused(
+        image: &[u8],
+        count: usize,
+        entry: usize,
+        decode: impl Fn(&mut ByteReader<'_>) -> io::Result<()>,
+    ) {
+        let payload = &image[ame_persist::SECTION_OVERHEAD - 8..image.len() - 8];
+        let (kept, table) = payload.split_at(payload.len() - 8 - count * entry);
+        let (first, second) = (&table[8..8 + entry], &table[8 + entry..8 + 2 * entry]);
+        let reseal = |parts: &[&[u8]]| {
+            let mut out = Vec::new();
+            let mut section = SectionWriter::begin(&mut out, codec::MAGIC, codec::VERSION);
+            section.extend_from_slice(kept);
+            for part in parts {
+                section.extend_from_slice(part);
+            }
+            section.finish();
+            out
+        };
+        assert_eq!(reseal(&[table]), image, "the table ends the section");
+        let (huge, two) = ((1u64 << 40).to_le_bytes(), 2u64.to_le_bytes());
+        for forged in [
+            reseal(&[&huge]),
+            reseal(&[&two, first, first]),
+            reseal(&[&two, second, first]),
+        ] {
+            let err = decode(&mut ByteReader::new(&forged)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+    }
 
     #[test]
     fn stats_record_all_variants() {

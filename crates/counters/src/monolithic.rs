@@ -2,8 +2,7 @@
 //! 56-bit counters, incurring ~11% storage overhead — Section 2.1).
 
 use crate::{codec, CounterScheme, CounterStats, WriteOutcome};
-use ame_persist::{invalid_data, put_u32, put_u64, ByteReader};
-use std::collections::HashMap;
+use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
 use std::io;
 
 /// Full-width per-block counters. Never re-encrypts: a 56-bit counter
@@ -23,7 +22,7 @@ use std::io;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MonolithicCounters {
-    counters: HashMap<u64, u64>,
+    counters: IndexMap<u64>,
     bits: u32,
     stats: CounterStats,
 }
@@ -38,7 +37,7 @@ impl MonolithicCounters {
     pub fn new(bits: u32) -> Self {
         assert!(bits > 0 && bits <= 64, "counter width must be 1..=64 bits");
         Self {
-            counters: HashMap::new(),
+            counters: IndexMap::default(),
             bits,
             stats: CounterStats::default(),
         }
@@ -147,17 +146,14 @@ impl CounterScheme for MonolithicCounters {
             return Err(invalid_data("counter width out of range"));
         }
         let stats = codec::read_stats(&mut body)?;
-        let count = body.u64()? as usize;
-        let mut counters = HashMap::with_capacity(count.min(1 << 24));
         let max = MonolithicCounters::new(bits).max();
-        for _ in 0..count {
-            let block = body.u64()?;
+        let counters = read_index_table(&mut body, 16, |body| {
             let ctr = body.u64()?;
             if ctr > max {
                 return Err(invalid_data("counter exceeds configured width"));
             }
-            counters.insert(block, ctr);
-        }
+            Ok(ctr)
+        })?;
         self.bits = bits;
         self.stats = stats;
         self.counters = counters;
@@ -217,6 +213,18 @@ mod tests {
         let c = MonolithicCounters::default();
         assert_eq!(c.name(), "monolithic");
         assert_eq!(c.blocks_per_group(), 1);
+    }
+
+    #[test]
+    fn decode_refuses_forged_counter_tables() {
+        let mut c = MonolithicCounters::default();
+        c.record_write(1);
+        c.record_write(6);
+        let mut image = Vec::new();
+        c.encode_state(&mut image);
+        crate::tests::assert_forged_tables_refused(&image, 2, 16, |r| {
+            MonolithicCounters::default().decode_state(r)
+        });
     }
 
     #[test]

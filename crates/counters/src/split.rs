@@ -12,8 +12,8 @@
 //! measures.
 
 use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
-use ame_persist::{invalid_data, put_u32, put_u64, ByteReader};
-use std::collections::HashMap;
+use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
+use std::collections::hash_map::Entry;
 use std::io;
 
 /// Per-group split-counter state.
@@ -39,7 +39,7 @@ struct Group {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SplitCounters {
-    groups: HashMap<u64, Group>,
+    groups: IndexMap<Group>,
     minor_bits: u32,
     blocks_per_group: usize,
     stats: CounterStats,
@@ -59,7 +59,7 @@ impl SplitCounters {
         );
         assert!(blocks_per_group > 0, "group must hold at least one block");
         Self {
-            groups: HashMap::new(),
+            groups: IndexMap::default(),
             minor_bits,
             blocks_per_group,
             stats: CounterStats::default(),
@@ -209,11 +209,9 @@ impl CounterScheme for SplitCounters {
             return Err(invalid_data("empty split-counter group"));
         }
         let stats = codec::read_stats(&mut body)?;
-        let count = body.u64()? as usize;
         let minor_max = (1u64 << minor_bits) - 1;
-        let mut groups = HashMap::with_capacity(count.min(1 << 24));
-        for _ in 0..count {
-            let idx = body.u64()?;
+        let entry = codec::group_entry_bytes(8, bpg)?;
+        let groups = read_index_table(&mut body, entry, |body| {
             let major = body.u64()?;
             let mut minors = Vec::with_capacity(bpg);
             for _ in 0..bpg {
@@ -223,8 +221,8 @@ impl CounterScheme for SplitCounters {
                 }
                 minors.push(m);
             }
-            groups.insert(idx, Group { major, minors });
-        }
+            Ok(Group { major, minors })
+        })?;
         self.minor_bits = minor_bits;
         self.blocks_per_group = bpg;
         self.stats = stats;
@@ -242,7 +240,7 @@ impl CounterScheme for SplitCounters {
         let major = value >> self.minor_bits;
         let minor = value & minor_max;
         match self.groups.entry(g) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
+            Entry::Occupied(mut e) => {
                 let grp = e.get_mut();
                 if grp.major != major {
                     return Err(invalid_data(
@@ -251,7 +249,7 @@ impl CounterScheme for SplitCounters {
                 }
                 grp.minors[i] = minor;
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 if major != 0 {
                     return Err(invalid_data(
                         "replayed split counter implies an unrecorded re-encryption",
@@ -345,6 +343,18 @@ mod tests {
         }
         assert_eq!(c.counter(4), 0, "group 1 untouched");
         assert_eq!(c.stats().reencryptions, 1);
+    }
+
+    #[test]
+    fn decode_refuses_forged_group_tables() {
+        let mut c = SplitCounters::new(3, 4);
+        c.record_write(1);
+        c.record_write(6);
+        let mut image = Vec::new();
+        c.encode_state(&mut image);
+        crate::tests::assert_forged_tables_refused(&image, 2, 16 + 8 * 4, |r| {
+            SplitCounters::default().decode_state(r)
+        });
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! this module answers *what bits* come back, including the side-band the
 //! paper repurposes for MACs.
 
-use ame_persist::{invalid_data, put_u64, read_section, ByteReader, SectionWriter};
-use std::collections::HashMap;
+use ame_persist::{invalid_data, put_u64, read_section, ByteReader, IndexMap, SectionWriter};
 use std::io;
 
 /// Size of one data block in bytes.
@@ -61,11 +60,11 @@ impl Page {
 }
 
 /// A sparse functional memory keyed by block-aligned physical address:
-/// a directory of dense 64-block pages, allocated on first touch. Any
-/// `u64` address is legal and memory is proportional to the touched
-/// pages; an access is a shift, one page lookup and an index, and a
-/// whole-image scan orders the pages (one key per 64 blocks), never the
-/// blocks.
+/// a directory of dense 64-block pages, allocated on first touch and
+/// found through an [`IndexMap`] keyed by page number. Any `u64` address
+/// is legal and memory is proportional to the touched pages; an access
+/// is a shift, one page lookup and an index, and a whole-image scan
+/// orders the pages (one key per 64 blocks), never the blocks.
 ///
 /// # Example
 ///
@@ -79,7 +78,7 @@ impl Page {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DramStorage {
-    pages: HashMap<u64, Box<Page>>,
+    pages: IndexMap<Box<Page>>,
     resident: usize,
 }
 

@@ -16,8 +16,6 @@
 //! side-band on the widened 72-bit bus within the same burst, so no extra
 //! time is charged for it.
 
-use std::collections::HashMap;
-
 /// Whether a DRAM request reads or writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
@@ -220,7 +218,8 @@ struct Bank {
 #[derive(Debug, Clone)]
 pub struct DramTiming {
     config: DramConfig,
-    banks: HashMap<(usize, usize), Bank>,
+    /// Every bank of every channel, `channel * banks_per_channel + bank`.
+    banks: Vec<Bank>,
     /// Per-channel next scheduled refresh instant.
     next_refresh: Vec<u64>,
     /// Per-channel completion times of posted (buffered) writes still
@@ -244,7 +243,7 @@ impl DramTiming {
         let pending_writes = vec![std::collections::VecDeque::new(); config.channels];
         Self {
             config,
-            banks: HashMap::new(),
+            banks: vec![Bank::default(); config.channels * config.banks_per_channel],
             next_refresh,
             pending_writes,
             stats: DramStats::default(),
@@ -324,7 +323,7 @@ impl DramTiming {
             pending.pop_front();
         }
 
-        let bank = self.banks.entry((channel, bank_idx)).or_default();
+        let bank = &mut self.banks[channel * cfg.banks_per_channel + bank_idx];
         let start = now.max(bank.busy_until).max(refresh_block);
         if refresh_block > now {
             self.stats.refresh_stall_cycles += refresh_block - now;

@@ -14,12 +14,12 @@
 //! total write volume, **wear amplification** (physical/logical write
 //! ratio), the maximum per-cell wear, and the hottest blocks.
 
-use std::collections::HashMap;
+use ame_persist::IndexMap;
 
 /// Per-block physical write counter for endurance accounting.
 #[derive(Debug, Clone, Default)]
 pub struct WearTracker {
-    writes: HashMap<u64, u64>,
+    writes: IndexMap<u64>,
     logical: u64,
     physical: u64,
 }

@@ -47,10 +47,12 @@ use ame_crypto::MemoryCipher;
 use ame_dram::storage::{DramStorage, StoredBlock};
 use ame_ecc::layout::{MacSideband, StandardSideband};
 use ame_ecc::secded::DecodeOutcome;
-use ame_persist::{invalid_data, put_u32, put_u64, read_section, ByteReader, SectionWriter};
+use ame_persist::{
+    invalid_data, put_u32, put_u64, read_index_table, read_section, ByteReader, IndexMap,
+    SectionWriter,
+};
 use ame_tree::cache::CachedTree;
 use ame_tree::merkle::{BonsaiTree, VerifyError};
-use std::collections::HashMap;
 use std::io;
 
 /// Size of a protected memory block in bytes.
@@ -401,7 +403,7 @@ pub struct MemoryEncryptionEngine {
     tree: TreeFrontend,
     storage: DramStorage,
     /// Separate-MAC mode: per-block 56-bit tags in a dedicated region.
-    mac_region: HashMap<u64, u64>,
+    mac_region: IndexMap<u64>,
     stats: EngineStats,
     /// Distribution of MAC hypotheses evaluated per flip-and-check
     /// correction attempt (Section 3.4's cost argument).
@@ -441,7 +443,7 @@ impl MemoryEncryptionEngine {
             counters: config.counter_scheme.build(),
             tree,
             storage: DramStorage::new(),
-            mac_region: HashMap::new(),
+            mac_region: IndexMap::default(),
             stats: EngineStats::default(),
             flip_check_dist: ame_telemetry::Histogram::new(),
             mac_batch_dist: ame_telemetry::Histogram::new(),
@@ -838,10 +840,12 @@ impl MemoryEncryptionEngine {
         // block here would sync its (shared) counter leaf back to the
         // tree — and that must not happen before neighbouring blocks are
         // verified, or it could launder a tampered off-chip leaf that the
-        // sequential path would have caught.
-        if addrs.iter().any(|&a| !self.storage.contains(a)) {
-            return None;
-        }
+        // sequential path would have caught. One lookup per block: the
+        // stored bits gathered here are the ones verified below.
+        let stored: Vec<StoredBlock> = addrs
+            .iter()
+            .map(|&a| self.storage.get(a))
+            .collect::<Option<_>>()?;
 
         // One verified tree fetch per distinct metadata block in the run.
         let mut fetched: Vec<u64> = Vec::new();
@@ -885,8 +889,7 @@ impl MemoryEncryptionEngine {
         // failure accounting.
         let mut ciphertexts: Vec<[u8; BLOCK_BYTES]> = Vec::with_capacity(addrs.len());
         let mut stored_tags: Vec<u64> = Vec::with_capacity(addrs.len());
-        for &addr in addrs {
-            let stored = self.storage.read(addr);
+        for (&addr, stored) in addrs.iter().zip(stored) {
             let (ct, tag) = match self.config.mac_placement {
                 MacPlacement::MacInEcc => {
                     let sideband = MacSideband::from_bytes(stored.sideband);
@@ -1419,13 +1422,7 @@ impl MemoryEncryptionEngine {
         } else {
             TreeFrontend::Plain(bonsai)
         };
-        let count = payload.u64()? as usize;
-        let mut mac_region = HashMap::with_capacity(count.min(1 << 24));
-        for _ in 0..count {
-            let block = payload.u64()?;
-            let tag = payload.u64()?;
-            mac_region.insert(block, tag);
-        }
+        let mac_region = read_index_table(&mut payload, 16, ByteReader::u64)?;
         Ok(Self {
             config,
             cipher: MemoryCipher::from_seed(seed),
@@ -2144,6 +2141,46 @@ mod tests {
             let err = crate::region::SecureRegion::thaw(&bad)
                 .expect_err("a flipped image bit must be detected");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn thaw_refuses_forged_mac_region_tables() {
+        // The MAC-region table ends the image. Forge it behind a
+        // recomputed CRC: a huge count over no entries, a repeated block,
+        // two blocks out of order.
+        let mut e = engine(MacPlacement::SeparateMac, CounterSchemeKind::Delta);
+        e.write_block(0, &[1; 64]);
+        e.write_block(64, &[2; 64]);
+        let mut img = Vec::new();
+        e.freeze_into(&mut img);
+        let payload = &img[ame_persist::SECTION_OVERHEAD - 8..img.len() - 8];
+        let (kept, table) = payload.split_at(payload.len() - 8 - 2 * 16);
+        let (first, second) = (&table[8..24], &table[24..40]);
+        let reseal = |parts: &[&[u8]]| {
+            let mut out = Vec::new();
+            let mut section = SectionWriter::begin(
+                &mut out,
+                MemoryEncryptionEngine::MAGIC,
+                MemoryEncryptionEngine::VERSION,
+            );
+            section.extend_from_slice(kept);
+            for part in parts {
+                section.extend_from_slice(part);
+            }
+            section.finish();
+            out
+        };
+        assert_eq!(reseal(&[table]), img, "the table ends the image");
+        let (huge, two) = ((1u64 << 40).to_le_bytes(), 2u64.to_le_bytes());
+        for forged in [
+            reseal(&[&huge]),
+            reseal(&[&two, first, first]),
+            reseal(&[&two, second, first]),
+        ] {
+            let err = MemoryEncryptionEngine::thaw_from(&mut ByteReader::new(&forged))
+                .expect_err("a forged MAC-region table must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         }
     }
 

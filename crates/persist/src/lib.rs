@@ -19,9 +19,18 @@
 //! sixteen bytes per step (slice-by-16). Sections are written in place
 //! ([`SectionWriter`]): an image of nested sections is appended into one
 //! buffer and every byte of it is checksummed once.
+//!
+//! The crate also holds [`IndexMap`], the integer-keyed hash map that
+//! the dram, counters, tree and engine crates share for their per-block
+//! lookups, and [`read_index_table`], the one canonical-form decoder for
+//! the sorted tables they serialize from it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod index;
+
+pub use index::{IndexHasher, IndexMap};
 
 use std::io;
 use std::ops::{Deref, DerefMut};
@@ -328,6 +337,41 @@ pub fn read_section<'a>(
         return Err(invalid_data("section checksum mismatch"));
     }
     Ok((version, ByteReader::new(payload)))
+}
+
+/// Reads a table of index-keyed entries that fills the rest of `r`: a
+/// `u64` count, then per entry a `u64` key followed by the value
+/// `read_value` decodes, `entry_bytes` in all. Only the canonical form a
+/// key-sorting encoder writes is accepted: the count must match the
+/// bytes actually there — checked before anything is sized by it — and
+/// the keys must be strictly ascending, so no duplicate can silently
+/// overwrite an earlier entry.
+///
+/// # Errors
+///
+/// `InvalidData` for a count that disagrees with the remaining bytes or
+/// a repeated or out-of-order key; whatever `read_value` returns.
+pub fn read_index_table<'a, V>(
+    r: &mut ByteReader<'a>,
+    entry_bytes: usize,
+    mut read_value: impl FnMut(&mut ByteReader<'a>) -> io::Result<V>,
+) -> io::Result<IndexMap<V>> {
+    let count = r.u64()?;
+    if u64::try_from(r.remaining()).ok() != count.checked_mul(entry_bytes as u64) {
+        return Err(invalid_data("table count disagrees with payload length"));
+    }
+    let mut table = IndexMap::with_capacity_and_hasher(count as usize, Default::default());
+    let mut previous = None;
+    for _ in 0..count {
+        let key = r.u64()?;
+        if previous.is_some_and(|p| key <= p) {
+            return Err(invalid_data("table keys not strictly ascending"));
+        }
+        previous = Some(key);
+        table.insert(key, read_value(r)?);
+    }
+    debug_assert!(r.is_empty(), "entries shorter than entry_bytes");
+    Ok(table)
 }
 
 /// Bytes of a log record's header: `len(u32) | crc64(payload)`.

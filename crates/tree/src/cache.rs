@@ -16,7 +16,8 @@
 //!   soon as the block is re-fetched — the same observable behaviour as
 //!   real metadata caches.
 
-use crate::merkle::{BonsaiTree, IndexMap, VerifyError, NODE_BYTES};
+use crate::merkle::{BonsaiTree, VerifyError, NODE_BYTES};
+use ame_persist::IndexMap;
 
 /// Counter-cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

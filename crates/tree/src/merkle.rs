@@ -10,9 +10,7 @@
 //! detected.
 
 use ame_crypto::MemoryCipher;
-use ame_persist::{invalid_data, put_u64, read_section, ByteReader, SectionWriter};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use ame_persist::{invalid_data, put_u64, read_section, ByteReader, IndexMap, SectionWriter};
 use std::io;
 
 /// Size of a counter block / tree node in bytes.
@@ -39,34 +37,6 @@ impl std::fmt::Display for VerifyError {
 }
 
 impl std::error::Error for VerifyError {}
-
-/// Multiplicative hasher for maps keyed by a counter-block or tree-node
-/// index. Those keys are dense integers bounded by the protected region,
-/// never attacker-sized strings, so SipHash's flooding resistance buys
-/// nothing here; the fold keeps keys that differ only in their high bits
-/// apart in the table's low (bucket) bits.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct IndexHasher(u64);
-
-impl Hasher for IndexHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let h = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-/// A map keyed by block/node index behind [`IndexHasher`].
-pub(crate) type IndexMap<V> = HashMap<u64, V, BuildHasherDefault<IndexHasher>>;
 
 /// One off-chip tree node: the 64-bit MACs of its (up to eight)
 /// children, plus which child slots were ever written — an absent child
