@@ -1224,37 +1224,17 @@ impl MemoryEncryptionEngine {
         }
     }
 
-    /// Re-installs a sealed block state captured by
-    /// [`Self::export_sealed`] (write-intent log replay): restores the
-    /// counter *value*, the stored bits, and the MAC-region tag, then
-    /// re-syncs the counter leaf into the integrity tree. The replayed
-    /// block is not trusted by fiat — its MAC binds (address, counter,
-    /// ciphertext), so a forged record fails the next verified read.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` if the counter value cannot be represented in its
-    /// group's current state (evidence of a corrupt or forged log).
-    pub fn apply_sealed(&mut self, addr: u64, state: &SealedBlockState) -> io::Result<()> {
-        let block = Self::block_index(addr);
-        self.counters.force_counter(block, state.counter)?;
-        if let Some(tag) = state.mac {
-            self.mac_region.insert(block, tag);
-        }
-        self.storage.write(addr, state.stored);
-        self.sync_tree(block);
-        Ok(())
-    }
-
-    /// Applies a *run* of sealed block states in one pass — the recovery
-    /// analogue of the batched write path. The per-block effects (counter
-    /// restore, MAC-region tag, stored bits) are identical to calling
-    /// [`Self::apply_sealed`] per entry, but the integrity-tree re-sync is
-    /// deduplicated to one [`Self::sync_tree`] per *distinct metadata
-    /// block* touched by the run: the tree leaf image is a pure function
-    /// of the final counter state, so syncing once after all counters in
-    /// a leaf are restored yields the same tree bit-for-bit while skipping
-    /// the redundant intermediate hashes a per-record replay would pay.
+    /// Re-installs a *run* of sealed block states captured by
+    /// [`Self::export_sealed`] (write-intent log replay) — the recovery
+    /// analogue of the batched write path, and the one way sealed state
+    /// enters an engine. Each entry restores its counter *value*, stored
+    /// bits and MAC-region tag; the integrity-tree re-sync is then done
+    /// once per *distinct metadata block* the run touched: the tree leaf
+    /// image is a pure function of the final counter state, so syncing
+    /// once after all counters in a leaf are restored yields the same
+    /// tree as a per-entry sync. A replayed block is not trusted by fiat
+    /// — its MAC binds (address, counter, ciphertext), so a forged record
+    /// fails the next verified read.
     ///
     /// # Errors
     ///
@@ -1456,8 +1436,8 @@ impl SealedBlockState {
         self.counter
     }
 
-    /// Serializes the state (fixed 82-byte layout, no framing — callers
-    /// wrap records in their own checksummed framing).
+    /// Serializes the state (fixed [`Self::ENCODED_LEN`]-byte layout, no
+    /// framing — callers wrap records in their own checksummed framing).
     pub fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, self.counter);
         match self.mac {
@@ -1474,21 +1454,32 @@ impl SealedBlockState {
         out.extend_from_slice(&self.stored.sideband);
     }
 
+    /// Length in bytes of every [`Self::encode`] output.
+    pub const ENCODED_LEN: usize = 8 + 1 + 8 + BLOCK_BYTES + 8;
+
     /// Decodes a state written by [`Self::encode`], advancing the reader.
+    /// Only the canonical form is accepted: the MAC flag is 0 or 1, and
+    /// an absent MAC's tag field is zero.
     ///
     /// # Errors
     ///
-    /// `InvalidData` on truncation.
+    /// `InvalidData` on truncation or a non-canonical MAC field.
     pub fn decode(r: &mut ByteReader<'_>) -> io::Result<Self> {
         let counter = r.u64()?;
-        let has_mac = r.u8()? != 0;
+        let has_mac = r.u8()?;
         let tag = r.u64()?;
+        let mac = match (has_mac, tag) {
+            (0, 0) => None,
+            (1, tag) => Some(tag),
+            (0, _) => return Err(invalid_data("tag present behind an absent-MAC flag")),
+            (flag, _) => return Err(invalid_data(format!("MAC flag {flag} is not 0 or 1"))),
+        };
         let data: [u8; BLOCK_BYTES] = r.array()?;
         let sideband: [u8; 8] = r.array()?;
         Ok(Self {
             stored: StoredBlock { data, sideband },
             counter,
-            mac: has_mac.then_some(tag),
+            mac,
         })
     }
 }
@@ -2202,7 +2193,7 @@ mod tests {
             assert_eq!(decoded, sealed, "sealed state round-trips");
 
             let mut back = MemoryEncryptionEngine::thaw_from(&mut ByteReader::new(&img)).unwrap();
-            back.apply_sealed(64, &decoded).unwrap();
+            back.apply_sealed_run(&[(64, decoded)]).unwrap();
             back.verify_all().unwrap();
             assert_eq!(back.read_block(64).unwrap(), [9; 64], "{placement:?}");
             assert_eq!(back.read_block(0).unwrap(), [1; 64]);
@@ -2228,7 +2219,7 @@ mod tests {
             max_correctable_flips: 0,
             ..EngineConfig::default()
         });
-        fresh.apply_sealed(0, &forged).unwrap();
+        fresh.apply_sealed_run(&[(0, forged)]).unwrap();
         assert!(fresh.verify_all().is_err(), "forged bits must not verify");
     }
 }

@@ -287,24 +287,11 @@ impl SecureRegion {
         Ok(self.engine.export_sealed(addr))
     }
 
-    /// Re-installs a sealed block state (write-intent log replay).
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` if the address is out of bounds/unaligned or the
-    /// counter value cannot be represented — either way the log is
-    /// corrupt and the shard quarantines.
-    pub fn apply_sealed(&mut self, addr: u64, state: &SealedBlockState) -> io::Result<()> {
-        self.check_block(addr)
-            .map_err(|_| invalid_data("replayed address outside the region"))?;
-        self.engine.apply_sealed(addr, state)
-    }
-
-    /// Re-installs a run of sealed block states in one batched pass —
-    /// same per-block effects as [`Self::apply_sealed`] per entry, with
-    /// the integrity-tree re-sync deduplicated per metadata block. Every
-    /// address is bounds-checked before any entry is applied, so a bad
-    /// log cannot partially replay through this path.
+    /// Re-installs a run of sealed block states (write-intent log
+    /// replay) in one batched pass, with the integrity-tree re-sync
+    /// deduplicated per metadata block. Every address is bounds-checked
+    /// before any entry is applied, so a bad log cannot partially replay
+    /// through this path.
     ///
     /// # Errors
     ///
@@ -462,9 +449,10 @@ mod tests {
         assert!(r.export_sealed(33).is_err(), "unaligned");
         let sealed = r.export_sealed(64).unwrap();
         assert!(
-            r.apply_sealed(8192, &sealed).is_err(),
+            r.apply_sealed_run(&[(64, sealed.clone()), (8192, sealed.clone())])
+                .is_err(),
             "replay out of range"
         );
-        assert!(r.apply_sealed(64, &sealed).is_ok());
+        assert!(r.apply_sealed_run(&[(64, sealed)]).is_ok());
     }
 }

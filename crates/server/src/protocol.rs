@@ -18,9 +18,9 @@
 //!
 //! # Error codes
 //!
-//! Codes `0x10..=0x17` are the eight [`StoreError`] variants, each with
+//! Codes `0x10..=0x15` are the six [`StoreError`] variants, each with
 //! a payload carrying the variant's fields, so a client round-trips the
-//! exact error the store raised. Codes `0x20..=0x26` are server-side
+//! exact error the store raised; `0x16` and `0x17` are retired. Codes `0x20..=0x26` are server-side
 //! rejections that never touch the store (bad framing, quota, version,
 //! shutdown). [`encode_store_error`] matches every variant with no
 //! wildcard arm: adding a `StoreError` variant fails compilation here
@@ -87,10 +87,9 @@ pub mod code {
     pub const DISCONNECTED: u8 = 0x14;
     /// [`StoreError::Timeout`]; empty payload.
     pub const TIMEOUT: u8 = 0x15;
-    /// [`StoreError::TxnAborted`]; empty payload.
-    pub const TXN_ABORTED: u8 = 0x16;
-    /// [`StoreError::TxnConflict`]; payload `[u64 addr]`.
-    pub const TXN_CONFLICT: u8 = 0x17;
+    // 0x16 and 0x17 are retired: they named the errors of a deleted
+    // two-phase-commit API. Never reuse them — a client that still knows
+    // the old table must not read a new error as one of those.
 
     /// Server is draining for shutdown; no new operations admitted.
     pub const SHUTTING_DOWN: u8 = 0x20;
@@ -390,11 +389,6 @@ pub fn encode_store_error(e: &StoreError) -> (u8, Vec<u8>) {
             code::DISCONNECTED
         }
         StoreError::Timeout => code::TIMEOUT,
-        StoreError::TxnAborted => code::TXN_ABORTED,
-        StoreError::TxnConflict { addr } => {
-            put_u64(&mut p, *addr);
-            code::TXN_CONFLICT
-        }
     };
     (code, p)
 }
@@ -459,8 +453,6 @@ fn decode_store_error(code: u8, payload: &[u8]) -> Option<WireError> {
             shard: c.u32()? as usize,
         },
         code::TIMEOUT => StoreError::Timeout,
-        code::TXN_ABORTED => StoreError::TxnAborted,
-        code::TXN_CONFLICT => StoreError::TxnConflict { addr: c.u64()? },
         _ => return None,
     };
     Some(WireError::Store(e))

@@ -51,8 +51,6 @@ fn specimens() -> Vec<StoreError> {
         },
         StoreError::Disconnected { shard: 6 },
         StoreError::Timeout,
-        StoreError::TxnAborted,
-        StoreError::TxnConflict { addr: 0x80c0 },
     ]
 }
 
@@ -73,7 +71,7 @@ fn store_error_codes_are_distinct_per_variant() {
         .iter()
         .map(|e| encode_store_error(e).0)
         .collect();
-    assert_eq!(codes.len(), 8, "eight variants, eight codes: {codes:?}");
+    assert_eq!(codes.len(), 6, "six variants, six codes: {codes:?}");
     // And the exact table is part of the wire contract: renumbering
     // breaks deployed clients, so pin it.
     let expected: HashSet<u8> = [
@@ -83,11 +81,21 @@ fn store_error_codes_are_distinct_per_variant() {
         code::SHARD_POISONED,
         code::DISCONNECTED,
         code::TIMEOUT,
-        code::TXN_ABORTED,
-        code::TXN_CONFLICT,
     ]
     .into();
     assert_eq!(codes, expected);
+}
+
+#[test]
+fn retired_store_error_codes_decode_as_unknown() {
+    // 0x16 and 0x17 named the errors of a deleted two-phase-commit API.
+    // They stay out of the table, so they decode like any code this
+    // build does not know — whatever payload they carry.
+    for code in [0x16u8, 0x17] {
+        for payload in [&[][..], &0x80c0u64.to_le_bytes()[..]] {
+            assert_eq!(decode_error(code, payload), WireError::Unknown(code));
+        }
+    }
 }
 
 #[test]

@@ -67,19 +67,16 @@ use ame_engine::region::SecureRegion;
 pub use ame_engine::BLOCK_BYTES;
 
 use ame_engine::{EngineConfig, ReadError};
-use ame_persist::frame_record;
 use ame_telemetry::{Snapshot, StatsRegistry, Value};
 use shard::{Op, OpOutput, Request, ShardShared, ShardWorker};
-use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-use wal::{read_committed_txns, recover_shard, ShardBoot};
+use wal::{recover_shard, ShardBoot};
 
 /// Configuration of a [`SecureStore`].
 #[derive(Debug, Clone)]
@@ -135,7 +132,6 @@ impl Default for StoreConfig {
 /// | [`Overloaded`](StoreError::Overloaded) | never (waits) | yes, queue **or** in-flight window full | never (waits) |
 /// | [`ShardPoisoned`](StoreError::ShardPoisoned) | yes | yes (fast-fail at submit, or on a completion) | yes |
 /// | [`Disconnected`](StoreError::Disconnected) | yes | yes | yes |
-/// | [`TxnConflict`](StoreError::TxnConflict) | write/RMW only | yes (on a write/RMW completion) | yes (write ops) |
 ///
 /// Every session fast-fail rejection — queue full, window full, or the
 /// poisoned-shard early return — also increments the shard's
@@ -178,20 +174,6 @@ pub enum StoreError {
     /// completed. The ticket is still outstanding: the operation will
     /// still execute, and a later wait can still reap it.
     Timeout,
-    /// An atomic cross-shard batch was rolled back: a participant
-    /// failed to prepare (or the commit decision could not be made
-    /// durable), so no write of the batch took effect.
-    TxnAborted,
-    /// The block at `addr` is held by a prepared-but-unresolved
-    /// [`write_batch_atomic`](SecureStore::write_batch_atomic)
-    /// transaction. Mutating it now would be revoked if the transaction
-    /// aborts, so the write/RMW is rejected instead of acknowledged;
-    /// retry once the transaction resolves. Inside a worker the address
-    /// is shard-local; surfaced errors carry it as received.
-    TxnConflict {
-        /// The contested block-aligned address.
-        addr: u64,
-    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -217,15 +199,6 @@ impl std::fmt::Display for StoreError {
                 write!(f, "shard {shard} worker is gone")
             }
             StoreError::Timeout => write!(f, "timed out waiting for a completion"),
-            StoreError::TxnAborted => {
-                write!(f, "atomic batch aborted: no write of the batch took effect")
-            }
-            StoreError::TxnConflict { addr } => {
-                write!(
-                    f,
-                    "block {addr:#x} is held by an unresolved atomic batch; retry after it resolves"
-                )
-            }
         }
     }
 }
@@ -289,10 +262,6 @@ pub struct SecureStore {
     workers: Vec<JoinHandle<SealReport>>,
     /// The durable directory this store was opened on, if any.
     persist_dir: Option<PathBuf>,
-    /// The coordinator's commit-decision log (`<dir>/txns.log`).
-    txn_log: Option<Mutex<File>>,
-    /// Next two-phase transaction id.
-    next_txn: AtomicU64,
 }
 
 impl std::fmt::Debug for SecureStore {
@@ -319,26 +288,22 @@ impl SecureStore {
     /// Opens (or creates) a **durable** store rooted at `dir`.
     ///
     /// Each shard persists under `dir/shard<N>/` as a checksummed
-    /// snapshot plus a write-intent log; `dir/txns.log` records
-    /// cross-shard commit decisions. On open, every shard is rebuilt
+    /// snapshot plus a write-intent log. On open, every shard is rebuilt
     /// from its snapshot, the intent log is replayed (a torn tail —
     /// a record cut short by a crash — is truncated: it was never
-    /// acknowledged), unresolved two-phase intents are resolved
-    /// (forward if `txns.log` committed them, backward otherwise), and
-    /// the rebuilt image is **fully re-verified** (every MAC and tree
-    /// path) before the shard serves anything. Corruption anywhere — a
+    /// acknowledged), and the rebuilt image is **fully re-verified**
+    /// (every MAC and tree path) before the shard serves anything. Corruption anywhere — a
     /// flipped bit in the snapshot or log, or a replay that fails
     /// verification — quarantines that shard exactly like a live
     /// verification failure; healthy siblings serve normally.
     ///
     /// Every acknowledged write is durable as of its acknowledgement —
     /// against power loss, not just a process kill: the worker appends
-    /// the sealed post-image to the intent log *and* `fdatasync`s it
-    /// before the acknowledgement leaves the shard, snapshots are
-    /// synced and atomically renamed (directory fsynced) before the log
-    /// rotates, and cross-shard commit decisions are synced to
-    /// `txns.log` before phase 2 begins. The price is one `fdatasync`
-    /// per acknowledged write run on the write path.
+    /// each served run's sealed post-images to the intent log as one
+    /// record *and* `fdatasync`s it before the acknowledgements leave
+    /// the shard, and snapshots are synced and atomically renamed
+    /// (directory fsynced) before the log rotates. The price is one
+    /// `fdatasync` per worker wakeup that wrote (group commit).
     ///
     /// # Errors
     ///
@@ -365,13 +330,6 @@ impl SecureStore {
         );
         assert!(config.queue_depth > 0, "queues must hold at least one slot");
         assert!(config.max_batch > 0, "service batches need at least one op");
-        let committed = Arc::new(match &persist {
-            Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                read_committed_txns(&dir.join("txns.log"))
-            }
-            None => HashSet::new(),
-        });
         let mut senders = Vec::with_capacity(config.shards);
         let mut shared = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
@@ -393,7 +351,6 @@ impl SecureStore {
             // channel each.
             let boot_config = config.clone();
             let boot_persist = persist.clone();
-            let boot_committed = Arc::clone(&committed);
             let worker_shared = Arc::clone(&sh);
             let (booted_tx, booted_rx) = sync_channel::<io::Result<()>>(1);
             workers.push(
@@ -406,19 +363,17 @@ impl SecureStore {
                             // fresh region with an empty log — creation
                             // and recovery are the same path, so they
                             // cannot drift apart.
-                            Some(dir) => {
-                                match recover_shard(&boot_config, s, dir, &boot_committed) {
-                                    Ok(boot) => boot,
-                                    Err(e) => {
-                                        let _ = booted_tx.send(Err(e));
-                                        return SealReport {
-                                            shard: s,
-                                            resealed: false,
-                                            poisoned: None,
-                                        };
-                                    }
+                            Some(dir) => match recover_shard(&boot_config, s, dir) {
+                                Ok(boot) => boot,
+                                Err(e) => {
+                                    let _ = booted_tx.send(Err(e));
+                                    return SealReport {
+                                        shard: s,
+                                        resealed: false,
+                                        poisoned: None,
+                                    };
                                 }
-                            }
+                            },
                             None => ShardBoot {
                                 region: SecureRegion::new(
                                     boot_config.engine.for_tenant(boot_config.tenant, s),
@@ -465,32 +420,12 @@ impl SecureStore {
             }
             return Err(e);
         }
-        // The decision log is append-only across lives: a quarantined
-        // shard's dangling prepares may still need old ids resolved
-        // after repair, and a power cut must never resurrect a
-        // truncated-away id. Seeding past the largest logged id keeps
-        // every new transaction id collision-free with every previous
-        // life's — otherwise a reused id could match a stale committed
-        // record and wrongly resolve a dangling prepare *forward*.
-        let next_txn = committed.iter().max().map_or(1, |max| max + 1);
-        let txn_log = match &persist {
-            Some(dir) => {
-                let file = OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(dir.join("txns.log"))?;
-                Some(Mutex::new(file))
-            }
-            None => None,
-        };
         Ok(Self {
             config,
             senders,
             shared,
             workers,
             persist_dir: persist,
-            txn_log,
-            next_txn: AtomicU64::new(next_txn),
         })
     }
 
@@ -655,10 +590,7 @@ impl SecureStore {
     /// # Errors
     ///
     /// As [`SecureStore::read`] (a quarantined shard rejects writes too:
-    /// no new data is entrusted to it), plus [`StoreError::TxnConflict`]
-    /// if the block is held by an unresolved
-    /// [`write_batch_atomic`](SecureStore::write_batch_atomic)
-    /// transaction — retry once it resolves.
+    /// no new data is entrusted to it).
     pub fn write(&self, addr: u64, data: &[u8; BLOCK_BYTES]) -> Result<(), StoreError> {
         let (shard, local) = self.locate(addr)?;
         self.roundtrip(shard, Op::Write { local, data: *data })
@@ -752,128 +684,6 @@ impl SecureStore {
             .into_iter()
             .map(|r| r.expect("every op resolved"))
             .collect()
-    }
-
-    /// Writes a batch of blocks **atomically across shards**: either
-    /// every write takes effect (and survives a crash) or none does.
-    ///
-    /// The store runs two-phase commit with presumed abort over the
-    /// shards' write-intent logs. Phase 1 sends each involved shard a
-    /// prepare carrying its writes; the shard applies them, logs the
-    /// intent (pre- and post-images) and acknowledges. Once every
-    /// participant has prepared, the commit decision is appended to
-    /// `txns.log` (the durable decision point) and phase 2 finalizes
-    /// each shard. Any prepare failure — or a decision log that cannot
-    /// be written — rolls every prepared shard back to its pre-images
-    /// and the whole batch reports [`StoreError::TxnAborted`].
-    ///
-    /// A crash between prepare and commit resolves on the next
-    /// [`SecureStore::open`]: forward if the decision reached
-    /// `txns.log`, backward otherwise — a prepared-but-undecided
-    /// transaction was never acknowledged, so rolling it back never
-    /// revokes an acknowledged write.
-    ///
-    /// Atomicity is with respect to durability and crash recovery, not
-    /// read isolation: concurrent reads may observe the prepared images
-    /// before the commit decision lands. Concurrent *mutations* of a
-    /// prepared block, however, are rejected rather than lost: while a
-    /// transaction is unresolved, its blocks are held by the owning
-    /// shard, and any plain write, RMW, or other prepare touching them
-    /// fails with [`StoreError::TxnConflict`] (an overlapping atomic
-    /// batch therefore aborts whole). Without that hold, an abort's
-    /// pre-image restore could silently revoke an acknowledged
-    /// intervening write.
-    ///
-    /// # Errors
-    ///
-    /// Address validation errors ([`StoreError::Unaligned`] /
-    /// [`StoreError::OutOfRange`]) reject the batch before any effect;
-    /// [`StoreError::TxnAborted`] reports a rolled-back batch (including
-    /// one that lost a [`TxnConflict`](StoreError::TxnConflict) race
-    /// with an overlapping batch); [`StoreError::Disconnected`] a
-    /// vanished worker.
-    pub fn write_batch_atomic(
-        &self,
-        writes: &[(u64, [u8; BLOCK_BYTES])],
-    ) -> Result<(), StoreError> {
-        let mut per_shard: Vec<Vec<(u64, [u8; BLOCK_BYTES])>> =
-            (0..self.config.shards).map(|_| Vec::new()).collect();
-        for &(addr, data) in writes {
-            let (shard, local) = self.locate(addr)?;
-            per_shard[shard].push((local, data));
-        }
-        let involved: Vec<usize> = (0..self.config.shards)
-            .filter(|&s| !per_shard[s].is_empty())
-            .collect();
-        if involved.is_empty() {
-            return Ok(());
-        }
-        let txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
-        // Phase 1: send every prepare first, then collect, so the
-        // shards prepare concurrently.
-        let mut pending = Vec::with_capacity(involved.len());
-        let mut prepared = Vec::new();
-        let mut failed = None;
-        for &s in &involved {
-            let (reply, response) = sync_channel(1);
-            let request = Request::Prepare {
-                txn,
-                writes: std::mem::take(&mut per_shard[s]),
-                reply,
-            };
-            if self.senders[s].send(request).is_err() {
-                failed = Some(StoreError::Disconnected { shard: s });
-                break;
-            }
-            pending.push((s, response));
-        }
-        for (s, response) in pending {
-            match response.recv() {
-                Ok(Ok(())) => prepared.push(s),
-                Ok(Err(e)) => {
-                    failed.get_or_insert(e);
-                }
-                Err(_) => {
-                    failed.get_or_insert(StoreError::Disconnected { shard: s });
-                }
-            }
-        }
-        if failed.is_none() {
-            // Decision point: the transaction commits when (and only
-            // when) its id is durably in the coordinator log.
-            if let Some(log) = &self.txn_log {
-                let record = frame_record(&txn.to_le_bytes());
-                let mut file = log.lock().expect("txn log lock");
-                // `fdatasync` the decision: a commit only exists once it
-                // would survive a power cut.
-                if file
-                    .write_all(&record)
-                    .and_then(|()| file.sync_data())
-                    .is_err()
-                {
-                    failed = Some(StoreError::TxnAborted);
-                }
-            }
-        }
-        if failed.is_some() {
-            for &s in &prepared {
-                let (reply, response) = sync_channel(1);
-                if self.senders[s].send(Request::Abort { txn, reply }).is_ok() {
-                    let _ = response.recv();
-                }
-            }
-            return Err(StoreError::TxnAborted);
-        }
-        // Phase 2: the decision is durable; finalize. A shard that
-        // fails here is quarantined, but the transaction stays
-        // committed — recovery finishes it forward from txns.log.
-        for &s in &involved {
-            let (reply, response) = sync_channel(1);
-            if self.senders[s].send(Request::Commit { txn, reply }).is_ok() {
-                let _ = response.recv();
-            }
-        }
-        Ok(())
     }
 
     /// Test surface: kills every shard worker as a power cut would — no

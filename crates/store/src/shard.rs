@@ -17,8 +17,7 @@
 //! semantics stay bit-identical to sequential service. That is the one
 //! way a data operation is served — a lone operation is a run of one —
 //! and outside a run the worker only ever *rejects*: an operation on a
-//! quarantined shard, a mutation of a block held by an unresolved
-//! prepare, an address outside the region. At most one fusion
+//! quarantined shard or an address outside the region. At most one fusion
 //! buffer is ever non-empty — parking a write flushes pending reads and
 //! vice versa — and a read parking behind a pending RMW to the *same*
 //! block flushes first, so fusion never changes what any operation
@@ -45,10 +44,9 @@
 //! [`write_blocks`]: ame_engine::region::SecureRegion::write_blocks
 //! [`read_blocks`]: ame_engine::region::SecureRegion::read_blocks
 
-use ame_engine::region::{RegionError, SecureRegion};
+use ame_engine::region::SecureRegion;
 use ame_engine::{ReadError, BLOCK_BYTES};
 use ame_telemetry::{Histogram, MetricSink, Metrics, Snapshot, StatsRegistry};
-use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -56,7 +54,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::wake::WakeFd;
-use crate::wal::{write_snapshot, PrepareEntry, ShardPersist, ShardWal, WalRecord};
+use crate::wal::{write_snapshot, ShardPersist, ShardWal, WalRecord};
 use crate::StoreError;
 
 /// The mutator a read-modify-write runs on the shard worker's thread.
@@ -140,24 +138,6 @@ pub(crate) enum Request {
         sideband: bool,
         ack: SyncSender<()>,
     },
-    /// Two-phase commit, phase 1: apply `writes`, log the intent (pre-
-    /// and post-images) before acknowledging. The writes become durable
-    /// but stay revocable until `Commit`/`Abort`.
-    Prepare {
-        txn: u64,
-        writes: Vec<(u64, [u8; BLOCK_BYTES])>,
-        reply: SyncSender<Result<(), StoreError>>,
-    },
-    /// Two-phase commit, phase 2 (forward): finalize `txn`.
-    Commit {
-        txn: u64,
-        reply: SyncSender<Result<(), StoreError>>,
-    },
-    /// Two-phase commit, phase 2 (backward): restore `txn`'s pre-images.
-    Abort {
-        txn: u64,
-        reply: SyncSender<Result<(), StoreError>>,
-    },
     /// Test surface: die like a power cut — no drain, no re-seal, no
     /// checkpoint; the on-disk snapshot + log are left exactly as the
     /// last acknowledged operation put them.
@@ -231,16 +211,12 @@ pub struct ShardStats {
     /// log replay, verification sweep and the fresh checkpoint.
     pub recovery_ns: u64,
     /// Explicit `fdatasync` calls on the write-intent log (group-commit
-    /// flushes; rotations and 2PC records sync separately).
+    /// flushes; rotations sync separately).
     pub wal_syncs: u64,
     /// Group commits: syncs that made two or more independently
     /// acknowledged intent records durable at once — the fsyncs the
     /// coalescing saved are `wal_records - wal_syncs`.
     pub wal_group_commits: u64,
-    /// Two-phase transactions prepared on this shard.
-    pub txns_prepared: u64,
-    /// Prepared transactions rolled back (pre-images restored).
-    pub txns_aborted: u64,
     /// Operations coalesced per service interval (log₂ buckets).
     pub batch_size: Histogram,
     /// Per-operation service latency in nanoseconds (log₂ buckets). A
@@ -281,8 +257,6 @@ impl Metrics for ShardStats {
         sink.gauge("recovery_ns", self.recovery_ns as f64);
         sink.counter("wal_syncs", self.wal_syncs);
         sink.counter("wal_group_commits", self.wal_group_commits);
-        sink.counter("txns_prepared", self.txns_prepared);
-        sink.counter("txns_aborted", self.txns_aborted);
         sink.histogram("batch_size", &self.batch_size);
         sink.histogram("service_latency_ns", &self.service_latency_ns);
         sink.histogram("queue_wait_ns", &self.queue_wait_ns);
@@ -382,24 +356,14 @@ pub(crate) struct ShardWorker {
     crashed: bool,
     /// Durable storage plane, when the store was opened on a directory.
     persist: Option<ShardPersist>,
-    /// Prepared-but-unresolved transactions: `(local, pre, post)` per
-    /// entry, kept so `Abort` can restore and rotation can re-log them.
-    pending_txns: BTreeMap<u64, Vec<PrepareEntry>>,
-    /// Blocks held by a prepared-but-unresolved transaction. Writes,
-    /// RMWs, and other prepares touching these are rejected with
-    /// [`StoreError::TxnConflict`] until the transaction resolves —
-    /// otherwise an abort's pre-image restore would silently revoke an
-    /// acknowledged intervening write.
-    prepared_blocks: HashSet<u64>,
     /// Completions held back for the group commit: computed, their
     /// intent appended (unsynced), awaiting the shared `fdatasync`.
     /// Released in FIFO order by [`flush_deferred`](Self::flush_deferred)
     /// — reads defer too on persistent shards, preserving the per-shard
     /// completion-order guarantee sessions rely on.
     deferred: Vec<DeferredCompletion>,
-    /// Intent records appended since the last sync (any kind: group
-    /// flush, 2PC record, or rotation). Non-zero means the log's tail is
-    /// not yet durable.
+    /// Intent records appended since the last sync. Non-zero means the
+    /// log's tail is not yet durable.
     wal_unsynced: u64,
     /// Session wakeups owed for completions sent during the current
     /// service wakeup, one entry per eventfd; rung by
@@ -426,8 +390,6 @@ impl ShardWorker {
             persist_dead: false,
             crashed: false,
             persist: None,
-            pending_txns: BTreeMap::new(),
-            prepared_blocks: HashSet::new(),
             deferred: Vec::new(),
             wal_unsynced: 0,
             wakes: Vec::new(),
@@ -584,28 +546,6 @@ impl ShardWorker {
                     self.stats.tampers += 1;
                     let _ = ack.send(());
                 }
-                Request::Prepare {
-                    txn,
-                    writes: w,
-                    reply,
-                } => {
-                    self.flush_fused(&mut writes, &mut slots);
-                    self.flush_fused_reads(&mut reads, &mut slots);
-                    self.flush_deferred(&mut slots);
-                    let _ = reply.send(self.handle_prepare(txn, w));
-                }
-                Request::Commit { txn, reply } => {
-                    self.flush_fused(&mut writes, &mut slots);
-                    self.flush_fused_reads(&mut reads, &mut slots);
-                    self.flush_deferred(&mut slots);
-                    let _ = reply.send(self.handle_commit(txn));
-                }
-                Request::Abort { txn, reply } => {
-                    self.flush_fused(&mut writes, &mut slots);
-                    self.flush_fused_reads(&mut reads, &mut slots);
-                    self.flush_deferred(&mut slots);
-                    let _ = reply.send(self.handle_abort(txn));
-                }
                 Request::Crash { ack } => {
                     self.crashed = true;
                     let _ = ack.send(());
@@ -644,7 +584,8 @@ impl ShardWorker {
 
     /// Parks a data operation in the matching run buffer — the only way
     /// one is ever served — or, when it cannot join a run, flushes both
-    /// buffers (so order is preserved) and rejects it.
+    /// buffers (so order is preserved) and rejects it: as poisoned on a
+    /// quarantined shard, else as outside the region.
     ///
     /// A read or RMW may not park behind a pending RMW to the *same*
     /// block: the later op must observe the earlier RMW's write, while a
@@ -660,24 +601,14 @@ impl ShardWorker {
         reads: &mut Vec<PendingRead>,
         slots: &mut [BatchSlot],
     ) {
-        let in_bounds = |local: u64| local + BLOCK_BYTES as u64 <= self.region.size();
-        // Mutations of a block held by an unresolved prepare never park:
-        // acknowledged, they would be silently revoked by an abort's
-        // pre-image restore. Reads stay allowed (the store disclaims
-        // isolation, not write atomicity).
-        let parks = self.healthy()
-            && match op {
-                Op::Read { local } => in_bounds(local),
-                Op::Write { local, .. } | Op::Rmw { local, .. } => {
-                    in_bounds(local) && !self.prepared_blocks.contains(&local)
-                }
-            };
-        if parks {
+        let (Op::Read { local } | Op::Write { local, .. } | Op::Rmw { local, .. }) = op;
+        let in_bounds = local + BLOCK_BYTES as u64 <= self.region.size();
+        if self.healthy() && in_bounds {
             match op {
                 // Pending reads arrived first and must observe the
                 // pre-write snapshot.
                 Op::Write { .. } => self.flush_fused_reads(reads, slots),
-                Op::Read { local } | Op::Rmw { local, .. } => {
+                Op::Read { .. } | Op::Rmw { .. } => {
                     self.flush_fused(writes, slots);
                     if reads.iter().any(|r| r.rmw.is_some() && r.local == local) {
                         self.flush_fused_reads(reads, slots);
@@ -715,28 +646,14 @@ impl ShardWorker {
         self.flush_fused(writes, slots);
         self.flush_fused_reads(reads, slots);
         let start = Instant::now();
-        let result = Err(self.reject(&op));
+        let result = Err(if self.healthy() {
+            out_of_range(local)
+        } else {
+            self.reject_poisoned()
+        });
         let service_ns = start.elapsed().as_nanos() as u64;
         self.stats.service_latency_ns.record(service_ns);
         self.deliver(dest, result, queue_ns, service_ns, slots);
-    }
-
-    /// Why `op` cannot join a run. The worker serves data operations
-    /// only as runs; outside one it only ever rejects.
-    fn reject(&mut self, op: &Op) -> StoreError {
-        if !self.healthy() {
-            return self.reject_poisoned();
-        }
-        match *op {
-            Op::Write { local, .. } | Op::Rmw { local, .. }
-                if self.prepared_blocks.contains(&local) =>
-            {
-                StoreError::TxnConflict { addr: local }
-            }
-            Op::Read { local } | Op::Write { local, .. } | Op::Rmw { local, .. } => {
-                out_of_range(local)
-            }
-        }
     }
 
     /// Routes one finished operation's result to its submitter.
@@ -989,16 +906,6 @@ impl ShardWorker {
         }
     }
 
-    /// One full-block write outside a run: a prepare interleaves it with
-    /// the sealed-state exports that bracket it.
-    fn write(&mut self, local: u64, data: &[u8; BLOCK_BYTES]) -> Result<(), StoreError> {
-        match self.region.write_bytes(local, data) {
-            Ok(()) => Ok(()),
-            Err(RegionError::Read(e)) => Err(self.poison(e)),
-            Err(RegionError::OutOfBounds { .. }) => Err(out_of_range(local)),
-        }
-    }
-
     /// Counts and reports one operation bounced off the quarantine.
     fn reject_poisoned(&mut self) -> StoreError {
         self.stats.rejected_poisoned += 1;
@@ -1088,26 +995,11 @@ impl ShardWorker {
         outcome.map_err(|_| self.poison_io())
     }
 
-    /// Appends one record to the log, makes it durable (`fdatasync`) and
-    /// accounts it.
-    fn log_durably(
-        wal: &mut ShardWal,
-        stats: &mut ShardStats,
-        encode: impl FnOnce(&mut Vec<u8>),
-    ) -> io::Result<()> {
-        let bytes = wal.append(encode)?;
-        stats.wal_records += 1;
-        stats.wal_bytes += bytes;
-        Ok(())
-    }
-
     /// Rotates the durable state: freezes the region into a fresh
-    /// atomic snapshot under the next checkpoint generation, replaces
-    /// the intent log with one bound to that generation, and re-logs
-    /// any unresolved prepares (their resolution must survive the
-    /// rotation). The snapshot is durable before the new log's first
-    /// byte exists, which is what lets recovery discard a stale log
-    /// instead of regressing.
+    /// atomic snapshot under the next checkpoint generation and replaces
+    /// the intent log with one bound to that generation. The snapshot is
+    /// durable before the new log's first byte exists, which is what
+    /// lets recovery discard a stale log instead of regressing.
     fn checkpoint(&mut self) -> io::Result<()> {
         let started = Instant::now();
         let image = self.region.freeze();
@@ -1123,145 +1015,12 @@ impl ShardWorker {
         // The durable snapshot subsumes every record of the replaced
         // log, synced or not: the tail is clean again.
         self.wal_unsynced = 0;
-        for (&txn, entries) in &self.pending_txns {
-            Self::log_durably(&mut p.wal, &mut self.stats, |out| {
-                WalRecord::put_prepare(out, txn, entries);
-            })?;
-        }
         self.stats.checkpoints += 1;
         self.stats.snapshot_bytes += image.len() as u64;
         self.stats
             .checkpoint_ns
             .record(started.elapsed().as_nanos() as u64);
         Ok(())
-    }
-
-    /// Two-phase commit, phase 1: applies the transaction's writes,
-    /// captures pre- and post-images, and logs the intent before
-    /// acknowledging. On success the writes are durable but revocable;
-    /// the touched blocks are held against conflicting mutations until
-    /// the transaction resolves.
-    fn handle_prepare(
-        &mut self,
-        txn: u64,
-        writes: Vec<(u64, [u8; BLOCK_BYTES])>,
-    ) -> Result<(), StoreError> {
-        if !self.healthy() {
-            return Err(self.reject_poisoned());
-        }
-        // A block held by another unresolved prepare rejects this whole
-        // prepare before any effect — two overlapping atomic batches
-        // abort one rather than entangle their pre-images.
-        if let Some(&(local, _)) = writes
-            .iter()
-            .find(|(local, _)| self.prepared_blocks.contains(local))
-        {
-            return Err(StoreError::TxnConflict { addr: local });
-        }
-        let mut entries = Vec::with_capacity(writes.len());
-        for (local, data) in writes {
-            let pre = match self.region.export_sealed(local) {
-                Ok(pre) => pre,
-                Err(_) => {
-                    // Coordinator-validated addresses make this
-                    // unreachable; roll back what this shard applied and
-                    // let the coordinator abort the transaction.
-                    self.rollback(&entries);
-                    return Err(out_of_range(local));
-                }
-            };
-            self.write(local, &data)?; // a ReadError here poisons: no rollback needed
-            let post = self
-                .region
-                .export_sealed(local)
-                .expect("address was writable");
-            self.stats.writes += 1;
-            entries.push((local, pre, post));
-        }
-        self.prepared_blocks
-            .extend(entries.iter().map(|&(local, _, _)| local));
-        self.pending_txns.insert(txn, entries);
-        if self.persist.is_some() {
-            let outcome = if self.rotation_due() {
-                // The rotation re-logs every pending prepare, including
-                // this one, over a snapshot that already contains the
-                // applied post-images.
-                self.checkpoint()
-            } else {
-                let entries = self.pending_txns.get(&txn).expect("just inserted");
-                let p = self.persist.as_mut().expect("checked above");
-                Self::log_durably(&mut p.wal, &mut self.stats, |out| {
-                    WalRecord::put_prepare(out, txn, entries);
-                })
-            };
-            if outcome.is_err() {
-                return Err(self.poison_io());
-            }
-        }
-        self.stats.txns_prepared += 1;
-        Ok(())
-    }
-
-    /// Two-phase commit, phase 2 (forward): the prepared post-images are
-    /// final; log the decision so replay stops treating them as
-    /// revocable.
-    fn handle_commit(&mut self, txn: u64) -> Result<(), StoreError> {
-        if !self.healthy() {
-            return Err(self.reject_poisoned());
-        }
-        if let Some(entries) = self.pending_txns.remove(&txn) {
-            for (local, _, _) in &entries {
-                self.prepared_blocks.remove(local);
-            }
-        }
-        if let Some(p) = self.persist.as_mut() {
-            let record = WalRecord::Commit { txn };
-            if Self::log_durably(&mut p.wal, &mut self.stats, |out| record.encode_into(out))
-                .is_err()
-            {
-                return Err(self.poison_io());
-            }
-        }
-        Ok(())
-    }
-
-    /// Two-phase commit, phase 2 (backward): restores the pre-images of
-    /// a prepared transaction and logs the rollback.
-    fn handle_abort(&mut self, txn: u64) -> Result<(), StoreError> {
-        if !self.healthy() {
-            return Err(self.reject_poisoned());
-        }
-        let Some(entries) = self.pending_txns.remove(&txn) else {
-            return Ok(()); // never prepared here (or already resolved)
-        };
-        for (local, _, _) in &entries {
-            self.prepared_blocks.remove(local);
-        }
-        if !self.rollback(&entries) {
-            return Err(self.poison_io());
-        }
-        if let Some(p) = self.persist.as_mut() {
-            let record = WalRecord::Abort { txn };
-            if Self::log_durably(&mut p.wal, &mut self.stats, |out| record.encode_into(out))
-                .is_err()
-            {
-                return Err(self.poison_io());
-            }
-        }
-        self.stats.txns_aborted += 1;
-        Ok(())
-    }
-
-    /// Restores pre-images in reverse apply order; `false` if a restore
-    /// failed (the shard can no longer prove its state and must be
-    /// quarantined by the caller). Sound because `prepared_blocks`
-    /// rejected every mutation of these blocks since the prepare: the
-    /// pre-image is still the last acknowledged non-transactional state.
-    fn rollback(&mut self, entries: &[PrepareEntry]) -> bool {
-        entries
-            .iter()
-            .rev()
-            .all(|(local, pre, _post)| self.region.apply_sealed(*local, pre).is_ok())
     }
 
     fn report(&self) -> ShardReport {

@@ -38,11 +38,10 @@
 //! [`StoreConfig::wal_rotate_bytes`](crate::StoreConfig::wal_rotate_bytes)
 //! (bounding replay time).
 //!
-//! Two-phase-commit intents ride the same log: a [`WalRecord::Prepare`]
-//! carries both pre- and post-images, so recovery can finish the
-//! transaction either way — forward if the coordinator's commit log
-//! (`dir/txns.log`) says it committed, backward otherwise (presumed
-//! abort: an unresolved prepare was never acknowledged to the client).
+//! Every record after the header is one [`WalRecord`]: the sealed
+//! post-images of one served run. Record tags 2–4 belonged to a retired
+//! two-phase-commit plane and are never reused: a log holding one is not
+//! a log this code wrote, so its shard quarantines like any corrupt log.
 //!
 //! Failure taxonomy on recovery:
 //!
@@ -58,21 +57,24 @@
 use ame_engine::region::SecureRegion;
 use ame_engine::{ReadError, SealedBlockState};
 use ame_persist::{frame_record_into, invalid_data, put_u32, put_u64, scan_wal, ByteReader};
-use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 
 use crate::StoreConfig;
 
 /// Record tags (first payload byte) of the write-intent log.
 const TAG_WRITES: u8 = 1;
-const TAG_PREPARE: u8 = 2;
-const TAG_COMMIT: u8 = 3;
-const TAG_ABORT: u8 = 4;
+/// Tags of the retired two-phase-commit records (prepare, commit,
+/// abort). Never reuse them: an old log holding one must keep failing
+/// to decode rather than replay as something else.
+const RETIRED_TAGS: RangeInclusive<u8> = 2..=4;
 /// Tag of the mandatory first record of every log: the checkpoint
 /// generation this log extends.
 const TAG_GENERATION: u8 = 5;
+/// Encoded length of one `Writes` entry: its address and sealed state.
+const WRITE_ENTRY_LEN: usize = 8 + SealedBlockState::ENCODED_LEN;
 
 /// Encodes the generation header record payload.
 fn encode_generation(out: &mut Vec<u8>, generation: u64) {
@@ -135,9 +137,7 @@ impl SealedRunBuffer {
         Ok(())
     }
 
-    /// Applies and clears the pending run (no-op when empty). Must be
-    /// called before any non-`Writes` mutation of the region so replay
-    /// order is preserved.
+    /// Applies and clears the pending run (no-op when empty).
     fn flush(&mut self, region: &mut SecureRegion) -> io::Result<()> {
         if self.run.is_empty() {
             return Ok(());
@@ -153,117 +153,67 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// One write-intent log record.
+/// The one write-intent log record after the header: a served run's
+/// acknowledged writes as `(local, sealed post-image)`, in effect order.
 #[derive(Debug)]
-pub(crate) enum WalRecord {
-    /// A run of acknowledged writes: sealed post-images, in effect order.
-    Writes(Vec<(u64, SealedBlockState)>),
-    /// A two-phase-commit intent: each entry is
-    /// `(local, pre-image, post-image)`; the post-images are applied at
-    /// prepare time, the pre-images roll them back on abort.
-    Prepare {
-        txn: u64,
-        entries: Vec<PrepareEntry>,
-    },
-    /// Transaction `txn`'s prepared writes are final.
-    Commit { txn: u64 },
-    /// Transaction `txn` was rolled back (pre-images restored).
-    Abort { txn: u64 },
-}
-
-/// One `(local, pre-image, post-image)` entry of a prepare intent.
-pub(crate) type PrepareEntry = (u64, SealedBlockState, SealedBlockState);
+pub(crate) struct WalRecord(pub Vec<(u64, SealedBlockState)>);
 
 impl WalRecord {
-    /// Appends the head of a `Writes` payload announcing `count`
-    /// entries; each follows through [`Self::put_write`]. The worker
-    /// encodes a run straight from the region this way, without
-    /// building the record first.
+    /// Appends the head of a record announcing `count` entries; each
+    /// follows through [`Self::put_write`]. The worker encodes a run
+    /// straight from the region this way, without building the record
+    /// first.
     pub(crate) fn put_writes_head(out: &mut Vec<u8>, count: usize) {
         out.push(TAG_WRITES);
         put_u32(out, count as u32);
     }
 
-    /// Appends one entry of a `Writes` payload.
+    /// Appends one entry of a record.
     pub(crate) fn put_write(out: &mut Vec<u8>, local: u64, state: &SealedBlockState) {
         put_u64(out, local);
         state.encode(out);
     }
 
-    /// Appends a `Prepare` payload.
-    pub(crate) fn put_prepare(out: &mut Vec<u8>, txn: u64, entries: &[PrepareEntry]) {
-        out.push(TAG_PREPARE);
-        put_u64(out, txn);
-        put_u32(out, entries.len() as u32);
-        for (local, pre, post) in entries {
-            put_u64(out, *local);
-            pre.encode(out);
-            post.encode(out);
-        }
-    }
-
-    /// Appends this record's payload to `out`.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            WalRecord::Writes(entries) => {
-                Self::put_writes_head(out, entries.len());
-                for (local, state) in entries {
-                    Self::put_write(out, *local, state);
-                }
-            }
-            WalRecord::Prepare { txn, entries } => Self::put_prepare(out, *txn, entries),
-            WalRecord::Commit { txn } => {
-                out.push(TAG_COMMIT);
-                put_u64(out, *txn);
-            }
-            WalRecord::Abort { txn } => {
-                out.push(TAG_ABORT);
-                put_u64(out, *txn);
-            }
-        }
-    }
-
+    /// Decodes one record payload. Only what [`Self::put_writes_head`]
+    /// and [`Self::put_write`] produce is accepted: the entry count must
+    /// account for the payload exactly before anything is sized from it,
+    /// and each entry's sealed state must be canonical.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for any other tag (retired ones included), a count
+    /// that disagrees with the payload length, or a non-canonical entry.
     pub(crate) fn decode(payload: &[u8]) -> io::Result<Self> {
         let mut r = ByteReader::new(payload);
-        let record = match r.u8()? {
-            TAG_WRITES => {
-                let count = r.u32()? as usize;
-                let mut entries = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    let local = r.u64()?;
-                    entries.push((local, SealedBlockState::decode(&mut r)?));
-                }
-                WalRecord::Writes(entries)
+        match r.u8()? {
+            TAG_WRITES => {}
+            tag if RETIRED_TAGS.contains(&tag) => {
+                return Err(invalid_data(format!("retired write-intent tag {tag}")))
             }
-            TAG_PREPARE => {
-                let txn = r.u64()?;
-                let count = r.u32()? as usize;
-                let mut entries = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    let local = r.u64()?;
-                    let pre = SealedBlockState::decode(&mut r)?;
-                    let post = SealedBlockState::decode(&mut r)?;
-                    entries.push((local, pre, post));
-                }
-                WalRecord::Prepare { txn, entries }
-            }
-            TAG_COMMIT => WalRecord::Commit { txn: r.u64()? },
-            TAG_ABORT => WalRecord::Abort { txn: r.u64()? },
             tag => return Err(invalid_data(format!("unknown write-intent tag {tag}"))),
-        };
-        if !r.is_empty() {
-            return Err(invalid_data("trailing bytes in write-intent record"));
         }
-        Ok(record)
+        let count = r.u32()? as usize;
+        if count.checked_mul(WRITE_ENTRY_LEN) != Some(r.remaining()) {
+            return Err(invalid_data(format!(
+                "write-intent record announces {count} entries in {} bytes",
+                r.remaining()
+            )));
+        }
+        let mut entries = Vec::with_capacity(count);
+        for _ in 0..count {
+            let local = r.u64()?;
+            entries.push((local, SealedBlockState::decode(&mut r)?));
+        }
+        Ok(Self(entries))
     }
 }
 
 /// An open, append-only write-intent log.
 ///
 /// Appends are encoded and framed in place ([`frame_record_into`]) in
-/// one reusable buffer, written whole, and `fdatasync`ed before the
-/// caller acknowledges anything — a power cut can tear at most the
-/// final, unacknowledged record.
+/// one reusable buffer and written whole; the worker syncs them once per
+/// wakeup (group commit) before it acknowledges anything they cover — a
+/// power cut can tear only records nobody was acknowledged for.
 pub(crate) struct ShardWal {
     file: File,
     len: u64,
@@ -298,14 +248,6 @@ impl ShardWal {
             len: record.len() as u64,
             record,
         })
-    }
-
-    /// Appends the record whose payload `encode` writes and makes it
-    /// durable (`fdatasync`).
-    pub(crate) fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<u64> {
-        let written = self.append_unsynced(encode)?;
-        self.sync()?;
-        Ok(written)
     }
 
     /// Appends the record whose payload `encode` writes into the OS page
@@ -389,12 +331,7 @@ pub(crate) struct ShardBoot {
 /// quarantines the shard (boot-poisoned) instead of serving doubtful
 /// state; the store's other shards are unaffected. A torn log tail is
 /// truncated silently: the record it held was never acknowledged.
-pub(crate) fn recover_shard(
-    config: &StoreConfig,
-    s: usize,
-    dir: &Path,
-    committed: &HashSet<u64>,
-) -> io::Result<ShardBoot> {
+pub(crate) fn recover_shard(config: &StoreConfig, s: usize, dir: &Path) -> io::Result<ShardBoot> {
     let sdir = dir.join(format!("shard{s}"));
     fs::create_dir_all(&sdir)?;
     let snap_path = sdir.join("snapshot.bin");
@@ -434,9 +371,7 @@ pub(crate) fn recover_shard(
         )
     };
 
-    // Replay the intent log in append order, tracking unresolved
-    // prepares.
-    let mut pending: BTreeMap<u64, Vec<PrepareEntry>> = BTreeMap::new();
+    // Replay the intent log in append order.
     if wal_path.exists() {
         let bytes = fs::read(&wal_path)?;
         let scan = match scan_wal(&bytes) {
@@ -467,61 +402,22 @@ pub(crate) fn recover_shard(
             // snapshot is made durable before its log exists.
             Some(Some(_)) => return Ok(quarantine(region)),
         };
-        // Consecutive-address `Writes` entries — within one record and
-        // across adjacent records — fuse into runs applied through the
-        // batched sealed-apply path; any record that mutates the region
-        // out of band flushes the pending run first.
+        // Consecutive-address entries — within one record and across
+        // adjacent records — fuse into runs applied through the batched
+        // sealed-apply path.
         let mut runs = SealedRunBuffer::default();
         for payload in replay {
-            let record = match WalRecord::decode(payload) {
-                Ok(record) => record,
-                Err(_) => return Ok(quarantine(region)),
-            };
-            let applied = match record {
-                WalRecord::Writes(entries) => entries
+            let applied = WalRecord::decode(payload).and_then(|WalRecord(entries)| {
+                entries
                     .into_iter()
-                    .try_for_each(|(local, state)| runs.push(&mut region, local, state)),
-                WalRecord::Prepare { txn, entries } => {
-                    let result = runs.flush(&mut region).and_then(|()| {
-                        entries
-                            .iter()
-                            .try_for_each(|(local, _pre, post)| region.apply_sealed(*local, post))
-                    });
-                    pending.insert(txn, entries);
-                    result
-                }
-                WalRecord::Commit { txn } => {
-                    pending.remove(&txn);
-                    Ok(())
-                }
-                WalRecord::Abort { txn } => {
-                    runs.flush(&mut region)
-                        .and_then(|()| match pending.remove(&txn) {
-                            Some(entries) => entries.iter().try_for_each(|(local, pre, _post)| {
-                                region.apply_sealed(*local, pre)
-                            }),
-                            None => Ok(()),
-                        })
-                }
-            };
+                    .try_for_each(|(local, state)| runs.push(&mut region, local, state))
+            });
             if applied.is_err() {
                 return Ok(quarantine(region));
             }
         }
         if runs.flush(&mut region).is_err() {
             return Ok(quarantine(region));
-        }
-    }
-    // Unresolved prepares: forward if the coordinator durably committed,
-    // otherwise presumed abort (the client was never acknowledged).
-    for (txn, entries) in pending {
-        if committed.contains(&txn) {
-            continue; // post-images already applied
-        }
-        for (local, pre, _post) in &entries {
-            if region.apply_sealed(*local, pre).is_err() {
-                return Ok(quarantine(region));
-            }
         }
     }
 
@@ -555,28 +451,6 @@ pub(crate) fn recover_shard(
     })
 }
 
-/// The coordinator's commit-decision log (`dir/txns.log`): one framed
-/// 8-byte record per durably committed transaction id.
-pub(crate) fn read_committed_txns(path: &Path) -> HashSet<u64> {
-    let mut committed = HashSet::new();
-    let Ok(bytes) = fs::read(path) else {
-        return committed;
-    };
-    // A torn or corrupt commit log degrades to presumed abort for the
-    // missing entries, which is safe: an un-logged commit was never
-    // acknowledged to any client.
-    let records = match scan_wal(&bytes) {
-        Ok(scan) => scan.records,
-        Err(_) => return committed,
-    };
-    for record in records {
-        if record.len() == 8 {
-            committed.insert(u64::from_le_bytes(record.try_into().expect("8 bytes")));
-        }
-    }
-    committed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,9 +469,12 @@ mod tests {
         dir
     }
 
-    fn encoded(record: &WalRecord) -> Vec<u8> {
+    fn encoded(entries: &[(u64, SealedBlockState)]) -> Vec<u8> {
         let mut out = Vec::new();
-        record.encode_into(&mut out);
+        WalRecord::put_writes_head(&mut out, entries.len());
+        for (local, state) in entries {
+            WalRecord::put_write(&mut out, *local, state);
+        }
         out
     }
 
@@ -610,39 +487,31 @@ mod tests {
         (pre, post)
     }
 
+    fn assert_invalid(payload: &[u8], why: &str) {
+        let err = WalRecord::decode(payload).expect_err(why);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}: {err}");
+    }
+
     #[test]
     fn record_roundtrip_all_variants() {
         let (pre, post) = sealed_pair();
-        let records = [
-            WalRecord::Writes(vec![(0, pre.clone()), (128, post.clone())]),
-            WalRecord::Prepare {
-                txn: 42,
-                entries: vec![(64, pre.clone(), post.clone())],
-            },
-            WalRecord::Commit { txn: 42 },
-            WalRecord::Abort { txn: 43 },
-        ];
-        for record in &records {
-            let bytes = encoded(record);
-            let back = WalRecord::decode(&bytes).unwrap();
-            assert_eq!(bytes, encoded(&back), "decode/encode is the identity");
+        for entries in [vec![], vec![(64, pre.clone())], vec![(0, pre), (128, post)]] {
+            let bytes = encoded(&entries);
+            assert_eq!(bytes.len(), 5 + entries.len() * WRITE_ENTRY_LEN);
+            let WalRecord(back) = WalRecord::decode(&bytes).unwrap();
+            assert_eq!(back, entries, "decode/encode is the identity");
         }
     }
 
     #[test]
     fn a_record_appended_in_place_is_the_framed_copy_of_its_payload() {
-        // What `append` used to write: the payload encoded into its own
-        // vector, then copied behind `len | crc64(payload)`.
+        // The payload encoded into its own vector, then copied behind
+        // `len | crc64(payload)`.
         let (pre, post) = sealed_pair();
         let records = [
-            WalRecord::Writes(vec![(0, pre.clone()), (128, post.clone())]),
-            WalRecord::Writes(vec![]),
-            WalRecord::Prepare {
-                txn: 42,
-                entries: vec![(64, pre, post)],
-            },
-            WalRecord::Commit { txn: 42 },
-            WalRecord::Abort { txn: 43 },
+            vec![(0, pre.clone()), (128, post.clone())],
+            vec![],
+            vec![(64, post)],
         ];
         let dir = temp_dir("inplace");
         let path = dir.join("wal.bin");
@@ -650,9 +519,11 @@ mod tests {
         let mut expected = Vec::new();
         for record in std::iter::once(None).chain(records.iter().map(Some)) {
             let payload = match record {
-                Some(record) => {
-                    wal.append(|out| record.encode_into(out)).unwrap();
-                    encoded(record)
+                Some(entries) => {
+                    let payload = encoded(entries);
+                    wal.append_unsynced(|out| out.extend_from_slice(&payload))
+                        .unwrap();
+                    payload
                 }
                 None => {
                     let mut header = vec![TAG_GENERATION];
@@ -664,6 +535,7 @@ mod tests {
             expected.extend_from_slice(&ame_persist::crc64(&payload).to_le_bytes());
             expected.extend_from_slice(&payload);
         }
+        wal.sync().unwrap();
         assert_eq!(fs::read(&path).unwrap(), expected);
         assert_eq!(wal.size(), expected.len() as u64);
         let _ = fs::remove_dir_all(&dir);
@@ -671,16 +543,54 @@ mod tests {
 
     #[test]
     fn record_rejects_unknown_tag_and_trailing_bytes() {
-        assert_eq!(
-            WalRecord::decode(&[9]).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-        let mut bytes = encoded(&WalRecord::Commit { txn: 1 });
+        assert_invalid(&[9], "unknown tag");
+        // The generation header is a record of its own, never a payload.
+        assert_invalid(&[TAG_GENERATION, 0, 0, 0, 0], "header tag");
+        let mut bytes = encoded(&[(0, sealed_pair().0)]);
         bytes.push(0);
+        assert_invalid(&bytes, "trailing byte");
+    }
+
+    #[test]
+    fn retired_tags_never_decode() {
+        // The shapes the two-phase-commit records had: [tag][u64 id]
+        // for a decision, [tag][u64 id][u32 count]... for an intent.
+        for tag in RETIRED_TAGS {
+            let mut payload = vec![tag];
+            payload.extend_from_slice(&1u64.to_le_bytes());
+            assert_invalid(&payload, "retired tag, decision shape");
+            payload.extend_from_slice(&0u32.to_le_bytes());
+            assert_invalid(&payload, "retired tag, intent shape");
+        }
+    }
+
+    #[test]
+    fn forged_counts_and_non_canonical_entries_are_refused() {
+        let (pre, post) = sealed_pair();
+        let good = encoded(&[(0, pre), (64, post)]);
+        // A 5-byte record announcing u32::MAX entries sizes nothing.
+        let mut huge = vec![TAG_WRITES];
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_invalid(&huge, "huge count");
+        for count in [1u32, 3] {
+            let mut off_by_one = good.clone();
+            off_by_one[1..5].copy_from_slice(&count.to_le_bytes());
+            assert_invalid(&off_by_one, "count off by one");
+        }
+        // Entry 0's sealed state starts at 5 + 8: counter, then the MAC
+        // flag, then the tag.
+        let flag = 5 + 8 + 8;
+        let mut flag_two = good.clone();
+        flag_two[flag] = 2;
+        assert_invalid(&flag_two, "MAC flag 2");
+        let mut tag_without_mac = good.clone();
         assert_eq!(
-            WalRecord::decode(&bytes).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
+            tag_without_mac[flag], 0,
+            "MAC-in-ECC exports no separate tag"
         );
+        tag_without_mac[flag + 1] = 0x5a;
+        assert_invalid(&tag_without_mac, "tag behind an absent-MAC flag");
+        WalRecord::decode(&good).expect("the unforged record decodes");
     }
 
     #[test]
@@ -688,10 +598,12 @@ mod tests {
         let dir = temp_dir("log");
         let path = dir.join("wal.bin");
         let mut wal = ShardWal::create(&path, 3).unwrap();
-        wal.append(|out| WalRecord::Commit { txn: 1 }.encode_into(out))
-            .unwrap();
-        wal.append(|out| WalRecord::Abort { txn: 2 }.encode_into(out))
-            .unwrap();
+        let (pre, post) = sealed_pair();
+        for payload in [encoded(&[(0, pre)]), encoded(&[(64, post)])] {
+            wal.append_unsynced(|out| out.extend_from_slice(&payload))
+                .unwrap();
+        }
+        wal.sync().unwrap();
         let scan = scan_wal(&fs::read(&path).unwrap()).unwrap();
         assert_eq!(scan.records.len(), 3);
         assert!(!scan.torn);
@@ -719,25 +631,6 @@ mod tests {
         assert_eq!(&on_disk[..8], &2u64.to_le_bytes());
         assert_eq!(&on_disk[8..], b"image-2");
         assert!(!dir.join("snapshot.tmp").exists(), "temp file renamed away");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn committed_txns_tolerate_garbage() {
-        let dir = temp_dir("txns");
-        let path = dir.join("txns.log");
-        let mut log = Vec::new();
-        log.extend_from_slice(&ame_persist::frame_record(&5u64.to_le_bytes()));
-        log.extend_from_slice(&ame_persist::frame_record(&9u64.to_le_bytes()));
-        fs::write(&path, &log).unwrap();
-        let committed = read_committed_txns(&path);
-        assert!(committed.contains(&5) && committed.contains(&9));
-        // Corruption degrades to presumed abort, not a panic.
-        let mut bad = log.clone();
-        bad[13] ^= 1;
-        fs::write(&path, &bad).unwrap();
-        assert!(read_committed_txns(&path).is_empty());
-        assert!(read_committed_txns(&dir.join("missing.log")).is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -251,161 +251,125 @@ fn stale_wal_from_before_a_checkpoint_never_regresses_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn transaction_ids_never_repeat_across_lives() {
-    // txns.log is append-only across restarts and new ids are seeded
-    // past its maximum: a reused id could match a stale committed
-    // record and wrongly resolve a dangling prepare forward.
-    let dir = temp_dir("txnids");
-    let config = small_config();
-    for round in 0..3u8 {
-        let store = SecureStore::open(&dir, config.clone()).expect("open");
-        store
-            .write_batch_atomic(&[(addr(0), block(round)), (addr(1), block(round))])
-            .expect("atomic batch");
-        store.simulate_crash();
+/// Leaves shard 0's log holding exactly its generation header and one
+/// write record (block 0 = `[1; 64]`), shard 1's block 1 = `[2; 64]`,
+/// and returns the two record payloads.
+fn crash_after_one_write_per_shard(dir: &std::path::Path) -> (Vec<u8>, Vec<u8>) {
+    let store = SecureStore::open(dir, small_config()).expect("open fresh");
+    store.write(addr(0), &block(1)).expect("shard0 write");
+    store.write(addr(1), &block(2)).expect("shard1 write");
+    store.simulate_crash();
+    let bytes = std::fs::read(dir.join("shard0").join("wal.bin")).expect("read wal");
+    let scan = ame_persist::scan_wal(&bytes).expect("scan wal");
+    let [header, writes]: [Vec<u8>; 2] = scan.records.try_into().expect("header + one record");
+    (header, writes)
+}
+
+/// Rewrites shard 0's log as its header followed by `record` (framed
+/// with a correct CRC), reopens, and checks that shard 0 is quarantined
+/// while shard 1 still serves.
+fn forged_record_quarantines_shard0(tag: &str, forge: impl FnOnce(&mut Vec<u8>)) {
+    let dir = temp_dir(tag);
+    let (header, mut record) = crash_after_one_write_per_shard(&dir);
+    forge(&mut record);
+    let mut wal = ame_persist::frame_record(&header);
+    wal.extend_from_slice(&ame_persist::frame_record(&record));
+    std::fs::write(dir.join("shard0").join("wal.bin"), &wal).expect("write forged wal");
+
+    let store = SecureStore::open(&dir, small_config()).expect("open tolerates quarantine");
+    match store.read(addr(0)) {
+        Err(StoreError::ShardPoisoned { shard: 0, .. }) => {}
+        other => panic!("{tag}: a forged record replayed: {other:?}"),
     }
-    let bytes = std::fs::read(dir.join("txns.log")).expect("decision log");
-    let scan = ame_persist::scan_wal(&bytes).expect("scan decision log");
-    let ids: Vec<u64> = scan
-        .records
-        .iter()
-        .map(|r| u64::from_le_bytes(r[..8].try_into().expect("8 bytes")))
-        .collect();
-    assert_eq!(
-        ids,
-        vec![1, 2, 3],
-        "ids must survive restarts and never repeat"
-    );
+    assert_eq!(store.read(addr(1)).expect("sibling read"), block(2));
+    store.simulate_crash();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Offset of the MAC flag in a one-entry write record: tag, count,
+/// address, counter.
+const MAC_FLAG: usize = 1 + 4 + 8 + 8;
+
 #[test]
-fn write_to_prepared_block_is_rejected_until_the_txn_resolves() {
-    // A plain write landing between prepare and commit must not be
-    // acknowledged-then-revoked: the shard holds prepared blocks and
-    // rejects the conflict instead.
-    let store = SecureStore::new(small_config());
-    store.write(addr(0), &block(1)).expect("seed shard0");
-    store.write(addr(1), &block(1)).expect("seed shard1");
-    let mut session = store.session();
-    // Occupy shard 1 so the batch below stays in its prepare phase
-    // (shard 0 prepared, shard 1's prepare queued behind the sleep)
-    // long enough to probe the window.
-    let ticket = session
-        .submit_rmw(addr(1), |data| {
-            std::thread::sleep(Duration::from_millis(400));
-            data[0] ^= 0x80;
-        })
-        .expect("submit blocker rmw");
-    std::thread::sleep(Duration::from_millis(100));
-    std::thread::scope(|scope| {
-        let batch = scope
-            .spawn(|| store.write_batch_atomic(&[(addr(0), block(0x2A)), (addr(1), block(0x2B))]));
-        std::thread::sleep(Duration::from_millis(100));
-        // Shard 0 is prepared and unresolved: mutating its block must
-        // bounce, while reading it stays allowed (no read isolation).
-        match store.write(addr(0), &block(0x99)) {
-            Err(StoreError::TxnConflict { addr: a }) => assert_eq!(a, addr(0)),
-            other => panic!("conflicting write not rejected: {other:?}"),
-        }
-        assert_eq!(store.read(addr(0)).expect("read"), block(0x2A));
-        batch.join().expect("join").expect("batch commits");
+fn a_write_record_announcing_u32_max_entries_quarantines() {
+    forged_record_quarantines_shard0("huge_count", |record| {
+        record.truncate(1);
+        record.extend_from_slice(&u32::MAX.to_le_bytes());
     });
-    // Resolved: the held blocks accept writes again.
-    store
-        .write(addr(0), &block(0x99))
-        .expect("write after resolve");
-    assert_eq!(store.read(addr(0)).expect("read"), block(0x99));
-    match session.wait(ticket).expect("blocker rmw completes") {
-        StoreValue::Modified(_) => {}
-        other => panic!("unexpected completion: {other:?}"),
-    }
 }
 
 #[test]
-fn overlapping_atomic_batches_abort_rather_than_interleave() {
-    // Two threads race whole-batch writes over the same cross-shard
-    // pair. Conflict holds make each batch all-or-nothing: whatever
-    // interleaving happens, both blocks always carry the same tag.
-    let store = SecureStore::new(small_config());
-    store.write(addr(0), &block(0)).expect("seed");
-    store.write(addr(1), &block(0)).expect("seed");
-    std::thread::scope(|scope| {
-        for t in 1..=2u8 {
-            let store = &store;
-            scope.spawn(move || {
-                for round in 0..50u8 {
-                    let tag = t * 100 + round % 100;
-                    match store.write_batch_atomic(&[(addr(0), block(tag)), (addr(1), block(tag))])
-                    {
-                        Ok(()) | Err(StoreError::TxnAborted) => {}
-                        Err(e) => panic!("unexpected batch error: {e:?}"),
-                    }
-                }
-            });
-        }
+fn a_write_record_whose_count_is_off_by_one_quarantines() {
+    forged_record_quarantines_shard0("count_plus_one", |record| {
+        record[1..5].copy_from_slice(&2u32.to_le_bytes());
     });
-    let a = store.read(addr(0)).expect("read");
-    let b = store.read(addr(1)).expect("read");
-    assert_eq!(a, b, "a committed batch's pair was torn apart");
+    forged_record_quarantines_shard0("count_minus_one", |record| {
+        record[1..5].copy_from_slice(&0u32.to_le_bytes());
+    });
 }
 
 #[test]
-fn atomic_batch_commits_across_shards_and_survives_crash() {
-    let dir = temp_dir("txn_commit");
-    let config = small_config();
-    {
-        let store = SecureStore::open(&dir, config.clone()).expect("open fresh");
-        store.write(addr(0), &block(1)).expect("seed shard0");
-        store.write(addr(1), &block(1)).expect("seed shard1");
-        store
-            .write_batch_atomic(&[(addr(0), block(0x55)), (addr(1), block(0x66))])
-            .expect("atomic batch");
-        assert_eq!(store.read(addr(0)).expect("read"), block(0x55));
-        assert_eq!(store.read(addr(1)).expect("read"), block(0x66));
-        store.simulate_crash();
+fn a_mac_flag_other_than_zero_or_one_quarantines() {
+    forged_record_quarantines_shard0("mac_flag_two", |record| {
+        assert_eq!(record[MAC_FLAG], 0, "MAC-in-ECC exports no separate tag");
+        record[MAC_FLAG] = 2;
+    });
+}
+
+#[test]
+fn a_tag_behind_an_absent_mac_flag_quarantines() {
+    forged_record_quarantines_shard0("tag_without_mac", |record| {
+        assert_eq!(record[MAC_FLAG], 0, "MAC-in-ECC exports no separate tag");
+        record[MAC_FLAG + 1] = 0x5a;
+    });
+}
+
+#[test]
+fn a_log_holding_a_retired_prepare_record_quarantines_and_stays_untouched() {
+    // Record tags 2-4 were the two-phase-commit records (prepare,
+    // commit, abort) of a deleted API, and `txns.log` its decision log.
+    // A log holding one is not a log this code wrote: the shard is
+    // quarantined, and its files stay byte-identical as evidence.
+    let dir = temp_dir("retired_tag");
+    let (header, writes) = crash_after_one_write_per_shard(&dir);
+    // The retired layout: [2][u64 txn][u32 count] then per entry the
+    // address and a (pre, post) pair of sealed states — here the sealed
+    // state the real write logged, twice.
+    let (entry, state) = writes[5..].split_at(8);
+    let mut prepare = vec![2u8];
+    prepare.extend_from_slice(&1u64.to_le_bytes());
+    prepare.extend_from_slice(&1u32.to_le_bytes());
+    prepare.extend_from_slice(entry);
+    prepare.extend_from_slice(state);
+    prepare.extend_from_slice(state);
+    let mut wal = ame_persist::frame_record(&header);
+    wal.extend_from_slice(&ame_persist::frame_record(&prepare));
+    let shard0 = dir.join("shard0");
+    std::fs::write(shard0.join("wal.bin"), &wal).expect("write wal");
+    // The decision log that committed transaction 1.
+    std::fs::write(
+        dir.join("txns.log"),
+        ame_persist::frame_record(&1u64.to_le_bytes()),
+    )
+    .expect("write decision log");
+    let files = [
+        shard0.join("wal.bin"),
+        shard0.join("snapshot.bin"),
+        dir.join("txns.log"),
+    ];
+    let before: Vec<Vec<u8>> = files.iter().map(|f| std::fs::read(f).unwrap()).collect();
+
+    let store = SecureStore::open(&dir, small_config()).expect("open tolerates quarantine");
+    match store.read(addr(0)) {
+        Err(StoreError::ShardPoisoned { shard: 0, .. }) => {}
+        other => panic!("a retired record replayed: {other:?}"),
     }
-    let store = SecureStore::open(&dir, config.clone()).expect("recover");
-    assert_eq!(store.read(addr(0)).expect("read"), block(0x55));
-    assert_eq!(store.read(addr(1)).expect("read"), block(0x66));
+    assert_eq!(store.read(addr(1)).expect("sibling read"), block(2));
+    assert!(!store.shutdown().shards[0].resealed);
+    for (file, bytes) in files.iter().zip(&before) {
+        assert_eq!(&std::fs::read(file).unwrap(), bytes, "{}", file.display());
+    }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn atomic_batch_validation_failure_leaves_no_effect() {
-    let store = SecureStore::new(small_config());
-    store.write(addr(0), &block(9)).expect("seed");
-    let far = store.total_bytes() + 1024;
-    let err = store
-        .write_batch_atomic(&[(addr(0), block(1)), (far, block(2))])
-        .expect_err("out-of-range batch must fail");
-    assert!(matches!(err, StoreError::OutOfRange { .. }));
-    assert_eq!(store.read(addr(0)).expect("read"), block(9));
-}
-
-#[test]
-fn atomic_batch_aborts_and_rolls_back_when_a_participant_is_poisoned() {
-    let store = SecureStore::new(small_config());
-    store.write(addr(0), &block(7)).expect("seed shard0");
-    store.write(addr(1), &block(7)).expect("seed shard1");
-    // Poison shard 1 with a detected integrity failure: three flips
-    // across words defeat the ECC 2-flip correction budget.
-    for bit in [0u32, 70, 140] {
-        store.tamper_data_bit(addr(1), bit).expect("tamper");
-    }
-    assert!(matches!(
-        store.read(addr(1)),
-        Err(StoreError::ShardPoisoned { shard: 1, .. })
-    ));
-    // Shard 0 prepares (and applies) its write, then the failed
-    // prepare on shard 1 aborts the transaction: the pre-image on
-    // shard 0 must be restored.
-    let err = store
-        .write_batch_atomic(&[(addr(0), block(0x77)), (addr(1), block(0x77))])
-        .expect_err("poisoned participant must abort the batch");
-    assert_eq!(err, StoreError::TxnAborted);
-    assert_eq!(store.read(addr(0)).expect("read"), block(7));
 }
 
 #[test]
