@@ -11,7 +11,7 @@
 //! * **Log records** — the unit of a write-intent log:
 //!   `len(u32) | crc64(payload) | payload`. [`scan_wal`] distinguishes a
 //!   *torn* tail (a record cut short by a crash — by definition never
-//!   acknowledged, so it is discarded) from a *corrupt* record (complete
+//!   acknowledged, so it is not replayed) from a *corrupt* record (complete
 //!   but failing its CRC — evidence of tampering or media failure, which
 //!   must quarantine the shard).
 //!
@@ -399,66 +399,33 @@ pub fn frame_record(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The result of scanning a write-intent log.
-#[derive(Debug)]
-pub struct WalScan {
-    /// Payloads of every intact record, in append order.
-    pub records: Vec<Vec<u8>>,
-    /// Length of the intact prefix in bytes; a recovering store truncates
-    /// the log here to drop a torn tail.
-    pub valid_len: u64,
-    /// `true` if a trailing partial record was discarded (a crash mid
-    /// append — by construction the write it logged was never
-    /// acknowledged).
-    pub torn: bool,
-}
-
-/// Scans a write-intent log image into records.
+/// Scans a write-intent log image into the payloads of its intact
+/// records, in append order.
 ///
 /// A record cut short by the end of the file (partial header or declared
-/// length past EOF) is a **torn tail**: discarded, reported via
-/// [`WalScan::torn`]. A record that is complete but fails its CRC is
-/// **corruption** and returns `InvalidData` — the caller must quarantine,
-/// never serve, that state.
+/// length past EOF) is a **torn tail**: the scan stops there. A record
+/// that is complete but fails its CRC is **corruption** and returns
+/// `InvalidData` — the caller must quarantine, never serve, that state.
 ///
 /// # Errors
 ///
 /// `InvalidData` when a complete record fails its checksum.
-pub fn scan_wal(bytes: &[u8]) -> io::Result<WalScan> {
+pub fn scan_wal(bytes: &[u8]) -> io::Result<Vec<Vec<u8>>> {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        if pos == bytes.len() {
-            return Ok(WalScan {
-                records,
-                valid_len: pos as u64,
-                torn: false,
-            });
-        }
-        let rest = bytes.len() - pos;
-        if rest < 12 {
-            return Ok(WalScan {
-                records,
-                valid_len: pos as u64,
-                torn: true,
-            });
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let stored = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
-        if rest - 12 < len {
-            return Ok(WalScan {
-                records,
-                valid_len: pos as u64,
-                torn: true,
-            });
-        }
-        let payload = &bytes[pos + 12..pos + 12 + len];
+    let mut rest = bytes;
+    while let Some((header, body)) = rest.split_at_checked(RECORD_HEADER) {
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let stored = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
+        let Some((payload, next)) = body.split_at_checked(len) else {
+            break;
+        };
         if crc64(payload) != stored {
             return Err(invalid_data("write-intent log record checksum mismatch"));
         }
         records.push(payload.to_vec());
-        pos += 12 + len;
+        rest = next;
     }
+    Ok(records)
 }
 
 #[cfg(test)]
@@ -695,34 +662,26 @@ mod tests {
         log.extend_from_slice(&frame_record(b"first"));
         log.extend_from_slice(&frame_record(b""));
         log.extend_from_slice(&frame_record(&[9; 100]));
-        let scan = scan_wal(&log).unwrap();
-        assert_eq!(scan.records.len(), 3);
-        assert_eq!(scan.records[0], b"first");
-        assert_eq!(scan.records[1], b"");
-        assert_eq!(scan.records[2], vec![9; 100]);
-        assert_eq!(scan.valid_len, log.len() as u64);
-        assert!(!scan.torn);
+        let records = scan_wal(&log).unwrap();
+        assert_eq!(records.len(), 3);
+        assert_eq!(records[0], b"first");
+        assert_eq!(records[1], b"");
+        assert_eq!(records[2], vec![9; 100]);
     }
 
     #[test]
     fn wal_scan_empty() {
-        let scan = scan_wal(&[]).unwrap();
-        assert!(scan.records.is_empty());
-        assert_eq!(scan.valid_len, 0);
-        assert!(!scan.torn);
+        assert!(scan_wal(&[]).unwrap().is_empty());
     }
 
     #[test]
     fn wal_torn_tail_is_discarded_not_an_error() {
         let mut log = Vec::new();
         log.extend_from_slice(&frame_record(b"kept"));
-        let keep = log.len() as u64;
+        let keep = log.len();
         log.extend_from_slice(&frame_record(b"torn-away"));
-        for cut in [keep as usize + 3, keep as usize + 12, log.len() - 1] {
-            let scan = scan_wal(&log[..cut]).unwrap();
-            assert_eq!(scan.records.len(), 1, "cut {cut}");
-            assert_eq!(scan.valid_len, keep);
-            assert!(scan.torn);
+        for cut in [keep + 3, keep + 12, log.len() - 1] {
+            assert_eq!(scan_wal(&log[..cut]).unwrap(), [b"kept"], "cut {cut}");
         }
     }
 

@@ -76,7 +76,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-use wal::{recover_shard, ShardBoot};
+use wal::{recover_shard, DurableFs, RealFs, ShardBoot};
 
 /// Configuration of a [`SecureStore`].
 #[derive(Debug, Clone)]
@@ -290,7 +290,7 @@ impl SecureStore {
     /// Each shard persists under `dir/shard<N>/` as a checksummed
     /// snapshot plus a write-intent log. On open, every shard is rebuilt
     /// from its snapshot, the intent log is replayed (a torn tail —
-    /// a record cut short by a crash — is truncated: it was never
+    /// a record cut short by a crash — is not: it was never
     /// acknowledged), and the rebuilt image is **fully re-verified**
     /// (every MAC and tree path) before the shard serves anything. Corruption anywhere — a
     /// flipped bit in the snapshot or log, or a replay that fails
@@ -302,8 +302,10 @@ impl SecureStore {
     /// each served run's sealed post-images to the intent log as one
     /// record *and* `fdatasync`s it before the acknowledgements leave
     /// the shard, and snapshots are synced and atomically renamed
-    /// (directory fsynced) before the log rotates. The price is one
-    /// `fdatasync` per worker wakeup that wrote (group commit).
+    /// (directory fsynced) before the log rotates; every directory on the
+    /// path to `dir/shard<N>/` is synced at open, so a directory the open
+    /// creates survives too. The price is one `fdatasync` per worker
+    /// wakeup that wrote (group commit).
     ///
     /// # Errors
     ///
@@ -315,10 +317,22 @@ impl SecureStore {
     ///
     /// As [`SecureStore::new`] for invalid configuration.
     pub fn open(dir: impl AsRef<Path>, config: StoreConfig) -> io::Result<Self> {
-        Self::boot(config, Some(dir.as_ref().to_path_buf()))
+        Self::open_on(Arc::new(RealFs), dir.as_ref(), config)
     }
 
-    fn boot(config: StoreConfig, persist: Option<PathBuf>) -> io::Result<Self> {
+    /// [`open`](Self::open) through the file system `fs`.
+    pub(crate) fn open_on(
+        fs: Arc<dyn DurableFs>,
+        dir: &Path,
+        config: StoreConfig,
+    ) -> io::Result<Self> {
+        Self::boot(config, Some((dir.to_path_buf(), fs)))
+    }
+
+    fn boot(
+        config: StoreConfig,
+        persist: Option<(PathBuf, Arc<dyn DurableFs>)>,
+    ) -> io::Result<Self> {
         assert!(config.shards > 0, "need at least one shard");
         assert!(
             config.shard_bytes > 0 && config.shard_bytes.is_multiple_of(BLOCK_BYTES as u64),
@@ -330,6 +344,11 @@ impl SecureStore {
         );
         assert!(config.queue_depth > 0, "queues must hold at least one slot");
         assert!(config.max_batch > 0, "service batches need at least one op");
+        // The store directory is made durable here, once, before any
+        // shard creates its own directory inside it.
+        if let Some((dir, fs)) = &persist {
+            fs.create_dir_all(dir)?;
+        }
         let mut senders = Vec::with_capacity(config.shards);
         let mut shared = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
@@ -363,7 +382,7 @@ impl SecureStore {
                             // fresh region with an empty log — creation
                             // and recovery are the same path, so they
                             // cannot drift apart.
-                            Some(dir) => match recover_shard(&boot_config, s, dir) {
+                            Some((dir, fs)) => match recover_shard(&boot_config, s, fs, dir) {
                                 Ok(boot) => boot,
                                 Err(e) => {
                                     let _ = booted_tx.send(Err(e));
@@ -425,7 +444,7 @@ impl SecureStore {
             senders,
             shared,
             workers,
-            persist_dir: persist,
+            persist_dir: persist.map(|(dir, _)| dir),
         })
     }
 
@@ -834,6 +853,11 @@ impl SecureStore {
         ShutdownReport { shards }
     }
 }
+
+#[cfg(test)]
+mod crash_check;
+#[cfg(test)]
+mod memfs;
 
 #[cfg(test)]
 mod tests {

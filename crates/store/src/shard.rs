@@ -1008,8 +1008,8 @@ impl ShardWorker {
             return Ok(());
         };
         let generation = p.generation + 1;
-        write_snapshot(&p.dir, generation, &image)?;
-        p.wal = ShardWal::create(&p.dir.join("wal.bin"), generation)?;
+        write_snapshot(&*p.fs, &p.dir, generation, &image)?;
+        p.wal = ShardWal::create(&*p.fs, &p.dir.join("wal.bin"), generation)?;
         p.generation = generation;
         p.last_reencryptions = reencryptions;
         // The durable snapshot subsumes every record of the replaced

@@ -45,8 +45,9 @@
 //!
 //! Failure taxonomy on recovery:
 //!
-//! * a **torn tail** (record cut short by the crash) is truncated — by
-//!   construction it was never acknowledged;
+//! * a **torn tail** (record cut short by the crash) is not replayed —
+//!   by construction it was never acknowledged — and is left in place:
+//!   recovery's fresh checkpoint replaces the whole log;
 //! * a **corrupt** snapshot, record, or replayed state (checksum or
 //!   decode failure) quarantines the shard exactly like a live
 //!   verification failure — siblings keep serving;
@@ -57,10 +58,11 @@
 use ame_engine::region::SecureRegion;
 use ame_engine::{ReadError, SealedBlockState};
 use ame_persist::{frame_record_into, invalid_data, put_u32, put_u64, scan_wal, ByteReader};
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{self, Write};
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::StoreConfig;
 
@@ -147,10 +149,104 @@ impl SealedRunBuffer {
     }
 }
 
-/// Fsyncs a directory so renames and file creations inside it are
-/// durable across a power cut.
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
+/// Every durable file operation of the storage plane, and nothing else.
+/// [`RealFs`] is the file system; the crash enumerator substitutes an
+/// in-memory model that records each operation and can crash or fail
+/// at any of them.
+pub(crate) trait DurableFs: Send + Sync {
+    /// Creates the directory `dir`, whose parent must exist; `Ok` too if
+    /// a directory is already there. A new entry is durable only once
+    /// the parent is synced.
+    fn create_dir(&self, dir: &Path) -> io::Result<()>;
+    /// Reads a whole file; `None` if it does not exist.
+    fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>>;
+    /// Creates (or truncates) `path`, writes `parts` in order and syncs
+    /// the data, returning the file for appends. Its entry is durable
+    /// only once the directory is synced.
+    fn create_synced(&self, path: &Path, parts: &[&[u8]]) -> io::Result<Box<dyn LogFile>>;
+    /// Renames `from` over `to`.
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
+    /// Syncs a directory, making its creations and renames durable.
+    fn sync_dir(&self, dir: &Path) -> io::Result<()>;
+
+    /// Creates `dir` and any missing ancestors and syncs the parent of
+    /// every directory on the path, existing ones included: an earlier
+    /// open may have created one and failed, or died, before its entry
+    /// was durable. Afterwards the whole path survives a power cut.
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        let parent = parent_of(dir);
+        if parent == dir {
+            return self.create_dir(dir);
+        }
+        self.create_dir_all(parent)?;
+        self.create_dir(dir)?;
+        self.sync_dir(parent)
+    }
+}
+
+/// The live write-intent log as [`DurableFs::create_synced`] returns it.
+pub(crate) trait LogFile: Send {
+    /// Writes `bytes` at the end of the file, not yet durable.
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
+    /// Makes every append so far durable (`fdatasync`).
+    fn sync(&mut self) -> io::Result<()>;
+}
+
+/// The file system.
+pub(crate) struct RealFs;
+
+impl DurableFs for RealFs {
+    fn create_dir(&self, dir: &Path) -> io::Result<()> {
+        match fs::create_dir(dir) {
+            Err(_) if dir.is_dir() => Ok(()),
+            created => created,
+        }
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>> {
+        match fs::read(path) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn create_synced(&self, path: &Path, parts: &[&[u8]]) -> io::Result<Box<dyn LogFile>> {
+        let mut file = File::create(path)?;
+        for part in parts {
+            file.write_all(part)?;
+        }
+        file.sync_data()?;
+        Ok(Box::new(file))
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        fs::rename(from, to)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        File::open(dir)?.sync_all()
+    }
+}
+
+impl LogFile for File {
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.write_all(bytes)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.sync_data()
+    }
+}
+
+/// The directory holding `path`: `.` for a bare relative name, the
+/// root for the root.
+fn parent_of(path: &Path) -> &Path {
+    match path.parent() {
+        Some(parent) if parent.as_os_str().is_empty() => Path::new("."),
+        Some(parent) => parent,
+        None => path,
+    }
 }
 
 /// The one write-intent log record after the header: a served run's
@@ -215,7 +311,7 @@ impl WalRecord {
 /// wakeup (group commit) before it acknowledges anything they cover — a
 /// power cut can tear only records nobody was acknowledged for.
 pub(crate) struct ShardWal {
-    file: File,
+    file: Box<dyn LogFile>,
     len: u64,
     /// The record being appended: payload and frame, reused per append.
     record: Vec<u8>,
@@ -230,19 +326,13 @@ impl ShardWal {
     /// log is replaced whole: a power cut never resurrects old records
     /// behind a new header, and a durable log implies its generation's
     /// snapshot is durable too (the caller snapshots first).
-    pub(crate) fn create(path: &Path, generation: u64) -> io::Result<Self> {
+    pub(crate) fn create(fs: &dyn DurableFs, path: &Path, generation: u64) -> io::Result<Self> {
         let tmp = path.with_extension("tmp");
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
         let mut record = Vec::new();
         frame_record_into(&mut record, |out| encode_generation(out, generation));
-        file.write_all(&record)?;
-        file.sync_data()?;
-        fs::rename(&tmp, path)?;
-        sync_dir(path.parent().expect("log path has a parent"))?;
+        let file = fs.create_synced(&tmp, &[&record])?;
+        fs.rename(&tmp, path)?;
+        fs.sync_dir(parent_of(path))?;
         Ok(Self {
             file,
             len: record.len() as u64,
@@ -260,7 +350,7 @@ impl ShardWal {
     pub(crate) fn append_unsynced(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<u64> {
         self.record.clear();
         frame_record_into(&mut self.record, encode);
-        self.file.write_all(&self.record)?;
+        self.file.append(&self.record)?;
         let written = self.record.len() as u64;
         self.len += written;
         Ok(written)
@@ -268,7 +358,7 @@ impl ShardWal {
 
     /// Makes every previously appended record durable (`fdatasync`).
     pub(crate) fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()
+        self.file.sync()
     }
 
     /// Current log length in bytes.
@@ -281,19 +371,22 @@ impl ShardWal {
 /// under checkpoint `generation`: temp file, `fsync`, rename, directory
 /// `fsync`. Returns only once the new snapshot would survive a power
 /// cut, so the caller may rotate the write-intent log afterwards.
-pub(crate) fn write_snapshot(dir: &Path, generation: u64, image: &[u8]) -> io::Result<()> {
+pub(crate) fn write_snapshot(
+    fs: &dyn DurableFs,
+    dir: &Path,
+    generation: u64,
+    image: &[u8],
+) -> io::Result<()> {
     let tmp = dir.join("snapshot.tmp");
-    let mut file = File::create(&tmp)?;
-    file.write_all(&generation.to_le_bytes())?;
-    file.write_all(image)?;
-    file.sync_data()?;
-    drop(file);
-    fs::rename(&tmp, dir.join("snapshot.bin"))?;
-    sync_dir(dir)
+    fs.create_synced(&tmp, &[&generation.to_le_bytes(), image])?;
+    fs.rename(&tmp, &dir.join("snapshot.bin"))?;
+    fs.sync_dir(dir)
 }
 
 /// A shard worker's handle on its persistence state.
 pub(crate) struct ShardPersist {
+    /// The file system the shard persists through.
+    pub fs: Arc<dyn DurableFs>,
     /// The shard's directory (`<store dir>/shard<N>`).
     pub dir: PathBuf,
     /// The live write-intent log.
@@ -330,10 +423,18 @@ pub(crate) struct ShardBoot {
 /// decode, replay representability, or the final MAC/tree sweep —
 /// quarantines the shard (boot-poisoned) instead of serving doubtful
 /// state; the store's other shards are unaffected. A torn log tail is
-/// truncated silently: the record it held was never acknowledged.
-pub(crate) fn recover_shard(config: &StoreConfig, s: usize, dir: &Path) -> io::Result<ShardBoot> {
+/// not replayed: the record it held was never acknowledged.
+pub(crate) fn recover_shard(
+    config: &StoreConfig,
+    s: usize,
+    fs: &Arc<dyn DurableFs>,
+    dir: &Path,
+) -> io::Result<ShardBoot> {
+    // The store directory is durable already (the store's open made it
+    // so); this shard's entry in it is made durable here.
     let sdir = dir.join(format!("shard{s}"));
-    fs::create_dir_all(&sdir)?;
+    fs.create_dir(&sdir)?;
+    fs.sync_dir(dir)?;
     let snap_path = sdir.join("snapshot.bin");
     let wal_path = sdir.join("wal.bin");
     let quarantine = |region: SecureRegion| ShardBoot {
@@ -343,8 +444,7 @@ pub(crate) fn recover_shard(config: &StoreConfig, s: usize, dir: &Path) -> io::R
         persist: None,
     };
 
-    let (snap_generation, mut region) = if snap_path.exists() {
-        let bytes = fs::read(&snap_path)?;
+    let (snap_generation, mut region) = if let Some(bytes) = fs.read(&snap_path)? {
         let corrupt = || {
             Ok(quarantine(SecureRegion::new(
                 config.engine.for_tenant(config.tenant, s),
@@ -372,27 +472,22 @@ pub(crate) fn recover_shard(config: &StoreConfig, s: usize, dir: &Path) -> io::R
     };
 
     // Replay the intent log in append order.
-    if wal_path.exists() {
-        let bytes = fs::read(&wal_path)?;
-        let scan = match scan_wal(&bytes) {
-            Ok(scan) => scan,
-            Err(_) => return Ok(quarantine(region)),
+    if let Some(bytes) = fs.read(&wal_path)? {
+        // Replay stops at a torn tail; the tail stays on disk until the
+        // fresh checkpoint below replaces the log, and a shard that
+        // quarantines keeps it as evidence.
+        let Ok(records) = scan_wal(&bytes) else {
+            return Ok(quarantine(region));
         };
-        if scan.torn {
-            OpenOptions::new()
-                .write(true)
-                .open(&wal_path)?
-                .set_len(scan.valid_len)?;
-        }
         // The generation gate. An empty log (or one whose header record
         // was torn away) replays nothing, which is safe: the header is
         // synced before any intent is, so a missing header proves no
         // intent in this log was ever acknowledged.
-        let replay = match scan.records.first().map(|p| decode_generation(p)) {
-            None => &scan.records[..],
+        let replay = match records.first().map(|p| decode_generation(p)) {
+            None => &records[..],
             // Non-header first record: not a log this code wrote.
             Some(None) => return Ok(quarantine(region)),
-            Some(Some(g)) if g == snap_generation => &scan.records[1..],
+            Some(Some(g)) if g == snap_generation => &records[1..],
             // Pre-checkpoint log: every record is already inside the
             // (newer) snapshot; replaying stale values would regress
             // acknowledged writes.
@@ -434,14 +529,15 @@ pub(crate) fn recover_shard(config: &StoreConfig, s: usize, dir: &Path) -> io::R
 
     // Fresh checkpoint so the next open never repeats this replay.
     let generation = snap_generation + 1;
-    write_snapshot(&sdir, generation, &region.freeze())?;
-    let wal = ShardWal::create(&wal_path, generation)?;
+    write_snapshot(&**fs, &sdir, generation, &region.freeze())?;
+    let wal = ShardWal::create(&**fs, &wal_path, generation)?;
     let last_reencryptions = region.engine().counter_stats().reencryptions;
     Ok(ShardBoot {
         region,
         poisoned: None,
         dead: false,
         persist: Some(ShardPersist {
+            fs: Arc::clone(fs),
             dir: sdir,
             wal,
             generation,
@@ -515,7 +611,7 @@ mod tests {
         ];
         let dir = temp_dir("inplace");
         let path = dir.join("wal.bin");
-        let mut wal = ShardWal::create(&path, 7).unwrap();
+        let mut wal = ShardWal::create(&RealFs, &path, 7).unwrap();
         let mut expected = Vec::new();
         for record in std::iter::once(None).chain(records.iter().map(Some)) {
             let payload = match record {
@@ -597,23 +693,22 @@ mod tests {
     fn wal_starts_with_generation_header_and_rotation_replaces_whole_file() {
         let dir = temp_dir("log");
         let path = dir.join("wal.bin");
-        let mut wal = ShardWal::create(&path, 3).unwrap();
+        let mut wal = ShardWal::create(&RealFs, &path, 3).unwrap();
         let (pre, post) = sealed_pair();
         for payload in [encoded(&[(0, pre)]), encoded(&[(64, post)])] {
             wal.append_unsynced(|out| out.extend_from_slice(&payload))
                 .unwrap();
         }
         wal.sync().unwrap();
-        let scan = scan_wal(&fs::read(&path).unwrap()).unwrap();
-        assert_eq!(scan.records.len(), 3);
-        assert!(!scan.torn);
-        assert_eq!(decode_generation(&scan.records[0]), Some(3));
-        assert_eq!(decode_generation(&scan.records[1]), None);
+        let records = scan_wal(&fs::read(&path).unwrap()).unwrap();
+        assert_eq!(records.len(), 3);
+        assert_eq!(decode_generation(&records[0]), Some(3));
+        assert_eq!(decode_generation(&records[1]), None);
         // A rotation creates a fresh log: old records gone, new header.
-        let wal = ShardWal::create(&path, 4).unwrap();
-        let scan = scan_wal(&fs::read(&path).unwrap()).unwrap();
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(decode_generation(&scan.records[0]), Some(4));
+        let wal = ShardWal::create(&RealFs, &path, 4).unwrap();
+        let records = scan_wal(&fs::read(&path).unwrap()).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(decode_generation(&records[0]), Some(4));
         assert_eq!(wal.size(), fs::read(&path).unwrap().len() as u64);
         assert!(!path.with_extension("tmp").exists(), "temp renamed away");
         let _ = fs::remove_dir_all(&dir);
@@ -622,11 +717,11 @@ mod tests {
     #[test]
     fn snapshot_write_is_atomic_rename_with_generation_prefix() {
         let dir = temp_dir("snap");
-        write_snapshot(&dir, 1, b"image-1").unwrap();
+        write_snapshot(&RealFs, &dir, 1, b"image-1").unwrap();
         let on_disk = fs::read(dir.join("snapshot.bin")).unwrap();
         assert_eq!(&on_disk[..8], &1u64.to_le_bytes());
         assert_eq!(&on_disk[8..], b"image-1");
-        write_snapshot(&dir, 2, b"image-2").unwrap();
+        write_snapshot(&RealFs, &dir, 2, b"image-2").unwrap();
         let on_disk = fs::read(dir.join("snapshot.bin")).unwrap();
         assert_eq!(&on_disk[..8], &2u64.to_le_bytes());
         assert_eq!(&on_disk[8..], b"image-2");
