@@ -122,6 +122,18 @@ pub(crate) fn gf64_mul(a: u64, b: u64) -> u64 {
     unsafe { gf64_mul_impl(a, b) }
 }
 
+/// Polynomial hash of one 64-byte message from its hash key's word
+/// multipliers `powers[w] = H^(8-w)` ([`crate::mac::hash_powers`]): eight
+/// independent PCLMULQDQ products, XORed unreduced and folded once —
+/// bit-identical to the Horner evaluation of [`crate::mac::poly_hash`],
+/// which reduces after every word.
+#[must_use]
+pub(crate) fn poly_hash_powers(powers: &[u64; 8], block: &[u8; crate::BLOCK_BYTES]) -> u64 {
+    assert_capable();
+    // SAFETY: as for `clmul`.
+    unsafe { poly_hash_powers_impl(powers, block) }
+}
+
 /// Polynomial hashes of many independent 64-byte messages under one
 /// hash key, [`MAC_LANES`] interleaved Horner chains at a time —
 /// bit-identical to evaluating [`crate::mac::poly_hash`] per message.
@@ -232,6 +244,40 @@ unsafe fn gf64_mul_impl(a: u64, b: u64) -> u64 {
     lo ^= l2;
     let (_, l3) = clmul_raw(h2, POLY);
     lo ^ l3
+}
+
+/// Finishes one deferred reduction: folds the high qword of `combined`
+/// twice by POLY and returns the reduced low qword. `combined` is an
+/// unreduced 128-bit GF(2) sum of products; reduction is GF(2)-linear,
+/// so reducing the sum once equals reducing each term and XORing.
+///
+/// # Safety
+///
+/// The caller must run on a CPU with `pclmulqdq` (and SSE2).
+#[inline]
+#[target_feature(enable = "pclmulqdq", enable = "sse2")]
+pub(crate) unsafe fn reduce_deferred(combined: __m128i, poly: __m128i) -> u64 {
+    let f1 = _mm_clmulepi64_si128::<0x01>(combined, poly);
+    let f2 = _mm_clmulepi64_si128::<0x01>(f1, poly);
+    _mm_cvtsi128_si64(_mm_xor_si128(_mm_xor_si128(combined, f1), f2)) as u64
+}
+
+#[target_feature(enable = "pclmulqdq", enable = "sse2")]
+unsafe fn poly_hash_powers_impl(powers: &[u64; 8], block: &[u8; crate::BLOCK_BYTES]) -> u64 {
+    // Words 2i and 2i+1 share one 16-byte load, and so do their
+    // multipliers; selectors 0x00 and 0x11 multiply the low and the high
+    // qwords. The two accumulators keep the XOR chain short.
+    let words = block.as_ptr().cast::<__m128i>();
+    let keys = powers.as_ptr().cast::<__m128i>();
+    let mut even = _mm_setzero_si128();
+    let mut odd = _mm_setzero_si128();
+    for pair in 0..4 {
+        let m = _mm_loadu_si128(words.add(pair));
+        let k = _mm_loadu_si128(keys.add(pair));
+        even = _mm_xor_si128(even, _mm_clmulepi64_si128::<0x00>(m, k));
+        odd = _mm_xor_si128(odd, _mm_clmulepi64_si128::<0x11>(m, k));
+    }
+    reduce_deferred(_mm_xor_si128(even, odd), _mm_set_epi64x(0, POLY as i64))
 }
 
 /// One fully reduced Horner step in xmm registers: `(acc ^ m) * H mod P`.

@@ -355,6 +355,16 @@ fn self_test_accelerated() -> bool {
             return false;
         }
     }
+    // Single-message MAC hash from per-key powers, one reduction.
+    if !batched_poly_hash_matches_portable(|h, blocks| {
+        let powers = crate::mac::hash_powers(h);
+        blocks
+            .iter()
+            .map(|b| accel::poly_hash_powers(&powers, b))
+            .collect()
+    }) {
+        return false;
+    }
     // Batched MAC hash: one full interleaved group plus a short one.
     batched_poly_hash_matches_portable(accel::poly_hash_batch)
 }
@@ -492,9 +502,13 @@ pub(crate) fn count_batch(backend: Backend) {
 }
 
 pub(crate) fn count_mac(backend: Backend) {
+    count_macs(backend, 1);
+}
+
+pub(crate) fn count_macs(backend: Backend, tags: u64) {
     OPS[backend.index()]
         .mac_tags
-        .fetch_add(1, Ordering::Relaxed);
+        .fetch_add(tags, Ordering::Relaxed);
 }
 
 pub(crate) fn count_mac_batch(backend: Backend, tags: u64) {

@@ -159,7 +159,12 @@ pub fn mac_pad(aes: &Aes128, addr: u64, counter: u64) -> [u8; 16] {
 /// [`mac_pad`] on an explicitly chosen backend.
 #[must_use]
 pub fn mac_pad_with(backend: Backend, aes: &Aes128, addr: u64, counter: u64) -> [u8; 16] {
-    aes.encrypt_block_with(backend, &nonce_block(addr, counter, 0, DOMAIN_MAC))
+    aes.encrypt_block_with(backend, &mac_nonce_block(addr, counter))
+}
+
+/// The AES input whose encryption is the MAC pad of `(addr, counter)`.
+pub(crate) fn mac_nonce_block(addr: u64, counter: u64) -> [u8; 16] {
+    nonce_block(addr, counter, 0, DOMAIN_MAC)
 }
 
 /// Generates the MAC pads for many `(addr, counter)` nonces in one
@@ -172,7 +177,7 @@ pub fn mac_pad_with(backend: Backend, aes: &Aes128, addr: u64, counter: u64) -> 
 pub fn mac_pads_batch_with(backend: Backend, aes: &Aes128, nonces: &[(u64, u64)]) -> Vec<[u8; 16]> {
     let mut pads: Vec<[u8; 16]> = nonces
         .iter()
-        .map(|&(addr, counter)| nonce_block(addr, counter, 0, DOMAIN_MAC))
+        .map(|&(addr, counter)| mac_nonce_block(addr, counter))
         .collect();
     aes.encrypt_blocks_with(backend, &mut pads);
     pads

@@ -68,6 +68,10 @@ pub struct MemoryCipher {
     data_key: Aes128,
     mac_key: Aes128,
     hash_key: u64,
+    /// The hash key's word multipliers `[H⁸, …, H]` ([`mac::hash_powers`]),
+    /// derived once so every single-message tag is eight independent
+    /// products and one reduction.
+    hash_powers: [u64; 8],
     /// Per-hash-key flip-and-check contribution table, computed once at
     /// key derivation and shared by every [`mac::MacProbe`] this cipher
     /// builds (512 GF multiplies saved per probe).
@@ -97,6 +101,7 @@ impl MemoryCipher {
             data_key,
             mac_key,
             hash_key,
+            hash_powers: mac::hash_powers(hash_key),
             probe_table: mac::probe_contributions(hash_key),
         }
     }
@@ -159,7 +164,7 @@ impl MemoryCipher {
     /// integrity).
     #[must_use]
     pub fn mac_block(&self, addr: u64, counter: u64, ct: &[u8; BLOCK_BYTES]) -> u64 {
-        mac::tag(&self.mac_key, self.hash_key, addr, counter, ct)
+        self.mac_node(addr, counter, ct) & TAG_MASK
     }
 
     /// Computes the 56-bit Carter-Wegman tags of many independent
@@ -201,43 +206,33 @@ impl MemoryCipher {
     /// whole tag.
     #[must_use]
     pub fn mac_node(&self, addr: u64, counter: u64, node: &[u8; BLOCK_BYTES]) -> u64 {
-        mac::tag_full(&self.mac_key, self.hash_key, addr, counter, node)
+        let mut macs = self.node_macs();
+        let pad = mac::pad_with(macs.backend, &self.mac_key, addr, counter);
+        macs.mac(pad, node)
     }
 
-    /// Full-width MACs of many nodes in one multi-message pass —
-    /// bit-identical to calling [`MemoryCipher::mac_node`] per node. This
-    /// is how an integrity-tree walk verifies a whole leaf-to-root path
-    /// at once.
+    /// Writes the AES masks of the node MACs at `nonces` into `pads`, from
+    /// pipelined passes and without heap allocation. An integrity-tree
+    /// walk needs each node's MAC before it can form (or check) the
+    /// parent's content, so only the hashes are serial: the masks are
+    /// fetched here and each MAC finished with [`NodeMacs::mac`].
     ///
     /// # Panics
     ///
-    /// Panics if `nonces` and `nodes` have different lengths.
-    #[must_use]
-    pub fn mac_node_batch(&self, nonces: &[(u64, u64)], nodes: &[[u8; BLOCK_BYTES]]) -> Vec<u64> {
-        mac::tags_full_batch_with(
-            backend::active(),
-            &self.mac_key,
-            self.hash_key,
-            nonces,
-            nodes,
-        )
+    /// Panics if `nonces` and `pads` have different lengths.
+    pub fn mac_node_pads(&self, nonces: &[(u64, u64)], pads: &mut [u64]) {
+        mac::pads_with(backend::active(), &self.mac_key, nonces, pads);
     }
 
-    /// The AES masks of the node MACs at `nonces`, from one pipelined
-    /// pass. An integrity-tree path update needs each node's MAC before
-    /// it can form the parent's content, so only the hashes are serial:
-    /// the masks are fetched here and each MAC finished with
-    /// [`MemoryCipher::mac_node_padded`].
+    /// Starts a walk's node MACs under masks from
+    /// [`MemoryCipher::mac_node_pads`] (see [`NodeMacs`]).
     #[must_use]
-    pub fn mac_node_pads(&self, nonces: &[(u64, u64)]) -> Vec<u64> {
-        mac::pads_batch_with(backend::active(), &self.mac_key, nonces)
-    }
-
-    /// [`MemoryCipher::mac_node`] under a mask from
-    /// [`MemoryCipher::mac_node_pads`].
-    #[must_use]
-    pub fn mac_node_padded(&self, pad: u64, node: &[u8; BLOCK_BYTES]) -> u64 {
-        mac::tag_full_padded_with(backend::active(), self.hash_key, pad, node)
+    pub fn node_macs(&self) -> NodeMacs<'_> {
+        NodeMacs {
+            cipher: self,
+            backend: backend::active(),
+            tags: 0,
+        }
     }
 
     /// Builds a [`mac::MacProbe`] for fast flip-and-check error correction
@@ -252,6 +247,34 @@ impl MemoryCipher {
             ct,
             Arc::clone(&self.probe_table),
         )
+    }
+}
+
+/// The node MACs of one integrity-tree walk, each finished under a mask
+/// from [`MemoryCipher::mac_node_pads`]. The backend is resolved once
+/// per walk and the walk's tags are counted once, when it is dropped, so
+/// a tag costs its hash kernel and one XOR — no per-tag dispatch and no
+/// per-tag atomic.
+#[derive(Debug)]
+pub struct NodeMacs<'a> {
+    cipher: &'a MemoryCipher,
+    backend: backend::Backend,
+    tags: u64,
+}
+
+impl NodeMacs<'_> {
+    /// [`MemoryCipher::mac_node`] of `node` under `pad`, the mask of its
+    /// nonce — bit-identical to it.
+    #[must_use]
+    pub fn mac(&mut self, pad: u64, node: &[u8; BLOCK_BYTES]) -> u64 {
+        self.tags += 1;
+        mac::poly_hash_powers_with(self.backend, &self.cipher.hash_powers, node) ^ pad
+    }
+}
+
+impl Drop for NodeMacs<'_> {
+    fn drop(&mut self) {
+        backend::count_macs(self.backend, self.tags);
     }
 }
 
@@ -312,22 +335,26 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_padded_node_macs_equal_mac_node() {
+    fn node_macs_equal_the_reference_tag() {
         let c = MemoryCipher::from_seed(11);
-        let nonces: Vec<(u64, u64)> = (0..7u64)
-            .map(|l| (((l + 1) << 48) ^ (900 >> l), 0))
+        // 21 nonces: a full 16-pad chunk plus a short one.
+        let nonces: Vec<(u64, u64)> = (0..21u64)
+            .map(|l| (((l + 1) << 48) ^ (900 >> (l % 10)), l / 7))
             .collect();
-        let nodes: Vec<[u8; 64]> = (0..7usize)
+        let nodes: Vec<[u8; 64]> = (0..21usize)
             .map(|l| core::array::from_fn(|j| (l * 37 + j * 5) as u8))
             .collect();
-        let batch = c.mac_node_batch(&nonces, &nodes);
-        let pads = c.mac_node_pads(&nonces);
+        let mut pads = [0u64; 21];
+        c.mac_node_pads(&nonces, &mut pads);
+        let mut macs = c.node_macs();
         for (i, (&(addr, ctr), node)) in nonces.iter().zip(&nodes).enumerate() {
-            assert_eq!(batch[i], c.mac_node(addr, ctr, node), "node {i}");
+            let reference = mac::tag_full(&c.mac_key, c.hash_key, addr, ctr, node);
+            assert_eq!(c.mac_node(addr, ctr, node), reference, "node {i}");
+            assert_eq!(macs.mac(pads[i], node), reference, "padded {i}");
             assert_eq!(
-                c.mac_node_padded(pads[i], node),
-                batch[i],
-                "padded node {i}"
+                c.mac_block(addr, ctr, node),
+                mac::tag(&c.mac_key, c.hash_key, addr, ctr, node),
+                "block {i}"
             );
         }
     }

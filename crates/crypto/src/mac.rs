@@ -18,7 +18,7 @@
 
 use crate::aes::Aes128;
 use crate::backend::{self, Backend};
-use crate::ctr::{mac_pad_with, mac_pads_batch_with};
+use crate::ctr::{mac_nonce_block, mac_pad_with, mac_pads_batch_with};
 use crate::{BLOCK_BYTES, TAG_MASK};
 use std::sync::Arc;
 
@@ -117,6 +117,39 @@ pub fn poly_hash_with(backend: Backend, h: u64, block: &[u8; BLOCK_BYTES]) -> u6
         acc = gf64_mul_with(backend, acc ^ u64::from_le_bytes(w), h);
     }
     acc
+}
+
+/// The multiplier each message word takes in [`poly_hash`] under hash
+/// key `h`: entry `w` is `H^(8-w)`, so the hash is
+/// `Σ m_w · powers[w]` — `[H⁸, H⁷, …, H]`. Derived once per key (seven
+/// GF multiplies) by [`crate::MemoryCipher`], on the portable reference
+/// so that the backend self-test can use it while the backend is still
+/// being chosen.
+#[must_use]
+pub fn hash_powers(h: u64) -> [u64; 8] {
+    let mut powers = [h; 8];
+    for w in (0..7).rev() {
+        powers[w] = gf64_mul_with(Backend::Portable, powers[w + 1], h);
+    }
+    powers
+}
+
+/// [`poly_hash`] from the hash key's word multipliers
+/// ([`hash_powers`]), on an explicitly chosen backend. The hardware
+/// tiers form the eight products independently and reduce once; the
+/// portable tier keeps the Horner evaluation as the reference. The
+/// result is bit-identical either way.
+#[must_use]
+pub fn poly_hash_powers_with(
+    backend: Backend,
+    powers: &[u64; 8],
+    block: &[u8; BLOCK_BYTES],
+) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if backend.is_accelerated() && backend::accel_available() {
+        return crate::accel::poly_hash_powers(powers, block);
+    }
+    poly_hash_with(backend, powers[7], block)
 }
 
 /// Polynomial hashes of many independent 64-byte messages under one
@@ -225,31 +258,38 @@ fn pad_word(pad: &[u8; 16]) -> u64 {
     u64::from_le_bytes(p8)
 }
 
-/// The tag masks of many `(addr, counter)` nonces from one pipelined AES
-/// pass. A mask does not depend on the message, so a caller whose
+/// The tag masks of the `(addr, counter)` nonces in `nonces`, written to
+/// `pads`, from pipelined AES passes over a stack buffer (no heap
+/// allocation). A mask does not depend on the message, so a caller whose
 /// messages depend on each other's tags (an integrity-tree path update)
-/// can fetch every mask up front and finish each tag with
-/// [`tag_full_padded_with`] as its message becomes known.
-#[must_use]
-pub fn pads_batch_with(backend: Backend, mac_key: &Aes128, nonces: &[(u64, u64)]) -> Vec<u64> {
-    mac_pads_batch_with(backend, mac_key, nonces)
-        .iter()
-        .map(pad_word)
-        .collect()
+/// can fetch every mask up front and finish each tag as its message
+/// becomes known: the tag is the message's [`poly_hash_powers_with`]
+/// XOR its mask ([`crate::NodeMacs`]).
+///
+/// # Panics
+///
+/// Panics if `nonces` and `pads` have different lengths.
+pub fn pads_with(backend: Backend, mac_key: &Aes128, nonces: &[(u64, u64)], pads: &mut [u64]) {
+    assert_eq!(nonces.len(), pads.len(), "pads_with: one pad per nonce");
+    const CHUNK: usize = 16;
+    let mut blocks = [[0u8; 16]; CHUNK];
+    for (nonces, pads) in nonces.chunks(CHUNK).zip(pads.chunks_mut(CHUNK)) {
+        let blocks = &mut blocks[..nonces.len()];
+        for (block, &(addr, counter)) in blocks.iter_mut().zip(nonces) {
+            *block = mac_nonce_block(addr, counter);
+        }
+        mac_key.encrypt_blocks_with(backend, blocks);
+        for (pad, block) in pads.iter_mut().zip(blocks.iter()) {
+            *pad = pad_word(block);
+        }
+    }
 }
 
-/// Full 64-bit tag of `block` under a mask prefetched by
-/// [`pads_batch_with`] — bit-identical to [`tag_full_with`] on the
-/// mask's nonce.
+/// The mask of the nonce `(addr, counter)` alone — [`pads_with`] for one
+/// nonce.
 #[must_use]
-pub fn tag_full_padded_with(
-    backend: Backend,
-    hash_key: u64,
-    pad: u64,
-    block: &[u8; BLOCK_BYTES],
-) -> u64 {
-    backend::count_mac(backend);
-    poly_hash_with(backend, hash_key, block) ^ pad
+pub(crate) fn pad_with(backend: Backend, mac_key: &Aes128, addr: u64, counter: u64) -> u64 {
+    pad_word(&mac_pad_with(backend, mac_key, addr, counter))
 }
 
 /// Full 64-bit Carter-Wegman tag over `block`, bound to `(addr, counter)`.
@@ -274,8 +314,8 @@ pub fn tag_full_with(
     counter: u64,
     block: &[u8; BLOCK_BYTES],
 ) -> u64 {
-    let pad = pad_word(&mac_pad_with(backend, mac_key, addr, counter));
-    tag_full_padded_with(backend, hash_key, pad, block)
+    backend::count_mac(backend);
+    poly_hash_with(backend, hash_key, block) ^ pad_with(backend, mac_key, addr, counter)
 }
 
 /// 56-bit truncated tag (the SGX data-block width used throughout the
@@ -312,13 +352,7 @@ pub fn tag_with(
 /// per key instead of rebuilding it on every probe.
 #[must_use]
 pub fn probe_contributions(h: u64) -> Arc<[u64; 512]> {
-    // h_pow[w] = H^(8-w): the multiplier applied to word w by the
-    // Horner evaluation in `poly_hash`.
-    let mut h_pow = [0u64; 8];
-    h_pow[7] = h;
-    for w in (0..7).rev() {
-        h_pow[w] = gf64_mul(h_pow[w + 1], h);
-    }
+    let h_pow = hash_powers(h);
     let mut contributions = Arc::new([0u64; 512]);
     let table = Arc::get_mut(&mut contributions).expect("freshly created");
     for word in 0..8 {
@@ -611,12 +645,14 @@ mod tests {
             // Full-width node MACs: the batch and the pad-prefetched
             // chain both equal the per-node tag.
             let full = tags_full_batch_with(backend, &k, h, &nonces, &blocks);
-            let pads = pads_batch_with(backend, &k, &nonces);
+            let mut pads = [0u64; 21];
+            pads_with(backend, &k, &nonces, &mut pads);
+            let powers = hash_powers(h);
             for (i, (&(addr, ctr), block)) in nonces.iter().zip(&blocks).enumerate() {
                 let serial = tag_full_with(backend, &k, h, addr, ctr, block);
                 assert_eq!(full[i], serial, "{backend} node {i}");
                 assert_eq!(
-                    tag_full_padded_with(backend, h, pads[i], block),
+                    poly_hash_powers_with(backend, &powers, block) ^ pads[i],
                     serial,
                     "{backend} padded node {i}"
                 );

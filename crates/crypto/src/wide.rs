@@ -56,8 +56,8 @@ use core::arch::x86_64::{
     _mm256_loadu_si256, _mm256_set_epi64x, _mm256_setzero_si256, _mm256_storeu_si256,
     _mm256_xor_si256, _mm512_aesenc_epi128, _mm512_aesenclast_epi128, _mm512_broadcast_i32x4,
     _mm512_clmulepi64_epi128, _mm512_extracti32x4_epi32, _mm512_loadu_si512, _mm512_set_epi64,
-    _mm512_setzero_si512, _mm512_storeu_si512, _mm512_xor_si512, _mm_clmulepi64_si128,
-    _mm_cvtsi128_si64, _mm_loadu_si128, _mm_set_epi64x, _mm_xor_si128,
+    _mm512_setzero_si512, _mm512_storeu_si512, _mm512_xor_si512, _mm_loadu_si128, _mm_set_epi64x,
+    _mm_xor_si128,
 };
 
 /// Blocks advanced by one wide inner-loop iteration (both shapes).
@@ -257,19 +257,6 @@ unsafe fn horner_step(acc: __m256i, m: __m256i, h: __m256i, poly: __m256i) -> __
     _mm256_xor_si256(_mm256_xor_si256(p, f1), f2)
 }
 
-/// Finishes one deferred reduction: folds the high qword of `combined`
-/// twice by POLY and returns the reduced low qword. `combined` is an
-/// unreduced 128-bit GF(2) sum (here `clmul(A, H⁴) ^ B`); reduction is
-/// GF(2)-linear, so reducing the sum once equals reducing each term —
-/// bit-identical to `gf64_mul(A, H⁴) ^ B`.
-#[inline]
-#[target_feature(enable = "pclmulqdq", enable = "sse2")]
-unsafe fn reduce_deferred(combined: __m128i, poly: __m128i) -> u64 {
-    let f1 = _mm_clmulepi64_si128::<0x01>(combined, poly);
-    let f2 = _mm_clmulepi64_si128::<0x01>(f1, poly);
-    _mm_cvtsi128_si64(_mm_xor_si128(_mm_xor_si128(combined, f1), f2)) as u64
-}
-
 /// Recombines one finished two-lane accumulator `[A, B]` into the full
 /// hash `A·H⁴ ^ B`, entirely in the vector domain: one selector-`0x00`
 /// multiply against the `[H⁴, 1]` lane constants (`A·H⁴` lands in lane
@@ -288,7 +275,7 @@ unsafe fn recombine_256(acc: __m256i, h4v: __m256i, poly128: __m128i) -> u64 {
         _mm256_extracti128_si256::<0>(p),
         _mm256_extracti128_si256::<1>(p),
     );
-    reduce_deferred(combined, poly128)
+    crate::accel::reduce_deferred(combined, poly128)
 }
 
 /// Batched ymm kernel: [`MAC_GROUP_256`] messages per iteration, one
@@ -392,8 +379,8 @@ unsafe fn poly_hash_groups_512(h: u64, h4: u64, blocks: &[[u8; 64]], out: &mut V
                 _mm512_extracti32x4_epi32::<2>(p),
                 _mm512_extracti32x4_epi32::<3>(p),
             );
-            out.push(reduce_deferred(m0, poly128));
-            out.push(reduce_deferred(m1, poly128));
+            out.push(crate::accel::reduce_deferred(m0, poly128));
+            out.push(crate::accel::reduce_deferred(m1, poly128));
         }
     }
 }

@@ -11,7 +11,7 @@
 
 use ame_crypto::aes::Aes128;
 use ame_crypto::backend::{self, Backend};
-use ame_crypto::{ctr, mac};
+use ame_crypto::{ctr, mac, MemoryCipher};
 use ame_prng::StdRng;
 
 fn bytes<const N: usize>(rng: &mut StdRng) -> [u8; N] {
@@ -132,6 +132,99 @@ fn mac_tags_agree() {
                 mac::tag_full_with(b, &mac_key, h, addr, counter, &block),
                 full_ref
             );
+        }
+    }
+}
+
+#[test]
+fn the_powers_kernel_matches_portable_horner() {
+    // Keys: random, the identity (h = 1), all-ones; blocks: random,
+    // all-ones words (every product at full width) and one all-ones
+    // word at each position.
+    let mut rng = StdRng::seed_from_u64(0xBC_08);
+    let mut keys: Vec<u64> = (0..64).map(|_| rng.next_u64()).collect();
+    keys.extend([1, u64::MAX, 1 << 63]);
+    let mut blocks: Vec<[u8; 64]> = (0..32).map(|_| bytes(&mut rng)).collect();
+    blocks.push([0xff; 64]);
+    blocks.push([0; 64]);
+    for word in 0..8 {
+        let mut block = [0u8; 64];
+        block[word * 8..word * 8 + 8].fill(0xff);
+        blocks.push(block);
+    }
+    let mac_key = Aes128::new(&bytes(&mut rng));
+    for &h in &keys {
+        let powers = mac::hash_powers(h);
+        assert_eq!(powers[7], h);
+        for block in &blocks {
+            let horner = mac::poly_hash_with(Backend::Portable, h, block);
+            let full = mac::tag_full_with(Backend::Portable, &mac_key, h, 0x40, 7, block);
+            for b in Backend::ALL {
+                let mut pad = [0];
+                mac::pads_with(b, &mac_key, &[(0x40, 7)], &mut pad);
+                assert_eq!(
+                    mac::poly_hash_powers_with(b, &powers, block),
+                    horner,
+                    "{b} h={h:#x}"
+                );
+                assert_eq!(
+                    mac::poly_hash_powers_with(b, &powers, block) ^ pad[0],
+                    full,
+                    "{b} h={h:#x}"
+                );
+            }
+        }
+    }
+}
+
+/// The data, MAC and hash keys `MemoryCipher::from_seed` derives, by
+/// its AES-PRF expansion restated; the caller pins the restatement
+/// against the cipher through its keystream.
+fn derived_keys(seed: u64) -> (Aes128, Aes128, u64) {
+    let mut root = [0u8; 16];
+    root[..8].copy_from_slice(&seed.to_le_bytes());
+    root[8..].copy_from_slice(&seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes());
+    let kdf = Aes128::new(&root);
+    let expand = |label: u8| kdf.encrypt_block(&[label; 16]);
+    let hash = expand(3);
+    let hash_key = u64::from_le_bytes(hash[..8].try_into().expect("8 bytes")) | 1;
+    (Aes128::new(&expand(1)), Aes128::new(&expand(2)), hash_key)
+}
+
+#[test]
+fn every_memory_cipher_tag_path_matches_the_free_tags() {
+    // On the active backend (each CI leg forces one): mac_block,
+    // verify_block, mac_node, mac_node_pads + node_macs, mac_batch
+    // and mac_probe against mac::tag / mac::tag_full.
+    let mut rng = StdRng::seed_from_u64(0xBC_09);
+    for seed in [0, 1, 0x5eed, rng.next_u64(), rng.next_u64()] {
+        let cipher = MemoryCipher::from_seed(seed);
+        let (data_key, mac_key, h) = derived_keys(seed);
+        assert_eq!(
+            cipher.encrypt_block(0x80, 3, &[0; 64]),
+            ctr::keystream(&data_key, 0x80, 3),
+            "the restated key derivation is from_seed's"
+        );
+        for n in [1usize, 7, 8, 9, 16, 17, 33] {
+            let nonces: Vec<(u64, u64)> = (0..n)
+                .map(|_| (rng.next_u64() & !63, rng.next_u64()))
+                .collect();
+            let blocks: Vec<[u8; 64]> = (0..n).map(|_| bytes(&mut rng)).collect();
+            let mut pads = vec![0; n];
+            cipher.mac_node_pads(&nonces, &mut pads);
+            let batch = cipher.mac_batch(&nonces, &blocks);
+            let mut macs = cipher.node_macs();
+            for (i, (&(addr, counter), block)) in nonces.iter().zip(&blocks).enumerate() {
+                let tag = mac::tag(&mac_key, h, addr, counter, block);
+                let full = mac::tag_full(&mac_key, h, addr, counter, block);
+                assert_eq!(cipher.mac_block(addr, counter, block), tag, "seed {seed}");
+                assert!(cipher.verify_block(addr, counter, block, tag));
+                assert!(!cipher.verify_block(addr, counter, block, tag ^ 1));
+                assert_eq!(cipher.mac_node(addr, counter, block), full);
+                assert_eq!(macs.mac(pads[i], block), full, "n={n} i={i}");
+                assert_eq!(batch[i], tag);
+                assert_eq!(cipher.mac_probe(addr, counter, block).base_tag(), tag);
+            }
         }
     }
 }

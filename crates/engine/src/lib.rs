@@ -115,7 +115,9 @@ pub struct EngineConfig {
     pub tree_levels: usize,
     /// On-chip counter-cache capacity in 64-byte metadata blocks
     /// (Section 2.2's Gassend/SGX counter cache). 0 disables the cache:
-    /// every counter fetch walks the tree. With a cache, reads served
+    /// every counter fetch walks the tree. A multiple of 8 is organised
+    /// 8-way set-associative (Table 1), any other capacity as one fully
+    /// associative set; LRU within a set. With a cache, reads served
     /// from the verified on-chip copy skip the walk — and off-chip
     /// tampering of a cached block is only caught once the copy is
     /// evicted, exactly like real hardware.

@@ -17,7 +17,7 @@
 //!   real metadata caches.
 
 use crate::merkle::{BonsaiTree, VerifyError, NODE_BYTES};
-use ame_persist::IndexMap;
+use std::ops::Range;
 
 /// Counter-cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,8 +52,27 @@ impl ame_telemetry::Metrics for CounterCacheStats {
     }
 }
 
-/// A Bonsai Merkle tree fronted by an LRU cache of verified counter
-/// blocks.
+/// Ways per set when the capacity allows set-associative organisation
+/// (the paper's Table 1 metadata cache is 8-way).
+const WAYS: usize = 8;
+
+/// One cache line: a verified on-chip copy of counter block `leaf`.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    leaf: u64,
+    /// Last-use time on the cache's clock; 0 marks an empty line.
+    stamp: u64,
+    content: [u8; NODE_BYTES],
+}
+
+/// A Bonsai Merkle tree fronted by a cache of verified counter blocks
+/// with LRU replacement within each set.
+///
+/// A capacity that is a multiple of 8 is organised 8-way
+/// set-associative, leaf `i` mapping to set `i % sets` (the paper's
+/// Table 1 organisation); any other capacity is one fully associative
+/// set. A lookup scans one set, and the lines live in one flat array
+/// allocated once, so hits, misses and evictions allocate nothing.
 ///
 /// # Example
 ///
@@ -71,11 +90,13 @@ impl ame_telemetry::Metrics for CounterCacheStats {
 #[derive(Debug)]
 pub struct CachedTree {
     tree: BonsaiTree,
-    capacity: usize,
-    /// On-chip verified copies.
-    contents: IndexMap<[u8; NODE_BYTES]>,
-    /// LRU order, most recent last.
-    order: Vec<u64>,
+    /// `sets` sets of `ways` lines each; set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`.
+    lines: Box<[Line]>,
+    ways: usize,
+    sets: u64,
+    /// Advances on every access; a line's stamp is its last use.
+    clock: u64,
     stats: CounterCacheStats,
 }
 
@@ -88,11 +109,22 @@ impl CachedTree {
     #[must_use]
     pub fn new(tree: BonsaiTree, capacity: usize) -> Self {
         assert!(capacity > 0, "cache must hold at least one block");
+        let ways = if capacity.is_multiple_of(WAYS) {
+            WAYS
+        } else {
+            capacity
+        };
+        let empty = Line {
+            leaf: 0,
+            stamp: 0,
+            content: [0; NODE_BYTES],
+        };
         Self {
             tree,
-            capacity,
-            contents: IndexMap::default(),
-            order: Vec::new(),
+            lines: vec![empty; capacity].into_boxed_slice(),
+            ways,
+            sets: (capacity / ways) as u64,
+            clock: 0,
             stats: CounterCacheStats::default(),
         }
     }
@@ -114,30 +146,37 @@ impl CachedTree {
         &self.tree
     }
 
-    fn touch(&mut self, idx: u64) {
-        // Consecutive data blocks share a counter block, so the common
-        // touch is of the entry that is already most recent.
-        if self.order.last() == Some(&idx) {
-            return;
-        }
-        if let Some(pos) = self.order.iter().position(|&i| i == idx) {
-            self.order.remove(pos);
-        }
-        self.order.push(idx);
+    /// The lines of the set leaf `idx` maps to.
+    fn set_of(&self, idx: u64) -> Range<usize> {
+        let first = (idx % self.sets) as usize * self.ways;
+        first..first + self.ways
     }
 
+    /// Stores `content` as the most recent line of its set: over the
+    /// line already holding `idx`, else an empty line, else the least
+    /// recently used one (write-through: an evicted line needs no
+    /// write-back).
     fn insert(&mut self, idx: u64, content: [u8; NODE_BYTES]) {
-        if !self.contents.contains_key(&idx) && self.contents.len() == self.capacity {
-            // Evict the least recently used (write-through: nothing to
-            // flush).
-            if let Some(pos) = self.order.first().copied() {
-                self.order.remove(0);
-                self.contents.remove(&pos);
-                self.stats.evictions += 1;
-            }
-        }
-        self.contents.insert(idx, content);
-        self.touch(idx);
+        self.clock += 1;
+        let lines = self.set_of(idx);
+        let set = &mut self.lines[lines];
+        let way = set
+            .iter()
+            .position(|l| l.stamp != 0 && l.leaf == idx)
+            .unwrap_or_else(|| {
+                let (way, lru) = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.stamp)
+                    .expect("a set holds at least one line");
+                self.stats.evictions += u64::from(lru.stamp != 0);
+                way
+            });
+        set[way] = Line {
+            leaf: idx,
+            stamp: self.clock,
+            content,
+        };
     }
 
     /// Reads a counter block: from the on-chip copy if cached, otherwise
@@ -147,10 +186,13 @@ impl CachedTree {
     ///
     /// Propagates [`VerifyError`] from the underlying tree on a miss.
     pub fn read_counter_block(&mut self, idx: u64) -> Result<[u8; NODE_BYTES], VerifyError> {
-        if let Some(&content) = self.contents.get(&idx) {
+        self.clock += 1;
+        let lines = self.set_of(idx);
+        let set = &mut self.lines[lines];
+        if let Some(line) = set.iter_mut().find(|l| l.stamp != 0 && l.leaf == idx) {
+            line.stamp = self.clock;
             self.stats.hits += 1;
-            self.touch(idx);
-            return Ok(content);
+            return Ok(line.content);
         }
         self.stats.misses += 1;
         let content = self.tree.read_counter_block(idx)?;
@@ -167,8 +209,9 @@ impl CachedTree {
     /// Drops every on-chip copy (e.g. on a power transition), forcing
     /// re-verification on the next access.
     pub fn flush(&mut self) {
-        self.contents.clear();
-        self.order.clear();
+        for line in self.lines.iter_mut() {
+            line.stamp = 0;
+        }
     }
 }
 

@@ -16,6 +16,12 @@ use std::io;
 /// Size of a counter block / tree node in bytes.
 pub const NODE_BYTES: usize = 64;
 
+/// Path levels whose MAC masks one pipelined AES pass fetches: a walk
+/// holds this many masks on the stack and refills them every
+/// `PAD_CHUNK` levels, so a tree of up to seven off-chip levels needs
+/// one pass per walk.
+const PAD_CHUNK: usize = 8;
+
 /// Verification failure: the MAC chain broke at `level` (0 = the counter
 /// block itself) on node `node`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,43 +154,84 @@ impl BonsaiTree {
             .map_or(0, |node| node.child_macs[slot])
     }
 
-    fn set_stored_mac(&mut self, level: usize, idx: u64, mac: u64) -> &Node {
+    fn set_stored_mac(&mut self, level: usize, idx: u64, mac: u64) {
         let (parent, slot) = self.parent_of(idx);
-        let node = self.nodes[level].entry(parent).or_default();
-        node.set_child_mac(slot, mac);
-        node
+        self.nodes[level]
+            .entry(parent)
+            .or_default()
+            .set_child_mac(slot, mac);
     }
 
-    /// The nonces of the `off_chip_levels + 1` MACs on the path from leaf
-    /// `idx` to the root, bottom up.
-    fn path_nonces(&self, idx: u64) -> Vec<(u64, u64)> {
-        let mut node = idx;
-        (0..=self.off_chip_levels)
-            .map(|level| {
-                let nonce = Self::node_nonce(level, node);
+    /// The MAC mask of the path node `node` at `level`. Masks do not
+    /// depend on content, so every [`PAD_CHUNK`]-th level fetches the
+    /// masks of the next `PAD_CHUNK` path levels into `pads` in one
+    /// pipelined AES pass; a walk calls this once per level, bottom up.
+    fn pad_at(&self, pads: &mut [u64; PAD_CHUNK], level: usize, node: u64) -> u64 {
+        let at = level % PAD_CHUNK;
+        if at == 0 {
+            let len = (self.off_chip_levels + 1 - level).min(PAD_CHUNK);
+            let mut nonces = [(0, 0); PAD_CHUNK];
+            let mut node = node;
+            for (offset, nonce) in nonces[..len].iter_mut().enumerate() {
+                *nonce = Self::node_nonce(level + offset, node);
                 node /= self.arity as u64;
-                nonce
-            })
-            .collect()
+            }
+            self.cipher.mac_node_pads(&nonces[..len], &mut pads[..len]);
+        }
+        pads[at]
     }
 
     /// Re-MACs the path from leaf `idx` to the root after a change. Each
-    /// node's MAC feeds its parent's image, so the hash chains are
-    /// serial; the AES pads do not depend on content and are fetched for
-    /// the whole path in one pipelined pass.
+    /// node's MAC feeds its parent's image, so the hashes are serial; the
+    /// AES masks are fetched for the whole path up front.
+    ///
+    /// The sibling MACs a parent's new image is built from are off-chip
+    /// and unverified, so each path node's *old* image is checked against
+    /// the MAC its parent holds for it before the new MAC replaces that
+    /// one (same nonce, so no extra AES). Propagation stops at the lowest
+    /// node that fails: it takes its child's new MAC but keeps the
+    /// mismatch with its parent, so every read through it still fails —
+    /// a replayed or forged sibling is never laundered into a valid path.
+    /// A never-written node (no child ever set, and no MAC in its parent)
+    /// is the trusted boot state and needs no check. The leaf itself is
+    /// replaced wholesale, so its old content is not checked.
     fn update_path(&mut self, idx: u64) {
-        let leaf = self
-            .counter_blocks
-            .get(&idx)
-            .copied()
-            .unwrap_or([0; NODE_BYTES]);
-        let pads = self.cipher.mac_node_pads(&self.path_nonces(idx));
-        let mut mac = self.cipher.mac_node_padded(pads[0], &leaf);
+        let mut pads = [0; PAD_CHUNK];
+        let mut macs = self.cipher.node_macs();
+        let leaf_pad = self.pad_at(&mut pads, 0, idx);
+        let leaf = self.counter_blocks.get(&idx).unwrap_or(&[0; NODE_BYTES]);
+        let mut mac = macs.mac(leaf_pad, leaf);
+        // The MAC the path node below had before this write, and whether
+        // it was never written (`None` below level 1: the leaf).
+        let mut old_below: Option<(u64, bool)> = None;
         let mut node = idx;
         for level in 0..self.off_chip_levels {
-            let image = self.set_stored_mac(level, node, mac).image();
-            mac = self.cipher.mac_node_padded(pads[level + 1], &image);
-            node /= self.arity as u64;
+            let (parent, slot) = self.parent_of(node);
+            let pad = self.pad_at(&mut pads, level + 1, parent);
+            let above = self.nodes[level].entry(parent).or_default();
+            if let Some((old_mac, fresh)) = old_below {
+                let slot_written = above.present >> slot & 1 == 1;
+                if (slot_written || !fresh) && above.child_macs[slot] != old_mac {
+                    return;
+                }
+            }
+            // An all-zero image hashes to zero: a fresh node's MAC is its pad.
+            let fresh = above.present == 0;
+            let old_mac = if fresh {
+                pad
+            } else {
+                macs.mac(pad, &above.image())
+            };
+            above.set_child_mac(slot, mac);
+            mac = macs.mac(pad, &above.image());
+            old_below = Some((old_mac, fresh));
+            node = parent;
+        }
+        if let Some((old_mac, fresh)) = old_below {
+            let root = self.root_macs.get(&node);
+            if (root.is_some() || !fresh) && root.copied().unwrap_or(0) != old_mac {
+                return;
+            }
         }
         self.root_macs.insert(node, mac);
     }
@@ -198,9 +245,9 @@ impl BonsaiTree {
     /// Reads and verifies a counter block. Never-written blocks are
     /// lazily initialized to zeros (trusted boot state).
     ///
-    /// The leaf and its ancestors are gathered first and all
-    /// `off_chip_levels + 1` MACs are computed in one multi-message pass;
-    /// the leaf is returned only if every one of them matched.
+    /// The walk fetches the path's AES masks up front, then checks one
+    /// padded tag per level, bottom up; the leaf is returned only if
+    /// every one of the `off_chip_levels + 1` MACs matched.
     ///
     /// # Errors
     ///
@@ -214,38 +261,29 @@ impl BonsaiTree {
                 [0; NODE_BYTES]
             }
         };
-
-        // `contents[l]` is the path's node at level `l`, `expected[l]` the
-        // MAC its parent (or the on-chip root) holds for it.
-        let levels = self.off_chip_levels;
-        let mut contents = Vec::with_capacity(levels + 1);
-        let mut expected = Vec::with_capacity(levels + 1);
-        contents.push(leaf);
+        let mut pads = [0; PAD_CHUNK];
+        let mut macs = self.cipher.node_macs();
+        // `image` is the path's node at `level`; its parent (or the
+        // on-chip root) holds the MAC it must have.
+        let mut image = leaf;
         let mut node = idx;
-        for level in 0..levels {
+        for level in 0..=self.off_chip_levels {
+            let pad = self.pad_at(&mut pads, level, node);
             let (parent, slot) = self.parent_of(node);
-            let above = self.nodes[level].get(&parent).copied().unwrap_or_default();
-            expected.push(above.child_macs[slot]);
-            contents.push(above.image());
+            let (expected, above) = match self.nodes.get(level) {
+                Some(nodes) => {
+                    let above = nodes.get(&parent).copied().unwrap_or_default();
+                    (above.child_macs[slot], above.image())
+                }
+                None => (self.root_macs.get(&node).copied().unwrap_or(0), image),
+            };
+            if macs.mac(pad, &image) != expected {
+                return Err(VerifyError { level, node });
+            }
+            image = above;
             node = parent;
         }
-        expected.push(self.root_macs.get(&node).copied().unwrap_or(0));
-
-        let macs = self
-            .cipher
-            .mac_node_batch(&self.path_nonces(idx), &contents);
-        match macs
-            .iter()
-            .zip(&expected)
-            .position(|(mac, want)| mac != want)
-        {
-            None => Ok(leaf),
-            // The lowest broken level, as a bottom-up walk would find it.
-            Some(level) => Err(VerifyError {
-                level,
-                node: (0..level).fold(idx, |node, _| node / self.arity as u64),
-            }),
-        }
+        Ok(leaf)
     }
 
     /// Simulates an attacker mutating off-chip counter storage directly.
@@ -313,16 +351,40 @@ impl BonsaiTree {
         }
     }
 
+    /// Reads a canonical list of `entry_bytes`-byte entries, each led by
+    /// its `u64` key, handing every key and reader to `read`: the count
+    /// must fit in what is left of the payload and the keys must be
+    /// strictly ascending (what [`BonsaiTree::encode_state`] writes), so
+    /// a duplicate or reordered entry cannot silently overwrite another.
+    fn read_keyed(
+        payload: &mut ByteReader<'_>,
+        entry_bytes: usize,
+        mut read: impl FnMut(u64, &mut ByteReader<'_>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let count = payload.u64()?;
+        if count > (payload.remaining() / entry_bytes) as u64 {
+            return Err(invalid_data("tree state count exceeds its payload"));
+        }
+        let mut last = None;
+        for _ in 0..count {
+            let key = payload.u64()?;
+            if last.is_some_and(|last| key <= last) {
+                return Err(invalid_data("tree state keys not strictly ascending"));
+            }
+            last = Some(key);
+            read(key, payload)?;
+        }
+        Ok(())
+    }
+
     fn read_pairs(
         payload: &mut ByteReader<'_>,
         mut insert: impl FnMut(u64, u64),
     ) -> io::Result<()> {
-        for _ in 0..payload.u64()? {
-            let k = payload.u64()?;
-            let v = payload.u64()?;
-            insert(k, v);
-        }
-        Ok(())
+        Self::read_keyed(payload, 16, |key, payload| {
+            insert(key, payload.u64()?);
+            Ok(())
+        })
     }
 
     /// Serializes the tree's complete state — counter blocks, every
@@ -380,7 +442,8 @@ impl BonsaiTree {
     /// # Errors
     ///
     /// `InvalidData` on a bad magic, unsupported version, checksum
-    /// mismatch, truncation, or an out-of-range arity.
+    /// mismatch, truncation, an out-of-range arity, a count larger than
+    /// its payload holds, or keys that are not strictly ascending.
     pub fn decode_state(cipher: MemoryCipher, r: &mut ByteReader<'_>) -> io::Result<Self> {
         let (version, mut payload) = read_section(r, Self::MAGIC)?;
         if version != Self::VERSION {
@@ -397,11 +460,10 @@ impl BonsaiTree {
             return Err(invalid_data("implausible tree depth"));
         }
         let mut tree = Self::new(cipher, off_chip_levels, arity);
-        for _ in 0..payload.u64()? {
-            let idx = payload.u64()?;
-            let block: [u8; NODE_BYTES] = payload.array()?;
-            tree.counter_blocks.insert(idx, block);
-        }
+        Self::read_keyed(&mut payload, 8 + NODE_BYTES, |idx, payload| {
+            tree.counter_blocks.insert(idx, payload.array()?);
+            Ok(())
+        })?;
         for level in 0..off_chip_levels {
             Self::read_pairs(&mut payload, |child, mac| {
                 tree.set_stored_mac(level, child, mac);
@@ -486,6 +548,60 @@ mod tests {
     }
 
     #[test]
+    fn a_sibling_write_does_not_launder_a_replayed_leaf() {
+        let mut t = tree(2);
+        t.write_counter_block(8, [1; 64]);
+        t.write_counter_block(9, [1; 64]);
+        let old = t.snapshot_leaf(9);
+        t.write_counter_block(9, [2; 64]);
+        t.replay_leaf(9, old);
+        let at_parent = Err(VerifyError { level: 1, node: 1 });
+        assert_eq!(t.read_counter_block(9), at_parent);
+        // Leaf 8 shares the parent: re-MACing it over the replayed slot
+        // would make the stale leaf verify.
+        t.write_counter_block(8, [3; 64]);
+        assert_eq!(t.read_counter_block(9), at_parent, "stale leaf laundered");
+        assert_eq!(
+            t.read_counter_block(8),
+            at_parent,
+            "the parent stays broken"
+        );
+    }
+
+    #[test]
+    fn a_sibling_write_does_not_launder_a_forged_sibling_mac() {
+        // (level, node, forged MAC) of a sibling slot on the path of leaf
+        // 0, and the lowest level a read of leaf 0 must then fail at.
+        for (level, node, broken) in [(0, 1, 1), (0, 7, 1), (1, 1, 2)] {
+            let mut t = tree(2);
+            for leaf in [0, 1, 7, 8] {
+                t.write_counter_block(leaf, [leaf as u8; 64]);
+            }
+            t.tamper_stored_mac(level, node, 0x5151);
+            t.write_counter_block(0, [0xee; 64]);
+            let err = t.read_counter_block(0).unwrap_err();
+            assert_eq!(err.level, broken, "forged slot {level}/{node} laundered");
+            // The forged node itself never verifies again either.
+            assert!(t.read_counter_block(node * 8u64.pow(level as u32)).is_err());
+        }
+    }
+
+    #[test]
+    fn writes_into_never_written_paths_and_after_a_stop_keep_verifying_elsewhere() {
+        // A fresh path is the trusted boot state, and a write stopped by
+        // a broken node leaves the tree's other paths intact.
+        let mut t = tree(3);
+        t.write_counter_block(500, [1; 64]);
+        t.write_counter_block(0, [2; 64]);
+        t.tamper_stored_mac(0, 1, 0x77);
+        t.write_counter_block(0, [3; 64]);
+        assert!(t.read_counter_block(0).is_err());
+        assert_eq!(t.read_counter_block(500).unwrap(), [1; 64]);
+        t.write_counter_block(4095, [4; 64]);
+        assert_eq!(t.read_counter_block(4095).unwrap(), [4; 64]);
+    }
+
+    #[test]
     fn replay_of_current_state_is_undetectable_noop() {
         let mut t = tree(2);
         t.write_counter_block(9, [1; 64]);
@@ -567,6 +683,51 @@ mod tests {
             BonsaiTree::decode_state(MemoryCipher::from_seed(100), &mut ByteReader::new(&buf))
                 .unwrap();
         assert!(back.read_counter_block(5).is_err(), "wrong key, no service");
+    }
+
+    /// `payload` sealed as a v1 tree-state section with a valid CRC.
+    fn section(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut w = SectionWriter::begin(&mut out, BonsaiTree::MAGIC, BonsaiTree::VERSION);
+        w.extend_from_slice(payload);
+        w.finish();
+        out
+    }
+
+    #[test]
+    fn state_rejects_duplicate_unordered_and_oversized_entries() {
+        let mut t = tree(1);
+        t.write_counter_block(3, [1; 64]);
+        t.write_counter_block(5, [2; 64]);
+        let mut buf = Vec::new();
+        t.encode_state(&mut buf);
+        let payload = &buf[20..buf.len() - 8];
+        // arity, levels, 2 leaves of 8 + 64 bytes, then level 0's pairs.
+        let leaves = 24;
+        let pairs = leaves + 2 * 72;
+        let decode = |payload: &[u8]| {
+            let sealed = section(payload);
+            BonsaiTree::decode_state(MemoryCipher::from_seed(99), &mut ByteReader::new(&sealed))
+        };
+        assert!(decode(payload).is_ok(), "the resealed original decodes");
+
+        let mut duplicate = payload.to_vec();
+        duplicate.copy_within(pairs + 8..pairs + 24, pairs + 24);
+        let mut swapped = payload.to_vec();
+        swapped[pairs + 8..pairs + 40].rotate_left(16);
+        let mut swapped_leaves = payload.to_vec();
+        swapped_leaves[leaves..leaves + 144].rotate_left(72);
+        let mut oversized = payload.to_vec();
+        oversized[pairs..pairs + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        for (name, bad) in [
+            ("duplicate pair", duplicate),
+            ("descending pairs", swapped),
+            ("descending leaves", swapped_leaves),
+            ("count beyond the payload", oversized),
+        ] {
+            let err = decode(&bad).expect_err(name);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}");
+        }
     }
 
     #[test]

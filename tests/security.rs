@@ -128,6 +128,25 @@ fn tree_interior_mac_tampering_detected() {
 }
 
 #[test]
+fn a_sibling_counter_write_does_not_launder_a_replayed_counter_leaf() {
+    // Counter leaves 0 and 1 (blocks 0 and 64 of the 64-block delta
+    // groups) share their level-1 tree node.
+    let sibling = 64 * 64;
+    let mut e = MemoryEncryptionEngine::new(EngineConfig::default());
+    e.write_block(0x0, &[1; 64]);
+    e.write_block(sibling, &[2; 64]);
+    let stale = e.tree_mut().snapshot_leaf(0);
+    e.write_block(0x0, &[3; 64]);
+    e.tree_mut().replay_leaf(0, stale);
+    assert!(matches!(e.read_block(0x0), Err(ReadError::Tree(_))));
+    // The sibling's path update re-MACs the shared node over the
+    // replayed slot; the stale leaf must still fail in the tree.
+    e.write_block(sibling, &[4; 64]);
+    let err = e.read_block(0x0).unwrap_err();
+    assert!(matches!(err, ReadError::Tree(_)), "{err:?}");
+}
+
+#[test]
 fn sideband_mac_forgery_detected() {
     // Forging many MAC bits (beyond the 1-bit parity budget) must fail
     // the read, not silently "correct" into acceptance.
