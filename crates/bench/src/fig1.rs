@@ -88,7 +88,7 @@ pub fn print(region_bytes: u64) {
     print_rows(region_bytes, &compute(region_bytes));
 }
 
-/// Like [`print`], from precomputed rows.
+/// Like [`print()`], from precomputed rows.
 pub fn print_rows(region_bytes: u64, rows: &[Fig1Row]) {
     println!(
         "=== Figure 1: encryption metadata storage overhead ({} MB region) ===",

@@ -158,7 +158,7 @@ pub fn print() {
     print_rows(&compute());
 }
 
-/// Like [`print`], from precomputed rows.
+/// Like [`print()`], from precomputed rows.
 pub fn print_rows(rows: &[Fig3Row]) {
     println!("=== Figure 3: fault coverage, standard SEC-DED vs MAC-based ECC ===");
     println!(

@@ -289,7 +289,7 @@ pub fn print(seed: u64, ops_per_core: usize) {
     print_with(seed, ops_per_core, false);
 }
 
-/// Like [`print`], optionally including all 11 applications.
+/// Like [`print()`], optionally including all 11 applications.
 pub fn print_with(seed: u64, ops_per_core: usize, all_apps: bool) {
     let rows = if all_apps {
         compute_all(seed, ops_per_core)

@@ -173,7 +173,7 @@ pub fn print(seed: u64, ops_per_core: usize) {
     print_rows(&compute(seed, ops_per_core));
 }
 
-/// Like [`print`], from precomputed rows.
+/// Like [`print()`], from precomputed rows.
 pub fn print_rows(rows: &[(ParsecApp, Vec<WearRow>)]) {
     println!("=== NVMM wear: physical write amplification per counter scheme ===");
     for (app, schemes) in rows {

@@ -213,7 +213,7 @@ pub fn print(cfg: ReliabilityConfig) {
     print_rows(cfg, &compute(cfg));
 }
 
-/// Like [`print`], from precomputed rows.
+/// Like [`print()`], from precomputed rows.
 pub fn print_rows(cfg: ReliabilityConfig, rows: &[MatrixRow]) {
     println!(
         "=== Reliability Monte-Carlo: {} months, {} scrubs/month, {} blocks ===",

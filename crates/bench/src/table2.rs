@@ -148,7 +148,7 @@ pub fn print(seed: u64, ops_per_core: usize) {
     print_rows(&compute(seed, ops_per_core));
 }
 
-/// Like [`print`], from precomputed rows.
+/// Like [`print()`], from precomputed rows.
 pub fn print_rows(rows: &[Table2Row]) {
     println!("=== Table 2: re-encryptions per 10^9 cycles (measured | paper) ===");
     println!(

@@ -333,6 +333,10 @@ impl CounterScheme for DeltaCounters {
     /// offset above it. Fails only when the resulting spread exceeds the
     /// delta width — impossible for an honest log, which rotates into a
     /// snapshot at every re-encryption.
+    ///
+    /// Replay forces one counter per logged write, so this works in
+    /// place: one pass for the spread, and the other deltas are
+    /// rewritten only when the minimum moves.
     fn force_counter(&mut self, block: u64, value: u64) -> io::Result<()> {
         let (g, i) = split_block(block, self.config.blocks_per_group);
         let cfg = self.config;
@@ -340,17 +344,28 @@ impl CounterScheme for DeltaCounters {
             .groups
             .entry(g)
             .or_insert_with(|| Group::new(cfg.blocks_per_group));
-        let mut counters = grp.counters();
-        counters[i] = value;
-        let min = counters.iter().copied().min().expect("non-empty group");
-        let max = counters.iter().copied().max().expect("non-empty group");
+        let reference = grp.reference;
+        let counter = |j: usize, d: u64| if j == i { value } else { reference + d };
+        let (min, max) =
+            grp.deltas
+                .iter()
+                .enumerate()
+                .fold((u64::MAX, 0), |(min, max), (j, &d)| {
+                    let c = counter(j, d);
+                    (min.min(c), max.max(c))
+                });
         if max - min > cfg.delta_max() {
             return Err(invalid_data(
                 "replayed counter not representable in its delta group",
             ));
         }
-        grp.reference = min;
-        grp.deltas.rewrite(|j, d| *d = counters[j] - min);
+        if min == reference {
+            // The other deltas already sit on this minimum.
+            grp.deltas.set(i, value - reference);
+        } else {
+            grp.reference = min;
+            grp.deltas.rewrite(|j, d| *d = counter(j, *d) - min);
+        }
         Ok(())
     }
 }
@@ -439,8 +454,23 @@ mod tests {
                         thawed += 1;
                     }
                     1 => {
+                        // The definition: the group's counters with this
+                        // one replaced, re-encoded around their minimum.
                         let value = c.counter(block) + (r >> 8) % 3;
-                        forced += usize::from(c.force_counter(block, value).is_ok());
+                        let (g, i) = split_block(block, cfg.blocks_per_group);
+                        let mut counters: Vec<u64> =
+                            (0..bpg).map(|j| c.counter(g * bpg + j)).collect();
+                        counters[i] = value;
+                        let min = *counters.iter().min().unwrap();
+                        let max = *counters.iter().max().unwrap();
+                        let ok = c.force_counter(block, value).is_ok();
+                        assert_eq!(ok, max - min <= cfg.delta_max(), "step {step}");
+                        if ok {
+                            let grp = &c.groups[&g];
+                            let deltas: Vec<u64> = counters.iter().map(|&c| c - min).collect();
+                            assert_eq!((grp.reference, &*grp.deltas), (min, &deltas[..]));
+                        }
+                        forced += usize::from(ok);
                     }
                     _ => {
                         let (g, i) = split_block(block, cfg.blocks_per_group);

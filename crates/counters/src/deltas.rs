@@ -5,10 +5,10 @@
 //! updated; scanning all 64 deltas after every write is the software
 //! cost the tally removes. It tracks the largest delta and how many
 //! deltas equal it: the group has converged exactly when that count is
-//! the group size. A single increment updates the tally in O(1); the
-//! rare whole-group rewrites (reset, re-encode, re-encryption, log
-//! replay, decode) recount. The tally is derived state and is never
-//! serialized.
+//! the group size. A single increment, or log replay setting one delta,
+//! updates the tally in O(1); the rare whole-group rewrites (reset,
+//! re-encode, re-encryption, a replayed minimum moving, decode) recount.
+//! The tally is derived state and is never serialized.
 
 use std::ops::Deref;
 
@@ -53,6 +53,24 @@ impl Deltas {
             self.at_top = 1;
         } else if d == self.top {
             self.at_top += 1;
+        }
+    }
+
+    /// Sets delta `i` to `d`, keeping the tally in O(1) unless `i` was
+    /// the last delta at the largest value and fell below it (then it
+    /// recounts).
+    pub(crate) fn set(&mut self, i: usize, d: u64) {
+        let old = std::mem::replace(&mut self.values[i], d);
+        if d > self.top {
+            self.top = d;
+            self.at_top = 1;
+        } else if d == self.top {
+            self.at_top += usize::from(old != d);
+        } else if old == self.top {
+            self.at_top -= 1;
+            if self.at_top == 0 {
+                self.recount();
+            }
         }
     }
 

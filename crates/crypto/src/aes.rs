@@ -3,7 +3,7 @@
 //! The byte-oriented implementation in this module is the portable
 //! reference: simple and easy to audit against the specification. On
 //! hosts with AES-NI the public entry points dispatch to the
-//! hardware-accelerated path in [`crate::accel`] (selected once per
+//! hardware-accelerated path in the `accel` module (selected once per
 //! process by [`crate::backend`]); both paths consume the same FIPS-197
 //! key schedule and are bit-identical — enforced by the cross-check
 //! property tests. The `*_with` variants pin a specific backend, which

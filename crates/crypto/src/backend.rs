@@ -7,10 +7,10 @@
 //!   and [`crate::mac`]; runs everywhere, easy to audit against
 //!   FIPS-197.
 //! * **Accelerated** — AES-NI and PCLMULQDQ intrinsics
-//!   ([`crate::accel`]), selected at runtime when the host CPU reports
+//!   (the `accel` module), selected at runtime when the host CPU reports
 //!   the `aes` and `pclmulqdq` features. This is the software analogue
 //!   of the paper's single-cycle hardware GF multipliers (Section 3.2).
-//! * **Wide** — VAES + VPCLMULQDQ kernels ([`crate::wide`]) that push
+//! * **Wide** — VAES + VPCLMULQDQ kernels (the `wide` module) that push
 //!   four AES blocks through every instruction (512-bit registers when
 //!   AVX-512F is present, 2×128-bit AVX2 lanes otherwise) and run the
 //!   Carter-Wegman polynomial hash as two parallel Horner chains. A

@@ -158,7 +158,7 @@ pub fn poly_hash_powers_with(
 /// On the wide tier this runs the multi-message VPCLMULQDQ kernel
 /// (several Horner chains in flight per register group, `H⁴` lane
 /// constants squared once per batch); on the accelerated tier,
-/// [`crate::accel::MAC_LANES`] interleaved PCLMULQDQ chains; on
+/// `accel::MAC_LANES` interleaved PCLMULQDQ chains; on
 /// portable, a plain loop.
 #[must_use]
 pub fn poly_hash_batch_with(backend: Backend, h: u64, blocks: &[[u8; BLOCK_BYTES]]) -> Vec<u64> {

@@ -1226,44 +1226,23 @@ impl MemoryEncryptionEngine {
         }
     }
 
-    /// Re-installs a *run* of sealed block states captured by
-    /// [`Self::export_sealed`] (write-intent log replay) — the recovery
-    /// analogue of the batched write path, and the one way sealed state
-    /// enters an engine. Each entry restores its counter *value*, stored
-    /// bits and MAC-region tag; the integrity-tree re-sync is then done
-    /// once per *distinct metadata block* the run touched: the tree leaf
-    /// image is a pure function of the final counter state, so syncing
-    /// once after all counters in a leaf are restored yields the same
-    /// tree as a per-entry sync. A replayed block is not trusted by fiat
-    /// — its MAC binds (address, counter, ciphertext), so a forged record
-    /// fails the next verified read.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` from the first entry whose counter value cannot be
-    /// represented (corrupt or forged log). Entries before the failure
-    /// are applied and their metadata blocks synced, so the engine is
-    /// left tree-consistent even on error; the caller abandons recovery
-    /// anyway.
-    pub fn apply_sealed_run(&mut self, entries: &[(u64, SealedBlockState)]) -> io::Result<()> {
-        let mut metas: Vec<u64> = Vec::with_capacity(entries.len());
-        let result = entries.iter().try_for_each(|(addr, state)| {
-            let block = Self::block_index(*addr);
-            self.counters.force_counter(block, state.counter)?;
-            if let Some(tag) = state.mac {
-                self.mac_region.insert(block, tag);
-            }
-            self.storage.write(*addr, state.stored);
-            metas.push(self.counters.metadata_block_of(block));
-            Ok(())
-        });
-        self.sync_tree_metas(metas);
-        result
+    /// Starts a write-intent log replay into this engine ([`SealedReplay`]):
+    /// the one way sealed state enters an engine. Any block-aligned
+    /// address below [`ADDR_LIMIT`] may be installed.
+    pub fn replay_sealed(&mut self) -> SealedReplay<'_> {
+        SealedReplay::new(self, ADDR_LIMIT)
     }
 
     /// Reads and verifies every resident block (tree walk + MAC check),
     /// returning how many blocks were verified. Recovery calls this
     /// before a thawed engine serves a single request.
+    ///
+    /// The sweep reads the resident blocks in address order, in runs of
+    /// 64 (one delta group) through [`Self::read_blocks`]: a clean run
+    /// costs one verified counter fetch per metadata block and one MAC
+    /// batch. A run with any anomaly falls back to per-block reads, so a
+    /// correctable fault is corrected and the first error is the one a
+    /// block-by-block sweep would have met, at the same lowest address.
     ///
     /// # Errors
     ///
@@ -1271,11 +1250,16 @@ impl MemoryEncryptionEngine {
     /// engine as compromised (quarantine, not serve).
     pub fn verify_all(&mut self) -> Result<u64, ReadError> {
         let addrs = self.resident_addrs();
-        for &addr in &addrs {
-            self.read_block(addr)?;
+        for run in addrs.chunks(Self::VERIFY_RUN) {
+            if let Some((_, e)) = self.read_blocks(run).failed {
+                return Err(e);
+            }
         }
         Ok(addrs.len() as u64)
     }
+
+    /// Resident blocks [`Self::verify_all`] reads per run.
+    const VERIFY_RUN: usize = 64;
 
     /// Serializes the engine's complete sealed state — configuration,
     /// statistics, storage, counters, integrity tree, and MAC region —
@@ -1416,6 +1400,89 @@ impl MemoryEncryptionEngine {
             flip_check_dist: ame_telemetry::Histogram::new(),
             mac_batch_dist: ame_telemetry::Histogram::new(),
         })
+    }
+}
+
+/// A write-intent log replay in progress, from
+/// [`MemoryEncryptionEngine::replay_sealed`] or
+/// [`SecureRegion::replay_sealed`](region::SecureRegion::replay_sealed).
+///
+/// [`install`](Self::install) restores one logged post-image, in log
+/// order: its counter *value* first (so the scheme checks that the value
+/// is representable, exactly as for a live write), then its MAC-region
+/// tag, then its stored bits. The integrity tree is re-synced when the
+/// replay ends ([`finish`](Self::finish), or drop), once per distinct
+/// metadata block the log touched: a leaf image is a pure function of
+/// the final counter state, so one sync per block at the end leaves the
+/// tree a sync per entry would have. Until then the replay holds only
+/// the set of dirty metadata blocks.
+///
+/// A replayed block is not trusted by fiat: its MAC binds (address,
+/// counter, ciphertext), so a forged entry fails the next verified read
+/// ([`MemoryEncryptionEngine::verify_all`]).
+#[derive(Debug)]
+pub struct SealedReplay<'a> {
+    engine: &'a mut MemoryEncryptionEngine,
+    /// Exclusive upper bound of the addresses the replay accepts.
+    limit: u64,
+    /// Metadata blocks whose counters were installed since the last sync.
+    dirty: IndexMap<()>,
+}
+
+impl<'a> SealedReplay<'a> {
+    pub(crate) fn new(engine: &'a mut MemoryEncryptionEngine, limit: u64) -> Self {
+        Self {
+            engine,
+            limit,
+            dirty: IndexMap::default(),
+        }
+    }
+
+    /// Installs the logged post-image of the block at `addr`.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for an unaligned address or one past the replay's
+    /// limit, or a counter value the scheme cannot represent: either way
+    /// the log is corrupt. Entries installed before stay installed.
+    pub fn install(&mut self, addr: u64, state: &SealedBlockState) -> io::Result<()> {
+        if !addr.is_multiple_of(BLOCK_BYTES as u64) || addr >= self.limit {
+            return Err(invalid_data("replayed address outside the region"));
+        }
+        let engine = &mut *self.engine;
+        let block = MemoryEncryptionEngine::block_index(addr);
+        self.dirty
+            .insert(engine.counters.metadata_block_of(block), ());
+        engine.counters.force_counter(block, state.counter)?;
+        if let Some(tag) = state.mac {
+            engine.mac_region.insert(block, tag);
+        }
+        engine.storage.write(addr, state.stored);
+        Ok(())
+    }
+
+    /// Ends the replay: re-syncs each dirty metadata block into the
+    /// integrity tree once and returns how many there were.
+    pub fn finish(mut self) -> usize {
+        self.sync()
+    }
+
+    /// Syncs the dirty metadata blocks, in ascending order.
+    fn sync(&mut self) -> usize {
+        let mut dirty: Vec<u64> = self.dirty.drain().map(|(meta, ())| meta).collect();
+        dirty.sort_unstable();
+        for &meta in &dirty {
+            self.engine.sync_meta(meta);
+        }
+        dirty.len()
+    }
+}
+
+/// A replay that ends early (a corrupt entry) still leaves the engine's
+/// tree consistent with its counters.
+impl Drop for SealedReplay<'_> {
+    fn drop(&mut self) {
+        self.sync();
     }
 }
 
@@ -2195,7 +2262,9 @@ mod tests {
             assert_eq!(decoded, sealed, "sealed state round-trips");
 
             let mut back = MemoryEncryptionEngine::thaw_from(&mut ByteReader::new(&img)).unwrap();
-            back.apply_sealed_run(&[(64, decoded)]).unwrap();
+            let mut replay = back.replay_sealed();
+            replay.install(64, &decoded).unwrap();
+            assert_eq!(replay.finish(), 1, "one metadata block re-synced");
             back.verify_all().unwrap();
             assert_eq!(back.read_block(64).unwrap(), [9; 64], "{placement:?}");
             assert_eq!(back.read_block(0).unwrap(), [1; 64]);
@@ -2221,7 +2290,7 @@ mod tests {
             max_correctable_flips: 0,
             ..EngineConfig::default()
         });
-        fresh.apply_sealed_run(&[(0, forged)]).unwrap();
+        fresh.replay_sealed().install(0, &forged).unwrap();
         assert!(fresh.verify_all().is_err(), "forged bits must not verify");
     }
 }

@@ -11,7 +11,9 @@
 //! [`SecureRegion`] provides that layer, plus the bounds discipline of a
 //! fixed-size protected region.
 
-use crate::{MemoryEncryptionEngine, ReadError, ReadRun, SealedBlockState, BLOCK_BYTES};
+use crate::{
+    MemoryEncryptionEngine, ReadError, ReadRun, SealedBlockState, SealedReplay, BLOCK_BYTES,
+};
 use ame_crypto::ctr::ADDR_LIMIT;
 use ame_persist::{invalid_data, put_u64, read_section, ByteReader, SectionWriter};
 use std::io;
@@ -287,23 +289,10 @@ impl SecureRegion {
         Ok(self.engine.export_sealed(addr))
     }
 
-    /// Re-installs a run of sealed block states (write-intent log
-    /// replay) in one batched pass, with the integrity-tree re-sync
-    /// deduplicated per metadata block. Every address is bounds-checked
-    /// before any entry is applied, so a bad log cannot partially replay
-    /// through this path.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` if any address is out of bounds/unaligned or a
-    /// counter value cannot be represented — either way the log is
-    /// corrupt and the shard quarantines.
-    pub fn apply_sealed_run(&mut self, entries: &[(u64, SealedBlockState)]) -> io::Result<()> {
-        for &(addr, _) in entries {
-            self.check_block(addr)
-                .map_err(|_| invalid_data("replayed address outside the region"))?;
-        }
-        self.engine.apply_sealed_run(entries)
+    /// Starts a write-intent log replay ([`SealedReplay`]) that refuses
+    /// any address outside the region as corrupt.
+    pub fn replay_sealed(&mut self) -> SealedReplay<'_> {
+        SealedReplay::new(&mut self.engine, self.size)
     }
 
     /// Verifies every resident block (tree + MAC), returning the count.
@@ -448,11 +437,12 @@ mod tests {
         assert!(r.export_sealed(4096).is_err(), "past the end");
         assert!(r.export_sealed(33).is_err(), "unaligned");
         let sealed = r.export_sealed(64).unwrap();
+        let mut replay = r.replay_sealed();
         assert!(
-            r.apply_sealed_run(&[(64, sealed.clone()), (8192, sealed.clone())])
-                .is_err(),
+            replay.install(4096, &sealed).is_err(),
             "replay out of range"
         );
-        assert!(r.apply_sealed_run(&[(64, sealed)]).is_ok());
+        assert!(replay.install(65, &sealed).is_err(), "replay unaligned");
+        assert!(replay.install(64, &sealed).is_ok());
     }
 }

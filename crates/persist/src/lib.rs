@@ -9,7 +9,7 @@
 //!   CRC covers everything before it. A flipped bit anywhere in the file
 //!   fails the checksum instead of being silently "corrected" downstream.
 //! * **Log records** — the unit of a write-intent log:
-//!   `len(u32) | crc64(payload) | payload`. [`scan_wal`] distinguishes a
+//!   `len(u32) | crc64(payload) | payload`. [`wal_records`] distinguishes a
 //!   *torn* tail (a record cut short by a crash — by definition never
 //!   acknowledged, so it is not replayed) from a *corrupt* record (complete
 //!   but failing its CRC — evidence of tampering or media failure, which
@@ -267,7 +267,7 @@ impl<'a> SectionWriter<'a> {
 
     /// Lets `write` append **exactly one finished section** as the next
     /// part of this payload. Its bytes were walked when it computed its
-    /// own CRC and their checksum is [`SECTION_RESIDUE`] by
+    /// own CRC and their checksum is `SECTION_RESIDUE` by
     /// construction, so they enter this section's checksum by
     /// arithmetic on its length: every byte of a nested image is walked
     /// once, however deep it sits. (A nested section written without
@@ -399,38 +399,55 @@ pub fn frame_record(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Scans a write-intent log image into the payloads of its intact
-/// records, in append order.
+/// The payloads of a write-intent log image's intact records, in append
+/// order, borrowed from the image: a replay reads each record where it
+/// lies and holds no copy of the log.
 ///
 /// A record cut short by the end of the file (partial header or declared
-/// length past EOF) is a **torn tail**: the scan stops there. A record
-/// that is complete but fails its CRC is **corruption** and returns
-/// `InvalidData` — the caller must quarantine, never serve, that state.
-///
-/// # Errors
-///
-/// `InvalidData` when a complete record fails its checksum.
-pub fn scan_wal(bytes: &[u8]) -> io::Result<Vec<Vec<u8>>> {
-    let mut records = Vec::new();
-    let mut rest = bytes;
-    while let Some((header, body)) = rest.split_at_checked(RECORD_HEADER) {
+/// length past EOF) is a **torn tail**: the records end there. A record
+/// that is complete but fails its CRC is **corruption**: it yields
+/// `InvalidData` and nothing follows it — the caller must quarantine,
+/// never serve, that state.
+pub fn wal_records(bytes: &[u8]) -> WalRecords<'_> {
+    WalRecords { rest: bytes }
+}
+
+/// The iterator [`wal_records`] returns.
+#[derive(Debug, Clone)]
+pub struct WalRecords<'a> {
+    /// The bytes after the last record yielded.
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for WalRecords<'a> {
+    type Item = io::Result<&'a [u8]>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (header, body) = self.rest.split_at_checked(RECORD_HEADER)?;
         let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
         let stored = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
         let Some((payload, next)) = body.split_at_checked(len) else {
-            break;
+            self.rest = &[];
+            return None;
         };
         if crc64(payload) != stored {
-            return Err(invalid_data("write-intent log record checksum mismatch"));
+            self.rest = &[];
+            return Some(Err(invalid_data(
+                "write-intent log record checksum mismatch",
+            )));
         }
-        records.push(payload.to_vec());
-        rest = next;
+        self.rest = next;
+        Some(Ok(payload))
     }
-    Ok(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scan(bytes: &[u8]) -> io::Result<Vec<&[u8]>> {
+        wal_records(bytes).collect()
+    }
 
     /// The byte-at-a-time table loop `crc64` replaced: the oracle.
     fn crc64_bytewise(bytes: &[u8]) -> u64 {
@@ -662,7 +679,7 @@ mod tests {
         log.extend_from_slice(&frame_record(b"first"));
         log.extend_from_slice(&frame_record(b""));
         log.extend_from_slice(&frame_record(&[9; 100]));
-        let records = scan_wal(&log).unwrap();
+        let records = scan(&log).unwrap();
         assert_eq!(records.len(), 3);
         assert_eq!(records[0], b"first");
         assert_eq!(records[1], b"");
@@ -671,7 +688,7 @@ mod tests {
 
     #[test]
     fn wal_scan_empty() {
-        assert!(scan_wal(&[]).unwrap().is_empty());
+        assert!(scan(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -681,7 +698,7 @@ mod tests {
         let keep = log.len();
         log.extend_from_slice(&frame_record(b"torn-away"));
         for cut in [keep + 3, keep + 12, log.len() - 1] {
-            assert_eq!(scan_wal(&log[..cut]).unwrap(), [b"kept"], "cut {cut}");
+            assert_eq!(scan(&log[..cut]).unwrap(), [b"kept"], "cut {cut}");
         }
     }
 
@@ -692,7 +709,18 @@ mod tests {
         log.extend_from_slice(&frame_record(b"after"));
         let mut bad = log.clone();
         bad[13] ^= 1; // flip a payload bit of the first (complete) record
-        let err = scan_wal(&bad).unwrap_err();
+        let err = scan(&bad).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Streamed, the corrupt record is the last item: nothing after
+        // it is read, intact or not.
+        let mut records = wal_records(&bad);
+        assert!(records.next().unwrap().is_err());
+        assert!(records.next().is_none());
+        let mut second_bad = log.clone();
+        second_bad[log.len() - 1] ^= 1;
+        let mut records = wal_records(&second_bad);
+        assert_eq!(records.next().unwrap().unwrap(), b"target");
+        assert!(records.next().unwrap().is_err());
+        assert!(records.next().is_none());
     }
 }

@@ -5,7 +5,7 @@
 //! Both frame through buffers, so a burst pays one syscall each way:
 //! requests are encoded into a write buffer that goes out in one `write`
 //! when the connection next has to wait for a response, and responses
-//! come in up to [`READ_BUF`] bytes per `read`, every complete frame
+//! come in up to `READ_BUF` bytes per `read`, every complete frame
 //! parsed in place.
 
 use crate::protocol::{

@@ -72,20 +72,20 @@ pub mod op {
 
 /// Wire error codes (response status tags other than [`STATUS_OK`]).
 pub mod code {
-    /// [`StoreError::OutOfRange`]; payload `[u64 addr][u64 len]`.
+    /// [`StoreError::OutOfRange`](ame_store::StoreError::OutOfRange); payload `[u64 addr][u64 len]`.
     pub const OUT_OF_RANGE: u8 = 0x10;
-    /// [`StoreError::Unaligned`]; payload `[u64 addr]`.
+    /// [`StoreError::Unaligned`](ame_store::StoreError::Unaligned); payload `[u64 addr]`.
     pub const UNALIGNED: u8 = 0x11;
-    /// [`StoreError::Overloaded`]; payload `[u32 shard]`.
+    /// [`StoreError::Overloaded`](ame_store::StoreError::Overloaded); payload `[u32 shard]`.
     pub const OVERLOADED: u8 = 0x12;
-    /// [`StoreError::ShardPoisoned`]; payload `[u32 shard][u8 has_cause]`
+    /// [`StoreError::ShardPoisoned`](ame_store::StoreError::ShardPoisoned); payload `[u32 shard][u8 has_cause]`
     /// then, if `has_cause`, a cause tag (0 = tree with
     /// `[u32 level][u64 node]`, 1 = MAC uncorrectable, 2 = ECC
     /// uncorrectable, 3 = integrity violation).
     pub const SHARD_POISONED: u8 = 0x13;
-    /// [`StoreError::Disconnected`]; payload `[u32 shard]`.
+    /// [`StoreError::Disconnected`](ame_store::StoreError::Disconnected); payload `[u32 shard]`.
     pub const DISCONNECTED: u8 = 0x14;
-    /// [`StoreError::Timeout`]; empty payload.
+    /// [`StoreError::Timeout`](ame_store::StoreError::Timeout); empty payload.
     pub const TIMEOUT: u8 = 0x15;
     // 0x16 and 0x17 are retired: they named the errors of a deleted
     // two-phase-commit API. Never reuse them — a client that still knows

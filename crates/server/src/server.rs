@@ -5,13 +5,13 @@
 //! # Threading model
 //!
 //! One accept thread plus a small fixed pool of epoll event-loop threads
-//! (see [`crate::reactor`]; no async runtime): each connection is a
+//! (see the `reactor` module; no async runtime): each connection is a
 //! nonblocking state machine owned by one loop, and shard workers rouse
 //! the loop through per-session eventfd wakeups when completions land.
 //! Thread count is constant no matter how many clients connect. The
 //! pool needs epoll + eventfd, so the wire server is Linux-only:
 //! elsewhere [`Server::bind`] fails with
-//! [`ErrorKind::Unsupported`](std::io::ErrorKind::Unsupported).
+//! [`ErrorKind::Unsupported`].
 //!
 //! # Tenancy
 //!
@@ -28,7 +28,7 @@
 //! [`Server::shutdown`] flips a flag, wakes the accept loop, and lets
 //! every connection drain: the loops stop admitting operations
 //! (answering
-//! [`code::SHUTTING_DOWN`](crate::protocol::code::SHUTTING_DOWN)),
+//! [`code::SHUTTING_DOWN`]),
 //! flush every already-submitted completion — no acked response is
 //! lost — and end each connection with a typed shutting-down notice
 //! (request id 0). Only then are the stores shut down through their
@@ -66,7 +66,7 @@ pub struct TenantSpec {
     /// volatile in-memory store.
     pub persist_dir: Option<PathBuf>,
     /// Connection quota: further `Hello`s are answered
-    /// [`code::QUOTA_EXCEEDED`](crate::protocol::code::QUOTA_EXCEEDED).
+    /// [`code::QUOTA_EXCEEDED`].
     pub max_connections: usize,
     /// Ceiling on the per-shard in-flight window a connection may
     /// request; `Hello` grants `min(requested, max_window)`.

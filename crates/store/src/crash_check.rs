@@ -29,14 +29,14 @@ const BLOCKS: u64 = 128;
 
 type Block = [u8; BLOCK_BYTES];
 
-/// Small shards, and a log that rotates after about eight records.
+/// Small shards: a log rotates once it holds as many bytes as the
+/// shard's last image, a few hundred bytes to a few KiB here.
 fn config() -> StoreConfig {
     StoreConfig {
         shards: SHARDS,
         shard_bytes: BLOCKS / SHARDS as u64 * BLOCK_BYTES as u64,
         queue_depth: 4,
         max_batch: 8,
-        wal_rotate_bytes: 1024,
         ..StoreConfig::default()
     }
 }
@@ -442,39 +442,47 @@ fn serve(store: &SecureStore) -> Vec<Served> {
         .collect()
 }
 
-/// The workload: write runs, a group commit, RMWs, a size-triggered
-/// rotation, a process kill and a reopen that replays both logs, a
-/// re-encryption-triggered rotation, a pipelined session run, a
+/// The workload: single writes, RMWs that rotate by size, a group
+/// commit, write runs, a process kill and a reopen that replays both
+/// logs, a re-encryption-triggered rotation, a pipelined session run, a
 /// graceful shutdown (re-key and checkpoint) and a reopen that only
 /// checkpoints.
 fn script(fs: &Arc<dyn DurableFs>, client: &mut Client) {
     let store = client.open(fs);
-    // Write runs: one write per wakeup, then a group commit — the read
-    // splits shard 0's writes into two records that share one sync —
-    // then a four-block run per shard.
-    for block in 0..6 {
+    // One write per wakeup: four single-write records take each shard's
+    // log past the few-hundred-byte image of its empty region, so each
+    // shard's RMW rotates by size.
+    for block in 0..8 {
         client.write(&store, block);
     }
+    client.rmw(&store, 0);
+    client.rmw(&store, 1);
+    client.coverage.size_rotations = client.shard0(&store, "checkpoints");
+    // Into the logs the rotations began: a group commit — the read
+    // splits shard 0's writes into two records that share one sync —
+    // then a four-block run per shard.
     let group = [20, 22].map(Step::Write).into_iter().chain([Step::Read(0)]);
     let group: Vec<Step> = group.chain([24, 26, 21].map(Step::Write)).collect();
     client.batch(&store, &group);
     client.batch(&store, &(8..16).map(Step::Write).collect::<Vec<_>>());
-    // Shard 0's log passes `wal_rotate_bytes`: its RMW rotates by size.
-    client.rmw(&store, 0);
-    client.rmw(&store, 1);
-    client.coverage.size_rotations = client.shard0(&store, "checkpoints");
     client.coverage.group_commits = client.shard0(&store, "wal_group_commits");
     client.coverage.rmws = client.shard0(&store, "rmws");
     assert_eq!(client.shard0(&store, "engine/counters/reencryptions"), 0);
     for block in 30..34 {
         client.write(&store, block);
     }
+    assert_eq!(
+        client.shard0(&store, "checkpoints"),
+        client.coverage.size_rotations,
+        "the rest of the first life fits the logs the RMWs began"
+    );
     client.now();
     store.simulate_crash();
 
     let store = client.open(fs);
     // 130 writes of one block overflow its 7-bit delta: the group is
-    // re-encrypted and the log rotates instead of taking the record.
+    // re-encrypted and the log rotates instead of taking the record —
+    // by the re-encryption alone, since the log is far below the image.
     client.batch(&store, &[Step::Write(40); 130]);
     client.write(&store, 42);
     client.session_run(&store, 3, [41, 43, 45, 47]);

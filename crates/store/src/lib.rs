@@ -30,7 +30,7 @@
 //! * **Telemetry** — every shard reports queue-depth, batch-size and
 //!   service-latency distributions plus operation counters under
 //!   `store/shard<N>/...` in the workspace-wide
-//!   [`StatsRegistry`](ame_telemetry::StatsRegistry) vocabulary.
+//!   [`StatsRegistry`] vocabulary.
 //!
 //! # Example
 //!
@@ -91,11 +91,6 @@ pub struct StoreConfig {
     pub queue_depth: usize,
     /// Maximum operations a worker coalesces into one service interval.
     pub max_batch: usize,
-    /// Size threshold (bytes) at which a persistent shard's write-intent
-    /// log rotates into a fresh snapshot. Only consulted by stores
-    /// opened with [`SecureStore::open`]; a rotation also triggers
-    /// unconditionally after any counter-group re-encryption.
-    pub wal_rotate_bytes: u64,
     /// Tenant namespace this store serves. Each shard derives its key
     /// seed via [`EngineConfig::for_tenant`]`(tenant, shard)`, so two
     /// stores built from the same engine template but different tenants
@@ -115,7 +110,6 @@ impl Default for StoreConfig {
             shard_bytes: 1 << 20,
             queue_depth: 128,
             max_batch: 64,
-            wal_rotate_bytes: 1 << 20,
             tenant: 0,
             engine: EngineConfig::default(),
         }

@@ -384,11 +384,11 @@ impl State {
     pub(crate) fn generations(&self, shard_dir: &Path) -> Option<(u64, u64)> {
         let snapshot = self.read(&shard_dir.join("snapshot.bin")).ok()??;
         let log = self.read(&shard_dir.join("wal.bin")).ok()??;
-        let header = ame_persist::scan_wal(&log).ok()?.into_iter().next()?;
+        let header = ame_persist::wal_records(&log).next()?.ok()?;
         let u64_at = |bytes: &[u8], at: usize| {
             Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
         };
-        Some((u64_at(&snapshot, 0)?, u64_at(&header, 1)?))
+        Some((u64_at(&snapshot, 0)?, u64_at(header, 1)?))
     }
 }
 

@@ -54,7 +54,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::wake::WakeFd;
-use crate::wal::{write_snapshot, ShardPersist, ShardWal, WalRecord};
+use crate::wal::{put_write, put_writes_head, write_snapshot, ShardPersist, ShardWal};
 use crate::StoreError;
 
 /// The mutator a read-modify-write runs on the shard worker's thread.
@@ -944,13 +944,15 @@ impl ShardWorker {
     ///
     /// Two triggers: a group re-encryption (counters were rebased, so
     /// replay-by-value onto the old snapshot may no longer be
-    /// representable) and the size threshold (bounding replay time).
+    /// representable), and a log that holds as many bytes as the image
+    /// the last checkpoint wrote (a snapshot is then cheaper to write
+    /// than the log is to replay).
     fn rotation_due(&self) -> bool {
         match &self.persist {
             None => false,
             Some(p) => {
                 p.last_reencryptions != self.region.engine().counter_stats().reencryptions
-                    || p.wal.size() >= p.rotate_bytes
+                    || p.wal.size() >= p.image_bytes
             }
         }
     }
@@ -978,12 +980,12 @@ impl ShardWorker {
             // ([`flush_deferred`](Self::flush_deferred)); the covered
             // acks are held until then.
             let appended = p.wal.append_unsynced(|out| {
-                WalRecord::put_writes_head(out, locals.len());
+                put_writes_head(out, locals.len());
                 for &local in locals {
                     let state = region
                         .export_sealed(local)
                         .expect("fused locals are bounds-checked and aligned");
-                    WalRecord::put_write(out, local, &state);
+                    put_write(out, local, &state);
                 }
             });
             appended.map(|bytes| {
@@ -1011,6 +1013,7 @@ impl ShardWorker {
         write_snapshot(&*p.fs, &p.dir, generation, &image)?;
         p.wal = ShardWal::create(&*p.fs, &p.dir.join("wal.bin"), generation)?;
         p.generation = generation;
+        p.image_bytes = image.len() as u64;
         p.last_reencryptions = reencryptions;
         // The durable snapshot subsumes every record of the replaced
         // log, synced or not: the tail is clean again.

@@ -11,7 +11,7 @@
 //!   intact and a renamed snapshot is durable, not merely staged in the
 //!   page cache.
 //! * **`wal.bin`** — an append-only write-intent log of
-//!   framed ([`frame_record_into`]) [`WalRecord`]s. A record is appended *and
+//!   framed ([`frame_record_into`]) records. A record is appended *and
 //!   `fdatasync`ed* before the write it describes is acknowledged, so
 //!   every acknowledged write is either in the snapshot or in the log —
 //!   across a power cut, not just a process kill. The log's first
@@ -26,22 +26,32 @@
 //!
 //! Records carry **sealed post-images** ([`SealedBlockState`]): the
 //! ciphertext, MAC, and counter *value* the engine produced — never
-//! plaintext. Replay restores the counter value and lets the scheme
-//! re-derive its compressed representation; the data MAC binds
-//! (address, counter, ciphertext), so a forged record installs state
-//! that fails the post-replay verification sweep instead of serving
-//! silently.
+//! plaintext. Replay reads each record where it lies in the log image
+//! ([`wal_records`]) and installs every entry in log order through one
+//! [`SealedReplay`](ame_engine::SealedReplay): the counter value (the
+//! scheme re-derives its compressed representation and refuses one it
+//! cannot hold), then the MAC, then the ciphertext. The integrity tree is re-synced once per
+//! distinct counter metadata block at the end of the log, so replay
+//! holds nothing beyond the log bytes but the set of dirty metadata
+//! blocks. The data MAC binds (address, counter, ciphertext), so a
+//! forged record installs state that fails the post-replay verification
+//! sweep instead of serving silently.
 //!
 //! The log is value-based, so it must rotate into a fresh snapshot
 //! whenever replay-by-value could stop being representable: after any
-//! group re-encryption (counters rebased), and whenever the log exceeds
-//! [`StoreConfig::wal_rotate_bytes`](crate::StoreConfig::wal_rotate_bytes)
-//! (bounding replay time).
+//! group re-encryption (counters rebased). It also rotates once it holds
+//! as many bytes as the image the last checkpoint wrote (the boot
+//! checkpoint included): from there on a snapshot is cheaper to write
+//! than the log is to replay. The cadence sizes itself — a small region
+//! rotates often and cheaply, a fully resident 8 MiB shard every
+//! ~11.75 MB of log — and crash replay reads at most one image's worth
+//! of log, plus the one record that crossed it.
 //!
-//! Every record after the header is one [`WalRecord`]: the sealed
-//! post-images of one served run. Record tags 2–4 belonged to a retired
-//! two-phase-commit plane and are never reused: a log holding one is not
-//! a log this code wrote, so its shard quarantines like any corrupt log.
+//! Every record after the header is one write record
+//! ([`put_writes_head`], [`put_write`]): the sealed post-images of one
+//! served run. Record tags 2–4 belonged to a retired two-phase-commit
+//! plane and are never reused: a log holding one is not a log this code
+//! wrote, so its shard quarantines like any corrupt log.
 //!
 //! Failure taxonomy on recovery:
 //!
@@ -52,12 +62,15 @@
 //!   decode failure) quarantines the shard exactly like a live
 //!   verification failure — siblings keep serving;
 //! * a clean replay still ends with a full [`SecureRegion::verify_all`]
-//!   sweep before the shard serves anything: MAC or tree failure there
-//!   quarantines too.
+//!   sweep before the shard serves anything (address-ordered runs, one
+//!   verified counter fetch per metadata block): MAC or tree failure
+//!   there quarantines too.
 
 use ame_engine::region::SecureRegion;
 use ame_engine::{ReadError, SealedBlockState};
-use ame_persist::{frame_record_into, invalid_data, put_u32, put_u64, scan_wal, ByteReader};
+use ame_persist::{
+    frame_record_into, invalid_data, put_u32, put_u64, wal_records, ByteReader, WalRecords,
+};
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::ops::RangeInclusive;
@@ -93,59 +106,6 @@ fn decode_generation(payload: &[u8]) -> Option<u64> {
         ))
     } else {
         None
-    }
-}
-
-/// Accumulates consecutive-address sealed write entries across WAL
-/// records and applies each maximal run through
-/// [`SecureRegion::apply_sealed_run`] — the recovery-side analogue of
-/// the engine's batched write path. Sequential workloads checkpointed
-/// mid-stream produce long runs of adjacent addresses split across many
-/// `Writes` records; fusing them lets replay dedupe integrity-tree
-/// re-syncs per metadata block instead of paying one per record entry.
-///
-/// Correctness: a run only ever holds *strictly ascending consecutive*
-/// addresses (each exactly one block past the last), so no address
-/// repeats within a run and apply order inside it is immaterial. Any
-/// entry that breaks consecutiveness — including a rewrite of an
-/// address already buffered — flushes first, preserving the log's
-/// last-write-wins semantics exactly.
-#[derive(Default)]
-struct SealedRunBuffer {
-    run: Vec<(u64, SealedBlockState)>,
-}
-
-impl SealedRunBuffer {
-    /// Bounds a fused run so replay memory stays proportional to one
-    /// batch, not to the log.
-    const MAX_RUN: usize = 1024;
-
-    /// Buffers one sealed entry, flushing the pending run first if this
-    /// entry does not extend it.
-    fn push(
-        &mut self,
-        region: &mut SecureRegion,
-        local: u64,
-        state: SealedBlockState,
-    ) -> io::Result<()> {
-        let extends = self
-            .run
-            .last()
-            .is_some_and(|&(last, _)| local == last + ame_engine::BLOCK_BYTES as u64);
-        if (!self.run.is_empty() && !extends) || self.run.len() >= Self::MAX_RUN {
-            self.flush(region)?;
-        }
-        self.run.push((local, state));
-        Ok(())
-    }
-
-    /// Applies and clears the pending run (no-op when empty).
-    fn flush(&mut self, region: &mut SecureRegion) -> io::Result<()> {
-        if self.run.is_empty() {
-            return Ok(());
-        }
-        let run = std::mem::take(&mut self.run);
-        region.apply_sealed_run(&run)
     }
 }
 
@@ -249,59 +209,75 @@ fn parent_of(path: &Path) -> &Path {
     }
 }
 
-/// The one write-intent log record after the header: a served run's
+/// Appends the head of a write record announcing `count` entries; each
+/// follows through [`put_write`]. A write record holds a served run's
 /// acknowledged writes as `(local, sealed post-image)`, in effect order.
-#[derive(Debug)]
-pub(crate) struct WalRecord(pub Vec<(u64, SealedBlockState)>);
+/// The worker encodes a run straight from the region this way, without
+/// building the record first.
+pub(crate) fn put_writes_head(out: &mut Vec<u8>, count: usize) {
+    out.push(TAG_WRITES);
+    put_u32(out, count as u32);
+}
 
-impl WalRecord {
-    /// Appends the head of a record announcing `count` entries; each
-    /// follows through [`Self::put_write`]. The worker encodes a run
-    /// straight from the region this way, without building the record
-    /// first.
-    pub(crate) fn put_writes_head(out: &mut Vec<u8>, count: usize) {
-        out.push(TAG_WRITES);
-        put_u32(out, count as u32);
-    }
+/// Appends one entry of a write record.
+pub(crate) fn put_write(out: &mut Vec<u8>, local: u64, state: &SealedBlockState) {
+    put_u64(out, local);
+    state.encode(out);
+}
 
-    /// Appends one entry of a record.
-    pub(crate) fn put_write(out: &mut Vec<u8>, local: u64, state: &SealedBlockState) {
-        put_u64(out, local);
-        state.encode(out);
+/// Decodes one write record payload, handing its entries to `each` in
+/// order as they are read: nothing is collected. Only what
+/// [`put_writes_head`] and [`put_write`] produce is accepted: the entry
+/// count must account for the payload exactly before any entry is read,
+/// and each entry's sealed state must be canonical.
+///
+/// # Errors
+///
+/// `InvalidData` for any other tag (retired ones included), a count
+/// that disagrees with the payload length, or a non-canonical entry;
+/// otherwise the first error `each` returns. Entries before a
+/// non-canonical one have been handed over.
+pub(crate) fn decode_writes(
+    payload: &[u8],
+    mut each: impl FnMut(u64, SealedBlockState) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut r = ByteReader::new(payload);
+    match r.u8()? {
+        TAG_WRITES => {}
+        tag if RETIRED_TAGS.contains(&tag) => {
+            return Err(invalid_data(format!("retired write-intent tag {tag}")))
+        }
+        tag => return Err(invalid_data(format!("unknown write-intent tag {tag}"))),
     }
+    let count = r.u32()? as usize;
+    if count.checked_mul(WRITE_ENTRY_LEN) != Some(r.remaining()) {
+        return Err(invalid_data(format!(
+            "write-intent record announces {count} entries in {} bytes",
+            r.remaining()
+        )));
+    }
+    for _ in 0..count {
+        let local = r.u64()?;
+        each(local, SealedBlockState::decode(&mut r)?)?;
+    }
+    Ok(())
+}
 
-    /// Decodes one record payload. Only what [`Self::put_writes_head`]
-    /// and [`Self::put_write`] produce is accepted: the entry count must
-    /// account for the payload exactly before anything is sized from it,
-    /// and each entry's sealed state must be canonical.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for any other tag (retired ones included), a count
-    /// that disagrees with the payload length, or a non-canonical entry.
-    pub(crate) fn decode(payload: &[u8]) -> io::Result<Self> {
-        let mut r = ByteReader::new(payload);
-        match r.u8()? {
-            TAG_WRITES => {}
-            tag if RETIRED_TAGS.contains(&tag) => {
-                return Err(invalid_data(format!("retired write-intent tag {tag}")))
-            }
-            tag => return Err(invalid_data(format!("unknown write-intent tag {tag}"))),
-        }
-        let count = r.u32()? as usize;
-        if count.checked_mul(WRITE_ENTRY_LEN) != Some(r.remaining()) {
-            return Err(invalid_data(format!(
-                "write-intent record announces {count} entries in {} bytes",
-                r.remaining()
-            )));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let local = r.u64()?;
-            entries.push((local, SealedBlockState::decode(&mut r)?));
-        }
-        Ok(Self(entries))
+/// Replays the write records of a log, after its header, into `region`
+/// in log order through one [`SealedReplay`](ame_engine::SealedReplay),
+/// which re-syncs the tree once per dirty metadata block when it ends.
+///
+/// # Errors
+///
+/// `InvalidData` for a corrupt record or an entry the region refuses;
+/// the shard must quarantine.
+fn replay(region: &mut SecureRegion, records: WalRecords<'_>) -> io::Result<()> {
+    let mut replay = region.replay_sealed();
+    for payload in records {
+        decode_writes(payload?, |local, state| replay.install(local, &state))?;
     }
+    replay.finish();
+    Ok(())
 }
 
 /// An open, append-only write-intent log.
@@ -394,8 +370,9 @@ pub(crate) struct ShardPersist {
     /// Checkpoint generation of the current snapshot/log pair;
     /// incremented by every rotation.
     pub generation: u64,
-    /// Rotate into a snapshot once the log reaches this many bytes.
-    pub rotate_bytes: u64,
+    /// Bytes of the image the last checkpoint wrote: the log rotates
+    /// once it holds as many.
+    pub image_bytes: u64,
     /// Engine re-encryption count at the last snapshot; any change
     /// forces a rotation (rebased counters make value-replay onto the
     /// old snapshot unrepresentable).
@@ -471,47 +448,37 @@ pub(crate) fn recover_shard(
         )
     };
 
-    // Replay the intent log in append order.
+    // Replay the intent log in append order, reading each record where
+    // it lies in the log image.
     if let Some(bytes) = fs.read(&wal_path)? {
         // Replay stops at a torn tail; the tail stays on disk until the
         // fresh checkpoint below replaces the log, and a shard that
         // quarantines keeps it as evidence.
-        let Ok(records) = scan_wal(&bytes) else {
-            return Ok(quarantine(region));
-        };
+        let mut records = wal_records(&bytes);
         // The generation gate. An empty log (or one whose header record
         // was torn away) replays nothing, which is safe: the header is
         // synced before any intent is, so a missing header proves no
         // intent in this log was ever acknowledged.
-        let replay = match records.first().map(|p| decode_generation(p)) {
-            None => &records[..],
+        let current = match records.next().map(|header| header.map(decode_generation)) {
+            None => false,
             // Non-header first record: not a log this code wrote.
-            Some(None) => return Ok(quarantine(region)),
-            Some(Some(g)) if g == snap_generation => &records[1..],
+            Some(Err(_) | Ok(None)) => return Ok(quarantine(region)),
+            Some(Ok(Some(g))) if g == snap_generation => true,
             // Pre-checkpoint log: every record is already inside the
             // (newer) snapshot; replaying stale values would regress
-            // acknowledged writes.
-            Some(Some(g)) if g < snap_generation => &[],
+            // acknowledged writes. Its checksums are still checked.
+            Some(Ok(Some(g))) if g < snap_generation => false,
             // A log newer than the snapshot means the snapshot
             // regressed — impossible without corruption, since the
             // snapshot is made durable before its log exists.
-            Some(Some(_)) => return Ok(quarantine(region)),
+            Some(Ok(Some(_))) => return Ok(quarantine(region)),
         };
-        // Consecutive-address entries — within one record and across
-        // adjacent records — fuse into runs applied through the batched
-        // sealed-apply path.
-        let mut runs = SealedRunBuffer::default();
-        for payload in replay {
-            let applied = WalRecord::decode(payload).and_then(|WalRecord(entries)| {
-                entries
-                    .into_iter()
-                    .try_for_each(|(local, state)| runs.push(&mut region, local, state))
-            });
-            if applied.is_err() {
-                return Ok(quarantine(region));
-            }
-        }
-        if runs.flush(&mut region).is_err() {
+        let read = if current {
+            replay(&mut region, records)
+        } else {
+            records.try_for_each(|record| record.map(drop))
+        };
+        if read.is_err() {
             return Ok(quarantine(region));
         }
     }
@@ -529,7 +496,8 @@ pub(crate) fn recover_shard(
 
     // Fresh checkpoint so the next open never repeats this replay.
     let generation = snap_generation + 1;
-    write_snapshot(&**fs, &sdir, generation, &region.freeze())?;
+    let image = region.freeze();
+    write_snapshot(&**fs, &sdir, generation, &image)?;
     let wal = ShardWal::create(&**fs, &wal_path, generation)?;
     let last_reencryptions = region.engine().counter_stats().reencryptions;
     Ok(ShardBoot {
@@ -541,7 +509,7 @@ pub(crate) fn recover_shard(
             dir: sdir,
             wal,
             generation,
-            rotate_bytes: config.wal_rotate_bytes,
+            image_bytes: image.len() as u64,
             last_reencryptions,
         }),
     })
@@ -567,11 +535,145 @@ mod tests {
 
     fn encoded(entries: &[(u64, SealedBlockState)]) -> Vec<u8> {
         let mut out = Vec::new();
-        WalRecord::put_writes_head(&mut out, entries.len());
+        put_writes_head(&mut out, entries.len());
         for (local, state) in entries {
-            WalRecord::put_write(&mut out, *local, state);
+            put_write(&mut out, *local, state);
         }
         out
+    }
+
+    fn decoded(payload: &[u8]) -> io::Result<Vec<(u64, SealedBlockState)>> {
+        let mut entries = Vec::new();
+        decode_writes(payload, |local, state| {
+            entries.push((local, state));
+            Ok(())
+        })?;
+        Ok(entries)
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        let hex: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        hex.chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// The parent commit's `snapshot.bin` and `wal.bin` (the fixtures of
+    /// `tests/durable_compat.rs`) decode and re-encode to the same bytes:
+    /// rotation points may move, the encoders may not.
+    #[test]
+    fn the_parent_commits_files_re_encode_byte_identical() {
+        let snapshot = unhex(include_str!("../tests/fixtures/snapshot_v1.hex"));
+        let (generation, image) = snapshot.split_at(8);
+        let region = SecureRegion::thaw(image).expect("the parent's image thaws");
+        let mut refrozen = generation.to_vec();
+        refrozen.extend_from_slice(&region.freeze());
+        assert!(refrozen == snapshot, "snapshot.bin re-freezes differently");
+
+        let log = unhex(include_str!("../tests/fixtures/wal_v1.hex"));
+        let mut records = wal_records(&log);
+        let header = records.next().unwrap().unwrap();
+        let mut rewritten = Vec::new();
+        frame_record_into(&mut rewritten, |out| {
+            encode_generation(out, decode_generation(header).unwrap())
+        });
+        let mut writes = 0;
+        for payload in records {
+            let entries = decoded(payload.unwrap()).unwrap();
+            writes += entries.len();
+            frame_record_into(&mut rewritten, |out| {
+                out.extend_from_slice(&encoded(&entries))
+            });
+        }
+        assert!(writes > 0, "the fixture logs writes");
+        assert!(rewritten == log, "wal.bin re-encodes differently");
+    }
+
+    fn tree_state(region: &mut SecureRegion) -> Vec<u8> {
+        let mut state = Vec::new();
+        region.engine_mut().tree_mut().encode_state(&mut state);
+        state
+    }
+
+    fn leaf(region: &mut SecureRegion, meta: u64) -> [u8; 64] {
+        region
+            .engine_mut()
+            .tree_mut()
+            .read_counter_block(meta)
+            .unwrap()
+    }
+
+    /// A log that rewrites one block many times and touches every block
+    /// of one counter group replays last-write-wins, verifies, and leaves
+    /// the tree a sync per entry would have: the sync at the end of the
+    /// log rewrites every leaf whose counters the log changed.
+    #[test]
+    fn replay_is_last_write_wins_and_syncs_every_dirty_leaf() {
+        let mut live = SecureRegion::new(EngineConfig::default(), 256 * BLOCK_BYTES as u64);
+        live.write_bytes(200 * 64, &[1; BLOCK_BYTES]).unwrap();
+        let image = live.freeze();
+        let mut payloads = Vec::new();
+        let mut log_writes = |live: &mut SecureRegion, blocks: &[u64], value: u8| {
+            let items: Vec<_> = blocks.iter().map(|&b| (b * 64, [value; 64])).collect();
+            live.write_blocks(&items).unwrap();
+            let entries: Vec<_> = items
+                .iter()
+                .map(|&(l, _)| (l, live.export_sealed(l).unwrap()))
+                .collect();
+            payloads.push(encoded(&entries));
+        };
+        // Every block of group 1, then block 70 a hundred times between
+        // writes of blocks of groups 0 to 2, then group 1 again backwards.
+        log_writes(&mut live, &(64..128).collect::<Vec<_>>(), 2);
+        for i in 0..100u8 {
+            log_writes(&mut live, &[70, u64::from(i % 3) * 64], i);
+        }
+        log_writes(&mut live, &(64..128).rev().collect::<Vec<_>>(), 3);
+        log_writes(&mut live, &[70], 4);
+        assert_eq!(live.engine().counter_stats().reencryptions, 0);
+
+        let mut back = SecureRegion::thaw(&image).unwrap();
+        let mut log = Vec::new();
+        frame_record_into(&mut log, |out| encode_generation(out, 1));
+        for payload in &payloads {
+            frame_record_into(&mut log, |out| out.extend_from_slice(payload));
+        }
+        let mut records = wal_records(&log);
+        records.next();
+        replay(&mut back, records).expect("an honest log replays");
+        assert_eq!(back.verify_all(), live.verify_all());
+        for block in 0..256u64 {
+            let (mut got, mut want) = ([0; BLOCK_BYTES], [0; BLOCK_BYTES]);
+            back.read_bytes(block * 64, &mut got).unwrap();
+            live.read_bytes(block * 64, &mut want).unwrap();
+            assert_eq!(got, want, "block {block}");
+            let (got, want) = (back.engine(), live.engine());
+            assert_eq!(got.counter_of(block * 64), want.counter_of(block * 64));
+        }
+
+        // One sync per entry, for reference.
+        let mut per_entry = SecureRegion::thaw(&image).unwrap();
+        for payload in &payloads {
+            for (local, state) in decoded(payload).unwrap() {
+                let mut one = per_entry.replay_sealed();
+                one.install(local, &state).unwrap();
+                assert_eq!(one.finish(), 1);
+            }
+        }
+        assert!(tree_state(&mut back) == tree_state(&mut per_entry));
+        let mut before = SecureRegion::thaw(&image).unwrap();
+        for meta in 0..3 {
+            assert_ne!(
+                leaf(&mut back, meta),
+                leaf(&mut before, meta),
+                "leaf {meta}"
+            );
+        }
+        assert_eq!(
+            leaf(&mut back, 3),
+            leaf(&mut before, 3),
+            "group 3 untouched"
+        );
     }
 
     fn sealed_pair() -> (SealedBlockState, SealedBlockState) {
@@ -584,7 +686,7 @@ mod tests {
     }
 
     fn assert_invalid(payload: &[u8], why: &str) {
-        let err = WalRecord::decode(payload).expect_err(why);
+        let err = decoded(payload).expect_err(why);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}: {err}");
     }
 
@@ -594,7 +696,7 @@ mod tests {
         for entries in [vec![], vec![(64, pre.clone())], vec![(0, pre), (128, post)]] {
             let bytes = encoded(&entries);
             assert_eq!(bytes.len(), 5 + entries.len() * WRITE_ENTRY_LEN);
-            let WalRecord(back) = WalRecord::decode(&bytes).unwrap();
+            let back = decoded(&bytes).unwrap();
             assert_eq!(back, entries, "decode/encode is the identity");
         }
     }
@@ -686,7 +788,7 @@ mod tests {
         );
         tag_without_mac[flag + 1] = 0x5a;
         assert_invalid(&tag_without_mac, "tag behind an absent-MAC flag");
-        WalRecord::decode(&good).expect("the unforged record decodes");
+        decoded(&good).expect("the unforged record decodes");
     }
 
     #[test]
@@ -700,15 +802,17 @@ mod tests {
                 .unwrap();
         }
         wal.sync().unwrap();
-        let records = scan_wal(&fs::read(&path).unwrap()).unwrap();
+        let log = fs::read(&path).unwrap();
+        let records: Vec<_> = wal_records(&log).map(Result::unwrap).collect();
         assert_eq!(records.len(), 3);
-        assert_eq!(decode_generation(&records[0]), Some(3));
-        assert_eq!(decode_generation(&records[1]), None);
+        assert_eq!(decode_generation(records[0]), Some(3));
+        assert_eq!(decode_generation(records[1]), None);
         // A rotation creates a fresh log: old records gone, new header.
         let wal = ShardWal::create(&RealFs, &path, 4).unwrap();
-        let records = scan_wal(&fs::read(&path).unwrap()).unwrap();
+        let log = fs::read(&path).unwrap();
+        let records: Vec<_> = wal_records(&log).map(Result::unwrap).collect();
         assert_eq!(records.len(), 1);
-        assert_eq!(decode_generation(&records[0]), Some(4));
+        assert_eq!(decode_generation(records[0]), Some(4));
         assert_eq!(wal.size(), fs::read(&path).unwrap().len() as u64);
         assert!(!path.with_extension("tmp").exists(), "temp renamed away");
         let _ = fs::remove_dir_all(&dir);

@@ -124,9 +124,11 @@ fn crash_after_one_write_per_shard(dir: &std::path::Path) -> (Vec<u8>, Vec<u8>) 
     store.write(addr(1), &block(2)).expect("shard1 write");
     store.simulate_crash();
     let bytes = std::fs::read(dir.join("shard0").join("wal.bin")).expect("read wal");
-    let records = ame_persist::scan_wal(&bytes).expect("scan wal");
-    let [header, writes]: [Vec<u8>; 2] = records.try_into().expect("header + one record");
-    (header, writes)
+    let records: Vec<&[u8]> = ame_persist::wal_records(&bytes)
+        .collect::<Result<_, _>>()
+        .expect("scan wal");
+    let [header, writes] = records[..].try_into().expect("header + one record");
+    (header.to_vec(), writes.to_vec())
 }
 
 /// Rewrites shard 0's log as its header followed by `record` (framed
@@ -185,6 +187,17 @@ fn a_tag_behind_an_absent_mac_flag_quarantines() {
     forged_record_quarantines_shard0("tag_without_mac", |record| {
         assert_eq!(record[MAC_FLAG], 0, "MAC-in-ECC exports no separate tag");
         record[MAC_FLAG + 1] = 0x5a;
+    });
+}
+
+/// A record that decodes, its CRC recomputed over forged ciphertext:
+/// replay installs it, and the MAC refuses it in the post-replay sweep.
+/// Eight flipped bits in one word are past what flip-and-check repairs.
+#[test]
+fn a_record_of_forged_ciphertext_with_a_recomputed_crc_quarantines() {
+    forged_record_quarantines_shard0("forged_ciphertext", |record| {
+        let ciphertext = MAC_FLAG + 1 + 8;
+        record[ciphertext] ^= 0xff;
     });
 }
 
