@@ -45,7 +45,8 @@
 //! # Wakeup path
 //!
 //! A shard worker rings a session's eventfd once per service wakeup,
-//! *after* pushing every completion of that wakeup it owes the session.
+//! *after* sending the session one message holding every completion of
+//! that wakeup.
 //! The loop handles a wake event by draining the eventfd
 //! **first** and then reaping everything
 //! ([`SessionReaper::try_recv_all`](ame_store::SessionReaper::try_recv_all)):

@@ -68,7 +68,7 @@ pub use ame_engine::BLOCK_BYTES;
 
 use ame_engine::{EngineConfig, ReadError};
 use ame_telemetry::{Snapshot, StatsRegistry, Value};
-use shard::{Op, OpOutput, Request, ShardShared, ShardWorker};
+use shard::{Op, OpOutput, Request, Route, ShardShared, ShardWorker};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -513,28 +513,26 @@ impl SecureStore {
     /// Sends one operation to its shard and waits for its completion —
     /// the blocking API is literally a one-shot submit+wait over the
     /// same completion machinery [`Session`] pipelines: the request
-    /// carries a single-slot completion channel and the caller parks on
-    /// it, after waiting for a queue slot if the shard is saturated. The
-    /// depth counter is incremented only after a successful send, so a
+    /// carries a one-message route and the caller parks on it, after
+    /// waiting for a queue slot if the shard is saturated. The depth
+    /// counter is incremented only after a successful send, so a
     /// non-zero [`SecureStore::queue_depth`] reading proves an operation
     /// really occupies a queue slot.
     fn roundtrip(&self, shard: usize, op: Op) -> Result<OpOutput, StoreError> {
-        let (reply, response) = sync_channel(1);
+        let disconnected = StoreError::Disconnected { shard };
+        let (route, response) = Route::channel(1, None);
         let request = Request::Op {
             op,
             seq: 0,
             enqueued: Instant::now(),
-            reply,
-            wake: None,
+            route,
         };
         self.senders[shard]
             .send(request)
-            .map_err(|_| StoreError::Disconnected { shard })?;
+            .map_err(|_| disconnected)?;
         self.shared[shard].depth.fetch_add(1, Ordering::Relaxed);
-        response
-            .recv()
-            .map_err(|_| StoreError::Disconnected { shard })?
-            .result
+        let mut completions = response.recv().map_err(|_| disconnected)?;
+        completions.pop().ok_or(disconnected)?.result
     }
 
     /// Instantaneous queue depth of one shard, in operations enqueued
@@ -641,62 +639,48 @@ impl SecureStore {
     /// shard execute in submission order.
     #[must_use]
     pub fn submit_batch(&self, ops: &[StoreOp]) -> Vec<Result<StoreValue, StoreError>> {
-        let mut results: Vec<Option<Result<StoreValue, StoreError>>> = vec![None; ops.len()];
-        let mut shard_ops: Vec<Vec<Op>> = (0..self.config.shards).map(|_| Vec::new()).collect();
-        let mut shard_idx: Vec<Vec<usize>> = (0..self.config.shards).map(|_| Vec::new()).collect();
-        for (i, &op) in ops.iter().enumerate() {
-            match self.route(op) {
-                Err(e) => results[i] = Some(Err(e)),
-                Ok((shard, op)) => {
-                    shard_ops[shard].push(op);
-                    shard_idx[shard].push(i);
-                }
-            }
-        }
+        let shards = self.config.shards;
+        let mut shard_ops: Vec<Vec<(u64, Op)>> = (0..shards)
+            .map(|_| Vec::with_capacity(ops.len().div_ceil(shards)))
+            .collect();
+        // A routed op reads Disconnected until its shard's completion
+        // says otherwise.
+        let mut results: Vec<Result<StoreValue, StoreError>> = (0..)
+            .zip(ops)
+            .map(|(i, &op)| {
+                let (shard, op) = self.route(op)?;
+                shard_ops[shard].push((i, op));
+                Err(StoreError::Disconnected { shard })
+            })
+            .collect();
         // Send every shard its sub-batch first, then collect replies, so
-        // the shards service their portions concurrently.
-        let mut pending = Vec::new();
+        // the shards service their portions concurrently. Each shard
+        // answers with one message, tagged by op index.
+        let busy = shard_ops.iter().filter(|ops| !ops.is_empty()).count();
+        let (route, response) = Route::channel(busy.max(1), None);
+        let mut sent = 0;
         for (shard, ops) in shard_ops.into_iter().enumerate() {
             if ops.is_empty() {
                 continue;
             }
-            let indices = std::mem::take(&mut shard_idx[shard]);
-            let (reply, response) = sync_channel(1);
             let count = ops.len() as i64;
-            if self.senders[shard]
-                .send(Request::Batch {
-                    ops,
-                    enqueued: Instant::now(),
-                    reply,
-                })
-                .is_err()
-            {
-                for i in indices {
-                    results[i] = Some(Err(StoreError::Disconnected { shard }));
-                }
-                continue;
+            let request = Request::Batch {
+                ops,
+                enqueued: Instant::now(),
+                route: Arc::clone(&route),
+            };
+            if self.senders[shard].send(request).is_ok() {
+                self.shared[shard].depth.fetch_add(count, Ordering::Relaxed);
+                sent += 1;
             }
-            self.shared[shard].depth.fetch_add(count, Ordering::Relaxed);
-            pending.push((shard, indices, response));
         }
-        for (shard, indices, response) in pending {
-            match response.recv() {
-                Ok(replies) => {
-                    for (i, reply) in indices.into_iter().zip(replies) {
-                        results[i] = Some(reply.map(session::to_value));
-                    }
-                }
-                Err(_) => {
-                    for i in indices {
-                        results[i] = Some(Err(StoreError::Disconnected { shard }));
-                    }
-                }
-            }
+        // Our own handle must not keep the queue open: a worker that dies
+        // drops its handle unsent, and the receive below then ends early.
+        drop(route);
+        for completion in response.iter().take(sent).flatten() {
+            results[completion.seq as usize] = completion.result.map(session::to_value);
         }
         results
-            .into_iter()
-            .map(|r| r.expect("every op resolved"))
-            .collect()
     }
 
     /// Test surface: kills every shard worker as a power cut would — no
@@ -836,13 +820,23 @@ impl SecureStore {
     /// healthy shard, and reports per-shard outcomes. Poisoned shards
     /// are *not* re-sealed — quarantined state must not be laundered
     /// under fresh keys.
+    ///
+    /// A shard whose worker died (a panicking read-modify-write
+    /// mutator) reports `resealed: false`.
     #[must_use]
     pub fn shutdown(self) -> ShutdownReport {
         drop(self.senders);
         let shards = self
             .workers
             .into_iter()
-            .map(|w| w.join().expect("shard worker panicked"))
+            .enumerate()
+            .map(|(shard, w)| {
+                w.join().unwrap_or(SealReport {
+                    shard,
+                    resealed: false,
+                    poisoned: None,
+                })
+            })
             .collect();
         ShutdownReport { shards }
     }

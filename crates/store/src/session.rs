@@ -16,12 +16,19 @@
 //! (bounded, one slot per submission) → worker dequeue (queue wait ends,
 //! service begins) → execution as part of a run (with neighbouring
 //! writes in one batched seal — or, for reads and RMW read halves, in
-//! one batch-verified `read_blocks` call; alone, a run of one) →
-//! completion push onto the session's queue → client reap.
-//! The completion queue is sized `shards × in_flight_window`, which the
-//! window accounting makes an upper bound on undrained completions — the
-//! worker's completion push therefore never blocks, so a slow client can
-//! never stall a shard that other clients share.
+//! one batch-verified `read_blocks` call; alone, a run of one) → the
+//! session's outbox on that worker → at the end of the worker's wakeup
+//! (after the group commit on a durable shard), one message carrying
+//! every completion the wakeup owes the session → client reap. A
+//! completion therefore leaves when its wakeup ends, not when its run
+//! does, on volatile and durable shards alike.
+//! The completion queue is sized in messages, `shards ×
+//! in_flight_window` of them; every message carries at least one
+//! outstanding completion, so the window accounting makes that an upper
+//! bound on undrained messages — the worker's send therefore never
+//! blocks, so a slow client can never stall a shard that other clients
+//! share. Both session kinds reap through the same inbox, which also
+//! frees the window slots.
 //!
 //! # Backpressure rule
 //!
@@ -40,21 +47,19 @@
 //!
 //! Completions of operations on the **same shard** arrive in submission
 //! order (the shard queue is FIFO, the worker executes in order and
-//! emits completions in execution order, and the session's queue
+//! fills the outbox in execution order, and the session's queue
 //! preserves each worker's send order). Across shards there is no
 //! ordering. A read submitted after a write to the same address
 //! (same shard by construction) therefore observes that write.
 
-use crate::shard::{Completion, Op, OpOutput, OpReply, Request};
+use crate::shard::{Completion, Op, OpOutput, Request, Route};
 use crate::wake::WakeFd;
 use crate::{SecureStore, StoreError, StoreOp, StoreValue};
 use ame_engine::BLOCK_BYTES;
 use ame_telemetry::{Histogram, MetricSink, Metrics, Snapshot, StatsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{
-    sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError,
-};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -150,12 +155,11 @@ impl Metrics for SessionStats {
 /// ```
 pub struct Session<'a> {
     /// The one submit path, shared with split sessions (no wake: this
-    /// session blocks on the completion channel itself).
+    /// session blocks on its inbox itself).
     submitter: SessionSubmitter<'a>,
-    rx: Receiver<Completion>,
+    inbox: Inbox,
     /// Outstanding tickets and the shard serving each.
     pending: HashMap<u64, usize>,
-    total_in_flight: usize,
     /// Completed-but-unreaped results in arrival order.
     done: VecDeque<(Ticket, Result<StoreValue, StoreError>)>,
     stats: SessionStats,
@@ -165,7 +169,7 @@ impl std::fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("window", &self.submitter.window)
-            .field("in_flight", &self.total_in_flight)
+            .field("in_flight", &self.pending.len())
             .field("unreaped", &self.done.len())
             .finish_non_exhaustive()
     }
@@ -179,14 +183,17 @@ pub(crate) fn to_value(output: OpOutput) -> StoreValue {
     }
 }
 
+/// How long a blocked [`Session`] waits for a completion before it
+/// checks whether the workers it waits on are still alive.
+const LIVENESS_POLL: Duration = Duration::from_millis(20);
+
 impl<'a> Session<'a> {
     pub(crate) fn new(store: &'a SecureStore, config: SessionConfig) -> Self {
-        let (submitter, rx) = store.open_pipeline(config, None);
+        let (submitter, inbox) = store.open_pipeline(config, None);
         Self {
             submitter,
-            rx,
+            inbox,
             pending: HashMap::new(),
-            total_in_flight: 0,
             done: VecDeque::new(),
             stats: SessionStats::default(),
         }
@@ -201,13 +208,13 @@ impl<'a> Session<'a> {
     /// Operations submitted and not yet reaped, across all shards.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.total_in_flight
+        self.pending.len()
     }
 
     /// Completed results waiting to be reaped (after an internal drain).
     #[must_use]
     pub fn completions_ready(&mut self) -> usize {
-        self.drain();
+        self.reap(Duration::ZERO);
         self.done.len()
     }
 
@@ -270,16 +277,13 @@ impl<'a> Session<'a> {
         // Opportunistically absorb finished work first: a steady-state
         // submit loop never has to call a wait method just to free its
         // window.
-        self.drain();
+        self.reap(Duration::ZERO);
         let outcome = self.submitter.submit_op(shard, op);
         match outcome {
             Ok(Ticket(seq)) => {
                 self.pending.insert(seq, shard);
-                self.total_in_flight += 1;
                 self.stats.submitted += 1;
-                self.stats
-                    .in_flight_depth
-                    .record(self.total_in_flight as u64);
+                self.stats.in_flight_depth.record(self.pending.len() as u64);
             }
             // A queue-full bounce leaves the window open, so an
             // `Overloaded` with the window full was the window's.
@@ -295,7 +299,7 @@ impl<'a> Session<'a> {
     /// when the operation has completed; `None` while it is still in
     /// flight (and for tickets already reaped).
     pub fn poll(&mut self, ticket: Ticket) -> Option<Result<StoreValue, StoreError>> {
-        self.drain();
+        self.reap(Duration::ZERO);
         self.take_done(ticket)
     }
 
@@ -304,24 +308,15 @@ impl<'a> Session<'a> {
     /// # Errors
     ///
     /// The operation's own failure, or [`StoreError::Disconnected`] if
-    /// the serving shard's worker died mid-flight.
+    /// the serving shard's worker died mid-flight (noticed within a
+    /// bounded poll).
     ///
     /// # Panics
     ///
     /// Panics if the ticket was already reaped (or belongs to another
     /// session) — waiting on it would otherwise hang forever.
     pub fn wait(&mut self, ticket: Ticket) -> Result<StoreValue, StoreError> {
-        loop {
-            self.drain();
-            if let Some(result) = self.take_done(ticket) {
-                return result;
-            }
-            assert!(
-                self.pending.contains_key(&ticket.0),
-                "ticket {ticket:?} is not outstanding in this session"
-            );
-            self.block_on_next();
-        }
+        self.wait_until(ticket, None)
     }
 
     /// Like [`Session::wait`], but gives up with
@@ -348,9 +343,17 @@ impl<'a> Session<'a> {
         ticket: Ticket,
         timeout: Duration,
     ) -> Result<StoreValue, StoreError> {
-        let deadline = Instant::now() + timeout;
+        self.wait_until(ticket, Some(Instant::now() + timeout))
+    }
+
+    fn wait_until(
+        &mut self,
+        ticket: Ticket,
+        deadline: Option<Instant>,
+    ) -> Result<StoreValue, StoreError> {
+        let mut patience = Duration::ZERO;
         loop {
-            self.drain();
+            self.reap(patience);
             if let Some(result) = self.take_done(ticket) {
                 return result;
             }
@@ -358,17 +361,16 @@ impl<'a> Session<'a> {
                 self.pending.contains_key(&ticket.0),
                 "ticket {ticket:?} is not outstanding in this session"
             );
-            let Some(remaining) = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|d| *d > Duration::ZERO)
-            else {
-                return Err(StoreError::Timeout);
+            patience = match deadline {
+                None => LIVENESS_POLL,
+                Some(deadline) => {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        return Err(StoreError::Timeout);
+                    }
+                    remaining.min(LIVENESS_POLL)
+                }
             };
-            match self.rx.recv_timeout(remaining) {
-                Ok(completion) => self.absorb_burst(completion),
-                Err(RecvTimeoutError::Timeout) => return Err(StoreError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => self.resolve_orphans(),
-            }
         }
     }
 
@@ -377,12 +379,9 @@ impl<'a> Session<'a> {
     /// unreaped. Completions of same-shard operations are returned in
     /// submission order.
     pub fn wait_any(&mut self) -> Option<(Ticket, Result<StoreValue, StoreError>)> {
-        self.drain();
-        if self.done.is_empty() {
-            if self.total_in_flight == 0 {
-                return None;
-            }
-            self.block_on_next();
+        self.reap(Duration::ZERO);
+        while self.done.is_empty() && !self.pending.is_empty() {
+            self.reap(LIVENESS_POLL);
         }
         self.done.pop_front()
     }
@@ -390,77 +389,60 @@ impl<'a> Session<'a> {
     /// Drains the pipeline: blocks until every outstanding operation has
     /// completed and returns all unreaped results in completion order.
     pub fn wait_all(&mut self) -> Vec<(Ticket, Result<StoreValue, StoreError>)> {
-        let mut results = Vec::with_capacity(self.done.len() + self.total_in_flight);
+        let mut results = Vec::with_capacity(self.done.len() + self.pending.len());
         while let Some(entry) = self.wait_any() {
             results.push(entry);
         }
         results
     }
 
-    /// Absorbs every already-available completion without blocking.
-    fn drain(&mut self) {
-        let mut burst = 0u64;
-        while let Ok(completion) = self.rx.try_recv() {
-            self.absorb(completion);
-            burst += 1;
+    /// Absorbs every completion that has arrived, after waiting up to
+    /// `patience` for the first. A wait that ends empty-handed resolves
+    /// the tickets no live worker will ever answer.
+    fn reap(&mut self, patience: Duration) {
+        let burst = self.inbox.reap(patience);
+        if burst.is_empty() {
+            if !patience.is_zero() {
+                self.resolve_orphans();
+            }
+            return;
         }
-        if burst > 0 {
-            self.stats.completion_batch.record(burst);
+        self.stats.completion_batch.record(burst.len() as u64);
+        for completion in burst {
+            self.pending.remove(&completion.seq);
+            self.stats.completed += 1;
+            self.stats.queue_wait_ns.record(completion.queue_ns);
+            self.stats.service_ns.record(completion.service_ns);
+            let result = completion.result.map(to_value);
+            self.done.push_back((Ticket(completion.seq), result));
         }
     }
 
-    /// Blocks for one completion (the caller checked something is in
-    /// flight), then absorbs any burst behind it.
-    fn block_on_next(&mut self) {
-        match self.rx.recv() {
-            Ok(completion) => self.absorb_burst(completion),
-            Err(_) => self.resolve_orphans(),
-        }
-    }
-
-    /// Absorbs the completion a blocking receive returned and every one
-    /// already queued behind it, as one burst.
-    fn absorb_burst(&mut self, first: Completion) {
-        self.absorb(first);
-        let mut burst = 1u64;
-        while let Ok(more) = self.rx.try_recv() {
-            self.absorb(more);
-            burst += 1;
-        }
-        self.stats.completion_batch.record(burst);
-    }
-
-    /// Every worker owning our pending ops is gone (worker panic —
-    /// graceful shutdown is impossible while a session borrows the
-    /// store). Resolve everything outstanding so no ticket hangs, in
-    /// ticket order for determinism.
+    /// Resolves every pending ticket of a shard whose worker has exited
+    /// (a panicking mutator; shutdown and crashes need the store, which
+    /// this session borrows) as [`StoreError::Disconnected`], in ticket
+    /// order for determinism — after absorbing whatever the worker sent
+    /// before it died.
     fn resolve_orphans(&mut self) {
-        let mut orphans: Vec<(u64, usize)> = self.pending.drain().collect();
+        let store = self.submitter.store;
+        let gone = |shard: usize| store.shared[shard].gone.load(Ordering::Acquire);
+        if !self.pending.values().any(|&shard| gone(shard)) {
+            return;
+        }
+        self.reap(Duration::ZERO);
+        let mut orphans: Vec<(u64, usize)> = self
+            .pending
+            .iter()
+            .map(|(&seq, &shard)| (seq, shard))
+            .filter(|&(_, shard)| gone(shard))
+            .collect();
         orphans.sort_unstable();
         for (seq, shard) in orphans {
-            self.submitter.shared.release(shard);
-            self.total_in_flight -= 1;
+            self.pending.remove(&seq);
+            self.inbox.windows.release(shard);
             self.done
                 .push_back((Ticket(seq), Err(StoreError::Disconnected { shard })));
         }
-    }
-
-    fn absorb(&mut self, completion: Completion) {
-        let Completion {
-            seq,
-            shard,
-            result,
-            queue_ns,
-            service_ns,
-        } = completion;
-        self.pending.remove(&seq);
-        self.submitter.shared.release(shard);
-        self.total_in_flight -= 1;
-        self.stats.completed += 1;
-        self.stats.queue_wait_ns.record(queue_ns);
-        self.stats.service_ns.record(service_ns);
-        let result: OpReply = result;
-        self.done.push_back((Ticket(seq), result.map(to_value)));
     }
 
     fn take_done(&mut self, ticket: Ticket) -> Option<Result<StoreValue, StoreError>> {
@@ -475,14 +457,65 @@ impl<'a> Session<'a> {
 /// path increments, only reaping decrements, so the window check can
 /// never race itself — a concurrent reap only ever makes *more* room.
 #[derive(Debug)]
-struct SplitShared {
+struct Windows {
     per_shard: Vec<AtomicUsize>,
 }
 
-impl SplitShared {
+impl Windows {
     /// One operation of `shard` was reaped: its window slot is free.
     fn release(&self, shard: usize) {
         self.per_shard[shard].fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The receiving end of a pipeline, the one reap path of both session
+/// kinds: the completion queue — one message per shard wakeup that
+/// served the pipeline — and the window slots its completions free.
+///
+/// It holds no route (no sender): once the submitter and every request
+/// it sent are gone, the queue reports disconnection, which is what
+/// [`SessionReaper::pipeline_closed`] latches.
+struct Inbox {
+    rx: Receiver<Vec<Completion>>,
+    windows: Arc<Windows>,
+    /// Latched once the queue is disconnected and drained.
+    closed: bool,
+}
+
+impl Inbox {
+    /// Every completion queued, in arrival (per-shard FIFO) order, after
+    /// waiting up to `patience` for the first; each frees its window
+    /// slot.
+    fn reap(&mut self, patience: Duration) -> Vec<Completion> {
+        let first = if patience.is_zero() {
+            self.rx
+                .try_recv()
+                .map_err(|e| e == TryRecvError::Disconnected)
+        } else {
+            self.rx
+                .recv_timeout(patience)
+                .map_err(|e| e == RecvTimeoutError::Disconnected)
+        };
+        let mut burst = match first {
+            Ok(burst) => burst,
+            Err(disconnected) => {
+                self.closed |= disconnected;
+                return Vec::new();
+            }
+        };
+        loop {
+            match self.rx.try_recv() {
+                Ok(more) => burst.extend(more),
+                Err(e) => {
+                    self.closed |= e == TryRecvError::Disconnected;
+                    break;
+                }
+            }
+        }
+        for completion in &burst {
+            self.windows.release(completion.shard);
+        }
+        burst
     }
 }
 
@@ -498,13 +531,12 @@ pub struct SessionSubmitter<'a> {
     store: &'a SecureStore,
     window: usize,
     next_seq: u64,
-    tx: SyncSender<Completion>,
-    shared: Arc<SplitShared>,
-    /// Rung by the worker once per service wakeup that completed any
-    /// of this session's operations, after those completion sends, so an
-    /// event-driven reaper blocked in `epoll_wait` learns the queue
-    /// went non-empty. `None` on hosts without eventfd.
-    wake: Option<Arc<WakeFd>>,
+    /// Where every submission's result goes: this pipeline's completion
+    /// queue and, for an event-driven reaper, the eventfd a worker rings
+    /// after each message. The only sender of the queue outside the
+    /// requests in flight.
+    route: Arc<Route>,
+    windows: Arc<Windows>,
 }
 
 impl std::fmt::Debug for SessionSubmitter<'_> {
@@ -518,14 +550,10 @@ impl std::fmt::Debug for SessionSubmitter<'_> {
 /// The reaping half of a split session: completions without submitting.
 pub struct SessionReaper<'a> {
     _store: &'a SecureStore,
-    rx: Receiver<Completion>,
-    shared: Arc<SplitShared>,
+    inbox: Inbox,
     /// The kernel-visible readiness signal paired with the completion
     /// queue (wake-enabled sessions only).
     wake: Option<Arc<WakeFd>>,
-    /// Latched once `try_recv_all` observes the disconnected (and fully
-    /// drained) pipeline.
-    closed: bool,
 }
 
 impl std::fmt::Debug for SessionReaper<'_> {
@@ -545,7 +573,7 @@ impl<'a> SessionSubmitter<'a> {
     /// paired [`SessionReaper`]), across all shards.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.shared
+        self.windows
             .per_shard
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
@@ -583,7 +611,7 @@ impl<'a> SessionSubmitter<'a> {
 
     /// `true` when `shard`'s in-flight window is full.
     fn window_full(&self, shard: usize) -> bool {
-        self.shared.per_shard[shard].load(Ordering::Relaxed) >= self.window
+        self.windows.per_shard[shard].load(Ordering::Relaxed) >= self.window
     }
 
     /// The one pipelined submit path. Nothing here waits: a quarantined
@@ -601,14 +629,13 @@ impl<'a> SessionSubmitter<'a> {
             sh.overloads.fetch_add(1, Ordering::Relaxed);
             return Err(StoreError::Overloaded { shard });
         }
-        let in_flight = &self.shared.per_shard[shard];
+        let in_flight = &self.windows.per_shard[shard];
         let seq = self.next_seq;
         let request = Request::Op {
             op,
             seq,
             enqueued: Instant::now(),
-            reply: self.tx.clone(),
-            wake: self.wake.clone(),
+            route: Arc::clone(&self.route),
         };
         // Count the slot *before* the send: the completion (and the
         // reaper's decrement) can race an increment placed after it.
@@ -616,12 +643,12 @@ impl<'a> SessionSubmitter<'a> {
         match self.store.senders[shard].try_send(request) {
             Ok(()) => {}
             Err(TrySendError::Full(_)) => {
-                self.shared.release(shard);
+                self.windows.release(shard);
                 sh.overloads.fetch_add(1, Ordering::Relaxed);
                 return Err(StoreError::Overloaded { shard });
             }
             Err(TrySendError::Disconnected(_)) => {
-                self.shared.release(shard);
+                self.windows.release(shard);
                 return Err(StoreError::Disconnected { shard });
             }
         }
@@ -639,18 +666,11 @@ impl<'a> SessionReaper<'a> {
     /// order guarantees no completion is ever stranded (one that lands
     /// between the two re-rings the wakeup).
     pub fn try_recv_all(&mut self) -> Vec<(Ticket, Result<StoreValue, StoreError>)> {
-        let mut out = Vec::new();
-        loop {
-            match self.rx.try_recv() {
-                Ok(completion) => out.push(self.absorb(completion)),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    self.closed = true;
-                    break;
-                }
-            }
-        }
-        out
+        self.inbox
+            .reap(Duration::ZERO)
+            .into_iter()
+            .map(|c| (Ticket(c.seq), c.result.map(to_value)))
+            .collect()
     }
 
     /// `true` once the paired submitter is gone **and** every completion
@@ -659,7 +679,7 @@ impl<'a> SessionReaper<'a> {
     /// yield again.
     #[must_use]
     pub fn pipeline_closed(&self) -> bool {
-        self.closed
+        self.inbox.closed
     }
 
     /// The raw wake descriptor to register in an `epoll(7)` interest
@@ -678,11 +698,6 @@ impl<'a> SessionReaper<'a> {
             w.drain();
         }
     }
-
-    fn absorb(&mut self, completion: Completion) -> (Ticket, Result<StoreValue, StoreError>) {
-        self.shared.release(completion.shard);
-        (Ticket(completion.seq), completion.result.map(to_value))
-    }
 }
 
 impl SecureStore {
@@ -690,9 +705,10 @@ impl SecureStore {
     /// [`SessionReaper`] that are separate values, unlike the
     /// single-owner [`Session`], with the completion queue paired to a
     /// kernel-visible [`WakeFd`]: a shard worker rings it once per
-    /// service wakeup, after sending every completion of that wakeup, and
-    /// the reaper exposes it via [`SessionReaper::wake_fd`] for
-    /// registration in an `epoll(7)` interest set. This is what lets one event-loop thread block in
+    /// message it sends the session — at most once per service wakeup —
+    /// after the send, and the reaper exposes it via
+    /// [`SessionReaper::wake_fd`] for registration in an `epoll(7)`
+    /// interest set. This is what lets one event-loop thread block in
     /// `epoll_wait` over many sessions *and* their sockets at once —
     /// the reactor's completion path. When the host has no eventfd,
     /// `wake_fd()` is `None` and the caller must refuse the session or
@@ -713,43 +729,47 @@ impl SecureStore {
         config: SessionConfig,
     ) -> (SessionSubmitter<'_>, SessionReaper<'_>) {
         let wake = WakeFd::new().map(Arc::new);
-        let (submitter, rx) = self.open_pipeline(config, wake.clone());
+        let (submitter, inbox) = self.open_pipeline(config, wake.clone());
         let reaper = SessionReaper {
             _store: self,
-            rx,
-            shared: Arc::clone(&submitter.shared),
+            inbox,
             wake,
-            closed: false,
         };
         (submitter, reaper)
     }
 
-    /// Opens one submission pipeline: the submitter and the completion
-    /// queue its operations report to.
+    /// Opens one submission pipeline: the submitter and the inbox its
+    /// operations report to.
     fn open_pipeline(
         &self,
         config: SessionConfig,
         wake: Option<Arc<WakeFd>>,
-    ) -> (SessionSubmitter<'_>, Receiver<Completion>) {
+    ) -> (SessionSubmitter<'_>, Inbox) {
         assert!(
             config.in_flight_window > 0,
             "the in-flight window must admit at least one operation"
         );
         let shards = self.config.shards;
-        // Sized so every outstanding completion fits: workers never block
-        // pushing completions, no matter how lazily the client reaps.
-        let (tx, rx) = sync_channel(shards * config.in_flight_window);
+        // Every message carries at least one outstanding completion, so
+        // this many always fit: workers never block on a send, no matter
+        // how lazily the client reaps.
+        let (route, rx) = Route::channel(shards * config.in_flight_window, wake);
+        let windows = Arc::new(Windows {
+            per_shard: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
+        });
         let submitter = SessionSubmitter {
             store: self,
             window: config.in_flight_window,
             next_seq: 1,
-            tx,
-            shared: Arc::new(SplitShared {
-                per_shard: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
-            }),
-            wake,
+            route,
+            windows: Arc::clone(&windows),
         };
-        (submitter, rx)
+        let inbox = Inbox {
+            rx,
+            windows,
+            closed: false,
+        };
+        (submitter, inbox)
     }
 }
 
@@ -909,6 +929,58 @@ mod tests {
         );
         drop(session);
         let _ = store.shutdown();
+    }
+
+    /// A mutator that panics kills its shard's worker. The session
+    /// learns it within a bounded poll: that shard's tickets read
+    /// `Disconnected`, the other shard's still complete, and shutdown
+    /// reports the dead shard instead of panicking.
+    #[test]
+    fn a_dead_worker_resolves_its_tickets_as_disconnected() {
+        let store = store(2);
+        let mut session = store.session();
+        let write = |addr| StoreOp::Write {
+            addr,
+            data: [3; 64],
+        };
+        // Shard 1 is jammed until shard 0 is dead, so both tickets are
+        // in flight when the worker dies.
+        let (gate_tx, gate_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        let jam = session
+            .submit_rmw(64, move |_| {
+                let _ = gate_rx.recv();
+            })
+            .unwrap();
+        let doomed = session.submit_rmw(0, |_| panic!("mutator panics")).unwrap();
+        let behind = session.submit(write(128)).unwrap();
+        // Queued behind the panic (or sent after it): returns once the
+        // worker is gone.
+        assert_eq!(store.read(0), Err(StoreError::Disconnected { shard: 0 }));
+        gate_tx.send(()).unwrap();
+        let limit = Duration::from_secs(5);
+        assert_eq!(
+            session.wait_timeout(doomed, limit),
+            Err(StoreError::Disconnected { shard: 0 })
+        );
+        assert_eq!(
+            session.wait_timeout(behind, limit),
+            Err(StoreError::Disconnected { shard: 0 })
+        );
+        assert!(matches!(
+            session.wait_timeout(jam, limit),
+            Ok(StoreValue::Modified(_))
+        ));
+        assert_eq!(session.in_flight(), 0);
+        assert_eq!(
+            session.submit(write(0)),
+            Err(StoreError::Disconnected { shard: 0 })
+        );
+        let t = session.submit(write(64)).unwrap();
+        assert_eq!(session.wait(t), Ok(StoreValue::Written));
+        drop(session);
+        let report = store.shutdown();
+        assert!(!report.shards[0].resealed);
+        assert!(report.shards[1].resealed);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! bounded `mpsc` queue. The worker drains up to `max_batch` queued
 //! requests per wakeup and serves them as one *service batch*: runs of
 //! consecutive full-block writes — regardless of whether they arrived as
-//! individual submissions or [`submit_batch`] slots — are fused into a
+//! individual submissions or [`submit_batch`] operations — are fused into a
 //! single engine-level [`write_blocks`] call, so their seal keystreams
 //! come from one pipelined `keystream_batch` and channel/scheduling costs
 //! amortize over the whole wakeup. Reads (and the read half of RMWs) fuse
@@ -26,12 +26,19 @@
 //! `elapsed/n` share), so deep pipelined windows show up in the
 //! histograms as queue time, not inflated service time.
 //!
-//! Every request carries a completion route: the blocking front-end
-//! waits on a one-shot channel, a [`Session`](crate::Session) points many
-//! submissions at its shared completion queue. The worker does not care
-//! which — it executes in FIFO order and emits completions in execution
-//! order, which is what gives sessions their per-shard ordering
-//! guarantee.
+//! Every request carries its submitter's [`Route`]: a blocking call's
+//! one-shot channel, a [`submit_batch`] call's, or a
+//! [`Session`](crate::Session)'s completion queue with its optional
+//! eventfd. The worker does not care which. Every result of a wakeup
+//! goes into its route's *outbox*, in execution order (which, the queue
+//! being FIFO, is per-shard submission order — the sessions' ordering
+//! guarantee). The outboxes are released at the end of the wakeup, and
+//! before a `Collect` or `Tamper` is served: first the group-commit
+//! `fdatasync` on a durable shard, then one message per route — all of
+//! its completions as one `Vec` — and one ring of its eventfd. So a
+//! batch pays one send per shard, a session one per wakeup, however
+//! many operations they had in it; and no ack leaves before the log
+//! covers it.
 //!
 //! A verification failure (MAC, SEC-DED, or tree) **poisons** the shard:
 //! the failing operation reports the underlying [`ReadError`] and every
@@ -49,7 +56,7 @@ use ame_engine::{ReadError, BLOCK_BYTES};
 use ame_telemetry::{Histogram, MetricSink, Metrics, Snapshot, StatsRegistry};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -79,20 +86,12 @@ pub(crate) enum OpOutput {
 
 pub(crate) type OpReply = Result<OpOutput, StoreError>;
 
-/// One in-progress `submit_batch` reply: the route back to the caller
-/// and the per-op results, filled in as the wakeup executes (writes may
-/// complete out of request order via fusion, never out of effect order).
-type BatchSlot = (SyncSender<Vec<OpReply>>, Vec<Option<OpReply>>);
-
-/// What a worker sends back when one submitted operation finishes.
-///
-/// The blocking front-end receives exactly one of these on a one-shot
-/// channel; a [`Session`](crate::Session) receives them interleaved on
-/// its completion queue and uses `seq` to resolve tickets. The worker
-/// emits completions in execution order, which (FIFO queue) is per-shard
-/// submission order.
+/// What a worker reports when one submitted operation finishes; a
+/// route receives them in messages of one wakeup's worth, in execution
+/// order, and uses `seq` to tell them apart.
 pub(crate) struct Completion {
-    /// The submitter's sequence number (0 for one-shot roundtrips).
+    /// The submitter's tag: a session's ticket, a batch op's index, 0
+    /// for a blocking call.
     pub seq: u64,
     /// The shard that served the operation.
     pub shard: usize,
@@ -105,27 +104,44 @@ pub(crate) struct Completion {
     pub service_ns: u64,
 }
 
+/// Where one submitter's results go.
+pub(crate) struct Route {
+    /// The submitter's completion queue, one message per release.
+    tx: SyncSender<Vec<Completion>>,
+    /// Kernel-visible wakeup rung after each message, so an event-driven
+    /// reaper blocked in `epoll_wait` learns the in-memory queue went
+    /// non-empty. `None` for submitters that block on the queue itself.
+    wake: Option<Arc<WakeFd>>,
+}
+
+impl Route {
+    /// A route and the receiving end of its queue, which holds
+    /// `capacity` messages.
+    pub(crate) fn channel(
+        capacity: usize,
+        wake: Option<Arc<WakeFd>>,
+    ) -> (Arc<Self>, Receiver<Vec<Completion>>) {
+        let (tx, rx) = sync_channel(capacity);
+        (Arc::new(Self { tx, wake }), rx)
+    }
+}
+
 /// A message on a shard's request queue.
 pub(crate) enum Request {
     Op {
         op: Op,
-        /// Submitter-chosen completion tag (ticket id; 0 for one-shots).
+        /// Submitter-chosen completion tag.
         seq: u64,
         /// When the request was enqueued, for queue-wait accounting.
         enqueued: Instant,
-        reply: SyncSender<Completion>,
-        /// Kernel-visible wakeup rung once the wakeup that served the
-        /// request has sent all its completions, so an event-driven
-        /// reaper blocked in `epoll_wait` learns the in-memory completion
-        /// queue went non-empty. `None` for blocking submitters (they
-        /// wait on the channel itself).
-        wake: Option<Arc<WakeFd>>,
+        route: Arc<Route>,
     },
     Batch {
-        ops: Vec<Op>,
+        /// Each operation with its completion tag.
+        ops: Vec<(u64, Op)>,
         /// When the batch was enqueued (one timestamp, charged per op).
         enqueued: Instant,
-        reply: SyncSender<Vec<OpReply>>,
+        route: Arc<Route>,
     },
     Collect {
         reply: SyncSender<ShardReport>,
@@ -164,8 +180,14 @@ pub(crate) struct ShardShared {
     pub overloads: AtomicU64,
     /// Set (never cleared) by the worker when the shard is quarantined.
     pub poisoned: AtomicBool,
-    /// Session eventfd rings: one per wake-enabled session per service
-    /// wakeup that sent it at least one completion.
+    /// Set (never cleared, with `Release`) when the worker stops — shut
+    /// down, crashed, or unwound by a panicking mutator — after every
+    /// send it made, so a reader that sees it (with `Acquire`) and then
+    /// drains its queue has everything the worker will ever send.
+    pub gone: AtomicBool,
+    /// Session eventfd rings: one per wake-enabled route per release
+    /// that sent it completions (a release ends every wakeup; a
+    /// `Collect` or `Tamper` adds one).
     pub wake_rings: AtomicU64,
 }
 
@@ -224,7 +246,7 @@ pub struct ShardStats {
     /// call, so batch depth shows up as queue wait, not service time.
     pub service_latency_ns: Histogram,
     /// Per-operation queue wait (enqueue → dequeue) in nanoseconds; each
-    /// op of a batch slot records the slot's wait individually.
+    /// op of a batch records the batch's wait individually.
     pub queue_wait_ns: Histogram,
     /// Consecutive writes fused into each engine `write_blocks` call.
     pub fused_writes: Histogram,
@@ -288,29 +310,16 @@ pub struct SealReport {
     pub poisoned: Option<ReadError>,
 }
 
-/// Where a fused operation's result goes once the engine batch lands.
-enum Dest {
-    /// An individual submission: completion sent directly (volatile
-    /// shards) or parked in the group-commit buffer until the covering
-    /// log sync lands (persistent shards).
-    Single {
-        seq: u64,
-        reply: SyncSender<Completion>,
-        wake: Option<Arc<WakeFd>>,
-    },
-    /// Slot `index` of wakeup-batch reply accumulator `slot`.
-    Batch { slot: usize, index: usize },
+/// The completions one route is owed since the last release.
+struct Outbox {
+    route: Arc<Route>,
+    completions: Vec<Completion>,
 }
 
-/// A completion the worker has computed but must not release yet: its
-/// write-intent record sits in the OS page cache awaiting the wakeup's
-/// shared `fdatasync`. Acks only leave the worker once the sync covers
-/// them (group commit); a sync failure converts the held `Ok`s to the
-/// quarantine error instead of acknowledging undurable state.
-struct DeferredCompletion {
-    reply: SyncSender<Completion>,
-    completion: Completion,
-    wake: Option<Arc<WakeFd>>,
+/// Where an operation's result goes: tagged `seq`, into outbox `outbox`.
+struct Dest {
+    outbox: usize,
+    seq: u64,
 }
 
 /// One write parked in the fusion buffer awaiting the batched seal.
@@ -356,19 +365,17 @@ pub(crate) struct ShardWorker {
     crashed: bool,
     /// Durable storage plane, when the store was opened on a directory.
     persist: Option<ShardPersist>,
-    /// Completions held back for the group commit: computed, their
-    /// intent appended (unsynced), awaiting the shared `fdatasync`.
-    /// Released in FIFO order by [`flush_deferred`](Self::flush_deferred)
-    /// — reads defer too on persistent shards, preserving the per-shard
-    /// completion-order guarantee sessions rely on.
-    deferred: Vec<DeferredCompletion>,
     /// Intent records appended since the last sync. Non-zero means the
     /// log's tail is not yet durable.
     wal_unsynced: u64,
-    /// Session wakeups owed for completions sent during the current
-    /// service wakeup, one entry per eventfd; rung by
-    /// [`ring_wakes`](Self::ring_wakes) once the wakeup is served.
-    wakes: Vec<Arc<WakeFd>>,
+    /// The write run awaiting its batched seal.
+    writes: Vec<PendingWrite>,
+    /// The read run (plain reads and RMW read halves) awaiting its
+    /// batched verify. At most one of the two runs is non-empty.
+    reads: Vec<PendingRead>,
+    /// One per route served since the last [`release`](Self::release),
+    /// in order of first appearance.
+    outboxes: Vec<Outbox>,
     stats: ShardStats,
 }
 
@@ -390,9 +397,10 @@ impl ShardWorker {
             persist_dead: false,
             crashed: false,
             persist: None,
-            deferred: Vec::new(),
             wal_unsynced: 0,
-            wakes: Vec::new(),
+            writes: Vec::new(),
+            reads: Vec::new(),
+            outboxes: Vec::new(),
             stats: ShardStats::default(),
         }
     }
@@ -440,9 +448,6 @@ impl ShardWorker {
                 }
             }
             self.service_wakeup(requests);
-            // After every send of the wakeup, on every exit path: the
-            // completions a `Crash` let out still wake their reactor.
-            self.ring_wakes();
             if self.crashed {
                 // Simulated power cut: abandon everything, leave the
                 // durable artifacts exactly as the last acknowledged
@@ -474,58 +479,54 @@ impl ShardWorker {
     /// Requests are processed strictly in arrival order; runs of
     /// consecutive full-block writes and runs of consecutive verified
     /// reads (plain reads and RMW read halves, across request boundaries)
-    /// are parked in fusion buffers and committed through one engine
-    /// `write_blocks` / `read_blocks` call when the run breaks — a
-    /// different op kind, a control request, a same-block RMW hazard, or
-    /// the end of the wakeup. Parking a write flushes pending reads and
-    /// vice versa, so at most one buffer is ever non-empty and fusion
-    /// never reorders anything an operation could observe.
+    /// are parked and committed through one engine `write_blocks` /
+    /// `read_blocks` call when the run breaks — a different op kind, a
+    /// control request, a same-block RMW hazard, or the end of the
+    /// wakeup. Parking a write flushes pending reads and vice versa, so
+    /// at most one run is ever open and fusion never reorders anything
+    /// an operation could observe.
     fn service_wakeup(&mut self, requests: Vec<Request>) {
         self.stats.queue_depth_seen.record(self.shared.depth_now());
         let mut ops = 0u64;
-        let mut writes: Vec<PendingWrite> = Vec::new();
-        let mut reads: Vec<PendingRead> = Vec::new();
-        // (reply channel, accumulated per-op results) per Batch request.
-        let mut slots: Vec<BatchSlot> = Vec::new();
-        for request in requests {
+        let count = requests.len();
+        for (i, request) in requests.into_iter().enumerate() {
             match request {
                 Request::Op {
                     op,
                     seq,
                     enqueued,
-                    reply,
-                    wake,
+                    route,
                 } => {
                     self.shared.depth.fetch_sub(1, Ordering::Relaxed);
                     let queue_ns = enqueued.elapsed().as_nanos() as u64;
                     self.stats.queue_wait_ns.record(queue_ns);
                     ops += 1;
-                    let dest = Dest::Single { seq, reply, wake };
-                    self.handle_op(op, queue_ns, dest, &mut writes, &mut reads, &mut slots);
+                    // Room for one completion per request left in the
+                    // wakeup, all a single-op route can be owed: its
+                    // message is one allocation, never a regrowth.
+                    let outbox = self.outbox(route, count - i);
+                    self.handle_op(op, queue_ns, Dest { outbox, seq });
                 }
                 Request::Batch {
-                    ops: batch_ops,
+                    ops: batch,
                     enqueued,
-                    reply,
+                    route,
                 } => {
-                    let n = batch_ops.len();
+                    let n = batch.len();
                     self.shared.depth.fetch_sub(n as i64, Ordering::Relaxed);
                     let queue_ns = enqueued.elapsed().as_nanos() as u64;
-                    // Per-op queue wait: every op of the slot waited the
+                    // Per-op queue wait: every op of the batch waited the
                     // same time, and each records it individually.
                     self.stats.queue_wait_ns.record_n(queue_ns, n as u64);
                     ops += n as u64;
-                    let slot = slots.len();
-                    slots.push((reply, (0..n).map(|_| None).collect()));
-                    for (index, op) in batch_ops.into_iter().enumerate() {
-                        let dest = Dest::Batch { slot, index };
-                        self.handle_op(op, queue_ns, dest, &mut writes, &mut reads, &mut slots);
+                    let outbox = self.outbox(route, n);
+                    for (seq, op) in batch {
+                        self.handle_op(op, queue_ns, Dest { outbox, seq });
                     }
                 }
                 Request::Collect { reply } => {
-                    self.flush_fused(&mut writes, &mut slots);
-                    self.flush_fused_reads(&mut reads, &mut slots);
-                    self.flush_deferred(&mut slots);
+                    self.flush_runs();
+                    self.release();
                     let _ = reply.send(self.report());
                 }
                 Request::Tamper {
@@ -535,9 +536,8 @@ impl ShardWorker {
                     ack,
                 } => {
                     // Tampering must stay ordered with surrounding ops.
-                    self.flush_fused(&mut writes, &mut slots);
-                    self.flush_fused_reads(&mut reads, &mut slots);
-                    self.flush_deferred(&mut slots);
+                    self.flush_runs();
+                    self.release();
                     if sideband {
                         self.region.engine_mut().tamper_sideband_bit(local, bit);
                     } else {
@@ -554,37 +554,41 @@ impl ShardWorker {
             }
         }
         if self.crashed {
-            // Power cut: unflushed fused ops were never persisted and
-            // never acknowledged — dropping their reply channels reports
-            // them Disconnected, exactly what a real kill produces. Held
-            // group-commit completions die with them: their intent
-            // records were never synced, so they were never acked.
-            self.deferred.clear();
+            // Power cut: open runs were never persisted and unreleased
+            // results never acknowledged. They die with the worker, and
+            // their dropped routes report them Disconnected, exactly what
+            // a real kill produces.
             return;
         }
-        self.flush_fused(&mut writes, &mut slots);
-        self.flush_fused_reads(&mut reads, &mut slots);
-        // The wakeup's single shared fdatasync: every intent record the
-        // wakeup appended becomes durable here, then every held ack is
-        // released in FIFO order. This is the group commit — N
-        // acknowledged runs, one sync.
-        self.flush_deferred(&mut slots);
-        for (reply, results) in slots {
-            let results: Vec<OpReply> = results
-                .into_iter()
-                .map(|r| r.expect("every batch op resolved"))
-                .collect();
-            let _ = reply.send(results);
-        }
+        self.flush_runs();
+        self.release();
         if ops > 0 {
             self.stats.batches += 1;
             self.stats.batch_size.record(ops);
         }
     }
 
-    /// Parks a data operation in the matching run buffer — the only way
-    /// one is ever served — or, when it cannot join a run, flushes both
-    /// buffers (so order is preserved) and rejects it: as poisoned on a
+    /// The index of `route`'s outbox, opened (with room for `ops`
+    /// completions) if this is the route's first request since the last
+    /// release.
+    fn outbox(&mut self, route: Arc<Route>, ops: usize) -> usize {
+        if let Some(i) = self
+            .outboxes
+            .iter()
+            .position(|o| Arc::ptr_eq(&o.route, &route))
+        {
+            return i;
+        }
+        self.outboxes.push(Outbox {
+            route,
+            completions: Vec::with_capacity(ops),
+        });
+        self.outboxes.len() - 1
+    }
+
+    /// Parks a data operation in the matching run — the only way one is
+    /// ever served — or, when it cannot join a run, flushes both runs
+    /// (so order is preserved) and rejects it: as poisoned on a
     /// quarantined shard, else as outside the region.
     ///
     /// A read or RMW may not park behind a pending RMW to the *same*
@@ -592,26 +596,22 @@ impl ShardWorker {
     /// fused run verifies one snapshot — so the hazard flushes the run
     /// first. Parking behind a pending *plain* read is always safe (both
     /// observe the same snapshot, exactly as sequential service would).
-    fn handle_op(
-        &mut self,
-        op: Op,
-        queue_ns: u64,
-        dest: Dest,
-        writes: &mut Vec<PendingWrite>,
-        reads: &mut Vec<PendingRead>,
-        slots: &mut [BatchSlot],
-    ) {
+    fn handle_op(&mut self, op: Op, queue_ns: u64, dest: Dest) {
         let (Op::Read { local } | Op::Write { local, .. } | Op::Rmw { local, .. }) = op;
         let in_bounds = local + BLOCK_BYTES as u64 <= self.region.size();
         if self.healthy() && in_bounds {
             match op {
                 // Pending reads arrived first and must observe the
                 // pre-write snapshot.
-                Op::Write { .. } => self.flush_fused_reads(reads, slots),
+                Op::Write { .. } => self.flush_fused_reads(),
                 Op::Read { .. } | Op::Rmw { .. } => {
-                    self.flush_fused(writes, slots);
-                    if reads.iter().any(|r| r.rmw.is_some() && r.local == local) {
-                        self.flush_fused_reads(reads, slots);
+                    self.flush_fused();
+                    if self
+                        .reads
+                        .iter()
+                        .any(|r| r.rmw.is_some() && r.local == local)
+                    {
+                        self.flush_fused_reads();
                     }
                 }
             }
@@ -621,19 +621,19 @@ impl ShardWorker {
             // failure.
             if self.healthy() {
                 match op {
-                    Op::Write { local, data } => writes.push(PendingWrite {
+                    Op::Write { local, data } => self.writes.push(PendingWrite {
                         local,
                         data,
                         queue_ns,
                         dest,
                     }),
-                    Op::Read { local } => reads.push(PendingRead {
+                    Op::Read { local } => self.reads.push(PendingRead {
                         local,
                         queue_ns,
                         dest,
                         rmw: None,
                     }),
-                    Op::Rmw { local, f } => reads.push(PendingRead {
+                    Op::Rmw { local, f } => self.reads.push(PendingRead {
                         local,
                         queue_ns,
                         dest,
@@ -643,8 +643,7 @@ impl ShardWorker {
                 return;
             }
         }
-        self.flush_fused(writes, slots);
-        self.flush_fused_reads(reads, slots);
+        self.flush_runs();
         let start = Instant::now();
         let result = Err(if self.healthy() {
             out_of_range(local)
@@ -653,135 +652,73 @@ impl ShardWorker {
         });
         let service_ns = start.elapsed().as_nanos() as u64;
         self.stats.service_latency_ns.record(service_ns);
-        self.deliver(dest, result, queue_ns, service_ns, slots);
+        self.deliver(dest, result, queue_ns, service_ns);
     }
 
-    /// Routes one finished operation's result to its submitter.
-    ///
-    /// On a volatile shard a `Single` completion is sent immediately; on
-    /// a persistent shard it is parked in the group-commit buffer until
-    /// [`flush_deferred`](Self::flush_deferred) syncs the log — *every*
-    /// completion parks (reads included, though they need no sync)
-    /// because sessions rely on per-shard FIFO completion order, and a
-    /// read overtaking a held write ack would break it.
-    fn deliver(
-        &mut self,
-        dest: Dest,
-        result: OpReply,
-        queue_ns: u64,
-        service_ns: u64,
-        slots: &mut [BatchSlot],
-    ) {
-        match dest {
-            Dest::Single { seq, reply, wake } => {
-                let completion = Completion {
-                    seq,
-                    shard: self.shard,
-                    result,
-                    queue_ns,
-                    service_ns,
-                };
-                // `deferred` non-empty guards FIFO across a mid-wakeup
-                // quarantine (poison_io drops `persist` but earlier held
-                // completions must still not be overtaken).
-                if self.persist.is_some() || !self.deferred.is_empty() {
-                    self.deferred.push(DeferredCompletion {
-                        reply,
-                        completion,
-                        wake,
-                    });
-                } else {
-                    Self::send_completion(&mut self.wakes, &reply, completion, wake);
-                }
-            }
-            Dest::Batch { slot, index } => slots[slot].1[index] = Some(result),
-        }
+    /// Puts one finished operation's result into its route's outbox.
+    fn deliver(&mut self, dest: Dest, result: OpReply, queue_ns: u64, service_ns: u64) {
+        self.outboxes[dest.outbox].completions.push(Completion {
+            seq: dest.seq,
+            shard: self.shard,
+            result,
+            queue_ns,
+            service_ns,
+        });
     }
 
-    /// Sends one completion and records that the submitter's wakeup, if
-    /// any, is owed a ring — once per wakeup however many completions it
-    /// gets, and only after they are all sent, so the reaper's
-    /// drain-then-reap finds every one of them.
-    fn send_completion(
-        wakes: &mut Vec<Arc<WakeFd>>,
-        reply: &SyncSender<Completion>,
-        completion: Completion,
-        wake: Option<Arc<WakeFd>>,
-    ) {
-        let _ = reply.send(completion);
-        if let Some(w) = wake {
-            if !wakes.iter().any(|owed| Arc::ptr_eq(owed, &w)) {
-                wakes.push(w);
-            }
-        }
-    }
-
-    /// Rings every wakeup the last service wakeup owes, once each.
-    fn ring_wakes(&mut self) {
-        if self.wakes.is_empty() {
-            return;
-        }
-        self.shared
-            .wake_rings
-            .fetch_add(self.wakes.len() as u64, Ordering::Relaxed);
-        for wake in self.wakes.drain(..) {
-            wake.signal();
-        }
-    }
-
-    /// The group commit: makes every unsynced intent record durable with
-    /// one `fdatasync`, then releases the held completions in FIFO
-    /// order. A sync failure quarantines the shard and converts every
-    /// held (and still-unsent batch-slot) write/RMW `Ok` into the
-    /// quarantine error — an ack never leaves the worker for state the
-    /// log does not durably cover.
-    fn flush_deferred(&mut self, slots: &mut [BatchSlot]) {
+    /// Releases the outboxes. On a durable shard this is the group
+    /// commit: one `fdatasync` makes every intent record appended since
+    /// the last release durable first — N acknowledged runs, one sync. A
+    /// sync that fails (or a log already lost to a quarantine) turns
+    /// every write and RMW `Ok` held here into the quarantine error: an
+    /// ack never leaves the worker for state the log does not durably
+    /// cover. Then each route gets its completions as one message and
+    /// one ring of its eventfd, so its reaper's drain-then-reap finds
+    /// every one of them.
+    fn release(&mut self) {
         if self.wal_unsynced > 0 {
-            let records = self.wal_unsynced;
-            self.wal_unsynced = 0;
-            let outcome = match self.persist.as_mut() {
-                Some(p) => p.wal.sync(),
-                None => Ok(()), // quarantined mid-wakeup; acks already converted
-            };
-            match outcome {
-                Ok(()) => {
-                    self.stats.wal_syncs += 1;
-                    if records >= 2 {
-                        self.stats.wal_group_commits += 1;
-                    }
+            let records = std::mem::take(&mut self.wal_unsynced);
+            if self.persist.as_mut().is_some_and(|p| p.wal.sync().is_ok()) {
+                self.stats.wal_syncs += 1;
+                if records >= 2 {
+                    self.stats.wal_group_commits += 1;
                 }
-                Err(_) => {
-                    let err = self.poison_io();
-                    let undurable = |r: &OpReply| {
-                        matches!(r, Ok(OpOutput::Written) | Ok(OpOutput::Modified { .. }))
-                    };
-                    for d in &mut self.deferred {
-                        if undurable(&d.completion.result) {
-                            d.completion.result = Err(err);
-                        }
-                    }
-                    for (_, results) in slots.iter_mut() {
-                        for r in results.iter_mut().flatten() {
-                            if undurable(r) {
-                                *r = Err(err);
-                            }
-                        }
+            } else {
+                let err = self.poison_io();
+                for c in self.outboxes.iter_mut().flat_map(|o| &mut o.completions) {
+                    if matches!(c.result, Ok(OpOutput::Written | OpOutput::Modified { .. })) {
+                        c.result = Err(err);
                     }
                 }
             }
         }
-        for d in self.deferred.drain(..) {
-            Self::send_completion(&mut self.wakes, &d.reply, d.completion, d.wake);
+        let mut rings = 0;
+        for Outbox { route, completions } in self.outboxes.drain(..) {
+            let _ = route.tx.send(completions);
+            if let Some(wake) = &route.wake {
+                wake.signal();
+                rings += 1;
+            }
+        }
+        if rings > 0 {
+            self.shared.wake_rings.fetch_add(rings, Ordering::Relaxed);
         }
     }
 
-    /// Commits the write-fusion buffer through one engine `write_blocks`
-    /// call and delivers each write's completion, charging every op its
-    /// share of the fused service time.
-    fn flush_fused(&mut self, fused: &mut Vec<PendingWrite>, slots: &mut [BatchSlot]) {
-        if fused.is_empty() {
+    /// Commits both runs (at most one is open).
+    fn flush_runs(&mut self) {
+        self.flush_fused();
+        self.flush_fused_reads();
+    }
+
+    /// Commits the write run through one engine `write_blocks` call and
+    /// delivers each write's result, charging every op its share of the
+    /// fused service time.
+    fn flush_fused(&mut self) {
+        if self.writes.is_empty() {
             return;
         }
+        let mut fused = std::mem::take(&mut self.writes);
         let n = fused.len() as u64;
         let start = Instant::now();
         let items: Vec<(u64, [u8; BLOCK_BYTES])> =
@@ -791,8 +728,9 @@ impl ShardWorker {
             // alignment guaranteed by `locate`): nothing was written,
             // every op of the run fails.
             for w in fused.drain(..) {
-                self.deliver(w.dest, Err(out_of_range(w.local)), w.queue_ns, 0, slots);
+                self.deliver(w.dest, Err(out_of_range(w.local)), w.queue_ns, 0);
             }
+            self.writes = fused;
             return;
         }
         self.stats.writes += n;
@@ -808,16 +746,17 @@ impl ShardWorker {
         self.stats.service_latency_ns.record_n(share_ns, n);
         for w in fused.drain(..) {
             let result = logged.map(|()| OpOutput::Written);
-            self.deliver(w.dest, result, w.queue_ns, share_ns, slots);
+            self.deliver(w.dest, result, w.queue_ns, share_ns);
         }
+        self.writes = fused;
     }
 
-    /// Commits the read-fusion buffer through one engine `read_blocks`
-    /// call: the run pays one verified counter fetch per distinct
-    /// metadata block, verifies every tag before releasing any plaintext,
-    /// and decrypts from one pipelined keystream batch. RMW entries apply
-    /// their mutator to the verified pre-image and the resulting writes
-    /// are committed as one batched seal before any failure is reported —
+    /// Commits the read run through one engine `read_blocks` call: the
+    /// run pays one verified counter fetch per distinct metadata block,
+    /// verifies every tag before releasing any plaintext, and decrypts
+    /// from one pipelined keystream batch. RMW entries apply their
+    /// mutator to the verified pre-image and the resulting writes are
+    /// committed as one batched seal before any failure is reported —
     /// exactly the effects sequential service would have produced.
     ///
     /// On a verification failure the engine already fell back to
@@ -825,10 +764,11 @@ impl ShardWorker {
     /// the error are bit-identical to sequential service: the prefix
     /// completes, the failing op poisons the shard, every later op in the
     /// run is rejected as poisoned.
-    fn flush_fused_reads(&mut self, fused: &mut Vec<PendingRead>, slots: &mut [BatchSlot]) {
-        if fused.is_empty() {
+    fn flush_fused_reads(&mut self) {
+        if self.reads.is_empty() {
             return;
         }
+        let mut fused = std::mem::take(&mut self.reads);
         let n = fused.len() as u64;
         let start = Instant::now();
         let addrs: Vec<u64> = fused.iter().map(|r| r.local).collect();
@@ -838,8 +778,9 @@ impl ShardWorker {
             // reported inside the run): nothing was read, every op of the
             // run fails.
             for r in fused.drain(..) {
-                self.deliver(r.dest, Err(out_of_range(r.local)), r.queue_ns, 0, slots);
+                self.deliver(r.dest, Err(out_of_range(r.local)), r.queue_ns, 0);
             }
+            self.reads = fused;
             return;
         };
 
@@ -902,8 +843,9 @@ impl ShardWorker {
         }
         self.stats.service_latency_ns.record_n(share_ns, n);
         for (r, result) in fused.drain(..).zip(results) {
-            self.deliver(r.dest, result, r.queue_ns, share_ns, slots);
+            self.deliver(r.dest, result, r.queue_ns, share_ns);
         }
+        self.reads = fused;
     }
 
     /// Counts and reports one operation bounced off the quarantine.
@@ -976,9 +918,9 @@ impl ShardWorker {
             let region = &mut self.region;
             let p = self.persist.as_mut().expect("checked above");
             // Unsynced append: the record reaches the page cache now and
-            // becomes durable at the wakeup's shared sync
-            // ([`flush_deferred`](Self::flush_deferred)); the covered
-            // acks are held until then.
+            // becomes durable at the shared sync of the next
+            // [`release`](Self::release), which holds the covered acks
+            // until then.
             let appended = p.wal.append_unsynced(|out| {
                 put_writes_head(out, locals.len());
                 for &local in locals {
@@ -1038,11 +980,175 @@ impl ShardWorker {
     }
 }
 
+impl Drop for ShardWorker {
+    /// Runs when [`run`](Self::run) returns or unwinds.
+    fn drop(&mut self) {
+        self.shared.gone.store(true, Ordering::Release);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memfs::{self, Fault, MemFs, State};
+    use crate::session::to_value;
+    use crate::wal::{recover_shard, DurableFs};
+    use crate::{StoreConfig, StoreValue};
     use ame_engine::EngineConfig;
-    use std::sync::mpsc::sync_channel;
+    use std::path::Path;
+
+    /// What one route received: each completion's tag and result.
+    type Received = Vec<(u64, Result<StoreValue, StoreError>)>;
+
+    /// Serves one wakeup to four routes — two sessions with eventfds, a
+    /// batch and a blocking one-shot — and returns what each received,
+    /// asserting that each got exactly one message and each eventfd
+    /// exactly one ring.
+    #[cfg(target_os = "linux")]
+    fn serve_four_routes(worker: &mut ShardWorker) -> [Received; 4] {
+        let wakes = [(); 2].map(|()| Arc::new(WakeFd::new().expect("linux hosts have eventfd")));
+        let (a, a_rx) = Route::channel(8, Some(Arc::clone(&wakes[0])));
+        let (b, b_rx) = Route::channel(8, Some(Arc::clone(&wakes[1])));
+        let (batch, batch_rx) = Route::channel(1, None);
+        let (one_shot, one_shot_rx) = Route::channel(1, None);
+        let request = |op, seq, route: &Arc<Route>| Request::Op {
+            op,
+            seq,
+            enqueued: Instant::now(),
+            route: Arc::clone(route),
+        };
+        let write = |block: u64| Op::Write {
+            local: block * 64,
+            data: [block as u8 + 1; BLOCK_BYTES],
+        };
+        let read = |block: u64| Op::Read { local: block * 64 };
+        let bump: RmwFn = Box::new(|block| block[0] = 9);
+        // Runs: [a.w0] [b.r1 a.rmw2] [batch.w3] [batch.r0] [one.w4 b.w5].
+        worker.service_wakeup(vec![
+            request(write(0), 1, &a),
+            request(read(1), 1, &b),
+            request(
+                Op::Rmw {
+                    local: 128,
+                    f: bump,
+                },
+                2,
+                &a,
+            ),
+            Request::Batch {
+                ops: vec![(0, write(3)), (1, read(0))],
+                enqueued: Instant::now(),
+                route: batch,
+            },
+            request(write(4), 0, &one_shot),
+            request(write(5), 2, &b),
+        ]);
+        for wake in &wakes {
+            assert_eq!(wake.take_signals(), 1, "one ring per route per wakeup");
+        }
+        [a_rx, b_rx, batch_rx, one_shot_rx].map(|rx| {
+            let messages: Vec<Vec<Completion>> = rx.try_iter().collect();
+            assert_eq!(messages.len(), 1, "one message per route per wakeup");
+            let completions = messages.into_iter().flatten();
+            completions
+                .map(|c| (c.seq, c.result.map(to_value)))
+                .collect()
+        })
+    }
+
+    /// Every route of a wakeup gets its completions as one message, in
+    /// the order the worker executed them, and one ring of its eventfd.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn every_route_gets_one_message_and_one_ring_per_wakeup() {
+        let shared = Arc::new(ShardShared::default());
+        let region = SecureRegion::new(EngineConfig::default(), 1 << 16);
+        let mut worker = ShardWorker::new(0, region, 1, 64, Arc::clone(&shared));
+        let [a, b, batch, one_shot] = serve_four_routes(&mut worker);
+        let zeros = [0; BLOCK_BYTES];
+        assert_eq!(
+            a,
+            [
+                (1, Ok(StoreValue::Written)),
+                (2, Ok(StoreValue::Modified(zeros)))
+            ]
+        );
+        assert_eq!(
+            b,
+            [
+                (1, Ok(StoreValue::Data(zeros))),
+                (2, Ok(StoreValue::Written))
+            ]
+        );
+        assert_eq!(
+            batch,
+            [
+                (0, Ok(StoreValue::Written)),
+                (1, Ok(StoreValue::Data([1; 64])))
+            ]
+        );
+        assert_eq!(one_shot, [(0, Ok(StoreValue::Written))]);
+        assert_eq!(shared.wake_rings.load(Ordering::Relaxed), 2);
+        assert_eq!(worker.stats.batches, 1);
+        assert_eq!(worker.stats.fused_writes.count(), 3);
+        assert_eq!(worker.stats.fused_reads.count(), 2);
+    }
+
+    /// A durable one-shard worker on the model file system `mem`.
+    #[cfg(target_os = "linux")]
+    fn durable_worker(mem: &MemFs) -> ShardWorker {
+        let fs: Arc<dyn DurableFs> = Arc::new(mem.clone());
+        let dir = Path::new("/ame/store");
+        fs.create_dir_all(dir).unwrap();
+        let config = StoreConfig {
+            shards: 1,
+            shard_bytes: 1 << 16,
+            ..StoreConfig::default()
+        };
+        let boot = recover_shard(&config, 0, &fs, dir).unwrap();
+        let shared = Arc::new(ShardShared::default());
+        ShardWorker::new(0, boot.region, 1, 64, shared).with_persist(boot.persist, 0)
+    }
+
+    /// When the group commit's `fdatasync` fails, no route of the
+    /// wakeup is told a write or RMW succeeded; the plain reads, which
+    /// carry no new state, still return their data.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_group_commit_fails_every_held_write_and_rmw() {
+        // A clean run finds the wakeup's one sync.
+        let mem = MemFs::new(State::new());
+        let mut worker = durable_worker(&mem);
+        let booted = mem.mark();
+        let clean = serve_four_routes(&mut worker);
+        let syncs: Vec<memfs::OpId> = mem.log()[booted..]
+            .iter()
+            .filter(|r| matches!(r.op, memfs::Op::Sync(_)))
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(syncs.len(), 1, "one group commit covers the wakeup");
+        assert!(clean.iter().flatten().all(|(_, r)| r.is_ok()));
+
+        let mem = MemFs::new(State::new());
+        let mut worker = durable_worker(&mem);
+        mem.arm(syncs[0], Fault::SyncError { kept: false });
+        let [a, b, batch, one_shot] = serve_four_routes(&mut worker);
+        assert!(mem.fired());
+        let quarantined = Err(StoreError::ShardPoisoned {
+            shard: 0,
+            cause: None,
+        });
+        let zeros = [0; BLOCK_BYTES];
+        assert_eq!(a, [(1, quarantined), (2, quarantined)]);
+        assert_eq!(b, [(1, Ok(StoreValue::Data(zeros))), (2, quarantined)]);
+        assert_eq!(
+            batch,
+            [(0, quarantined), (1, Ok(StoreValue::Data([1; 64])))]
+        );
+        assert_eq!(one_shot, [(0, quarantined)]);
+        assert!(!worker.healthy());
+        assert_eq!(worker.stats.wal_syncs, 0);
+    }
 
     /// A wakeup that ends in a power cut still rings for the completions
     /// it already sent: their reaper must not sleep through them.
@@ -1053,12 +1159,12 @@ mod tests {
         let region = SecureRegion::new(EngineConfig::default(), 1 << 16);
         let worker = ShardWorker::new(0, region, 1, 8, Arc::clone(&shared));
         let (tx, rx) = sync_channel(8);
-        let (reply, completions) = sync_channel(8);
+        let wake = Arc::new(WakeFd::new().expect("linux hosts have eventfd"));
+        let (route, completions) = Route::channel(8, Some(wake));
         let (collect, _report) = sync_channel(1);
         let (ack, _acked) = sync_channel(1);
-        let wake = Arc::new(WakeFd::new().expect("linux hosts have eventfd"));
-        // One wakeup: the collect flushes the write's run (a volatile
-        // shard sends its completion right away), then the crash.
+        // One wakeup: the collect releases the write's completion, then
+        // the crash.
         tx.send(Request::Op {
             op: Op::Write {
                 local: 0,
@@ -1066,8 +1172,7 @@ mod tests {
             },
             seq: 1,
             enqueued: Instant::now(),
-            reply,
-            wake: Some(wake),
+            route,
         })
         .unwrap();
         tx.send(Request::Collect { reply: collect }).unwrap();

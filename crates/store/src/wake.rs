@@ -1,15 +1,14 @@
 //! Quarantined `eventfd(2)` binding: the kernel-visible wakeup a shard
-//! worker rings when it pushes a completion onto a split session's
-//! queue.
+//! worker rings when it sends a split session its completions.
 //!
 //! The split [`SessionReaper`](crate::SessionReaper) drains an in-memory
 //! channel, which is invisible to `epoll(7)` — an event-driven server
 //! multiplexing thousands of connections on a handful of threads has
 //! nothing to block on when a completion lands. A [`WakeFd`] closes that
-//! gap: the submitter attaches one to every request, the worker
-//! [`signal`](WakeFd::signal)s it once per service wakeup, after that
-//! wakeup's completion sends, and the serving reactor registers the raw
-//! fd in its epoll set. Semantics
+//! gap: the submitter's route carries one, the worker
+//! [`signal`](WakeFd::signal)s it once per service wakeup, after the
+//! message carrying that wakeup's completions, and the serving reactor
+//! registers the raw fd in its epoll set. Semantics
 //! are the classic eventfd ones: signals coalesce (the counter
 //! accumulates; N signals may wake one `epoll_wait`), so a woken reader
 //! must [`drain`](WakeFd::drain) and then reap *everything* available.
@@ -61,12 +60,14 @@ mod imp {
             let _ = unsafe { write(self.fd, (&raw const one).cast::<u8>(), 8) };
         }
 
-        pub fn drain(&self) {
+        /// Clears the counter and returns what it held (0 if clear).
+        pub fn drain(&self) -> u64 {
             let mut counter = [0u8; 8];
             // SAFETY: reads up to 8 bytes into a live stack buffer from
             // an fd this struct owns; EFD_NONBLOCK makes an empty counter
             // return EAGAIN instead of blocking.
             let _ = unsafe { read(self.fd, counter.as_mut_ptr(), 8) };
+            u64::from_ne_bytes(counter)
         }
     }
 
@@ -95,7 +96,9 @@ mod imp {
 
         pub fn signal(&self) {}
 
-        pub fn drain(&self) {}
+        pub fn drain(&self) -> u64 {
+            0
+        }
     }
 }
 
@@ -139,6 +142,13 @@ impl WakeFd {
     pub fn drain(&self) {
         self.raw.drain();
     }
+
+    /// Clears the pending-signal counter and returns how many signals
+    /// it held.
+    #[cfg(test)]
+    pub(crate) fn take_signals(&self) -> u64 {
+        self.raw.drain()
+    }
 }
 
 #[cfg(test)]
@@ -152,8 +162,9 @@ mod tests {
         assert!(wake.raw_fd() >= 0);
         wake.signal();
         wake.signal();
-        wake.drain(); // coalesced: one drain clears both signals
+        assert_eq!(wake.take_signals(), 2, "coalesced: one drain clears both");
         wake.drain(); // draining an empty counter is a clean no-op
+        assert_eq!(wake.take_signals(), 0);
     }
 
     #[cfg(target_os = "linux")]
