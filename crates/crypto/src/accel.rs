@@ -16,7 +16,7 @@
 //! ([`Aes128::round_keys`](crate::aes::Aes128)) unchanged — AES-NI's
 //! `aesenc` round uses the standard FIPS-197 round keys, so the two
 //! backends are bit-identical by construction and the cross-check
-//! property tests (`tests/backend_crosscheck.rs`) enforce it.
+//! tests (the crate's `crosscheck` module) enforce it.
 //!
 //! Pipelining: `aesenc` has multi-cycle latency but single-cycle
 //! throughput on every AES-NI core, so [`encrypt_blocks`] walks the
@@ -25,9 +25,9 @@
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
-    _mm_aesimc_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_loadl_epi64, _mm_loadu_si128,
-    _mm_set_epi64x, _mm_setzero_si128, _mm_storeu_si128, _mm_unpackhi_epi64, _mm_xor_si128,
+    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si64,
+    _mm_loadl_epi64, _mm_loadu_si128, _mm_set_epi64x, _mm_setzero_si128, _mm_storeu_si128,
+    _mm_unpackhi_epi64, _mm_xor_si128,
 };
 
 /// How many independent AES streams we keep in flight per inner-loop
@@ -95,15 +95,6 @@ pub(crate) fn encrypt_blocks64(
     encrypt_blocks(round_keys, chunks);
 }
 
-/// Decrypts one 16-byte block with AES-NI (equivalent inverse cipher:
-/// `aesimc`-transformed round keys in reverse order).
-#[must_use]
-pub(crate) fn decrypt_block(round_keys: &[[u8; 16]; 11], ct: &[u8; 16]) -> [u8; 16] {
-    assert_capable();
-    // SAFETY: as for `encrypt_block`.
-    unsafe { decrypt_block_impl(round_keys, ct) }
-}
-
 /// Carry-less 64×64→128 multiply via PCLMULQDQ; returns `(high, low)`.
 #[must_use]
 pub(crate) fn clmul(a: u64, b: u64) -> (u64, u64) {
@@ -125,7 +116,7 @@ pub(crate) fn gf64_mul(a: u64, b: u64) -> u64 {
 /// Polynomial hash of one 64-byte message from its hash key's word
 /// multipliers `powers[w] = H^(8-w)` ([`crate::mac::hash_powers`]): eight
 /// independent PCLMULQDQ products, XORed unreduced and folded once —
-/// bit-identical to the Horner evaluation of [`crate::mac::poly_hash`],
+/// bit-identical to the Horner evaluation of [`crate::mac::poly_hash_with`],
 /// which reduces after every word.
 #[must_use]
 pub(crate) fn poly_hash_powers(powers: &[u64; 8], block: &[u8; crate::BLOCK_BYTES]) -> u64 {
@@ -136,7 +127,7 @@ pub(crate) fn poly_hash_powers(powers: &[u64; 8], block: &[u8; crate::BLOCK_BYTE
 
 /// Polynomial hashes of many independent 64-byte messages under one
 /// hash key, [`MAC_LANES`] interleaved Horner chains at a time —
-/// bit-identical to evaluating [`crate::mac::poly_hash`] per message.
+/// bit-identical to evaluating [`crate::mac::poly_hash_with`] per message.
 #[must_use]
 pub(crate) fn poly_hash_batch(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> Vec<u64> {
     assert_capable();
@@ -200,21 +191,6 @@ unsafe fn encrypt_blocks_impl(round_keys: &[[u8; 16]; 11], blocks: &mut [[u8; 16
         let s = encrypt_loaded(&rk, _mm_loadu_si128(block.as_ptr().cast()));
         _mm_storeu_si128(block.as_mut_ptr().cast(), s);
     }
-}
-
-#[target_feature(enable = "aes", enable = "sse2")]
-unsafe fn decrypt_block_impl(round_keys: &[[u8; 16]; 11], ct: &[u8; 16]) -> [u8; 16] {
-    let rk = load_round_keys(round_keys);
-    // Equivalent inverse cipher (FIPS-197 §5.3.5): reverse the round-key
-    // order and push rounds 1..=9 through InvMixColumns (`aesimc`).
-    let mut s = _mm_xor_si128(_mm_loadu_si128(ct.as_ptr().cast()), rk[10]);
-    for round in (1..10).rev() {
-        s = _mm_aesdec_si128(s, _mm_aesimc_si128(rk[round]));
-    }
-    s = _mm_aesdeclast_si128(s, rk[0]);
-    let mut out = [0u8; 16];
-    _mm_storeu_si128(out.as_mut_ptr().cast(), s);
-    out
 }
 
 #[inline]
@@ -324,7 +300,7 @@ unsafe fn poly_hash_batch_impl(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> V
 mod tests {
     //! Direct unit tests of the intrinsic paths (the broader randomized
     //! portable-vs-accelerated equivalence lives in
-    //! `tests/backend_crosscheck.rs`).
+    //! `crosscheck`).
     use super::*;
     use crate::aes::Aes128;
 
@@ -345,7 +321,6 @@ mod tests {
         ];
         let aes = Aes128::new(&key);
         assert_eq!(encrypt_block(aes.round_keys(), &plain), expected);
-        assert_eq!(decrypt_block(aes.round_keys(), &expected), plain);
     }
 
     #[test]

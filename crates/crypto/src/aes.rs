@@ -1,13 +1,15 @@
-//! AES-128 block cipher (FIPS-197), written from scratch.
+//! AES-128 block cipher (FIPS-197), forward direction only, written
+//! from scratch.
 //!
-//! The byte-oriented implementation in this module is the portable
-//! reference: simple and easy to audit against the specification. On
-//! hosts with AES-NI the public entry points dispatch to the
-//! hardware-accelerated path in the `accel` module (selected once per
-//! process by [`crate::backend`]); both paths consume the same FIPS-197
-//! key schedule and are bit-identical — enforced by the cross-check
-//! property tests. The `*_with` variants pin a specific backend, which
-//! is what those cross-checks (and backend-sweep benchmarks) use.
+//! Counter mode only ever encrypts — the keystream and the MAC pads are
+//! both AES *encryptions* of nonce blocks — so there is no inverse
+//! cipher. The byte-oriented rounds in this module are the portable
+//! reference: simple and easy to audit against the specification. Every
+//! entry point takes the [`Backend`] its [`crate::MemoryCipher`] chose
+//! once, at key derivation, and dispatches to the AES-NI (`accel`) or
+//! VAES (`wide`) kernels on the hardware tiers; all tiers consume the
+//! same FIPS-197 key schedule and are bit-identical, which the backend
+//! self-test and the crate's cross-check tests enforce.
 
 use crate::backend::Backend;
 
@@ -31,17 +33,6 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// Inverse S-box, derived from [`SBOX`] at compile time.
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
-
 /// Round constants for AES-128 key expansion.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
@@ -51,39 +42,7 @@ fn xtime(a: u8) -> u8 {
     (a << 1) ^ (if a & 0x80 != 0 { 0x1b } else { 0 })
 }
 
-/// General GF(2^8) multiply (used by the inverse MixColumns).
-#[inline]
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
-}
-
 /// An expanded AES-128 key schedule.
-///
-/// # Example
-///
-/// ```
-/// use ame_crypto::aes::Aes128;
-///
-/// // FIPS-197 Appendix C.1 known-answer test.
-/// let key: [u8; 16] = core::array::from_fn(|i| i as u8);
-/// let plain: [u8; 16] = core::array::from_fn(|i| (i as u8) * 0x11);
-/// let aes = Aes128::new(&key);
-/// let ct = aes.encrypt_block(&plain);
-/// assert_eq!(
-///     ct,
-///     [0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30,
-///      0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5, 0x5a]
-/// );
-/// assert_eq!(aes.decrypt_block(&ct), plain);
-/// ```
 #[derive(Clone)]
 pub struct Aes128 {
     round_keys: [[u8; 16]; 11],
@@ -99,7 +58,7 @@ impl core::fmt::Debug for Aes128 {
 impl Aes128 {
     /// Expands a 16-byte key into the 11 round keys.
     #[must_use]
-    pub fn new(key: &[u8; 16]) -> Self {
+    pub(crate) fn new(key: &[u8; 16]) -> Self {
         let mut w = [[0u8; 4]; 44];
         for i in 0..4 {
             w[i].copy_from_slice(&key[i * 4..(i + 1) * 4]);
@@ -133,18 +92,10 @@ impl Aes128 {
         &self.round_keys
     }
 
-    /// Encrypts one 16-byte block on the process-wide active backend.
+    /// Encrypts one 16-byte block on `backend`. A hardware tier on a
+    /// host without AES-NI falls back to the portable rounds.
     #[must_use]
-    pub fn encrypt_block(&self, plain: &[u8; 16]) -> [u8; 16] {
-        self.encrypt_block_with(crate::backend::active(), plain)
-    }
-
-    /// Encrypts one 16-byte block on an explicitly chosen backend.
-    ///
-    /// Requesting [`Backend::Accelerated`] on a host without AES-NI
-    /// falls back to the portable rounds.
-    #[must_use]
-    pub fn encrypt_block_with(&self, backend: Backend, plain: &[u8; 16]) -> [u8; 16] {
+    pub(crate) fn encrypt_block_with(&self, backend: Backend, plain: &[u8; 16]) -> [u8; 16] {
         #[cfg(target_arch = "x86_64")]
         if backend.is_accelerated() && crate::backend::accel_available() {
             return crate::accel::encrypt_block(&self.round_keys, plain);
@@ -153,16 +104,11 @@ impl Aes128 {
         self.encrypt_block_portable(plain)
     }
 
-    /// Encrypts every 16-byte block in `blocks` in place on the active
-    /// backend. On AES-NI hosts the key is scheduled once and the blocks
-    /// are pushed through eight pipelined streams — this is the building
-    /// block of the batched keystream API.
-    pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
-        self.encrypt_blocks_with(crate::backend::active(), blocks);
-    }
-
-    /// [`Self::encrypt_blocks`] on an explicitly chosen backend.
-    pub fn encrypt_blocks_with(&self, backend: Backend, blocks: &mut [[u8; 16]]) {
+    /// Encrypts every 16-byte block in `blocks` in place on `backend`.
+    /// On AES-NI hosts the key is scheduled once and the blocks are
+    /// pushed through eight pipelined streams (sixteen per VAES
+    /// iteration on the wide tier) — the MAC pads' batch kernel.
+    pub(crate) fn encrypt_blocks_with(&self, backend: Backend, blocks: &mut [[u8; 16]]) {
         #[cfg(target_arch = "x86_64")]
         {
             if backend.is_wide() && crate::backend::wide_available() {
@@ -181,13 +127,16 @@ impl Aes128 {
     }
 
     /// Encrypts every 16-byte chunk of every 64-byte memory block in
-    /// place on an explicitly chosen backend — the zero-copy spine of
-    /// the batched keystream: callers lay the AES inputs directly in
-    /// the output buffer and the hardware tiers encrypt them where they
-    /// lie (a `[u8; 64]` is exactly four contiguous `[u8; 16]` chunks),
-    /// so no scratch block array or copy-out reshape sits between the
-    /// cipher and the caller.
-    pub fn encrypt_blocks64_with(&self, backend: Backend, blocks: &mut [[u8; crate::BLOCK_BYTES]]) {
+    /// place on `backend` — the zero-copy spine of the keystream:
+    /// callers lay the AES inputs directly in the output buffer and the
+    /// hardware tiers encrypt them where they lie (a `[u8; 64]` is
+    /// exactly four contiguous `[u8; 16]` chunks), so no scratch block
+    /// array or copy-out reshape sits between the cipher and the caller.
+    pub(crate) fn encrypt_blocks64_with(
+        &self,
+        backend: Backend,
+        blocks: &mut [[u8; crate::BLOCK_BYTES]],
+    ) {
         #[cfg(target_arch = "x86_64")]
         {
             if backend.is_wide() && crate::backend::wide_available() {
@@ -226,61 +175,6 @@ impl Aes128 {
         add_round_key(&mut s, &self.round_keys[10]);
         s
     }
-
-    /// FIPS-style power-on known-answer self-test: returns `true` iff
-    /// this implementation reproduces the FIPS-197 Appendix C.1 vector in
-    /// both directions. Real cryptographic modules refuse to operate when
-    /// this fails; callers embedding the cipher in safety-critical paths
-    /// can do the same.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// assert!(ame_crypto::aes::Aes128::self_test());
-    /// ```
-    #[must_use]
-    pub fn self_test() -> bool {
-        let key: [u8; 16] = core::array::from_fn(|i| i as u8);
-        let plain: [u8; 16] = core::array::from_fn(|i| (i as u8) * 0x11);
-        let expected = [
-            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-            0xc5, 0x5a,
-        ];
-        let aes = Aes128::new(&key);
-        aes.encrypt_block(&plain) == expected && aes.decrypt_block(&expected) == plain
-    }
-
-    /// Decrypts one 16-byte block on the process-wide active backend.
-    #[must_use]
-    pub fn decrypt_block(&self, ct: &[u8; 16]) -> [u8; 16] {
-        self.decrypt_block_with(crate::backend::active(), ct)
-    }
-
-    /// Decrypts one 16-byte block on an explicitly chosen backend.
-    #[must_use]
-    pub fn decrypt_block_with(&self, backend: Backend, ct: &[u8; 16]) -> [u8; 16] {
-        #[cfg(target_arch = "x86_64")]
-        if backend.is_accelerated() && crate::backend::accel_available() {
-            return crate::accel::decrypt_block(&self.round_keys, ct);
-        }
-        let _ = backend;
-        self.decrypt_block_portable(ct)
-    }
-
-    fn decrypt_block_portable(&self, ct: &[u8; 16]) -> [u8; 16] {
-        let mut s = *ct;
-        add_round_key(&mut s, &self.round_keys[10]);
-        inv_shift_rows(&mut s);
-        inv_sub_bytes(&mut s);
-        for round in (1..10).rev() {
-            add_round_key(&mut s, &self.round_keys[round]);
-            inv_mix_columns(&mut s);
-            inv_shift_rows(&mut s);
-            inv_sub_bytes(&mut s);
-        }
-        add_round_key(&mut s, &self.round_keys[0]);
-        s
-    }
 }
 
 // The state is stored in FIPS input order: byte i of the block is state
@@ -300,13 +194,6 @@ fn sub_bytes(s: &mut [u8; 16]) {
     }
 }
 
-#[inline]
-fn inv_sub_bytes(s: &mut [u8; 16]) {
-    for b in s.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
 /// Rotate row `r` left by `r` positions (rows are strided across columns).
 #[inline]
 fn shift_rows(s: &mut [u8; 16]) {
@@ -314,16 +201,6 @@ fn shift_rows(s: &mut [u8; 16]) {
     for r in 1..4 {
         for c in 0..4 {
             s[r + 4 * c] = orig[r + 4 * ((c + r) % 4)];
-        }
-    }
-}
-
-#[inline]
-fn inv_shift_rows(s: &mut [u8; 16]) {
-    let orig = *s;
-    for r in 1..4 {
-        for c in 0..4 {
-            s[r + 4 * ((c + r) % 4)] = orig[r + 4 * c];
         }
     }
 }
@@ -340,26 +217,11 @@ fn mix_columns(s: &mut [u8; 16]) {
     }
 }
 
-#[inline]
-fn inv_mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] =
-            gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
-        s[4 * c + 1] =
-            gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
-        s[4 * c + 2] =
-            gmul(col[0], 0x0d) ^ gmul(col[1], 0x09) ^ gmul(col[2], 0x0e) ^ gmul(col[3], 0x0b);
-        s[4 * c + 3] =
-            gmul(col[0], 0x0b) ^ gmul(col[1], 0x0d) ^ gmul(col[2], 0x09) ^ gmul(col[3], 0x0e);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// FIPS-197 Appendix B worked example.
+    /// FIPS-197 Appendix B worked example (the portable rounds).
     #[test]
     fn fips197_appendix_b() {
         let key = [
@@ -375,11 +237,11 @@ mod tests {
             0x0b, 0x32,
         ];
         let aes = Aes128::new(&key);
-        assert_eq!(aes.encrypt_block(&plain), expected);
-        assert_eq!(aes.decrypt_block(&expected), plain);
+        assert_eq!(aes.encrypt_block_with(Backend::Portable, &plain), expected);
     }
 
-    /// FIPS-197 Appendix C.1 known-answer test.
+    /// FIPS-197 Appendix C.1 known-answer test (the portable rounds; the
+    /// hardware tiers are pinned to it in `crosscheck`).
     #[test]
     fn fips197_appendix_c1() {
         let key: [u8; 16] = core::array::from_fn(|i| i as u8);
@@ -389,52 +251,28 @@ mod tests {
             0xc5, 0x5a,
         ];
         let aes = Aes128::new(&key);
-        assert_eq!(aes.encrypt_block(&plain), expected);
-        assert_eq!(aes.decrypt_block(&expected), plain);
+        assert_eq!(aes.encrypt_block_with(Backend::Portable, &plain), expected);
     }
 
     #[test]
-    fn self_test_passes() {
-        assert!(Aes128::self_test());
-    }
-
-    #[test]
-    fn encrypt_decrypt_roundtrip_many() {
-        let aes = Aes128::new(&[0x55; 16]);
-        let mut block = [0u8; 16];
-        for i in 0..256 {
-            block[0] = i as u8;
-            block[7] = (i * 3) as u8;
-            let ct = aes.encrypt_block(&block);
-            assert_eq!(aes.decrypt_block(&ct), block);
+    fn aes_is_a_permutation() {
+        let mut rng = ame_prng::StdRng::seed_from_u64(0xAE_02);
+        let mut bytes = || {
+            let mut buf = [0u8; 16];
+            rng.fill(&mut buf);
+            buf
+        };
+        for _ in 0..128 {
+            let (key, a, b) = (bytes(), bytes(), bytes());
+            if a == b {
+                continue;
+            }
+            let aes = Aes128::new(&key);
+            assert_ne!(
+                aes.encrypt_block_with(Backend::Portable, &a),
+                aes.encrypt_block_with(Backend::Portable, &b)
+            );
         }
-    }
-
-    #[test]
-    fn inv_sbox_is_inverse() {
-        for i in 0..=255u8 {
-            assert_eq!(INV_SBOX[SBOX[i as usize] as usize], i);
-        }
-    }
-
-    #[test]
-    fn shift_rows_roundtrip() {
-        let mut s: [u8; 16] = core::array::from_fn(|i| i as u8);
-        let orig = s;
-        shift_rows(&mut s);
-        assert_ne!(s, orig);
-        inv_shift_rows(&mut s);
-        assert_eq!(s, orig);
-    }
-
-    #[test]
-    fn mix_columns_roundtrip() {
-        let mut s: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_mul(29));
-        let orig = s;
-        mix_columns(&mut s);
-        assert_ne!(s, orig);
-        inv_mix_columns(&mut s);
-        assert_eq!(s, orig);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The crate ships three interchangeable implementations of its hot
 //! primitives (AES-128 rounds, carry-less multiplication):
 //!
-//! * **Portable** — the byte-oriented reference code in [`crate::aes`]
-//!   and [`crate::mac`]; runs everywhere, easy to audit against
+//! * **Portable** — the byte-oriented reference code in the `aes`
+//!   module and [`crate::mac`]; runs everywhere, easy to audit against
 //!   FIPS-197.
 //! * **Accelerated** — AES-NI and PCLMULQDQ intrinsics
 //!   (the `accel` module), selected at runtime when the host CPU reports
@@ -337,9 +337,6 @@ fn self_test_accelerated() -> bool {
         if accel::encrypt_block(aes.round_keys(), &block) != reference {
             return false;
         }
-        if accel::decrypt_block(aes.round_keys(), &reference) != block {
-            return false;
-        }
     }
     // PCLMULQDQ: structured carry-less products.
     for (a, b) in [
@@ -468,7 +465,7 @@ pub struct OpsSnapshot {
     /// Carter-Wegman tags computed (MAC or verify), scalar *and*
     /// batched — the total tag volume.
     pub mac_tags: u64,
-    /// Multi-message `tags_batch` invocations.
+    /// Multi-message `MemoryCipher::mac_batch` invocations.
     pub mac_batch_calls: u64,
     /// Carter-Wegman tags produced by batched calls (a subset of
     /// [`OpsSnapshot::mac_tags`]).
@@ -499,10 +496,6 @@ pub(crate) fn count_batch(backend: Backend) {
     OPS[backend.index()]
         .batched_calls
         .fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn count_mac(backend: Backend) {
-    count_macs(backend, 1);
 }
 
 pub(crate) fn count_macs(backend: Backend, tags: u64) {
@@ -628,7 +621,7 @@ mod tests {
     fn ops_accumulate() {
         let before = ops(Backend::Portable);
         count_keystream(Backend::Portable, 1, 4);
-        count_mac(Backend::Portable);
+        count_macs(Backend::Portable, 1);
         count_batch(Backend::Portable);
         count_mac_batch(Backend::Portable, 16);
         let after = ops(Backend::Portable);

@@ -5,21 +5,39 @@
 //! concatenated with the physical address of the memory block being
 //! encrypted before being fed to the block cipher." One 64-byte block needs
 //! four AES blocks of keystream, distinguished by a chunk index inside the
-//! AES input.
+//! AES input; a MAC pad is one more AES block of the same nonce in a
+//! separate domain.
 //!
-//! The four chunks of one block — and the `4×N` chunks of a
-//! [`keystream_batch`] over many blocks — are independent, so they are
-//! pushed through [`Aes128::encrypt_blocks`] as one pipelined batch: the
-//! key is scheduled once and, on AES-NI hosts, eight AES streams stay in
-//! flight at a time. Bulk paths (group re-encryption, shard batches)
-//! should prefer [`keystream_batch`] over per-block calls.
+//! Two crate-private kernels make every keystream, on the tier the
+//! [`crate::MemoryCipher`] chose: `keystream_with` for one block and
+//! `keystream_batch_with` for a run. Both lay the four chunk nonces of
+//! a block directly in the output and encrypt them in place, so no
+//! scratch array or copy-out sits between the cipher and the caller; a
+//! run's `4×N` chunks flow through the pipelined AES kernels back to
+//! back. The public entry points are `MemoryCipher::{encrypt_block,
+//! decrypt_block, keystream_batch}`.
+//!
+//! # Example
+//!
+//! ```
+//! use ame_crypto::MemoryCipher;
+//!
+//! let cipher = MemoryCipher::from_seed(1);
+//! let zero = [0u8; 64];
+//! // Encrypting zeros exposes the keystream: bumping the counter
+//! // changes it, and the batched kernel makes the same bytes.
+//! let a = cipher.encrypt_block(0x1000, 1, &zero);
+//! let b = cipher.encrypt_block(0x1000, 2, &zero);
+//! assert_ne!(a, b);
+//! assert_eq!(cipher.keystream_batch(&[(0x1000, 1), (0x1000, 2)]), vec![a, b]);
+//! ```
 
 use crate::aes::Aes128;
 use crate::backend::{self, Backend};
 use crate::BLOCK_BYTES;
 
 /// Number of 16-byte AES blocks of keystream per memory block.
-pub const CHUNKS: usize = BLOCK_BYTES / 16;
+const CHUNKS: usize = BLOCK_BYTES / 16;
 
 /// Domain-separation tag placed in the AES input for data keystreams, so
 /// keystream inputs can never collide with MAC-mask inputs.
@@ -49,99 +67,49 @@ fn nonce_block(addr: u64, counter: u64, chunk: u8, domain: u8) -> [u8; 16] {
     inp
 }
 
-/// Writes the four keystream chunk inputs for `(addr, counter)` into
-/// `out`.
-fn fill_nonces(addr: u64, counter: u64, out: &mut [[u8; 16]]) {
-    debug_assert_eq!(out.len(), CHUNKS);
-    for (chunk, slot) in out.iter_mut().enumerate() {
-        *slot = nonce_block(addr, counter, chunk as u8, DOMAIN_KEYSTREAM);
+/// Lays the four keystream chunk inputs of `(addr, counter)` into
+/// `block`, where the AES kernels encrypt them in place.
+fn lay_nonces(block: &mut [u8; BLOCK_BYTES], addr: u64, counter: u64) {
+    for chunk in 0..CHUNKS {
+        block[chunk * 16..(chunk + 1) * 16].copy_from_slice(&nonce_block(
+            addr,
+            counter,
+            chunk as u8,
+            DOMAIN_KEYSTREAM,
+        ));
     }
 }
 
-/// Generates the 64-byte keystream for the block at `addr` with write
-/// counter `counter`, on the process-wide active backend.
-///
-/// # Example
-///
-/// ```
-/// use ame_crypto::aes::Aes128;
-/// use ame_crypto::ctr::keystream;
-///
-/// let aes = Aes128::new(&[1u8; 16]);
-/// let a = keystream(&aes, 0x1000, 1);
-/// let b = keystream(&aes, 0x1000, 2);
-/// assert_ne!(a, b, "bumping the counter changes the whole keystream");
-/// ```
+/// The 64-byte keystream of the block at `addr` with write counter
+/// `counter`, on `backend`.
 #[must_use]
-pub fn keystream(aes: &Aes128, addr: u64, counter: u64) -> [u8; BLOCK_BYTES] {
-    keystream_with(backend::active(), aes, addr, counter)
-}
-
-/// [`keystream`] on an explicitly chosen backend.
-#[must_use]
-pub fn keystream_with(
+pub(crate) fn keystream_with(
     backend: Backend,
     aes: &Aes128,
     addr: u64,
     counter: u64,
 ) -> [u8; BLOCK_BYTES] {
-    let mut chunks = [[0u8; 16]; CHUNKS];
-    fill_nonces(addr, counter, &mut chunks);
-    aes.encrypt_blocks_with(backend, &mut chunks);
-    backend::count_keystream(backend, 1, CHUNKS as u64);
     let mut out = [0u8; BLOCK_BYTES];
-    for (chunk, ks) in chunks.iter().enumerate() {
-        out[chunk * 16..(chunk + 1) * 16].copy_from_slice(ks);
-    }
+    lay_nonces(&mut out, addr, counter);
+    aes.encrypt_blocks64_with(backend, core::slice::from_mut(&mut out));
+    backend::count_keystream(backend, 1, CHUNKS as u64);
     out
 }
 
-/// Generates the keystreams for many `(addr, counter)` nonces in one
-/// pipelined pass: the key is scheduled once and all `4×N` AES blocks
-/// flow through the cipher back to back. This is the fast path for bulk
-/// work — group re-encryption, shard batch drains.
-///
-/// # Example
-///
-/// ```
-/// use ame_crypto::aes::Aes128;
-/// use ame_crypto::ctr::{keystream, keystream_batch};
-///
-/// let aes = Aes128::new(&[1u8; 16]);
-/// let nonces = [(0x0, 1), (0x40, 1), (0x80, 7)];
-/// let batch = keystream_batch(&aes, &nonces);
-/// for (i, &(addr, ctr)) in nonces.iter().enumerate() {
-///     assert_eq!(batch[i], keystream(&aes, addr, ctr));
-/// }
-/// ```
+/// The keystreams of many `(addr, counter)` nonces in one pipelined pass
+/// on `backend`: the key is scheduled once and all `4×N` AES blocks flow
+/// through the cipher back to back, encrypted where they lie in the
+/// output vector ([`Aes128::encrypt_blocks64_with`]). This is the fast
+/// path for bulk work — group re-encryption, shard batch drains.
 #[must_use]
-pub fn keystream_batch(aes: &Aes128, nonces: &[(u64, u64)]) -> Vec<[u8; BLOCK_BYTES]> {
-    keystream_batch_with(backend::active(), aes, nonces)
-}
-
-/// [`keystream_batch`] on an explicitly chosen backend.
-///
-/// The AES inputs are laid directly into the output vector (each
-/// 64-byte slot holds its four 16-byte chunk nonces) and encrypted in
-/// place via [`Aes128::encrypt_blocks64_with`] — no scratch block array
-/// and no copy-out reshape, which is what lets the wide tier's raw
-/// throughput reach the caller.
-#[must_use]
-pub fn keystream_batch_with(
+pub(crate) fn keystream_batch_with(
     backend: Backend,
     aes: &Aes128,
     nonces: &[(u64, u64)],
 ) -> Vec<[u8; BLOCK_BYTES]> {
     let mut out = vec![[0u8; BLOCK_BYTES]; nonces.len()];
     for (block, &(addr, counter)) in out.iter_mut().zip(nonces) {
-        for chunk in 0..CHUNKS {
-            block[chunk * 16..(chunk + 1) * 16].copy_from_slice(&nonce_block(
-                addr,
-                counter,
-                chunk as u8,
-                DOMAIN_KEYSTREAM,
-            ));
-        }
+        lay_nonces(block, addr, counter);
     }
     aes.encrypt_blocks64_with(backend, &mut out);
     backend::count_keystream(backend, nonces.len() as u64, (nonces.len() * CHUNKS) as u64);
@@ -149,38 +117,10 @@ pub fn keystream_batch_with(
     out
 }
 
-/// Generates a 16-byte pad for MAC masking, bound to the same
-/// (address, counter) nonce but in a separate cipher domain.
-#[must_use]
-pub fn mac_pad(aes: &Aes128, addr: u64, counter: u64) -> [u8; 16] {
-    mac_pad_with(backend::active(), aes, addr, counter)
-}
-
-/// [`mac_pad`] on an explicitly chosen backend.
-#[must_use]
-pub fn mac_pad_with(backend: Backend, aes: &Aes128, addr: u64, counter: u64) -> [u8; 16] {
-    aes.encrypt_block_with(backend, &mac_nonce_block(addr, counter))
-}
-
-/// The AES input whose encryption is the MAC pad of `(addr, counter)`.
+/// The AES input whose encryption is the MAC pad of `(addr, counter)`
+/// (see [`crate::mac::pads_with`]).
 pub(crate) fn mac_nonce_block(addr: u64, counter: u64) -> [u8; 16] {
     nonce_block(addr, counter, 0, DOMAIN_MAC)
-}
-
-/// Generates the MAC pads for many `(addr, counter)` nonces in one
-/// pipelined pass — the MAC-side analogue of [`keystream_batch`]. Each
-/// tag needs one AES block of mask; computing them one `encrypt_block`
-/// at a time leaves the AES units idle between tags, so the batched tag
-/// path feeds all N nonce blocks through [`Aes128::encrypt_blocks_with`]
-/// and lets the pipelined/VAES tiers keep their lanes full.
-#[must_use]
-pub fn mac_pads_batch_with(backend: Backend, aes: &Aes128, nonces: &[(u64, u64)]) -> Vec<[u8; 16]> {
-    let mut pads: Vec<[u8; 16]> = nonces
-        .iter()
-        .map(|&(addr, counter)| mac_nonce_block(addr, counter))
-        .collect();
-    aes.encrypt_blocks_with(backend, &mut pads);
-    pads
 }
 
 #[cfg(test)]
@@ -189,6 +129,10 @@ mod tests {
 
     fn aes() -> Aes128 {
         Aes128::new(&[0x42; 16])
+    }
+
+    fn keystream(aes: &Aes128, addr: u64, counter: u64) -> [u8; BLOCK_BYTES] {
+        keystream_with(backend::active(), aes, addr, counter)
     }
 
     #[test]
@@ -217,34 +161,42 @@ mod tests {
     fn batch_matches_per_block_calls() {
         let aes = aes();
         let nonces: Vec<(u64, u64)> = (0..13).map(|i| (i * 64, i ^ 5)).collect();
-        let batch = keystream_batch(&aes, &nonces);
+        let batch = keystream_batch_with(backend::active(), &aes, &nonces);
         assert_eq!(batch.len(), nonces.len());
         for (i, &(addr, ctr)) in nonces.iter().enumerate() {
             assert_eq!(batch[i], keystream(&aes, addr, ctr), "nonce {i}");
         }
-        assert!(keystream_batch(&aes, &[]).is_empty());
+        assert!(keystream_batch_with(backend::active(), &aes, &[]).is_empty());
     }
 
     #[test]
     fn batched_pads_match_per_tag_calls() {
+        // `pads_with` takes a one-nonce fast path and a chunked path for
+        // more (here a full 16-nonce chunk and a short one): both give
+        // the portable single-block pad on every tier.
         let aes = aes();
         let nonces: Vec<(u64, u64)> = (0..17u64)
             .map(|i| (i * 64, i.wrapping_mul(3) ^ 9))
             .collect();
-        for backend in crate::backend::Backend::ALL {
-            let pads = mac_pads_batch_with(backend, &aes, &nonces);
-            assert_eq!(pads.len(), nonces.len());
+        for backend in Backend::ALL {
+            let mut pads = [0u64; 17];
+            crate::mac::pads_with(backend, &aes, &nonces, &mut pads);
             for (i, &(addr, ctr)) in nonces.iter().enumerate() {
-                assert_eq!(pads[i], mac_pad(&aes, addr, ctr), "{backend} nonce {i}");
+                let mut single = [0];
+                crate::mac::pads_with(backend, &aes, &[(addr, ctr)], &mut single);
+                let block = aes.encrypt_block_with(Backend::Portable, &mac_nonce_block(addr, ctr));
+                let reference = u64::from_le_bytes(block[..8].try_into().unwrap());
+                assert_eq!(pads[i], reference, "{backend} nonce {i}");
+                assert_eq!(single[0], reference, "{backend} single {i}");
             }
-            assert!(mac_pads_batch_with(backend, &aes, &[]).is_empty());
+            crate::mac::pads_with(backend, &aes, &[], &mut []);
         }
     }
 
     #[test]
     fn mac_pad_domain_separated_from_keystream() {
         let ks = keystream(&aes(), 0x100, 1);
-        let pad = mac_pad(&aes(), 0x100, 1);
+        let pad = aes().encrypt_block_with(backend::active(), &mac_nonce_block(0x100, 1));
         assert_ne!(&ks[..16], &pad[..]);
     }
 
@@ -254,10 +206,10 @@ mod tests {
         // assertion is trivially true; on capable hosts this pins the
         // dispatch seam inside this module.
         let aes = aes();
-        for backend in crate::backend::Backend::ALL {
+        for backend in Backend::ALL {
             assert_eq!(
                 keystream_with(backend, &aes, 0x1000, 3),
-                keystream_with(crate::backend::Backend::Portable, &aes, 0x1000, 3),
+                keystream_with(Backend::Portable, &aes, 0x1000, 3),
                 "{backend}"
             );
         }

@@ -5,7 +5,8 @@
 //! paper builds on (Gueron, *Memory Encryption for General-Purpose
 //! Processors*, and Section 3.2 of the DAC'18 paper):
 //!
-//! * [`aes`] — AES-128, validated against the FIPS-197 test vectors.
+//! * `aes` — AES-128, forward direction only (counter mode never runs
+//!   the inverse cipher), validated against the FIPS-197 test vectors.
 //! * [`ctr`] — counter-mode keystream generation for 64-byte memory
 //!   blocks; the keystream is derived from the block's *physical address*
 //!   and its *write counter*, so every (address, counter) pair yields a
@@ -14,6 +15,12 @@
 //!   (single-cycle Galois-field multiply hardware in the paper), masked by
 //!   an AES-generated pad bound to the same (address, counter) nonce, and
 //!   truncated to **56 bits** as in Intel SGX.
+//! * [`backend`] — which implementation tier (portable, AES-NI, VAES)
+//!   serves the process, and per-tier operation counters.
+//!
+//! [`MemoryCipher`] is the one door into all of it: it derives the keys,
+//! reads the tier once, and makes every keystream, MAC pad and tag
+//! through one crate-private kernel per job on that tier.
 //!
 //! # Example
 //!
@@ -38,14 +45,17 @@
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod accel;
-pub mod aes;
+pub(crate) mod aes;
 pub mod backend;
+#[cfg(test)]
+mod crosscheck;
 pub mod ctr;
 pub mod mac;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod wide;
 
 use aes::Aes128;
+use backend::Backend;
 use std::sync::Arc;
 
 /// Size of a protected memory block in bytes.
@@ -59,18 +69,21 @@ pub const TAG_MASK: u64 = (1u64 << TAG_BITS) - 1;
 
 /// The complete per-boot cryptographic state of the memory encryption
 /// engine: an AES-128 data key, an AES-128 MAC-masking key and a GF(2^64)
-/// hash key.
+/// hash key, and the crypto tier every operation runs on.
 ///
 /// All keys are derived deterministically from a seed so simulations are
 /// reproducible; a real engine would draw them from a hardware RNG at boot.
+/// The tier is [`backend::active`], read once when the keys are derived:
+/// no method dispatches on the process-wide selection again.
 #[derive(Debug, Clone)]
 pub struct MemoryCipher {
+    backend: Backend,
     data_key: Aes128,
     mac_key: Aes128,
     hash_key: u64,
-    /// The hash key's word multipliers `[H⁸, …, H]` ([`mac::hash_powers`]),
-    /// derived once so every single-message tag is eight independent
-    /// products and one reduction.
+    /// The hash key's word multipliers `[H⁸, …, H]`, derived once so
+    /// every single-message tag is eight independent products and one
+    /// reduction.
     hash_powers: [u64; 8],
     /// Per-hash-key flip-and-check contribution table, computed once at
     /// key derivation and shared by every [`mac::MacProbe`] this cipher
@@ -79,17 +92,21 @@ pub struct MemoryCipher {
 }
 
 impl MemoryCipher {
-    /// Derives all keys from a 64-bit seed using AES itself as a PRF.
+    /// Derives all keys from a 64-bit seed using AES itself as a PRF, on
+    /// the process's crypto tier ([`backend::active`]).
     #[must_use]
     pub fn from_seed(seed: u64) -> Self {
+        Self::on(backend::active(), seed)
+    }
+
+    /// [`Self::from_seed`] on a named tier: the crate's tier cross-checks
+    /// build one cipher per tier from it.
+    pub(crate) fn on(backend: Backend, seed: u64) -> Self {
         let mut root = [0u8; 16];
         root[..8].copy_from_slice(&seed.to_le_bytes());
         root[8..].copy_from_slice(&seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes());
         let kdf = Aes128::new(&root);
-        let expand = |label: u8| {
-            let inp = [label; 16];
-            kdf.encrypt_block(&inp)
-        };
+        let expand = |label: u8| kdf.encrypt_block_with(backend, &[label; 16]);
         let data_key = Aes128::new(&expand(1));
         let mac_key = Aes128::new(&expand(2));
         let hk_bytes = expand(3);
@@ -98,11 +115,12 @@ impl MemoryCipher {
         // A zero hash key would make the hash ignore all but the last word.
         let hash_key = u64::from_le_bytes(hk8) | 1;
         Self {
+            backend,
             data_key,
             mac_key,
             hash_key,
             hash_powers: mac::hash_powers(hash_key),
-            probe_table: mac::probe_contributions(hash_key),
+            probe_table: mac::probe_contributions(backend, hash_key),
         }
     }
 
@@ -115,10 +133,9 @@ impl MemoryCipher {
         counter: u64,
         plain: &[u8; BLOCK_BYTES],
     ) -> [u8; BLOCK_BYTES] {
-        let ks = ctr::keystream(&self.data_key, addr, counter);
-        let mut out = *plain;
-        for (o, k) in out.iter_mut().zip(ks.iter()) {
-            *o ^= k;
+        let mut out = ctr::keystream_with(self.backend, &self.data_key, addr, counter);
+        for (o, p) in out.iter_mut().zip(plain) {
+            *o ^= p;
         }
         out
     }
@@ -155,7 +172,7 @@ impl MemoryCipher {
     /// ```
     #[must_use]
     pub fn keystream_batch(&self, nonces: &[(u64, u64)]) -> Vec<[u8; BLOCK_BYTES]> {
-        ctr::keystream_batch(&self.data_key, nonces)
+        ctr::keystream_batch_with(self.backend, &self.data_key, nonces)
     }
 
     /// Computes the 56-bit Carter-Wegman MAC tag over a ciphertext block,
@@ -170,9 +187,10 @@ impl MemoryCipher {
     /// Computes the 56-bit Carter-Wegman tags of many independent
     /// ciphertext blocks in one multi-message pass — bit-identical to
     /// calling [`MemoryCipher::mac_block`] per block, but the polynomial
-    /// hashes run as interleaved Horner chains and the AES pads as one
-    /// pipelined batch. This is the bulk-path tag primitive that pairs
-    /// with [`MemoryCipher::keystream_batch`] on fused reads and writes.
+    /// hashes run as interleaved Horner chains and the AES pads, XORed
+    /// straight onto them, as pipelined passes. This is the bulk-path tag
+    /// primitive that pairs with [`MemoryCipher::keystream_batch`] on
+    /// fused reads and writes.
     ///
     /// # Panics
     ///
@@ -192,7 +210,18 @@ impl MemoryCipher {
     /// ```
     #[must_use]
     pub fn mac_batch(&self, nonces: &[(u64, u64)], blocks: &[[u8; BLOCK_BYTES]]) -> Vec<u64> {
-        mac::tags_batch(&self.mac_key, self.hash_key, nonces, blocks)
+        assert_eq!(
+            nonces.len(),
+            blocks.len(),
+            "mac_batch: one nonce per message"
+        );
+        let mut tags = mac::poly_hash_batch_with(self.backend, self.hash_key, blocks);
+        mac::pads_with(self.backend, &self.mac_key, nonces, &mut tags);
+        backend::count_mac_batch(self.backend, nonces.len() as u64);
+        for tag in &mut tags {
+            *tag &= TAG_MASK;
+        }
+        tags
     }
 
     /// Verifies a 56-bit tag over a ciphertext block.
@@ -203,12 +232,13 @@ impl MemoryCipher {
 
     /// Computes a full-width 64-bit MAC over a 64-byte node, used for
     /// integrity-tree levels where the storage format has room for the
-    /// whole tag.
+    /// whole tag. Every single-message tag — [`Self::mac_block`],
+    /// [`Self::verify_block`], a probe's base tag — is this one.
     #[must_use]
     pub fn mac_node(&self, addr: u64, counter: u64, node: &[u8; BLOCK_BYTES]) -> u64 {
-        let mut macs = self.node_macs();
-        let pad = mac::pad_with(macs.backend, &self.mac_key, addr, counter);
-        macs.mac(pad, node)
+        let mut pad = [0];
+        mac::pads_with(self.backend, &self.mac_key, &[(addr, counter)], &mut pad);
+        self.node_macs().mac(pad[0], node)
     }
 
     /// Writes the AES masks of the node MACs at `nonces` into `pads`, from
@@ -221,7 +251,8 @@ impl MemoryCipher {
     ///
     /// Panics if `nonces` and `pads` have different lengths.
     pub fn mac_node_pads(&self, nonces: &[(u64, u64)], pads: &mut [u64]) {
-        mac::pads_with(backend::active(), &self.mac_key, nonces, pads);
+        pads.fill(0);
+        mac::pads_with(self.backend, &self.mac_key, nonces, pads);
     }
 
     /// Starts a walk's node MACs under masks from
@@ -230,35 +261,29 @@ impl MemoryCipher {
     pub fn node_macs(&self) -> NodeMacs<'_> {
         NodeMacs {
             cipher: self,
-            backend: backend::active(),
             tags: 0,
         }
     }
 
     /// Builds a [`mac::MacProbe`] for fast flip-and-check error correction
-    /// over `ct` under nonce `(addr, counter)`.
+    /// over `ct` under nonce `(addr, counter)`: its base tag is
+    /// [`Self::mac_node`], its contribution table the cipher's own.
     #[must_use]
     pub fn mac_probe(&self, addr: u64, counter: u64, ct: &[u8; BLOCK_BYTES]) -> mac::MacProbe {
-        mac::MacProbe::with_contributions(
-            &self.mac_key,
-            self.hash_key,
-            addr,
-            counter,
-            ct,
-            Arc::clone(&self.probe_table),
-        )
+        mac::MacProbe {
+            base_tag_full: self.mac_node(addr, counter, ct),
+            contributions: Arc::clone(&self.probe_table),
+        }
     }
 }
 
 /// The node MACs of one integrity-tree walk, each finished under a mask
-/// from [`MemoryCipher::mac_node_pads`]. The backend is resolved once
-/// per walk and the walk's tags are counted once, when it is dropped, so
-/// a tag costs its hash kernel and one XOR — no per-tag dispatch and no
-/// per-tag atomic.
+/// from [`MemoryCipher::mac_node_pads`], on the cipher's tier. The walk's
+/// tags are counted once, when it is dropped, so a tag costs its hash
+/// kernel and one XOR — no per-tag dispatch and no per-tag atomic.
 #[derive(Debug)]
 pub struct NodeMacs<'a> {
     cipher: &'a MemoryCipher,
-    backend: backend::Backend,
     tags: u64,
 }
 
@@ -268,13 +293,13 @@ impl NodeMacs<'_> {
     #[must_use]
     pub fn mac(&mut self, pad: u64, node: &[u8; BLOCK_BYTES]) -> u64 {
         self.tags += 1;
-        mac::poly_hash_powers_with(self.backend, &self.cipher.hash_powers, node) ^ pad
+        mac::poly_hash_powers_with(self.cipher.backend, &self.cipher.hash_powers, node) ^ pad
     }
 }
 
 impl Drop for NodeMacs<'_> {
     fn drop(&mut self) {
-        backend::count_macs(self.backend, self.tags);
+        backend::count_macs(self.cipher.backend, self.tags);
     }
 }
 
@@ -348,12 +373,18 @@ mod tests {
         c.mac_node_pads(&nonces, &mut pads);
         let mut macs = c.node_macs();
         for (i, (&(addr, ctr), node)) in nonces.iter().zip(&nodes).enumerate() {
-            let reference = mac::tag_full(&c.mac_key, c.hash_key, addr, ctr, node);
+            // The definition: the Horner hash under the hash key, XOR the
+            // AES encryption of the MAC nonce block under the MAC key.
+            let pad = c
+                .mac_key
+                .encrypt_block_with(Backend::Portable, &ctr::mac_nonce_block(addr, ctr));
+            let reference = mac::poly_hash_with(Backend::Portable, c.hash_key, node)
+                ^ u64::from_le_bytes(pad[..8].try_into().unwrap());
             assert_eq!(c.mac_node(addr, ctr, node), reference, "node {i}");
             assert_eq!(macs.mac(pads[i], node), reference, "padded {i}");
             assert_eq!(
                 c.mac_block(addr, ctr, node),
-                mac::tag(&c.mac_key, c.hash_key, addr, ctr, node),
+                reference & TAG_MASK,
                 "block {i}"
             );
         }

@@ -15,10 +15,37 @@
 //!
 //! GF(2^64) is realized modulo the primitive polynomial
 //! `x^64 + x^4 + x^3 + x + 1`.
+//!
+//! Tags are made only by [`crate::MemoryCipher`], from three crate-private
+//! kernels run on the tier it chose at key derivation: `pads_with`
+//! produces every mask (one nonce or many, no heap allocation), a single
+//! message is hashed by `poly_hash_powers_with` and a run of messages
+//! by `poly_hash_batch_with`; a tag is the hash XOR its mask. The one
+//! public item here is [`MacProbe`], the flip-and-check state
+//! [`crate::MemoryCipher::mac_probe`] returns.
+//!
+//! # Example
+//!
+//! ```
+//! use ame_crypto::MemoryCipher;
+//!
+//! let cipher = MemoryCipher::from_seed(2);
+//! let block = [0xaau8; 64];
+//! let tag = cipher.mac_block(0x40, 1, &block);
+//! // The tag binds the block's address and counter as well as its bits.
+//! assert_ne!(tag, cipher.mac_block(0x80, 1, &block));
+//! assert_ne!(tag, cipher.mac_block(0x40, 2, &block));
+//! // A flip-and-check probe predicts the tag of any one-bit flip.
+//! let mut flipped = block;
+//! flipped[3] ^= 0x10;
+//! let probe = cipher.mac_probe(0x40, 1, &block);
+//! assert_eq!(probe.base_tag(), tag);
+//! assert_eq!(probe.tag_with_flip(3 * 8 + 4), cipher.mac_block(0x40, 1, &flipped));
+//! ```
 
 use crate::aes::Aes128;
 use crate::backend::{self, Backend};
-use crate::ctr::{mac_nonce_block, mac_pad_with, mac_pads_batch_with};
+use crate::ctr::mac_nonce_block;
 use crate::{BLOCK_BYTES, TAG_MASK};
 use std::sync::Arc;
 
@@ -26,17 +53,10 @@ use std::sync::Arc;
 const POLY: u64 = 0x1b;
 
 /// Carry-less multiplication of two 64-bit values, returning the 128-bit
-/// product as `(high, low)`, on the process-wide active backend (one
-/// PCLMULQDQ instruction when available; a 64-iteration bit loop
-/// otherwise).
+/// product as `(high, low)`, on `backend` (one PCLMULQDQ instruction on
+/// the hardware tiers; a 64-iteration bit loop otherwise).
 #[must_use]
-pub fn clmul(a: u64, b: u64) -> (u64, u64) {
-    clmul_with(backend::active(), a, b)
-}
-
-/// [`clmul`] on an explicitly chosen backend.
-#[must_use]
-pub fn clmul_with(backend: Backend, a: u64, b: u64) -> (u64, u64) {
+pub(crate) fn clmul_with(backend: Backend, a: u64, b: u64) -> (u64, u64) {
     #[cfg(target_arch = "x86_64")]
     if backend.is_accelerated() && backend::accel_available() {
         return crate::accel::clmul(a, b);
@@ -61,27 +81,10 @@ fn clmul_portable(a: u64, b: u64) -> (u64, u64) {
     (hi, lo)
 }
 
-/// Multiplication in GF(2^64) modulo `x^64 + x^4 + x^3 + x + 1`, on the
-/// process-wide active backend.
-///
-/// # Example
-///
-/// ```
-/// use ame_crypto::mac::gf64_mul;
-///
-/// // 1 is the multiplicative identity.
-/// assert_eq!(gf64_mul(0xdead_beef, 1), 0xdead_beef);
-/// // Multiplication is commutative.
-/// assert_eq!(gf64_mul(3, 7), gf64_mul(7, 3));
-/// ```
+/// Multiplication in GF(2^64) modulo `x^64 + x^4 + x^3 + x + 1`, on
+/// `backend`.
 #[must_use]
-pub fn gf64_mul(a: u64, b: u64) -> u64 {
-    gf64_mul_with(backend::active(), a, b)
-}
-
-/// [`gf64_mul`] on an explicitly chosen backend.
-#[must_use]
-pub fn gf64_mul_with(backend: Backend, a: u64, b: u64) -> u64 {
+pub(crate) fn gf64_mul_with(backend: Backend, a: u64, b: u64) -> u64 {
     #[cfg(target_arch = "x86_64")]
     if backend.is_accelerated() && backend::accel_available() {
         return crate::accel::gf64_mul(a, b);
@@ -100,16 +103,12 @@ pub fn gf64_mul_with(backend: Backend, a: u64, b: u64) -> u64 {
     lo
 }
 
-/// Polynomial-evaluation hash of a 64-byte block under hash key `h`.
+/// Polynomial-evaluation hash of a 64-byte block under hash key `h`, by
+/// Horner's rule on `backend` (the backend is resolved once for all
+/// eight word multiplies). The reference every other hash kernel is
+/// checked against.
 #[must_use]
-pub fn poly_hash(h: u64, block: &[u8; BLOCK_BYTES]) -> u64 {
-    poly_hash_with(backend::active(), h, block)
-}
-
-/// [`poly_hash`] on an explicitly chosen backend (the backend is
-/// resolved once for all eight word multiplies).
-#[must_use]
-pub fn poly_hash_with(backend: Backend, h: u64, block: &[u8; BLOCK_BYTES]) -> u64 {
+pub(crate) fn poly_hash_with(backend: Backend, h: u64, block: &[u8; BLOCK_BYTES]) -> u64 {
     let mut acc = 0u64;
     for chunk in block.chunks_exact(8) {
         let mut w = [0u8; 8];
@@ -119,14 +118,14 @@ pub fn poly_hash_with(backend: Backend, h: u64, block: &[u8; BLOCK_BYTES]) -> u6
     acc
 }
 
-/// The multiplier each message word takes in [`poly_hash`] under hash
-/// key `h`: entry `w` is `H^(8-w)`, so the hash is
+/// The multiplier each message word takes in [`poly_hash_with`] under
+/// hash key `h`: entry `w` is `H^(8-w)`, so the hash is
 /// `Σ m_w · powers[w]` — `[H⁸, H⁷, …, H]`. Derived once per key (seven
 /// GF multiplies) by [`crate::MemoryCipher`], on the portable reference
 /// so that the backend self-test can use it while the backend is still
 /// being chosen.
 #[must_use]
-pub fn hash_powers(h: u64) -> [u64; 8] {
+pub(crate) fn hash_powers(h: u64) -> [u64; 8] {
     let mut powers = [h; 8];
     for w in (0..7).rev() {
         powers[w] = gf64_mul_with(Backend::Portable, powers[w + 1], h);
@@ -134,13 +133,13 @@ pub fn hash_powers(h: u64) -> [u64; 8] {
     powers
 }
 
-/// [`poly_hash`] from the hash key's word multipliers
-/// ([`hash_powers`]), on an explicitly chosen backend. The hardware
-/// tiers form the eight products independently and reduce once; the
-/// portable tier keeps the Horner evaluation as the reference. The
-/// result is bit-identical either way.
+/// The hash of a single message: [`poly_hash_with`] from the hash key's
+/// word multipliers ([`hash_powers`]), on `backend`. The hardware tiers
+/// form the eight products independently and reduce once; the portable
+/// tier keeps the Horner evaluation as the reference. The result is
+/// bit-identical either way.
 #[must_use]
-pub fn poly_hash_powers_with(
+pub(crate) fn poly_hash_powers_with(
     backend: Backend,
     powers: &[u64; 8],
     block: &[u8; BLOCK_BYTES],
@@ -152,8 +151,8 @@ pub fn poly_hash_powers_with(
     poly_hash_with(backend, powers[7], block)
 }
 
-/// Polynomial hashes of many independent 64-byte messages under one
-/// hash key — bit-identical to calling [`poly_hash_with`] per message.
+/// The hashes of a run of independent 64-byte messages under one hash
+/// key — bit-identical to [`poly_hash_with`] per message.
 ///
 /// On the wide tier this runs the multi-message VPCLMULQDQ kernel
 /// (several Horner chains in flight per register group, `H⁴` lane
@@ -161,7 +160,11 @@ pub fn poly_hash_powers_with(
 /// `accel::MAC_LANES` interleaved PCLMULQDQ chains; on
 /// portable, a plain loop.
 #[must_use]
-pub fn poly_hash_batch_with(backend: Backend, h: u64, blocks: &[[u8; BLOCK_BYTES]]) -> Vec<u64> {
+pub(crate) fn poly_hash_batch_with(
+    backend: Backend,
+    h: u64,
+    blocks: &[[u8; BLOCK_BYTES]],
+) -> Vec<u64> {
     #[cfg(target_arch = "x86_64")]
     if backend.is_wide() && backend::wide_available() {
         return crate::wide::poly_hash_batch(h, blocks);
@@ -176,79 +179,65 @@ pub fn poly_hash_batch_with(backend: Backend, h: u64, blocks: &[[u8; BLOCK_BYTES
         .collect()
 }
 
-/// Batched 56-bit Carter-Wegman tags: one tag per `(addr, counter)`
-/// nonce in `nonces` over the corresponding message in `blocks` —
-/// bit-identical to calling [`tag`] per message, computed as one
-/// multi-message hash pass plus one pipelined AES pass for the pads.
+/// XORs the tag mask of each `(addr, counter)` nonce in `nonces` into
+/// the matching slot of `pads`, on `backend` and without heap
+/// allocation — the one producer of MAC pads. Slots holding zeros come
+/// out as the masks (a tree walk's prefetch, a data tag's pad); slots
+/// holding the messages' hashes come out as their tags (a batch). A
+/// single nonce is one AES block; more run through pipelined AES passes
+/// over a stack buffer. A mask does not depend on the message, so a
+/// caller whose messages depend on each other's tags (an integrity-tree
+/// path update) can fetch every mask up front and finish each tag as
+/// its message becomes known: the tag is the message's
+/// [`poly_hash_powers_with`] XOR its mask ([`crate::NodeMacs`]).
+///
+/// Inlined so that a data tag's one-nonce call folds to its single AES
+/// block: out of line, the slice plumbing cost a data tag about 10 %.
 ///
 /// # Panics
 ///
-/// Panics if `nonces` and `blocks` have different lengths.
-///
-/// # Example
-///
-/// ```
-/// use ame_crypto::aes::Aes128;
-/// use ame_crypto::mac::{tag, tags_batch};
-///
-/// let k = Aes128::new(&[2u8; 16]);
-/// let h = 0x1234_5678_9abc_def1;
-/// let nonces = [(0x00, 1), (0x40, 1), (0x80, 9)];
-/// let blocks = [[0xaau8; 64], [0xbbu8; 64], [0xccu8; 64]];
-/// let tags = tags_batch(&k, h, &nonces, &blocks);
-/// for i in 0..3 {
-///     assert_eq!(tags[i], tag(&k, h, nonces[i].0, nonces[i].1, &blocks[i]));
-/// }
-/// ```
-#[must_use]
-pub fn tags_batch(
-    mac_key: &Aes128,
-    hash_key: u64,
-    nonces: &[(u64, u64)],
-    blocks: &[[u8; BLOCK_BYTES]],
-) -> Vec<u64> {
-    tags_batch_with(backend::active(), mac_key, hash_key, nonces, blocks)
-}
-
-/// [`tags_batch`] on an explicitly chosen backend.
-#[must_use]
-pub fn tags_batch_with(
+/// Panics if `nonces` and `pads` have different lengths.
+#[inline]
+pub(crate) fn pads_with(
     backend: Backend,
     mac_key: &Aes128,
-    hash_key: u64,
     nonces: &[(u64, u64)],
-    blocks: &[[u8; BLOCK_BYTES]],
-) -> Vec<u64> {
-    let mut tags = tags_full_batch_with(backend, mac_key, hash_key, nonces, blocks);
-    for tag in &mut tags {
-        *tag &= TAG_MASK;
+    pads: &mut [u64],
+) {
+    assert_eq!(nonces.len(), pads.len(), "pads_with: one pad per nonce");
+    // A data tag's one nonce is one AES block: no buffer to clear and no
+    // batch kernel to enter. A walk's few nonces take a small buffer (a
+    // 64-slot one costs a 7-level walk ~20 ns to clear); a batch's take
+    // one the wide kernel fills four groups from per call.
+    match nonces {
+        &[(addr, counter)] => {
+            let block = mac_key.encrypt_block_with(backend, &mac_nonce_block(addr, counter));
+            pads[0] ^= pad_word(&block);
+        }
+        _ if nonces.len() <= 16 => xor_pads::<16>(backend, mac_key, nonces, pads),
+        _ => xor_pads::<64>(backend, mac_key, nonces, pads),
     }
-    tags
 }
 
-/// Batched full 64-bit tags (the untruncated analogue of
-/// [`tags_batch_with`], used for tree-node widths and batched probe
-/// construction).
-#[must_use]
-pub fn tags_full_batch_with(
+/// [`pads_with`] through a stack buffer of `CHUNK` AES blocks.
+#[inline]
+fn xor_pads<const CHUNK: usize>(
     backend: Backend,
     mac_key: &Aes128,
-    hash_key: u64,
     nonces: &[(u64, u64)],
-    blocks: &[[u8; BLOCK_BYTES]],
-) -> Vec<u64> {
-    assert_eq!(
-        nonces.len(),
-        blocks.len(),
-        "tags_batch: one nonce per message"
-    );
-    let mut tags = poly_hash_batch_with(backend, hash_key, blocks);
-    let pads = mac_pads_batch_with(backend, mac_key, nonces);
-    backend::count_mac_batch(backend, nonces.len() as u64);
-    for (tag, pad) in tags.iter_mut().zip(&pads) {
-        *tag ^= pad_word(pad);
+    pads: &mut [u64],
+) {
+    let mut blocks = [[0u8; 16]; CHUNK];
+    for (nonces, pads) in nonces.chunks(CHUNK).zip(pads.chunks_mut(CHUNK)) {
+        let blocks = &mut blocks[..nonces.len()];
+        for (block, &(addr, counter)) in blocks.iter_mut().zip(nonces) {
+            *block = mac_nonce_block(addr, counter);
+        }
+        mac_key.encrypt_blocks_with(backend, blocks);
+        for (pad, block) in pads.iter_mut().zip(blocks.iter()) {
+            *pad ^= pad_word(block);
+        }
     }
-    tags
 }
 
 /// The 64 mask bits a tag takes from its 16-byte AES pad.
@@ -258,112 +247,26 @@ fn pad_word(pad: &[u8; 16]) -> u64 {
     u64::from_le_bytes(p8)
 }
 
-/// The tag masks of the `(addr, counter)` nonces in `nonces`, written to
-/// `pads`, from pipelined AES passes over a stack buffer (no heap
-/// allocation). A mask does not depend on the message, so a caller whose
-/// messages depend on each other's tags (an integrity-tree path update)
-/// can fetch every mask up front and finish each tag as its message
-/// becomes known: the tag is the message's [`poly_hash_powers_with`]
-/// XOR its mask ([`crate::NodeMacs`]).
-///
-/// # Panics
-///
-/// Panics if `nonces` and `pads` have different lengths.
-pub fn pads_with(backend: Backend, mac_key: &Aes128, nonces: &[(u64, u64)], pads: &mut [u64]) {
-    assert_eq!(nonces.len(), pads.len(), "pads_with: one pad per nonce");
-    const CHUNK: usize = 16;
-    let mut blocks = [[0u8; 16]; CHUNK];
-    for (nonces, pads) in nonces.chunks(CHUNK).zip(pads.chunks_mut(CHUNK)) {
-        let blocks = &mut blocks[..nonces.len()];
-        for (block, &(addr, counter)) in blocks.iter_mut().zip(nonces) {
-            *block = mac_nonce_block(addr, counter);
-        }
-        mac_key.encrypt_blocks_with(backend, blocks);
-        for (pad, block) in pads.iter_mut().zip(blocks.iter()) {
-            *pad = pad_word(block);
-        }
-    }
-}
-
-/// The mask of the nonce `(addr, counter)` alone — [`pads_with`] for one
-/// nonce.
+/// Precomputes the 512 per-bit tag contributions of hash key `h` on
+/// `backend`: entry `word * 64 + bit` is the XOR a flip of that message
+/// bit applies to the tag. The table depends **only on the hash key**,
+/// so [`crate::MemoryCipher`] builds it once per key and shares it with
+/// every [`MacProbe`] it returns.
 #[must_use]
-pub(crate) fn pad_with(backend: Backend, mac_key: &Aes128, addr: u64, counter: u64) -> u64 {
-    pad_word(&mac_pad_with(backend, mac_key, addr, counter))
-}
-
-/// Full 64-bit Carter-Wegman tag over `block`, bound to `(addr, counter)`.
-#[must_use]
-pub fn tag_full(
-    mac_key: &Aes128,
-    hash_key: u64,
-    addr: u64,
-    counter: u64,
-    block: &[u8; BLOCK_BYTES],
-) -> u64 {
-    tag_full_with(backend::active(), mac_key, hash_key, addr, counter, block)
-}
-
-/// [`tag_full`] on an explicitly chosen backend.
-#[must_use]
-pub fn tag_full_with(
-    backend: Backend,
-    mac_key: &Aes128,
-    hash_key: u64,
-    addr: u64,
-    counter: u64,
-    block: &[u8; BLOCK_BYTES],
-) -> u64 {
-    backend::count_mac(backend);
-    poly_hash_with(backend, hash_key, block) ^ pad_with(backend, mac_key, addr, counter)
-}
-
-/// 56-bit truncated tag (the SGX data-block width used throughout the
-/// paper).
-#[must_use]
-pub fn tag(
-    mac_key: &Aes128,
-    hash_key: u64,
-    addr: u64,
-    counter: u64,
-    block: &[u8; BLOCK_BYTES],
-) -> u64 {
-    tag_full(mac_key, hash_key, addr, counter, block) & TAG_MASK
-}
-
-/// [`tag`] on an explicitly chosen backend.
-#[must_use]
-pub fn tag_with(
-    backend: Backend,
-    mac_key: &Aes128,
-    hash_key: u64,
-    addr: u64,
-    counter: u64,
-    block: &[u8; BLOCK_BYTES],
-) -> u64 {
-    tag_full_with(backend, mac_key, hash_key, addr, counter, block) & TAG_MASK
-}
-
-/// Precomputes the 512 per-bit tag contributions of hash key `h`:
-/// entry `word * 64 + bit` is the XOR a flip of that message bit applies
-/// to the tag. The table depends **only on the hash key**, so callers
-/// that probe many blocks under one key (the engine's flip-and-check
-/// corrector) should build it once — [`crate::MemoryCipher`] caches it
-/// per key instead of rebuilding it on every probe.
-#[must_use]
-pub fn probe_contributions(h: u64) -> Arc<[u64; 512]> {
+pub(crate) fn probe_contributions(backend: Backend, h: u64) -> Arc<[u64; 512]> {
     let h_pow = hash_powers(h);
     let mut contributions = Arc::new([0u64; 512]);
     let table = Arc::get_mut(&mut contributions).expect("freshly created");
     for word in 0..8 {
         for bit in 0..64 {
-            table[word * 64 + bit] = gf64_mul(1u64 << bit, h_pow[word]);
+            table[word * 64 + bit] = gf64_mul_with(backend, 1u64 << bit, h_pow[word]);
         }
     }
     contributions
 }
 
-/// Precomputed state for *flip-and-check* error correction (Section 3.4).
+/// Precomputed state for *flip-and-check* error correction (Section 3.4),
+/// built by [`crate::MemoryCipher::mac_probe`].
 ///
 /// The polynomial hash is GF(2^64)-linear in the message, so the tag of a
 /// block with bit `b` of word `w` flipped differs from the original tag by
@@ -374,79 +277,13 @@ pub fn probe_contributions(h: u64) -> Arc<[u64; 512]> {
 /// 100s of nanoseconds".
 #[derive(Debug, Clone)]
 pub struct MacProbe {
-    base_tag_full: u64,
-    contributions: Arc<[u64; 512]>,
+    /// The full-width tag of the unmodified block.
+    pub(crate) base_tag_full: u64,
+    /// The cipher's per-key table from [`probe_contributions`].
+    pub(crate) contributions: Arc<[u64; 512]>,
 }
 
 impl MacProbe {
-    /// Builds a probe for ciphertext `block` under nonce `(addr, counter)`,
-    /// computing the contribution table from scratch. Callers probing
-    /// many blocks under one key should precompute the table once with
-    /// [`probe_contributions`] and use [`MacProbe::with_contributions`]
-    /// (which is what [`crate::MemoryCipher::mac_probe`] does).
-    #[must_use]
-    pub fn new(
-        mac_key: &Aes128,
-        hash_key: u64,
-        addr: u64,
-        counter: u64,
-        block: &[u8; BLOCK_BYTES],
-    ) -> Self {
-        Self::with_contributions(
-            mac_key,
-            hash_key,
-            addr,
-            counter,
-            block,
-            probe_contributions(hash_key),
-        )
-    }
-
-    /// Builds a probe reusing a per-key contribution table from
-    /// [`probe_contributions`] — only the base tag (one MAC) is computed
-    /// per block, instead of 512 GF multiplies per probe.
-    #[must_use]
-    pub fn with_contributions(
-        mac_key: &Aes128,
-        hash_key: u64,
-        addr: u64,
-        counter: u64,
-        block: &[u8; BLOCK_BYTES],
-        contributions: Arc<[u64; 512]>,
-    ) -> Self {
-        Self {
-            base_tag_full: tag_full(mac_key, hash_key, addr, counter, block),
-            contributions,
-        }
-    }
-
-    /// Batched probe construction for a whole run of blocks under one
-    /// key: one multi-message tag pass ([`tags_full_batch_with`] on the
-    /// active backend) computes every probe's base tag, and all probes
-    /// share the per-key contribution table. Equivalent to calling
-    /// [`MacProbe::with_contributions`] per block, minus the per-block
-    /// MAC latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nonces` and `blocks` have different lengths.
-    #[must_use]
-    pub fn tags_batch(
-        mac_key: &Aes128,
-        hash_key: u64,
-        nonces: &[(u64, u64)],
-        blocks: &[[u8; BLOCK_BYTES]],
-        contributions: Arc<[u64; 512]>,
-    ) -> Vec<Self> {
-        tags_full_batch_with(backend::active(), mac_key, hash_key, nonces, blocks)
-            .into_iter()
-            .map(|base_tag_full| Self {
-                base_tag_full,
-                contributions: Arc::clone(&contributions),
-            })
-            .collect()
-    }
-
     /// The 56-bit tag of the unmodified block.
     #[must_use]
     pub fn base_tag(&self) -> u64 {
@@ -481,6 +318,20 @@ impl MacProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemoryCipher;
+    use ame_prng::StdRng;
+
+    fn clmul(a: u64, b: u64) -> (u64, u64) {
+        clmul_with(backend::active(), a, b)
+    }
+
+    fn gf64_mul(a: u64, b: u64) -> u64 {
+        gf64_mul_with(backend::active(), a, b)
+    }
+
+    fn poly_hash(h: u64, block: &[u8; BLOCK_BYTES]) -> u64 {
+        poly_hash_with(backend::active(), h, block)
+    }
 
     #[test]
     fn clmul_basics() {
@@ -492,8 +343,31 @@ mod tests {
     }
 
     #[test]
+    fn clmul_matches_gf_reduction_identity() {
+        let mut rng = StdRng::seed_from_u64(0xAE_03);
+        for _ in 0..256 {
+            let a = rng.next_u64();
+            // clmul by 1 is the identity with no high part.
+            assert_eq!(clmul(a, 1), (0, a));
+            assert_eq!(gf64_mul(a, 1), a);
+        }
+    }
+
+    #[test]
+    fn clmul_commutes() {
+        let mut rng = StdRng::seed_from_u64(0xAE_04);
+        for _ in 0..256 {
+            let a = rng.next_u64();
+            let b = rng.next_u64();
+            assert_eq!(clmul(a, b), clmul(b, a));
+        }
+    }
+
+    #[test]
     fn gf64_identity_and_zero() {
-        for v in [0u64, 1, 0xdead_beef, u64::MAX] {
+        let mut rng = StdRng::seed_from_u64(0x6F_04);
+        let random = (0..256).map(|_| rng.next_u64());
+        for v in [0u64, 1, 0xdead_beef, u64::MAX].into_iter().chain(random) {
             assert_eq!(gf64_mul(v, 1), v);
             assert_eq!(gf64_mul(1, v), v);
             assert_eq!(gf64_mul(v, 0), 0);
@@ -518,6 +392,33 @@ mod tests {
                     assert_eq!(gf64_mul(a, b ^ c), gf64_mul(a, b) ^ gf64_mul(a, c));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn gf64_commutative() {
+        let mut rng = StdRng::seed_from_u64(0x6F_01);
+        for _ in 0..256 {
+            let (a, b) = (rng.next_u64(), rng.next_u64());
+            assert_eq!(gf64_mul(a, b), gf64_mul(b, a));
+        }
+    }
+
+    #[test]
+    fn gf64_associative() {
+        let mut rng = StdRng::seed_from_u64(0x6F_02);
+        for _ in 0..256 {
+            let (a, b, c) = (rng.next_u64(), rng.next_u64(), rng.next_u64());
+            assert_eq!(gf64_mul(gf64_mul(a, b), c), gf64_mul(a, gf64_mul(b, c)));
+        }
+    }
+
+    #[test]
+    fn gf64_distributive() {
+        let mut rng = StdRng::seed_from_u64(0x6F_03);
+        for _ in 0..256 {
+            let (a, b, c) = (rng.next_u64(), rng.next_u64(), rng.next_u64());
+            assert_eq!(gf64_mul(a, b ^ c), gf64_mul(a, b) ^ gf64_mul(a, c));
         }
     }
 
@@ -549,20 +450,16 @@ mod tests {
 
     #[test]
     fn probe_matches_recomputation_single() {
-        let k = Aes128::new(&[3u8; 16]);
-        let h = 0x0102_0304_0506_0709;
-        let mut block = [0u8; 64];
-        for (i, b) in block.iter_mut().enumerate() {
-            *b = (i as u8).wrapping_mul(13);
-        }
-        let probe = MacProbe::new(&k, h, 0x40, 7, &block);
-        assert_eq!(probe.base_tag(), tag(&k, h, 0x40, 7, &block));
+        let c = MemoryCipher::from_seed(3);
+        let block: [u8; 64] = core::array::from_fn(|i| (i as u8).wrapping_mul(13));
+        let probe = c.mac_probe(0x40, 7, &block);
+        assert_eq!(probe.base_tag(), c.mac_block(0x40, 7, &block));
         for bit in (0..512u32).step_by(11) {
             let mut flipped = block;
             flipped[(bit / 8) as usize] ^= 1 << (bit % 8);
             assert_eq!(
                 probe.tag_with_flip(bit),
-                tag(&k, h, 0x40, 7, &flipped),
+                c.mac_block(0x40, 7, &flipped),
                 "bit {bit}"
             );
         }
@@ -570,17 +467,16 @@ mod tests {
 
     #[test]
     fn probe_matches_recomputation_double() {
-        let k = Aes128::new(&[8u8; 16]);
-        let h = 0xfeed_f00d_1234_5679;
+        let c = MemoryCipher::from_seed(8);
         let block = [0x3cu8; 64];
-        let probe = MacProbe::new(&k, h, 0, 1, &block);
+        let probe = c.mac_probe(0, 1, &block);
         for (a, b) in [(0u32, 1u32), (5, 300), (63, 64), (500, 511)] {
             let mut flipped = block;
             flipped[(a / 8) as usize] ^= 1 << (a % 8);
             flipped[(b / 8) as usize] ^= 1 << (b % 8);
             assert_eq!(
                 probe.tag_with_flips(a, b),
-                tag(&k, h, 0, 1, &flipped),
+                c.mac_block(0, 1, &flipped),
                 "{a},{b}"
             );
         }
@@ -588,16 +484,15 @@ mod tests {
 
     #[test]
     fn cached_contribution_table_matches_fresh_probe() {
-        let k = Aes128::new(&[5u8; 16]);
-        let h = 0x1357_9bdf_2468_ace1;
-        let table = probe_contributions(h);
+        // Every probe shares the table the cipher derived once, and that
+        // table is the one a fresh portable derivation gives.
+        let c = MemoryCipher::from_seed(5);
         let block = [0x7eu8; 64];
-        let fresh = MacProbe::new(&k, h, 0x80, 3, &block);
-        let cached = MacProbe::with_contributions(&k, h, 0x80, 3, &block, Arc::clone(&table));
-        assert_eq!(fresh.base_tag(), cached.base_tag());
-        for bit in (0..512).step_by(37) {
-            assert_eq!(fresh.tag_with_flip(bit), cached.tag_with_flip(bit));
-        }
+        let a = c.mac_probe(0x80, 3, &block);
+        let b = c.mac_probe(0xc0, 4, &block);
+        assert!(Arc::ptr_eq(&a.contributions, &b.contributions));
+        let fresh = probe_contributions(Backend::Portable, c.hash_key);
+        assert_eq!(a.contributions[..], fresh[..]);
     }
 
     #[test]
@@ -625,35 +520,31 @@ mod tests {
 
     #[test]
     fn batched_tags_match_serial_on_every_backend() {
-        let k = Aes128::new(&[0x6cu8; 16]);
-        let h = 0xc3a5_c85c_97cb_3127;
         let nonces: Vec<(u64, u64)> = (0..21).map(|i| (i * 64, i ^ 3)).collect();
         let blocks: Vec<[u8; 64]> = (0..21u64)
             .map(|i| core::array::from_fn(|j| (i as usize * 41 + j * 7) as u8))
             .collect();
         for backend in Backend::ALL {
-            let tags = tags_batch_with(backend, &k, h, &nonces, &blocks);
+            let c = MemoryCipher::on(backend, 0x6c);
+            let tags = c.mac_batch(&nonces, &blocks);
             for (i, (&(addr, ctr), block)) in nonces.iter().zip(&blocks).enumerate() {
                 assert_eq!(
                     tags[i],
-                    tag_with(backend, &k, h, addr, ctr, block),
+                    c.mac_block(addr, ctr, block),
                     "{backend} message {i}"
                 );
             }
-            assert!(tags_batch_with(backend, &k, h, &[], &[]).is_empty());
+            assert!(c.mac_batch(&[], &[]).is_empty());
 
-            // Full-width node MACs: the batch and the pad-prefetched
-            // chain both equal the per-node tag.
-            let full = tags_full_batch_with(backend, &k, h, &nonces, &blocks);
+            // Full-width node MACs: the pad-prefetched chain equals the
+            // per-node tag.
             let mut pads = [0u64; 21];
-            pads_with(backend, &k, &nonces, &mut pads);
-            let powers = hash_powers(h);
+            c.mac_node_pads(&nonces, &mut pads);
+            let mut macs = c.node_macs();
             for (i, (&(addr, ctr), block)) in nonces.iter().zip(&blocks).enumerate() {
-                let serial = tag_full_with(backend, &k, h, addr, ctr, block);
-                assert_eq!(full[i], serial, "{backend} node {i}");
                 assert_eq!(
-                    poly_hash_powers_with(backend, &powers, block) ^ pads[i],
-                    serial,
+                    macs.mac(pads[i], block),
+                    c.mac_node(addr, ctr, block),
                     "{backend} padded node {i}"
                 );
             }
@@ -661,34 +552,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_probes_match_fresh_probes() {
-        let k = Aes128::new(&[0x2fu8; 16]);
-        let h = 0x8b5f_19a3_d671_0c45;
-        let table = probe_contributions(h);
-        let nonces: Vec<(u64, u64)> = (0..5).map(|i| (i * 64, 2 * i + 1)).collect();
-        let blocks: Vec<[u8; 64]> = (0..5u64)
-            .map(|i| [(i as u8).wrapping_mul(29); 64])
-            .collect();
-        let probes = MacProbe::tags_batch(&k, h, &nonces, &blocks, Arc::clone(&table));
-        assert_eq!(probes.len(), 5);
-        for (i, probe) in probes.iter().enumerate() {
-            let fresh = MacProbe::new(&k, h, nonces[i].0, nonces[i].1, &blocks[i]);
-            assert_eq!(probe.base_tag(), fresh.base_tag(), "probe {i}");
-            for bit in (0..512).step_by(53) {
-                assert_eq!(probe.tag_with_flip(bit), fresh.tag_with_flip(bit));
-            }
-        }
-    }
-
-    #[test]
     fn tags_are_nonce_bound() {
-        let k = Aes128::new(&[7u8; 16]);
-        let h = 0x5555_aaaa_3333_cccd;
+        let c = MemoryCipher::from_seed(7);
         let block = [9u8; 64];
-        let t = tag(&k, h, 64, 1, &block);
-        assert_ne!(t, tag(&k, h, 128, 1, &block));
-        assert_ne!(t, tag(&k, h, 64, 2, &block));
-        assert_eq!(t, tag(&k, h, 64, 1, &block));
+        let t = c.mac_block(64, 1, &block);
+        assert_ne!(t, c.mac_block(128, 1, &block));
+        assert_ne!(t, c.mac_block(64, 2, &block));
+        assert_eq!(t, c.mac_block(64, 1, &block));
         assert_eq!(t & !TAG_MASK, 0);
     }
 }

@@ -389,7 +389,7 @@ unsafe fn poly_hash_groups_512(h: u64, h4: u64, blocks: &[[u8; 64]], out: &mut V
 mod tests {
     //! Direct unit tests of the wide intrinsic paths (the broader
     //! randomized tier-pair equivalence lives in
-    //! `tests/backend_crosscheck.rs`).
+    //! `crosscheck`).
     use super::*;
     use crate::aes::Aes128;
     use crate::backend::Backend;

@@ -1,326 +1,9 @@
-//! Bit-identity cross-checks between the portable, accelerated and
-//! wide backends, driven by seeded `ame-prng` randomized loops (the
-//! workspace builds offline, so there is no proptest).
-//!
-//! Every test sweeps [`Backend::ALL`] against [`Backend::Portable`]: on
-//! hosts without the hardware features the hardware arms run the same
-//! code as the reference and the assertions are trivially true; on
-//! capable hosts (including CI's default and `wide` legs) they pin all
-//! implementations to identical outputs for every primitive the engine
-//! relies on.
+//! The crypto tier as the process sees it from outside the crate. The
+//! tier-pair bit-identity checks drive crate-private kernels and build
+//! one cipher per tier, so they live in the crate (`src/crosscheck.rs`);
+//! this file keeps what the public door alone can check.
 
-use ame_crypto::aes::Aes128;
 use ame_crypto::backend::{self, Backend};
-use ame_crypto::{ctr, mac, MemoryCipher};
-use ame_prng::StdRng;
-
-fn bytes<const N: usize>(rng: &mut StdRng) -> [u8; N] {
-    let mut buf = [0u8; N];
-    rng.fill(&mut buf);
-    buf
-}
-
-#[test]
-fn fips197_c1_on_every_backend() {
-    // FIPS-197 Appendix C.1: the one key/plaintext/ciphertext triple
-    // everybody agrees on.
-    let key: [u8; 16] = core::array::from_fn(|i| i as u8);
-    let plain: [u8; 16] = core::array::from_fn(|i| (i as u8) * 0x11);
-    let expected = [
-        0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5,
-        0x5a,
-    ];
-    let aes = Aes128::new(&key);
-    for b in Backend::ALL {
-        assert_eq!(aes.encrypt_block_with(b, &plain), expected, "{b}");
-        assert_eq!(aes.decrypt_block_with(b, &expected), plain, "{b}");
-    }
-}
-
-#[test]
-fn random_aes_blocks_agree() {
-    let mut rng = StdRng::seed_from_u64(0xBC_01);
-    for _ in 0..256 {
-        let key: [u8; 16] = bytes(&mut rng);
-        let block: [u8; 16] = bytes(&mut rng);
-        let aes = Aes128::new(&key);
-        let reference = aes.encrypt_block_with(Backend::Portable, &block);
-        for b in Backend::ALL {
-            assert_eq!(aes.encrypt_block_with(b, &block), reference, "{b}");
-            assert_eq!(aes.decrypt_block_with(b, &reference), block, "{b}");
-        }
-    }
-}
-
-#[test]
-fn batched_aes_agrees_across_backends_and_lengths() {
-    let mut rng = StdRng::seed_from_u64(0xBC_02);
-    let aes = Aes128::new(&bytes(&mut rng));
-    // Lengths straddling the accelerated pipeline width (8) exercise
-    // both the unrolled groups and the remainder loop.
-    for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 64, 100] {
-        let blocks: Vec<[u8; 16]> = (0..n).map(|_| bytes(&mut rng)).collect();
-        let mut reference = blocks.clone();
-        aes.encrypt_blocks_with(Backend::Portable, &mut reference);
-        for b in Backend::ALL {
-            let mut got = blocks.clone();
-            aes.encrypt_blocks_with(b, &mut got);
-            assert_eq!(got, reference, "{b} n={n}");
-        }
-    }
-}
-
-#[test]
-fn random_clmul_and_gf64_agree() {
-    let mut rng = StdRng::seed_from_u64(0xBC_03);
-    for _ in 0..512 {
-        let a = rng.next_u64();
-        let b = rng.next_u64();
-        let clmul_ref = mac::clmul_with(Backend::Portable, a, b);
-        let gf_ref = mac::gf64_mul_with(Backend::Portable, a, b);
-        for backend in Backend::ALL {
-            assert_eq!(mac::clmul_with(backend, a, b), clmul_ref, "{backend}");
-            assert_eq!(mac::gf64_mul_with(backend, a, b), gf_ref, "{backend}");
-        }
-    }
-}
-
-#[test]
-fn keystreams_and_batches_agree() {
-    let mut rng = StdRng::seed_from_u64(0xBC_04);
-    let aes = Aes128::new(&bytes(&mut rng));
-    let nonces: Vec<(u64, u64)> = (0..37)
-        .map(|_| (rng.next_u64() & !63, rng.next_u64()))
-        .collect();
-    let reference: Vec<_> = nonces
-        .iter()
-        .map(|&(addr, c)| ctr::keystream_with(Backend::Portable, &aes, addr, c))
-        .collect();
-    for b in Backend::ALL {
-        for (i, &(addr, c)) in nonces.iter().enumerate() {
-            assert_eq!(
-                ctr::keystream_with(b, &aes, addr, c),
-                reference[i],
-                "{b} single"
-            );
-        }
-        assert_eq!(
-            ctr::keystream_batch_with(b, &aes, &nonces),
-            reference,
-            "{b} batch"
-        );
-    }
-}
-
-#[test]
-fn mac_tags_agree() {
-    let mut rng = StdRng::seed_from_u64(0xBC_05);
-    let mac_key = Aes128::new(&bytes(&mut rng));
-    for _ in 0..128 {
-        let h = rng.next_u64() | 1;
-        let addr = rng.next_u64() & !63;
-        let counter = rng.next_u64();
-        let block: [u8; 64] = bytes(&mut rng);
-        let tag_ref = mac::tag_with(Backend::Portable, &mac_key, h, addr, counter, &block);
-        let full_ref = mac::tag_full_with(Backend::Portable, &mac_key, h, addr, counter, &block);
-        for b in Backend::ALL {
-            assert_eq!(
-                mac::tag_with(b, &mac_key, h, addr, counter, &block),
-                tag_ref
-            );
-            assert_eq!(
-                mac::tag_full_with(b, &mac_key, h, addr, counter, &block),
-                full_ref
-            );
-        }
-    }
-}
-
-#[test]
-fn the_powers_kernel_matches_portable_horner() {
-    // Keys: random, the identity (h = 1), all-ones; blocks: random,
-    // all-ones words (every product at full width) and one all-ones
-    // word at each position.
-    let mut rng = StdRng::seed_from_u64(0xBC_08);
-    let mut keys: Vec<u64> = (0..64).map(|_| rng.next_u64()).collect();
-    keys.extend([1, u64::MAX, 1 << 63]);
-    let mut blocks: Vec<[u8; 64]> = (0..32).map(|_| bytes(&mut rng)).collect();
-    blocks.push([0xff; 64]);
-    blocks.push([0; 64]);
-    for word in 0..8 {
-        let mut block = [0u8; 64];
-        block[word * 8..word * 8 + 8].fill(0xff);
-        blocks.push(block);
-    }
-    let mac_key = Aes128::new(&bytes(&mut rng));
-    for &h in &keys {
-        let powers = mac::hash_powers(h);
-        assert_eq!(powers[7], h);
-        for block in &blocks {
-            let horner = mac::poly_hash_with(Backend::Portable, h, block);
-            let full = mac::tag_full_with(Backend::Portable, &mac_key, h, 0x40, 7, block);
-            for b in Backend::ALL {
-                let mut pad = [0];
-                mac::pads_with(b, &mac_key, &[(0x40, 7)], &mut pad);
-                assert_eq!(
-                    mac::poly_hash_powers_with(b, &powers, block),
-                    horner,
-                    "{b} h={h:#x}"
-                );
-                assert_eq!(
-                    mac::poly_hash_powers_with(b, &powers, block) ^ pad[0],
-                    full,
-                    "{b} h={h:#x}"
-                );
-            }
-        }
-    }
-}
-
-/// The data, MAC and hash keys `MemoryCipher::from_seed` derives, by
-/// its AES-PRF expansion restated; the caller pins the restatement
-/// against the cipher through its keystream.
-fn derived_keys(seed: u64) -> (Aes128, Aes128, u64) {
-    let mut root = [0u8; 16];
-    root[..8].copy_from_slice(&seed.to_le_bytes());
-    root[8..].copy_from_slice(&seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes());
-    let kdf = Aes128::new(&root);
-    let expand = |label: u8| kdf.encrypt_block(&[label; 16]);
-    let hash = expand(3);
-    let hash_key = u64::from_le_bytes(hash[..8].try_into().expect("8 bytes")) | 1;
-    (Aes128::new(&expand(1)), Aes128::new(&expand(2)), hash_key)
-}
-
-#[test]
-fn every_memory_cipher_tag_path_matches_the_free_tags() {
-    // On the active backend (each CI leg forces one): mac_block,
-    // verify_block, mac_node, mac_node_pads + node_macs, mac_batch
-    // and mac_probe against mac::tag / mac::tag_full.
-    let mut rng = StdRng::seed_from_u64(0xBC_09);
-    for seed in [0, 1, 0x5eed, rng.next_u64(), rng.next_u64()] {
-        let cipher = MemoryCipher::from_seed(seed);
-        let (data_key, mac_key, h) = derived_keys(seed);
-        assert_eq!(
-            cipher.encrypt_block(0x80, 3, &[0; 64]),
-            ctr::keystream(&data_key, 0x80, 3),
-            "the restated key derivation is from_seed's"
-        );
-        for n in [1usize, 7, 8, 9, 16, 17, 33] {
-            let nonces: Vec<(u64, u64)> = (0..n)
-                .map(|_| (rng.next_u64() & !63, rng.next_u64()))
-                .collect();
-            let blocks: Vec<[u8; 64]> = (0..n).map(|_| bytes(&mut rng)).collect();
-            let mut pads = vec![0; n];
-            cipher.mac_node_pads(&nonces, &mut pads);
-            let batch = cipher.mac_batch(&nonces, &blocks);
-            let mut macs = cipher.node_macs();
-            for (i, (&(addr, counter), block)) in nonces.iter().zip(&blocks).enumerate() {
-                let tag = mac::tag(&mac_key, h, addr, counter, block);
-                let full = mac::tag_full(&mac_key, h, addr, counter, block);
-                assert_eq!(cipher.mac_block(addr, counter, block), tag, "seed {seed}");
-                assert!(cipher.verify_block(addr, counter, block, tag));
-                assert!(!cipher.verify_block(addr, counter, block, tag ^ 1));
-                assert_eq!(cipher.mac_node(addr, counter, block), full);
-                assert_eq!(macs.mac(pads[i], block), full, "n={n} i={i}");
-                assert_eq!(batch[i], tag);
-                assert_eq!(cipher.mac_probe(addr, counter, block).base_tag(), tag);
-            }
-        }
-    }
-}
-
-#[test]
-fn tail_and_misalignment_bit_identity_across_tier_pairs() {
-    // Satellite coverage for the wide tier's tail handling: every
-    // backend pair must agree at batch lengths straddling both the
-    // AES-NI pipeline width (8) and the wide group width (16), with the
-    // batch starting at misaligned offsets inside a larger allocation
-    // so no kernel can rely on 32/64-byte pointer alignment.
-    let mut rng = StdRng::seed_from_u64(0xBC_06);
-    let aes = Aes128::new(&bytes(&mut rng));
-    for n in [0usize, 1, 7, 8, 9, 31, 32, 33] {
-        for offset in [0usize, 1, 3] {
-            let buffer: Vec<[u8; 16]> = (0..offset + n).map(|_| bytes(&mut rng)).collect();
-            let encrypted_with = |backend: Backend| {
-                let mut copy = buffer.clone();
-                aes.encrypt_blocks_with(backend, &mut copy[offset..]);
-                copy
-            };
-            let per_backend: Vec<_> = Backend::ALL.map(encrypted_with).into();
-            for (i, a) in per_backend.iter().enumerate() {
-                for (j, b) in per_backend.iter().enumerate() {
-                    assert_eq!(
-                        a,
-                        b,
-                        "{} vs {} n={n} offset={offset}",
-                        Backend::ALL[i],
-                        Backend::ALL[j]
-                    );
-                }
-            }
-        }
-        // The same lengths through the batched keystream entry point
-        // (nonce count = batch length; 4 AES blocks per nonce).
-        let nonces: Vec<(u64, u64)> = (0..n)
-            .map(|_| (rng.next_u64() & !63, rng.next_u64()))
-            .collect();
-        let streams: Vec<_> = Backend::ALL
-            .map(|b| ctr::keystream_batch_with(b, &aes, &nonces))
-            .into();
-        for pair in streams.windows(2) {
-            assert_eq!(pair[0], pair[1], "keystream_batch n={n}");
-        }
-    }
-    // MAC probes ride the same poly-hash seam: tags computed under any
-    // tier must validate flip hypotheses computed under any other.
-    let h = rng.next_u64() | 1;
-    let block: [u8; 64] = bytes(&mut rng);
-    let tags: Vec<_> = Backend::ALL
-        .map(|b| mac::tag_full_with(b, &aes, h, 0x1c0, 9, &block))
-        .into();
-    for pair in tags.windows(2) {
-        assert_eq!(pair[0], pair[1], "tag_full tier pair");
-    }
-}
-
-#[test]
-fn batched_mac_tags_bit_identical_across_tier_pairs() {
-    // The multi-message tag pipeline must agree with itself across
-    // every tier pair — not merely with the portable reference — at
-    // batch lengths straddling the accelerated lane count (8) and the
-    // wide per-call message groups (4/8), including the empty batch and
-    // a large one exercising both main loops and tails. Each tier's
-    // batch must also match that tier's own serial tags, so the fused
-    // verify path can fall back to scalar re-checks without ever
-    // disagreeing with itself.
-    let mut rng = StdRng::seed_from_u64(0xBC_07);
-    let mac_key = Aes128::new(&bytes(&mut rng));
-    for n in [0usize, 1, 7, 8, 9, 63, 64, 65] {
-        let h = rng.next_u64() | 1;
-        let nonces: Vec<(u64, u64)> = (0..n)
-            .map(|_| (rng.next_u64() & !63, rng.next_u64()))
-            .collect();
-        let blocks: Vec<[u8; 64]> = (0..n).map(|_| bytes(&mut rng)).collect();
-        let per_tier: Vec<_> = Backend::ALL
-            .map(|b| mac::tags_batch_with(b, &mac_key, h, &nonces, &blocks))
-            .into();
-        for (i, a) in per_tier.iter().enumerate() {
-            assert_eq!(a.len(), n, "{} n={n}", Backend::ALL[i]);
-            for (j, b) in per_tier.iter().enumerate() {
-                assert_eq!(a, b, "{} vs {} n={n}", Backend::ALL[i], Backend::ALL[j]);
-            }
-        }
-        for (backend, batch) in Backend::ALL.iter().zip(&per_tier) {
-            for (k, (&(addr, counter), block)) in nonces.iter().zip(&blocks).enumerate() {
-                assert_eq!(
-                    batch[k],
-                    mac::tag_with(*backend, &mac_key, h, addr, counter, block),
-                    "{backend} n={n} msg={k}"
-                );
-            }
-        }
-    }
-}
 
 #[test]
 fn active_backend_obeys_forced_override() {

@@ -2,8 +2,7 @@
 //! randomized loops (the workspace builds offline, so there is no
 //! proptest).
 
-use ame_crypto::aes::Aes128;
-use ame_crypto::mac::{clmul, gf64_mul, MacProbe};
+use ame_crypto::mac::MacProbe;
 use ame_crypto::{MemoryCipher, TAG_MASK};
 use ame_prng::StdRng;
 
@@ -11,53 +10,6 @@ fn bytes<const N: usize>(rng: &mut StdRng) -> [u8; N] {
     let mut buf = [0u8; N];
     rng.fill(&mut buf);
     buf
-}
-
-#[test]
-fn aes_roundtrips() {
-    let mut rng = StdRng::seed_from_u64(0xAE_01);
-    for _ in 0..128 {
-        let key: [u8; 16] = bytes(&mut rng);
-        let block: [u8; 16] = bytes(&mut rng);
-        let aes = Aes128::new(&key);
-        assert_eq!(aes.decrypt_block(&aes.encrypt_block(&block)), block);
-    }
-}
-
-#[test]
-fn aes_is_a_permutation() {
-    let mut rng = StdRng::seed_from_u64(0xAE_02);
-    for _ in 0..128 {
-        let key: [u8; 16] = bytes(&mut rng);
-        let a: [u8; 16] = bytes(&mut rng);
-        let b: [u8; 16] = bytes(&mut rng);
-        if a == b {
-            continue;
-        }
-        let aes = Aes128::new(&key);
-        assert_ne!(aes.encrypt_block(&a), aes.encrypt_block(&b));
-    }
-}
-
-#[test]
-fn clmul_matches_gf_reduction_identity() {
-    let mut rng = StdRng::seed_from_u64(0xAE_03);
-    for _ in 0..256 {
-        let a = rng.next_u64();
-        // clmul by 1 is the identity with no high part.
-        assert_eq!(clmul(a, 1), (0, a));
-        assert_eq!(gf64_mul(a, 1), a);
-    }
-}
-
-#[test]
-fn clmul_commutes() {
-    let mut rng = StdRng::seed_from_u64(0xAE_04);
-    for _ in 0..256 {
-        let a = rng.next_u64();
-        let b = rng.next_u64();
-        assert_eq!(clmul(a, b), clmul(b, a));
-    }
 }
 
 #[test]

@@ -51,7 +51,7 @@ use ame_persist::{
     invalid_data, put_u32, put_u64, read_index_table, read_section, ByteReader, IndexMap,
     SectionWriter,
 };
-use ame_tree::cache::CachedTree;
+use ame_tree::cache::{self, CachedTree};
 use ame_tree::merkle::{BonsaiTree, VerifyError};
 use std::io;
 
@@ -121,6 +121,10 @@ pub struct EngineConfig {
     /// from the verified on-chip copy skip the walk — and off-chip
     /// tampering of a cached block is only caught once the copy is
     /// evicted, exactly like real hardware.
+    ///
+    /// At most [`ame_tree::cache::MAX_CAPACITY`] (65 536 blocks, 128× the
+    /// paper's 512-line cache): [`MemoryEncryptionEngine::new`] asserts
+    /// it and a frozen image that names more is rejected at thaw.
     pub counter_cache_blocks: usize,
     /// Prefetch counter blocks at 4 KB group boundaries on fused read
     /// runs: the batched read path collects the *distinct* metadata
@@ -335,44 +339,6 @@ impl BlockSnapshot {
     }
 }
 
-/// The integrity-tree frontend: direct walks, or fronted by the on-chip
-/// counter cache.
-#[derive(Debug)]
-enum TreeFrontend {
-    Plain(BonsaiTree),
-    Cached(CachedTree),
-}
-
-impl TreeFrontend {
-    fn read_counter_block(&mut self, idx: u64) -> Result<[u8; 64], VerifyError> {
-        match self {
-            TreeFrontend::Plain(t) => t.read_counter_block(idx),
-            TreeFrontend::Cached(t) => t.read_counter_block(idx),
-        }
-    }
-
-    fn write_counter_block(&mut self, idx: u64, content: [u8; 64]) {
-        match self {
-            TreeFrontend::Plain(t) => t.write_counter_block(idx, content),
-            TreeFrontend::Cached(t) => t.write_counter_block(idx, content),
-        }
-    }
-
-    fn inner_mut(&mut self) -> &mut BonsaiTree {
-        match self {
-            TreeFrontend::Plain(t) => t,
-            TreeFrontend::Cached(t) => t.tree_mut(),
-        }
-    }
-
-    fn inner(&self) -> &BonsaiTree {
-        match self {
-            TreeFrontend::Plain(t) => t,
-            TreeFrontend::Cached(t) => t.tree(),
-        }
-    }
-}
-
 /// The whole functional engine reports as one scope: its own event
 /// counters at the root, the counter scheme under `counters/`, the
 /// metadata cache (when configured) under `metadata_cache/`, and the
@@ -402,7 +368,9 @@ pub struct MemoryEncryptionEngine {
     config: EngineConfig,
     cipher: MemoryCipher,
     counters: Box<dyn CounterScheme>,
-    tree: TreeFrontend,
+    /// The integrity tree behind the on-chip counter cache (a
+    /// zero-capacity cache when `counter_cache_blocks` is 0).
+    tree: CachedTree,
     storage: DramStorage,
     /// Separate-MAC mode: per-block 56-bit tags in a dedicated region.
     mac_region: IndexMap<u64>,
@@ -426,30 +394,40 @@ impl std::fmt::Debug for MemoryEncryptionEngine {
 
 impl MemoryEncryptionEngine {
     /// Creates an engine over an all-zero memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.counter_cache_blocks` exceeds
+    /// [`cache::MAX_CAPACITY`].
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
-        let cipher = MemoryCipher::from_seed(config.seed);
-        let bonsai = BonsaiTree::new(
-            MemoryCipher::from_seed(config.seed ^ 0x7ee),
-            config.tree_levels,
-            8,
-        );
-        let tree = if config.counter_cache_blocks > 0 {
-            TreeFrontend::Cached(CachedTree::new(bonsai, config.counter_cache_blocks))
-        } else {
-            TreeFrontend::Plain(bonsai)
-        };
         Self {
             config,
-            cipher,
+            cipher: MemoryCipher::from_seed(config.seed),
             counters: config.counter_scheme.build(),
-            tree,
+            tree: Self::empty_tree(&config),
             storage: DramStorage::new(),
             mac_region: IndexMap::default(),
             stats: EngineStats::default(),
             flip_check_dist: ame_telemetry::Histogram::new(),
             mac_batch_dist: ame_telemetry::Histogram::new(),
         }
+    }
+
+    /// The integrity tree's own cipher: keyed from the engine seed, but
+    /// never sharing the data cipher's keys.
+    fn tree_cipher(seed: u64) -> MemoryCipher {
+        MemoryCipher::from_seed(seed ^ 0x7ee)
+    }
+
+    /// The empty integrity tree `config` describes, behind its counter
+    /// cache: what [`Self::new`] and [`Self::rekey`] start from
+    /// ([`Self::thaw_from`] puts the decoded tree behind the same cache).
+    fn empty_tree(config: &EngineConfig) -> CachedTree {
+        CachedTree::new(
+            BonsaiTree::new(Self::tree_cipher(config.seed), config.tree_levels, 8),
+            config.counter_cache_blocks,
+        )
     }
 
     /// The engine configuration.
@@ -1101,7 +1079,7 @@ impl MemoryEncryptionEngine {
         BlockSnapshot {
             addr,
             stored: self.storage.read(addr),
-            meta_leaf: Some(self.tree.inner_mut().snapshot_leaf(meta)),
+            meta_leaf: Some(self.tree.tree_mut().snapshot_leaf(meta)),
             mac_entry: self.mac_region.get(&block).copied(),
         }
     }
@@ -1118,22 +1096,19 @@ impl MemoryEncryptionEngine {
             self.mac_region.insert(block, tag);
         }
         if let Some(leaf) = snapshot.meta_leaf {
-            self.tree.inner_mut().replay_leaf(meta, leaf);
+            self.tree.tree_mut().replay_leaf(meta, leaf);
         }
     }
 
     /// Direct access to the integrity tree (for tampering experiments).
     pub fn tree_mut(&mut self) -> &mut BonsaiTree {
-        self.tree.inner_mut()
+        self.tree.tree_mut()
     }
 
     /// Counter-cache hit/miss statistics, if the cache is enabled.
     #[must_use]
     pub fn counter_cache_stats(&self) -> Option<ame_tree::cache::CounterCacheStats> {
-        match &self.tree {
-            TreeFrontend::Plain(_) => None,
-            TreeFrontend::Cached(t) => Some(t.stats()),
-        }
+        (self.config.counter_cache_blocks > 0).then(|| self.tree.stats())
     }
 
     /// Direct access to the functional DRAM array (for scrubbing and
@@ -1180,16 +1155,7 @@ impl MemoryEncryptionEngine {
         // 2. Swap in fresh key material and empty metadata.
         self.config.seed = new_seed;
         self.cipher = MemoryCipher::from_seed(new_seed);
-        let bonsai = BonsaiTree::new(
-            MemoryCipher::from_seed(new_seed ^ 0x7ee),
-            self.config.tree_levels,
-            8,
-        );
-        self.tree = if self.config.counter_cache_blocks > 0 {
-            TreeFrontend::Cached(CachedTree::new(bonsai, self.config.counter_cache_blocks))
-        } else {
-            TreeFrontend::Plain(bonsai)
-        };
+        self.tree = Self::empty_tree(&self.config);
         self.counters = self.config.counter_scheme.build();
         self.storage = DramStorage::new();
         self.mac_region.clear();
@@ -1305,7 +1271,7 @@ impl MemoryEncryptionEngine {
         put_u64(&mut payload, self.stats.failed_reads);
         payload.nested(|out| self.storage.encode(out));
         payload.nested(|out| self.counters.encode_state(out));
-        payload.nested(|out| self.tree.inner().encode_state(out));
+        payload.nested(|out| self.tree.tree().encode_state(out));
         let mut blocks: Vec<u64> = self.mac_region.keys().copied().collect();
         blocks.sort_unstable();
         put_u64(&mut payload, blocks.len() as u64);
@@ -1327,7 +1293,7 @@ impl MemoryEncryptionEngine {
             + (8 + 1 + 1 + 4 + 8 + 8 + 1 + 7 * 8 + 8)
             + self.storage.encoded_len()
             + self.counters.encoded_state_len()
-            + self.tree.inner().encoded_state_len()
+            + self.tree.tree().encoded_state_len()
             + self.mac_region.len() * 16
     }
 
@@ -1361,14 +1327,22 @@ impl MemoryEncryptionEngine {
             3 => CounterSchemeKind::DualLength,
             other => return Err(invalid_data(format!("unknown counter scheme {other}"))),
         };
-        let config = EngineConfig {
-            seed,
-            mac_placement,
-            counter_scheme,
-            max_correctable_flips: payload.u32()?,
-            tree_levels: payload.u64()? as usize,
-            counter_cache_blocks: payload.u64()? as usize,
-            prefetch_counters: payload.u8()? != 0,
+        let max_correctable_flips = payload.u32()?;
+        // Nothing is sized from the header until these are checked: the
+        // tree's depth must be the tree section's own, and the cache
+        // must fit under the ceiling `new` asserts.
+        let tree_levels = payload.u64()?;
+        let counter_cache_blocks = payload.u64()?;
+        if counter_cache_blocks > cache::MAX_CAPACITY as u64 {
+            return Err(invalid_data(format!(
+                "counter cache of {counter_cache_blocks} blocks exceeds {}",
+                cache::MAX_CAPACITY
+            )));
+        }
+        let prefetch_counters = match payload.u8()? {
+            0 => false,
+            1 => true,
+            other => return Err(invalid_data(format!("non-canonical prefetch flag {other}"))),
         };
         let stats = EngineStats {
             reads: payload.u64()?,
@@ -1382,12 +1356,23 @@ impl MemoryEncryptionEngine {
         let storage = DramStorage::decode(&mut payload)?;
         let mut counters = counter_scheme.build();
         counters.decode_state(&mut payload)?;
-        let bonsai = BonsaiTree::decode_state(MemoryCipher::from_seed(seed ^ 0x7ee), &mut payload)?;
-        let tree = if config.counter_cache_blocks > 0 {
-            TreeFrontend::Cached(CachedTree::new(bonsai, config.counter_cache_blocks))
-        } else {
-            TreeFrontend::Plain(bonsai)
+        let bonsai = BonsaiTree::decode_state(Self::tree_cipher(seed), &mut payload)?;
+        if bonsai.off_chip_levels() as u64 != tree_levels {
+            return Err(invalid_data(format!(
+                "engine header says {tree_levels} tree levels, the tree has {}",
+                bonsai.off_chip_levels()
+            )));
+        }
+        let config = EngineConfig {
+            seed,
+            mac_placement,
+            counter_scheme,
+            max_correctable_flips,
+            tree_levels: bonsai.off_chip_levels(),
+            counter_cache_blocks: counter_cache_blocks as usize,
+            prefetch_counters,
         };
+        let tree = CachedTree::new(bonsai, config.counter_cache_blocks);
         let mac_region = read_index_table(&mut payload, 16, ByteReader::u64)?;
         Ok(Self {
             config,

@@ -69,6 +69,66 @@ fn a_corrupt_snapshot_quarantines_only_its_own_shard() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Rewrites the engine-header field at `field` (bytes into the engine
+/// payload) of a `snapshot.bin` — generation (8), region section header
+/// (20), region size (8), then the engine section: header (20) and
+/// payload — and recomputes the engine section's CRC, then the region
+/// section's, so only the header's meaning is wrong.
+fn forge_engine_header(snapshot: &mut [u8], field: usize, bytes: &[u8]) {
+    const ENGINE: usize = 8 + 20 + 8;
+    let payload_len = u64::from_le_bytes(snapshot[ENGINE + 12..ENGINE + 20].try_into().unwrap());
+    let at = ENGINE + 20 + field;
+    snapshot[at..at + bytes.len()].copy_from_slice(bytes);
+    let engine_end = ENGINE + 20 + payload_len as usize;
+    let crc = ame_persist::crc64(&snapshot[ENGINE..engine_end]);
+    snapshot[engine_end..engine_end + 8].copy_from_slice(&crc.to_le_bytes());
+    let region_end = snapshot.len() - 8;
+    let crc = ame_persist::crc64(&snapshot[8..region_end]);
+    snapshot[region_end..].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn a_forged_engine_header_quarantines_only_its_own_shard() {
+    // Tree levels (payload offset 14) and counter-cache blocks (22),
+    // each set to 2^40 under valid checksums: thaw must refuse the
+    // image, so the shard quarantines instead of the process aborting
+    // on a huge allocation at boot or at shutdown's re-key.
+    let config = StoreConfig {
+        shards: 2,
+        shard_bytes: 1 << 14,
+        ..StoreConfig::default()
+    };
+    for field in [14, 22] {
+        let dir = temp_dir("forged");
+        let store = SecureStore::open(&dir, config.clone()).expect("open fresh");
+        for i in 0..20u64 {
+            store.write(i * BLOCK, &[i as u8 + 1; 64]).expect("write");
+        }
+        assert!(store.shutdown().all_resealed());
+        let path = dir.join("shard1").join("snapshot.bin");
+        let mut bytes = std::fs::read(&path).unwrap();
+        forge_engine_header(&mut bytes, field, &(1u64 << 40).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let store = SecureStore::open(&dir, config.clone()).expect("a forgery quarantines");
+        for i in 0..20u64 {
+            match (i % 2, store.read(i * BLOCK)) {
+                (1, Err(StoreError::ShardPoisoned { shard: 1, .. })) => {}
+                (0, Ok(block)) => assert_eq!(block, [i as u8 + 1; 64], "block {i}"),
+                (shard, other) => panic!("field {field}: block {i} on shard {shard}: {other:?}"),
+            }
+        }
+        let resealed: Vec<bool> = store.shutdown().shards.iter().map(|s| s.resealed).collect();
+        assert_eq!(
+            resealed,
+            [true, false],
+            "field {field}: only shard 1 quarantined"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "evidence preserved");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn an_io_error_on_shard_0_fails_the_open_with_that_error() {
     // shard 0: the snapshot path is a directory, so reading it fails;

@@ -56,6 +56,12 @@ impl ame_telemetry::Metrics for CounterCacheStats {
 /// (the paper's Table 1 metadata cache is 8-way).
 const WAYS: usize = 8;
 
+/// The largest counter cache [`CachedTree::new`] builds: 65 536 lines
+/// (4 MiB of verified copies), 128× the 512-line metadata cache of the
+/// paper's Table 1. A decoder sizing a cache from stored bytes checks
+/// against it before allocating.
+pub const MAX_CAPACITY: usize = 1 << 16;
+
 /// One cache line: a verified on-chip copy of counter block `leaf`.
 #[derive(Debug, Clone, Copy)]
 struct Line {
@@ -72,7 +78,9 @@ struct Line {
 /// set-associative, leaf `i` mapping to set `i % sets` (the paper's
 /// Table 1 organisation); any other capacity is one fully associative
 /// set. A lookup scans one set, and the lines live in one flat array
-/// allocated once, so hits, misses and evictions allocate nothing.
+/// allocated once, so hits, misses and evictions allocate nothing. A
+/// zero-capacity cache holds no line: every read is a verified walk and
+/// every write goes straight to the tree, and it counts nothing.
 ///
 /// # Example
 ///
@@ -101,14 +109,17 @@ pub struct CachedTree {
 }
 
 impl CachedTree {
-    /// Wraps `tree` with a cache of `capacity` counter blocks.
+    /// Wraps `tree` with a cache of `capacity` counter blocks (0: none).
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` exceeds [`MAX_CAPACITY`].
     #[must_use]
     pub fn new(tree: BonsaiTree, capacity: usize) -> Self {
-        assert!(capacity > 0, "cache must hold at least one block");
+        assert!(
+            capacity <= MAX_CAPACITY,
+            "a counter cache holds at most {MAX_CAPACITY} blocks, not {capacity}"
+        );
         let ways = if capacity.is_multiple_of(WAYS) {
             WAYS
         } else {
@@ -186,6 +197,9 @@ impl CachedTree {
     ///
     /// Propagates [`VerifyError`] from the underlying tree on a miss.
     pub fn read_counter_block(&mut self, idx: u64) -> Result<[u8; NODE_BYTES], VerifyError> {
+        if self.lines.is_empty() {
+            return self.tree.read_counter_block(idx);
+        }
         self.clock += 1;
         let lines = self.set_of(idx);
         let set = &mut self.lines[lines];
@@ -203,7 +217,9 @@ impl CachedTree {
     /// Writes a counter block through the cache into the tree.
     pub fn write_counter_block(&mut self, idx: u64, content: [u8; NODE_BYTES]) {
         self.tree.write_counter_block(idx, content);
-        self.insert(idx, content);
+        if !self.lines.is_empty() {
+            self.insert(idx, content);
+        }
     }
 
     /// Drops every on-chip copy (e.g. on a power transition), forcing
@@ -291,8 +307,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one block")]
-    fn zero_capacity_panics() {
-        let _ = cached(0);
+    fn zero_capacity_passes_through() {
+        // No line: every read walks (and so sees tampering at once) and
+        // nothing is counted.
+        let mut c = cached(0);
+        c.write_counter_block(7, [9; 64]);
+        assert_eq!(c.read_counter_block(7).unwrap(), [9; 64]);
+        c.tree_mut().tamper_counter_block(7, |b| b[0] ^= 1);
+        assert!(c.read_counter_block(7).is_err());
+        assert_eq!(c.stats(), CounterCacheStats::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 blocks")]
+    fn capacity_above_the_ceiling_panics() {
+        let _ = cached(MAX_CAPACITY + 1);
     }
 }

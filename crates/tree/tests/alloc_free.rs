@@ -1,6 +1,7 @@
 //! The counter fetch allocates nothing once warm: a verified tree walk,
-//! a path update of an existing leaf, and a counter-cache hit, miss and
-//! eviction are counted by a counting global allocator, not timed.
+//! a path update of an existing leaf, a counter-cache hit, miss and
+//! eviction, and a walk through a zero-capacity cache are counted by a
+//! counting global allocator, not timed.
 
 use ame_crypto::MemoryCipher;
 use ame_tree::{BonsaiTree, CachedTree};
@@ -113,4 +114,24 @@ fn counter_cache_hits_misses_and_evictions_do_not_allocate() {
             "capacity {capacity}: (hit, miss, eviction) allocations"
         );
     }
+}
+
+#[test]
+fn a_zero_capacity_cache_walks_and_updates_without_allocating() {
+    // No lines: every read is a verified walk and every write a path
+    // update, straight through to the tree.
+    let mut cached = CachedTree::new(tree(200), 0);
+    let leaf = 37 * 150;
+    assert!(cached.read_counter_block(leaf).is_ok());
+    let read = allocations(|| {
+        assert!(cached.read_counter_block(leaf).is_ok());
+    });
+    let write = allocations(|| cached.write_counter_block(leaf, [0xaa; 64]));
+    assert_eq!((read, write), (0, 0), "(walk, path update) allocations");
+    assert_eq!(cached.read_counter_block(leaf).unwrap(), [0xaa; 64]);
+    assert_eq!(
+        cached.stats(),
+        Default::default(),
+        "a pass-through counts nothing"
+    );
 }

@@ -8,49 +8,9 @@ use ame::counters::dual::{DualLengthConfig, DualLengthDeltaCounters};
 use ame::counters::packing::{DualGroup, FlatGroup};
 use ame::counters::split::SplitCounters;
 use ame::counters::{CounterScheme, WriteOutcome};
-use ame::crypto::mac::gf64_mul;
 use ame::crypto::MemoryCipher;
 use ame::ecc::secded::{Secded63, Secded72};
 use ame_prng::StdRng;
-
-// ---- GF(2^64) algebra ----
-
-#[test]
-fn gf64_commutative() {
-    let mut rng = StdRng::seed_from_u64(0x6F_01);
-    for _ in 0..256 {
-        let (a, b) = (rng.next_u64(), rng.next_u64());
-        assert_eq!(gf64_mul(a, b), gf64_mul(b, a));
-    }
-}
-
-#[test]
-fn gf64_associative() {
-    let mut rng = StdRng::seed_from_u64(0x6F_02);
-    for _ in 0..256 {
-        let (a, b, c) = (rng.next_u64(), rng.next_u64(), rng.next_u64());
-        assert_eq!(gf64_mul(gf64_mul(a, b), c), gf64_mul(a, gf64_mul(b, c)));
-    }
-}
-
-#[test]
-fn gf64_distributive() {
-    let mut rng = StdRng::seed_from_u64(0x6F_03);
-    for _ in 0..256 {
-        let (a, b, c) = (rng.next_u64(), rng.next_u64(), rng.next_u64());
-        assert_eq!(gf64_mul(a, b ^ c), gf64_mul(a, b) ^ gf64_mul(a, c));
-    }
-}
-
-#[test]
-fn gf64_identity_and_zero() {
-    let mut rng = StdRng::seed_from_u64(0x6F_04);
-    for _ in 0..256 {
-        let a = rng.next_u64();
-        assert_eq!(gf64_mul(a, 1), a);
-        assert_eq!(gf64_mul(a, 0), 0);
-    }
-}
 
 // ---- SEC-DED codes ----
 
