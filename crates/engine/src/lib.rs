@@ -8,7 +8,11 @@
 //!   Bonsai Merkle tree over real packed counter blocks, and the
 //!   MAC-in-ECC side-band layout of Figure 2. It detects tampering and
 //!   replay, and corrects DRAM faults with the brute-force
-//!   *flip-and-check* procedure of Section 3.4 ([`correction`]).
+//!   *flip-and-check* procedure of Section 3.4 ([`correction`]). It is
+//!   the one door to protected memory, in 64-byte blocks only: a store
+//!   shard drives it directly, keeps its region's bound itself, and
+//!   makes sub-block stores verified read-modify-writes. [`region`] is
+//!   the `AMEREGN` image codec of an engine together with that bound.
 //! * [`timing::TimingEngine`] — the *performance* model: counts and times
 //!   the DRAM transactions each protected access generates (counter-tree
 //!   walks through the metadata cache, separate MAC fetches vs the free
@@ -640,23 +644,23 @@ impl MemoryEncryptionEngine {
     /// Writes a batch of block-aligned full-block stores, behaviourally
     /// identical to calling [`Self::write_block`] once per item in order
     /// (duplicate addresses included: each store bumps the counter, the
-    /// last one survives), but generating the seal keystreams of every
-    /// overflow-free run with one pipelined [`MemoryCipher::keystream_batch`]
-    /// call instead of a per-block AES invocation.
+    /// last one survives), but sealing every overflow-free run with one
+    /// pipelined [`MemoryCipher::keystream_batch`] and one
+    /// [`MemoryCipher::mac_batch`] call instead of a per-block AES
+    /// invocation and tag.
     ///
-    /// A group-counter overflow inside the batch forces the pending run
-    /// to seal per-block first (its captured counters must hit storage
-    /// before the group re-encryption rewrites those blocks), so the
-    /// batched fast path covers exactly the overflow-free stretches —
-    /// which is all of them outside the rare counter-wrap events.
+    /// A group-counter overflow inside the batch seals the pending run
+    /// first (its captured counters must hit storage before the group
+    /// re-encryption rewrites those blocks), through the same batched
+    /// seal as the rest of the batch.
     ///
     /// # Panics
     ///
     /// Panics if any address is not 64-byte aligned or not below
     /// [`ADDR_LIMIT`].
     pub fn write_blocks(&mut self, items: &[(u64, [u8; BLOCK_BYTES])]) {
-        // Phase 1: bump counters in order, accumulating `(item, counter)`
-        // runs that are safe to seal from one batched keystream.
+        // Bump counters in order, accumulating `(item, counter)` runs
+        // that are safe to seal from one batched keystream.
         let mut run: Vec<(usize, u64)> = Vec::with_capacity(items.len());
         for (i, &(addr, _)) in items.iter().enumerate() {
             Self::check_addr(addr);
@@ -674,14 +678,22 @@ impl MemoryEncryptionEngine {
                 // items may be in that group, so commit them under their
                 // captured counters *now* (those captured values are the
                 // `old_counters` the re-encryption will use).
-                self.flush_write_run(items, &run);
+                self.seal_write_run(items, &run);
                 run.clear();
                 self.reencrypt_group(group, &old_counters, new_counter);
             }
             run.push((i, self.counters.counter(block)));
         }
-        // Phase 2: one keystream batch encrypts the overflow-free tail
-        // and one multi-message MAC batch seals it.
+        self.seal_write_run(items, &run);
+    }
+
+    /// Seals a pending `(item index, counter)` run of
+    /// [`Self::write_blocks`]: one keystream batch encrypts it, one
+    /// multi-message MAC batch tags it, and the tree is synced once per
+    /// metadata block it touched — every counter of the run was bumped
+    /// before the first seal, so per-block syncs would all write the
+    /// same images.
+    fn seal_write_run(&mut self, items: &[(u64, [u8; BLOCK_BYTES])], run: &[(usize, u64)]) {
         if run.is_empty() {
             return;
         }
@@ -700,34 +712,13 @@ impl MemoryEncryptionEngine {
             .collect();
         let tags = self.cipher.mac_batch(&nonces, &ciphertexts);
         self.mac_batch_dist.record(ciphertexts.len() as u64);
-        for ((&(i, _), ct), tag) in run.iter().zip(ciphertexts).zip(tags) {
-            self.seal_ciphertext_with_tag(items[i].0, ct, tag);
+        for ((&(addr, _), ct), tag) in nonces.iter().zip(ciphertexts).zip(tags) {
+            self.seal_ciphertext_with_tag(addr, ct, tag);
         }
-        self.finish_write_run(items, &run);
-    }
-
-    /// Seals a pending `(item index, counter)` run per-block — the slow
-    /// path [`Self::write_blocks`] takes when a counter overflow lands
-    /// mid-batch.
-    fn flush_write_run(&mut self, items: &[(u64, [u8; BLOCK_BYTES])], run: &[(usize, u64)]) {
-        for &(i, counter) in run {
-            let (addr, plain) = items[i];
-            self.seal(addr, counter, &plain);
-        }
-        self.finish_write_run(items, run);
-    }
-
-    /// Accounts a sealed write run and syncs the tree once per metadata
-    /// block it touched: every counter of the run was bumped before the
-    /// first seal, so per-block syncs would all write the same images.
-    fn finish_write_run(&mut self, items: &[(u64, [u8; BLOCK_BYTES])], run: &[(usize, u64)]) {
         self.stats.writes += run.len() as u64;
-        let metas = run
+        let metas = nonces
             .iter()
-            .map(|&(i, _)| {
-                self.counters
-                    .metadata_block_of(Self::block_index(items[i].0))
-            })
+            .map(|&(addr, _)| self.counters.metadata_block_of(Self::block_index(addr)))
             .collect();
         self.sync_tree_metas(metas);
     }
@@ -1194,9 +1185,14 @@ impl MemoryEncryptionEngine {
 
     /// Starts a write-intent log replay into this engine ([`SealedReplay`]):
     /// the one way sealed state enters an engine. Any block-aligned
-    /// address below [`ADDR_LIMIT`] may be installed.
-    pub fn replay_sealed(&mut self) -> SealedReplay<'_> {
-        SealedReplay::new(self, ADDR_LIMIT)
+    /// address below `limit` (the caller's region size; never past
+    /// [`ADDR_LIMIT`]) may be installed.
+    pub fn replay_sealed(&mut self, limit: u64) -> SealedReplay<'_> {
+        SealedReplay {
+            engine: self,
+            limit: limit.min(ADDR_LIMIT),
+            dirty: IndexMap::default(),
+        }
     }
 
     /// Reads and verifies every resident block (tree walk + MAC check),
@@ -1389,8 +1385,7 @@ impl MemoryEncryptionEngine {
 }
 
 /// A write-intent log replay in progress, from
-/// [`MemoryEncryptionEngine::replay_sealed`] or
-/// [`SecureRegion::replay_sealed`](region::SecureRegion::replay_sealed).
+/// [`MemoryEncryptionEngine::replay_sealed`].
 ///
 /// [`install`](Self::install) restores one logged post-image, in log
 /// order: its counter *value* first (so the scheme checks that the value
@@ -1414,15 +1409,7 @@ pub struct SealedReplay<'a> {
     dirty: IndexMap<()>,
 }
 
-impl<'a> SealedReplay<'a> {
-    pub(crate) fn new(engine: &'a mut MemoryEncryptionEngine, limit: u64) -> Self {
-        Self {
-            engine,
-            limit,
-            dirty: IndexMap::default(),
-        }
-    }
-
+impl SealedReplay<'_> {
     /// Installs the logged post-image of the block at `addr`.
     ///
     /// # Errors
@@ -1859,12 +1846,11 @@ mod tests {
 
     #[test]
     fn engine_is_send() {
-        // Shards hand whole engines (and the regions wrapping them) to
-        // dedicated worker threads; a non-Send field sneaking in must
-        // fail compilation, not a downstream crate.
+        // Shards hand whole engines to dedicated worker threads; a
+        // non-Send field sneaking in must fail compilation, not a
+        // downstream crate.
         fn assert_send<T: Send>() {}
         assert_send::<MemoryEncryptionEngine>();
-        assert_send::<crate::region::SecureRegion>();
         assert_send::<EngineConfig>();
     }
 
@@ -2173,18 +2159,17 @@ mod tests {
     #[test]
     fn thaw_rejects_flipped_bit_anywhere() {
         // Enumerated, not sampled: every bit of a small region image.
-        let mut region = crate::region::SecureRegion::new(EngineConfig::default(), 4096);
+        let mut e = MemoryEncryptionEngine::new(EngineConfig::default());
         for b in 0..4u64 {
-            region.write_bytes(b * 64, &[b as u8; 64]).unwrap();
+            e.write_block(b * 64, &[b as u8; 64]);
         }
-        let img = region.freeze();
+        let img = region::freeze(&e, 4096);
         assert!(img.len() <= 4096, "small enough to enumerate");
-        assert!(crate::region::SecureRegion::thaw(&img).is_ok());
+        assert!(region::thaw(&img).is_ok());
         for bit in 0..img.len() * 8 {
             let mut bad = img.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            let err = crate::region::SecureRegion::thaw(&bad)
-                .expect_err("a flipped image bit must be detected");
+            let err = region::thaw(&bad).expect_err("a flipped image bit must be detected");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "bit {bit}");
         }
     }
@@ -2247,7 +2232,7 @@ mod tests {
             assert_eq!(decoded, sealed, "sealed state round-trips");
 
             let mut back = MemoryEncryptionEngine::thaw_from(&mut ByteReader::new(&img)).unwrap();
-            let mut replay = back.replay_sealed();
+            let mut replay = back.replay_sealed(ADDR_LIMIT);
             replay.install(64, &decoded).unwrap();
             assert_eq!(replay.finish(), 1, "one metadata block re-synced");
             back.verify_all().unwrap();
@@ -2275,7 +2260,7 @@ mod tests {
             max_correctable_flips: 0,
             ..EngineConfig::default()
         });
-        fresh.replay_sealed().install(0, &forged).unwrap();
+        fresh.replay_sealed(4096).install(0, &forged).unwrap();
         assert!(fresh.verify_all().is_err(), "forged bits must not verify");
     }
 }

@@ -2,13 +2,13 @@
 //! the address's low 48 bits only, so block `A` and block
 //! `A + ADDR_LIMIT` under equal counters would share a keystream (a
 //! two-time pad) and a MAC pad (a splice that verifies). The bound is
-//! therefore checked, not assumed: every engine block entry point, a
-//! region's size and a thawed region image refuse anything past it.
+//! therefore checked, not assumed: every engine block entry point and a
+//! thawed region image (its size, and every block it holds) refuse
+//! anything past it.
 
 use ame_crypto::ctr::ADDR_LIMIT;
 use ame_crypto::MemoryCipher;
-use ame_engine::region::SecureRegion;
-use ame_engine::{EngineConfig, MemoryEncryptionEngine};
+use ame_engine::{region, EngineConfig, MemoryEncryptionEngine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn refused<T>(f: impl FnOnce() -> T) -> bool {
@@ -52,24 +52,27 @@ fn addresses_past_the_48_bit_limit_are_refused() {
     assert_eq!(engine.read_block(last).unwrap(), [3; 64]);
     assert_eq!(engine.read_block(0x40).unwrap(), [1; 64]);
 
-    // A region may span the whole bound (pages are lazy), not past it.
+    // A region image may span the whole bound (pages are lazy), not
+    // past it, and holds nothing at or past its size: the engine above
+    // still holds the spliced alias, so its image is refused at thaw.
+    let err = region::thaw(&region::freeze(&engine, ADDR_LIMIT)).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     let config = EngineConfig::default();
-    assert!(refused(|| SecureRegion::new(config, ADDR_LIMIT + 4096)));
-    let mut region = SecureRegion::new(config, ADDR_LIMIT);
-    region.write_bytes(last, &[4; 64]).unwrap();
-    let mut buf = [0u8; 64];
-    region.read_bytes(last, &mut buf).unwrap();
-    assert_eq!(buf, [4; 64]);
+    let mut fresh = MemoryEncryptionEngine::new(config);
+    fresh.write_block(last, &[4; 64]);
+    let (mut back, size) = region::thaw(&region::freeze(&fresh, ADDR_LIMIT)).unwrap();
+    assert_eq!(size, ADDR_LIMIT);
+    assert_eq!(back.read_block(last).unwrap(), [4; 64]);
 
     // A checksum-valid image claiming an oversized region is refused at
     // thaw. The size is the payload's first u64, after the 20-byte
     // section header; the trailing CRC covers everything before it.
-    let mut image = SecureRegion::new(config, 4096).freeze();
-    assert!(SecureRegion::thaw(&image).is_ok());
+    let mut image = region::freeze(&MemoryEncryptionEngine::new(config), 4096);
+    assert!(region::thaw(&image).is_ok());
     image[20..28].copy_from_slice(&(ADDR_LIMIT + 4096).to_le_bytes());
     let body = image.len() - 8;
     let crc = ame_persist::crc64(&image[..body]);
     image[body..].copy_from_slice(&crc.to_le_bytes());
-    let err = SecureRegion::thaw(&image).unwrap_err();
+    let err = region::thaw(&image).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }

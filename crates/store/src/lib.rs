@@ -1,8 +1,7 @@
 //! A sharded, concurrent secure memory service over the AME engine.
 //!
-//! The rest of the workspace drives one
-//! [`MemoryEncryptionEngine`](ame_engine::MemoryEncryptionEngine) from a
-//! single-threaded trace loop. This crate turns that engine into a
+//! The rest of the workspace drives one [`MemoryEncryptionEngine`] from
+//! a single-threaded trace loop. This crate turns that engine into a
 //! *service*: a [`SecureStore`] partitions a flat protected address space
 //! across `N` shards, each shard owning a whole independently-keyed
 //! engine (its own AES keys, counters, Bonsai tree, DRAM image) behind a
@@ -63,10 +62,9 @@ pub use session::{Session, SessionConfig, SessionReaper, SessionStats, SessionSu
 pub use shard::{SealReport, ShardStats};
 pub use wake::WakeFd;
 
-use ame_engine::region::SecureRegion;
 pub use ame_engine::BLOCK_BYTES;
 
-use ame_engine::{EngineConfig, ReadError};
+use ame_engine::{EngineConfig, MemoryEncryptionEngine, ReadError};
 use ame_telemetry::{Snapshot, StatsRegistry, Value};
 use shard::{Op, OpOutput, Request, Route, ShardShared, ShardWorker};
 use std::io;
@@ -373,7 +371,7 @@ impl SecureStore {
                         let started = Instant::now();
                         let boot = match &boot_persist {
                             // A missing shard directory recovers to a
-                            // fresh region with an empty log — creation
+                            // fresh engine with an empty log — creation
                             // and recovery are the same path, so they
                             // cannot drift apart.
                             Some((dir, fs)) => match recover_shard(&boot_config, s, fs, dir) {
@@ -388,9 +386,8 @@ impl SecureStore {
                                 }
                             },
                             None => ShardBoot {
-                                region: SecureRegion::new(
+                                engine: MemoryEncryptionEngine::new(
                                     boot_config.engine.for_tenant(boot_config.tenant, s),
-                                    boot_config.shard_bytes,
                                 ),
                                 poisoned: None,
                                 dead: false,
@@ -402,7 +399,8 @@ impl SecureStore {
                             .map_or(0, |_| started.elapsed().as_nanos() as u64);
                         let worker = ShardWorker::new(
                             s,
-                            boot.region,
+                            boot.engine,
+                            boot_config.shard_bytes,
                             reseal_seed,
                             boot_config.max_batch,
                             worker_shared,

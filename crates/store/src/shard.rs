@@ -1,10 +1,10 @@
 //! The per-shard worker: one thread, one engine, one request queue.
 //!
-//! A shard owns a [`SecureRegion`] (and therefore a whole
-//! [`MemoryEncryptionEngine`](ame_engine::MemoryEncryptionEngine) with its
-//! own keys, counters, and integrity tree) and services requests from a
-//! bounded `mpsc` queue. The worker drains up to `max_batch` queued
-//! requests per wakeup and serves them as one *service batch*: runs of
+//! A shard owns a whole [`MemoryEncryptionEngine`] (its own keys,
+//! counters, and integrity tree) over the region `[0, shard_bytes)` and
+//! services requests from a bounded `mpsc` queue. The worker drains up
+//! to `max_batch` queued requests per wakeup and serves them as one
+//! *service batch*: runs of
 //! consecutive full-block writes — regardless of whether they arrived as
 //! individual submissions or [`submit_batch`] operations — are fused into a
 //! single engine-level [`write_blocks`] call, so their seal keystreams
@@ -17,11 +17,13 @@
 //! semantics stay bit-identical to sequential service. That is the one
 //! way a data operation is served — a lone operation is a run of one —
 //! and outside a run the worker only ever *rejects*: an operation on a
-//! quarantined shard or an address outside the region. At most one fusion
-//! buffer is ever non-empty — parking a write flushes pending reads and
-//! vice versa — and a read parking behind a pending RMW to the *same*
-//! block flushes first, so fusion never changes what any operation
-//! observes. Every operation records its queue wait (enqueue → dequeue)
+//! quarantined shard or an address outside the region. That park-time
+//! check is the shard's one bounds check: the front end already checked
+//! alignment and the store's range, and the engine asserts only its own
+//! 48-bit address limit. At most one fusion buffer is ever non-empty —
+//! parking a write flushes pending reads and vice versa — and a read
+//! parking behind a pending RMW to the *same* block flushes first, so
+//! fusion never changes what any operation observes. Every operation records its queue wait (enqueue → dequeue)
 //! and its service latency individually (a fused run charges each op its
 //! `elapsed/n` share), so deep pipelined windows show up in the
 //! histograms as queue time, not inflated service time.
@@ -48,11 +50,10 @@
 //! Other shards are unaffected.
 //!
 //! [`submit_batch`]: crate::SecureStore::submit_batch
-//! [`write_blocks`]: ame_engine::region::SecureRegion::write_blocks
-//! [`read_blocks`]: ame_engine::region::SecureRegion::read_blocks
+//! [`write_blocks`]: MemoryEncryptionEngine::write_blocks
+//! [`read_blocks`]: MemoryEncryptionEngine::read_blocks
 
-use ame_engine::region::SecureRegion;
-use ame_engine::{ReadError, BLOCK_BYTES};
+use ame_engine::{region, MemoryEncryptionEngine, ReadError, BLOCK_BYTES};
 use ame_telemetry::{Histogram, MetricSink, Metrics, Snapshot, StatsRegistry};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -322,14 +323,6 @@ struct Dest {
     seq: u64,
 }
 
-/// One write parked in the fusion buffer awaiting the batched seal.
-struct PendingWrite {
-    local: u64,
-    data: [u8; BLOCK_BYTES],
-    queue_ns: u64,
-    dest: Dest,
-}
-
 /// One read (or the read half of an RMW) parked in the fusion buffer
 /// awaiting the batched verify.
 struct PendingRead {
@@ -341,17 +334,11 @@ struct PendingRead {
     rmw: Option<RmwFn>,
 }
 
-/// The error of a shard-local block address outside the region.
-fn out_of_range(local: u64) -> StoreError {
-    StoreError::OutOfRange {
-        addr: local,
-        len: BLOCK_BYTES as u64,
-    }
-}
-
 pub(crate) struct ShardWorker {
     shard: usize,
-    region: SecureRegion,
+    engine: MemoryEncryptionEngine,
+    /// The region's size: every local address is below it.
+    shard_bytes: u64,
     /// Seed the shard re-keys to on graceful shutdown.
     reseal_seed: u64,
     max_batch: usize,
@@ -368,8 +355,11 @@ pub(crate) struct ShardWorker {
     /// Intent records appended since the last sync. Non-zero means the
     /// log's tail is not yet durable.
     wal_unsynced: u64,
-    /// The write run awaiting its batched seal.
-    writes: Vec<PendingWrite>,
+    /// The write run awaiting its batched seal, as the engine and the
+    /// intent record take it.
+    writes: Vec<(u64, [u8; BLOCK_BYTES])>,
+    /// Each parked write's destination and queue wait, in run order.
+    write_dests: Vec<(Dest, u64)>,
     /// The read run (plain reads and RMW read halves) awaiting its
     /// batched verify. At most one of the two runs is non-empty.
     reads: Vec<PendingRead>,
@@ -382,14 +372,16 @@ pub(crate) struct ShardWorker {
 impl ShardWorker {
     pub(crate) fn new(
         shard: usize,
-        region: SecureRegion,
+        engine: MemoryEncryptionEngine,
+        shard_bytes: u64,
         reseal_seed: u64,
         max_batch: usize,
         shared: Arc<ShardShared>,
     ) -> Self {
         Self {
             shard,
-            region,
+            engine,
+            shard_bytes,
             reseal_seed,
             max_batch,
             shared,
@@ -399,6 +391,7 @@ impl ShardWorker {
             persist: None,
             wal_unsynced: 0,
             writes: Vec::new(),
+            write_dests: Vec::new(),
             reads: Vec::new(),
             outboxes: Vec::new(),
             stats: ShardStats::default(),
@@ -465,7 +458,7 @@ impl ShardWorker {
         // image; a poisoned shard must not launder corrupted blocks, so
         // it is left quarantined and its durable state untouched.
         let resealed = self.healthy()
-            && self.region.engine_mut().rekey(self.reseal_seed).is_ok()
+            && self.engine.rekey(self.reseal_seed).is_ok()
             && (self.persist.is_none() || self.checkpoint().is_ok());
         SealReport {
             shard: self.shard,
@@ -539,9 +532,9 @@ impl ShardWorker {
                     self.flush_runs();
                     self.release();
                     if sideband {
-                        self.region.engine_mut().tamper_sideband_bit(local, bit);
+                        self.engine.tamper_sideband_bit(local, bit);
                     } else {
-                        self.region.engine_mut().tamper_data_bit(local, bit);
+                        self.engine.tamper_data_bit(local, bit);
                     }
                     self.stats.tampers += 1;
                     let _ = ack.send(());
@@ -598,7 +591,7 @@ impl ShardWorker {
     /// observe the same snapshot, exactly as sequential service would).
     fn handle_op(&mut self, op: Op, queue_ns: u64, dest: Dest) {
         let (Op::Read { local } | Op::Write { local, .. } | Op::Rmw { local, .. }) = op;
-        let in_bounds = local + BLOCK_BYTES as u64 <= self.region.size();
+        let in_bounds = local + BLOCK_BYTES as u64 <= self.shard_bytes;
         if self.healthy() && in_bounds {
             match op {
                 // Pending reads arrived first and must observe the
@@ -621,12 +614,10 @@ impl ShardWorker {
             // failure.
             if self.healthy() {
                 match op {
-                    Op::Write { local, data } => self.writes.push(PendingWrite {
-                        local,
-                        data,
-                        queue_ns,
-                        dest,
-                    }),
+                    Op::Write { local, data } => {
+                        self.writes.push((local, data));
+                        self.write_dests.push((dest, queue_ns));
+                    }
                     Op::Read { local } => self.reads.push(PendingRead {
                         local,
                         queue_ns,
@@ -646,7 +637,10 @@ impl ShardWorker {
         self.flush_runs();
         let start = Instant::now();
         let result = Err(if self.healthy() {
-            out_of_range(local)
+            StoreError::OutOfRange {
+                addr: local,
+                len: BLOCK_BYTES as u64,
+            }
         } else {
             self.reject_poisoned()
         });
@@ -718,37 +712,28 @@ impl ShardWorker {
         if self.writes.is_empty() {
             return;
         }
-        let mut fused = std::mem::take(&mut self.writes);
-        let n = fused.len() as u64;
+        let mut items = std::mem::take(&mut self.writes);
+        let n = items.len() as u64;
         let start = Instant::now();
-        let items: Vec<(u64, [u8; BLOCK_BYTES])> =
-            fused.iter().map(|w| (w.local, w.data)).collect();
-        if self.region.write_blocks(&items).is_err() {
-            // Unreachable in practice (bounds-checked at park time,
-            // alignment guaranteed by `locate`): nothing was written,
-            // every op of the run fails.
-            for w in fused.drain(..) {
-                self.deliver(w.dest, Err(out_of_range(w.local)), w.queue_ns, 0);
-            }
-            self.writes = fused;
-            return;
-        }
+        self.engine.write_blocks(&items);
         self.stats.writes += n;
         // The whole run is logged as ONE intent record before any
         // delivery: no acknowledgement leaves the worker before its write
         // is durable, and a run whose intent never reached the log
         // acknowledges nothing.
-        let locals: Vec<u64> = items.iter().map(|&(local, _)| local).collect();
-        let logged = self.persist_writes(&locals);
+        let logged = self.persist_writes(&items);
         let elapsed_ns = start.elapsed().as_nanos() as u64;
         let share_ns = elapsed_ns / n;
         self.stats.fused_writes.record(n);
         self.stats.service_latency_ns.record_n(share_ns, n);
-        for w in fused.drain(..) {
+        let mut dests = std::mem::take(&mut self.write_dests);
+        for (dest, queue_ns) in dests.drain(..) {
             let result = logged.map(|()| OpOutput::Written);
-            self.deliver(w.dest, result, w.queue_ns, share_ns);
+            self.deliver(dest, result, queue_ns, share_ns);
         }
-        self.writes = fused;
+        items.clear();
+        self.writes = items;
+        self.write_dests = dests;
     }
 
     /// Commits the read run through one engine `read_blocks` call: the
@@ -772,17 +757,7 @@ impl ShardWorker {
         let n = fused.len() as u64;
         let start = Instant::now();
         let addrs: Vec<u64> = fused.iter().map(|r| r.local).collect();
-        let Ok(run) = self.region.read_blocks(&addrs) else {
-            // Unreachable in practice (bounds-checked at park time,
-            // alignment guaranteed by `locate`, verification failures
-            // reported inside the run): nothing was read, every op of the
-            // run fails.
-            for r in fused.drain(..) {
-                self.deliver(r.dest, Err(out_of_range(r.local)), r.queue_ns, 0);
-            }
-            self.reads = fused;
-            return;
-        };
+        let run = self.engine.read_blocks(&addrs);
 
         // Apply RMW mutators to the verified prefix and stage their
         // write-backs (hazard flushing keeps RMW addresses distinct, so
@@ -808,13 +783,11 @@ impl ShardWorker {
         if !write_backs.is_empty() {
             // Commit before reporting any failure: sequential service
             // completes every op preceding the failing one in full.
-            let committed = self.region.write_blocks(&write_backs).is_ok();
-            debug_assert!(committed, "staged RMW write-backs cannot fail");
+            self.engine.write_blocks(&write_backs);
             // One intent record covers the run's write-backs; if it
             // cannot be logged, the RMWs must not be acknowledged (their
             // plain-read neighbours carry no new state and still may).
-            let locals: Vec<u64> = write_backs.iter().map(|&(local, _)| local).collect();
-            if let Err(e) = self.persist_writes(&locals) {
+            if let Err(e) = self.persist_writes(&write_backs) {
                 for r in &mut results {
                     if matches!(r, Ok(OpOutput::Modified { .. })) {
                         *r = Err(e);
@@ -893,41 +866,38 @@ impl ShardWorker {
         match &self.persist {
             None => false,
             Some(p) => {
-                p.last_reencryptions != self.region.engine().counter_stats().reencryptions
+                p.last_reencryptions != self.engine.counter_stats().reencryptions
                     || p.wal.size() >= p.image_bytes
             }
         }
     }
 
-    /// Makes the sealed post-images of `locals` durable *before* their
-    /// acknowledgements leave the worker: one intent record for the
-    /// whole run, or a full snapshot rotation when one is due (the
-    /// snapshot subsumes the record).
+    /// Makes the sealed post-images of the run `items` just wrote durable
+    /// *before* their acknowledgements leave the worker: one intent
+    /// record for the whole run, or a full snapshot rotation when one is
+    /// due (the snapshot subsumes the record).
     ///
     /// # Errors
     ///
     /// A persistence I/O failure quarantines the shard; the caller must
     /// fail (not acknowledge) the writes it covers.
-    fn persist_writes(&mut self, locals: &[u64]) -> Result<(), StoreError> {
-        if self.persist.is_none() || locals.is_empty() {
+    fn persist_writes(&mut self, items: &[(u64, [u8; BLOCK_BYTES])]) -> Result<(), StoreError> {
+        if self.persist.is_none() || items.is_empty() {
             return Ok(());
         }
         let outcome = if self.rotation_due() {
             self.checkpoint()
         } else {
-            let region = &mut self.region;
+            let engine = &mut self.engine;
             let p = self.persist.as_mut().expect("checked above");
             // Unsynced append: the record reaches the page cache now and
             // becomes durable at the shared sync of the next
             // [`release`](Self::release), which holds the covered acks
             // until then.
             let appended = p.wal.append_unsynced(|out| {
-                put_writes_head(out, locals.len());
-                for &local in locals {
-                    let state = region
-                        .export_sealed(local)
-                        .expect("fused locals are bounds-checked and aligned");
-                    put_write(out, local, &state);
+                put_writes_head(out, items.len());
+                for &(local, _) in items {
+                    put_write(out, local, &engine.export_sealed(local));
                 }
             });
             appended.map(|bytes| {
@@ -939,15 +909,16 @@ impl ShardWorker {
         outcome.map_err(|_| self.poison_io())
     }
 
-    /// Rotates the durable state: freezes the region into a fresh
-    /// atomic snapshot under the next checkpoint generation and replaces
-    /// the intent log with one bound to that generation. The snapshot is
-    /// durable before the new log's first byte exists, which is what
-    /// lets recovery discard a stale log instead of regressing.
+    /// Rotates the durable state: freezes the engine and the region size
+    /// ([`region::freeze`]) into a fresh atomic snapshot under the next
+    /// checkpoint generation and replaces the intent log with one bound
+    /// to that generation. The snapshot is durable before the new log's
+    /// first byte exists, which is what lets recovery discard a stale log
+    /// instead of regressing.
     fn checkpoint(&mut self) -> io::Result<()> {
         let started = Instant::now();
-        let image = self.region.freeze();
-        let reencryptions = self.region.engine().counter_stats().reencryptions;
+        let image = region::freeze(&self.engine, self.shard_bytes);
+        let reencryptions = self.engine.counter_stats().reencryptions;
         let Some(p) = self.persist.as_mut() else {
             return Ok(());
         };
@@ -972,7 +943,7 @@ impl ShardWorker {
         let mut stats = self.stats.clone();
         stats.poisoned = !self.healthy();
         let mut registry = StatsRegistry::new();
-        registry.collect("", self.region.engine());
+        registry.collect("", &self.engine);
         ShardReport {
             stats,
             engine: registry.snapshot(),
@@ -1062,8 +1033,8 @@ mod tests {
     #[test]
     fn every_route_gets_one_message_and_one_ring_per_wakeup() {
         let shared = Arc::new(ShardShared::default());
-        let region = SecureRegion::new(EngineConfig::default(), 1 << 16);
-        let mut worker = ShardWorker::new(0, region, 1, 64, Arc::clone(&shared));
+        let engine = MemoryEncryptionEngine::new(EngineConfig::default());
+        let mut worker = ShardWorker::new(0, engine, 1 << 16, 1, 64, Arc::clone(&shared));
         let [a, b, batch, one_shot] = serve_four_routes(&mut worker);
         let zeros = [0; BLOCK_BYTES];
         assert_eq!(
@@ -1107,7 +1078,8 @@ mod tests {
         };
         let boot = recover_shard(&config, 0, &fs, dir).unwrap();
         let shared = Arc::new(ShardShared::default());
-        ShardWorker::new(0, boot.region, 1, 64, shared).with_persist(boot.persist, 0)
+        ShardWorker::new(0, boot.engine, config.shard_bytes, 1, 64, shared)
+            .with_persist(boot.persist, 0)
     }
 
     /// When the group commit's `fdatasync` fails, no route of the
@@ -1156,8 +1128,8 @@ mod tests {
     #[test]
     fn a_crash_still_rings_for_the_completions_its_wakeup_sent() {
         let shared = Arc::new(ShardShared::default());
-        let region = SecureRegion::new(EngineConfig::default(), 1 << 16);
-        let worker = ShardWorker::new(0, region, 1, 8, Arc::clone(&shared));
+        let engine = MemoryEncryptionEngine::new(EngineConfig::default());
+        let worker = ShardWorker::new(0, engine, 1 << 16, 1, 8, Arc::clone(&shared));
         let (tx, rx) = sync_channel(8);
         let wake = Arc::new(WakeFd::new().expect("linux hosts have eventfd"));
         let (route, completions) = Route::channel(8, Some(wake));

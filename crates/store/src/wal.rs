@@ -4,12 +4,13 @@
 //! Each shard persists under `dir/shard<N>/` as two artifacts:
 //!
 //! * **`snapshot.bin`** — an 8-byte checkpoint *generation* followed by
-//!   a [`SecureRegion::freeze`] image: the whole sealed region
-//!   (ciphertext, counters, tree, MAC side-band) in one checksummed
-//!   section. Written atomically (temp file, `fsync`, rename, directory
-//!   `fsync`), so a crash mid-snapshot leaves the previous snapshot
-//!   intact and a renamed snapshot is durable, not merely staged in the
-//!   page cache.
+//!   a [`region::freeze`] image: the shard's size and its whole sealed
+//!   engine (ciphertext, counters, tree, MAC side-band) in one
+//!   checksummed section; [`region::thaw`] refuses an image holding a
+//!   block outside that size. Written atomically (temp file, `fsync`,
+//!   rename, directory `fsync`), so a crash mid-snapshot leaves the
+//!   previous snapshot intact and a renamed snapshot is durable, not
+//!   merely staged in the page cache.
 //! * **`wal.bin`** — an append-only write-intent log of
 //!   framed ([`frame_record_into`]) records. A record is appended *and
 //!   `fdatasync`ed* before the write it describes is acknowledged, so
@@ -28,10 +29,11 @@
 //! ciphertext, MAC, and counter *value* the engine produced — never
 //! plaintext. Replay reads each record where it lies in the log image
 //! ([`wal_records`]) and installs every entry in log order through one
-//! [`SealedReplay`](ame_engine::SealedReplay): the counter value (the
-//! scheme re-derives its compressed representation and refuses one it
-//! cannot hold), then the MAC, then the ciphertext. The integrity tree is re-synced once per
-//! distinct counter metadata block at the end of the log, so replay
+//! [`SealedReplay`](ame_engine::SealedReplay), bounded by the shard's
+//! size: the counter value (the scheme re-derives its compressed
+//! representation and refuses one it cannot hold), then the MAC, then
+//! the ciphertext. The integrity tree is re-synced once per distinct
+//! counter metadata block at the end of the log, so replay
 //! holds nothing beyond the log bytes but the set of dirty metadata
 //! blocks. The data MAC binds (address, counter, ciphertext), so a
 //! forged record installs state that fails the post-replay verification
@@ -61,13 +63,13 @@
 //! * a **corrupt** snapshot, record, or replayed state (checksum or
 //!   decode failure) quarantines the shard exactly like a live
 //!   verification failure — siblings keep serving;
-//! * a clean replay still ends with a full [`SecureRegion::verify_all`]
+//! * a clean replay still ends with a full
+//!   [`verify_all`](MemoryEncryptionEngine::verify_all)
 //!   sweep before the shard serves anything (address-ordered runs, one
 //!   verified counter fetch per metadata block): MAC or tree failure
 //!   there quarantines too.
 
-use ame_engine::region::SecureRegion;
-use ame_engine::{ReadError, SealedBlockState};
+use ame_engine::{region, MemoryEncryptionEngine, ReadError, SealedBlockState};
 use ame_persist::{
     frame_record_into, invalid_data, put_u32, put_u64, wal_records, ByteReader, WalRecords,
 };
@@ -212,7 +214,7 @@ fn parent_of(path: &Path) -> &Path {
 /// Appends the head of a write record announcing `count` entries; each
 /// follows through [`put_write`]. A write record holds a served run's
 /// acknowledged writes as `(local, sealed post-image)`, in effect order.
-/// The worker encodes a run straight from the region this way, without
+/// The worker encodes a run straight from its engine this way, without
 /// building the record first.
 pub(crate) fn put_writes_head(out: &mut Vec<u8>, count: usize) {
     out.push(TAG_WRITES);
@@ -263,16 +265,21 @@ pub(crate) fn decode_writes(
     Ok(())
 }
 
-/// Replays the write records of a log, after its header, into `region`
-/// in log order through one [`SealedReplay`](ame_engine::SealedReplay),
-/// which re-syncs the tree once per dirty metadata block when it ends.
+/// Replays the write records of a log, after its header, into `engine`
+/// in log order through one [`SealedReplay`](ame_engine::SealedReplay)
+/// that refuses any address at or past `size`, and re-syncs the tree
+/// once per dirty metadata block when it ends.
 ///
 /// # Errors
 ///
-/// `InvalidData` for a corrupt record or an entry the region refuses;
+/// `InvalidData` for a corrupt record or an entry the replay refuses;
 /// the shard must quarantine.
-fn replay(region: &mut SecureRegion, records: WalRecords<'_>) -> io::Result<()> {
-    let mut replay = region.replay_sealed();
+fn replay(
+    engine: &mut MemoryEncryptionEngine,
+    size: u64,
+    records: WalRecords<'_>,
+) -> io::Result<()> {
+    let mut replay = engine.replay_sealed(size);
     for payload in records {
         decode_writes(payload?, |local, state| replay.install(local, &state))?;
     }
@@ -382,7 +389,7 @@ pub(crate) struct ShardPersist {
 /// What recovering (or freshly creating) one shard's durable state
 /// produced.
 pub(crate) struct ShardBoot {
-    pub region: SecureRegion,
+    pub engine: MemoryEncryptionEngine,
     /// A verification failure caught by the post-replay sweep.
     pub poisoned: Option<ReadError>,
     /// Quarantined without a `ReadError`: corrupt snapshot, corrupt log
@@ -414,38 +421,27 @@ pub(crate) fn recover_shard(
     fs.sync_dir(dir)?;
     let snap_path = sdir.join("snapshot.bin");
     let wal_path = sdir.join("wal.bin");
-    let quarantine = |region: SecureRegion| ShardBoot {
-        region,
+    let quarantine = |engine| ShardBoot {
+        engine,
         poisoned: None,
         dead: true,
         persist: None,
     };
+    let fresh = || MemoryEncryptionEngine::new(config.engine.for_tenant(config.tenant, s));
 
-    let (snap_generation, mut region) = if let Some(bytes) = fs.read(&snap_path)? {
-        let corrupt = || {
-            Ok(quarantine(SecureRegion::new(
-                config.engine.for_tenant(config.tenant, s),
-                config.shard_bytes,
-            )))
-        };
+    let (snap_generation, mut engine) = if let Some(bytes) = fs.read(&snap_path)? {
         let Some((generation, image)) = bytes.split_at_checked(8) else {
-            return corrupt();
+            return Ok(quarantine(fresh()));
         };
         let generation = u64::from_le_bytes(generation.try_into().expect("8 bytes"));
-        match SecureRegion::thaw(image) {
-            Ok(r) if r.size() == config.shard_bytes => (generation, r),
+        match region::thaw(image) {
+            Ok((engine, size)) if size == config.shard_bytes => (generation, engine),
             // Corrupt snapshot (or one frozen under a different
-            // geometry): quarantine over a fresh region.
-            _ => return corrupt(),
+            // geometry): quarantine over a fresh engine.
+            _ => return Ok(quarantine(fresh())),
         }
     } else {
-        (
-            0,
-            SecureRegion::new(
-                config.engine.for_tenant(config.tenant, s),
-                config.shard_bytes,
-            ),
-        )
+        (0, fresh())
     };
 
     // Replay the intent log in append order, reading each record where
@@ -462,7 +458,7 @@ pub(crate) fn recover_shard(
         let current = match records.next().map(|header| header.map(decode_generation)) {
             None => false,
             // Non-header first record: not a log this code wrote.
-            Some(Err(_) | Ok(None)) => return Ok(quarantine(region)),
+            Some(Err(_) | Ok(None)) => return Ok(quarantine(engine)),
             Some(Ok(Some(g))) if g == snap_generation => true,
             // Pre-checkpoint log: every record is already inside the
             // (newer) snapshot; replaying stale values would regress
@@ -471,23 +467,23 @@ pub(crate) fn recover_shard(
             // A log newer than the snapshot means the snapshot
             // regressed — impossible without corruption, since the
             // snapshot is made durable before its log exists.
-            Some(Ok(Some(_))) => return Ok(quarantine(region)),
+            Some(Ok(Some(_))) => return Ok(quarantine(engine)),
         };
         let read = if current {
-            replay(&mut region, records)
+            replay(&mut engine, config.shard_bytes, records)
         } else {
             records.try_for_each(|record| record.map(drop))
         };
         if read.is_err() {
-            return Ok(quarantine(region));
+            return Ok(quarantine(engine));
         }
     }
 
     // Full MAC + tree sweep before the shard serves anything: replayed
     // state gets exactly the scrutiny live state would.
-    if let Err(e) = region.verify_all() {
+    if let Err(e) = engine.verify_all() {
         return Ok(ShardBoot {
-            region,
+            engine,
             poisoned: Some(e),
             dead: false,
             persist: None,
@@ -496,12 +492,12 @@ pub(crate) fn recover_shard(
 
     // Fresh checkpoint so the next open never repeats this replay.
     let generation = snap_generation + 1;
-    let image = region.freeze();
+    let image = region::freeze(&engine, config.shard_bytes);
     write_snapshot(&**fs, &sdir, generation, &image)?;
     let wal = ShardWal::create(&**fs, &wal_path, generation)?;
-    let last_reencryptions = region.engine().counter_stats().reencryptions;
+    let last_reencryptions = engine.counter_stats().reencryptions;
     Ok(ShardBoot {
-        region,
+        engine,
         poisoned: None,
         dead: false,
         persist: Some(ShardPersist {
@@ -518,7 +514,6 @@ pub(crate) fn recover_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ame_engine::region::SecureRegion;
     use ame_engine::{EngineConfig, BLOCK_BYTES};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -565,9 +560,9 @@ mod tests {
     fn the_parent_commits_files_re_encode_byte_identical() {
         let snapshot = unhex(include_str!("../tests/fixtures/snapshot_v1.hex"));
         let (generation, image) = snapshot.split_at(8);
-        let region = SecureRegion::thaw(image).expect("the parent's image thaws");
+        let (engine, size) = region::thaw(image).expect("the parent's image thaws");
         let mut refrozen = generation.to_vec();
-        refrozen.extend_from_slice(&region.freeze());
+        refrozen.extend_from_slice(&region::freeze(&engine, size));
         assert!(refrozen == snapshot, "snapshot.bin re-freezes differently");
 
         let log = unhex(include_str!("../tests/fixtures/wal_v1.hex"));
@@ -589,18 +584,14 @@ mod tests {
         assert!(rewritten == log, "wal.bin re-encodes differently");
     }
 
-    fn tree_state(region: &mut SecureRegion) -> Vec<u8> {
+    fn tree_state(engine: &mut MemoryEncryptionEngine) -> Vec<u8> {
         let mut state = Vec::new();
-        region.engine_mut().tree_mut().encode_state(&mut state);
+        engine.tree_mut().encode_state(&mut state);
         state
     }
 
-    fn leaf(region: &mut SecureRegion, meta: u64) -> [u8; 64] {
-        region
-            .engine_mut()
-            .tree_mut()
-            .read_counter_block(meta)
-            .unwrap()
+    fn leaf(engine: &mut MemoryEncryptionEngine, meta: u64) -> [u8; 64] {
+        engine.tree_mut().read_counter_block(meta).unwrap()
     }
 
     /// A log that rewrites one block many times and touches every block
@@ -609,16 +600,18 @@ mod tests {
     /// log rewrites every leaf whose counters the log changed.
     #[test]
     fn replay_is_last_write_wins_and_syncs_every_dirty_leaf() {
-        let mut live = SecureRegion::new(EngineConfig::default(), 256 * BLOCK_BYTES as u64);
-        live.write_bytes(200 * 64, &[1; BLOCK_BYTES]).unwrap();
-        let image = live.freeze();
+        let size = 256 * BLOCK_BYTES as u64;
+        let mut live = MemoryEncryptionEngine::new(EngineConfig::default());
+        live.write_block(200 * 64, &[1; BLOCK_BYTES]);
+        let image = region::freeze(&live, size);
+        let thaw = || region::thaw(&image).unwrap().0;
         let mut payloads = Vec::new();
-        let mut log_writes = |live: &mut SecureRegion, blocks: &[u64], value: u8| {
+        let mut log_writes = |live: &mut MemoryEncryptionEngine, blocks: &[u64], value: u8| {
             let items: Vec<_> = blocks.iter().map(|&b| (b * 64, [value; 64])).collect();
-            live.write_blocks(&items).unwrap();
+            live.write_blocks(&items);
             let entries: Vec<_> = items
                 .iter()
-                .map(|&(l, _)| (l, live.export_sealed(l).unwrap()))
+                .map(|&(l, _)| (l, live.export_sealed(l)))
                 .collect();
             payloads.push(encoded(&entries));
         };
@@ -630,9 +623,9 @@ mod tests {
         }
         log_writes(&mut live, &(64..128).rev().collect::<Vec<_>>(), 3);
         log_writes(&mut live, &[70], 4);
-        assert_eq!(live.engine().counter_stats().reencryptions, 0);
+        assert_eq!(live.counter_stats().reencryptions, 0);
 
-        let mut back = SecureRegion::thaw(&image).unwrap();
+        let mut back = thaw();
         let mut log = Vec::new();
         frame_record_into(&mut log, |out| encode_generation(out, 1));
         for payload in &payloads {
@@ -640,28 +633,24 @@ mod tests {
         }
         let mut records = wal_records(&log);
         records.next();
-        replay(&mut back, records).expect("an honest log replays");
+        replay(&mut back, size, records).expect("an honest log replays");
         assert_eq!(back.verify_all(), live.verify_all());
-        for block in 0..256u64 {
-            let (mut got, mut want) = ([0; BLOCK_BYTES], [0; BLOCK_BYTES]);
-            back.read_bytes(block * 64, &mut got).unwrap();
-            live.read_bytes(block * 64, &mut want).unwrap();
-            assert_eq!(got, want, "block {block}");
-            let (got, want) = (back.engine(), live.engine());
-            assert_eq!(got.counter_of(block * 64), want.counter_of(block * 64));
+        for addr in (0..size).step_by(BLOCK_BYTES) {
+            assert_eq!(back.read_block(addr), live.read_block(addr), "{addr:#x}");
+            assert_eq!(back.counter_of(addr), live.counter_of(addr));
         }
 
         // One sync per entry, for reference.
-        let mut per_entry = SecureRegion::thaw(&image).unwrap();
+        let mut per_entry = thaw();
         for payload in &payloads {
             for (local, state) in decoded(payload).unwrap() {
-                let mut one = per_entry.replay_sealed();
+                let mut one = per_entry.replay_sealed(size);
                 one.install(local, &state).unwrap();
                 assert_eq!(one.finish(), 1);
             }
         }
         assert!(tree_state(&mut back) == tree_state(&mut per_entry));
-        let mut before = SecureRegion::thaw(&image).unwrap();
+        let mut before = thaw();
         for meta in 0..3 {
             assert_ne!(
                 leaf(&mut back, meta),
@@ -677,11 +666,11 @@ mod tests {
     }
 
     fn sealed_pair() -> (SealedBlockState, SealedBlockState) {
-        let mut region = SecureRegion::new(EngineConfig::default(), 1 << 12);
-        region.write_bytes(0, &[7u8; BLOCK_BYTES]).unwrap();
-        let pre = region.export_sealed(0).unwrap();
-        region.write_bytes(0, &[9u8; BLOCK_BYTES]).unwrap();
-        let post = region.export_sealed(0).unwrap();
+        let mut engine = MemoryEncryptionEngine::new(EngineConfig::default());
+        engine.write_block(0, &[7u8; BLOCK_BYTES]);
+        let pre = engine.export_sealed(0);
+        engine.write_block(0, &[9u8; BLOCK_BYTES]);
+        let post = engine.export_sealed(0);
         (pre, post)
     }
 

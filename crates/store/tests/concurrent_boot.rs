@@ -69,22 +69,27 @@ fn a_corrupt_snapshot_quarantines_only_its_own_shard() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Where the engine section of a `snapshot.bin` starts: generation (8),
+/// region section header (20), region size (8).
+const ENGINE: usize = 8 + 20 + 8;
+
+/// Recomputes the CRC of the section starting at `at`: header (magic,
+/// version, payload length) and payload, then the CRC.
+fn reseal_section(snapshot: &mut [u8], at: usize) {
+    let len = u64::from_le_bytes(snapshot[at + 12..at + 20].try_into().unwrap()) as usize;
+    let end = at + 20 + len;
+    let crc = ame_persist::crc64(&snapshot[at..end]);
+    snapshot[end..end + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Rewrites the engine-header field at `field` (bytes into the engine
-/// payload) of a `snapshot.bin` — generation (8), region section header
-/// (20), region size (8), then the engine section: header (20) and
-/// payload — and recomputes the engine section's CRC, then the region
-/// section's, so only the header's meaning is wrong.
+/// payload) of a `snapshot.bin` and recomputes the engine section's CRC,
+/// then the region section's, so only the header's meaning is wrong.
 fn forge_engine_header(snapshot: &mut [u8], field: usize, bytes: &[u8]) {
-    const ENGINE: usize = 8 + 20 + 8;
-    let payload_len = u64::from_le_bytes(snapshot[ENGINE + 12..ENGINE + 20].try_into().unwrap());
     let at = ENGINE + 20 + field;
     snapshot[at..at + bytes.len()].copy_from_slice(bytes);
-    let engine_end = ENGINE + 20 + payload_len as usize;
-    let crc = ame_persist::crc64(&snapshot[ENGINE..engine_end]);
-    snapshot[engine_end..engine_end + 8].copy_from_slice(&crc.to_le_bytes());
-    let region_end = snapshot.len() - 8;
-    let crc = ame_persist::crc64(&snapshot[8..region_end]);
-    snapshot[region_end..].copy_from_slice(&crc.to_le_bytes());
+    reseal_section(snapshot, ENGINE);
+    reseal_section(snapshot, 8);
 }
 
 #[test]
@@ -127,6 +132,46 @@ fn a_forged_engine_header_quarantines_only_its_own_shard() {
         assert_eq!(std::fs::read(&path).unwrap(), bytes, "evidence preserved");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Rewrites the address of the last resident block of a `snapshot.bin`
+/// to `addr` and recomputes the DRAM, engine and region CRCs. The DRAM
+/// section follows the engine's 87-byte header fields; its payload is a
+/// block count, then 80-byte entries that each start with the address.
+fn forge_last_block_address(snapshot: &mut [u8], addr: u64) {
+    const DRAM: usize = ENGINE + 20 + 87;
+    let count = u64::from_le_bytes(snapshot[DRAM + 20..DRAM + 28].try_into().unwrap());
+    let at = DRAM + 28 + (count as usize - 1) * 80;
+    snapshot[at..at + 8].copy_from_slice(&addr.to_le_bytes());
+    for section in [DRAM, ENGINE, 8] {
+        reseal_section(snapshot, section);
+    }
+}
+
+#[test]
+fn a_forged_block_address_quarantines_only_its_own_shard() {
+    // A resident block at the cipher's 48-bit limit, under valid
+    // checksums: thaw must refuse the image (the block is outside the
+    // shard's region), so shard 1 quarantines instead of its worker
+    // dying on the engine's address assert during the boot sweep.
+    let dir = populated("forged_addr");
+    let path = dir.join("shard1").join("snapshot.bin");
+    let mut bytes = std::fs::read(&path).unwrap();
+    forge_last_block_address(&mut bytes, 1 << 48);
+    std::fs::write(&path, &bytes).unwrap();
+
+    let store = SecureStore::open(&dir, config()).expect("a forgery quarantines");
+    for i in 0..30u64 {
+        match (i % 3, store.read(i * BLOCK)) {
+            (1, Err(StoreError::ShardPoisoned { shard: 1, .. })) => {}
+            (0 | 2, Ok(block)) => assert_eq!(block, [i as u8 + 1; 64], "block {i}"),
+            (shard, other) => panic!("block {i} on shard {shard}: {other:?}"),
+        }
+    }
+    let resealed: Vec<bool> = store.shutdown().shards.iter().map(|s| s.resealed).collect();
+    assert_eq!(resealed, [true, false, true], "only shard 1 quarantined");
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "evidence preserved");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -53,7 +53,8 @@ fn rmw_survives_counter_overflow() {
 }
 
 /// An RMW whose verified read fails must not run its mutator, must not
-/// count as served, and must quarantine the shard like any other
+/// count as served, must not re-seal the tampered block (no engine write,
+/// no counter bump), and must quarantine the shard like any other
 /// detecting read.
 #[test]
 fn rmw_refuses_tampered_block() {
@@ -64,6 +65,9 @@ fn rmw_refuses_tampered_block() {
     for bit in [0u32, 70, 140] {
         store.tamper_data_bit(0, bit).unwrap();
     }
+    let sealed = ["engine/writes", "engine/counters/writes"]
+        .map(|key| store.telemetry().counter(&format!("store/shard0/{key}")));
+    assert_eq!(sealed, [Some(2); 2], "the write and the first RMW");
     let ran = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&ran);
     let err = store
@@ -84,6 +88,13 @@ fn rmw_refuses_tampered_block() {
     );
     assert!(!ran.load(Ordering::SeqCst), "no pre-image, no mutation");
     let snap = store.telemetry();
+    for (key, before) in ["engine/writes", "engine/counters/writes"]
+        .iter()
+        .zip(sealed)
+    {
+        let after = snap.counter(&format!("store/shard0/{key}"));
+        assert_eq!(after, before, "{key}: the tampered block was re-sealed");
+    }
     assert_eq!(snap.counter("store/shard0/rmws"), Some(1));
     assert_eq!(snap.counter("store/shard0/integrity_failures"), Some(1));
     assert_eq!(snap.gauge("store/shard0/poisoned"), Some(1.0));

@@ -2,9 +2,9 @@
 //! a few seconds; the `#[ignore]`d heavy variants are for nightly runs
 //! (`cargo test --release -- --ignored`).
 
-use ame::engine::region::SecureRegion;
 use ame::engine::scrub::{ScrubMode, Scrubber};
 use ame::engine::{CounterSchemeKind, EngineConfig, MacPlacement, MemoryEncryptionEngine};
+use ame::store::{SecureStore, StoreConfig};
 use ame_prng::StdRng;
 use std::collections::HashMap;
 
@@ -99,51 +99,74 @@ fn chaos_campaign_heavy() {
     }
 }
 
+/// `data` stored at byte offset `addr` through the store's one verified
+/// sub-block path: each partly covered block is a read-modify-write (its
+/// old contents verified before the patched block is sealed), each whole
+/// one a plain write.
+fn store_span(store: &SecureStore, addr: u64, data: &[u8]) {
+    let mut done = 0;
+    while done < data.len() {
+        let pos = addr + done as u64;
+        let (base, offset) = (pos & !63, (pos % 64) as usize);
+        let take = (64 - offset).min(data.len() - done);
+        let chunk = data[done..done + take].to_vec();
+        if take == 64 {
+            store.write(base, &chunk.try_into().unwrap()).unwrap();
+        } else {
+            store
+                .read_modify_write(base, move |block| {
+                    block[offset..offset + take].copy_from_slice(&chunk);
+                })
+                .unwrap();
+        }
+        done += take;
+    }
+}
+
+/// The `len` bytes at byte offset `addr`, every touched block verified.
+fn load_span(store: &SecureStore, addr: u64, len: usize) -> Vec<u8> {
+    let end = addr + len as u64;
+    let mut out = Vec::with_capacity(len);
+    let mut base = addr & !63;
+    while base < end {
+        let block = store.read(base).unwrap();
+        let from = addr.saturating_sub(base) as usize;
+        let to = (end - base).min(64) as usize;
+        out.extend_from_slice(&block[from..to]);
+        base += 64;
+    }
+    out
+}
+
+/// Random byte ranges — straddling blocks, partial, empty — written and
+/// read against a reference buffer: sub-block writes preserve their
+/// neighbours and every range reads back what the model holds.
 #[test]
 fn region_fuzz_against_reference_buffer() {
     let size = 8192u64;
-    let mut region = SecureRegion::new(EngineConfig::default(), size);
+    let store = SecureStore::new(StoreConfig {
+        shards: 2,
+        shard_bytes: size / 2,
+        ..StoreConfig::default()
+    });
     let mut model = vec![0u8; size as usize];
     let mut rng = StdRng::seed_from_u64(3);
     for step in 0..1_500 {
         let len = rng.gen_range(0..200usize);
         let addr = rng.gen_range(0..size - len as u64);
+        let range = addr as usize..addr as usize + len;
         if rng.gen_bool(0.5) {
             let mut data = vec![0u8; len];
             rng.fill(&mut data[..]);
-            region.write_bytes(addr, &data).unwrap();
-            model[addr as usize..addr as usize + len].copy_from_slice(&data);
+            store_span(&store, addr, &data);
+            model[range].copy_from_slice(&data);
         } else {
-            let mut buf = vec![0u8; len];
-            region.read_bytes(addr, &mut buf).unwrap();
             assert_eq!(
-                buf,
-                &model[addr as usize..addr as usize + len],
+                load_span(&store, addr, len),
+                model[range],
                 "step {step} addr {addr} len {len}"
             );
         }
     }
-}
-
-#[test]
-#[ignore = "nightly-scale stress run"]
-fn region_fuzz_heavy() {
-    let size = 1 << 20;
-    let mut region = SecureRegion::new(EngineConfig::default(), size);
-    let mut model = vec![0u8; size as usize];
-    let mut rng = StdRng::seed_from_u64(4);
-    for _ in 0..50_000 {
-        let len = rng.gen_range(0..512usize);
-        let addr = rng.gen_range(0..size - len as u64);
-        if rng.gen_bool(0.5) {
-            let mut data = vec![0u8; len];
-            rng.fill(&mut data[..]);
-            region.write_bytes(addr, &data).unwrap();
-            model[addr as usize..addr as usize + len].copy_from_slice(&data);
-        } else {
-            let mut buf = vec![0u8; len];
-            region.read_bytes(addr, &mut buf).unwrap();
-            assert_eq!(buf, &model[addr as usize..addr as usize + len]);
-        }
-    }
+    assert!(store.shutdown().all_resealed());
 }
