@@ -252,11 +252,15 @@ pub struct ReadRun {
 /// Functional-engine statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Verified block reads.
+    /// Verified block reads served. A group re-encryption opening a
+    /// block to re-seal it is not a read.
     pub reads: u64,
     /// Block writes.
     pub writes: u64,
-    /// Blocks re-encrypted due to counter-group overflow.
+    /// Blocks re-sealed under a fresh counter by a counter-group
+    /// overflow's re-encryption. Each was first opened — verified, and
+    /// corrected if need be — under its old counter; a block that did
+    /// not open is left as stored and not counted.
     pub reencrypted_blocks: u64,
     /// Single-bit MAC corruptions repaired by the 7-bit MAC parity.
     pub mac_corrections: u64,
@@ -488,25 +492,19 @@ impl MemoryEncryptionEngine {
         block * BLOCK_BYTES as u64
     }
 
-    /// Encrypt + MAC + store one plaintext block under `counter`.
+    /// Encrypt + MAC + store one plaintext block under `counter`: the
+    /// scalar seal of a single-block write or a first touch.
     fn seal(&mut self, addr: u64, counter: u64, plain: &[u8; BLOCK_BYTES]) {
         let ct = self.cipher.encrypt_block(addr, counter, plain);
-        self.seal_ciphertext(addr, counter, ct);
-    }
-
-    /// MAC + store an already-encrypted block under `counter` — the tail
-    /// of [`Self::seal`], split out so bulk paths that produce ciphertext
-    /// from batched keystreams can skip the per-block encrypt call.
-    fn seal_ciphertext(&mut self, addr: u64, counter: u64, ct: [u8; BLOCK_BYTES]) {
         let tag = self.cipher.mac_block(addr, counter, &ct);
-        self.seal_ciphertext_with_tag(addr, ct, tag);
+        self.store_sealed(addr, ct, tag);
     }
 
-    /// Stores an already-encrypted block whose tag was precomputed — the
-    /// tail of [`Self::seal_ciphertext`], split out so bulk paths can
-    /// produce a whole run's tags with one [`MemoryCipher::mac_batch`]
-    /// call instead of a per-block MAC.
-    fn seal_ciphertext_with_tag(&mut self, addr: u64, ct: [u8; BLOCK_BYTES], tag: u64) {
+    /// The one encoder of sealed bits: stores ciphertext `ct` with its
+    /// tag in the configured placement — in the ECC side-band (Figure
+    /// 2), or in the MAC region beside a standard SEC-DED side-band.
+    /// Seals and scrub-backs of corrected blocks both store through it.
+    fn store_sealed(&mut self, addr: u64, ct: [u8; BLOCK_BYTES], tag: u64) {
         let sideband = match self.config.mac_placement {
             MacPlacement::MacInEcc => MacSideband::new(tag, &ct).to_bytes(),
             MacPlacement::SeparateMac => {
@@ -515,6 +513,109 @@ impl MemoryEncryptionEngine {
             }
         };
         self.storage.write(addr, StoredBlock { data: ct, sideband });
+    }
+
+    /// The batched sealer: encrypts `plains` under `nonces` from one
+    /// pipelined keystream batch, tags the run with one multi-message
+    /// MAC batch and stores each block. Stats and tree syncs are the
+    /// caller's.
+    fn seal_run<'p>(
+        &mut self,
+        nonces: &[(u64, u64)],
+        plains: impl IntoIterator<Item = &'p [u8; BLOCK_BYTES]>,
+    ) {
+        if nonces.is_empty() {
+            return;
+        }
+        let mut sealed = self.cipher.keystream_batch(nonces);
+        for (ct, plain) in sealed.iter_mut().zip(plains) {
+            for (c, p) in ct.iter_mut().zip(plain) {
+                *c ^= p;
+            }
+        }
+        let tags = self.cipher.mac_batch(nonces, &sealed);
+        self.mac_batch_dist.record(sealed.len() as u64);
+        for ((&(addr, _), ct), tag) in nonces.iter().zip(sealed).zip(tags) {
+            self.store_sealed(addr, ct, tag);
+        }
+    }
+
+    /// The batched verified opener: checks every block of `stored`
+    /// against its `(addr, counter)` nonce with one multi-message MAC
+    /// batch, then decrypts the run from one pipelined keystream batch.
+    ///
+    /// Verify-before-release: only blocks whose side-band decodes clean
+    /// are tagged, and every tag is checked before anything is
+    /// decrypted. On any anomaly — a correctable or uncorrectable
+    /// side-band condition, a tag mismatch — it returns `None` having
+    /// mutated no [`EngineStats`] and no storage (the MAC batch-size
+    /// histogram still records the attempt); the caller then opens block by
+    /// block through [`Self::open_block`], which owns correction,
+    /// scrubbing and failure attribution.
+    fn open_run(
+        &mut self,
+        nonces: &[(u64, u64)],
+        stored: &[StoredBlock],
+    ) -> Option<Vec<[u8; BLOCK_BYTES]>> {
+        let mut blocks = Vec::with_capacity(stored.len());
+        let mut tags = Vec::with_capacity(stored.len());
+        for (&(addr, _), stored) in nonces.iter().zip(stored) {
+            let (ct, tag) = match self.config.mac_placement {
+                MacPlacement::MacInEcc => {
+                    let sideband = MacSideband::from_bytes(stored.sideband);
+                    let DecodeOutcome::Clean { word: tag } = sideband.recover_tag() else {
+                        return None;
+                    };
+                    (stored.data, tag)
+                }
+                MacPlacement::SeparateMac => {
+                    let sideband = StandardSideband::from_bytes(stored.sideband);
+                    let decoded = sideband.decode(&stored.data);
+                    if decoded.any_error() {
+                        return None;
+                    }
+                    let block = Self::block_index(addr);
+                    let tag = self.mac_region.get(&block).copied().unwrap_or(0);
+                    (decoded.corrected_block()?, tag)
+                }
+            };
+            blocks.push(ct);
+            tags.push(tag);
+        }
+        let computed = self.cipher.mac_batch(nonces, &blocks);
+        self.mac_batch_dist.record(computed.len() as u64);
+        if computed
+            .iter()
+            .zip(&tags)
+            .any(|(&got, &tag)| got != tag & ame_crypto::TAG_MASK)
+        {
+            return None;
+        }
+        let keystreams = self.cipher.keystream_batch(nonces);
+        for (ct, ks) in blocks.iter_mut().zip(&keystreams) {
+            for (c, k) in ct.iter_mut().zip(ks.iter()) {
+                *c ^= k;
+            }
+        }
+        Some(blocks)
+    }
+
+    /// The per-block verified opener, and the fallback of
+    /// [`Self::open_run`]: verifies the block under `counter`, corrects
+    /// what the placement can correct (MAC parity and flip-and-check, or
+    /// SEC-DED) and scrubs the corrected bits back. It counts
+    /// corrections and flip checks; whether the open was a served read
+    /// is the caller's to count.
+    fn open_block(
+        &mut self,
+        addr: u64,
+        counter: u64,
+        stored: StoredBlock,
+    ) -> Result<[u8; BLOCK_BYTES], ReadError> {
+        match self.config.mac_placement {
+            MacPlacement::MacInEcc => self.read_mac_in_ecc(addr, counter, stored),
+            MacPlacement::SeparateMac => self.read_separate_mac(addr, counter, stored),
+        }
     }
 
     /// Ensures a block has valid ciphertext/MAC state (memory is zero at
@@ -543,11 +644,8 @@ impl MemoryEncryptionEngine {
         self.storage.read(addr)
     }
 
-    /// Mirrors the (updated) packed counter block into the integrity tree.
-    fn sync_tree(&mut self, block: u64) {
-        self.sync_meta(self.counters.metadata_block_of(block));
-    }
-
+    /// Mirrors the (updated) packed counter block `meta` into the
+    /// integrity tree.
     fn sync_meta(&mut self, meta: u64) {
         let image = self.counters.metadata_block_image(meta);
         self.tree.write_counter_block(meta, image);
@@ -569,53 +667,51 @@ impl MemoryEncryptionEngine {
     }
 
     /// Re-encrypts every *resident* block of an overflowed group under the
-    /// fresh counter (Section 4.2: sequential read-decrypt-encrypt-write).
+    /// fresh counter (Section 4.2: read-decrypt-encrypt-write).
     ///
-    /// Counter mode lets the decrypt and re-encrypt collapse into one XOR
-    /// with the combined old⊕new keystream, and both keystream sets for
-    /// the whole group are generated as pipelined batches rather than one
-    /// AES call per block — re-encryption is the engine's worst-case
-    /// latency event, so it gets the full batched path.
+    /// The group's blocks are opened under their old counters the way a
+    /// read opens them: one [`Self::open_run`] over the group, or, on any
+    /// anomaly, [`Self::open_block`] per block, so a fault within the
+    /// budget is corrected as on a read. Every block that opened is
+    /// sealed under `new_counter` in one [`Self::seal_run`]. A block that
+    /// does not open is left as stored: its tag fails under the new
+    /// counter too, so every later read reports it.
     fn reencrypt_group(&mut self, group: u64, old_counters: &[u64], new_counter: u64) {
         let bpg = self.counters.blocks_per_group() as u64;
         // Never-touched blocks stay zero; they will be sealed under the
         // new counter on first use.
-        let resident: Vec<(u64, u64)> = old_counters
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &old_ctr)| {
-                let addr = Self::block_addr(group * bpg + i as u64);
-                self.storage.contains(addr).then_some((addr, old_ctr))
-            })
-            .collect();
-        if resident.is_empty() {
+        let mut nonces = Vec::new();
+        let mut stored = Vec::new();
+        for (i, &old) in old_counters.iter().enumerate() {
+            let addr = Self::block_addr(group * bpg + i as u64);
+            if let Some(block) = self.storage.get(addr) {
+                nonces.push((addr, old));
+                stored.push(block);
+            }
+        }
+        if nonces.is_empty() {
             return;
         }
-        let old_ks = self.cipher.keystream_batch(&resident);
-        let new_nonces: Vec<(u64, u64)> = resident
-            .iter()
-            .map(|&(addr, _)| (addr, new_counter))
-            .collect();
-        let new_ks = self.cipher.keystream_batch(&new_nonces);
-        let ciphertexts: Vec<[u8; BLOCK_BYTES]> = resident
-            .iter()
-            .zip(&old_ks)
-            .zip(&new_ks)
-            .map(|((&(addr, _), old), new)| {
-                let mut ct = self.storage.read(addr).data;
-                for ((c, o), n) in ct.iter_mut().zip(old.iter()).zip(new.iter()) {
-                    *c ^= o ^ n;
-                }
-                ct
-            })
-            .collect();
-        // One multi-message pass tags the whole re-encrypted group.
-        let tags = self.cipher.mac_batch(&new_nonces, &ciphertexts);
-        self.mac_batch_dist.record(ciphertexts.len() as u64);
-        for ((&(addr, _), ct), tag) in resident.iter().zip(ciphertexts).zip(tags) {
-            self.seal_ciphertext_with_tag(addr, ct, tag);
-            self.stats.reencrypted_blocks += 1;
-        }
+        let (resealed, plains): (Vec<(u64, u64)>, Vec<[u8; BLOCK_BYTES]>) =
+            match self.open_run(&nonces, &stored) {
+                Some(plains) => (
+                    nonces
+                        .iter()
+                        .map(|&(addr, _)| (addr, new_counter))
+                        .collect(),
+                    plains,
+                ),
+                None => nonces
+                    .iter()
+                    .zip(stored)
+                    .filter_map(|(&(addr, old), stored)| {
+                        let plain = self.open_block(addr, old, stored).ok()?;
+                        Some(((addr, new_counter), plain))
+                    })
+                    .unzip(),
+            };
+        self.seal_run(&resealed, &plains);
+        self.stats.reencrypted_blocks += resealed.len() as u64;
     }
 
     /// Writes one 64-byte block at a block-aligned address.
@@ -637,7 +733,7 @@ impl MemoryEncryptionEngine {
         }
         let counter = self.counters.counter(block);
         self.seal(addr, counter, plain);
-        self.sync_tree(block);
+        self.sync_meta(self.counters.metadata_block_of(block));
         self.stats.writes += 1;
     }
 
@@ -659,9 +755,11 @@ impl MemoryEncryptionEngine {
     /// Panics if any address is not 64-byte aligned or not below
     /// [`ADDR_LIMIT`].
     pub fn write_blocks(&mut self, items: &[(u64, [u8; BLOCK_BYTES])]) {
-        // Bump counters in order, accumulating `(item, counter)` runs
-        // that are safe to seal from one batched keystream.
-        let mut run: Vec<(usize, u64)> = Vec::with_capacity(items.len());
+        // Bump counters in order, accumulating the `(addr, counter)`
+        // nonces of a run of consecutive items, from `start` on, that is
+        // safe to seal from one batched keystream.
+        let mut run: Vec<(u64, u64)> = Vec::with_capacity(items.len());
+        let mut start = 0;
         for (i, &(addr, _)) in items.iter().enumerate() {
             Self::check_addr(addr);
             let block = Self::block_index(addr);
@@ -673,49 +771,29 @@ impl MemoryEncryptionEngine {
             } = outcome
             {
                 // The overflow already reset the group's counters, and the
-                // upcoming re-encryption reads storage assuming every
+                // upcoming re-encryption opens storage assuming every
                 // resident block is sealed under `old_counters`. Pending
                 // items may be in that group, so commit them under their
                 // captured counters *now* (those captured values are the
                 // `old_counters` the re-encryption will use).
-                self.seal_write_run(items, &run);
+                self.seal_write_run(&items[start..i], &run);
                 run.clear();
+                start = i;
                 self.reencrypt_group(group, &old_counters, new_counter);
             }
-            run.push((i, self.counters.counter(block)));
+            run.push((addr, self.counters.counter(block)));
         }
-        self.seal_write_run(items, &run);
+        self.seal_write_run(&items[start..], &run);
     }
 
-    /// Seals a pending `(item index, counter)` run of
-    /// [`Self::write_blocks`]: one keystream batch encrypts it, one
-    /// multi-message MAC batch tags it, and the tree is synced once per
-    /// metadata block it touched — every counter of the run was bumped
-    /// before the first seal, so per-block syncs would all write the
-    /// same images.
-    fn seal_write_run(&mut self, items: &[(u64, [u8; BLOCK_BYTES])], run: &[(usize, u64)]) {
-        if run.is_empty() {
-            return;
-        }
-        let nonces: Vec<(u64, u64)> = run.iter().map(|&(i, ctr)| (items[i].0, ctr)).collect();
-        let keystreams = self.cipher.keystream_batch(&nonces);
-        let ciphertexts: Vec<[u8; BLOCK_BYTES]> = run
-            .iter()
-            .zip(&keystreams)
-            .map(|(&(i, _), ks)| {
-                let mut ct = items[i].1;
-                for (c, k) in ct.iter_mut().zip(ks.iter()) {
-                    *c ^= k;
-                }
-                ct
-            })
-            .collect();
-        let tags = self.cipher.mac_batch(&nonces, &ciphertexts);
-        self.mac_batch_dist.record(ciphertexts.len() as u64);
-        for ((&(addr, _), ct), tag) in nonces.iter().zip(ciphertexts).zip(tags) {
-            self.seal_ciphertext_with_tag(addr, ct, tag);
-        }
-        self.stats.writes += run.len() as u64;
+    /// Seals a pending run of [`Self::write_blocks`] — `items` under
+    /// their `nonces` — through [`Self::seal_run`], and syncs the tree
+    /// once per metadata block it touched: every counter of the run was
+    /// bumped before the first seal, so per-block syncs would all write
+    /// the same images.
+    fn seal_write_run(&mut self, items: &[(u64, [u8; BLOCK_BYTES])], nonces: &[(u64, u64)]) {
+        self.seal_run(nonces, items.iter().map(|(_, plain)| plain));
+        self.stats.writes += nonces.len() as u64;
         let metas = nonces
             .iter()
             .map(|&(addr, _)| self.counters.metadata_block_of(Self::block_index(addr)))
@@ -751,24 +829,25 @@ impl MemoryEncryptionEngine {
         let stored = self.stored_or_first_touch(addr, synced);
         let block = Self::block_index(addr);
 
-        // 1. Fetch + verify the counter through the Bonsai Merkle tree.
+        // 1. Fetch + verify the counter through the Bonsai Merkle tree,
+        // 2. then open the block under it.
         let meta = self.counters.metadata_block_of(block);
-        let verified_image = match self.tree.read_counter_block(meta) {
-            Ok(img) => img,
-            Err(e) => {
-                self.stats.failed_reads += 1;
-                return Err(ReadError::Tree(e));
+        let opened = match self.tree.read_counter_block(meta) {
+            Ok(verified_image) => {
+                // The engine's counter state must match the verified
+                // off-chip image (it always does unless this code is
+                // buggy).
+                debug_assert_eq!(verified_image, self.counters.metadata_block_image(meta));
+                self.open_block(addr, self.counters.counter(block), stored)
             }
+            Err(e) => Err(ReadError::Tree(e)),
         };
-        // The engine's counter state must match the verified off-chip
-        // image (it always does unless this code is buggy).
-        debug_assert_eq!(verified_image, self.counters.metadata_block_image(meta));
-        let counter = self.counters.counter(block);
-
-        match self.config.mac_placement {
-            MacPlacement::MacInEcc => self.read_mac_in_ecc(addr, counter, stored),
-            MacPlacement::SeparateMac => self.read_separate_mac(addr, counter, stored),
+        if opened.is_ok() {
+            self.stats.reads += 1;
+        } else {
+            self.stats.failed_reads += 1;
         }
+        opened
     }
 
     /// Reads and verifies a run of block-aligned addresses as one unit,
@@ -820,7 +899,6 @@ impl MemoryEncryptionEngine {
 
         // One verified tree fetch per distinct metadata block in the run.
         let mut fetched: Vec<u64> = Vec::new();
-        let mut counters: Vec<u64> = Vec::with_capacity(addrs.len());
         if self.config.prefetch_counters {
             // Prefetch: resolve the run's 4 KB group boundaries up-front
             // and issue every verified counter fetch before the first
@@ -837,79 +915,28 @@ impl MemoryEncryptionEngine {
                 debug_assert_eq!(verified_image, self.counters.metadata_block_image(meta));
             }
             fetched = metas;
-            for &addr in addrs {
-                counters.push(self.counters.counter(Self::block_index(addr)));
-            }
         } else {
             for &addr in addrs {
-                let block = Self::block_index(addr);
-                let meta = self.counters.metadata_block_of(block);
+                let meta = self.counters.metadata_block_of(Self::block_index(addr));
                 if !fetched.contains(&meta) {
                     let verified_image = self.tree.read_counter_block(meta).ok()?;
                     debug_assert_eq!(verified_image, self.counters.metadata_block_image(meta));
                     fetched.push(meta);
                 }
-                counters.push(self.counters.counter(block));
             }
         }
-
-        // Gather every block's decoded ciphertext and stored tag. Any
-        // side-band anomaly (a correctable or uncorrectable ECC
-        // condition, a parity fault) drops to the sequential path before
-        // any MAC work — that path owns correction, scrubbing, and
-        // failure accounting.
-        let mut ciphertexts: Vec<[u8; BLOCK_BYTES]> = Vec::with_capacity(addrs.len());
-        let mut stored_tags: Vec<u64> = Vec::with_capacity(addrs.len());
-        for (&addr, stored) in addrs.iter().zip(stored) {
-            let (ct, tag) = match self.config.mac_placement {
-                MacPlacement::MacInEcc => {
-                    let sideband = MacSideband::from_bytes(stored.sideband);
-                    let DecodeOutcome::Clean { word: tag } = sideband.recover_tag() else {
-                        return None;
-                    };
-                    (stored.data, tag)
-                }
-                MacPlacement::SeparateMac => {
-                    let sideband = StandardSideband::from_bytes(stored.sideband);
-                    let decoded = sideband.decode(&stored.data);
-                    if decoded.any_error() {
-                        return None;
-                    }
-                    let ct = decoded.corrected_block()?;
-                    let block = Self::block_index(addr);
-                    (ct, self.mac_region.get(&block).copied().unwrap_or(0))
-                }
-            };
-            ciphertexts.push(ct);
-            stored_tags.push(tag);
-        }
-
-        // Verify-before-release, one multi-message MAC pass for the
-        // whole run. Any mismatch abandons the batch with nothing
-        // mutated, so the sequential fallback re-derives attribution,
-        // flip-and-check correction, and quarantine bit-identically.
-        let nonces: Vec<(u64, u64)> = addrs.iter().copied().zip(counters).collect();
-        let computed = self.cipher.mac_batch(&nonces, &ciphertexts);
-        self.mac_batch_dist.record(computed.len() as u64);
-        if computed
+        let nonces: Vec<(u64, u64)> = addrs
             .iter()
-            .zip(&stored_tags)
-            .any(|(&got, &stored)| got != stored & ame_crypto::TAG_MASK)
-        {
-            return None;
-        }
+            .map(|&addr| (addr, self.counters.counter(Self::block_index(addr))))
+            .collect();
 
-        // All tags checked: decrypt the whole run from one pipelined
-        // keystream batch.
-        let keystreams = self.cipher.keystream_batch(&nonces);
-        for (ct, ks) in ciphertexts.iter_mut().zip(&keystreams) {
-            for (c, k) in ct.iter_mut().zip(ks.iter()) {
-                *c ^= k;
-            }
-        }
+        // Any anomaly abandons the batch with nothing mutated, so the
+        // sequential fallback re-derives attribution, flip-and-check
+        // correction, and quarantine bit-identically.
+        let blocks = self.open_run(&nonces, &stored)?;
         self.stats.reads += addrs.len() as u64;
         Some(ReadRun {
-            blocks: ciphertexts,
+            blocks,
             failed: None,
             counter_fetches: fetched.len() as u64,
         })
@@ -958,7 +985,6 @@ impl MemoryEncryptionEngine {
                 (word, true)
             }
             DecodeOutcome::DoubleError | DecodeOutcome::Uncorrectable => {
-                self.stats.failed_reads += 1;
                 return Err(ReadError::MacUncorrectable);
             }
         };
@@ -970,15 +996,8 @@ impl MemoryEncryptionEngine {
                 // place would accumulate with the next one into an
                 // uncorrectable double error (Section 3.3's scrubbing
                 // argument applies to the MAC's own bits too).
-                self.storage.write(
-                    addr,
-                    StoredBlock {
-                        data: stored.data,
-                        sideband: MacSideband::new(tag, &stored.data).to_bytes(),
-                    },
-                );
+                self.store_sealed(addr, stored.data, tag);
             }
-            self.stats.reads += 1;
             return Ok(self.cipher.decrypt_block(addr, counter, &stored.data));
         }
 
@@ -995,19 +1014,10 @@ impl MemoryEncryptionEngine {
         self.flip_check_dist.record(outcome.checks);
         if let Some(fixed) = outcome.corrected {
             // Scrub the repaired block back to memory.
-            let sb = MacSideband::new(tag, &fixed).to_bytes();
-            self.storage.write(
-                addr,
-                StoredBlock {
-                    data: fixed,
-                    sideband: sb,
-                },
-            );
+            self.store_sealed(addr, fixed, tag);
             self.stats.data_corrections += 1;
-            self.stats.reads += 1;
             return Ok(self.cipher.decrypt_block(addr, counter, &fixed));
         }
-        self.stats.failed_reads += 1;
         Err(ReadError::IntegrityViolation)
     }
 
@@ -1020,28 +1030,18 @@ impl MemoryEncryptionEngine {
         let sideband = StandardSideband::from_bytes(stored.sideband);
         let decoded = sideband.decode(&stored.data);
         let Some(ct) = decoded.corrected_block() else {
-            self.stats.failed_reads += 1;
             return Err(ReadError::EccUncorrectable);
         };
+        let block = Self::block_index(addr);
+        let tag = self.mac_region.get(&block).copied().unwrap_or(0);
         if decoded.any_error() {
             self.stats.data_corrections += 1;
             // Scrub the corrected data back.
-            let sb = StandardSideband::encode(&ct).to_bytes();
-            self.storage.write(
-                addr,
-                StoredBlock {
-                    data: ct,
-                    sideband: sb,
-                },
-            );
+            self.store_sealed(addr, ct, tag);
         }
-        let block = Self::block_index(addr);
-        let tag = self.mac_region.get(&block).copied().unwrap_or(0);
         if self.cipher.verify_block(addr, counter, &ct, tag) {
-            self.stats.reads += 1;
             Ok(self.cipher.decrypt_block(addr, counter, &ct))
         } else {
-            self.stats.failed_reads += 1;
             Err(ReadError::IntegrityViolation)
         }
     }
@@ -1126,6 +1126,12 @@ impl MemoryEncryptionEngine {
     /// every resident block under the new keys (and fresh counters), and
     /// rebuilds the integrity tree.
     ///
+    /// It is [`Self::read_blocks`] followed by [`Self::write_blocks`]:
+    /// every resident block is read and verified first, in address-order
+    /// runs of 64 (a faulty run falls back to per-block reads, so
+    /// correctable faults are corrected), and only then are the keys
+    /// swapped and the plaintext written back, a run at a time.
+    ///
     /// A real engine performs this when its keys must rotate — e.g. if the
     /// 56-bit reference counter ever approached exhaustion, or on a policy
     /// schedule. All previously captured off-chip snapshots become useless
@@ -1137,11 +1143,16 @@ impl MemoryEncryptionEngine {
     /// contents; the engine is left unchanged in that case (re-keying
     /// must not launder corrupted state into fresh MACs).
     pub fn rekey(&mut self, new_seed: u64) -> Result<(), ReadError> {
-        // 1. Read and verify everything under the current keys.
-        let addrs: Vec<u64> = self.resident_addrs();
+        // 1. Read and verify everything under the current keys, a run
+        // at a time.
+        let addrs = self.resident_addrs();
         let mut plain = Vec::with_capacity(addrs.len());
-        for &addr in &addrs {
-            plain.push((addr, self.read_block(addr)?));
+        for run in addrs.chunks(Self::VERIFY_RUN) {
+            let ReadRun { blocks, failed, .. } = self.read_blocks(run);
+            if let Some((_, e)) = failed {
+                return Err(e);
+            }
+            plain.extend(run.iter().copied().zip(blocks));
         }
         // 2. Swap in fresh key material and empty metadata.
         self.config.seed = new_seed;
@@ -1150,9 +1161,9 @@ impl MemoryEncryptionEngine {
         self.counters = self.config.counter_scheme.build();
         self.storage = DramStorage::new();
         self.mac_region.clear();
-        // 3. Seal the contents back under the new keys.
-        for (addr, data) in plain {
-            self.write_block(addr, &data);
+        // 3. Seal the contents back under the new keys, a run at a time.
+        for run in plain.chunks(Self::VERIFY_RUN) {
+            self.write_blocks(run);
         }
         Ok(())
     }
@@ -1773,6 +1784,38 @@ mod tests {
             e.rekey(0x1234).is_err(),
             "must not launder corrupted blocks"
         );
+
+        // 100 resident blocks, the uncorrectable one in the second
+        // 64-block read run: the first run verified clean, yet nothing
+        // is re-keyed and every other block still reads back.
+        let mut e = engine(MacPlacement::MacInEcc, CounterSchemeKind::Delta);
+        for b in 0..100u64 {
+            e.write_block(b * 64, &[b as u8; 64]);
+        }
+        for bit in [0u32, 70, 140] {
+            e.tamper_data_bit(80 * 64, bit);
+        }
+        let seed = e.config().seed;
+        assert_eq!(e.rekey(0x1234), Err(ReadError::IntegrityViolation));
+        assert_eq!(e.config().seed, seed, "the keys are unchanged");
+        for b in (0..100u64).filter(|&b| b != 80) {
+            assert_eq!(e.read_block(b * 64).unwrap(), [b as u8; 64], "block {b}");
+        }
+        assert!(e.read_block(80 * 64).is_err());
+
+        // A correctable fault is corrected on the way through: the
+        // block's contents survive under the new keys.
+        let mut e = engine(MacPlacement::MacInEcc, CounterSchemeKind::Delta);
+        for b in 0..100u64 {
+            e.write_block(b * 64, &[b as u8; 64]);
+        }
+        e.tamper_data_bit(80 * 64, 9);
+        assert_eq!(e.rekey(0x1234), Ok(()));
+        assert_eq!(e.config().seed, 0x1234);
+        assert_eq!(e.stats().data_corrections, 1);
+        for b in 0..100u64 {
+            assert_eq!(e.read_block(b * 64).unwrap(), [b as u8; 64], "block {b}");
+        }
     }
 
     #[test]

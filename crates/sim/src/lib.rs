@@ -160,7 +160,7 @@ pub struct SimResult {
     /// `core{i}/l1/...`, `core{i}/l2/...`, `core{i}/ipc`, `l3/...`,
     /// `dram/...`, `engine/...` (with `engine/counters/...` and
     /// `engine/metadata_cache/...` nested) and `sim/...` aggregates.
-    /// [`ame_telemetry::Snapshot::delta`] of two runs' snapshots, or
+    /// [`ame_telemetry::StatsRegistry::delta`] of two runs' snapshots, or
     /// `to_json()`/`to_table()` for reporting.
     pub telemetry: ame_telemetry::Snapshot,
 }

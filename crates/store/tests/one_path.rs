@@ -4,6 +4,7 @@
 //! tested for holds for the store's: it survives a counter overflow, and
 //! it never launders a tampered block into a fresh seal.
 
+use ame_engine::ReadError;
 use ame_prng::StdRng;
 use ame_store::{SecureStore, SessionConfig, SessionReaper, StoreConfig, StoreError, StoreOp};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -99,6 +100,43 @@ fn rmw_refuses_tampered_block() {
     assert_eq!(snap.counter("store/shard0/integrity_failures"), Some(1));
     assert_eq!(snap.gauge("store/shard0/poisoned"), Some(1.0));
     assert!(store.shutdown().shards[0].poisoned.is_some());
+}
+
+/// A group re-encryption opens each resident block as a read would. A
+/// block past the correction budget does not open, so it is left as
+/// stored and the next read of it quarantines the shard — it is not
+/// re-MACed under the group's fresh counter and served back as the
+/// flipped plaintext.
+#[test]
+fn reencryption_does_not_launder_a_tampered_block() {
+    let store = SecureStore::new(StoreConfig {
+        shards: 2,
+        shard_bytes: 1 << 14,
+        ..StoreConfig::default()
+    });
+    store.write(0, &[5; 64]).unwrap();
+    for bit in 0..3 {
+        store.tamper_data_bit(0, bit).unwrap();
+    }
+    // Global block 2 is shard 0's local block 1: the tampered block's
+    // delta group, so 200 writes to it wrap the group's 7-bit deltas.
+    for _ in 0..200 {
+        store.write(2 * BLOCK, &[9; 64]).unwrap();
+    }
+    assert!(
+        store
+            .telemetry()
+            .counter("store/shard0/engine/counters/reencryptions")
+            .unwrap()
+            >= 1
+    );
+    assert_eq!(
+        store.read(0),
+        Err(StoreError::ShardPoisoned {
+            shard: 0,
+            cause: Some(ReadError::IntegrityViolation),
+        })
+    );
 }
 
 fn reap_split(reaper: &mut SessionReaper<'_>) {

@@ -6,15 +6,13 @@
 //! `ame-bench` re-aggregated the fields by hand for every figure. This
 //! crate gives them one vocabulary:
 //!
-//! * [`Counter`] and [`Gauge`] — monotonic event cells and instantaneous
-//!   measurements.
 //! * [`Histogram`] — log₂-bucketed distributions for latencies and
 //!   occupancies, with exact count/sum/min/max and mergeable buckets.
 //! * [`StatsRegistry`] — a hierarchical, `/`-scoped namespace that stat
 //!   structs report into via the [`Metrics`] visitor trait.
-//! * [`Snapshot`] — an immutable copy of a registry with [`Snapshot::delta`],
-//!   so warmup-vs-measurement windows are a diff rather than bespoke
-//!   reset logic.
+//! * [`Snapshot`] — an immutable copy of a registry; two of them diff
+//!   with [`StatsRegistry::delta`], so warmup-vs-measurement windows are
+//!   a diff rather than bespoke reset logic.
 //! * [`Json`] — a hand-rolled JSON writer (no serde; the workspace has a
 //!   no-external-dependency policy) plus an aligned text-table writer, so
 //!   experiments emit both human artifacts and machine-diffable
@@ -68,69 +66,6 @@ pub use histogram::Histogram;
 pub use json::Json;
 pub use registry::{Snapshot, StatsRegistry, Value};
 
-/// A monotonically increasing event counter.
-///
-/// A plain cell for components that want to own a named tally without a
-/// full stats struct; report it through [`Metrics`] like any field.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self { value: 0 }
-    }
-
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.value = self.value.saturating_add(1);
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub const fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-/// An instantaneous measurement (a ratio, a rate, an occupancy).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge {
-    value: f64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self { value: 0.0 }
-    }
-
-    /// Overwrites the measurement.
-    pub fn set(&mut self, value: f64) {
-        self.value = value;
-    }
-
-    /// Current value.
-    #[must_use]
-    pub const fn get(&self) -> f64 {
-        self.value
-    }
-}
-
 /// Receives the metrics a component reports.
 ///
 /// Implemented by [`StatsRegistry`] scopes; component code only ever
@@ -157,30 +92,5 @@ pub trait Metrics {
 impl<T: Metrics + ?Sized> Metrics for &T {
     fn record(&self, sink: &mut dyn MetricSink) {
         (**self).record(sink);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counter_cell() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
-        let mut s = Counter { value: u64::MAX };
-        s.inc();
-        assert_eq!(s.get(), u64::MAX);
-    }
-
-    #[test]
-    fn gauge_cell() {
-        let mut g = Gauge::new();
-        g.set(1.25);
-        assert_eq!(g.get(), 1.25);
     }
 }

@@ -166,9 +166,77 @@ impl StatsRegistry {
     /// An immutable copy of the current state.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            values: self.values.clone(),
+        self.clone()
+    }
+
+    /// The change from `earlier` to `self`.
+    ///
+    /// Counters subtract (saturating), histograms diff bucket-wise, and
+    /// gauges keep the later reading — an instantaneous measurement has
+    /// no meaningful difference. Metrics present only in `self` pass
+    /// through unchanged; metrics only in `earlier` are dropped.
+    #[must_use]
+    pub fn delta(&self, earlier: &Self) -> Self {
+        let mut values = BTreeMap::new();
+        for (path, value) in &self.values {
+            let diffed = match (value, earlier.values.get(path)) {
+                (Value::Counter(now), Some(Value::Counter(then))) => {
+                    Value::Counter(now.saturating_sub(*then))
+                }
+                (Value::Histogram(now), Some(Value::Histogram(then))) => {
+                    Value::Histogram(Box::new(now.delta(then)))
+                }
+                (other, _) => other.clone(),
+            };
+            values.insert(path.clone(), diffed);
         }
+        Self { values }
+    }
+
+    /// The registry as a [`Json`] object (the `"metrics"` section of the
+    /// `results/*.json` schema).
+    ///
+    /// Counters render as integers, gauges as numbers (`null` if
+    /// non-finite), histograms as objects with `count`/`sum`/`min`/`max`/
+    /// `mean`/`p50`/`p95`/`p99` and a `buckets` array of
+    /// `[bit_length, count]` pairs.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let mut obj = Json::object();
+        for (path, value) in &self.values {
+            obj.push(path, value_json(value));
+        }
+        obj
+    }
+
+    /// The registry as an aligned two-column text table.
+    #[must_use]
+    pub fn to_table(&self) -> String {
+        let width = self
+            .values
+            .keys()
+            .map(String::len)
+            .max()
+            .unwrap_or(6)
+            .max("metric".len());
+        let mut out = String::new();
+        let _ = writeln!(out, "{:<width$}  value", "metric");
+        for (path, value) in &self.values {
+            let rendered = match value {
+                Value::Counter(v) => format!("{v}"),
+                Value::Gauge(v) => format!("{v:.4}"),
+                Value::Histogram(h) => format!(
+                    "count={} mean={:.1} p50={} p99={} max={}",
+                    h.count(),
+                    h.mean(),
+                    h.quantile(0.50),
+                    h.quantile(0.99),
+                    h.max()
+                ),
+            };
+            let _ = writeln!(out, "{path:<width$}  {rendered}");
+        }
+        out
     }
 }
 
@@ -202,145 +270,14 @@ impl MetricSink for ScopedSink<'_> {
     }
 }
 
-/// An immutable copy of a [`StatsRegistry`] at one measurement point.
+/// An immutable copy of a [`StatsRegistry`] at one measurement point,
+/// from [`StatsRegistry::snapshot`].
 ///
-/// Two snapshots of the same registry diff via [`Snapshot::delta`],
-/// which is how warmup-vs-measurement windows and per-phase attributions
-/// are expressed. Snapshots also render themselves as JSON (the
+/// Two snapshots of the same registry diff via
+/// [`StatsRegistry::delta`], which is how warmup-vs-measurement windows
+/// and per-phase attributions are expressed, and render as JSON (the
 /// `results/*.json` schema) and as an aligned text table.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Snapshot {
-    values: BTreeMap<String, Value>,
-}
-
-impl Snapshot {
-    /// The counter at `path`, if present.
-    #[must_use]
-    pub fn counter(&self, path: &str) -> Option<u64> {
-        match self.values.get(path) {
-            Some(Value::Counter(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The gauge at `path`, if present.
-    #[must_use]
-    pub fn gauge(&self, path: &str) -> Option<f64> {
-        match self.values.get(path) {
-            Some(Value::Gauge(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The histogram at `path`, if present.
-    #[must_use]
-    pub fn histogram(&self, path: &str) -> Option<&Histogram> {
-        match self.values.get(path) {
-            Some(Value::Histogram(h)) => Some(h),
-            _ => None,
-        }
-    }
-
-    /// Sum of all counters whose path starts with `prefix`.
-    #[must_use]
-    pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.values
-            .iter()
-            .filter(|(path, _)| path.starts_with(prefix))
-            .filter_map(|(_, v)| match v {
-                Value::Counter(c) => Some(*c),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Iterates all `(path, value)` pairs in sorted path order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Number of metrics captured.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` if nothing was captured.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The change from `earlier` to `self`.
-    ///
-    /// Counters subtract (saturating), histograms diff bucket-wise, and
-    /// gauges keep the later reading — an instantaneous measurement has
-    /// no meaningful difference. Metrics present only in `self` pass
-    /// through unchanged; metrics only in `earlier` are dropped.
-    #[must_use]
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        let mut values = BTreeMap::new();
-        for (path, value) in &self.values {
-            let diffed = match (value, earlier.values.get(path)) {
-                (Value::Counter(now), Some(Value::Counter(then))) => {
-                    Value::Counter(now.saturating_sub(*then))
-                }
-                (Value::Histogram(now), Some(Value::Histogram(then))) => {
-                    Value::Histogram(Box::new(now.delta(then)))
-                }
-                (other, _) => other.clone(),
-            };
-            values.insert(path.clone(), diffed);
-        }
-        Snapshot { values }
-    }
-
-    /// The snapshot as a [`Json`] object (the `"metrics"` section of the
-    /// `results/*.json` schema).
-    ///
-    /// Counters render as integers, gauges as numbers (`null` if
-    /// non-finite), histograms as objects with `count`/`sum`/`min`/`max`/
-    /// `mean`/`p50`/`p95`/`p99` and a `buckets` array of
-    /// `[bit_length, count]` pairs.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        for (path, value) in &self.values {
-            obj.push(path, value_json(value));
-        }
-        obj
-    }
-
-    /// The snapshot as an aligned two-column text table.
-    #[must_use]
-    pub fn to_table(&self) -> String {
-        let width = self
-            .values
-            .keys()
-            .map(String::len)
-            .max()
-            .unwrap_or(6)
-            .max("metric".len());
-        let mut out = String::new();
-        let _ = writeln!(out, "{:<width$}  value", "metric");
-        for (path, value) in &self.values {
-            let rendered = match value {
-                Value::Counter(v) => format!("{v}"),
-                Value::Gauge(v) => format!("{v:.4}"),
-                Value::Histogram(h) => format!(
-                    "count={} mean={:.1} p50={} p99={} max={}",
-                    h.count(),
-                    h.mean(),
-                    h.quantile(0.50),
-                    h.quantile(0.99),
-                    h.max()
-                ),
-            };
-            let _ = writeln!(out, "{path:<width$}  {rendered}");
-        }
-        out
-    }
-}
+pub type Snapshot = StatsRegistry;
 
 fn value_json(value: &Value) -> Json {
     match value {
