@@ -430,11 +430,6 @@ pub fn engine_key_metric(report: &EngineReport) -> String {
     )
 }
 
-/// Prints every ablation.
-pub fn print(ops: usize) {
-    print_delta(&delta_report(ops));
-}
-
 /// Prints the delta-design ablations from a precomputed report.
 pub fn print_delta(report: &DeltaReport) {
     for (name, points) in &report.optimizations {
@@ -480,16 +475,6 @@ pub fn print_delta(report: &DeltaReport) {
     }
 }
 
-/// Prints the performance-model ablations (slower: full simulations).
-pub fn print_perf(ops: usize) {
-    print_engine_perf(&EngineReport {
-        cache_sweep: Vec::new(),
-        verification: verification_ablation(ParsecApp::Canneal, ops),
-        mlp: mlp_sweep(ParsecApp::Canneal, ops),
-        policy: policy_ablation(ParsecApp::Canneal, ops),
-    });
-}
-
 /// Prints the verification/MLP/policy ablations from a precomputed
 /// report.
 pub fn print_engine_perf(report: &EngineReport) {
@@ -524,16 +509,6 @@ pub fn print_engine_cache_sweep(report: &EngineReport) {
             p.hit_rate * 100.0
         );
     }
-}
-
-/// Prints the metadata-cache sweep (a separate, slower experiment).
-pub fn print_cache_sweep(ops: usize) {
-    print_engine_cache_sweep(&EngineReport {
-        cache_sweep: metadata_cache_sweep(ParsecApp::Canneal, ops),
-        verification: Vec::new(),
-        mlp: Vec::new(),
-        policy: Vec::new(),
-    })
 }
 
 #[cfg(test)]

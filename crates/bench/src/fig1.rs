@@ -83,12 +83,7 @@ pub fn key_metric(rows: &[Fig1Row]) -> String {
     )
 }
 
-/// Prints the comparison in the shape of Figure 1.
-pub fn print(region_bytes: u64) {
-    print_rows(region_bytes, &compute(region_bytes));
-}
-
-/// Like [`print()`], from precomputed rows.
+/// Prints [`compute`]'s rows in the shape of Figure 1.
 pub fn print_rows(region_bytes: u64, rows: &[Fig1Row]) {
     println!(
         "=== Figure 1: encryption metadata storage overhead ({} MB region) ===",

@@ -153,12 +153,7 @@ pub fn key_metric(rows: &[Fig3Row]) -> String {
     )
 }
 
-/// Prints the matrix in the shape of Figure 3.
-pub fn print() {
-    print_rows(&compute());
-}
-
-/// Like [`print()`], from precomputed rows.
+/// Prints [`compute`]'s matrix in the shape of Figure 3.
 pub fn print_rows(rows: &[Fig3Row]) {
     println!("=== Figure 3: fault coverage, standard SEC-DED vs MAC-based ECC ===");
     println!(

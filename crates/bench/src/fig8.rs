@@ -284,21 +284,6 @@ pub fn key_metric(rows: &[Fig8Row]) -> String {
     )
 }
 
-/// Prints Table 1 (the configuration) and the Figure 8 series.
-pub fn print(seed: u64, ops_per_core: usize) {
-    print_with(seed, ops_per_core, false);
-}
-
-/// Like [`print()`], optionally including all 11 applications.
-pub fn print_with(seed: u64, ops_per_core: usize, all_apps: bool) {
-    let rows = if all_apps {
-        compute_all(seed, ops_per_core)
-    } else {
-        compute(seed, ops_per_core)
-    };
-    print_rows(&rows);
-}
-
 /// Prints Table 1 and the Figure 8 series from precomputed rows.
 pub fn print_rows(rows: &[Fig8Row]) {
     println!("=== Table 1: simulated system ===");

@@ -168,12 +168,8 @@ pub fn key_metric(rows: &[(ParsecApp, Vec<WearRow>)]) -> String {
     )
 }
 
-/// Prints the wear comparison for the write-heavy applications.
-pub fn print(seed: u64, ops_per_core: usize) {
-    print_rows(&compute(seed, ops_per_core));
-}
-
-/// Like [`print()`], from precomputed rows.
+/// Prints [`compute`]'s wear comparison for the write-heavy
+/// applications.
 pub fn print_rows(rows: &[(ParsecApp, Vec<WearRow>)]) {
     println!("=== NVMM wear: physical write amplification per counter scheme ===");
     for (app, schemes) in rows {

@@ -208,12 +208,8 @@ pub fn key_metric(rows: &[MatrixRow]) -> String {
     format!("{flips} flips injected, MAC-in-ECC silent corruptions: {mac_silent}")
 }
 
-/// Prints the study for both schemes at a few fault intensities.
-pub fn print(cfg: ReliabilityConfig) {
-    print_rows(cfg, &compute(cfg));
-}
-
-/// Like [`print()`], from precomputed rows.
+/// Prints [`compute`]'s study for both schemes at a few fault
+/// intensities.
 pub fn print_rows(cfg: ReliabilityConfig, rows: &[MatrixRow]) {
     println!(
         "=== Reliability Monte-Carlo: {} months, {} scrubs/month, {} blocks ===",

@@ -143,12 +143,7 @@ pub fn key_metric(rows: &[Table2Row]) -> String {
     )
 }
 
-/// Prints the table with the paper's values alongside.
-pub fn print(seed: u64, ops_per_core: usize) {
-    print_rows(&compute(seed, ops_per_core));
-}
-
-/// Like [`print()`], from precomputed rows.
+/// Prints [`compute`]'s table with the paper's values alongside.
 pub fn print_rows(rows: &[Table2Row]) {
     println!("=== Table 2: re-encryptions per 10^9 cycles (measured | paper) ===");
     println!(

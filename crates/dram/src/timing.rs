@@ -96,14 +96,6 @@ impl Default for DramConfig {
     }
 }
 
-impl DramConfig {
-    /// Minimum possible load-to-use latency (row hit): CAS + burst.
-    #[must_use]
-    pub fn best_case_latency(&self) -> u64 {
-        self.t_cas + self.t_burst
-    }
-}
-
 /// Row-buffer outcome counters and occupancy statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {

@@ -7,7 +7,7 @@
 //! loop, and the loop
 //! blocks in a single `epoll_wait` over all of its sockets *plus* one
 //! eventfd per open session (see
-//! [`SecureStore::split_session_with_wake`](ame_store::SecureStore::split_session_with_wake))
+//! [`SecureStore::session_with_wake`](ame_store::SecureStore::session_with_wake))
 //! so shard workers can rouse it the moment a completion lands. No
 //! thread ever blocks on a socket or a channel.
 //!
@@ -17,9 +17,9 @@
 //!            frame ≠ HELLO / refusal
 //! Handshake ────────────────────────────► Flush ──► closed
 //!     │ HELLO granted                       ▲
-//!     ▼                                     │ window empty
-//!   Open (submitter + reaper) ──────────────┘
-//!     GOODBYE/EOF/shutdown: drop submitter, drain in-flight
+//!     ▼                                     │ nothing in flight
+//!   Open (session) ─────────────────────────┘
+//!     GOODBYE/EOF/shutdown: stop submitting, drain in-flight
 //! ```
 //!
 //! Reads land straight in a per-connection buffer (partial frames are
@@ -49,9 +49,13 @@
 //! that wakeup.
 //! The loop handles a wake event by draining the eventfd
 //! **first** and then reaping everything
-//! ([`SessionReaper::try_recv_all`](ame_store::SessionReaper::try_recv_all)):
+//! ([`Session::try_recv_all`](ame_store::Session::try_recv_all)):
 //! a completion that lands between the reap and the next `epoll_wait`
-//! re-rings the fd, so nothing is ever stranded.
+//! re-rings the fd, so nothing is ever stranded. A worker that dies
+//! rings nothing, so at most once per poll interval the loop also reaps
+//! every session with operations in flight: the reap answers a dead
+//! shard's operations with a typed `Disconnected`, and no connection
+//! waits forever on them.
 //!
 //! Admission (HELLO policy), frame parsing, and operation decode live
 //! in [`crate::server`] next to the tenant state they consult.
@@ -67,9 +71,7 @@ use crate::server::{
 use crate::sys::{
     read_append, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use ame_store::{
-    SessionConfig, SessionReaper, SessionSubmitter, StoreError, StoreValue, Ticket, WakeFd,
-};
+use ame_store::{Session, SessionConfig, StoreError, StoreValue, Ticket, WakeFd};
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
@@ -202,11 +204,8 @@ struct Pipe<'a> {
     /// The session's share of the tenant's connection quota, handed back
     /// when the pipe is dropped.
     _slot: ConnectionSlot<'a>,
-    /// `Some` while admitting; dropped (→ `None`) to begin draining —
-    /// the store sees the pipeline close, in-flight completions still
-    /// arrive.
-    submitter: Option<SessionSubmitter<'a>>,
-    reaper: SessionReaper<'a>,
+    session: Session<'a>,
+    /// The request id each in-flight ticket answers.
     by_ticket: HashMap<Ticket, u64>,
     ids: HashSet<u64>,
     /// The session eventfd registered in the loop's interest set.
@@ -280,6 +279,7 @@ fn reactor_loop<'a>(
     let mut touched: Vec<u64> = Vec::new();
     let mut draining = false;
     let mut drain_deadline: Option<Instant> = None;
+    let mut next_sweep = Instant::now() + shared.poll_interval;
     loop {
         let n = match epoll.wait(&mut events, timeout_ms(shared.poll_interval)) {
             Ok(n) => n,
@@ -340,7 +340,7 @@ fn reactor_loop<'a>(
                 continue;
             }
             if token & 1 == 1 {
-                on_session_wake(conn);
+                reap_session(conn);
             } else {
                 on_socket(conn, event.events(), shared, epoll);
             }
@@ -370,6 +370,22 @@ fn reactor_loop<'a>(
             }
             retry_stalled(conn, shared, epoll);
             advance(conn, shared, epoll);
+        }
+
+        // A worker that dies rings no eventfd: at most once per poll
+        // interval, reap every session with operations in flight, which
+        // answers a dead shard's operations with a typed error.
+        let now = Instant::now();
+        if now >= next_sweep {
+            next_sweep = now + shared.poll_interval;
+            for conn in conns.values_mut() {
+                let in_flight =
+                    matches!(&conn.state, State::Open(pipe) if pipe.session.in_flight() > 0);
+                if in_flight && !conn.closed {
+                    reap_session(conn);
+                    advance(conn, shared, epoll);
+                }
+            }
         }
 
         // Drain deadline: past the grace period, peers that still have
@@ -588,10 +604,10 @@ fn handle_hello<'a>(
             window,
             reply,
         } => {
-            let (submitter, reaper) = tenant.store.split_session_with_wake(SessionConfig {
+            let session = tenant.store.session_with_wake(SessionConfig {
                 in_flight_window: window,
             });
-            let Some(wake_fd) = reaper.wake_fd() else {
+            let Some(wake_fd) = session.wake_fd() else {
                 // No eventfd for this session (fd exhaustion): the loop
                 // would never learn about completions, so refuse rather
                 // than serve a half-working connection.
@@ -618,8 +634,7 @@ fn handle_hello<'a>(
             conn.tenant = Some(tenant);
             conn.state = State::Open(Pipe {
                 _slot: slot,
-                submitter: Some(submitter),
-                reaper,
+                session,
                 by_ticket: HashMap::new(),
                 ids: HashSet::new(),
                 wake_fd,
@@ -707,13 +722,7 @@ fn submit_checked(
     wbuf: &mut Vec<u8>,
     frame: FrameRef<'_>,
 ) -> bool {
-    let Some(submitter) = pipe.submitter.as_mut() else {
-        // Unreachable: an open pipe without a submitter means the
-        // connection is draining, and draining connections never reach
-        // frame dispatch (nor retry stalls — the drain clears them).
-        return false;
-    };
-    match submit_op(submitter, frame) {
+    match submit_op(&mut pipe.session, frame) {
         Submitted::Ticket(ticket) => {
             pipe.by_ticket.insert(ticket, frame.req_id);
             false
@@ -768,10 +777,10 @@ fn retry_stalled<'a>(conn: &mut Conn<'a>, shared: &'a Shared, epoll: &Epoll) {
     }
 }
 
-/// Session eventfd fired: drain it *first*, then reap everything. A
-/// completion that lands after the reap re-rings the fd, so the
-/// drain-then-reap order can never strand a response.
-fn on_session_wake(conn: &mut Conn<'_>) {
+/// Session eventfd fired (or the sweep came round): drain it *first*,
+/// then reap everything. A completion that lands after the reap re-rings
+/// the fd, so the drain-then-reap order can never strand a response.
+fn reap_session(conn: &mut Conn<'_>) {
     let Conn {
         ref mut wbuf,
         ref mut state,
@@ -781,8 +790,8 @@ fn on_session_wake(conn: &mut Conn<'_>) {
     let (State::Open(pipe), Some(tenant)) = (state, tenant) else {
         return;
     };
-    pipe.reaper.drain_wake();
-    for (ticket, result) in pipe.reaper.try_recv_all() {
+    pipe.session.drain_wake();
+    for (ticket, result) in pipe.session.try_recv_all() {
         let req_id = pipe.by_ticket.remove(&ticket);
         if let Some(id) = req_id {
             pipe.ids.remove(&id);
@@ -819,14 +828,8 @@ fn begin_drain(conn: &mut Conn<'_>, why: ConnEnd) {
     // A parked op was never submitted and never acked; the drain
     // contract ("acked work is never dropped") does not cover it.
     conn.stalled = None;
-    match &mut conn.state {
-        State::Open(pipe) => {
-            pipe.submitter = None;
-        }
-        State::Handshake => {
-            conn.state = State::Flush;
-        }
-        State::Flush => {}
+    if matches!(conn.state, State::Handshake) {
+        conn.state = State::Flush;
     }
 }
 
@@ -853,7 +856,7 @@ fn begin_shutdown(conn: &mut Conn<'_>, max_frame: u32) {
             *end = Some(ConnEnd::Goodbye);
             *state = State::Flush;
         }
-        State::Open(pipe) => {
+        State::Open(_) => {
             let mut reject = |req_id| {
                 if let Some(tenant) = tenant {
                     tenant
@@ -873,7 +876,6 @@ fn begin_shutdown(conn: &mut Conn<'_>, max_frame: u32) {
                 parsed += frame.wire_len();
                 reject(frame.req_id);
             }
-            pipe.submitter = None;
             *end = Some(ConnEnd::Shutdown);
         }
         State::Flush => {}
@@ -909,21 +911,19 @@ fn advance<'a>(conn: &mut Conn<'a>, shared: &'a Shared, epoll: &Epoll) {
     {
         process_frames(conn, shared, epoll);
     }
-    // An open pipe whose submitter is gone and whose window is empty
-    // has delivered everything it ever acked: retire the session.
-    let finished = matches!(
-        &conn.state,
-        State::Open(pipe) if pipe.submitter.is_none() && pipe.by_ticket.is_empty()
-    );
+    // An open pipe that stopped submitting and has nothing in flight has
+    // delivered everything it ever acked: retire the session.
+    let finished =
+        conn.end.is_some() && matches!(&conn.state, State::Open(pipe) if pipe.by_ticket.is_empty());
     if finished {
         if matches!(conn.end, Some(ConnEnd::Shutdown)) {
             encode_frame(&mut conn.wbuf, code::SHUTTING_DOWN, 0, &[]);
         }
         if let State::Open(pipe) = std::mem::replace(&mut conn.state, State::Flush) {
             epoll.del(pipe.wake_fd);
-            // `pipe` drops here: the quota slot is handed back, the
-            // reaper releases the session and (with the last Arc) closes
-            // the eventfd.
+            // `pipe` drops here: the quota slot is handed back, and the
+            // session is released and (with the last Arc) closes the
+            // eventfd.
         }
     }
     flush_wbuf(conn);

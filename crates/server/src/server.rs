@@ -39,8 +39,7 @@ use crate::protocol::{
     DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use ame_store::{
-    SecureStore, SessionSubmitter, ShutdownReport, StoreConfig, StoreError, StoreOp, Ticket,
-    BLOCK_BYTES,
+    SecureStore, Session, ShutdownReport, StoreConfig, StoreError, StoreOp, Ticket, BLOCK_BYTES,
 };
 use ame_telemetry::{Snapshot, StatsRegistry};
 use std::io::{self, ErrorKind};
@@ -536,23 +535,23 @@ pub(crate) enum Submitted {
     Malformed,
 }
 
-pub(crate) fn submit_op(submitter: &mut SessionSubmitter<'_>, frame: FrameRef<'_>) -> Submitted {
+pub(crate) fn submit_op(session: &mut Session<'_>, frame: FrameRef<'_>) -> Submitted {
     let p = frame.payload;
     let result = match frame.tag {
         op::READ if p.len() == 8 => {
             let addr = u64::from_le_bytes(p[..8].try_into().unwrap());
-            submitter.submit(StoreOp::Read { addr })
+            session.submit(StoreOp::Read { addr })
         }
         op::WRITE if p.len() == 8 + BLOCK_BYTES => {
             let addr = u64::from_le_bytes(p[..8].try_into().unwrap());
             let data: [u8; BLOCK_BYTES] = p[8..].try_into().unwrap();
-            submitter.submit(StoreOp::Write { addr, data })
+            session.submit(StoreOp::Write { addr, data })
         }
         op::CAS if p.len() == 8 + 2 * BLOCK_BYTES => {
             let addr = u64::from_le_bytes(p[..8].try_into().unwrap());
             let expected: [u8; BLOCK_BYTES] = p[8..8 + BLOCK_BYTES].try_into().unwrap();
             let new: [u8; BLOCK_BYTES] = p[8 + BLOCK_BYTES..].try_into().unwrap();
-            submitter.submit_rmw(addr, move |block| {
+            session.submit_rmw(addr, move |block| {
                 if *block == expected {
                     *block = new;
                 }
@@ -725,5 +724,91 @@ mod tests {
             }
         }
         assert!(endings.iter().all(|&n| n > 100), "{endings:?}");
+    }
+
+    /// A shard worker that dies with a wire read queued behind it still
+    /// answers that read, with a typed `Disconnected`, and the other
+    /// shard keeps serving the same connection.
+    #[test]
+    fn a_dead_shard_worker_answers_its_wire_ops_with_a_typed_error() {
+        use crate::client::{PipelinedClient, PipelinedValue};
+        use std::sync::mpsc::{channel, sync_channel};
+        use std::time::Instant;
+
+        let store_config = StoreConfig {
+            shards: 2,
+            shard_bytes: 1 << 14,
+            ..StoreConfig::default()
+        };
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                tenants: vec![TenantSpec::new(0, store_config)],
+                mode: ServerMode::Reactor { threads: 1 },
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let store = &server.shared.tenants[0].store;
+        let mut session = store.session();
+        // Jam shard 0 with a mutator that panics once released.
+        let (gate_tx, gate_rx) = sync_channel::<()>(1);
+        let (in_tx, in_rx) = sync_channel::<()>(1);
+        session
+            .submit_rmw(0, move |_| {
+                let _ = in_tx.send(());
+                let _ = gate_rx.recv();
+                panic!("mutator panics");
+            })
+            .unwrap();
+        in_rx.recv().unwrap();
+
+        let mut client = PipelinedClient::connect(server.addr(), 0, 4).unwrap();
+        let doomed = client.submit_read(0).unwrap();
+        let healthy = client.submit_read(64).unwrap();
+        client.flush().unwrap();
+        let start = Instant::now();
+        while store.queue_depth(0) == 0 {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "the wire read never queued"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        gate_tx.send(()).unwrap();
+
+        // The client blocks in `recv`; a hang must fail the test, not wedge it.
+        let (tx, rx) = channel();
+        let reaper = thread::spawn(move || {
+            for _ in 0..2 {
+                let _ = tx.send(client.recv().unwrap());
+            }
+            client
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut answers = Vec::new();
+        while answers.len() < 2 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match rx.recv_timeout(left) {
+                Ok(answer) => answers.push(answer),
+                Err(_) => panic!("unanswered after 5 s; got {answers:?}"),
+            }
+        }
+        answers.sort_unstable_by_key(|&(id, _)| id);
+        assert_eq!(
+            answers,
+            vec![
+                (
+                    doomed,
+                    Err(WireError::Store(StoreError::Disconnected { shard: 0 }))
+                ),
+                (healthy, Ok(PipelinedValue::Data([0; BLOCK_BYTES]))),
+            ]
+        );
+        reaper.join().unwrap().goodbye().unwrap();
+        drop(session);
+        let reports = server.shutdown();
+        assert!(!reports[0].1.shards[0].resealed);
+        assert!(reports[0].1.shards[1].resealed);
     }
 }

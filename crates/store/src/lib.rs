@@ -58,7 +58,7 @@ mod shard;
 mod wake;
 mod wal;
 
-pub use session::{Session, SessionConfig, SessionReaper, SessionStats, SessionSubmitter, Ticket};
+pub use session::{Session, SessionConfig, SessionStats, Ticket};
 pub use shard::{SealReport, ShardStats};
 pub use wake::WakeFd;
 
@@ -589,7 +589,7 @@ impl SecureStore {
     /// Panics if `config.in_flight_window` is zero.
     #[must_use]
     pub fn session_with(&self, config: SessionConfig) -> Session<'_> {
-        Session::new(self, config)
+        Session::new(self, config, None)
     }
 
     /// Writes the 64-byte block at `addr`, waiting for queue space if

@@ -8,7 +8,10 @@
 //! `submit`s many operations — each returns a [`Ticket`] immediately —
 //! and reaps results from the session's completion queue with
 //! [`poll`](Session::poll), [`wait`](Session::wait),
-//! [`wait_any`](Session::wait_any), or [`wait_all`](Session::wait_all).
+//! [`wait_any`](Session::wait_any), or [`wait_all`](Session::wait_all) —
+//! or, from an event loop, with [`try_recv_all`](Session::try_recv_all)
+//! once the session's eventfd fires (see
+//! [`SecureStore::session_with_wake`]).
 //!
 //! # Queue lifecycle
 //!
@@ -27,8 +30,7 @@
 //! outstanding completion, so the window accounting makes that an upper
 //! bound on undrained messages — the worker's send therefore never
 //! blocks, so a slow client can never stall a shard that other clients
-//! share. Both session kinds reap through the same inbox, which also
-//! frees the window slots.
+//! share.
 //!
 //! # Backpressure rule
 //!
@@ -38,10 +40,17 @@
 //! [`StoreError::Overloaded`] instead of parking the thread; the client
 //! reaps a completion and retries. This turns queue pressure into a
 //! visible, countable event (the shard `overloads` counter) rather than
-//! an invisible stall. Both session kinds — the single-owner [`Session`]
-//! and the split [`SessionSubmitter`]/[`SessionReaper`] pair — submit
-//! through the same code: a [`Session`] owns a [`SessionSubmitter`] and
-//! adds ticket bookkeeping and statistics around it.
+//! an invisible stall.
+//!
+//! # Dead workers
+//!
+//! A worker unwound by a panicking mutator never answers the operations
+//! it still holds, and rings no eventfd. So whenever a reap finds the
+//! completion queue empty — blocking or not — the session checks each
+//! shard it has tickets outstanding on, and resolves every ticket of a
+//! shard whose worker has exited as [`StoreError::Disconnected`], in
+//! ticket order, after absorbing whatever that worker sent before it
+//! died. Every ticket ends with a result; none hangs.
 //!
 //! # Ordering contract
 //!
@@ -57,9 +66,9 @@ use crate::wake::WakeFd;
 use crate::{SecureStore, StoreError, StoreOp, StoreValue};
 use ame_engine::BLOCK_BYTES;
 use ame_telemetry::{Histogram, MetricSink, Metrics, Snapshot, StatsRegistry};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError, TrySendError};
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -131,10 +140,12 @@ impl Metrics for SessionStats {
 
 /// A pipelined, completion-based client handle to a [`SecureStore`].
 ///
-/// Created by [`SecureStore::session`]. A session is single-threaded
-/// (methods take `&mut self`) and `Send`; open one session per client
-/// thread — sessions are cheap, and any number coexist with each other
-/// and with blocking callers.
+/// Created by [`SecureStore::session`] for a client that blocks on its
+/// completions, or by [`SecureStore::session_with_wake`] for an event
+/// loop that waits on the session's eventfd. A session is
+/// single-threaded (methods take `&mut self`) and `Send`; open one
+/// session per client thread — sessions are cheap, and any number
+/// coexist with each other and with blocking callers.
 ///
 /// Dropping a session with operations still in flight is safe: the
 /// workers' completion sends fail harmlessly once the queue is gone.
@@ -154,12 +165,21 @@ impl Metrics for SessionStats {
 /// let _ = store.shutdown();
 /// ```
 pub struct Session<'a> {
-    /// The one submit path, shared with split sessions (no wake: this
-    /// session blocks on its inbox itself).
-    submitter: SessionSubmitter<'a>,
-    inbox: Inbox,
-    /// Outstanding tickets and the shard serving each.
-    pending: HashMap<u64, usize>,
+    store: &'a SecureStore,
+    window: usize,
+    next_seq: u64,
+    /// Where every submission's result goes: this session's completion
+    /// queue and, for an event loop, the eventfd a worker rings after
+    /// each message.
+    route: Arc<Route>,
+    rx: Receiver<Vec<Completion>>,
+    /// The kernel-visible readiness signal the route rings
+    /// ([`SecureStore::session_with_wake`] sessions only).
+    wake: Option<Arc<WakeFd>>,
+    /// Per shard, the tickets submitted and not yet received back, in
+    /// submission order: the in-flight window, and the tickets to
+    /// resolve should that shard's worker die.
+    in_flight: Vec<VecDeque<u64>>,
     /// Completed-but-unreaped results in arrival order.
     done: VecDeque<(Ticket, Result<StoreValue, StoreError>)>,
     stats: SessionStats,
@@ -168,8 +188,8 @@ pub struct Session<'a> {
 impl std::fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("window", &self.submitter.window)
-            .field("in_flight", &self.pending.len())
+            .field("window", &self.window)
+            .field("in_flight", &self.in_flight())
             .field("unreaped", &self.done.len())
             .finish_non_exhaustive()
     }
@@ -188,12 +208,34 @@ pub(crate) fn to_value(output: OpOutput) -> StoreValue {
 const LIVENESS_POLL: Duration = Duration::from_millis(20);
 
 impl<'a> Session<'a> {
-    pub(crate) fn new(store: &'a SecureStore, config: SessionConfig) -> Self {
-        let (submitter, inbox) = store.open_pipeline(config, None);
+    /// Opens a session on `store`; a worker rings `wake`, when given,
+    /// after each message it sends the session.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.in_flight_window` is zero.
+    pub(crate) fn new(
+        store: &'a SecureStore,
+        config: SessionConfig,
+        wake: Option<Arc<WakeFd>>,
+    ) -> Self {
+        assert!(
+            config.in_flight_window > 0,
+            "the in-flight window must admit at least one operation"
+        );
+        let shards = store.config.shards;
+        // Every message carries at least one outstanding completion, so
+        // this many always fit: workers never block on a send, no matter
+        // how lazily the client reaps.
+        let (route, rx) = Route::channel(shards * config.in_flight_window, wake.clone());
         Self {
-            submitter,
-            inbox,
-            pending: HashMap::new(),
+            store,
+            window: config.in_flight_window,
+            next_seq: 1,
+            route,
+            rx,
+            wake,
+            in_flight: vec![VecDeque::new(); shards],
             done: VecDeque::new(),
             stats: SessionStats::default(),
         }
@@ -202,13 +244,13 @@ impl<'a> Session<'a> {
     /// The per-shard in-flight window.
     #[must_use]
     pub fn window(&self) -> usize {
-        self.submitter.window
+        self.window
     }
 
     /// Operations submitted and not yet reaped, across all shards.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.pending.len()
+        self.in_flight.iter().map(VecDeque::len).sum()
     }
 
     /// Completed results waiting to be reaped (after an internal drain).
@@ -240,7 +282,8 @@ impl<'a> Session<'a> {
 
     /// Submits one read or write without waiting for it; the returned
     /// [`Ticket`] resolves through [`poll`](Session::poll)/
-    /// [`wait`](Session::wait)/[`wait_any`](Session::wait_any).
+    /// [`wait`](Session::wait)/[`wait_any`](Session::wait_any)/
+    /// [`try_recv_all`](Session::try_recv_all).
     ///
     /// # Errors
     ///
@@ -251,7 +294,7 @@ impl<'a> Session<'a> {
     /// slot) when the shard is already quarantined;
     /// [`StoreError::Disconnected`] if the shard worker is gone.
     pub fn submit(&mut self, op: StoreOp) -> Result<Ticket, StoreError> {
-        let (shard, op) = self.submitter.store.route(op)?;
+        let (shard, op) = self.store.route(op)?;
         self.submit_op(shard, op)
     }
 
@@ -267,32 +310,53 @@ impl<'a> Session<'a> {
         addr: u64,
         f: impl FnOnce(&mut [u8; BLOCK_BYTES]) + Send + 'static,
     ) -> Result<Ticket, StoreError> {
-        let (shard, op) = self.submitter.store.route_rmw(addr, f)?;
+        let (shard, op) = self.store.route_rmw(addr, f)?;
         self.submit_op(shard, op)
     }
 
-    /// Submits through the one [`SessionSubmitter`] path and keeps this
-    /// session's ticket bookkeeping and statistics.
+    /// The one pipelined submit path. Nothing here waits: a quarantined
+    /// shard, a full window and a full queue each bounce the operation
+    /// (counted in the shard's `overloads`) without holding a slot.
     fn submit_op(&mut self, shard: usize, op: Op) -> Result<Ticket, StoreError> {
         // Opportunistically absorb finished work first: a steady-state
         // submit loop never has to call a wait method just to free its
         // window.
         self.reap(Duration::ZERO);
-        let outcome = self.submitter.submit_op(shard, op);
-        match outcome {
-            Ok(Ticket(seq)) => {
-                self.pending.insert(seq, shard);
-                self.stats.submitted += 1;
-                self.stats.in_flight_depth.record(self.pending.len() as u64);
-            }
-            // A queue-full bounce leaves the window open, so an
-            // `Overloaded` with the window full was the window's.
-            Err(StoreError::Overloaded { .. }) if self.submitter.window_full(shard) => {
-                self.stats.window_rejections += 1;
-            }
-            Err(_) => {}
+        let sh = &self.store.shared[shard];
+        if sh.poisoned.load(Ordering::Relaxed) {
+            // Don't burn a queue slot on an operation the worker would
+            // only bounce.
+            sh.overloads.fetch_add(1, Ordering::Relaxed);
+            return Err(StoreError::ShardPoisoned { shard, cause: None });
         }
-        outcome
+        if self.in_flight[shard].len() >= self.window {
+            sh.overloads.fetch_add(1, Ordering::Relaxed);
+            self.stats.window_rejections += 1;
+            return Err(StoreError::Overloaded { shard });
+        }
+        let seq = self.next_seq;
+        let request = Request::Op {
+            op,
+            seq,
+            enqueued: Instant::now(),
+            route: Arc::clone(&self.route),
+        };
+        match self.store.senders[shard].try_send(request) {
+            Ok(()) => {}
+            Err(TrySendError::Full(_)) => {
+                sh.overloads.fetch_add(1, Ordering::Relaxed);
+                return Err(StoreError::Overloaded { shard });
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                return Err(StoreError::Disconnected { shard });
+            }
+        }
+        sh.depth.fetch_add(1, Ordering::Relaxed);
+        self.next_seq += 1;
+        self.in_flight[shard].push_back(seq);
+        self.stats.submitted += 1;
+        self.stats.in_flight_depth.record(self.in_flight() as u64);
+        Ok(Ticket(seq))
     }
 
     /// Non-blocking check of one ticket: `Some(result)` exactly once,
@@ -358,7 +422,9 @@ impl<'a> Session<'a> {
                 return result;
             }
             assert!(
-                self.pending.contains_key(&ticket.0),
+                self.in_flight
+                    .iter()
+                    .any(|tickets| tickets.contains(&ticket.0)),
                 "ticket {ticket:?} is not outstanding in this session"
             );
             patience = match deadline {
@@ -380,7 +446,7 @@ impl<'a> Session<'a> {
     /// submission order.
     pub fn wait_any(&mut self) -> Option<(Ticket, Result<StoreValue, StoreError>)> {
         self.reap(Duration::ZERO);
-        while self.done.is_empty() && !self.pending.is_empty() {
+        while self.done.is_empty() && self.in_flight() > 0 {
             self.reap(LIVENESS_POLL);
         }
         self.done.pop_front()
@@ -389,303 +455,30 @@ impl<'a> Session<'a> {
     /// Drains the pipeline: blocks until every outstanding operation has
     /// completed and returns all unreaped results in completion order.
     pub fn wait_all(&mut self) -> Vec<(Ticket, Result<StoreValue, StoreError>)> {
-        let mut results = Vec::with_capacity(self.done.len() + self.pending.len());
+        let mut results = Vec::with_capacity(self.done.len() + self.in_flight());
         while let Some(entry) = self.wait_any() {
             results.push(entry);
         }
         results
     }
 
-    /// Absorbs every completion that has arrived, after waiting up to
-    /// `patience` for the first. A wait that ends empty-handed resolves
-    /// the tickets no live worker will ever answer.
-    fn reap(&mut self, patience: Duration) {
-        let burst = self.inbox.reap(patience);
-        if burst.is_empty() {
-            if !patience.is_zero() {
-                self.resolve_orphans();
-            }
-            return;
-        }
-        self.stats.completion_batch.record(burst.len() as u64);
-        for completion in burst {
-            self.pending.remove(&completion.seq);
-            self.stats.completed += 1;
-            self.stats.queue_wait_ns.record(completion.queue_ns);
-            self.stats.service_ns.record(completion.service_ns);
-            let result = completion.result.map(to_value);
-            self.done.push_back((Ticket(completion.seq), result));
-        }
-    }
-
-    /// Resolves every pending ticket of a shard whose worker has exited
-    /// (a panicking mutator; shutdown and crashes need the store, which
-    /// this session borrows) as [`StoreError::Disconnected`], in ticket
-    /// order for determinism — after absorbing whatever the worker sent
-    /// before it died.
-    fn resolve_orphans(&mut self) {
-        let store = self.submitter.store;
-        let gone = |shard: usize| store.shared[shard].gone.load(Ordering::Acquire);
-        if !self.pending.values().any(|&shard| gone(shard)) {
-            return;
-        }
-        self.reap(Duration::ZERO);
-        let mut orphans: Vec<(u64, usize)> = self
-            .pending
-            .iter()
-            .map(|(&seq, &shard)| (seq, shard))
-            .filter(|&(_, shard)| gone(shard))
-            .collect();
-        orphans.sort_unstable();
-        for (seq, shard) in orphans {
-            self.pending.remove(&seq);
-            self.inbox.windows.release(shard);
-            self.done
-                .push_back((Ticket(seq), Err(StoreError::Disconnected { shard })));
-        }
-    }
-
-    fn take_done(&mut self, ticket: Ticket) -> Option<Result<StoreValue, StoreError>> {
-        let pos = self.done.iter().position(|(t, _)| *t == ticket)?;
-        self.done.remove(pos).map(|(_, result)| result)
-    }
-}
-
-/// Per-shard in-flight counts — the backpressure windows — shared by
-/// the submitting and the reaping side of a pipeline (the two halves of
-/// a split session, or one [`Session`] playing both): only the submit
-/// path increments, only reaping decrements, so the window check can
-/// never race itself — a concurrent reap only ever makes *more* room.
-#[derive(Debug)]
-struct Windows {
-    per_shard: Vec<AtomicUsize>,
-}
-
-impl Windows {
-    /// One operation of `shard` was reaped: its window slot is free.
-    fn release(&self, shard: usize) {
-        self.per_shard[shard].fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// The receiving end of a pipeline, the one reap path of both session
-/// kinds: the completion queue — one message per shard wakeup that
-/// served the pipeline — and the window slots its completions free.
-///
-/// It holds no route (no sender): once the submitter and every request
-/// it sent are gone, the queue reports disconnection, which is what
-/// [`SessionReaper::pipeline_closed`] latches.
-struct Inbox {
-    rx: Receiver<Vec<Completion>>,
-    windows: Arc<Windows>,
-    /// Latched once the queue is disconnected and drained.
-    closed: bool,
-}
-
-impl Inbox {
-    /// Every completion queued, in arrival (per-shard FIFO) order, after
-    /// waiting up to `patience` for the first; each frees its window
-    /// slot.
-    fn reap(&mut self, patience: Duration) -> Vec<Completion> {
-        let first = if patience.is_zero() {
-            self.rx
-                .try_recv()
-                .map_err(|e| e == TryRecvError::Disconnected)
-        } else {
-            self.rx
-                .recv_timeout(patience)
-                .map_err(|e| e == RecvTimeoutError::Disconnected)
-        };
-        let mut burst = match first {
-            Ok(burst) => burst,
-            Err(disconnected) => {
-                self.closed |= disconnected;
-                return Vec::new();
-            }
-        };
-        loop {
-            match self.rx.try_recv() {
-                Ok(more) => burst.extend(more),
-                Err(e) => {
-                    self.closed |= e == TryRecvError::Disconnected;
-                    break;
-                }
-            }
-        }
-        for completion in &burst {
-            self.windows.release(completion.shard);
-        }
-        burst
-    }
-}
-
-/// The submitting half of a split session (see
-/// [`SecureStore::split_session_with_wake`]): submissions without
-/// reaping. Every pipelined submission goes through this type — a
-/// [`Session`] owns one — so the fast-fail rules live in one place.
-///
-/// Dropping the submitter closes the pipeline: once the in-flight
-/// operations drain, the paired [`SessionReaper`] reports
-/// [`pipeline_closed`](SessionReaper::pipeline_closed).
-pub struct SessionSubmitter<'a> {
-    store: &'a SecureStore,
-    window: usize,
-    next_seq: u64,
-    /// Where every submission's result goes: this pipeline's completion
-    /// queue and, for an event-driven reaper, the eventfd a worker rings
-    /// after each message. The only sender of the queue outside the
-    /// requests in flight.
-    route: Arc<Route>,
-    windows: Arc<Windows>,
-}
-
-impl std::fmt::Debug for SessionSubmitter<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionSubmitter")
-            .field("window", &self.window)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The reaping half of a split session: completions without submitting.
-pub struct SessionReaper<'a> {
-    _store: &'a SecureStore,
-    inbox: Inbox,
-    /// The kernel-visible readiness signal paired with the completion
-    /// queue (wake-enabled sessions only).
-    wake: Option<Arc<WakeFd>>,
-}
-
-impl std::fmt::Debug for SessionReaper<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionReaper").finish_non_exhaustive()
-    }
-}
-
-impl<'a> SessionSubmitter<'a> {
-    /// The per-shard in-flight window.
-    #[must_use]
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Operations currently in flight (submitted, not yet reaped by the
-    /// paired [`SessionReaper`]), across all shards.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.windows
-            .per_shard
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Submits one read or write without waiting; the completion arrives
-    /// on the paired reaper, tagged with the returned [`Ticket`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::submit`]: address validation inline,
-    /// [`StoreError::Overloaded`] when the shard's in-flight window or
-    /// request queue is full, [`StoreError::ShardPoisoned`] fast-fail,
-    /// [`StoreError::Disconnected`] for a vanished worker.
-    pub fn submit(&mut self, op: StoreOp) -> Result<Ticket, StoreError> {
-        let (shard, op) = self.store.route(op)?;
-        self.submit_op(shard, op)
-    }
-
-    /// Submits a read-modify-write; its completion carries the pre-image
-    /// as [`StoreValue::Modified`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SessionSubmitter::submit`].
-    pub fn submit_rmw(
-        &mut self,
-        addr: u64,
-        f: impl FnOnce(&mut [u8; BLOCK_BYTES]) + Send + 'static,
-    ) -> Result<Ticket, StoreError> {
-        let (shard, op) = self.store.route_rmw(addr, f)?;
-        self.submit_op(shard, op)
-    }
-
-    /// `true` when `shard`'s in-flight window is full.
-    fn window_full(&self, shard: usize) -> bool {
-        self.windows.per_shard[shard].load(Ordering::Relaxed) >= self.window
-    }
-
-    /// The one pipelined submit path. Nothing here waits: a quarantined
-    /// shard, a full window and a full queue each bounce the operation
-    /// (counted in the shard's `overloads`) without holding a slot.
-    fn submit_op(&mut self, shard: usize, op: Op) -> Result<Ticket, StoreError> {
-        let sh = &self.store.shared[shard];
-        if sh.poisoned.load(Ordering::Relaxed) {
-            // Don't burn a queue slot on an operation the worker would
-            // only bounce.
-            sh.overloads.fetch_add(1, Ordering::Relaxed);
-            return Err(StoreError::ShardPoisoned { shard, cause: None });
-        }
-        if self.window_full(shard) {
-            sh.overloads.fetch_add(1, Ordering::Relaxed);
-            return Err(StoreError::Overloaded { shard });
-        }
-        let in_flight = &self.windows.per_shard[shard];
-        let seq = self.next_seq;
-        let request = Request::Op {
-            op,
-            seq,
-            enqueued: Instant::now(),
-            route: Arc::clone(&self.route),
-        };
-        // Count the slot *before* the send: the completion (and the
-        // reaper's decrement) can race an increment placed after it.
-        in_flight.fetch_add(1, Ordering::Relaxed);
-        match self.store.senders[shard].try_send(request) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                self.windows.release(shard);
-                sh.overloads.fetch_add(1, Ordering::Relaxed);
-                return Err(StoreError::Overloaded { shard });
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.windows.release(shard);
-                return Err(StoreError::Disconnected { shard });
-            }
-        }
-        sh.depth.fetch_add(1, Ordering::Relaxed);
-        self.next_seq += 1;
-        Ok(Ticket(seq))
-    }
-}
-
-impl<'a> SessionReaper<'a> {
-    /// Drains every completion available right now without blocking, in
-    /// arrival (per-shard FIFO) order. The event-driven reap: a reactor
+    /// Returns every completion available right now without blocking,
+    /// in arrival (per-shard FIFO) order. The event-driven reap: a loop
     /// woken by this session's [`wake_fd`](Self::wake_fd) calls
     /// [`drain_wake`](Self::drain_wake) then this, and the drain-first
     /// order guarantees no completion is ever stranded (one that lands
-    /// between the two re-rings the wakeup).
+    /// between the two re-rings the wakeup). A dead worker rings
+    /// nothing, so a loop with tickets in flight also calls this now
+    /// and then without a wakeup: that is how it learns of them.
     pub fn try_recv_all(&mut self) -> Vec<(Ticket, Result<StoreValue, StoreError>)> {
-        self.inbox
-            .reap(Duration::ZERO)
-            .into_iter()
-            .map(|c| (Ticket(c.seq), c.result.map(to_value)))
-            .collect()
-    }
-
-    /// `true` once the paired submitter is gone **and** every completion
-    /// has been drained (observed by
-    /// [`try_recv_all`](Self::try_recv_all)): the pipeline will never
-    /// yield again.
-    #[must_use]
-    pub fn pipeline_closed(&self) -> bool {
-        self.inbox.closed
+        self.reap(Duration::ZERO);
+        self.done.drain(..).collect()
     }
 
     /// The raw wake descriptor to register in an `epoll(7)` interest
     /// set, for sessions opened with
-    /// [`SecureStore::split_session_with_wake`]; `None` on hosts without
-    /// eventfd.
+    /// [`SecureStore::session_with_wake`]; `None` otherwise, and on
+    /// hosts without eventfd.
     #[must_use]
     pub fn wake_fd(&self) -> Option<i32> {
         self.wake.as_ref().map(|w| w.raw_fd())
@@ -698,78 +491,94 @@ impl<'a> SessionReaper<'a> {
             w.drain();
         }
     }
+
+    /// Absorbs every completion that has arrived, after waiting up to
+    /// `patience` for the first. A reap that finds nothing resolves the
+    /// tickets no live worker will ever answer.
+    fn reap(&mut self, patience: Duration) {
+        let first = if patience.is_zero() {
+            self.rx.try_recv().ok()
+        } else {
+            self.rx.recv_timeout(patience).ok()
+        };
+        match first {
+            Some(burst) => self.absorb(burst),
+            None => self.resolve_orphans(),
+        }
+    }
+
+    /// Takes in `burst` and every message queued behind it as one drain
+    /// burst, each completion leaving its shard's in-flight queue.
+    fn absorb(&mut self, mut burst: Vec<Completion>) {
+        while let Ok(more) = self.rx.try_recv() {
+            burst.extend(more);
+        }
+        self.stats.completion_batch.record(burst.len() as u64);
+        for completion in burst {
+            // Per-shard FIFO makes this the front, but position keeps
+            // the bookkeeping honest whatever the order.
+            let tickets = &mut self.in_flight[completion.shard];
+            if let Some(pos) = tickets.iter().position(|&seq| seq == completion.seq) {
+                tickets.remove(pos);
+            }
+            self.stats.completed += 1;
+            self.stats.queue_wait_ns.record(completion.queue_ns);
+            self.stats.service_ns.record(completion.service_ns);
+            let result = completion.result.map(to_value);
+            self.done.push_back((Ticket(completion.seq), result));
+        }
+    }
+
+    /// Resolves every in-flight ticket of a shard whose worker has
+    /// exited (a panicking mutator; shutdown and crashes need the store,
+    /// which this session borrows) as [`StoreError::Disconnected`], in
+    /// ticket order — after absorbing whatever the worker sent before
+    /// it died.
+    fn resolve_orphans(&mut self) {
+        for shard in 0..self.in_flight.len() {
+            if self.in_flight[shard].is_empty()
+                || !self.store.shared[shard].gone.load(Ordering::Acquire)
+            {
+                continue;
+            }
+            // The worker set `gone` after its last send: all it ever sent
+            // is queued now.
+            if let Ok(burst) = self.rx.try_recv() {
+                self.absorb(burst);
+            }
+            let disconnected = Err(StoreError::Disconnected { shard });
+            let orphans = self.in_flight[shard].drain(..);
+            self.done
+                .extend(orphans.map(|seq| (Ticket(seq), disconnected)));
+        }
+    }
+
+    fn take_done(&mut self, ticket: Ticket) -> Option<Result<StoreValue, StoreError>> {
+        let pos = self.done.iter().position(|(t, _)| *t == ticket)?;
+        self.done.remove(pos).map(|(_, result)| result)
+    }
 }
 
 impl SecureStore {
-    /// Opens a **split** pipelined session: a [`SessionSubmitter`] and a
-    /// [`SessionReaper`] that are separate values, unlike the
-    /// single-owner [`Session`], with the completion queue paired to a
-    /// kernel-visible [`WakeFd`]: a shard worker rings it once per
-    /// message it sends the session — at most once per service wakeup —
-    /// after the send, and the reaper exposes it via
-    /// [`SessionReaper::wake_fd`] for registration in an `epoll(7)`
-    /// interest set. This is what lets one event-loop thread block in
+    /// Opens a pipelined [`Session`] for an event loop: its completion
+    /// queue is paired with a kernel-visible [`WakeFd`] that a shard
+    /// worker rings once per message it sends the session — at most
+    /// once per service wakeup — after the send, exposed by
+    /// [`Session::wake_fd`] for registration in an `epoll(7)` interest
+    /// set. This is what lets one event-loop thread block in
     /// `epoll_wait` over many sessions *and* their sockets at once —
-    /// the reactor's completion path. When the host has no eventfd,
-    /// `wake_fd()` is `None` and the caller must refuse the session or
-    /// poll [`SessionReaper::try_recv_all`]; there is no silent
-    /// half-working state.
-    ///
-    /// Window semantics are identical to [`Session`]: at most
-    /// `config.in_flight_window` operations in flight per shard, then
-    /// [`StoreError::Overloaded`]. Dropping the submitter ends the
-    /// pipeline; the reaper drains the stragglers.
+    /// the reactor's completion path; it reaps with
+    /// [`Session::drain_wake`] then [`Session::try_recv_all`]. When the
+    /// host has no eventfd, `wake_fd()` is `None` and the caller must
+    /// refuse the session or poll; there is no silent half-working
+    /// state.
     ///
     /// # Panics
     ///
     /// Panics if `config.in_flight_window` is zero.
     #[must_use]
-    pub fn split_session_with_wake(
-        &self,
-        config: SessionConfig,
-    ) -> (SessionSubmitter<'_>, SessionReaper<'_>) {
-        let wake = WakeFd::new().map(Arc::new);
-        let (submitter, inbox) = self.open_pipeline(config, wake.clone());
-        let reaper = SessionReaper {
-            _store: self,
-            inbox,
-            wake,
-        };
-        (submitter, reaper)
-    }
-
-    /// Opens one submission pipeline: the submitter and the inbox its
-    /// operations report to.
-    fn open_pipeline(
-        &self,
-        config: SessionConfig,
-        wake: Option<Arc<WakeFd>>,
-    ) -> (SessionSubmitter<'_>, Inbox) {
-        assert!(
-            config.in_flight_window > 0,
-            "the in-flight window must admit at least one operation"
-        );
-        let shards = self.config.shards;
-        // Every message carries at least one outstanding completion, so
-        // this many always fit: workers never block on a send, no matter
-        // how lazily the client reaps.
-        let (route, rx) = Route::channel(shards * config.in_flight_window, wake);
-        let windows = Arc::new(Windows {
-            per_shard: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
-        });
-        let submitter = SessionSubmitter {
-            store: self,
-            window: config.in_flight_window,
-            next_seq: 1,
-            route,
-            windows: Arc::clone(&windows),
-        };
-        let inbox = Inbox {
-            rx,
-            windows,
-            closed: false,
-        };
-        (submitter, inbox)
+    pub fn session_with_wake(&self, config: SessionConfig) -> Session<'_> {
+        Session::new(self, config, WakeFd::new().map(Arc::new))
     }
 }
 
@@ -823,11 +632,11 @@ mod tests {
 
     #[test]
     fn window_backpressure_fast_fails() {
-        let store = store(1);
+        let store = store(2);
         let mut session = store.session_with(SessionConfig {
             in_flight_window: 4,
         });
-        // Jam the worker so nothing completes while we fill the window.
+        // Jam shard 0 so nothing of it completes while we fill its window.
         let (gate_tx, gate_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let (in_tx, in_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let jam = session
@@ -837,10 +646,11 @@ mod tests {
             })
             .unwrap();
         in_rx.recv().unwrap();
+        // Even blocks live on shard 0.
         for b in 1..4u64 {
             session
                 .submit(StoreOp::Write {
-                    addr: b * 64,
+                    addr: b * 128,
                     data: [1; 64],
                 })
                 .unwrap();
@@ -852,6 +662,16 @@ mod tests {
         );
         assert_eq!(session.stats().window_rejections, 1);
         assert!(store.overloads(0) >= 1, "window bounce counts as overload");
+        // The full window is shard 0's alone: shard 1 still admits, and
+        // its completion frees none of shard 0's slots.
+        let other = session.submit(StoreOp::Read { addr: 64 }).unwrap();
+        assert_eq!(session.wait(other), Ok(StoreValue::Data([0; 64])));
+        assert_eq!(
+            session.submit(StoreOp::Read { addr: 0 }),
+            Err(StoreError::Overloaded { shard: 0 })
+        );
+        assert_eq!(session.stats().window_rejections, 2);
+        assert_eq!(store.overloads(1), 0);
         gate_tx.send(()).unwrap();
         assert!(matches!(session.wait(jam), Ok(StoreValue::Modified(_))));
         let drained = session.wait_all();
@@ -981,6 +801,43 @@ mod tests {
         let report = store.shutdown();
         assert!(!report.shards[0].resealed);
         assert!(report.shards[1].resealed);
+    }
+
+    /// The event-loop reap alone — `drain_wake` then `try_recv_all`,
+    /// never a blocking wait — resolves a dead worker's tickets: the
+    /// worker rings no eventfd for them, so the non-blocking reap must
+    /// find them itself.
+    #[test]
+    fn a_dead_worker_resolves_without_a_blocking_wait() {
+        let store = store(2);
+        let mut session = store.session_with_wake(SessionConfig::default());
+        let write = |addr| StoreOp::Write {
+            addr,
+            data: [3; 64],
+        };
+        let doomed = session.submit_rmw(0, |_| panic!("mutator panics")).unwrap();
+        let behind = session.submit(write(128)).unwrap();
+        let healthy = session.submit(write(64)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut reaped = Vec::new();
+        while reaped.len() < 3 && Instant::now() < deadline {
+            session.drain_wake();
+            reaped.extend(session.try_recv_all());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        reaped.sort_unstable_by_key(|&(ticket, _)| ticket);
+        assert_eq!(
+            reaped,
+            vec![
+                (doomed, Err(StoreError::Disconnected { shard: 0 })),
+                (behind, Err(StoreError::Disconnected { shard: 0 })),
+                (healthy, Ok(StoreValue::Written)),
+            ]
+        );
+        assert_eq!(session.in_flight(), 0);
+        drop(session);
+        let report = store.shutdown();
+        assert!(!report.shards[0].resealed);
     }
 
     #[test]

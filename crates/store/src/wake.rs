@@ -1,11 +1,12 @@
 //! Quarantined `eventfd(2)` binding: the kernel-visible wakeup a shard
-//! worker rings when it sends a split session its completions.
+//! worker rings when it sends a wake-enabled session its completions.
 //!
-//! The split [`SessionReaper`](crate::SessionReaper) drains an in-memory
-//! channel, which is invisible to `epoll(7)` — an event-driven server
-//! multiplexing thousands of connections on a handful of threads has
-//! nothing to block on when a completion lands. A [`WakeFd`] closes that
-//! gap: the submitter's route carries one, the worker
+//! A [`Session`](crate::Session) reaps an in-memory channel, which is
+//! invisible to `epoll(7)` — an event-driven server multiplexing
+//! thousands of connections on a handful of threads has nothing to
+//! block on when a completion lands. A [`WakeFd`] closes that gap: a
+//! [`session_with_wake`](crate::SecureStore::session_with_wake)
+//! session's route carries one, the worker
 //! [`signal`](WakeFd::signal)s it once per service wakeup, after the
 //! message carrying that wakeup's completions, and the serving reactor
 //! registers the raw fd in its epoll set. Semantics

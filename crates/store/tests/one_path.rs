@@ -6,7 +6,7 @@
 
 use ame_engine::ReadError;
 use ame_prng::StdRng;
-use ame_store::{SecureStore, SessionConfig, SessionReaper, StoreConfig, StoreError, StoreOp};
+use ame_store::{SecureStore, Session, SessionConfig, StoreConfig, StoreError, StoreOp};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -139,8 +139,10 @@ fn reencryption_does_not_launder_a_tampered_block() {
     );
 }
 
-fn reap_split(reaper: &mut SessionReaper<'_>) {
-    for (_, result) in reaper.try_recv_all() {
+/// The event-loop reap: clear the wakeup, then take everything.
+fn reap_woken(session: &mut Session<'_>) {
+    session.drain_wake();
+    for (_, result) in session.try_recv_all() {
         result.unwrap();
     }
     std::thread::yield_now();
@@ -169,7 +171,7 @@ fn every_served_op_is_accounted_to_a_run() {
             in_flight_window: 8,
         };
         let mut session = store.session_with(window);
-        let (mut submitter, mut reaper) = store.split_session_with_wake(window);
+        let mut woken = store.session_with_wake(window);
         let mut rng = StdRng::seed_from_u64(20);
         let bump = |block: &mut [u8; 64]| block[0] = block[0].wrapping_add(1);
         for i in 0..800u64 {
@@ -208,14 +210,14 @@ fn every_served_op_is_accounted_to_a_run() {
                 },
                 _ => loop {
                     let submitted = if kind == 2 {
-                        submitter.submit_rmw(addr, bump)
+                        woken.submit_rmw(addr, bump)
                     } else {
-                        submitter.submit(op)
+                        woken.submit(op)
                     };
                     match submitted {
                         Ok(_) => break,
-                        Err(StoreError::Overloaded { .. }) => reap_split(&mut reaper),
-                        Err(e) => panic!("split submit: {e}"),
+                        Err(StoreError::Overloaded { .. }) => reap_woken(&mut woken),
+                        Err(e) => panic!("wake-enabled submit: {e}"),
                     }
                 },
             }
@@ -223,10 +225,10 @@ fn every_served_op_is_accounted_to_a_run() {
         for (_, result) in session.wait_all() {
             result.unwrap();
         }
-        while submitter.in_flight() > 0 {
-            reap_split(&mut reaper);
+        while woken.in_flight() > 0 {
+            reap_woken(&mut woken);
         }
-        drop((session, submitter, reaper));
+        drop((session, woken));
 
         let snap = store.telemetry();
         for shard in 0..2 {

@@ -24,7 +24,7 @@ fn one_ring_per_session_per_wakeup() {
         ..StoreConfig::default()
     });
     let before = wake_rings(&store);
-    let (mut submitter, mut reaper) = store.split_session_with_wake(SessionConfig {
+    let mut session = store.session_with_wake(SessionConfig {
         in_flight_window: 16,
     });
 
@@ -32,7 +32,7 @@ fn one_ring_per_session_per_wakeup() {
     // behind the jam: they can only be served together, by the next one.
     let (gate_tx, gate_rx) = sync_channel::<()>(1);
     let (in_tx, in_rx) = sync_channel::<()>(1);
-    let mut tickets = vec![submitter
+    let mut tickets = vec![session
         .submit_rmw(0, move |_| {
             let _ = in_tx.send(());
             let _ = gate_rx.recv();
@@ -41,14 +41,14 @@ fn one_ring_per_session_per_wakeup() {
     in_rx.recv().unwrap();
     for b in 1..5u64 {
         tickets.push(
-            submitter
+            session
                 .submit(StoreOp::Write {
                     addr: b * 64,
                     data: [b as u8; 64],
                 })
                 .unwrap(),
         );
-        tickets.push(submitter.submit(StoreOp::Read { addr: b * 64 }).unwrap());
+        tickets.push(session.submit(StoreOp::Read { addr: b * 64 }).unwrap());
     }
     gate_tx.send(()).unwrap();
 
@@ -62,8 +62,8 @@ fn one_ring_per_session_per_wakeup() {
             reaped.len(),
             tickets.len()
         );
-        reaper.drain_wake();
-        reaped.extend(reaper.try_recv_all());
+        session.drain_wake();
+        reaped.extend(session.try_recv_all());
         std::thread::yield_now();
     }
     assert_eq!(
@@ -81,6 +81,6 @@ fn one_ring_per_session_per_wakeup() {
         2,
         "nine completions over two wakeups ring the session twice"
     );
-    drop((submitter, reaper));
+    drop(session);
     let _ = store.shutdown();
 }
