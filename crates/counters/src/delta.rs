@@ -139,6 +139,18 @@ impl DeltaCounters {
         &self.config
     }
 
+    /// The configuration as a state section records it.
+    fn layout(&self) -> Vec<u8> {
+        let cfg = &self.config;
+        let mut out = Vec::new();
+        put_u32(&mut out, cfg.delta_bits);
+        put_u64(&mut out, cfg.blocks_per_group as u64);
+        put_u32(&mut out, cfg.reference_bits);
+        out.push(u8::from(cfg.reset_enabled));
+        out.push(u8::from(cfg.reencode_enabled));
+        out
+    }
+
     /// Current delta of `block` (for inspection/ablation experiments).
     #[must_use]
     pub fn delta(&self, block: u64) -> u64 {
@@ -263,13 +275,7 @@ impl CounterScheme for DeltaCounters {
     }
 
     fn encode_state(&self, out: &mut Vec<u8>) {
-        let cfg = &self.config;
-        let mut body = codec::begin_state(out, self.name());
-        put_u32(&mut body, cfg.delta_bits);
-        put_u64(&mut body, cfg.blocks_per_group as u64);
-        put_u32(&mut body, cfg.reference_bits);
-        body.push(u8::from(cfg.reset_enabled));
-        body.push(u8::from(cfg.reencode_enabled));
+        let mut body = codec::begin_state(out, self.name(), &self.layout());
         codec::put_stats(&mut body, &self.stats);
         let mut indices: Vec<u64> = self.groups.keys().copied().collect();
         indices.sort_unstable();
@@ -291,24 +297,10 @@ impl CounterScheme for DeltaCounters {
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
-        let mut body = codec::read_state(r, self.name())?;
-        let config = DeltaConfig {
-            delta_bits: body.u32()?,
-            blocks_per_group: body.u64()? as usize,
-            reference_bits: body.u32()?,
-            reset_enabled: body.u8()? != 0,
-            reencode_enabled: body.u8()? != 0,
-        };
-        if config.delta_bits == 0
-            || config.delta_bits >= 32
-            || config.blocks_per_group == 0
-            || config.reference_bits == 0
-            || config.reference_bits > 64
-        {
-            return Err(invalid_data("inconsistent delta configuration"));
-        }
+        let mut body = codec::read_state(r, self.name(), &self.layout())?;
+        let config = self.config;
         let stats = codec::read_stats(&mut body)?;
-        let entry = codec::group_entry_bytes(8, config.blocks_per_group)?;
+        let entry = 16 + 8 * config.blocks_per_group;
         let groups = read_index_table(&mut body, entry, |body| {
             let reference = body.u64()?;
             let mut deltas = Vec::with_capacity(config.blocks_per_group);
@@ -322,7 +314,6 @@ impl CounterScheme for DeltaCounters {
             let deltas = Deltas::from_values(deltas);
             Ok(Group { reference, deltas })
         })?;
-        self.config = config;
         self.stats = stats;
         self.groups = groups;
         Ok(())
@@ -449,7 +440,7 @@ mod tests {
                     0 => {
                         let mut image = Vec::new();
                         c.encode_state(&mut image);
-                        c = DeltaCounters::default();
+                        c = DeltaCounters::new(cfg);
                         c.decode_state(&mut ByteReader::new(&image)).unwrap();
                         thawed += 1;
                     }
@@ -697,9 +688,16 @@ mod tests {
         let mut buf = Vec::new();
         c.encode_state(&mut buf);
         assert_eq!(buf.len(), c.encoded_state_len());
-        let mut back = DeltaCounters::default();
+        let err = DeltaCounters::default()
+            .decode_state(&mut ByteReader::new(&buf))
+            .unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "another layout"
+        );
+        let mut back = small();
         back.decode_state(&mut ByteReader::new(&buf)).unwrap();
-        assert_eq!(back.config(), c.config(), "configuration is adopted");
         assert_eq!(back.stats(), c.stats());
         for b in 0..8u64 {
             assert_eq!(back.counter(b), c.counter(b), "block {b}");
@@ -726,7 +724,7 @@ mod tests {
         let mut image = Vec::new();
         c.encode_state(&mut image);
         crate::tests::assert_forged_tables_refused(&image, 2, 16 + 8 * 4, |r| {
-            DeltaCounters::default().decode_state(r)
+            small().decode_state(r)
         });
     }
 

@@ -155,6 +155,20 @@ impl DualLengthDeltaCounters {
         &self.config
     }
 
+    /// The configuration as a state section records it.
+    fn layout(&self) -> Vec<u8> {
+        let cfg = &self.config;
+        let mut out = Vec::new();
+        put_u32(&mut out, cfg.base_bits);
+        put_u32(&mut out, cfg.extra_bits);
+        put_u64(&mut out, cfg.delta_groups as u64);
+        put_u64(&mut out, cfg.blocks_per_group as u64);
+        put_u32(&mut out, cfg.reference_bits);
+        out.push(u8::from(cfg.reset_enabled));
+        out.push(u8::from(cfg.reencode_enabled));
+        out
+    }
+
     /// The delta-group index of `block` within its block-group.
     #[must_use]
     pub fn delta_group_of(&self, block: u64) -> usize {
@@ -328,15 +342,7 @@ impl CounterScheme for DualLengthDeltaCounters {
     }
 
     fn encode_state(&self, out: &mut Vec<u8>) {
-        let cfg = &self.config;
-        let mut body = codec::begin_state(out, self.name());
-        put_u32(&mut body, cfg.base_bits);
-        put_u32(&mut body, cfg.extra_bits);
-        put_u64(&mut body, cfg.delta_groups as u64);
-        put_u64(&mut body, cfg.blocks_per_group as u64);
-        put_u32(&mut body, cfg.reference_bits);
-        body.push(u8::from(cfg.reset_enabled));
-        body.push(u8::from(cfg.reencode_enabled));
+        let mut body = codec::begin_state(out, self.name(), &self.layout());
         codec::put_stats(&mut body, &self.stats);
         let mut indices: Vec<u64> = self.groups.keys().copied().collect();
         indices.sort_unstable();
@@ -371,30 +377,10 @@ impl CounterScheme for DualLengthDeltaCounters {
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
-        let mut body = codec::read_state(r, self.name())?;
-        let config = DualLengthConfig {
-            base_bits: body.u32()?,
-            extra_bits: body.u32()?,
-            delta_groups: body.u64()? as usize,
-            blocks_per_group: body.u64()? as usize,
-            reference_bits: body.u32()?,
-            reset_enabled: body.u8()? != 0,
-            reencode_enabled: body.u8()? != 0,
-        };
-        let consistent = config.base_bits > 0
-            && config.base_bits < 32
-            && config.extra_bits > 0
-            && config.base_bits + config.extra_bits < 32
-            && config.delta_groups > 0
-            && config.blocks_per_group > 0
-            && config.blocks_per_group.is_multiple_of(config.delta_groups)
-            && config.reference_bits > 0
-            && config.reference_bits <= 64;
-        if !consistent {
-            return Err(invalid_data("inconsistent dual-length configuration"));
-        }
+        let mut body = codec::read_state(r, self.name(), &self.layout())?;
+        let config = self.config;
         let stats = codec::read_stats(&mut body)?;
-        let entry = codec::group_entry_bytes(8 + 1 + 8, config.blocks_per_group)?;
+        let entry = 16 + 9 + 8 * config.blocks_per_group;
         let groups = read_index_table(&mut body, entry, |body| {
             let reference = body.u64()?;
             let has_expanded = body.u8()? != 0;
@@ -427,7 +413,6 @@ impl CounterScheme for DualLengthDeltaCounters {
                 expanded,
             })
         })?;
-        self.config = config;
         self.stats = stats;
         self.groups = groups;
         Ok(())
@@ -566,7 +551,7 @@ mod tests {
                     0 => {
                         let mut image = Vec::new();
                         c.encode_state(&mut image);
-                        c = DualLengthDeltaCounters::default();
+                        c = DualLengthDeltaCounters::new(cfg);
                         c.decode_state(&mut ByteReader::new(&image)).unwrap();
                         thawed += 1;
                     }
@@ -791,9 +776,16 @@ mod tests {
         let mut buf = Vec::new();
         c.encode_state(&mut buf);
         assert_eq!(buf.len(), c.encoded_state_len());
-        let mut back = DualLengthDeltaCounters::default();
+        let err = DualLengthDeltaCounters::default()
+            .decode_state(&mut ByteReader::new(&buf))
+            .unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "another layout"
+        );
+        let mut back = tiny();
         back.decode_state(&mut ByteReader::new(&buf)).unwrap();
-        assert_eq!(back.config(), c.config(), "configuration is adopted");
         assert_eq!(back.stats(), c.stats());
         assert_eq!(back.expanded_group(0), Some(0));
         for b in 0..8u64 {
@@ -826,7 +818,7 @@ mod tests {
         let mut image = Vec::new();
         c.encode_state(&mut image);
         crate::tests::assert_forged_tables_refused(&image, 2, 25 + 8 * 4, |r| {
-            DualLengthDeltaCounters::default().decode_state(r)
+            tiny().decode_state(r)
         });
     }
 

@@ -48,8 +48,9 @@ use std::fmt;
 use std::io;
 
 /// Shared framing for serialized counter-scheme state: one checksummed
-/// section whose payload starts with the scheme name, so thawing with
-/// the wrong scheme configured fails loudly instead of misparsing.
+/// section whose payload starts with the scheme name and its layout (its
+/// configuration, as the scheme encodes it), so thawing with another
+/// scheme or another layout configured fails loudly instead of misparsing.
 pub(crate) mod codec {
     use super::CounterStats;
     use ame_persist::{invalid_data, put_u64, read_section, ByteReader, SectionWriter};
@@ -58,22 +59,35 @@ pub(crate) mod codec {
     pub(crate) const MAGIC: &[u8; 8] = b"AMECTRS\0";
     pub(crate) const VERSION: u32 = 1;
 
-    /// Opens the state section at the end of `out`; the scheme appends
-    /// its body through the returned writer and `finish`es it.
-    pub(crate) fn begin_state<'a>(out: &'a mut Vec<u8>, name: &str) -> SectionWriter<'a> {
+    /// Opens the state section at the end of `out` with the scheme's
+    /// name and `layout`; the scheme appends its body through the
+    /// returned writer and `finish`es it.
+    pub(crate) fn begin_state<'a>(
+        out: &'a mut Vec<u8>,
+        name: &str,
+        layout: &[u8],
+    ) -> SectionWriter<'a> {
         let mut payload = SectionWriter::begin(out, MAGIC, VERSION);
         payload.push(name.len() as u8);
         payload.extend_from_slice(name.as_bytes());
+        payload.extend_from_slice(layout);
         payload
     }
 
-    /// Length of a state section whose scheme-specific body is `body`
-    /// bytes after the statistics.
+    /// Length of a state section whose scheme-specific body (layout
+    /// included) is `body` bytes besides the statistics.
     pub(crate) fn state_len(name: &str, body: usize) -> usize {
         ame_persist::SECTION_OVERHEAD + 1 + name.len() + 5 * 8 + body
     }
 
-    pub(crate) fn read_state<'a>(r: &mut ByteReader<'a>, name: &str) -> io::Result<ByteReader<'a>> {
+    /// Opens a section [`begin_state`] wrote, positioned after the
+    /// layout: its scheme name and its layout must be the reader's own,
+    /// byte for byte, so nothing is sized from a layout in the image.
+    pub(crate) fn read_state<'a>(
+        r: &mut ByteReader<'a>,
+        name: &str,
+        layout: &[u8],
+    ) -> io::Result<ByteReader<'a>> {
         let (version, mut payload) = read_section(r, MAGIC)?;
         if version != VERSION {
             return Err(invalid_data(format!(
@@ -88,20 +102,13 @@ pub(crate) mod codec {
                 String::from_utf8_lossy(found)
             )));
         }
+        let stored = payload.take(layout.len())?;
+        if stored != layout {
+            return Err(invalid_data(format!(
+                "{name} counter layout {stored:02x?} is not the configured {layout:02x?}"
+            )));
+        }
         Ok(payload)
-    }
-
-    /// Bytes of one serialized group: its index, `head` bytes of
-    /// per-group fields, then one `u64` per block.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` if a decoded group size makes that overflow.
-    pub(crate) fn group_entry_bytes(head: usize, blocks_per_group: usize) -> io::Result<usize> {
-        blocks_per_group
-            .checked_mul(8)
-            .and_then(|blocks| blocks.checked_add(8 + head))
-            .ok_or_else(|| invalid_data("counter group too large"))
     }
 
     pub(crate) fn put_stats(out: &mut Vec<u8>, stats: &CounterStats) {
@@ -262,13 +269,14 @@ pub trait CounterScheme: Send {
     fn encoded_state_len(&self) -> usize;
 
     /// Restores state captured by [`CounterScheme::encode_state`],
-    /// replacing this instance's state (including its configuration) and
-    /// advancing the reader past the section.
+    /// replacing this instance's state and advancing the reader past the
+    /// section. The configuration stays this instance's: the section's
+    /// layout must be the one this instance would write.
     ///
     /// # Errors
     ///
-    /// `InvalidData` on a framing/checksum failure, a scheme-name
-    /// mismatch, or internally inconsistent decoded state.
+    /// `InvalidData` on a framing/checksum failure, a scheme-name or
+    /// layout mismatch, or internally inconsistent decoded state.
     fn decode_state(&mut self, r: &mut ame_persist::ByteReader<'_>) -> io::Result<()>;
 
     /// Forces `block`'s counter to `value` (write-intent log replay).

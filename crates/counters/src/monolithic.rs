@@ -2,7 +2,7 @@
 //! 56-bit counters, incurring ~11% storage overhead — Section 2.1).
 
 use crate::{codec, CounterScheme, CounterStats, WriteOutcome};
-use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
+use ame_persist::{invalid_data, put_u64, read_index_table, ByteReader, IndexMap};
 use std::io;
 
 /// Full-width per-block counters. Never re-encrypts: a 56-bit counter
@@ -122,8 +122,7 @@ impl CounterScheme for MonolithicCounters {
     }
 
     fn encode_state(&self, out: &mut Vec<u8>) {
-        let mut body = codec::begin_state(out, self.name());
-        put_u32(&mut body, self.bits);
+        let mut body = codec::begin_state(out, self.name(), &self.bits.to_le_bytes());
         codec::put_stats(&mut body, &self.stats);
         let mut blocks: Vec<u64> = self.counters.keys().copied().collect();
         blocks.sort_unstable();
@@ -140,13 +139,9 @@ impl CounterScheme for MonolithicCounters {
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
-        let mut body = codec::read_state(r, self.name())?;
-        let bits = body.u32()?;
-        if bits == 0 || bits > 64 {
-            return Err(invalid_data("counter width out of range"));
-        }
+        let mut body = codec::read_state(r, self.name(), &self.bits.to_le_bytes())?;
         let stats = codec::read_stats(&mut body)?;
-        let max = MonolithicCounters::new(bits).max();
+        let max = self.max();
         let counters = read_index_table(&mut body, 16, |body| {
             let ctr = body.u64()?;
             if ctr > max {
@@ -154,7 +149,6 @@ impl CounterScheme for MonolithicCounters {
             }
             Ok(ctr)
         })?;
-        self.bits = bits;
         self.stats = stats;
         self.counters = counters;
         Ok(())
@@ -238,9 +232,12 @@ mod tests {
         let mut buf = Vec::new();
         c.encode_state(&mut buf);
         assert_eq!(buf.len(), c.encoded_state_len());
-        let mut back = MonolithicCounters::default();
+        let err = MonolithicCounters::default()
+            .decode_state(&mut ByteReader::new(&buf))
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "another width");
+        let mut back = MonolithicCounters::new(16);
         back.decode_state(&mut ByteReader::new(&buf)).unwrap();
-        assert_eq!(back.bits(), 16);
         assert_eq!(back.stats(), c.stats());
         for b in 0..12u64 {
             assert_eq!(back.counter(b), c.counter(b));

@@ -66,6 +66,14 @@ impl SplitCounters {
         }
     }
 
+    /// The configuration as a state section records it.
+    fn layout(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, self.minor_bits);
+        put_u64(&mut out, self.blocks_per_group as u64);
+        out
+    }
+
     fn minor_max(&self) -> u64 {
         (1u64 << self.minor_bits) - 1
     }
@@ -175,9 +183,7 @@ impl CounterScheme for SplitCounters {
     }
 
     fn encode_state(&self, out: &mut Vec<u8>) {
-        let mut body = codec::begin_state(out, self.name());
-        put_u32(&mut body, self.minor_bits);
-        put_u64(&mut body, self.blocks_per_group as u64);
+        let mut body = codec::begin_state(out, self.name(), &self.layout());
         codec::put_stats(&mut body, &self.stats);
         let mut indices: Vec<u64> = self.groups.keys().copied().collect();
         indices.sort_unstable();
@@ -199,19 +205,10 @@ impl CounterScheme for SplitCounters {
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
-        let mut body = codec::read_state(r, self.name())?;
-        let minor_bits = body.u32()?;
-        if minor_bits == 0 || minor_bits >= 32 {
-            return Err(invalid_data("minor width out of range"));
-        }
-        let bpg = body.u64()? as usize;
-        if bpg == 0 {
-            return Err(invalid_data("empty split-counter group"));
-        }
+        let mut body = codec::read_state(r, self.name(), &self.layout())?;
         let stats = codec::read_stats(&mut body)?;
-        let minor_max = (1u64 << minor_bits) - 1;
-        let entry = codec::group_entry_bytes(8, bpg)?;
-        let groups = read_index_table(&mut body, entry, |body| {
+        let (bpg, minor_max) = (self.blocks_per_group, self.minor_max());
+        let groups = read_index_table(&mut body, 16 + 8 * bpg, |body| {
             let major = body.u64()?;
             let mut minors = Vec::with_capacity(bpg);
             for _ in 0..bpg {
@@ -223,8 +220,6 @@ impl CounterScheme for SplitCounters {
             }
             Ok(Group { major, minors })
         })?;
-        self.minor_bits = minor_bits;
-        self.blocks_per_group = bpg;
         self.stats = stats;
         self.groups = groups;
         Ok(())
@@ -353,7 +348,7 @@ mod tests {
         let mut image = Vec::new();
         c.encode_state(&mut image);
         crate::tests::assert_forged_tables_refused(&image, 2, 16 + 8 * 4, |r| {
-            SplitCounters::default().decode_state(r)
+            SplitCounters::new(3, 4).decode_state(r)
         });
     }
 
@@ -367,7 +362,15 @@ mod tests {
         let mut buf = Vec::new();
         c.encode_state(&mut buf);
         assert_eq!(buf.len(), c.encoded_state_len());
-        let mut back = SplitCounters::default();
+        let err = SplitCounters::default()
+            .decode_state(&mut ByteReader::new(&buf))
+            .unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "another layout"
+        );
+        let mut back = SplitCounters::new(3, 4);
         back.decode_state(&mut ByteReader::new(&buf)).unwrap();
         assert_eq!(back.stats(), c.stats());
         for b in 0..8u64 {

@@ -55,12 +55,16 @@ use ame_persist::{
     invalid_data, put_u32, put_u64, read_index_table, read_section, ByteReader, IndexMap,
     SectionWriter,
 };
-use ame_tree::cache::{self, CachedTree};
+use ame_tree::cache::CachedTree;
 use ame_tree::merkle::{BonsaiTree, VerifyError};
 use std::io;
 
 /// Size of a protected memory block in bytes.
 pub const BLOCK_BYTES: usize = 64;
+
+/// Bytes of configuration in a v1 engine image header, after the seed
+/// (what [`MemoryEncryptionEngine::put_config`] writes).
+const CONFIG_BYTES: usize = 1 + 1 + 4 + 8 + 8 + 1;
 
 /// Where MAC tags are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,7 +132,8 @@ pub struct EngineConfig {
     ///
     /// At most [`ame_tree::cache::MAX_CAPACITY`] (65 536 blocks, 128× the
     /// paper's 512-line cache): [`MemoryEncryptionEngine::new`] asserts
-    /// it and a frozen image that names more is rejected at thaw.
+    /// it. A frozen image never sizes the cache: thaw builds the
+    /// configured one and refuses an image that names any other.
     pub counter_cache_blocks: usize,
     /// Prefetch counter blocks at 4 KB group boundaries on fused read
     /// runs: the batched read path collects the *distinct* metadata
@@ -406,7 +411,7 @@ impl MemoryEncryptionEngine {
     /// # Panics
     ///
     /// Panics if `config.counter_cache_blocks` exceeds
-    /// [`cache::MAX_CAPACITY`].
+    /// [`ame_tree::cache::MAX_CAPACITY`].
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         Self {
@@ -430,7 +435,7 @@ impl MemoryEncryptionEngine {
 
     /// The empty integrity tree `config` describes, behind its counter
     /// cache: what [`Self::new`] and [`Self::rekey`] start from
-    /// ([`Self::thaw_from`] puts the decoded tree behind the same cache).
+    /// ([`Self::thaw_from`] decodes the image's tree into one).
     fn empty_tree(config: &EngineConfig) -> CachedTree {
         CachedTree::new(
             BonsaiTree::new(Self::tree_cipher(config.seed), config.tree_levels, 8),
@@ -1241,6 +1246,12 @@ impl MemoryEncryptionEngine {
     /// engine. The cipher itself is not serialized: keys are re-derived
     /// from the seed at thaw.
     ///
+    /// The v1 format still writes the configuration (header fields, the
+    /// counter scheme's layout, the tree's arity and depth), but thaw
+    /// reads none of it as configuration: [`region::thaw`] rebuilds the
+    /// engine its caller configures and refuses an image whose fields
+    /// differ, so only the seed and the data come from the image.
+    ///
     /// **The image is not confidential at rest.** The key-derivation
     /// seed (`config.seed`) is embedded in cleartext so thaw can
     /// re-derive the cipher, which means anyone who can read the frozen
@@ -1255,20 +1266,7 @@ impl MemoryEncryptionEngine {
         let start = out.len();
         let mut payload = SectionWriter::begin(out, Self::MAGIC, Self::VERSION);
         put_u64(&mut payload, self.config.seed);
-        payload.push(match self.config.mac_placement {
-            MacPlacement::SeparateMac => 0,
-            MacPlacement::MacInEcc => 1,
-        });
-        payload.push(match self.config.counter_scheme {
-            CounterSchemeKind::Monolithic => 0,
-            CounterSchemeKind::Split => 1,
-            CounterSchemeKind::Delta => 2,
-            CounterSchemeKind::DualLength => 3,
-        });
-        put_u32(&mut payload, self.config.max_correctable_flips);
-        put_u64(&mut payload, self.config.tree_levels as u64);
-        put_u64(&mut payload, self.config.counter_cache_blocks as u64);
-        payload.push(u8::from(self.config.prefetch_counters));
+        Self::put_config(&self.config, &mut payload);
         put_u64(&mut payload, self.stats.reads);
         put_u64(&mut payload, self.stats.writes);
         put_u64(&mut payload, self.stats.reencrypted_blocks);
@@ -1290,68 +1288,77 @@ impl MemoryEncryptionEngine {
         debug_assert_eq!(out.len() - start, self.frozen_len());
     }
 
+    /// Appends the v1 header's configuration fields, which follow the
+    /// seed: MAC placement, counter scheme, flip budget, tree levels,
+    /// counter-cache blocks and the prefetch flag.
+    fn put_config(config: &EngineConfig, out: &mut Vec<u8>) {
+        out.push(match config.mac_placement {
+            MacPlacement::SeparateMac => 0,
+            MacPlacement::MacInEcc => 1,
+        });
+        out.push(match config.counter_scheme {
+            CounterSchemeKind::Monolithic => 0,
+            CounterSchemeKind::Split => 1,
+            CounterSchemeKind::Delta => 2,
+            CounterSchemeKind::DualLength => 3,
+        });
+        put_u32(out, config.max_correctable_flips);
+        put_u64(out, config.tree_levels as u64);
+        put_u64(out, config.counter_cache_blocks as u64);
+        out.push(u8::from(config.prefetch_counters));
+    }
+
     /// Exact length in bytes of what [`Self::freeze_into`] appends, so
     /// the image's buffer is reserved once and never regrown.
     #[must_use]
     pub fn frozen_len(&self) -> usize {
-        // seed, placement, scheme, flips, levels, cache blocks, prefetch;
-        // seven statistics; the MAC-region count.
+        // seed, the configuration fields, seven statistics; the
+        // MAC-region count.
         ame_persist::SECTION_OVERHEAD
-            + (8 + 1 + 1 + 4 + 8 + 8 + 1 + 7 * 8 + 8)
+            + (8 + CONFIG_BYTES + 7 * 8 + 8)
             + self.storage.encoded_len()
             + self.counters.encoded_state_len()
             + self.tree.tree().encoded_state_len()
             + self.mac_region.len() * 16
     }
 
-    /// Rebuilds an engine from a section produced by
-    /// [`Self::freeze_into`], advancing the reader past it. Keys are
-    /// re-derived from the stored seed; the counter cache (if any) comes
-    /// back cold. The thawed engine is *not* yet trusted — callers run
-    /// [`Self::verify_all`] before serving.
+    /// Rebuilds the engine `config` describes from a section produced by
+    /// [`Self::freeze_into`], advancing the reader past it; the one
+    /// caller is [`region::thaw`]. The seed is the image's; every other
+    /// configuration field the image holds must equal `config`'s, byte
+    /// for byte, and the counters and tree decode into the scheme and
+    /// tree `config` builds, each refusing a layout other than its own.
+    /// Nothing is sized from the image's configuration. The counter
+    /// cache (if any) comes back cold. The thawed engine is *not* yet
+    /// trusted — callers run [`Self::verify_all`] before serving.
     ///
     /// # Errors
     ///
-    /// `InvalidData` on a framing/checksum failure anywhere in the image
-    /// or internally inconsistent decoded state.
-    pub fn thaw_from(r: &mut ByteReader<'_>) -> io::Result<Self> {
+    /// `InvalidData` on a framing/checksum failure anywhere in the image,
+    /// configuration other than `config`'s, or internally inconsistent
+    /// decoded state.
+    pub(crate) fn thaw_from(r: &mut ByteReader<'_>, config: &EngineConfig) -> io::Result<Self> {
         let (version, mut payload) = read_section(r, Self::MAGIC)?;
         if version != Self::VERSION {
             return Err(invalid_data(format!(
                 "unsupported engine image version {version}"
             )));
         }
-        let seed = payload.u64()?;
-        let mac_placement = match payload.u8()? {
-            0 => MacPlacement::SeparateMac,
-            1 => MacPlacement::MacInEcc,
-            other => return Err(invalid_data(format!("unknown MAC placement {other}"))),
+        let config = EngineConfig {
+            seed: payload.u64()?,
+            ..*config
         };
-        let counter_scheme = match payload.u8()? {
-            0 => CounterSchemeKind::Monolithic,
-            1 => CounterSchemeKind::Split,
-            2 => CounterSchemeKind::Delta,
-            3 => CounterSchemeKind::DualLength,
-            other => return Err(invalid_data(format!("unknown counter scheme {other}"))),
-        };
-        let max_correctable_flips = payload.u32()?;
-        // Nothing is sized from the header until these are checked: the
-        // tree's depth must be the tree section's own, and the cache
-        // must fit under the ceiling `new` asserts.
-        let tree_levels = payload.u64()?;
-        let counter_cache_blocks = payload.u64()?;
-        if counter_cache_blocks > cache::MAX_CAPACITY as u64 {
+        let mut configured = Vec::with_capacity(CONFIG_BYTES);
+        Self::put_config(&config, &mut configured);
+        let stored = payload.take(CONFIG_BYTES)?;
+        if stored != configured {
             return Err(invalid_data(format!(
-                "counter cache of {counter_cache_blocks} blocks exceeds {}",
-                cache::MAX_CAPACITY
+                "engine image configuration {stored:02x?} is not the configured \
+                 {config:?} ({configured:02x?})"
             )));
         }
-        let prefetch_counters = match payload.u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(invalid_data(format!("non-canonical prefetch flag {other}"))),
-        };
-        let stats = EngineStats {
+        let mut engine = Self::new(config);
+        engine.stats = EngineStats {
             reads: payload.u64()?,
             writes: payload.u64()?,
             reencrypted_blocks: payload.u64()?,
@@ -1360,38 +1367,11 @@ impl MemoryEncryptionEngine {
             flip_checks: payload.u64()?,
             failed_reads: payload.u64()?,
         };
-        let storage = DramStorage::decode(&mut payload)?;
-        let mut counters = counter_scheme.build();
-        counters.decode_state(&mut payload)?;
-        let bonsai = BonsaiTree::decode_state(Self::tree_cipher(seed), &mut payload)?;
-        if bonsai.off_chip_levels() as u64 != tree_levels {
-            return Err(invalid_data(format!(
-                "engine header says {tree_levels} tree levels, the tree has {}",
-                bonsai.off_chip_levels()
-            )));
-        }
-        let config = EngineConfig {
-            seed,
-            mac_placement,
-            counter_scheme,
-            max_correctable_flips,
-            tree_levels: bonsai.off_chip_levels(),
-            counter_cache_blocks: counter_cache_blocks as usize,
-            prefetch_counters,
-        };
-        let tree = CachedTree::new(bonsai, config.counter_cache_blocks);
-        let mac_region = read_index_table(&mut payload, 16, ByteReader::u64)?;
-        Ok(Self {
-            config,
-            cipher: MemoryCipher::from_seed(seed),
-            counters,
-            tree,
-            storage,
-            mac_region,
-            stats,
-            flip_check_dist: ame_telemetry::Histogram::new(),
-            mac_batch_dist: ame_telemetry::Histogram::new(),
-        })
+        engine.storage = DramStorage::decode(&mut payload)?;
+        engine.counters.decode_state(&mut payload)?;
+        engine.tree.tree_mut().decode_state(&mut payload)?;
+        engine.mac_region = read_index_table(&mut payload, 16, ByteReader::u64)?;
+        Ok(engine)
     }
 }
 
@@ -2186,8 +2166,9 @@ mod tests {
             }
             let mut img = Vec::new();
             e.freeze_into(&mut img);
-            let mut back = MemoryEncryptionEngine::thaw_from(&mut ByteReader::new(&img))
-                .unwrap_or_else(|err| panic!("{:?}: {err}", e.config()));
+            let mut back =
+                MemoryEncryptionEngine::thaw_from(&mut ByteReader::new(&img), e.config())
+                    .unwrap_or_else(|err| panic!("{:?}: {err}", e.config()));
             assert_eq!(back.config(), e.config());
             assert_eq!(back.counter_stats(), e.counter_stats());
             let verified = back.verify_all().unwrap();
@@ -2208,11 +2189,12 @@ mod tests {
         }
         let img = region::freeze(&e, 4096);
         assert!(img.len() <= 4096, "small enough to enumerate");
-        assert!(region::thaw(&img).is_ok());
+        assert!(region::thaw(&img, e.config(), 4096).is_ok());
         for bit in 0..img.len() * 8 {
             let mut bad = img.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            let err = region::thaw(&bad).expect_err("a flipped image bit must be detected");
+            let err = region::thaw(&bad, e.config(), 4096)
+                .expect_err("a flipped image bit must be detected");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "bit {bit}");
         }
     }
@@ -2251,7 +2233,7 @@ mod tests {
             reseal(&[&two, first, first]),
             reseal(&[&two, second, first]),
         ] {
-            let err = MemoryEncryptionEngine::thaw_from(&mut ByteReader::new(&forged))
+            let err = MemoryEncryptionEngine::thaw_from(&mut ByteReader::new(&forged), e.config())
                 .expect_err("a forged MAC-region table must be refused");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         }
@@ -2274,7 +2256,8 @@ mod tests {
             let decoded = SealedBlockState::decode(&mut ByteReader::new(&enc)).unwrap();
             assert_eq!(decoded, sealed, "sealed state round-trips");
 
-            let mut back = MemoryEncryptionEngine::thaw_from(&mut ByteReader::new(&img)).unwrap();
+            let mut back =
+                MemoryEncryptionEngine::thaw_from(&mut ByteReader::new(&img), e.config()).unwrap();
             let mut replay = back.replay_sealed(ADDR_LIMIT);
             replay.install(64, &decoded).unwrap();
             assert_eq!(replay.finish(), 1, "one metadata block re-synced");

@@ -1,31 +1,36 @@
 //! The `AMEREGN` envelope: a frozen engine together with the size of
 //! the region it protects.
 //!
-//! An engine serves any block-aligned address below [`ADDR_LIMIT`]; a
-//! store shard protects a fixed region `[0, size)` of that space and
-//! keeps the bound itself.
-//! [`freeze`] records the bound beside the engine's sealed image, and
-//! [`thaw`] checks it against everything the image holds before anyone
-//! serves from it: a resident block at or past the size is refused, so a
-//! forged image cannot hand a later sweep an address the engine asserts
-//! on.
+//! An engine serves any block-aligned address below
+//! [`ame_crypto::ctr::ADDR_LIMIT`]; a store shard protects a fixed region
+//! `[0, size)` of that space and keeps the bound itself.
+//! [`freeze`] records the bound beside the engine's sealed image.
+//! [`thaw`] is the one way back: the caller's configuration is the only
+//! source of configuration, and the image supplies data only. The stored
+//! size must be the configured size, every configuration field the image
+//! holds must be the configured engine's, and a resident block at or
+//! past the size is refused, so a forged image cannot hand the engine a
+//! layout or a later sweep an address it asserts on.
 //!
 //! # Example
 //!
 //! ```
 //! use ame_engine::{region, EngineConfig, MemoryEncryptionEngine};
 //!
-//! let mut engine = MemoryEncryptionEngine::new(EngineConfig::default());
+//! let config = EngineConfig::default();
+//! let mut engine = MemoryEncryptionEngine::new(config);
 //! engine.write_block(0x40, &[7; 64]);
 //! let image = region::freeze(&engine, 4096);
-//! let (mut back, size) = region::thaw(&image).unwrap();
-//! assert_eq!(size, 4096);
+//! let mut back = region::thaw(&image, &config, 4096).unwrap();
 //! assert_eq!(back.verify_all().unwrap(), 1);
 //! assert_eq!(back.read_block(0x40).unwrap(), [7; 64]);
+//! // Under another configuration, or another size, the image is refused.
+//! let split = EngineConfig { counter_scheme: ame_engine::CounterSchemeKind::Split, ..config };
+//! assert!(region::thaw(&image, &split, 4096).is_err());
+//! assert!(region::thaw(&image, &config, 8192).is_err());
 //! ```
 
-use crate::{MemoryEncryptionEngine, BLOCK_BYTES};
-use ame_crypto::ctr::ADDR_LIMIT;
+use crate::{EngineConfig, MemoryEncryptionEngine};
 use ame_persist::{invalid_data, put_u64, read_section, ByteReader, SectionWriter};
 use std::io;
 
@@ -55,16 +60,20 @@ pub fn freeze(engine: &MemoryEncryptionEngine, size: u64) -> Vec<u8> {
     out
 }
 
-/// Rebuilds an engine and its region size from an image produced by
-/// [`freeze`]. Keys are re-derived from the stored seed; callers run
-/// [`MemoryEncryptionEngine::verify_all`] before trusting the result.
+/// Rebuilds the engine `config` describes, over a `size`-byte region,
+/// from an image produced by [`freeze`]. Keys are re-derived from the
+/// image's seed (after a clean shutdown it is the reseal seed); every
+/// other parameter is `config`'s, and the image must agree with it.
+/// Callers run [`MemoryEncryptionEngine::verify_all`] before trusting
+/// the result.
 ///
 /// # Errors
 ///
-/// `InvalidData` on any framing/checksum failure in the image, a size
-/// that is not whole blocks or is past [`ADDR_LIMIT`], or a resident
+/// `InvalidData` on any framing/checksum failure in the image, a stored
+/// size other than `size`, a configuration field (engine header,
+/// counter layout, tree layout) other than `config`'s, or a resident
 /// block at or past the size.
-pub fn thaw(image: &[u8]) -> io::Result<(MemoryEncryptionEngine, u64)> {
+pub fn thaw(image: &[u8], config: &EngineConfig, size: u64) -> io::Result<MemoryEncryptionEngine> {
     let mut r = ByteReader::new(image);
     let (version, mut payload) = read_section(&mut r, MAGIC)?;
     if version != VERSION {
@@ -72,29 +81,31 @@ pub fn thaw(image: &[u8]) -> io::Result<(MemoryEncryptionEngine, u64)> {
             "unsupported region image version {version}"
         )));
     }
-    let size = payload.u64()?;
-    if size == 0 || !size.is_multiple_of(BLOCK_BYTES as u64) {
-        return Err(invalid_data("region size must be whole blocks"));
+    let stored = payload.u64()?;
+    if stored != size {
+        return Err(invalid_data(format!(
+            "image of a {stored}-byte region, configured {size} bytes"
+        )));
     }
-    if size > ADDR_LIMIT {
-        return Err(invalid_data("region size past the 48-bit address limit"));
-    }
-    let engine = MemoryEncryptionEngine::thaw_from(&mut payload)?;
+    let engine = MemoryEncryptionEngine::thaw_from(&mut payload, config)?;
     if let Some(addr) = engine.storage.addrs().last().filter(|&a| a >= size) {
         return Err(invalid_data(format!(
             "resident block {addr:#x} outside the {size}-byte region"
         )));
     }
-    Ok((engine, size))
+    Ok(engine)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineConfig;
+
+    fn config() -> EngineConfig {
+        EngineConfig::default()
+    }
 
     fn engine() -> MemoryEncryptionEngine {
-        MemoryEncryptionEngine::new(EngineConfig::default())
+        MemoryEncryptionEngine::new(config())
     }
 
     #[test]
@@ -102,13 +113,24 @@ mod tests {
         let mut e = engine();
         e.write_block(64, &[0x5a; 64]);
         let image = freeze(&e, 4096);
-        let (mut back, size) = thaw(&image).unwrap();
-        assert_eq!(size, 4096);
+        let mut back = thaw(&image, &config(), 4096).unwrap();
         assert!(
-            freeze(&back, size) == image,
+            freeze(&back, 4096) == image,
             "thaw + freeze is the identity"
         );
         assert_eq!(back.verify_all(), Ok(1));
+        assert_eq!(back.read_block(64).unwrap(), [0x5a; 64]);
+    }
+
+    /// The seed is the one field the image supplies: a re-keyed engine
+    /// thaws under its new keys whatever seed the configuration names.
+    #[test]
+    fn thaw_keeps_the_image_seed() {
+        let mut e = engine();
+        e.write_block(64, &[0x5a; 64]);
+        e.rekey(0xfeed).unwrap();
+        let mut back = thaw(&freeze(&e, 4096), &config(), 4096).unwrap();
+        assert_eq!(back.config().seed, 0xfeed);
         assert_eq!(back.read_block(64).unwrap(), [0x5a; 64]);
     }
 
@@ -119,7 +141,7 @@ mod tests {
         let mut image = freeze(&e, 4096);
         let mid = image.len() / 2;
         image[mid] ^= 0x02;
-        assert!(thaw(&image).is_err());
+        assert!(thaw(&image, &config(), 4096).is_err());
     }
 
     /// An in-range engine address past the recorded size, under valid
@@ -128,11 +150,17 @@ mod tests {
     fn thaw_refuses_a_resident_block_past_the_size() {
         let mut e = engine();
         e.write_block(4096 - 64, &[1; 64]);
-        assert!(thaw(&freeze(&e, 4096)).is_ok(), "the last block fits");
+        assert!(
+            thaw(&freeze(&e, 4096), &config(), 4096).is_ok(),
+            "the last block fits"
+        );
         e.write_block(4096, &[2; 64]);
-        let err = thaw(&freeze(&e, 4096)).unwrap_err();
+        let err = thaw(&freeze(&e, 4096), &config(), 4096).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        assert!(thaw(&freeze(&e, 8192)).is_ok(), "a larger region holds it");
+        assert!(
+            thaw(&freeze(&e, 8192), &config(), 8192).is_ok(),
+            "a larger region holds it"
+        );
     }
 
     /// The size a region image thaws with is the bound its write-intent
@@ -142,11 +170,11 @@ mod tests {
     fn sealed_export_bounds_checked() {
         let mut e = engine();
         e.write_block(64, &[3; 64]);
-        let (mut back, size) = thaw(&freeze(&e, 4096)).unwrap();
+        let mut back = thaw(&freeze(&e, 4096), &config(), 4096).unwrap();
         let sealed = e.export_sealed(64);
-        let mut replay = back.replay_sealed(size);
+        let mut replay = back.replay_sealed(4096);
         assert!(
-            replay.install(size, &sealed).is_err(),
+            replay.install(4096, &sealed).is_err(),
             "replay out of range"
         );
         assert!(replay.install(65, &sealed).is_err(), "replay unaligned");

@@ -2,9 +2,9 @@
 //! the address's low 48 bits only, so block `A` and block
 //! `A + ADDR_LIMIT` under equal counters would share a keystream (a
 //! two-time pad) and a MAC pad (a splice that verifies). The bound is
-//! therefore checked, not assumed: every engine block entry point and a
-//! thawed region image (its size, and every block it holds) refuse
-//! anything past it.
+//! therefore checked, not assumed: every engine block entry point
+//! refuses anything past it, and a thawed region image holds nothing
+//! past its size, which must be the configured one.
 
 use ame_crypto::ctr::ADDR_LIMIT;
 use ame_crypto::MemoryCipher;
@@ -52,27 +52,27 @@ fn addresses_past_the_48_bit_limit_are_refused() {
     assert_eq!(engine.read_block(last).unwrap(), [3; 64]);
     assert_eq!(engine.read_block(0x40).unwrap(), [1; 64]);
 
-    // A region image may span the whole bound (pages are lazy), not
-    // past it, and holds nothing at or past its size: the engine above
-    // still holds the spliced alias, so its image is refused at thaw.
-    let err = region::thaw(&region::freeze(&engine, ADDR_LIMIT)).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    // A region image may span the whole bound (pages are lazy), and
+    // holds nothing at or past its size: the engine above still holds
+    // the spliced alias, so its image is refused at thaw.
     let config = EngineConfig::default();
+    let err = region::thaw(&region::freeze(&engine, ADDR_LIMIT), &config, ADDR_LIMIT).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     let mut fresh = MemoryEncryptionEngine::new(config);
     fresh.write_block(last, &[4; 64]);
-    let (mut back, size) = region::thaw(&region::freeze(&fresh, ADDR_LIMIT)).unwrap();
-    assert_eq!(size, ADDR_LIMIT);
+    let mut back = region::thaw(&region::freeze(&fresh, ADDR_LIMIT), &config, ADDR_LIMIT).unwrap();
     assert_eq!(back.read_block(last).unwrap(), [4; 64]);
 
     // A checksum-valid image claiming an oversized region is refused at
-    // thaw. The size is the payload's first u64, after the 20-byte
-    // section header; the trailing CRC covers everything before it.
+    // thaw: its size is not the configured one. The size is the
+    // payload's first u64, after the 20-byte section header; the
+    // trailing CRC covers everything before it.
     let mut image = region::freeze(&MemoryEncryptionEngine::new(config), 4096);
-    assert!(region::thaw(&image).is_ok());
+    assert!(region::thaw(&image, &config, 4096).is_ok());
     image[20..28].copy_from_slice(&(ADDR_LIMIT + 4096).to_le_bytes());
     let body = image.len() - 8;
     let crc = ame_persist::crc64(&image[..body]);
     image[body..].copy_from_slice(&crc.to_le_bytes());
-    let err = region::thaw(&image).unwrap_err();
+    let err = region::thaw(&image, &config, 4096).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }

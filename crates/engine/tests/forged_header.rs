@@ -1,96 +1,290 @@
-//! A frozen engine image whose header was forged and its checksum
-//! recomputed must be refused at thaw with `InvalidData` — before
-//! anything is sized from the forged field — not abort the process on a
-//! huge allocation, now or at the next re-key.
+//! Configuration is not data. Every configuration field a frozen region
+//! image holds — the region size, the engine header, the counter
+//! scheme's layout and the tree's — set to its stored value ± 1, to 0 and
+//! to all-ones, with every enclosing checksum recomputed, must be refused
+//! by `region::thaw` with `InvalidData`: for each counter scheme and MAC
+//! placement, and without a panic. Thaw builds the configured engine and
+//! sizes nothing from the image, so no such forgery gets in.
 
-use ame_engine::{EngineConfig, MemoryEncryptionEngine};
-use ame_persist::ByteReader;
+use ame_engine::{region, CounterSchemeKind, EngineConfig, MacPlacement};
 use std::io::ErrorKind;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Offsets inside the engine section: the 20-byte section header, then
-/// seed (8), MAC placement (1), counter scheme (1), max flips (4), tree
-/// levels (8), counter-cache blocks (8), prefetch flag (1).
-const TREE_LEVELS: usize = 20 + 14;
-const CACHE_BLOCKS: usize = 20 + 22;
-const PREFETCH: usize = 20 + 30;
+/// One line per configuration, `scheme placement hex`, each an 8 KiB
+/// region (see `image_compat.rs`).
+const GOLDEN: &str = include_str!("ameregn_v1.hex");
+const SIZE: u64 = 8192;
 
-fn image() -> Vec<u8> {
-    let mut engine = MemoryEncryptionEngine::new(EngineConfig {
-        counter_cache_blocks: 8,
-        ..EngineConfig::default()
-    });
-    for i in 0..16u64 {
-        engine.write_block(i * 64, &[i as u8; 64]);
-    }
-    let mut out = Vec::new();
-    engine.freeze_into(&mut out);
-    out
+/// A section is its magic (8), version (4) and payload length (8), the
+/// payload, then its CRC (8).
+const HEADER: usize = 20;
+/// The engine payload's seed, the configuration fields after it, and
+/// its seven statistics, before the nested sections.
+const ENGINE_FIELDS: usize = 8 + 23 + 7 * 8;
+
+fn golden_images() -> Vec<(EngineConfig, Vec<u8>)> {
+    GOLDEN
+        .lines()
+        .map(|line| {
+            let mut fields = line.split(' ');
+            let counter_scheme = match fields.next().unwrap() {
+                "monolithic" => CounterSchemeKind::Monolithic,
+                "split" => CounterSchemeKind::Split,
+                "delta" => CounterSchemeKind::Delta,
+                "dual" => CounterSchemeKind::DualLength,
+                other => panic!("unknown scheme {other}"),
+            };
+            let mac_placement = match fields.next().unwrap() {
+                "separate" => MacPlacement::SeparateMac,
+                "in_ecc" => MacPlacement::MacInEcc,
+                other => panic!("unknown placement {other}"),
+            };
+            let image = fields
+                .next()
+                .unwrap()
+                .as_bytes()
+                .chunks(2)
+                .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+                .collect();
+            let config = EngineConfig {
+                counter_scheme,
+                mac_placement,
+                ..EngineConfig::default()
+            };
+            (config, image)
+        })
+        .collect()
 }
 
-/// `image` with `bytes` written at `at` and the trailing CRC recomputed.
-fn forged(mut image: Vec<u8>, at: usize, bytes: &[u8]) -> Vec<u8> {
-    image[at..at + bytes.len()].copy_from_slice(bytes);
-    let body = image.len() - 8;
-    let crc = ame_persist::crc64(&image[..body]);
-    image[body..].copy_from_slice(&crc.to_le_bytes());
+/// The payload length of the section at `at`.
+fn payload_len(image: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(image[at + 12..at + HEADER].try_into().unwrap()) as usize
+}
+
+/// The offset just past the section at `at`.
+fn section_end(image: &[u8], at: usize) -> usize {
+    at + HEADER + payload_len(image, at) + 8
+}
+
+/// One configuration field: its name, offset and width in bytes, and
+/// the sections whose CRCs cover it, innermost first.
+struct Field {
+    name: &'static str,
+    at: usize,
+    width: usize,
+    sections: Vec<usize>,
+}
+
+/// The layout fields of each counter scheme's state, in order.
+fn counter_layout(scheme: CounterSchemeKind) -> &'static [(&'static str, usize)] {
+    match scheme {
+        CounterSchemeKind::Monolithic => &[("bits", 4)],
+        CounterSchemeKind::Split => &[("minor_bits", 4), ("blocks_per_group", 8)],
+        CounterSchemeKind::Delta => &[
+            ("delta_bits", 4),
+            ("blocks_per_group", 8),
+            ("reference_bits", 4),
+            ("reset_enabled", 1),
+            ("reencode_enabled", 1),
+        ],
+        CounterSchemeKind::DualLength => &[
+            ("base_bits", 4),
+            ("extra_bits", 4),
+            ("delta_groups", 8),
+            ("blocks_per_group", 8),
+            ("reference_bits", 4),
+            ("reset_enabled", 1),
+            ("reencode_enabled", 1),
+        ],
+    }
+}
+
+/// Every configuration field of `image`: `AMEREGN` ⊃ `AMEENGIN` ⊃
+/// `AMEDRAM`, `AMECTRS`, `AMETREE`.
+fn fields(image: &[u8], scheme: CounterSchemeKind) -> Vec<Field> {
+    let region = 0;
+    let engine = HEADER + 8;
+    let dram = engine + HEADER + ENGINE_FIELDS;
+    let counters = section_end(image, dram);
+    let tree = section_end(image, counters);
+    let mut fields = vec![Field {
+        name: "region size",
+        at: HEADER,
+        width: 8,
+        sections: vec![region],
+    }];
+    let header = [
+        ("mac_placement", 1),
+        ("counter_scheme", 1),
+        ("max_correctable_flips", 4),
+        ("tree_levels", 8),
+        ("counter_cache_blocks", 8),
+        ("prefetch_counters", 1),
+    ];
+    let name_len = usize::from(image[counters + HEADER]);
+    for (first, layout, sections) in [
+        (engine + HEADER + 8, &header[..], vec![engine, region]),
+        (
+            counters + HEADER + 1 + name_len,
+            counter_layout(scheme),
+            vec![counters, engine, region],
+        ),
+        (
+            tree + HEADER,
+            &[("tree arity", 8), ("tree levels", 8)][..],
+            vec![tree, engine, region],
+        ),
+    ] {
+        let mut at = first;
+        for &(name, width) in layout {
+            fields.push(Field {
+                name,
+                at,
+                width,
+                sections: sections.clone(),
+            });
+            at += width;
+        }
+    }
+    fields
+}
+
+/// `image` with `field` set to `value` and each enclosing CRC recomputed.
+fn forged(image: &[u8], field: &Field, value: u64) -> Vec<u8> {
+    let mut image = image.to_vec();
+    image[field.at..field.at + field.width].copy_from_slice(&value.to_le_bytes()[..field.width]);
+    for &at in &field.sections {
+        let end = at + HEADER + payload_len(&image, at);
+        let crc = ame_persist::crc64(&image[at..end]);
+        image[end..end + 8].copy_from_slice(&crc.to_le_bytes());
+    }
     image
 }
 
-fn thaw(image: &[u8]) -> std::io::Result<MemoryEncryptionEngine> {
-    MemoryEncryptionEngine::thaw_from(&mut ByteReader::new(image))
-}
-
-fn refused(image: &[u8]) -> bool {
-    thaw(image).is_err_and(|e| e.kind() == ErrorKind::InvalidData)
+/// The stored value ± 1, 0 and all-ones, each unless it is the stored
+/// value itself.
+fn forgeries(image: &[u8], field: &Field) -> Vec<u64> {
+    let mut bytes = [0u8; 8];
+    bytes[..field.width].copy_from_slice(&image[field.at..field.at + field.width]);
+    let stored = u64::from_le_bytes(bytes);
+    let ones = u64::MAX >> (64 - 8 * field.width);
+    let mut values = vec![
+        stored.wrapping_add(1) & ones,
+        stored.wrapping_sub(1) & ones,
+        0,
+        ones,
+    ];
+    values.sort_unstable();
+    values.dedup();
+    values.retain(|&v| v != stored);
+    values
 }
 
 #[test]
-fn a_forged_counter_cache_size_is_refused_at_thaw() {
-    let image = image();
-    assert!(thaw(&image).is_ok());
-    // 2^40 lines would be an 88 TB allocation.
-    assert!(refused(&forged(
-        image.clone(),
-        CACHE_BLOCKS,
-        &(1u64 << 40).to_le_bytes()
-    )));
+fn every_configuration_field_forged_under_valid_checksums_is_refused() {
+    let images = golden_images();
+    assert_eq!(images.len(), 8, "every scheme x placement");
+    let mut swept = 0;
+    for (config, image) in images {
+        let what = format!("{:?}/{:?}", config.counter_scheme, config.mac_placement);
+        assert!(region::thaw(&image, &config, SIZE).is_ok(), "{what}");
+        for field in fields(&image, config.counter_scheme) {
+            swept += 1;
+            for value in forgeries(&image, &field) {
+                let forged = forged(&image, &field, value);
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| region::thaw(&forged, &config, SIZE)));
+                match outcome {
+                    Ok(Err(e)) if e.kind() == ErrorKind::InvalidData => {}
+                    Ok(Err(e)) => panic!("{what}: {} = {value:#x}: {e}", field.name),
+                    Ok(Ok(_)) => panic!("{what}: {} = {value:#x} accepted", field.name),
+                    Err(_) => panic!("{what}: {} = {value:#x} panicked", field.name),
+                }
+            }
+        }
+    }
+    // Size, 6 header and 2 tree fields per image, plus 1, 2, 5 and 7
+    // layout fields for the four schemes; each under both placements.
+    assert_eq!(swept, 2 * (4 * 9 + 15));
+}
+
+/// A counter cache at the ceiling `new` accepts is no longer adopted
+/// from an image that names it: the configured cache is the one built.
+#[test]
+fn a_counter_cache_the_configuration_does_not_name_is_refused() {
+    let (config, image) = golden_images().swap_remove(0);
+    let field = fields(&image, config.counter_scheme)
+        .into_iter()
+        .find(|f| f.name == "counter_cache_blocks")
+        .unwrap();
     let ceiling = ame_tree::cache::MAX_CAPACITY as u64;
-    assert!(refused(&forged(
-        image.clone(),
-        CACHE_BLOCKS,
-        &(ceiling + 1).to_le_bytes()
-    )));
-    let at_ceiling = thaw(&forged(image, CACHE_BLOCKS, &ceiling.to_le_bytes())).unwrap();
-    assert_eq!(at_ceiling.config().counter_cache_blocks, 1 << 16);
+    let err = region::thaw(&forged(&image, &field, ceiling), &config, SIZE).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    let configured = EngineConfig {
+        counter_cache_blocks: ame_tree::cache::MAX_CAPACITY,
+        ..config
+    };
+    let err = region::thaw(&image, &configured, SIZE).unwrap_err();
+    assert!(
+        err.to_string().contains("counter_cache_blocks: 65536"),
+        "{err}"
+    );
+}
+
+/// The stored value of `field` in `image`.
+fn stored(image: &[u8], field: &Field) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes[..field.width].copy_from_slice(&image[field.at..field.at + field.width]);
+    u64::from_le_bytes(bytes)
+}
+
+fn refused(image: &[u8], config: &EngineConfig) -> bool {
+    region::thaw(image, config, SIZE).is_err_and(|e| e.kind() == ErrorKind::InvalidData)
 }
 
 #[test]
 fn a_forged_tree_depth_is_refused_at_thaw() {
-    let image = image();
-    let mut engine = thaw(&image).unwrap();
-    assert_eq!(engine.config().tree_levels, 2);
-    assert!(engine.rekey(9).is_ok());
-    // A depth the tree section does not have — absurd (the next re-key
-    // would size a 2^40-level tree) or merely off by one — is refused.
-    for levels in [1u64 << 40, 3, 1, 0] {
-        assert!(
-            refused(&forged(image.clone(), TREE_LEVELS, &levels.to_le_bytes())),
-            "{levels} levels"
-        );
+    for (config, image) in golden_images() {
+        let what = format!("{:?}/{:?}", config.counter_scheme, config.mac_placement);
+        let mut engine = region::thaw(&image, &config, SIZE).unwrap();
+        assert!(engine.rekey(9).is_ok(), "{what}");
+        let fields = fields(&image, config.counter_scheme);
+        // A depth the configuration does not name — absurd (a re-key
+        // would size a 2^40-level tree) or merely off by one — is
+        // refused, in the engine header and in the tree section alike.
+        for name in ["tree_levels", "tree levels"] {
+            let field = fields.iter().find(|f| f.name == name).unwrap();
+            let levels = stored(&image, field);
+            assert_eq!(levels, engine.config().tree_levels as u64, "{what}");
+            for forged_levels in [1u64 << 40, levels + 1, levels - 1, 0] {
+                assert!(
+                    refused(&forged(&image, field, forged_levels), &config),
+                    "{what}: {name} = {forged_levels}"
+                );
+            }
+        }
     }
 }
 
 #[test]
 fn a_non_canonical_prefetch_flag_is_refused_at_thaw() {
-    let image = image();
-    for flag in [0u8, 1] {
-        let engine = thaw(&forged(image.clone(), PREFETCH, &[flag])).unwrap();
-        assert_eq!(engine.config().prefetch_counters, flag == 1);
-    }
-    for flag in [2u8, 0x80, 0xff] {
-        assert!(
-            refused(&forged(image.clone(), PREFETCH, &[flag])),
-            "flag {flag}"
-        );
+    for (config, image) in golden_images() {
+        let what = format!("{:?}/{:?}", config.counter_scheme, config.mac_placement);
+        let field = fields(&image, config.counter_scheme)
+            .into_iter()
+            .find(|f| f.name == "prefetch_counters")
+            .unwrap();
+        let canonical = u64::from(config.prefetch_counters);
+        assert_eq!(stored(&image, &field), canonical, "{what}");
+        let engine = region::thaw(&forged(&image, &field, canonical), &config, SIZE).unwrap();
+        assert_eq!(engine.config().prefetch_counters, config.prefetch_counters);
+        // The other canonical value contradicts the configuration; the
+        // rest are not a flag at all.
+        for flag in [1 - canonical, 2, 0x80, 0xff] {
+            assert!(
+                refused(&forged(&image, &field, flag), &config),
+                "{what}: flag {flag}"
+            );
+        }
     }
 }

@@ -751,6 +751,23 @@ mod tests {
         let _ = store.shutdown();
     }
 
+    /// Submits an RMW of `addr` whose mutator holds its shard's worker
+    /// until the returned gate is opened, and returns once the worker is
+    /// inside it: whatever is submitted to that shard meanwhile is
+    /// served in a later wakeup, after the held RMW's reply is released.
+    fn hold(session: &mut Session<'_>, addr: u64) -> (Ticket, std::sync::mpsc::SyncSender<()>) {
+        let (entered_tx, entered_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        let (gate_tx, gate_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        let ticket = session
+            .submit_rmw(addr, move |_| {
+                entered_tx.send(()).unwrap();
+                let _ = gate_rx.recv();
+            })
+            .unwrap();
+        entered_rx.recv().unwrap();
+        (ticket, gate_tx)
+    }
+
     /// A mutator that panics kills its shard's worker. The session
     /// learns it within a bounded poll: that shard's tickets read
     /// `Disconnected`, the other shard's still complete, and shutdown
@@ -763,20 +780,16 @@ mod tests {
             addr,
             data: [3; 64],
         };
-        // Shard 1 is jammed until shard 0 is dead, so both tickets are
-        // in flight when the worker dies.
-        let (gate_tx, gate_rx) = std::sync::mpsc::sync_channel::<()>(1);
-        let jam = session
-            .submit_rmw(64, move |_| {
-                let _ = gate_rx.recv();
-            })
-            .unwrap();
+        // Shard 0's worker is held inside a gated RMW while the doomed
+        // RMW and the write behind it are queued, so neither submit can
+        // find the worker already dead.
+        let (jam, gate) = hold(&mut session, 256);
         let doomed = session.submit_rmw(0, |_| panic!("mutator panics")).unwrap();
         let behind = session.submit(write(128)).unwrap();
+        gate.send(()).unwrap();
         // Queued behind the panic (or sent after it): returns once the
         // worker is gone.
         assert_eq!(store.read(0), Err(StoreError::Disconnected { shard: 0 }));
-        gate_tx.send(()).unwrap();
         let limit = Duration::from_secs(5);
         assert_eq!(
             session.wait_timeout(doomed, limit),
@@ -815,17 +828,22 @@ mod tests {
             addr,
             data: [3; 64],
         };
+        let (held, gate) = hold(&mut session, 256);
         let doomed = session.submit_rmw(0, |_| panic!("mutator panics")).unwrap();
         let behind = session.submit(write(128)).unwrap();
         let healthy = session.submit(write(64)).unwrap();
+        gate.send(()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut reaped = Vec::new();
-        while reaped.len() < 3 && Instant::now() < deadline {
+        while reaped.len() < 4 && Instant::now() < deadline {
             session.drain_wake();
             reaped.extend(session.try_recv_all());
             std::thread::sleep(Duration::from_millis(1));
         }
         reaped.sort_unstable_by_key(|&(ticket, _)| ticket);
+        let (ticket, result) = reaped.remove(0);
+        assert_eq!(ticket, held);
+        assert!(matches!(result, Ok(StoreValue::Modified(_))), "{result:?}");
         assert_eq!(
             reaped,
             vec![

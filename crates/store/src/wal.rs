@@ -6,8 +6,10 @@
 //! * **`snapshot.bin`** — an 8-byte checkpoint *generation* followed by
 //!   a [`region::freeze`] image: the shard's size and its whole sealed
 //!   engine (ciphertext, counters, tree, MAC side-band) in one
-//!   checksummed section; [`region::thaw`] refuses an image holding a
-//!   block outside that size. Written atomically (temp file, `fsync`,
+//!   checksummed section. Recovery thaws it under the store's configured
+//!   engine and shard size, never the image's: [`region::thaw`] refuses
+//!   an image whose size or any configuration field differs from them,
+//!   or that holds a block outside that size. Written atomically (temp file, `fsync`,
 //!   rename, directory `fsync`), so a crash mid-snapshot leaves the
 //!   previous snapshot intact and a renamed snapshot is durable, not
 //!   merely staged in the page cache.
@@ -392,8 +394,9 @@ pub(crate) struct ShardBoot {
     pub engine: MemoryEncryptionEngine,
     /// A verification failure caught by the post-replay sweep.
     pub poisoned: Option<ReadError>,
-    /// Quarantined without a `ReadError`: corrupt snapshot, corrupt log
-    /// record, or an unrepresentable replay.
+    /// Quarantined without a `ReadError`: a corrupt snapshot or one whose
+    /// size or configuration is not the store's, a corrupt log record,
+    /// or an unrepresentable replay.
     pub dead: bool,
     /// Live persistence handle; `None` for quarantined shards (their
     /// on-disk state is preserved as evidence, never overwritten).
@@ -403,9 +406,11 @@ pub(crate) struct ShardBoot {
 /// Rebuilds one shard from `dir/shard<s>/`: snapshot, then write-intent
 /// replay, then a full verification sweep, then a fresh checkpoint.
 ///
-/// Corruption anywhere — snapshot checksum, record checksum, record
-/// decode, replay representability, or the final MAC/tree sweep —
-/// quarantines the shard (boot-poisoned) instead of serving doubtful
+/// The snapshot thaws under the store's configured engine and shard
+/// size; the image supplies only the seed and the data. Corruption
+/// anywhere — snapshot checksum, a snapshot size or configuration field
+/// other than the store's, record checksum, record decode, replay
+/// representability, or the final MAC/tree sweep — quarantines the shard (boot-poisoned) instead of serving doubtful
 /// state; the store's other shards are unaffected. A torn log tail is
 /// not replayed: the record it held was never acknowledged.
 pub(crate) fn recover_shard(
@@ -427,18 +432,20 @@ pub(crate) fn recover_shard(
         dead: true,
         persist: None,
     };
-    let fresh = || MemoryEncryptionEngine::new(config.engine.for_tenant(config.tenant, s));
+    let engine_config = config.engine.for_tenant(config.tenant, s);
+    let fresh = || MemoryEncryptionEngine::new(engine_config);
 
     let (snap_generation, mut engine) = if let Some(bytes) = fs.read(&snap_path)? {
         let Some((generation, image)) = bytes.split_at_checked(8) else {
             return Ok(quarantine(fresh()));
         };
         let generation = u64::from_le_bytes(generation.try_into().expect("8 bytes"));
-        match region::thaw(image) {
-            Ok((engine, size)) if size == config.shard_bytes => (generation, engine),
-            // Corrupt snapshot (or one frozen under a different
-            // geometry): quarantine over a fresh engine.
-            _ => return Ok(quarantine(fresh())),
+        match region::thaw(image, &engine_config, config.shard_bytes) {
+            Ok(engine) => (generation, engine),
+            // Corrupt or forged snapshot, or one frozen under another
+            // engine configuration or shard size: quarantine over a
+            // fresh engine.
+            Err(_) => return Ok(quarantine(fresh())),
         }
     } else {
         (0, fresh())
@@ -560,9 +567,10 @@ mod tests {
     fn the_parent_commits_files_re_encode_byte_identical() {
         let snapshot = unhex(include_str!("../tests/fixtures/snapshot_v1.hex"));
         let (generation, image) = snapshot.split_at(8);
-        let (engine, size) = region::thaw(image).expect("the parent's image thaws");
+        let engine =
+            region::thaw(image, &EngineConfig::default(), 4096).expect("the parent's image thaws");
         let mut refrozen = generation.to_vec();
-        refrozen.extend_from_slice(&region::freeze(&engine, size));
+        refrozen.extend_from_slice(&region::freeze(&engine, 4096));
         assert!(refrozen == snapshot, "snapshot.bin re-freezes differently");
 
         let log = unhex(include_str!("../tests/fixtures/wal_v1.hex"));
@@ -604,7 +612,7 @@ mod tests {
         let mut live = MemoryEncryptionEngine::new(EngineConfig::default());
         live.write_block(200 * 64, &[1; BLOCK_BYTES]);
         let image = region::freeze(&live, size);
-        let thaw = || region::thaw(&image).unwrap().0;
+        let thaw = || region::thaw(&image, &EngineConfig::default(), size).unwrap();
         let mut payloads = Vec::new();
         let mut log_writes = |live: &mut MemoryEncryptionEngine, blocks: &[u64], value: u8| {
             let items: Vec<_> = blocks.iter().map(|&b| (b * 64, [value; 64])).collect();

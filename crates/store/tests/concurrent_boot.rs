@@ -2,6 +2,7 @@
 //! result is awaited. What each shard's recovery decides — quarantine,
 //! or failing the whole open — must not depend on its siblings.
 
+use ame_engine::{CounterSchemeKind, EngineConfig};
 use ame_store::{SecureStore, StoreConfig, StoreError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,18 +93,75 @@ fn forge_engine_header(snapshot: &mut [u8], field: usize, bytes: &[u8]) {
     reseal_section(snapshot, 8);
 }
 
+/// Rewrites the counter-layout field at `field` (bytes past the scheme
+/// name) of a `snapshot.bin` and recomputes the counter, engine and
+/// region CRCs. The counter section follows the DRAM section, which
+/// follows the engine's 87-byte header fields.
+fn forge_counter_layout(snapshot: &mut [u8], field: usize, bytes: &[u8]) {
+    const DRAM: usize = ENGINE + 20 + 87;
+    let section_len =
+        |at: usize| u64::from_le_bytes(snapshot[at + 12..at + 20].try_into().unwrap()) as usize;
+    let counters = DRAM + 20 + section_len(DRAM) + 8;
+    let at = counters + 20 + 1 + usize::from(snapshot[counters + 20]) + field;
+    snapshot[at..at + bytes.len()].copy_from_slice(bytes);
+    for section in [counters, ENGINE, 8] {
+        reseal_section(snapshot, section);
+    }
+}
+
+/// Rewrites `bytes` at a field offset of a `snapshot.bin` and reseals.
+type Forge = fn(&mut [u8], usize, &[u8]);
+
 #[test]
 fn a_forged_engine_header_quarantines_only_its_own_shard() {
-    // Tree levels (payload offset 14) and counter-cache blocks (22),
-    // each set to 2^40 under valid checksums: thaw must refuse the
-    // image, so the shard quarantines instead of the process aborting
-    // on a huge allocation at boot or at shutdown's re-key.
-    let config = StoreConfig {
-        shards: 2,
-        shard_bytes: 1 << 14,
-        ..StoreConfig::default()
-    };
-    for field in [14, 22] {
+    use CounterSchemeKind::{Delta, DualLength, Split};
+    // Each row forges one configuration field of shard 1's snapshot
+    // under valid checksums. Thaw must refuse the image, so the shard
+    // quarantines at open, instead of the process aborting on a huge
+    // allocation, the open failing on a boot panic, a later write
+    // killing the worker, or the shard silently running the forged
+    // configuration.
+    let huge = (1u64 << 40).to_le_bytes();
+    let rows: [(&str, CounterSchemeKind, Forge, usize, &[u8]); 5] = [
+        // A 2^40-level tree, sized at boot or at shutdown's re-key.
+        ("tree levels", Delta, forge_engine_header, 14, &huge),
+        // A 2^40-line counter cache, an 88 TB allocation.
+        ("cache blocks", Delta, forge_engine_header, 22, &huge),
+        // Flip-and-check switched off: 2 -> 0.
+        (
+            "max flips",
+            Delta,
+            forge_engine_header,
+            10,
+            &0u32.to_le_bytes(),
+        ),
+        // 6 -> 7: a Fig. 6 group that no longer fits one metadata block.
+        (
+            "dual base_bits",
+            DualLength,
+            forge_counter_layout,
+            0,
+            &7u32.to_le_bytes(),
+        ),
+        // 7 -> 8: 64 + 64 x 8 bits do not fit one metadata block.
+        (
+            "split minor_bits",
+            Split,
+            forge_counter_layout,
+            0,
+            &8u32.to_le_bytes(),
+        ),
+    ];
+    for (what, counter_scheme, forge, field, bytes) in rows {
+        let config = StoreConfig {
+            shards: 2,
+            shard_bytes: 1 << 14,
+            engine: EngineConfig {
+                counter_scheme,
+                ..EngineConfig::default()
+            },
+            ..StoreConfig::default()
+        };
         let dir = temp_dir("forged");
         let store = SecureStore::open(&dir, config.clone()).expect("open fresh");
         for i in 0..20u64 {
@@ -111,25 +169,30 @@ fn a_forged_engine_header_quarantines_only_its_own_shard() {
         }
         assert!(store.shutdown().all_resealed());
         let path = dir.join("shard1").join("snapshot.bin");
-        let mut bytes = std::fs::read(&path).unwrap();
-        forge_engine_header(&mut bytes, field, &(1u64 << 40).to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
+        let mut bytes_on_disk = std::fs::read(&path).unwrap();
+        let before = bytes_on_disk.clone();
+        forge(&mut bytes_on_disk, field, bytes);
+        assert_ne!(
+            bytes_on_disk, before,
+            "{what}: the forgery changes the file"
+        );
+        std::fs::write(&path, &bytes_on_disk).unwrap();
 
         let store = SecureStore::open(&dir, config.clone()).expect("a forgery quarantines");
         for i in 0..20u64 {
             match (i % 2, store.read(i * BLOCK)) {
                 (1, Err(StoreError::ShardPoisoned { shard: 1, .. })) => {}
                 (0, Ok(block)) => assert_eq!(block, [i as u8 + 1; 64], "block {i}"),
-                (shard, other) => panic!("field {field}: block {i} on shard {shard}: {other:?}"),
+                (shard, other) => panic!("{what}: block {i} on shard {shard}: {other:?}"),
             }
         }
         let resealed: Vec<bool> = store.shutdown().shards.iter().map(|s| s.resealed).collect();
+        assert_eq!(resealed, [true, false], "{what}: only shard 1 quarantined");
         assert_eq!(
-            resealed,
-            [true, false],
-            "field {field}: only shard 1 quarantined"
+            std::fs::read(&path).unwrap(),
+            bytes_on_disk,
+            "{what}: evidence preserved"
         );
-        assert_eq!(std::fs::read(&path).unwrap(), bytes, "evidence preserved");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

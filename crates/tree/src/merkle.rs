@@ -433,38 +433,40 @@ impl BonsaiTree {
             + (macs.sum::<usize>() + self.root_macs.len()) * 16
     }
 
-    /// Rebuilds a tree from a section produced by
+    /// Replaces this tree's state with a section produced by
     /// [`BonsaiTree::encode_state`], advancing the reader past it. The
-    /// caller supplies the cipher (re-derived key material); a wrong
-    /// cipher yields a structurally valid tree that fails verification on
-    /// first read, exactly like tampered storage.
+    /// tree keeps its own cipher (key material the caller re-derived)
+    /// and its own layout: a section whose arity or depth differs is
+    /// refused, so nothing is sized from the section's layout. A wrong
+    /// cipher yields a structurally valid tree that fails verification
+    /// on first read, exactly like tampered storage.
     ///
     /// # Errors
     ///
     /// `InvalidData` on a bad magic, unsupported version, checksum
-    /// mismatch, truncation, an out-of-range arity, a count larger than
-    /// its payload holds, or keys that are not strictly ascending.
-    pub fn decode_state(cipher: MemoryCipher, r: &mut ByteReader<'_>) -> io::Result<Self> {
+    /// mismatch, truncation, a layout other than this tree's, a count
+    /// larger than its payload holds, or keys that are not strictly
+    /// ascending. The tree is unchanged on error.
+    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
         let (version, mut payload) = read_section(r, Self::MAGIC)?;
         if version != Self::VERSION {
             return Err(invalid_data(format!(
                 "unsupported tree state version {version}"
             )));
         }
-        let arity = payload.u64()? as usize;
-        if !(2..=8).contains(&arity) {
-            return Err(invalid_data("tree arity out of range"));
+        let layout = [self.arity as u64, self.off_chip_levels as u64];
+        let stored = [payload.u64()?, payload.u64()?];
+        if stored != layout {
+            return Err(invalid_data(format!(
+                "tree (arity, levels) {stored:?} is not the configured {layout:?}"
+            )));
         }
-        let off_chip_levels = payload.u64()? as usize;
-        if off_chip_levels > 64 {
-            return Err(invalid_data("implausible tree depth"));
-        }
-        let mut tree = Self::new(cipher, off_chip_levels, arity);
+        let mut tree = Self::new(self.cipher.clone(), self.off_chip_levels, self.arity);
         Self::read_keyed(&mut payload, 8 + NODE_BYTES, |idx, payload| {
             tree.counter_blocks.insert(idx, payload.array()?);
             Ok(())
         })?;
-        for level in 0..off_chip_levels {
+        for level in 0..self.off_chip_levels {
             Self::read_pairs(&mut payload, |child, mac| {
                 tree.set_stored_mac(level, child, mac);
             })?;
@@ -472,7 +474,8 @@ impl BonsaiTree {
         Self::read_pairs(&mut payload, |node, mac| {
             tree.root_macs.insert(node, mac);
         })?;
-        Ok(tree)
+        *self = tree;
+        Ok(())
     }
 }
 
@@ -662,9 +665,8 @@ mod tests {
         let mut a = Vec::new();
         t.encode_state(&mut a);
         assert_eq!(a.len(), t.encoded_state_len());
-        let mut back =
-            BonsaiTree::decode_state(MemoryCipher::from_seed(99), &mut ByteReader::new(&a))
-                .unwrap();
+        let mut back = tree(3);
+        back.decode_state(&mut ByteReader::new(&a)).unwrap();
         for i in 0..32u64 {
             assert_eq!(back.read_counter_block(i).unwrap()[0], i as u8);
         }
@@ -679,10 +681,29 @@ mod tests {
         t.write_counter_block(5, [1; 64]);
         let mut buf = Vec::new();
         t.encode_state(&mut buf);
-        let mut back =
-            BonsaiTree::decode_state(MemoryCipher::from_seed(100), &mut ByteReader::new(&buf))
-                .unwrap();
+        let mut back = BonsaiTree::new(MemoryCipher::from_seed(100), 2, 8);
+        back.decode_state(&mut ByteReader::new(&buf)).unwrap();
         assert!(back.read_counter_block(5).is_err(), "wrong key, no service");
+    }
+
+    /// A state decodes only into a tree of its own arity and depth; the
+    /// tree it was refused by is left as it was.
+    #[test]
+    fn state_refuses_another_layout() {
+        let mut t = tree(2);
+        t.write_counter_block(5, [1; 64]);
+        let mut buf = Vec::new();
+        t.encode_state(&mut buf);
+        for mut other in [
+            tree(1),
+            tree(3),
+            BonsaiTree::new(MemoryCipher::from_seed(99), 2, 4),
+        ] {
+            other.write_counter_block(7, [2; 64]);
+            let err = other.decode_state(&mut ByteReader::new(&buf)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert_eq!(other.read_counter_block(7).unwrap(), [2; 64]);
+        }
     }
 
     /// `payload` sealed as a v1 tree-state section with a valid CRC.
@@ -707,7 +728,7 @@ mod tests {
         let pairs = leaves + 2 * 72;
         let decode = |payload: &[u8]| {
             let sealed = section(payload);
-            BonsaiTree::decode_state(MemoryCipher::from_seed(99), &mut ByteReader::new(&sealed))
+            tree(1).decode_state(&mut ByteReader::new(&sealed))
         };
         assert!(decode(payload).is_ok(), "the resealed original decodes");
 
@@ -738,7 +759,8 @@ mod tests {
         t.encode_state(&mut buf);
         let mid = buf.len() / 2;
         buf[mid] ^= 0x04;
-        let err = BonsaiTree::decode_state(MemoryCipher::from_seed(99), &mut ByteReader::new(&buf))
+        let err = tree(2)
+            .decode_state(&mut ByteReader::new(&buf))
             .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }

@@ -24,9 +24,9 @@ fn golden_bytes() -> Vec<u8> {
 #[test]
 fn v1_state_from_the_per_child_encoder_decodes_verifies_and_reencodes_identically() {
     let golden = golden_bytes();
-    let mut tree =
-        BonsaiTree::decode_state(MemoryCipher::from_seed(99), &mut ByteReader::new(&golden))
-            .expect("the golden blob decodes");
+    let mut tree = BonsaiTree::new(MemoryCipher::from_seed(99), 3, 8);
+    tree.decode_state(&mut ByteReader::new(&golden))
+        .expect("the golden blob decodes");
     for leaf in GOLDEN_LEAVES {
         tree.read_counter_block(leaf)
             .unwrap_or_else(|e| panic!("leaf {leaf}: {e}"));
@@ -50,9 +50,8 @@ fn a_tampered_but_unwritten_sibling_slot_is_serialized_as_present() {
     let mut after = Vec::new();
     tree.encode_state(&mut after);
     assert_eq!(after.len(), before.len() + 16, "one more (child, mac) pair");
-    let mut back =
-        BonsaiTree::decode_state(MemoryCipher::from_seed(99), &mut ByteReader::new(&after))
-            .unwrap();
+    let mut back = BonsaiTree::new(MemoryCipher::from_seed(99), 2, 8);
+    back.decode_state(&mut ByteReader::new(&after)).unwrap();
     let mut again = Vec::new();
     back.encode_state(&mut again);
     assert_eq!(again, after);
