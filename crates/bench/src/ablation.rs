@@ -142,10 +142,13 @@ pub fn metadata_cache_sweep(app: ParsecApp, ops: usize) -> Vec<CacheSweepPoint> 
 
 /// Ablation 5: dual-length configuration sweep — how the split between
 /// base width and shared overflow bits changes the re-encryption rate.
+/// Every point fits the 512-bit metadata line; with 64-block groups,
+/// 6-bit base deltas are the widest that leave room for the overflow
+/// bits.
 #[must_use]
 pub fn dual_config_ablation(app: ParsecApp, ops: usize) -> Vec<DeltaAblationPoint> {
     use ame_counters::dual::{DualLengthConfig, DualLengthDeltaCounters};
-    [(5u32, 5u32), (6, 4), (7, 3)]
+    [(4u32, 6u32), (5, 5), (6, 4)]
         .into_iter()
         .map(|(base, extra)| {
             let cfg = DualLengthConfig {

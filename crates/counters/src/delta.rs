@@ -16,7 +16,8 @@
 //! Only when both fail does the group get re-encrypted under a fresh
 //! counter (Figure 5a).
 
-use crate::deltas::Deltas;
+use crate::deltas::{Group, Tally};
+use crate::packing::{FlatLayout, LINE_BITS};
 use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
 use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
 use std::io;
@@ -57,8 +58,9 @@ impl DeltaConfig {
         (1u64 << self.delta_bits) - 1
     }
 
-    /// Validates invariants; called by [`DeltaCounters::new`].
-    fn validate(&self) {
+    /// Validates invariants and lays the group out in its line; called
+    /// by [`DeltaCounters::new`].
+    fn layout(&self) -> FlatLayout {
         assert!(
             self.delta_bits > 0 && self.delta_bits < 32,
             "delta width must be 1..32"
@@ -71,29 +73,15 @@ impl DeltaConfig {
             self.reference_bits > 0 && self.reference_bits <= 64,
             "reference width must be 1..=64"
         );
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Group {
-    reference: u64,
-    deltas: Deltas,
-}
-
-impl Group {
-    fn new(blocks_per_group: usize) -> Self {
-        Self {
-            reference: 0,
-            deltas: Deltas::zeros(blocks_per_group),
-        }
-    }
-
-    fn counters(&self) -> Vec<u64> {
-        self.deltas.iter().map(|d| self.reference + d).collect()
+        FlatLayout::new(self.reference_bits, self.delta_bits, self.blocks_per_group)
     }
 }
 
 /// Flat delta-encoded counters with reset and re-encode optimizations.
+///
+/// Each group is held as its packed Figure 5 line: a counter read is one
+/// field extraction and an add, a write rewrites one field, and
+/// [`CounterScheme::metadata_block_image`] returns the line as it is.
 ///
 /// # Example
 ///
@@ -113,6 +101,7 @@ impl Group {
 pub struct DeltaCounters {
     groups: IndexMap<Group>,
     config: DeltaConfig,
+    layout: FlatLayout,
     stats: CounterStats,
 }
 
@@ -122,12 +111,13 @@ impl DeltaCounters {
     /// # Panics
     ///
     /// Panics if the configuration is invalid (zero-size group, delta
-    /// width outside `1..32`, reference width outside `1..=64`).
+    /// width outside `1..32`, reference width outside `1..=64`) or its
+    /// reference and deltas do not fit one 64-byte metadata block.
     #[must_use]
     pub fn new(config: DeltaConfig) -> Self {
-        config.validate();
         Self {
             groups: IndexMap::default(),
+            layout: config.layout(),
             config,
             stats: CounterStats::default(),
         }
@@ -140,7 +130,7 @@ impl DeltaCounters {
     }
 
     /// The configuration as a state section records it.
-    fn layout(&self) -> Vec<u8> {
+    fn layout_bytes(&self) -> Vec<u8> {
         let cfg = &self.config;
         let mut out = Vec::new();
         put_u32(&mut out, cfg.delta_bits);
@@ -155,14 +145,18 @@ impl DeltaCounters {
     #[must_use]
     pub fn delta(&self, block: u64) -> u64 {
         let (g, i) = split_block(block, self.config.blocks_per_group);
-        self.groups.get(&g).map_or(0, |grp| grp.deltas[i])
+        self.groups
+            .get(&g)
+            .map_or(0, |grp| self.layout.delta(&grp.line, i))
     }
 
     /// Current reference value of the group containing `block`.
     #[must_use]
     pub fn reference(&self, block: u64) -> u64 {
         let (g, _) = split_block(block, self.config.blocks_per_group);
-        self.groups.get(&g).map_or(0, |grp| grp.reference)
+        self.groups
+            .get(&g)
+            .map_or(0, |grp| self.layout.reference(&grp.line))
     }
 }
 
@@ -177,44 +171,47 @@ impl CounterScheme for DeltaCounters {
         let (g, i) = split_block(block, self.config.blocks_per_group);
         self.groups
             .get(&g)
-            .map_or(0, |grp| grp.reference + grp.deltas[i])
+            .map_or(0, |grp| self.layout.counter(&grp.line, i))
     }
 
     fn record_write(&mut self, block: u64) -> WriteOutcome {
         let (g, i) = split_block(block, self.config.blocks_per_group);
-        let cfg = self.config;
-        let grp = self
-            .groups
-            .entry(g)
-            .or_insert_with(|| Group::new(cfg.blocks_per_group));
+        let (cfg, layout) = (self.config, self.layout);
+        let n = cfg.blocks_per_group;
+        let grp = self.groups.entry(g).or_insert_with(|| Group::new(n));
 
-        let outcome = if grp.deltas[i] < cfg.delta_max() {
-            grp.deltas.bump(i);
+        let d = layout.delta(&grp.line, i);
+        let outcome = if d < cfg.delta_max() {
+            layout.set_delta(&mut grp.line, i, d + 1);
+            grp.tally.bumped(d + 1);
             // Figure 5b: fold converged deltas into the reference.
-            match grp.deltas.converged() {
+            match grp.tally.converged(n) {
                 Some(common) if cfg.reset_enabled => {
-                    grp.reference += common;
-                    grp.deltas.rewrite(|_, d| *d = 0);
+                    let reference = layout.reference(&grp.line) + common;
+                    *grp = Group::zeroed(layout.zeroed(reference), n);
                     WriteOutcome::Reset
                 }
                 _ => WriteOutcome::Incremented,
             }
         } else {
-            // Overflow. Figure 5c: re-encode with a larger reference if
-            // every delta is positive.
-            let min = grp.deltas.iter().copied().min().unwrap_or(0);
+            // Overflow: the whole group is unpacked once and re-packed.
+            let mut deltas = [0u64; LINE_BITS as usize];
+            let deltas = &mut deltas[..n];
+            let reference = layout.unpack(&grp.line, deltas);
+            // Figure 5c: re-encode with a larger reference if every delta
+            // is positive.
+            let min = deltas.iter().copied().min().unwrap_or(0);
             if cfg.reencode_enabled && min > 0 {
-                grp.reference += min;
-                grp.deltas.rewrite(|_, d| *d -= min);
-                grp.deltas.bump(i);
+                deltas.iter_mut().for_each(|d| *d -= min);
+                deltas[i] += 1;
+                *grp = Group::packed(layout.pack(reference + min, deltas), deltas);
                 WriteOutcome::Reencoded
             } else {
                 // Figure 5a: re-encrypt the group under the largest
                 // counter (the overflowing one, incremented).
-                let old_counters = grp.counters();
-                let new_counter = grp.reference + cfg.delta_max() + 1;
-                grp.reference = new_counter;
-                grp.deltas.rewrite(|_, d| *d = 0);
+                let old_counters = deltas.iter().map(|d| reference + d).collect();
+                let new_counter = reference + cfg.delta_max() + 1;
+                *grp = Group::zeroed(layout.zeroed(new_counter), n);
                 WriteOutcome::Reencrypted {
                     group: g,
                     old_counters,
@@ -247,45 +244,28 @@ impl CounterScheme for DeltaCounters {
         self.config.blocks_per_group
     }
 
-    /// Packs `reference (reference_bits) || deltas (delta_bits each)` —
-    /// 504 bits for the paper's 7-bit/64-block configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured layout exceeds one 64-byte block.
+    /// The group's line, `reference (reference_bits) || deltas
+    /// (delta_bits each)` — 504 bits for the paper's 7-bit/64-block
+    /// configuration — as it is held.
     fn metadata_block_image(&self, meta_block: u64) -> [u8; 64] {
-        let cfg = &self.config;
-        let bits = cfg.reference_bits + cfg.delta_bits * cfg.blocks_per_group as u32;
-        assert!(bits <= 512, "delta group does not fit one metadata block");
-        let mut image = [0u8; 64];
         // A never-written group is all zeros, which is the empty image.
-        let Some(grp) = self.groups.get(&meta_block) else {
-            return image;
-        };
-        crate::packing::write_bits(&mut image, 0, cfg.reference_bits, grp.reference);
-        for (i, &d) in grp.deltas.iter().enumerate() {
-            crate::packing::write_bits(
-                &mut image,
-                cfg.reference_bits + cfg.delta_bits * i as u32,
-                cfg.delta_bits,
-                d,
-            );
-        }
-        image
+        self.groups
+            .get(&meta_block)
+            .map_or([0; 64], |grp| grp.line.bytes())
     }
 
     fn encode_state(&self, out: &mut Vec<u8>) {
-        let mut body = codec::begin_state(out, self.name(), &self.layout());
+        let mut body = codec::begin_state(out, self.name(), &self.layout_bytes());
         codec::put_stats(&mut body, &self.stats);
         let mut indices: Vec<u64> = self.groups.keys().copied().collect();
         indices.sort_unstable();
         put_u64(&mut body, indices.len() as u64);
         for idx in indices {
-            let grp = &self.groups[&idx];
+            let line = &self.groups[&idx].line;
             put_u64(&mut body, idx);
-            put_u64(&mut body, grp.reference);
-            for &d in grp.deltas.iter() {
-                put_u64(&mut body, d);
+            put_u64(&mut body, self.layout.reference(line));
+            for i in 0..self.config.blocks_per_group {
+                put_u64(&mut body, self.layout.delta(line, i));
             }
         }
         body.finish();
@@ -297,22 +277,24 @@ impl CounterScheme for DeltaCounters {
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
-        let mut body = codec::read_state(r, self.name(), &self.layout())?;
-        let config = self.config;
+        let mut body = codec::read_state(r, self.name(), &self.layout_bytes())?;
+        let (config, layout) = (self.config, self.layout);
         let stats = codec::read_stats(&mut body)?;
         let entry = 16 + 8 * config.blocks_per_group;
         let groups = read_index_table(&mut body, entry, |body| {
             let reference = body.u64()?;
-            let mut deltas = Vec::with_capacity(config.blocks_per_group);
-            for _ in 0..config.blocks_per_group {
-                let d = body.u64()?;
-                if d > config.delta_max() {
+            if reference > layout.reference_max() {
+                return Err(invalid_data("reference exceeds its width"));
+            }
+            let mut deltas = [0u64; LINE_BITS as usize];
+            let deltas = &mut deltas[..config.blocks_per_group];
+            for d in deltas.iter_mut() {
+                *d = body.u64()?;
+                if *d > config.delta_max() {
                     return Err(invalid_data("delta exceeds its width"));
                 }
-                deltas.push(d);
             }
-            let deltas = Deltas::from_values(deltas);
-            Ok(Group { reference, deltas })
+            Ok(Group::packed(layout.pack(reference, deltas), deltas))
         })?;
         self.stats = stats;
         self.groups = groups;
@@ -323,39 +305,50 @@ impl CounterScheme for DeltaCounters {
     /// reference becomes the group's minimum counter and every delta the
     /// offset above it. Fails only when the resulting spread exceeds the
     /// delta width — impossible for an honest log, which rotates into a
-    /// snapshot at every re-encryption.
+    /// snapshot at every re-encryption — or the minimum exceeds the
+    /// reference width.
     ///
     /// Replay forces one counter per logged write, so this works in
     /// place: one pass for the spread, and the other deltas are
     /// rewritten only when the minimum moves.
     fn force_counter(&mut self, block: u64, value: u64) -> io::Result<()> {
         let (g, i) = split_block(block, self.config.blocks_per_group);
-        let cfg = self.config;
-        let grp = self
-            .groups
-            .entry(g)
-            .or_insert_with(|| Group::new(cfg.blocks_per_group));
-        let reference = grp.reference;
-        let counter = |j: usize, d: u64| if j == i { value } else { reference + d };
-        let (min, max) =
-            grp.deltas
-                .iter()
-                .enumerate()
-                .fold((u64::MAX, 0), |(min, max), (j, &d)| {
-                    let c = counter(j, d);
-                    (min.min(c), max.max(c))
-                });
-        if max - min > cfg.delta_max() {
+        let (cfg, layout) = (self.config, self.layout);
+        let n = cfg.blocks_per_group;
+        let grp = self.groups.entry(g).or_insert_with(|| Group::new(n));
+        let line = grp.line;
+        let reference = layout.reference(&line);
+        let counter = |j: usize| {
+            if j == i {
+                value
+            } else {
+                reference + layout.delta(&line, j)
+            }
+        };
+        let (min, max) = (0..n).fold((u64::MAX, 0), |(min, max), j| {
+            let c = counter(j);
+            (min.min(c), max.max(c))
+        });
+        if max - min > cfg.delta_max() || min > layout.reference_max() {
             return Err(invalid_data(
                 "replayed counter not representable in its delta group",
             ));
         }
         if min == reference {
             // The other deltas already sit on this minimum.
-            grp.deltas.set(i, value - reference);
+            let old = layout.delta(&line, i);
+            layout.set_delta(&mut grp.line, i, value - reference);
+            let line = &grp.line;
+            grp.tally.replaced(old, value - reference, || {
+                Tally::of((0..n).map(|j| layout.delta(line, j)))
+            });
         } else {
-            grp.reference = min;
-            grp.deltas.rewrite(|j, d| *d = counter(j, *d) - min);
+            let mut deltas = [0u64; LINE_BITS as usize];
+            let deltas = &mut deltas[..n];
+            for (j, d) in deltas.iter_mut().enumerate() {
+                *d = counter(j) - min;
+            }
+            *grp = Group::packed(layout.pack(min, deltas), deltas);
         }
         Ok(())
     }
@@ -365,8 +358,21 @@ impl CounterScheme for DeltaCounters {
 mod tests {
     use super::*;
     use crate::deltas::{converged_by_scan, tally_of};
+    use crate::packing::read_bits;
     use crate::split::SplitCounters as SplitScheme;
     use ame_prng::StdRng;
+
+    impl DeltaCounters {
+        /// Group `g`'s reference and deltas, unpacked from its line.
+        fn plain(&self, g: u64) -> (u64, Vec<u64>) {
+            let mut deltas = vec![0; self.config.blocks_per_group];
+            let reference = self
+                .groups
+                .get(&g)
+                .map_or(0, |grp| self.layout.unpack(&grp.line, &mut deltas));
+            (reference, deltas)
+        }
+    }
 
     /// `record_write` as it was before the tally — the convergence check
     /// is the full scan — applied to one group's plain state: the oracle
@@ -457,26 +463,22 @@ mod tests {
                         let ok = c.force_counter(block, value).is_ok();
                         assert_eq!(ok, max - min <= cfg.delta_max(), "step {step}");
                         if ok {
-                            let grp = &c.groups[&g];
                             let deltas: Vec<u64> = counters.iter().map(|&c| c - min).collect();
-                            assert_eq!((grp.reference, &*grp.deltas), (min, &deltas[..]));
+                            assert_eq!(c.plain(g), (min, deltas));
                         }
                         forced += usize::from(ok);
                     }
                     _ => {
                         let (g, i) = split_block(block, cfg.blocks_per_group);
-                        let (mut reference, mut deltas) = c.groups.get(&g).map_or_else(
-                            || (0, vec![0; cfg.blocks_per_group]),
-                            |grp| (grp.reference, grp.deltas.to_vec()),
-                        );
+                        let (mut reference, mut deltas) = c.plain(g);
                         let expected = scan_write(&cfg, g, i, &mut reference, &mut deltas);
                         assert_eq!(c.record_write(block), expected, "step {step}");
-                        let grp = &c.groups[&g];
-                        assert_eq!((grp.reference, &*grp.deltas), (reference, &deltas[..]));
+                        assert_eq!(c.plain(g), (reference, deltas));
                     }
                 }
-                for grp in c.groups.values() {
-                    assert_eq!(grp.deltas.tally(), tally_of(&grp.deltas), "step {step}");
+                for (&g, grp) in &c.groups {
+                    let (_, deltas) = c.plain(g);
+                    assert_eq!(grp.tally.pair(), tally_of(&deltas), "step {step}");
                 }
             }
             let stats = c.stats();
@@ -650,22 +652,42 @@ mod tests {
 
     #[test]
     fn metadata_image_matches_flat_packing() {
-        use crate::packing::FlatGroup;
         let mut c = DeltaCounters::default();
         for b in 0..10 {
             for _ in 0..=b {
                 c.record_write(b);
             }
         }
+        // The image holds the Figure 5 fields at their offsets.
         let image = c.metadata_block_image(0);
-        let unpacked = FlatGroup::unpack(&image);
-        assert_eq!(unpacked.reference, c.reference(0));
+        assert_eq!(read_bits(&image, 0, 56), c.reference(0));
         for b in 0..64u64 {
-            assert_eq!(unpacked.deltas[b as usize], c.delta(b), "block {b}");
-            assert_eq!(FlatGroup::decode_counter(&image, b as usize), c.counter(b));
+            let delta = read_bits(&image, 56 + 7 * b as u32, 7);
+            assert_eq!(delta, c.delta(b), "block {b}");
+            assert_eq!(read_bits(&image, 0, 56) + delta, c.counter(b));
         }
+        assert_eq!(read_bits(&image, 504, 8), 0, "padding");
         // Unallocated group images are all zero.
         assert_eq!(c.metadata_block_image(99), [0u8; 64]);
+    }
+
+    #[test]
+    fn the_paper_layout_and_a_full_line_construct() {
+        assert_eq!(DeltaCounters::default().layout.used_bits(), 504);
+        let full = DeltaConfig {
+            reference_bits: 64,
+            ..DeltaConfig::default()
+        };
+        assert_eq!(DeltaCounters::new(full).layout.used_bits(), 512);
+    }
+
+    #[test]
+    #[should_panic(expected = "delta group does not fit one metadata block (568 bits)")]
+    fn a_layout_wider_than_its_line_is_refused_at_construction() {
+        let _ = DeltaCounters::new(DeltaConfig {
+            delta_bits: 8,
+            ..DeltaConfig::default()
+        });
     }
 
     #[test]

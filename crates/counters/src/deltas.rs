@@ -1,5 +1,5 @@
-//! The deltas of one block-group, with the tally that answers Figure 5b's
-//! "have they all converged?" in O(1).
+//! One delta group's state: its packed line, and the tally that answers
+//! Figure 5b's "have they all converged?" in O(1).
 //!
 //! The hardware checks convergence on the one packed line it just
 //! updated; scanning all 64 deltas after every write is the software
@@ -8,46 +8,68 @@
 //! the group size. A single increment, or log replay setting one delta,
 //! updates the tally in O(1); the rare whole-group rewrites (reset,
 //! re-encode, re-encryption, a replayed minimum moving, decode) recount.
-//! The tally is derived state and is never serialized.
+//! The tally is derived from the line and is never serialized.
 
-use std::ops::Deref;
+use crate::packing::Line;
 
-/// A group's deltas plus their (largest value, how many equal it) tally.
-/// Reads go through `Deref<Target = [u64]>`; every write goes through a
-/// method that keeps the tally exact.
+/// A delta group: the line is the state of record, the tally is derived
+/// from the deltas it holds.
 #[derive(Debug, Clone)]
-pub(crate) struct Deltas {
-    values: Vec<u64>,
+pub(crate) struct Group {
+    pub(crate) line: Line,
+    pub(crate) tally: Tally,
+}
+
+impl Group {
+    /// A never-written group of `n` blocks: the all-zero line.
+    pub(crate) fn new(n: usize) -> Self {
+        Self::zeroed(Line::default(), n)
+    }
+
+    /// A group whose `n` deltas are all zero in `line`.
+    pub(crate) fn zeroed(line: Line, n: usize) -> Self {
+        Self {
+            line,
+            tally: Tally { top: 0, at_top: n },
+        }
+    }
+
+    /// A group packed whole from `deltas`.
+    pub(crate) fn packed(line: Line, deltas: &[u64]) -> Self {
+        Self {
+            line,
+            tally: Tally::of(deltas.iter().copied()),
+        }
+    }
+}
+
+/// The (largest delta, how many deltas equal it) tally of a group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tally {
     top: u64,
     at_top: usize,
 }
 
-impl Deltas {
-    /// `n` zero deltas: a never-written group.
-    pub(crate) fn zeros(n: usize) -> Self {
-        Self {
-            values: vec![0; n],
-            top: 0,
-            at_top: n,
-        }
+impl Tally {
+    /// The tally of `deltas`, by one pass: the whole-group recount.
+    pub(crate) fn of(deltas: impl IntoIterator<Item = u64>) -> Self {
+        deltas.into_iter().fold(
+            Self { top: 0, at_top: 0 },
+            |Self { top, at_top }, d| match d.cmp(&top) {
+                std::cmp::Ordering::Greater => Self { top: d, at_top: 1 },
+                std::cmp::Ordering::Equal => Self {
+                    top,
+                    at_top: at_top + 1,
+                },
+                std::cmp::Ordering::Less => Self { top, at_top },
+            },
+        )
     }
 
-    /// Deltas restored from a serialized group.
-    pub(crate) fn from_values(values: Vec<u64>) -> Self {
-        let (top, at_top) = tally_of(&values);
-        Self {
-            values,
-            top,
-            at_top,
-        }
-    }
-
-    /// Increments delta `i` and updates the tally in O(1): the bumped
-    /// delta either passes the old largest value (and is now its only
-    /// holder), reaches it, or stays below it.
-    pub(crate) fn bump(&mut self, i: usize) {
-        self.values[i] += 1;
-        let d = self.values[i];
+    /// A delta was incremented to `d`, in O(1): it either passed the old
+    /// largest value (and is now its only holder), reached it, or stays
+    /// below it.
+    pub(crate) fn bumped(&mut self, d: u64) {
         if d > self.top {
             self.top = d;
             self.at_top = 1;
@@ -56,70 +78,49 @@ impl Deltas {
         }
     }
 
-    /// Sets delta `i` to `d`, keeping the tally in O(1) unless `i` was
-    /// the last delta at the largest value and fell below it (then it
-    /// recounts).
-    pub(crate) fn set(&mut self, i: usize, d: u64) {
-        let old = std::mem::replace(&mut self.values[i], d);
-        if d > self.top {
-            self.top = d;
+    /// A delta was set from `old` to `new`, in O(1) unless it was the
+    /// last delta at the largest value and fell below it: then the
+    /// group is recounted.
+    pub(crate) fn replaced(&mut self, old: u64, new: u64, recount: impl FnOnce() -> Self) {
+        if new > self.top {
+            self.top = new;
             self.at_top = 1;
-        } else if d == self.top {
-            self.at_top += usize::from(old != d);
+        } else if new == self.top {
+            self.at_top += usize::from(old != new);
         } else if old == self.top {
             self.at_top -= 1;
             if self.at_top == 0 {
-                self.recount();
+                *self = recount();
             }
         }
     }
 
-    /// The common value if every delta equals it and it is positive —
+    /// The common value if all `n` deltas equal it and it is positive —
     /// Figure 5b's reset condition.
-    pub(crate) fn converged(&self) -> Option<u64> {
-        (self.top > 0 && self.at_top == self.values.len()).then_some(self.top)
+    pub(crate) fn converged(&self, n: usize) -> Option<u64> {
+        (self.top > 0 && self.at_top == n).then_some(self.top)
     }
 
     /// The largest delta.
     pub(crate) fn max(&self) -> u64 {
         self.top
     }
-
-    /// Rewrites every delta (`f(index, &mut delta)`) and recounts: the
-    /// whole-group paths, which are rare and O(n) anyway.
-    pub(crate) fn rewrite(&mut self, mut f: impl FnMut(usize, &mut u64)) {
-        for (i, d) in self.values.iter_mut().enumerate() {
-            f(i, d);
-        }
-        self.recount();
-    }
-
-    fn recount(&mut self) {
-        (self.top, self.at_top) = tally_of(&self.values);
-    }
-}
-
-impl Deref for Deltas {
-    type Target = [u64];
-
-    fn deref(&self) -> &[u64] {
-        &self.values
-    }
-}
-
-/// `(largest delta, how many deltas equal it)` by one pass: the
-/// whole-group recount, and what the tracked tally must always equal.
-pub(crate) fn tally_of(deltas: &[u64]) -> (u64, usize) {
-    let top = deltas.iter().copied().max().unwrap_or(0);
-    (top, deltas.iter().filter(|&&d| d == top).count())
 }
 
 #[cfg(test)]
-impl Deltas {
-    /// The tally as tracked, for tests that hold it to a recount.
-    pub(crate) fn tally(&self) -> (u64, usize) {
+impl Tally {
+    /// The tally as tracked, for tests that hold it to [`tally_of`].
+    pub(crate) fn pair(&self) -> (u64, usize) {
         (self.top, self.at_top)
     }
+}
+
+/// `(largest delta, how many deltas equal it)` by two scans: what the
+/// tracked tally must always equal.
+#[cfg(test)]
+pub(crate) fn tally_of(deltas: &[u64]) -> (u64, usize) {
+    let top = deltas.iter().copied().max().unwrap_or(0);
+    (top, deltas.iter().filter(|&&d| d == top).count())
 }
 
 /// The scan `record_write` ran before the tally, kept as the oracle: the
@@ -144,20 +145,41 @@ mod tests {
             x
         };
         for n in [1usize, 2, 4, 64] {
-            let mut d = Deltas::zeros(n);
+            let mut d = vec![0u64; n];
+            let mut tally = Group::new(n).tally;
             for step in 0..20_000 {
                 let r = next();
+                let i = (r >> 8) as usize % n;
                 match r % 16 {
-                    0 => d.rewrite(|_, v| *v = 0),
+                    0 => d.fill(0),
                     1 => {
                         let min = d.iter().copied().min().unwrap();
-                        d.rewrite(|_, v| *v -= min);
+                        d.iter_mut().for_each(|v| *v -= min);
                     }
-                    2 => d.rewrite(|i, v| *v = (r >> (8 + i % 32)) % 5),
-                    _ => d.bump((r >> 8) as usize % n),
+                    2 => d
+                        .iter_mut()
+                        .enumerate()
+                        .for_each(|(j, v)| *v = (r >> (8 + j % 32)) % 5),
+                    3..=5 => {
+                        // One delta set, as log replay does.
+                        let new = (r >> 16) % 6;
+                        let old = std::mem::replace(&mut d[i], new);
+                        tally.replaced(old, new, || Tally::of(d.iter().copied()));
+                    }
+                    _ => {
+                        d[i] += 1;
+                        tally.bumped(d[i]);
+                    }
                 }
-                assert_eq!(d.tally(), tally_of(&d), "n {n} step {step}");
-                assert_eq!(d.converged(), converged_by_scan(&d), "n {n} step {step}");
+                if r % 16 < 3 {
+                    tally = Group::packed(Line::default(), &d).tally;
+                }
+                assert_eq!(tally.pair(), tally_of(&d), "n {n} step {step}");
+                assert_eq!(
+                    tally.converged(n),
+                    converged_by_scan(&d),
+                    "n {n} step {step}"
+                );
             }
         }
     }

@@ -14,7 +14,8 @@
 //! is why Table 2 shows dual-length doing *worse* than flat 7-bit deltas
 //! there — this implementation reproduces that behaviour.
 
-use crate::deltas::Deltas;
+use crate::deltas::Group;
+use crate::packing::{DualLayout, LINE_BITS};
 use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
 use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
 use std::io;
@@ -72,7 +73,9 @@ impl DualLengthConfig {
         self.blocks_per_group / self.delta_groups
     }
 
-    fn validate(&self) {
+    /// Validates invariants and lays the group out in its line; called
+    /// by [`DualLengthDeltaCounters::new`].
+    fn layout(&self) -> DualLayout {
         assert!(
             self.base_bits > 0 && self.base_bits < 32,
             "base width must be 1..32"
@@ -83,32 +86,21 @@ impl DualLengthConfig {
             "delta-groups must evenly divide the block-group"
         );
         assert!(self.reference_bits > 0 && self.reference_bits <= 64);
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Group {
-    reference: u64,
-    deltas: Deltas,
-    /// Which delta-group currently holds the shared overflow bits.
-    expanded: Option<usize>,
-}
-
-impl Group {
-    fn new(blocks_per_group: usize) -> Self {
-        Self {
-            reference: 0,
-            deltas: Deltas::zeros(blocks_per_group),
-            expanded: None,
-        }
-    }
-
-    fn counters(&self) -> Vec<u64> {
-        self.deltas.iter().map(|d| self.reference + d).collect()
+        DualLayout::new(
+            self.reference_bits,
+            self.base_bits,
+            self.extra_bits,
+            self.delta_groups,
+            self.blocks_per_group,
+        )
     }
 }
 
 /// Dual-length delta-encoded counters.
+///
+/// Each group is held as its packed Figure 6 line: a counter read is the
+/// Decode Unit on that line, a write rewrites the block's field(s), and
+/// [`CounterScheme::metadata_block_image`] returns the line as it is.
 ///
 /// # Example
 ///
@@ -129,6 +121,7 @@ impl Group {
 pub struct DualLengthDeltaCounters {
     groups: IndexMap<Group>,
     config: DualLengthConfig,
+    layout: DualLayout,
     stats: CounterStats,
 }
 
@@ -138,12 +131,13 @@ impl DualLengthDeltaCounters {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (see
-    /// [`DualLengthConfig`] field docs).
+    /// [`DualLengthConfig`] field docs) or its Figure 6 layout does not
+    /// fit one 64-byte metadata block.
     #[must_use]
     pub fn new(config: DualLengthConfig) -> Self {
-        config.validate();
         Self {
             groups: IndexMap::default(),
+            layout: config.layout(),
             config,
             stats: CounterStats::default(),
         }
@@ -156,7 +150,7 @@ impl DualLengthDeltaCounters {
     }
 
     /// The configuration as a state section records it.
-    fn layout(&self) -> Vec<u8> {
+    fn layout_bytes(&self) -> Vec<u8> {
         let cfg = &self.config;
         let mut out = Vec::new();
         put_u32(&mut out, cfg.base_bits);
@@ -180,7 +174,9 @@ impl DualLengthDeltaCounters {
     #[must_use]
     pub fn expanded_group(&self, block: u64) -> Option<usize> {
         let (g, _) = split_block(block, self.config.blocks_per_group);
-        self.groups.get(&g).and_then(|grp| grp.expanded)
+        self.groups
+            .get(&g)
+            .and_then(|grp| self.layout.expanded(&grp.line))
     }
 }
 
@@ -195,57 +191,61 @@ impl CounterScheme for DualLengthDeltaCounters {
         let (g, i) = split_block(block, self.config.blocks_per_group);
         self.groups
             .get(&g)
-            .map_or(0, |grp| grp.reference + grp.deltas[i])
+            .map_or(0, |grp| self.layout.counter(&grp.line, i))
     }
 
     fn record_write(&mut self, block: u64) -> WriteOutcome {
         let (g, i) = split_block(block, self.config.blocks_per_group);
-        let cfg = self.config;
-        let dg = i / cfg.blocks_per_delta_group();
-        let grp = self
-            .groups
-            .entry(g)
-            .or_insert_with(|| Group::new(cfg.blocks_per_group));
+        let (cfg, layout) = (self.config, self.layout);
+        let n = cfg.blocks_per_group;
+        let grp = self.groups.entry(g).or_insert_with(|| Group::new(n));
 
-        let cap = if grp.expanded == Some(dg) {
+        let expanded = layout.expanded(&grp.line);
+        let widened = expanded == Some(layout.delta_group(i));
+        let d = layout.delta(&grp.line, i, widened);
+        let cap = if widened {
             cfg.expanded_max()
         } else {
             cfg.base_max()
         };
-        let outcome = if grp.deltas[i] < cap {
-            grp.deltas.bump(i);
-            match grp.deltas.converged() {
+        let outcome = if d < cap {
+            layout.set_delta(&mut grp.line, i, d + 1, widened);
+            grp.tally.bumped(d + 1);
+            match grp.tally.converged(n) {
                 Some(common) if cfg.reset_enabled => {
-                    grp.reference += common;
-                    grp.deltas.rewrite(|_, d| *d = 0);
-                    grp.expanded = None; // all deltas fit base width again
+                    // All deltas fit base width again: the expansion goes.
+                    let reference = layout.reference(&grp.line) + common;
+                    *grp = Group::zeroed(layout.zeroed(reference), n);
                     WriteOutcome::Reset
                 }
                 _ => WriteOutcome::Incremented,
             }
-        } else if grp.expanded.is_none() {
+        } else if expanded.is_none() {
             // Assign the shared overflow bits to this delta-group.
-            grp.expanded = Some(dg);
-            grp.deltas.bump(i);
+            layout.expand(&mut grp.line, i, d + 1);
+            grp.tally.bumped(d + 1);
             WriteOutcome::Expanded
         } else {
             // Overflow bits already taken (possibly by this very group at
             // its widened capacity): try re-encoding, then re-encrypt.
-            let min = grp.deltas.iter().copied().min().unwrap_or(0);
+            // The whole group is unpacked once and re-packed.
+            let mut deltas = [0u64; LINE_BITS as usize];
+            let deltas = &mut deltas[..n];
+            let (reference, _) = layout.unpack(&grp.line, deltas);
+            let min = deltas.iter().copied().min().unwrap_or(0);
             if cfg.reencode_enabled && min > 0 {
-                grp.reference += min;
-                grp.deltas.rewrite(|_, d| *d -= min);
-                grp.deltas.bump(i);
+                deltas.iter_mut().for_each(|d| *d -= min);
+                deltas[i] += 1;
+                let line = layout.pack(reference + min, expanded, deltas);
+                *grp = Group::packed(line, deltas);
                 WriteOutcome::Reencoded
             } else {
-                let old_counters = grp.counters();
+                let old_counters = deltas.iter().map(|d| reference + d).collect();
                 // Every block must jump strictly above its old counter;
                 // with a widened group the largest delta may exceed the
                 // overflowing one, so take the true maximum.
-                let new_counter = grp.reference + grp.deltas.max() + 1;
-                grp.reference = new_counter;
-                grp.deltas.rewrite(|_, d| *d = 0);
-                grp.expanded = None;
+                let new_counter = reference + grp.tally.max() + 1;
+                *grp = Group::zeroed(layout.zeroed(new_counter), n);
                 WriteOutcome::Reencrypted {
                     group: g,
                     old_counters,
@@ -285,83 +285,31 @@ impl CounterScheme for DualLengthDeltaCounters {
         self.config.blocks_per_group
     }
 
-    /// Packs the Figure 6 layout: `reference || valid || group-index ||
-    /// base deltas || overflow bits` — 507 bits for the paper's
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured layout exceeds one 64-byte block.
+    /// The group's line, the Figure 6 layout `reference || valid ||
+    /// group-index || base deltas || overflow bits` — 507 bits for the
+    /// paper's configuration — as it is held.
     fn metadata_block_image(&self, meta_block: u64) -> [u8; 64] {
-        let cfg = &self.config;
-        let index_bits = (usize::BITS - (cfg.delta_groups - 1).leading_zeros()).max(1);
-        let ext_slots = cfg.blocks_per_delta_group() as u32;
-        let bits = cfg.reference_bits
-            + 1
-            + index_bits
-            + cfg.base_bits * cfg.blocks_per_group as u32
-            + cfg.extra_bits * ext_slots;
-        assert!(
-            bits <= 512,
-            "dual-length group does not fit one metadata block"
-        );
-
-        let mut image = [0u8; 64];
         // A never-written group is all zeros, which is the empty image.
-        let Some(grp) = self.groups.get(&meta_block) else {
-            return image;
-        };
-        let (reference, deltas, expanded) = (grp.reference, &*grp.deltas, grp.expanded);
-        let mut off = 0;
-        crate::packing::write_bits(&mut image, off, cfg.reference_bits, reference);
-        off += cfg.reference_bits;
-        crate::packing::write_bits(&mut image, off, 1, u64::from(expanded.is_some()));
-        off += 1;
-        crate::packing::write_bits(&mut image, off, index_bits, expanded.unwrap_or(0) as u64);
-        off += index_bits;
-        let base_off = off;
-        let ext_off = base_off + cfg.base_bits * cfg.blocks_per_group as u32;
-        for (i, &d) in deltas.iter().enumerate() {
-            let dg = i / cfg.blocks_per_delta_group();
-            crate::packing::write_bits(
-                &mut image,
-                base_off + cfg.base_bits * i as u32,
-                cfg.base_bits,
-                d & ((1 << cfg.base_bits) - 1),
-            );
-            if expanded == Some(dg) {
-                crate::packing::write_bits(
-                    &mut image,
-                    ext_off + cfg.extra_bits * (i % cfg.blocks_per_delta_group()) as u32,
-                    cfg.extra_bits,
-                    d >> cfg.base_bits,
-                );
-            }
-        }
-        image
+        self.groups
+            .get(&meta_block)
+            .map_or([0; 64], |grp| grp.line.bytes())
     }
 
     fn encode_state(&self, out: &mut Vec<u8>) {
-        let mut body = codec::begin_state(out, self.name(), &self.layout());
+        let mut body = codec::begin_state(out, self.name(), &self.layout_bytes());
         codec::put_stats(&mut body, &self.stats);
         let mut indices: Vec<u64> = self.groups.keys().copied().collect();
         indices.sort_unstable();
         put_u64(&mut body, indices.len() as u64);
+        let mut deltas = [0u64; LINE_BITS as usize];
+        let deltas = &mut deltas[..self.config.blocks_per_group];
         for idx in indices {
-            let grp = &self.groups[&idx];
+            let (reference, expanded) = self.layout.unpack(&self.groups[&idx].line, deltas);
             put_u64(&mut body, idx);
-            put_u64(&mut body, grp.reference);
-            match grp.expanded {
-                Some(dg) => {
-                    body.push(1);
-                    put_u64(&mut body, dg as u64);
-                }
-                None => {
-                    body.push(0);
-                    put_u64(&mut body, 0);
-                }
-            }
-            for &d in grp.deltas.iter() {
+            put_u64(&mut body, reference);
+            body.push(u8::from(expanded.is_some()));
+            put_u64(&mut body, expanded.unwrap_or(0) as u64);
+            for &d in deltas.iter() {
                 put_u64(&mut body, d);
             }
         }
@@ -377,12 +325,15 @@ impl CounterScheme for DualLengthDeltaCounters {
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
-        let mut body = codec::read_state(r, self.name(), &self.layout())?;
-        let config = self.config;
+        let mut body = codec::read_state(r, self.name(), &self.layout_bytes())?;
+        let (config, layout) = (self.config, self.layout);
         let stats = codec::read_stats(&mut body)?;
         let entry = 16 + 9 + 8 * config.blocks_per_group;
         let groups = read_index_table(&mut body, entry, |body| {
             let reference = body.u64()?;
+            if reference > layout.reference_max() {
+                return Err(invalid_data("reference exceeds its width"));
+            }
             let has_expanded = body.u8()? != 0;
             let expanded_idx = body.u64()? as usize;
             let expanded = if has_expanded {
@@ -393,25 +344,23 @@ impl CounterScheme for DualLengthDeltaCounters {
             } else {
                 None
             };
-            let mut deltas = Vec::with_capacity(config.blocks_per_group);
-            for i in 0..config.blocks_per_group {
-                let d = body.u64()?;
-                let cap = if expanded == Some(i / config.blocks_per_delta_group()) {
+            let mut deltas = [0u64; LINE_BITS as usize];
+            let deltas = &mut deltas[..config.blocks_per_group];
+            for (i, d) in deltas.iter_mut().enumerate() {
+                *d = body.u64()?;
+                let cap = if expanded == Some(layout.delta_group(i)) {
                     config.expanded_max()
                 } else {
                     config.base_max()
                 };
-                if d > cap {
+                if *d > cap {
                     return Err(invalid_data("delta exceeds its width"));
                 }
-                deltas.push(d);
             }
-            let deltas = Deltas::from_values(deltas);
-            Ok(Group {
-                reference,
+            Ok(Group::packed(
+                layout.pack(reference, expanded, deltas),
                 deltas,
-                expanded,
-            })
+            ))
         })?;
         self.stats = stats;
         self.groups = groups;
@@ -422,40 +371,44 @@ impl CounterScheme for DualLengthDeltaCounters {
     /// reference becomes the group's minimum counter, and the shared
     /// overflow bits are re-assigned to whichever single delta-group needs
     /// widening afterwards. Two delta-groups needing the bits at once (or
-    /// a delta beyond even the widened cap) is unrepresentable — evidence
-    /// of a corrupt log, since the log rotates into a snapshot at every
-    /// re-encryption.
+    /// a delta beyond even the widened cap, or a minimum beyond the
+    /// reference width) is unrepresentable — evidence of a corrupt log,
+    /// since the log rotates into a snapshot at every re-encryption.
     fn force_counter(&mut self, block: u64, value: u64) -> io::Result<()> {
         let (g, i) = split_block(block, self.config.blocks_per_group);
-        let cfg = self.config;
-        let grp = self
-            .groups
-            .entry(g)
-            .or_insert_with(|| Group::new(cfg.blocks_per_group));
-        let mut counters = grp.counters();
+        let (cfg, layout) = (self.config, self.layout);
+        let n = cfg.blocks_per_group;
+        let grp = self.groups.entry(g).or_insert_with(|| Group::new(n));
+        let mut counters = [0u64; LINE_BITS as usize];
+        let counters = &mut counters[..n];
+        let (reference, _) = layout.unpack(&grp.line, counters);
+        counters.iter_mut().for_each(|c| *c += reference);
         counters[i] = value;
         let min = counters.iter().copied().min().expect("non-empty group");
-        let bpdg = cfg.blocks_per_delta_group();
-        let mut need: Vec<usize> = Vec::new();
-        for (j, &c) in counters.iter().enumerate() {
-            let d = c - min;
-            if d > cfg.expanded_max() {
+        if min > layout.reference_max() {
+            return Err(invalid_data(
+                "replayed counter not representable in its delta group",
+            ));
+        }
+        let mut need = None;
+        for (j, c) in counters.iter_mut().enumerate() {
+            *c -= min;
+            if *c > cfg.expanded_max() {
                 return Err(invalid_data(
                     "replayed counter not representable in its delta group",
                 ));
             }
-            if d > cfg.base_max() && !need.contains(&(j / bpdg)) {
-                need.push(j / bpdg);
+            if *c > cfg.base_max() {
+                let dg = layout.delta_group(j);
+                if need.is_some_and(|taken| taken != dg) {
+                    return Err(invalid_data(
+                        "replayed counter needs overflow bits in two delta-groups",
+                    ));
+                }
+                need = Some(dg);
             }
         }
-        if need.len() > 1 {
-            return Err(invalid_data(
-                "replayed counter needs overflow bits in two delta-groups",
-            ));
-        }
-        grp.reference = min;
-        grp.deltas.rewrite(|j, d| *d = counters[j] - min);
-        grp.expanded = need.first().copied();
+        *grp = Group::packed(layout.pack(min, need, counters), counters);
         Ok(())
     }
 }
@@ -464,10 +417,23 @@ impl CounterScheme for DualLengthDeltaCounters {
 mod tests {
     use super::*;
     use crate::deltas::{converged_by_scan, tally_of};
+    use crate::packing::read_bits;
     use ame_prng::StdRng;
 
     /// One group's plain state: `(reference, deltas, expanded)`.
     type Plain = (u64, Vec<u64>, Option<usize>);
+
+    impl DualLengthDeltaCounters {
+        /// Group `g`'s plain state, unpacked from its line.
+        fn plain(&self, g: u64) -> Plain {
+            let mut deltas = vec![0; self.config.blocks_per_group];
+            let (reference, expanded) = self
+                .groups
+                .get(&g)
+                .map_or((0, None), |grp| self.layout.unpack(&grp.line, &mut deltas));
+            (reference, deltas, expanded)
+        }
+    }
 
     /// `record_write` as it was before the tally — the convergence check
     /// is the full scan — applied to one group's plain state: the oracle
@@ -561,19 +527,15 @@ mod tests {
                     }
                     _ => {
                         let (g, i) = split_block(block, cfg.blocks_per_group);
-                        let mut state = c.groups.get(&g).map_or_else(
-                            || (0, vec![0; cfg.blocks_per_group], None),
-                            |grp| (grp.reference, grp.deltas.to_vec(), grp.expanded),
-                        );
+                        let mut state = c.plain(g);
                         let expected = scan_write(&cfg, g, i, &mut state);
                         assert_eq!(c.record_write(block), expected, "step {step}");
-                        let grp = &c.groups[&g];
-                        let got = (grp.reference, grp.deltas.to_vec(), grp.expanded);
-                        assert_eq!(got, state, "step {step}");
+                        assert_eq!(c.plain(g), state, "step {step}");
                     }
                 }
-                for grp in c.groups.values() {
-                    assert_eq!(grp.deltas.tally(), tally_of(&grp.deltas), "step {step}");
+                for (&g, grp) in &c.groups {
+                    let (_, deltas, _) = c.plain(g);
+                    assert_eq!(grp.tally.pair(), tally_of(&deltas), "step {step}");
                 }
             }
             let stats = c.stats();
@@ -742,7 +704,6 @@ mod tests {
 
     #[test]
     fn metadata_image_matches_dual_packing() {
-        use crate::packing::DualGroup;
         let mut c = DualLengthDeltaCounters::default();
         // Push block 3 past 6 bits so delta-group 0 expands.
         for _ in 0..70 {
@@ -752,16 +713,31 @@ mod tests {
             c.record_write(b);
         }
         assert_eq!(c.expanded_group(0), Some(0));
+        // The image holds the Figure 6 fields at their offsets: the
+        // Decode Unit reads the same counters off it.
         let image = c.metadata_block_image(0);
-        let unpacked = DualGroup::unpack(&image);
-        assert_eq!(unpacked.expanded, Some(0));
+        assert_eq!(read_bits(&image, 56, 3), 0b001, "valid, delta-group 0");
         for b in 0..64u64 {
-            assert_eq!(
-                DualGroup::decode_counter(&image, b as usize),
-                c.counter(b),
-                "block {b}"
-            );
+            let mut delta = read_bits(&image, 59 + 6 * b as u32, 6);
+            if b < 16 {
+                delta |= read_bits(&image, 443 + 4 * b as u32, 4) << 6;
+            }
+            assert_eq!(read_bits(&image, 0, 56) + delta, c.counter(b), "block {b}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "dual-length group does not fit one metadata block (571 bits)")]
+    fn a_layout_wider_than_its_line_is_refused_at_construction() {
+        let _ = DualLengthDeltaCounters::new(DualLengthConfig {
+            base_bits: 7,
+            ..DualLengthConfig::default()
+        });
+    }
+
+    #[test]
+    fn the_paper_layout_constructs() {
+        assert_eq!(DualLengthDeltaCounters::default().layout.used_bits(), 507);
     }
 
     #[test]

@@ -50,7 +50,9 @@ impl SplitCounters {
     ///
     /// # Panics
     ///
-    /// Panics if `minor_bits` is 0 or >= 32, or `blocks_per_group` is 0.
+    /// Panics if `minor_bits` is 0 or >= 32, `blocks_per_group` is 0, or
+    /// the 64-bit major and the minors do not fit one 64-byte metadata
+    /// block.
     #[must_use]
     pub fn new(minor_bits: u32, blocks_per_group: usize) -> Self {
         assert!(
@@ -58,6 +60,11 @@ impl SplitCounters {
             "minor width must be 1..32 bits"
         );
         assert!(blocks_per_group > 0, "group must hold at least one block");
+        let bits = 64 + u64::from(minor_bits).saturating_mul(blocks_per_group as u64);
+        assert!(
+            bits <= 512,
+            "split-counter group does not fit one metadata block ({bits} bits)"
+        );
         Self {
             groups: IndexMap::default(),
             minor_bits,
@@ -155,16 +162,7 @@ impl CounterScheme for SplitCounters {
 
     /// Packs `major (64 bits) || minors (minor_bits each)` — exactly 512
     /// bits for the paper's 7-bit/64-block configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured layout exceeds one 64-byte block.
     fn metadata_block_image(&self, meta_block: u64) -> [u8; 64] {
-        let bits = 64 + self.minor_bits * self.blocks_per_group as u32;
-        assert!(
-            bits <= 512,
-            "split-counter group does not fit one metadata block"
-        );
         let mut image = [0u8; 64];
         // A never-written group is all zeros, which is the empty image.
         let Some(grp) = self.groups.get(&meta_block) else {
@@ -387,5 +385,18 @@ mod tests {
         back.force_counter(100, 5).unwrap();
         assert_eq!(back.counter(100), 5);
         assert!(back.force_counter(104, 1 << 7).is_err());
+    }
+
+    #[test]
+    fn the_paper_layout_fills_its_line_exactly() {
+        let c = SplitCounters::default();
+        assert_eq!(64 + c.minor_bits * c.blocks_per_group as u32, 512);
+        assert_eq!(c.metadata_block_image(0), [0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "split-counter group does not fit one metadata block (576 bits)")]
+    fn a_layout_wider_than_its_line_is_refused_at_construction() {
+        let _ = SplitCounters::new(8, 64);
     }
 }

@@ -71,8 +71,9 @@ pub fn freeze(engine: &MemoryEncryptionEngine, size: u64) -> Vec<u8> {
 ///
 /// `InvalidData` on any framing/checksum failure in the image, a stored
 /// size other than `size`, a configuration field (engine header,
-/// counter layout, tree layout) other than `config`'s, or a resident
-/// block at or past the size.
+/// counter layout, tree layout) other than `config`'s, a byte after the
+/// last field of the image or of any section in it, or a resident block
+/// at or past the size.
 pub fn thaw(image: &[u8], config: &EngineConfig, size: u64) -> io::Result<MemoryEncryptionEngine> {
     let mut r = ByteReader::new(image);
     let (version, mut payload) = read_section(&mut r, MAGIC)?;
@@ -88,6 +89,8 @@ pub fn thaw(image: &[u8], config: &EngineConfig, size: u64) -> io::Result<Memory
         )));
     }
     let engine = MemoryEncryptionEngine::thaw_from(&mut payload, config)?;
+    payload.end()?;
+    r.end()?;
     if let Some(addr) = engine.storage.addrs().last().filter(|&a| a >= size) {
         return Err(invalid_data(format!(
             "resident block {addr:#x} outside the {size}-byte region"

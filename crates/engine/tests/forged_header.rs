@@ -99,14 +99,18 @@ fn counter_layout(scheme: CounterSchemeKind) -> &'static [(&'static str, usize)]
     }
 }
 
-/// Every configuration field of `image`: `AMEREGN` ⊃ `AMEENGIN` ⊃
-/// `AMEDRAM`, `AMECTRS`, `AMETREE`.
-fn fields(image: &[u8], scheme: CounterSchemeKind) -> Vec<Field> {
-    let region = 0;
+/// The offset of each section of `image`: `AMEREGN` ⊃ `AMEENGIN` ⊃
+/// `AMEDRAM`, `AMECTRS`, `AMETREE`, in that order.
+fn sections(image: &[u8]) -> [usize; 5] {
     let engine = HEADER + 8;
     let dram = engine + HEADER + ENGINE_FIELDS;
     let counters = section_end(image, dram);
-    let tree = section_end(image, counters);
+    [0, engine, dram, counters, section_end(image, counters)]
+}
+
+/// Every configuration field of `image`.
+fn fields(image: &[u8], scheme: CounterSchemeKind) -> Vec<Field> {
+    let [region, engine, _, counters, tree] = sections(image);
     let mut fields = vec![Field {
         name: "region size",
         at: HEADER,
@@ -286,5 +290,55 @@ fn a_non_canonical_prefetch_flag_is_refused_at_thaw() {
                 "{what}: flag {flag}"
             );
         }
+    }
+}
+
+/// `image` with `extra` appended to the payload of the innermost of
+/// `enclosing` (section offsets, innermost first), and the length and
+/// CRC of each of those sections recomputed.
+fn appended(image: &[u8], enclosing: &[usize], extra: &[u8]) -> Vec<u8> {
+    let mut image = image.to_vec();
+    let at = enclosing[0] + HEADER + payload_len(&image, enclosing[0]);
+    image.splice(at..at, extra.iter().copied());
+    for &section in enclosing {
+        let len = payload_len(&image, section) + extra.len();
+        image[section + 12..section + HEADER].copy_from_slice(&(len as u64).to_le_bytes());
+        let end = section + HEADER + len;
+        let crc = ame_persist::crc64(&image[section..end]);
+        image[end..end + 8].copy_from_slice(&crc.to_le_bytes());
+    }
+    image
+}
+
+/// The decoders are canonical: a byte after the last field of the image,
+/// or of any section in it, is refused under valid checksums rather than
+/// dropped at the next freeze.
+#[test]
+fn bytes_after_the_last_field_of_any_section_are_refused() {
+    let extra = [0xa5; 8];
+    for (config, image) in golden_images() {
+        let what = format!("{:?}/{:?}", config.counter_scheme, config.mac_placement);
+        assert!(region::thaw(&image, &config, SIZE).is_ok(), "{what}");
+        let [region, engine, dram, counters, tree] = sections(&image);
+        let mut after = image.clone();
+        after.extend_from_slice(&extra);
+        let mut forgeries = vec![("image", after)];
+        for (name, enclosing) in [
+            ("region payload", vec![region]),
+            ("engine payload", vec![engine, region]),
+            ("dram payload", vec![dram, engine, region]),
+            ("counter payload", vec![counters, engine, region]),
+            ("tree payload", vec![tree, engine, region]),
+        ] {
+            forgeries.push((name, appended(&image, &enclosing, &extra)));
+        }
+        for (name, forged) in forgeries {
+            match region::thaw(&forged, &config, SIZE) {
+                Err(e) => assert_eq!(e.kind(), ErrorKind::InvalidData, "{what}: {name}: {e}"),
+                Ok(_) => panic!("{what}: 8 bytes appended to the {name} accepted"),
+            }
+        }
+        // The helper only lengthens: appending nothing is the identity.
+        assert_eq!(appended(&image, &[counters, engine, region], &[]), image);
     }
 }

@@ -215,6 +215,20 @@ impl<'a> ByteReader<'a> {
         let b = self.take(N)?;
         Ok(b.try_into().expect("N bytes"))
     }
+
+    /// Ends a decode: succeeds only if the cursor has consumed the whole
+    /// slice, so a canonical decoder refuses bytes after its last field
+    /// instead of silently dropping them.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` if any byte is left unread.
+    pub fn end(&self) -> io::Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(invalid_data(format!("{n} bytes after the last field"))),
+        }
+    }
 }
 
 /// Bytes of a section header: `magic(8) | version(u32) | len(u64)`.
@@ -623,8 +637,10 @@ mod tests {
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.u32().unwrap(), 7);
         assert_eq!(r.u64().unwrap(), 9);
+        assert_eq!(r.end().unwrap_err().kind(), io::ErrorKind::InvalidData);
         assert_eq!(r.u8().unwrap(), 3);
         assert!(r.is_empty());
+        r.end().unwrap();
         assert_eq!(r.u8().unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
     }
 

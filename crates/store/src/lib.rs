@@ -67,7 +67,9 @@ pub use ame_engine::BLOCK_BYTES;
 use ame_engine::{EngineConfig, MemoryEncryptionEngine, ReadError};
 use ame_telemetry::{Snapshot, StatsRegistry, Value};
 use shard::{Op, OpOutput, Request, Route, ShardShared, ShardWorker};
+use std::any::Any;
 use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -303,7 +305,8 @@ impl SecureStore {
     ///
     /// Propagates environment-level I/O failures (directory creation,
     /// file reads). Per-shard corruption does **not** error — it
-    /// quarantines the shard and the open succeeds.
+    /// quarantines the shard and the open succeeds; so does a panic
+    /// while one shard is rebuilt, whose message goes to stderr.
     ///
     /// # Panics
     ///
@@ -369,14 +372,21 @@ impl SecureStore {
                     .name(format!("ame-shard{s}"))
                     .spawn(move || {
                         let started = Instant::now();
+                        let fresh = || {
+                            MemoryEncryptionEngine::new(
+                                boot_config.engine.for_tenant(boot_config.tenant, s),
+                            )
+                        };
                         let boot = match &boot_persist {
                             // A missing shard directory recovers to a
                             // fresh engine with an empty log — creation
                             // and recovery are the same path, so they
                             // cannot drift apart.
-                            Some((dir, fs)) => match recover_shard(&boot_config, s, fs, dir) {
-                                Ok(boot) => boot,
-                                Err(e) => {
+                            Some((dir, fs)) => match catch_unwind(AssertUnwindSafe(|| {
+                                recover_shard(&boot_config, s, fs, dir)
+                            })) {
+                                Ok(Ok(boot)) => boot,
+                                Ok(Err(e)) => {
                                     let _ = booted_tx.send(Err(e));
                                     return SealReport {
                                         shard: s,
@@ -384,11 +394,26 @@ impl SecureStore {
                                         poisoned: None,
                                     };
                                 }
+                                // The backstop for a decoder that panics
+                                // instead of refusing: the shard
+                                // quarantines over a fresh engine, its
+                                // files kept as evidence, and the open
+                                // goes on for the others.
+                                Err(panic) => {
+                                    eprintln!(
+                                        "shard {s} quarantined: its boot panicked: {}",
+                                        panic_message(&*panic)
+                                    );
+                                    ShardBoot {
+                                        engine: fresh(),
+                                        poisoned: None,
+                                        dead: true,
+                                        persist: None,
+                                    }
+                                }
                             },
                             None => ShardBoot {
-                                engine: MemoryEncryptionEngine::new(
-                                    boot_config.engine.for_tenant(boot_config.tenant, s),
-                                ),
+                                engine: fresh(),
                                 poisoned: None,
                                 dead: false,
                                 persist: None,
@@ -840,6 +865,15 @@ impl SecureStore {
     }
 }
 
+/// The message a panic carried, when it was a string.
+fn panic_message(panic: &(dyn Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)")
+}
+
 #[cfg(test)]
 mod crash_check;
 #[cfg(test)]
@@ -1148,5 +1182,63 @@ mod tests {
         assert!(store.read(0).is_err());
         assert_eq!(store.read(64).unwrap(), [9; 64], "shard 1 unaffected");
         let _ = store.shutdown();
+    }
+
+    /// A file system whose `read` of shard 1's snapshot panics, standing
+    /// in for any decoder that panics on a forged image.
+    struct PanicOnShard1Snapshot(memfs::MemFs);
+
+    impl DurableFs for PanicOnShard1Snapshot {
+        fn create_dir(&self, dir: &Path) -> io::Result<()> {
+            self.0.create_dir(dir)
+        }
+
+        fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>> {
+            assert!(
+                !path.ends_with("shard1/snapshot.bin"),
+                "forged snapshot took the decoder down"
+            );
+            self.0.read(path)
+        }
+
+        fn create_synced(&self, path: &Path, parts: &[&[u8]]) -> io::Result<Box<dyn wal::LogFile>> {
+            self.0.create_synced(path, parts)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.0.rename(from, to)
+        }
+
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            self.0.sync_dir(dir)
+        }
+    }
+
+    /// A panic while one shard boots quarantines that shard only: the
+    /// open succeeds and the other shard serves.
+    #[test]
+    fn a_panic_while_one_shard_boots_quarantines_only_that_shard() {
+        let fs = PanicOnShard1Snapshot(memfs::MemFs::new(memfs::State::new()));
+        let config = StoreConfig {
+            shards: 2,
+            shard_bytes: 1 << 16,
+            queue_depth: 8,
+            max_batch: 8,
+            ..StoreConfig::default()
+        };
+        let store = SecureStore::open_on(Arc::new(fs), Path::new("/ame/store"), config)
+            .expect("one shard's boot panic does not fail the open");
+        // Block 1 lives on shard 1, block 0 on shard 0.
+        assert!(
+            matches!(
+                store.read(64),
+                Err(StoreError::ShardPoisoned { shard: 1, .. })
+            ),
+            "shard 1 quarantined"
+        );
+        store.write(0, &[7; 64]).unwrap();
+        assert_eq!(store.read(0).unwrap(), [7; 64], "shard 0 serves");
+        let report = store.shutdown();
+        assert!(report.shards[0].resealed && !report.shards[1].resealed);
     }
 }

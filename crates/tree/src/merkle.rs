@@ -445,8 +445,9 @@ impl BonsaiTree {
     ///
     /// `InvalidData` on a bad magic, unsupported version, checksum
     /// mismatch, truncation, a layout other than this tree's, a count
-    /// larger than its payload holds, or keys that are not strictly
-    /// ascending. The tree is unchanged on error.
+    /// larger than its payload holds, keys that are not strictly
+    /// ascending, or bytes after the last table. The tree is unchanged
+    /// on error.
     pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
         let (version, mut payload) = read_section(r, Self::MAGIC)?;
         if version != Self::VERSION {
@@ -474,6 +475,7 @@ impl BonsaiTree {
         Self::read_pairs(&mut payload, |node, mac| {
             tree.root_macs.insert(node, mac);
         })?;
+        payload.end()?;
         *self = tree;
         Ok(())
     }

@@ -81,8 +81,20 @@ fn golden_decode_latency() {
     assert_eq!(ame::counters::packing::DECODE_LATENCY_CYCLES, 2);
 }
 
+/// The Figure 6 layout ends at bit 507: the last block's delta at the
+/// widest its expanded delta-group allows sets the top overflow bit, and
+/// no bit above it.
 #[test]
 fn golden_dual_layout_bits() {
-    use ame::counters::packing::DualGroup;
-    assert_eq!(DualGroup::USED_BITS, 507);
+    let mut dual = DualLengthDeltaCounters::default();
+    for _ in 0..1023 {
+        dual.record_write(63);
+    }
+    assert_eq!(dual.expanded_group(0), Some(3));
+    assert_eq!(dual.stats().reencryptions, 0);
+    let image = dual.metadata_block_image(0);
+    let top = (0..512)
+        .rev()
+        .find(|&bit| image[bit / 8] >> (bit % 8) & 1 == 1);
+    assert_eq!(top.map(|bit| bit + 1), Some(507));
 }

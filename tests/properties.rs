@@ -5,11 +5,12 @@
 use ame::cache::{AccessKind, Cache, CacheConfig};
 use ame::counters::delta::{DeltaConfig, DeltaCounters};
 use ame::counters::dual::{DualLengthConfig, DualLengthDeltaCounters};
-use ame::counters::packing::{DualGroup, FlatGroup};
+use ame::counters::packing::read_bits;
 use ame::counters::split::SplitCounters;
 use ame::counters::{CounterScheme, WriteOutcome};
 use ame::crypto::MemoryCipher;
 use ame::ecc::secded::{Secded63, Secded72};
+use ame::persist::ByteReader;
 use ame_prng::StdRng;
 
 // ---- SEC-DED codes ----
@@ -93,55 +94,80 @@ fn mac_rejects_any_corruption() {
 
 // ---- packed counter layouts ----
 
+/// `scheme`'s state after an encode/decode round trip into `fresh`.
+fn reloaded<S: CounterScheme>(scheme: &S, mut fresh: S) -> S {
+    let mut state = Vec::new();
+    scheme.encode_state(&mut state);
+    fresh.decode_state(&mut ByteReader::new(&state)).unwrap();
+    fresh
+}
+
+/// A group written by a random stream holds the Figure 5 fields at
+/// their offsets, and its line survives a state round trip bit for bit.
 #[test]
 fn flat_group_roundtrips() {
     let mut rng = StdRng::seed_from_u64(0x6F_0A);
     for _ in 0..128 {
-        let reference = rng.gen_range(0u64..(1 << 56));
-        let seed = rng.next_u64();
-        let mut deltas = [0u64; 64];
-        let mut state = seed;
-        for d in deltas.iter_mut() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            *d = state >> 57; // 7 bits
+        let mut scheme = DeltaCounters::default();
+        let hot = rng.gen_range(0u64..64);
+        for _ in 0..rng.gen_range(1usize..2000) {
+            // Half the writes hit one block, so deltas spread to overflow.
+            let block = if rng.gen_bool(0.5) {
+                hot
+            } else {
+                rng.gen_range(0u64..64)
+            };
+            scheme.record_write(block);
         }
-        let grp = FlatGroup { reference, deltas };
-        let packed = grp.pack();
-        assert_eq!(FlatGroup::unpack(&packed), grp);
-        for (i, &d) in deltas.iter().enumerate() {
-            assert_eq!(FlatGroup::decode_counter(&packed, i), reference + d);
+        let image = scheme.metadata_block_image(0);
+        let reference = read_bits(&image, 0, 56);
+        assert_eq!(reference, scheme.reference(0));
+        for b in 0..64u64 {
+            let d = read_bits(&image, 56 + 7 * b as u32, 7);
+            assert_eq!(d, scheme.delta(b), "block {b}");
+            assert_eq!(scheme.counter(b), reference + d, "block {b}");
         }
+        let back = reloaded(&scheme, DeltaCounters::default());
+        assert_eq!(back.metadata_block_image(0), image);
     }
 }
 
+/// The same for the Figure 6 layout, whose expanded delta-group reads
+/// its overflow bits above its base deltas.
 #[test]
 fn dual_group_roundtrips() {
     let mut rng = StdRng::seed_from_u64(0x6F_0B);
+    let mut expanded_seen = 0;
     for _ in 0..128 {
-        let reference = rng.gen_range(0u64..(1 << 56));
-        let seed = rng.next_u64();
-        let expanded = rng.gen_range(0usize..4);
-        let mut deltas = [0u64; 64];
-        let mut state = seed;
-        for (i, d) in deltas.iter_mut().enumerate() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            *d = if i / 16 == expanded {
-                state >> 54
+        let mut scheme = DualLengthDeltaCounters::default();
+        let hot = rng.gen_range(0u64..64);
+        for _ in 0..rng.gen_range(1usize..2000) {
+            let block = if rng.gen_bool(0.5) {
+                hot
             } else {
-                state >> 58
+                rng.gen_range(0u64..64)
             };
+            scheme.record_write(block);
         }
-        let grp = DualGroup {
-            reference,
-            deltas,
-            expanded: Some(expanded),
-        };
-        let packed = grp.pack();
-        assert_eq!(DualGroup::unpack(&packed), grp);
-        for (i, &d) in deltas.iter().enumerate() {
-            assert_eq!(DualGroup::decode_counter(&packed, i), reference + d);
+        let image = scheme.metadata_block_image(0);
+        let expanded = (read_bits(&image, 56, 1) == 1).then(|| read_bits(&image, 57, 2) as usize);
+        assert_eq!(expanded, scheme.expanded_group(0));
+        expanded_seen += usize::from(expanded.is_some());
+        for b in 0..64usize {
+            let mut d = read_bits(&image, 59 + 6 * b as u32, 6);
+            if expanded == Some(b / 16) {
+                d |= read_bits(&image, 443 + 4 * (b % 16) as u32, 4) << 6;
+            }
+            assert_eq!(
+                scheme.counter(b as u64),
+                read_bits(&image, 0, 56) + d,
+                "block {b}"
+            );
         }
+        let back = reloaded(&scheme, DualLengthDeltaCounters::default());
+        assert_eq!(back.metadata_block_image(0), image);
     }
+    assert!(expanded_seen > 0);
 }
 
 // ---- counter schemes: the crypto-critical invariants ----
