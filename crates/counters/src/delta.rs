@@ -16,7 +16,7 @@
 //! Only when both fail does the group get re-encrypted under a fresh
 //! counter (Figure 5a).
 
-use crate::deltas::{Group, Tally};
+use crate::deltas::{self, Group, Tally};
 use crate::packing::{FlatLayout, LINE_BITS};
 use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
 use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
@@ -141,6 +141,72 @@ impl DeltaCounters {
         out
     }
 
+    /// Figure 5's increment of block `i` of group `g`, held in `grp`:
+    /// the one copy of the delta, reset, re-encode and overflow rules,
+    /// behind both [`CounterScheme::record_write`] and its run form.
+    fn bump(
+        cfg: &DeltaConfig,
+        layout: &FlatLayout,
+        g: u64,
+        grp: &mut Group,
+        i: usize,
+    ) -> WriteOutcome {
+        let n = cfg.blocks_per_group;
+        let d = layout.delta(&grp.line, i);
+        if d < cfg.delta_max() {
+            layout.set_delta(&mut grp.line, i, d + 1);
+            grp.tally.bumped(d + 1);
+            // Figure 5b: fold converged deltas into the reference.
+            match grp.tally.converged(n) {
+                Some(common) if cfg.reset_enabled => {
+                    let reference = layout.reference(&grp.line) + common;
+                    *grp = Group::zeroed(layout.zeroed(reference), n);
+                    WriteOutcome::Reset
+                }
+                _ => WriteOutcome::Incremented,
+            }
+        } else {
+            Self::overflow(cfg, layout, g, grp, i)
+        }
+    }
+
+    /// The rare half of [`Self::bump`], out of its way: delta `i` is at
+    /// its maximum, so the whole group is unpacked once and re-packed.
+    #[cold]
+    #[inline(never)]
+    fn overflow(
+        cfg: &DeltaConfig,
+        layout: &FlatLayout,
+        g: u64,
+        grp: &mut Group,
+        i: usize,
+    ) -> WriteOutcome {
+        let n = cfg.blocks_per_group;
+        let mut deltas = [0u64; LINE_BITS as usize];
+        let deltas = &mut deltas[..n];
+        let reference = layout.unpack(&grp.line, deltas);
+        // Figure 5c: re-encode with a larger reference if every delta
+        // is positive.
+        let min = deltas.iter().copied().min().unwrap_or(0);
+        if cfg.reencode_enabled && min > 0 {
+            deltas.iter_mut().for_each(|d| *d -= min);
+            deltas[i] += 1;
+            *grp = Group::packed(layout.pack(reference + min, deltas), deltas);
+            WriteOutcome::Reencoded
+        } else {
+            // Figure 5a: re-encrypt the group under the largest
+            // counter (the overflowing one, incremented).
+            let old_counters = deltas.iter().map(|d| reference + d).collect();
+            let new_counter = reference + cfg.delta_max() + 1;
+            *grp = Group::zeroed(layout.zeroed(new_counter), n);
+            WriteOutcome::Reencrypted {
+                group: g,
+                old_counters,
+                new_counter,
+            }
+        }
+    }
+
     /// Current delta of `block` (for inspection/ablation experiments).
     #[must_use]
     pub fn delta(&self, block: u64) -> u64 {
@@ -176,51 +242,42 @@ impl CounterScheme for DeltaCounters {
 
     fn record_write(&mut self, block: u64) -> WriteOutcome {
         let (g, i) = split_block(block, self.config.blocks_per_group);
-        let (cfg, layout) = (self.config, self.layout);
-        let n = cfg.blocks_per_group;
+        let n = self.config.blocks_per_group;
         let grp = self.groups.entry(g).or_insert_with(|| Group::new(n));
-
-        let d = layout.delta(&grp.line, i);
-        let outcome = if d < cfg.delta_max() {
-            layout.set_delta(&mut grp.line, i, d + 1);
-            grp.tally.bumped(d + 1);
-            // Figure 5b: fold converged deltas into the reference.
-            match grp.tally.converged(n) {
-                Some(common) if cfg.reset_enabled => {
-                    let reference = layout.reference(&grp.line) + common;
-                    *grp = Group::zeroed(layout.zeroed(reference), n);
-                    WriteOutcome::Reset
-                }
-                _ => WriteOutcome::Incremented,
-            }
-        } else {
-            // Overflow: the whole group is unpacked once and re-packed.
-            let mut deltas = [0u64; LINE_BITS as usize];
-            let deltas = &mut deltas[..n];
-            let reference = layout.unpack(&grp.line, deltas);
-            // Figure 5c: re-encode with a larger reference if every delta
-            // is positive.
-            let min = deltas.iter().copied().min().unwrap_or(0);
-            if cfg.reencode_enabled && min > 0 {
-                deltas.iter_mut().for_each(|d| *d -= min);
-                deltas[i] += 1;
-                *grp = Group::packed(layout.pack(reference + min, deltas), deltas);
-                WriteOutcome::Reencoded
-            } else {
-                // Figure 5a: re-encrypt the group under the largest
-                // counter (the overflowing one, incremented).
-                let old_counters = deltas.iter().map(|d| reference + d).collect();
-                let new_counter = reference + cfg.delta_max() + 1;
-                *grp = Group::zeroed(layout.zeroed(new_counter), n);
-                WriteOutcome::Reencrypted {
-                    group: g,
-                    old_counters,
-                    new_counter,
-                }
-            }
-        };
+        let outcome = Self::bump(&self.config, &self.layout, g, grp, i);
         self.stats.record(&outcome);
         outcome
+    }
+
+    fn record_writes(
+        &mut self,
+        blocks: &[u64],
+        counters: &mut [u64],
+    ) -> (usize, Option<WriteOutcome>) {
+        let (cfg, layout) = (&self.config, &self.layout);
+        let n = cfg.blocks_per_group;
+        deltas::write_run(
+            &mut self.groups,
+            n,
+            &mut self.stats,
+            blocks,
+            counters,
+            |g, grp, i| {
+                let outcome = Self::bump(cfg, layout, g, grp, i);
+                (outcome, layout.counter(&grp.line, i))
+            },
+        )
+    }
+
+    fn counters(&self, blocks: &[u64], counters: &mut [u64]) {
+        let layout = &self.layout;
+        deltas::read_run(
+            &self.groups,
+            self.config.blocks_per_group,
+            blocks,
+            counters,
+            |line, i| layout.counter(line, i),
+        );
     }
 
     fn bits_per_block(&self) -> f64 {

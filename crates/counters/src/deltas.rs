@@ -9,8 +9,14 @@
 //! updates the tally in O(1); the rare whole-group rewrites (reset,
 //! re-encode, re-encryption, a replayed minimum moving, decode) recount.
 //! The tally is derived from the line and is never serialized.
+//!
+//! [`write_run`] and [`read_run`] are the run forms both delta schemes
+//! share: a run visits each group once per stretch of consecutive blocks
+//! in it, as the hardware fetches one line for all of them.
 
 use crate::packing::Line;
+use crate::{split_block, CounterStats, WriteOutcome};
+use ame_persist::IndexMap;
 
 /// A delta group: the line is the state of record, the tally is derived
 /// from the deltas it holds.
@@ -41,6 +47,67 @@ impl Group {
             tally: Tally::of(deltas.iter().copied()),
         }
     }
+}
+
+/// [`crate::CounterScheme::record_writes`] over `groups` of `n` blocks:
+/// one group lookup per stretch of consecutive same-group `blocks`, then
+/// `write(group index, group, index within it)` per block — the scheme's
+/// one increment, shared with its scalar `record_write` — which returns
+/// the outcome and the block's new counter.
+pub(crate) fn write_run(
+    groups: &mut IndexMap<Group>,
+    n: usize,
+    stats: &mut CounterStats,
+    blocks: &[u64],
+    counters: &mut [u64],
+    mut write: impl FnMut(u64, &mut Group, usize) -> (WriteOutcome, u64),
+) -> (usize, Option<WriteOutcome>) {
+    let counters = &mut counters[..blocks.len()];
+    let mut k = 0;
+    while let Some(&first) = blocks.get(k) {
+        let (g, _) = split_block(first, n);
+        let grp = groups.entry(g).or_insert_with(|| Group::new(n));
+        while let Some(i) = index_in(blocks.get(k), g, n) {
+            let (outcome, counter) = write(g, grp, i);
+            stats.record(&outcome);
+            counters[k] = counter;
+            k += 1;
+            if outcome.is_reencryption() {
+                return (k, Some(outcome));
+            }
+        }
+    }
+    (k, None)
+}
+
+/// [`crate::CounterScheme::counters`] over `groups` of `n` blocks: one
+/// group lookup per stretch of consecutive same-group `blocks`, then
+/// `counter(line, index within it)` per block; a never-written group's
+/// counters are zero.
+pub(crate) fn read_run(
+    groups: &IndexMap<Group>,
+    n: usize,
+    blocks: &[u64],
+    counters: &mut [u64],
+    counter: impl Fn(&Line, usize) -> u64,
+) {
+    let counters = &mut counters[..blocks.len()];
+    let mut k = 0;
+    while let Some(&first) = blocks.get(k) {
+        let (g, _) = split_block(first, n);
+        let line = groups.get(&g).map(|grp| &grp.line);
+        while let Some(i) = index_in(blocks.get(k), g, n) {
+            counters[k] = line.map_or(0, |line| counter(line, i));
+            k += 1;
+        }
+    }
+}
+
+/// The index of `block` within group `g` of `n` blocks, if it is there:
+/// a subtraction and a compare, so a stretch pays one division.
+fn index_in(block: Option<&u64>, g: u64, n: usize) -> Option<usize> {
+    let i = block?.wrapping_sub(g * n as u64);
+    (i < n as u64).then_some(i as usize)
 }
 
 /// The (largest delta, how many deltas equal it) tally of a group.

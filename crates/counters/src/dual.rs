@@ -14,7 +14,7 @@
 //! is why Table 2 shows dual-length doing *worse* than flat 7-bit deltas
 //! there — this implementation reproduces that behaviour.
 
-use crate::deltas::Group;
+use crate::deltas::{self, Group};
 use crate::packing::{DualLayout, LINE_BITS};
 use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
 use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
@@ -163,6 +163,89 @@ impl DualLengthDeltaCounters {
         out
     }
 
+    /// Figure 6's increment of block `i` of group `g`, held in `grp`:
+    /// the one copy of the delta, reset, expansion, re-encode and
+    /// overflow rules, behind both [`CounterScheme::record_write`] and
+    /// its run form.
+    fn bump(
+        cfg: &DualLengthConfig,
+        layout: &DualLayout,
+        g: u64,
+        grp: &mut Group,
+        i: usize,
+    ) -> WriteOutcome {
+        let n = cfg.blocks_per_group;
+        let expanded = layout.expanded(&grp.line);
+        let widened = expanded == Some(layout.delta_group(i));
+        let d = layout.delta(&grp.line, i, widened);
+        let cap = if widened {
+            cfg.expanded_max()
+        } else {
+            cfg.base_max()
+        };
+        if d < cap {
+            layout.set_delta(&mut grp.line, i, d + 1, widened);
+            grp.tally.bumped(d + 1);
+            match grp.tally.converged(n) {
+                Some(common) if cfg.reset_enabled => {
+                    // All deltas fit base width again: the expansion goes.
+                    let reference = layout.reference(&grp.line) + common;
+                    *grp = Group::zeroed(layout.zeroed(reference), n);
+                    WriteOutcome::Reset
+                }
+                _ => WriteOutcome::Incremented,
+            }
+        } else if expanded.is_none() {
+            // Assign the shared overflow bits to this delta-group.
+            layout.expand(&mut grp.line, i, d + 1);
+            grp.tally.bumped(d + 1);
+            WriteOutcome::Expanded
+        } else {
+            Self::overflow(cfg, layout, g, grp, i, expanded)
+        }
+    }
+
+    /// The rare half of [`Self::bump`], out of its way: delta `i` is at
+    /// its capacity and the overflow bits are taken (`expanded`).
+    #[cold]
+    #[inline(never)]
+    fn overflow(
+        cfg: &DualLengthConfig,
+        layout: &DualLayout,
+        g: u64,
+        grp: &mut Group,
+        i: usize,
+        expanded: Option<usize>,
+    ) -> WriteOutcome {
+        let n = cfg.blocks_per_group;
+        // Overflow bits already taken (possibly by this very group at
+        // its widened capacity): try re-encoding, then re-encrypt.
+        // The whole group is unpacked once and re-packed.
+        let mut deltas = [0u64; LINE_BITS as usize];
+        let deltas = &mut deltas[..n];
+        let (reference, _) = layout.unpack(&grp.line, deltas);
+        let min = deltas.iter().copied().min().unwrap_or(0);
+        if cfg.reencode_enabled && min > 0 {
+            deltas.iter_mut().for_each(|d| *d -= min);
+            deltas[i] += 1;
+            let line = layout.pack(reference + min, expanded, deltas);
+            *grp = Group::packed(line, deltas);
+            WriteOutcome::Reencoded
+        } else {
+            let old_counters = deltas.iter().map(|d| reference + d).collect();
+            // Every block must jump strictly above its old counter;
+            // with a widened group the largest delta may exceed the
+            // overflowing one, so take the true maximum.
+            let new_counter = reference + grp.tally.max() + 1;
+            *grp = Group::zeroed(layout.zeroed(new_counter), n);
+            WriteOutcome::Reencrypted {
+                group: g,
+                old_counters,
+                new_counter,
+            }
+        }
+    }
+
     /// The delta-group index of `block` within its block-group.
     #[must_use]
     pub fn delta_group_of(&self, block: u64) -> usize {
@@ -196,65 +279,42 @@ impl CounterScheme for DualLengthDeltaCounters {
 
     fn record_write(&mut self, block: u64) -> WriteOutcome {
         let (g, i) = split_block(block, self.config.blocks_per_group);
-        let (cfg, layout) = (self.config, self.layout);
-        let n = cfg.blocks_per_group;
+        let n = self.config.blocks_per_group;
         let grp = self.groups.entry(g).or_insert_with(|| Group::new(n));
-
-        let expanded = layout.expanded(&grp.line);
-        let widened = expanded == Some(layout.delta_group(i));
-        let d = layout.delta(&grp.line, i, widened);
-        let cap = if widened {
-            cfg.expanded_max()
-        } else {
-            cfg.base_max()
-        };
-        let outcome = if d < cap {
-            layout.set_delta(&mut grp.line, i, d + 1, widened);
-            grp.tally.bumped(d + 1);
-            match grp.tally.converged(n) {
-                Some(common) if cfg.reset_enabled => {
-                    // All deltas fit base width again: the expansion goes.
-                    let reference = layout.reference(&grp.line) + common;
-                    *grp = Group::zeroed(layout.zeroed(reference), n);
-                    WriteOutcome::Reset
-                }
-                _ => WriteOutcome::Incremented,
-            }
-        } else if expanded.is_none() {
-            // Assign the shared overflow bits to this delta-group.
-            layout.expand(&mut grp.line, i, d + 1);
-            grp.tally.bumped(d + 1);
-            WriteOutcome::Expanded
-        } else {
-            // Overflow bits already taken (possibly by this very group at
-            // its widened capacity): try re-encoding, then re-encrypt.
-            // The whole group is unpacked once and re-packed.
-            let mut deltas = [0u64; LINE_BITS as usize];
-            let deltas = &mut deltas[..n];
-            let (reference, _) = layout.unpack(&grp.line, deltas);
-            let min = deltas.iter().copied().min().unwrap_or(0);
-            if cfg.reencode_enabled && min > 0 {
-                deltas.iter_mut().for_each(|d| *d -= min);
-                deltas[i] += 1;
-                let line = layout.pack(reference + min, expanded, deltas);
-                *grp = Group::packed(line, deltas);
-                WriteOutcome::Reencoded
-            } else {
-                let old_counters = deltas.iter().map(|d| reference + d).collect();
-                // Every block must jump strictly above its old counter;
-                // with a widened group the largest delta may exceed the
-                // overflowing one, so take the true maximum.
-                let new_counter = reference + grp.tally.max() + 1;
-                *grp = Group::zeroed(layout.zeroed(new_counter), n);
-                WriteOutcome::Reencrypted {
-                    group: g,
-                    old_counters,
-                    new_counter,
-                }
-            }
-        };
+        let outcome = Self::bump(&self.config, &self.layout, g, grp, i);
         self.stats.record(&outcome);
         outcome
+    }
+
+    fn record_writes(
+        &mut self,
+        blocks: &[u64],
+        counters: &mut [u64],
+    ) -> (usize, Option<WriteOutcome>) {
+        let (cfg, layout) = (&self.config, &self.layout);
+        let n = cfg.blocks_per_group;
+        deltas::write_run(
+            &mut self.groups,
+            n,
+            &mut self.stats,
+            blocks,
+            counters,
+            |g, grp, i| {
+                let outcome = Self::bump(cfg, layout, g, grp, i);
+                (outcome, layout.counter(&grp.line, i))
+            },
+        )
+    }
+
+    fn counters(&self, blocks: &[u64], counters: &mut [u64]) {
+        let layout = &self.layout;
+        deltas::read_run(
+            &self.groups,
+            self.config.blocks_per_group,
+            blocks,
+            counters,
+            |line, i| layout.counter(line, i),
+        );
     }
 
     fn bits_per_block(&self) -> f64 {

@@ -232,6 +232,48 @@ pub trait CounterScheme: Send {
     /// scheme's overflow-avoidance machinery. Returns what happened.
     fn record_write(&mut self, block: u64) -> WriteOutcome;
 
+    /// The run form of [`CounterScheme::record_write`]: records writes to
+    /// `blocks` in order, exactly as one `record_write` per block would,
+    /// and stores each written block's new counter at the same index of
+    /// `counters`. It stops after the first write that re-encrypts its
+    /// group (that write's counter is stored too, the group's fresh one)
+    /// and returns how many writes it recorded with that re-encryption,
+    /// or `blocks.len()` and `None`.
+    ///
+    /// The delta schemes look a group up once per stretch of consecutive
+    /// blocks in it; the default is the per-block loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counters` is shorter than `blocks`.
+    fn record_writes(
+        &mut self,
+        blocks: &[u64],
+        counters: &mut [u64],
+    ) -> (usize, Option<WriteOutcome>) {
+        let counters = &mut counters[..blocks.len()];
+        for (k, &block) in blocks.iter().enumerate() {
+            let outcome = self.record_write(block);
+            counters[k] = self.counter(block);
+            if outcome.is_reencryption() {
+                return (k + 1, Some(outcome));
+            }
+        }
+        (blocks.len(), None)
+    }
+
+    /// The run form of [`CounterScheme::counter`]: stores the counter of
+    /// each of `blocks` at the same index of `counters`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counters` is shorter than `blocks`.
+    fn counters(&self, blocks: &[u64], counters: &mut [u64]) {
+        for (counter, &block) in counters[..blocks.len()].iter_mut().zip(blocks) {
+            *counter = self.counter(block);
+        }
+    }
+
     /// Counter storage cost in bits per 64-byte data block (amortized).
     fn bits_per_block(&self) -> f64;
 

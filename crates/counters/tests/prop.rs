@@ -483,3 +483,140 @@ fn split_counters_share_one_major_per_group() {
         }
     }
 }
+
+/// A run of writes in one of the shapes a fused run takes: an ascending
+/// or descending stretch across group boundaries, blocks scattered over
+/// three groups, or a hot block between its neighbours (overflowing its
+/// group mid-run).
+fn shaped_run(rng: &mut StdRng, bpg: u64) -> Vec<u64> {
+    let len = rng.gen_range(1u64..=3 * bpg);
+    let first = rng.gen_range(0..4 * bpg);
+    match rng.gen_range(0..4) {
+        0 => (first..first + len).collect(),
+        1 => (first..first + len).rev().collect(),
+        2 => (0..len).map(|_| rng.gen_range(0..3 * bpg)).collect(),
+        _ => (0..len)
+            .map(|k| if k % 3 == 0 { first + k } else { bpg + 1 })
+            .collect(),
+    }
+}
+
+/// The run forms — `record_writes` and `counters` — against per-block
+/// `record_write` and `counter` on a twin instance, for every scheme at
+/// its paper layout and at a narrow one that overflows often: each
+/// call records the same writes, stops after the same re-encryption
+/// with the same outcome, hands back each write's new counter, and
+/// leaves the same statistics and images.
+#[test]
+fn run_forms_match_per_block_writes_and_reads() {
+    let narrow_flat = DeltaConfig {
+        delta_bits: 2,
+        blocks_per_group: 8,
+        ..DeltaConfig::default()
+    };
+    let narrow_dual = DualLengthConfig {
+        base_bits: 2,
+        extra_bits: 2,
+        delta_groups: 2,
+        blocks_per_group: 8,
+        ..DualLengthConfig::default()
+    };
+    type Build<'a> = &'a dyn Fn() -> Box<dyn CounterScheme>;
+    let schemes: [(&str, Build, bool); 8] = [
+        ("delta", &|| Box::new(DeltaCounters::default()), false),
+        (
+            "delta 2-bit",
+            &|| Box::new(DeltaCounters::new(narrow_flat)),
+            true,
+        ),
+        (
+            "dual",
+            &|| Box::new(DualLengthDeltaCounters::default()),
+            false,
+        ),
+        (
+            "dual 2+2",
+            &|| Box::new(DualLengthDeltaCounters::new(narrow_dual)),
+            true,
+        ),
+        ("split", &|| Box::new(SplitCounters::default()), false),
+        ("split 2-bit", &|| Box::new(SplitCounters::new(2, 8)), true),
+        (
+            "monolithic",
+            &|| Box::new(MonolithicCounters::default()),
+            false,
+        ),
+        (
+            "monolithic 3-bit",
+            &|| Box::new(MonolithicCounters::new(3)),
+            true,
+        ),
+    ];
+    for (n, (name, build, narrow)) in schemes.into_iter().enumerate() {
+        let (mut by_run, mut by_block) = (build(), build());
+        let bpg = by_run.blocks_per_group().max(8) as u64;
+        let mut rng = StdRng::seed_from_u64(0x40_00 + n as u64);
+        let mut stopped_mid_run = 0;
+        for round in 0..2_000 {
+            let run = shaped_run(&mut rng, bpg);
+            let what = format!("{name} round {round} run {run:?}");
+            let (mut got, mut want) = (vec![0; run.len()], vec![0; run.len()]);
+            let mut k = 0;
+            while k < run.len() {
+                let (recorded, outcome) = by_run.record_writes(&run[k..], &mut got[k..]);
+                let mut expected = (run.len() - k, None);
+                for j in k..run.len() {
+                    let o = by_block.record_write(run[j]);
+                    want[j] = by_block.counter(run[j]);
+                    if o.is_reencryption() {
+                        expected = (j + 1 - k, Some(o));
+                        break;
+                    }
+                }
+                assert_eq!((recorded, outcome), expected, "{what} from {k}");
+                k += recorded;
+                stopped_mid_run += u64::from(k < run.len());
+            }
+            assert_eq!(got, want, "{what}: counters");
+            assert_eq!(by_run.stats(), by_block.stats(), "{what}: stats");
+            let probe: Vec<u64> = (0..bpg)
+                .map(|_| rng.gen_range(0..8 * bpg))
+                .chain(run.iter().copied())
+                .collect();
+            let mut counters = vec![0; probe.len()];
+            by_run.counters(&probe, &mut counters);
+            let scalar: Vec<u64> = probe.iter().map(|&b| by_block.counter(b)).collect();
+            assert_eq!(counters, scalar, "{what}: counter reads");
+        }
+        let meta = by_run.blocks_per_metadata_block() as u64;
+        for m in 0..8 * bpg / meta {
+            assert_eq!(
+                by_run.metadata_block_image(m),
+                by_block.metadata_block_image(m),
+                "{name}: image {m}"
+            );
+        }
+        let stats = by_run.stats();
+        if narrow {
+            assert!(stopped_mid_run > 0, "{name}: no run stopped early");
+            assert!(stats.reencryptions > 0, "{name}: {stats}");
+        }
+        if name.starts_with("delta") || name.starts_with("dual") {
+            assert!(stats.resets > 0, "{name}: {stats}");
+        }
+        if narrow && (name.starts_with("delta") || name.starts_with("dual")) {
+            assert!(stats.reencodes > 0, "{name}: {stats}");
+        }
+        if name.starts_with("dual") {
+            assert!(stats.expansions > 0, "{name}: {stats}");
+        }
+    }
+}
+
+/// A caller's counters slice shorter than its blocks is a bug, not a
+/// truncation.
+#[test]
+#[should_panic]
+fn a_short_counters_slice_is_refused() {
+    DeltaCounters::default().record_writes(&[1, 2], &mut [0]);
+}

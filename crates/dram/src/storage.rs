@@ -57,6 +57,13 @@ impl Page {
             blocks: [StoredBlock::default(); PAGE_BLOCKS],
         })
     }
+
+    /// Block `slot`, made resident (counted in `resident`) if it was not.
+    fn slot_mut(&mut self, slot: usize, resident: &mut usize) -> &mut StoredBlock {
+        *resident += usize::from(self.present >> slot & 1 == 0);
+        self.present |= 1 << slot;
+        &mut self.blocks[slot]
+    }
 }
 
 /// A sparse functional memory keyed by block-aligned physical address:
@@ -142,14 +149,70 @@ impl DramStorage {
         self.get(addr).unwrap_or_default()
     }
 
+    /// The run form of [`DramStorage::get`]: hands `visit` the block
+    /// containing each of `addrs`, in order, with its address (`None`
+    /// for one never written), looking each page up once per stretch of
+    /// consecutive same-page addresses. The walk stops at the first
+    /// `visit` that returns `None`, and then returns `None`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ame_dram::storage::{DramStorage, StoredBlock};
+    ///
+    /// let mut mem = DramStorage::new();
+    /// mem.write(0x40, StoredBlock { data: [9; 64], sideband: [1; 8] });
+    /// let mut seen = Vec::new();
+    /// let walked = mem.visit_run([0x40, 0x80], |addr, block| {
+    ///     seen.push(addr);
+    ///     block.map(|_| ())
+    /// });
+    /// assert_eq!((walked, seen), (None, vec![0x40, 0x80]), "0x80 was never written");
+    /// ```
+    pub fn visit_run(
+        &self,
+        addrs: impl IntoIterator<Item = u64>,
+        mut visit: impl FnMut(u64, Option<&StoredBlock>) -> Option<()>,
+    ) -> Option<()> {
+        let mut current: Option<(u64, Option<&Page>)> = None;
+        for addr in addrs {
+            let (page, slot) = Self::locate(addr);
+            let p = match current {
+                Some((n, p)) if n == page => p,
+                _ => {
+                    current
+                        .insert((page, self.pages.get(&page).map(|p| &**p)))
+                        .1
+                }
+            };
+            let block = p.filter(|p| p.present >> slot & 1 == 1);
+            visit(addr, block.map(|p| &p.blocks[slot]))?;
+        }
+        Some(())
+    }
+
+    /// The run form of [`DramStorage::write`]: writes each `(addr,
+    /// block)` in order (a later write to an address wins), looking each
+    /// page up once per stretch of consecutive same-page addresses.
+    pub fn write_run(&mut self, blocks: impl IntoIterator<Item = (u64, StoredBlock)>) {
+        let Self { pages, resident } = self;
+        let mut current: Option<(u64, &mut Page)> = None;
+        for (addr, block) in blocks {
+            let (page, slot) = Self::locate(addr);
+            if current.as_ref().is_none_or(|&(n, _)| n != page) {
+                current = Some((page, pages.entry(page).or_insert_with(Page::empty)));
+            }
+            let (_, p) = current.as_mut().expect("the page was just found");
+            *p.slot_mut(slot, resident) = block;
+        }
+    }
+
     /// The block containing `addr`, made resident (as zeros) if it was
     /// never written.
     fn resident_mut(&mut self, addr: u64) -> &mut StoredBlock {
         let (page, slot) = Self::locate(addr);
         let p = self.pages.entry(page).or_insert_with(Page::empty);
-        self.resident += usize::from(p.present >> slot & 1 == 0);
-        p.present |= 1 << slot;
-        &mut p.blocks[slot]
+        p.slot_mut(slot, &mut self.resident)
     }
 
     /// Writes the block containing `addr`.
@@ -424,6 +487,71 @@ mod tests {
         let mut again = Vec::new();
         back.encode(&mut again);
         assert_eq!(again, encoded);
+    }
+
+    /// Runs in every order a caller issues them — ascending, descending,
+    /// scattered, straddling pages, repeating an address — written with
+    /// `write_run` and read with `visit_run` match the hash-map model
+    /// written and read one block at a time, and a visit stops where its
+    /// visitor says.
+    #[test]
+    fn page_runs_match_the_per_block_model() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        let mut mem = DramStorage::new();
+        let mut model = Model::default();
+        for round in 0..2_000u64 {
+            let first = next(6 * 64);
+            let len = 1 + next(130);
+            let mut blocks: Vec<u64> = match round % 4 {
+                0 => (first..first + len).collect(),
+                1 => (first..first + len).rev().collect(),
+                2 => (0..len).map(|_| next(6 * 64)).collect(),
+                _ => (first..first + len)
+                    .map(|b| [b, first][usize::from(b % 3 == 0)])
+                    .collect(),
+            };
+            if round % 8 == 5 {
+                blocks.push(1 << 40);
+            }
+            let addrs: Vec<u64> = blocks.iter().map(|b| b * 64 + (round % 64)).collect();
+            if round % 2 == 0 {
+                let run: Vec<(u64, StoredBlock)> = addrs
+                    .iter()
+                    .map(|&addr| {
+                        let block = StoredBlock {
+                            data: [next(256) as u8; 64],
+                            sideband: [round as u8; 8],
+                        };
+                        (addr, block)
+                    })
+                    .collect();
+                mem.write_run(run.iter().copied());
+                for &(addr, block) in &run {
+                    model.0.insert(addr & !63, block);
+                }
+                assert_eq!(mem.resident_blocks(), model.0.len(), "round {round}");
+            }
+            let stop = next(addrs.len() as u64 + 1) as usize;
+            let mut seen = Vec::new();
+            let walked = mem.visit_run(addrs.iter().copied(), |addr, block| {
+                seen.push((addr, block.copied()));
+                (seen.len() <= stop).then_some(())
+            });
+            let expected: Vec<(u64, Option<StoredBlock>)> = addrs
+                .iter()
+                .take(stop + 1)
+                .map(|&addr| (addr, model.0.get(&(addr & !63)).copied()))
+                .collect();
+            assert_eq!(seen, expected, "round {round}");
+            assert_eq!(walked.is_some(), stop == addrs.len(), "round {round}");
+        }
+        assert_eq!(mem.addrs().collect::<Vec<_>>(), model.sorted_addrs());
     }
 
     #[test]

@@ -102,23 +102,30 @@ const fn position_to_data<const N: usize, const MAXPOS: usize>(
     out
 }
 
-/// Per-check-bit parity masks: bit `i` of mask `k` is set when data bit
-/// `i` sits at a codeword position with bit `k` set, so Hamming parity
-/// bit `k` is the parity of `data & masks[k]`.
-const fn parity_masks<const N: usize, const HPAR: usize>(positions: &[u32; N]) -> [u64; HPAR] {
-    let mut masks = [0u64; HPAR];
-    let mut k = 0;
-    while k < HPAR {
-        let mut i = 0;
-        while i < N {
-            if positions[i] >> k & 1 == 1 {
-                masks[k] |= 1u64 << i;
+/// Byte-sliced parity tables. The code is linear: data bit `i` flips
+/// exactly the Hamming parity bits set in its codeword position, so a
+/// word's parity bits are the XOR of its set bits' positions. Entry
+/// `[j][v]` is that XOR over the bits of value `v` in data byte `j`,
+/// with the parity of `v` itself in bit `HPAR`: a word's Hamming parity
+/// and its own parity are eight loads and XORs (a popcount per parity
+/// bit is a software popcount each on the baseline x86-64 target, which
+/// has no `popcnt`).
+const fn byte_tables<const N: usize, const HPAR: usize>(positions: &[u32; N]) -> [[u8; 256]; 8] {
+    let mut tables = [[0u8; 256]; 8];
+    let mut i = 0;
+    while i < N {
+        let column = (positions[i] & ((1 << HPAR) - 1)) as u8 | 1 << HPAR;
+        let (byte, bit) = (i / 8, i % 8);
+        let mut v = 0;
+        while v < 256 {
+            if v >> bit & 1 == 1 {
+                tables[byte][v] ^= column;
             }
-            i += 1;
+            v += 1;
         }
-        k += 1;
+        i += 1;
     }
-    masks
+    tables
 }
 
 /// Generic positional extended-Hamming engine shared by both code widths.
@@ -129,29 +136,30 @@ const fn parity_masks<const N: usize, const HPAR: usize>(positions: &[u32; N]) -
 struct Engine<const DATA: usize, const HPAR: usize, const MAXPOS: usize>;
 
 impl<const DATA: usize, const HPAR: usize, const MAXPOS: usize> Engine<DATA, HPAR, MAXPOS> {
-    /// Hamming parity bits for `data`, packed LSB-first (bit k of the result
-    /// is the parity bit at codeword position `2^k`): one masked popcount
-    /// per check bit.
-    fn hamming_parity(data: u64, masks: &[u64; HPAR]) -> u8 {
-        let mut par = 0u8;
-        for (k, &mask) in masks.iter().enumerate() {
-            par |= ((data & mask).count_ones() as u8 & 1) << k;
-        }
-        par
+    /// Hamming parity bits for `data`, packed LSB-first (bit k is the
+    /// parity bit at codeword position `2^k`), and the parity of `data`
+    /// itself, from the code's [`byte_tables`].
+    fn hamming_parity(data: u64, tables: &[[u8; 256]; 8]) -> (u8, u32) {
+        let folded = data
+            .to_le_bytes()
+            .iter()
+            .zip(tables)
+            .fold(0, |acc, (&byte, table)| acc ^ table[usize::from(byte)]);
+        (folded & ((1 << HPAR) - 1), u32::from(folded >> HPAR))
     }
 
-    fn encode(data: u64, masks: &[u64; HPAR]) -> u8 {
-        let hpar = Self::hamming_parity(data, masks);
+    fn encode(data: u64, tables: &[[u8; 256]; 8]) -> u8 {
+        let (hpar, data_parity) = Self::hamming_parity(data, tables);
         // Overall parity over data bits + hamming parity bits, stored so the
         // full codeword (incl. the overall bit) has even parity.
-        let overall = (data.count_ones() + hpar.count_ones()) & 1;
+        let overall = (data_parity + hpar.count_ones()) & 1;
         hpar | ((overall as u8) << HPAR)
     }
 
     fn decode(
         data: u64,
         check: u8,
-        masks: &[u64; HPAR],
+        tables: &[[u8; 256]; 8],
         pos_to_data: &[u32; MAXPOS],
     ) -> DecodeOutcome {
         let data = if DATA < 64 {
@@ -161,9 +169,9 @@ impl<const DATA: usize, const HPAR: usize, const MAXPOS: usize> Engine<DATA, HPA
         };
         let stored_hpar = check & ((1u8 << HPAR) - 1);
         let stored_overall = check >> HPAR & 1;
-        let computed_hpar = Self::hamming_parity(data, masks);
+        let (computed_hpar, data_parity) = Self::hamming_parity(data, tables);
         let syndrome = (stored_hpar ^ computed_hpar) as u32;
-        let computed_overall = ((data.count_ones() + stored_hpar.count_ones()) & 1) as u8;
+        let computed_overall = ((data_parity + stored_hpar.count_ones()) & 1) as u8;
         let overall_mismatch = stored_overall != computed_overall;
 
         match (syndrome, overall_mismatch) {
@@ -196,13 +204,13 @@ impl<const DATA: usize, const HPAR: usize, const MAXPOS: usize> Engine<DATA, HPA
 // (72,64): 64 data bits over positions 1..=71, parity at 1,2,4,8,16,32,64.
 const POS72: [u32; 64] = data_positions::<64>();
 const P2D72: [u32; 72] = position_to_data::<64, 72>(&POS72);
-const MASKS72: [u64; 7] = parity_masks::<64, 7>(&POS72);
+const TABLES72: [[u8; 256]; 8] = byte_tables::<64, 7>(&POS72);
 
 // (63,56): 56 data bits over the first 56 non-power positions of 1..=62,
 // parity at 1,2,4,8,16,32. Position 63 is left unused (shortened).
 const POS63: [u32; 56] = data_positions::<56>();
 const P2D63: [u32; 64] = position_to_data::<56, 64>(&POS63);
-const MASKS63: [u64; 6] = parity_masks::<56, 6>(&POS63);
+const TABLES63: [[u8; 256]; 8] = byte_tables::<56, 6>(&POS63);
 
 /// Extended Hamming (72,64) SEC-DED code: protects one 8-byte word with an
 /// 8-bit check byte, exactly as mainstream ECC DIMMs do.
@@ -228,14 +236,14 @@ impl Secded72 {
     /// Computes the 8-bit check byte for a 64-bit data word.
     #[must_use]
     pub fn encode(word: u64) -> u8 {
-        Engine::<64, 7, 72>::encode(word, &MASKS72)
+        Engine::<64, 7, 72>::encode(word, &TABLES72)
     }
 
     /// Decodes a stored (word, check) pair, correcting a single-bit error
     /// anywhere in the 72 stored bits and detecting double-bit errors.
     #[must_use]
     pub fn decode(word: u64, check: u8) -> DecodeOutcome {
-        Engine::<64, 7, 72>::decode(word, check, &MASKS72, &P2D72)
+        Engine::<64, 7, 72>::decode(word, check, &TABLES72, &P2D72)
     }
 }
 
@@ -269,14 +277,14 @@ impl Secded63 {
     /// Computes the 7-bit check value for a 56-bit tag (low bits of `tag`).
     #[must_use]
     pub fn encode(tag: u64) -> u8 {
-        Engine::<56, 6, 64>::encode(tag & Self::TAG_MASK, &MASKS63)
+        Engine::<56, 6, 64>::encode(tag & Self::TAG_MASK, &TABLES63)
     }
 
     /// Decodes a stored (tag, check) pair, correcting single-bit errors and
     /// detecting double-bit errors across the 63 stored bits.
     #[must_use]
     pub fn decode(tag: u64, check: u8) -> DecodeOutcome {
-        Engine::<56, 6, 64>::decode(tag & Self::TAG_MASK, check, &MASKS63, &P2D63)
+        Engine::<56, 6, 64>::decode(tag & Self::TAG_MASK, check, &TABLES63, &P2D63)
     }
 }
 
@@ -284,7 +292,7 @@ impl Secded63 {
 mod tests {
     use super::*;
 
-    /// The per-bit-loop parity the masked popcount replaced, kept as the
+    /// The per-bit-loop parity the byte tables replaced, kept as the
     /// oracle the codes are checked against.
     fn oracle_parity(data: u64, positions: &[u32], hpar: u32) -> u8 {
         let mut par = 0u8;

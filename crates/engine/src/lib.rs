@@ -385,6 +385,9 @@ pub struct MemoryEncryptionEngine {
     /// zero-capacity cache when `counter_cache_blocks` is 0).
     tree: CachedTree,
     storage: DramStorage,
+    /// Data blocks per packed counter block, read off the scheme once:
+    /// the metadata block of data block `b` is `b / blocks_per_meta`.
+    blocks_per_meta: u64,
     /// Separate-MAC mode: per-block 56-bit tags in a dedicated region.
     mac_region: IndexMap<u64>,
     stats: EngineStats,
@@ -394,6 +397,16 @@ pub struct MemoryEncryptionEngine {
     /// Distribution of multi-message MAC batch sizes issued by the
     /// fused read-verify and write-seal paths.
     mac_batch_dist: ame_telemetry::Histogram,
+}
+
+/// The stored blocks of a run, read and side-band-decoded by
+/// [`MemoryEncryptionEngine::load_run`], index-aligned with its
+/// addresses.
+struct LoadedRun {
+    /// Ciphertext of each block.
+    blocks: Vec<[u8; BLOCK_BYTES]>,
+    /// Stored tag of each block.
+    tags: Vec<u64>,
 }
 
 impl std::fmt::Debug for MemoryEncryptionEngine {
@@ -414,10 +427,12 @@ impl MemoryEncryptionEngine {
     /// [`ame_tree::cache::MAX_CAPACITY`].
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
+        let counters = config.counter_scheme.build();
         Self {
             config,
             cipher: MemoryCipher::from_seed(config.seed),
-            counters: config.counter_scheme.build(),
+            blocks_per_meta: counters.blocks_per_metadata_block() as u64,
+            counters,
             tree: Self::empty_tree(&config),
             storage: DramStorage::new(),
             mac_region: IndexMap::default(),
@@ -497,33 +512,45 @@ impl MemoryEncryptionEngine {
         block * BLOCK_BYTES as u64
     }
 
+    /// The metadata block holding data block `block`'s counter.
+    fn meta_of(&self, block: u64) -> u64 {
+        block / self.blocks_per_meta
+    }
+
     /// Encrypt + MAC + store one plaintext block under `counter`: the
     /// scalar seal of a single-block write or a first touch.
     fn seal(&mut self, addr: u64, counter: u64, plain: &[u8; BLOCK_BYTES]) {
         let ct = self.cipher.encrypt_block(addr, counter, plain);
         let tag = self.cipher.mac_block(addr, counter, &ct);
-        self.store_sealed(addr, ct, tag);
+        self.store_sealed([(addr, ct, tag)]);
     }
 
-    /// The one encoder of sealed bits: stores ciphertext `ct` with its
-    /// tag in the configured placement — in the ECC side-band (Figure
-    /// 2), or in the MAC region beside a standard SEC-DED side-band.
-    /// Seals and scrub-backs of corrected blocks both store through it.
-    fn store_sealed(&mut self, addr: u64, ct: [u8; BLOCK_BYTES], tag: u64) {
-        let sideband = match self.config.mac_placement {
-            MacPlacement::MacInEcc => MacSideband::new(tag, &ct).to_bytes(),
-            MacPlacement::SeparateMac => {
-                self.mac_region.insert(Self::block_index(addr), tag);
-                StandardSideband::encode(&ct).to_bytes()
-            }
-        };
-        self.storage.write(addr, StoredBlock { data: ct, sideband });
+    /// The one encoder of sealed bits: stores each `(addr, ciphertext,
+    /// tag)` with its tag in the configured placement — in the ECC
+    /// side-band (Figure 2), or in the MAC region beside a standard
+    /// SEC-DED side-band — encoding each side-band in the same pass that
+    /// writes its DRAM page, and visiting each page once per stretch of
+    /// consecutive same-page blocks. Seals, run seals and scrub-backs of
+    /// corrected blocks all store through it.
+    fn store_sealed(&mut self, sealed: impl IntoIterator<Item = (u64, [u8; BLOCK_BYTES], u64)>) {
+        let (placement, mac_region) = (self.config.mac_placement, &mut self.mac_region);
+        self.storage
+            .write_run(sealed.into_iter().map(|(addr, ct, tag)| {
+                let sideband = match placement {
+                    MacPlacement::MacInEcc => MacSideband::new(tag, &ct).to_bytes(),
+                    MacPlacement::SeparateMac => {
+                        mac_region.insert(Self::block_index(addr), tag);
+                        StandardSideband::encode(&ct).to_bytes()
+                    }
+                };
+                (addr, StoredBlock { data: ct, sideband })
+            }));
     }
 
     /// The batched sealer: encrypts `plains` under `nonces` from one
     /// pipelined keystream batch, tags the run with one multi-message
-    /// MAC batch and stores each block. Stats and tree syncs are the
-    /// caller's.
+    /// MAC batch and stores it through [`Self::store_sealed`]. Stats and
+    /// tree syncs are the caller's.
     fn seal_run<'p>(
         &mut self,
         nonces: &[(u64, u64)],
@@ -540,32 +567,28 @@ impl MemoryEncryptionEngine {
         }
         let tags = self.cipher.mac_batch(nonces, &sealed);
         self.mac_batch_dist.record(sealed.len() as u64);
-        for ((&(addr, _), ct), tag) in nonces.iter().zip(sealed).zip(tags) {
-            self.store_sealed(addr, ct, tag);
-        }
+        self.store_sealed(
+            nonces
+                .iter()
+                .zip(sealed)
+                .zip(tags)
+                .map(|((&(addr, _), ct), tag)| (addr, ct, tag)),
+        );
     }
 
-    /// The batched verified opener: checks every block of `stored`
-    /// against its `(addr, counter)` nonce with one multi-message MAC
-    /// batch, then decrypts the run from one pipelined keystream batch.
-    ///
-    /// Verify-before-release: only blocks whose side-band decodes clean
-    /// are tagged, and every tag is checked before anything is
-    /// decrypted. On any anomaly — a correctable or uncorrectable
-    /// side-band condition, a tag mismatch — it returns `None` having
-    /// mutated no [`EngineStats`] and no storage (the MAC batch-size
-    /// histogram still records the attempt); the caller then opens block by
-    /// block through [`Self::open_block`], which owns correction,
-    /// scrubbing and failure attribution.
-    fn open_run(
-        &mut self,
-        nonces: &[(u64, u64)],
-        stored: &[StoredBlock],
-    ) -> Option<Vec<[u8; BLOCK_BYTES]>> {
-        let mut blocks = Vec::with_capacity(stored.len());
-        let mut tags = Vec::with_capacity(stored.len());
-        for (&(addr, _), stored) in nonces.iter().zip(stored) {
-            let (ct, tag) = match self.config.mac_placement {
+    /// Reads the stored blocks at `addrs` for [`Self::open_run`],
+    /// decoding each side-band in the same pass (one page visit per
+    /// stretch of same-page blocks): each block's ciphertext and stored
+    /// tag, or `None` if a block was never written or its side-band does
+    /// not decode clean. It reads storage only, so a read run meets such
+    /// a block before it fetches a counter.
+    fn load_run(&self, addrs: impl ExactSizeIterator<Item = u64>) -> Option<LoadedRun> {
+        let mut blocks = Vec::with_capacity(addrs.len());
+        let mut tags = Vec::with_capacity(addrs.len());
+        let (placement, mac_region) = (self.config.mac_placement, &self.mac_region);
+        self.storage.visit_run(addrs, |addr, stored| {
+            let stored = stored?;
+            let (ct, tag) = match placement {
                 MacPlacement::MacInEcc => {
                     let sideband = MacSideband::from_bytes(stored.sideband);
                     let DecodeOutcome::Clean { word: tag } = sideband.recover_tag() else {
@@ -580,13 +603,36 @@ impl MemoryEncryptionEngine {
                         return None;
                     }
                     let block = Self::block_index(addr);
-                    let tag = self.mac_region.get(&block).copied().unwrap_or(0);
+                    let tag = mac_region.get(&block).copied().unwrap_or(0);
                     (decoded.corrected_block()?, tag)
                 }
             };
             blocks.push(ct);
             tags.push(tag);
-        }
+            Some(())
+        })?;
+        Some(LoadedRun { blocks, tags })
+    }
+
+    /// The batched verified opener: checks every block of a
+    /// [`Self::load_run`] against its `(addr, counter)` nonce with one
+    /// multi-message MAC batch, then decrypts the run from one pipelined
+    /// keystream batch.
+    ///
+    /// Verify-before-release: only blocks whose side-band decoded clean
+    /// were loaded, and every tag is checked before anything is
+    /// decrypted. On any anomaly — a block never written, a correctable
+    /// or uncorrectable side-band condition (both refused by the load),
+    /// a tag mismatch — no [`EngineStats`] and no storage are mutated
+    /// (the MAC batch-size histogram still records a tagged attempt);
+    /// the caller then opens block by block through [`Self::open_block`],
+    /// which owns correction, scrubbing and failure attribution.
+    fn open_run(
+        &mut self,
+        nonces: &[(u64, u64)],
+        run: LoadedRun,
+    ) -> Option<Vec<[u8; BLOCK_BYTES]>> {
+        let LoadedRun { mut blocks, tags } = run;
         let computed = self.cipher.mac_batch(nonces, &blocks);
         self.mac_batch_dist.record(computed.len() as u64);
         if computed
@@ -641,7 +687,7 @@ impl MemoryEncryptionEngine {
         }
         let block = Self::block_index(addr);
         self.seal(addr, self.counters.counter(block), &[0u8; BLOCK_BYTES]);
-        let meta = self.counters.metadata_block_of(block);
+        let meta = self.meta_of(block);
         if !synced.contains(&meta) {
             synced.push(meta);
             self.sync_meta(meta);
@@ -656,19 +702,32 @@ impl MemoryEncryptionEngine {
         self.tree.write_counter_block(meta, image);
     }
 
-    /// Mirrors each distinct metadata block of `metas` into the
-    /// integrity tree, once. A leaf image is a pure function of the
-    /// current counter state and a path update a pure function of the
-    /// stored images, so once every counter of a run has been bumped,
-    /// one sync per metadata block leaves the tree bit-identical to one
-    /// sync per data block — at one leaf-to-root re-MAC instead of (for a
-    /// delta group) sixty-four.
-    fn sync_tree_metas(&mut self, mut metas: Vec<u64>) {
+    /// Mirrors each distinct metadata block of `blocks` into the
+    /// integrity tree, once, in ascending order. A leaf image is a pure
+    /// function of the current counter state and a path update a pure
+    /// function of the stored images, so once every counter of a run has
+    /// been bumped, one sync per metadata block leaves the tree
+    /// bit-identical to one sync per data block — at one leaf-to-root
+    /// re-MAC instead of (for a delta group) sixty-four.
+    fn sync_tree_metas(&mut self, blocks: &[u64]) {
+        let mut metas = self.distinct_metas(blocks);
         metas.sort_unstable();
-        metas.dedup();
         for meta in metas {
             self.sync_meta(meta);
         }
+    }
+
+    /// The distinct metadata blocks of `blocks`, each where it first
+    /// appears.
+    fn distinct_metas(&self, blocks: &[u64]) -> Vec<u64> {
+        let mut metas = Vec::new();
+        for &block in blocks {
+            let meta = self.meta_of(block);
+            if !metas.contains(&meta) {
+                metas.push(meta);
+            }
+        }
+        metas
     }
 
     /// Re-encrypts every *resident* block of an overflowed group under the
@@ -685,36 +744,35 @@ impl MemoryEncryptionEngine {
         let bpg = self.counters.blocks_per_group() as u64;
         // Never-touched blocks stay zero; they will be sealed under the
         // new counter on first use.
-        let mut nonces = Vec::new();
-        let mut stored = Vec::new();
-        for (i, &old) in old_counters.iter().enumerate() {
-            let addr = Self::block_addr(group * bpg + i as u64);
-            if let Some(block) = self.storage.get(addr) {
-                nonces.push((addr, old));
-                stored.push(block);
-            }
-        }
+        let nonces: Vec<(u64, u64)> = old_counters
+            .iter()
+            .enumerate()
+            .map(|(i, &old)| (Self::block_addr(group * bpg + i as u64), old))
+            .filter(|&(addr, _)| self.storage.contains(addr))
+            .collect();
         if nonces.is_empty() {
             return;
         }
-        let (resealed, plains): (Vec<(u64, u64)>, Vec<[u8; BLOCK_BYTES]>) =
-            match self.open_run(&nonces, &stored) {
-                Some(plains) => (
-                    nonces
-                        .iter()
-                        .map(|&(addr, _)| (addr, new_counter))
-                        .collect(),
-                    plains,
-                ),
-                None => nonces
+        let opened = self
+            .load_run(nonces.iter().map(|&(addr, _)| addr))
+            .and_then(|run| self.open_run(&nonces, run));
+        let (resealed, plains): (Vec<(u64, u64)>, Vec<[u8; BLOCK_BYTES]>) = match opened {
+            Some(plains) => (
+                nonces
                     .iter()
-                    .zip(stored)
-                    .filter_map(|(&(addr, old), stored)| {
-                        let plain = self.open_block(addr, old, stored).ok()?;
-                        Some(((addr, new_counter), plain))
-                    })
-                    .unzip(),
-            };
+                    .map(|&(addr, _)| (addr, new_counter))
+                    .collect(),
+                plains,
+            ),
+            None => nonces
+                .iter()
+                .filter_map(|&(addr, old)| {
+                    let stored = self.storage.read(addr);
+                    let plain = self.open_block(addr, old, stored).ok()?;
+                    Some(((addr, new_counter), plain))
+                })
+                .unzip(),
+        };
         self.seal_run(&resealed, &plains);
         self.stats.reencrypted_blocks += resealed.len() as u64;
     }
@@ -728,17 +786,20 @@ impl MemoryEncryptionEngine {
     pub fn write_block(&mut self, addr: u64, plain: &[u8; BLOCK_BYTES]) {
         Self::check_addr(addr);
         let block = Self::block_index(addr);
-        if let WriteOutcome::Reencrypted {
-            group,
-            old_counters,
-            new_counter,
-        } = self.counters.record_write(block)
+        let mut counter = [0];
+        if let (
+            _,
+            Some(WriteOutcome::Reencrypted {
+                group,
+                old_counters,
+                new_counter,
+            }),
+        ) = self.counters.record_writes(&[block], &mut counter)
         {
             self.reencrypt_group(group, &old_counters, new_counter);
         }
-        let counter = self.counters.counter(block);
-        self.seal(addr, counter, plain);
-        self.sync_meta(self.counters.metadata_block_of(block));
+        self.seal(addr, counter[0], plain);
+        self.sync_meta(self.meta_of(block));
         self.stats.writes += 1;
     }
 
@@ -748,9 +809,13 @@ impl MemoryEncryptionEngine {
     /// last one survives), but sealing every overflow-free run with one
     /// pipelined [`MemoryCipher::keystream_batch`] and one
     /// [`MemoryCipher::mac_batch`] call instead of a per-block AES
-    /// invocation and tag.
+    /// invocation and tag. A batch of one item is [`Self::write_block`].
     ///
-    /// A group-counter overflow inside the batch seals the pending run
+    /// The counters are bumped through the scheme's run form, which
+    /// visits each counter group once per stretch of consecutive
+    /// same-group items and hands back each item's new counter; the seal
+    /// visits each DRAM page once per stretch of same-page items. A
+    /// group-counter overflow inside the batch seals the pending run
     /// first (its captured counters must hit storage before the group
     /// re-encryption rewrites those blocks), through the same batched
     /// seal as the rest of the batch.
@@ -758,52 +823,72 @@ impl MemoryEncryptionEngine {
     /// # Panics
     ///
     /// Panics if any address is not 64-byte aligned or not below
-    /// [`ADDR_LIMIT`].
+    /// [`ADDR_LIMIT`]; it then changes nothing.
     pub fn write_blocks(&mut self, items: &[(u64, [u8; BLOCK_BYTES])]) {
-        // Bump counters in order, accumulating the `(addr, counter)`
-        // nonces of a run of consecutive items, from `start` on, that is
-        // safe to seal from one batched keystream.
-        let mut run: Vec<(u64, u64)> = Vec::with_capacity(items.len());
-        let mut start = 0;
-        for (i, &(addr, _)) in items.iter().enumerate() {
-            Self::check_addr(addr);
-            let block = Self::block_index(addr);
-            let outcome = self.counters.record_write(block);
-            if let WriteOutcome::Reencrypted {
+        // A run of one is the scalar write, as a read run of one is the
+        // scalar read: on one block the batch plumbing costs more than
+        // it saves.
+        if let [(addr, plain)] = items {
+            return self.write_block(*addr, plain);
+        }
+        let blocks: Vec<u64> = items
+            .iter()
+            .map(|&(addr, _)| {
+                Self::check_addr(addr);
+                Self::block_index(addr)
+            })
+            .collect();
+        let mut counters = vec![0; items.len()];
+        // Items `start..next` are bumped and wait to be sealed.
+        let (mut start, mut next) = (0, 0);
+        while next < items.len() {
+            let (recorded, overflow) = self
+                .counters
+                .record_writes(&blocks[next..], &mut counters[next..]);
+            next += recorded;
+            if let Some(WriteOutcome::Reencrypted {
                 group,
                 old_counters,
                 new_counter,
-            } = outcome
+            }) = overflow
             {
-                // The overflow already reset the group's counters, and the
-                // upcoming re-encryption opens storage assuming every
-                // resident block is sealed under `old_counters`. Pending
-                // items may be in that group, so commit them under their
-                // captured counters *now* (those captured values are the
-                // `old_counters` the re-encryption will use).
-                self.seal_write_run(&items[start..i], &run);
-                run.clear();
-                start = i;
+                // Item `next - 1` overflowed its group, which reset the
+                // group's counters, and the upcoming re-encryption opens
+                // storage assuming every resident block is sealed under
+                // `old_counters`. Pending items may be in that group, so
+                // commit them under their captured counters *now* (those
+                // captured values are the `old_counters` the
+                // re-encryption will use); the overflowing item, already
+                // under the fresh counter, starts the next run.
+                self.seal_write_run(items, &blocks, &counters, start..next - 1);
+                start = next - 1;
                 self.reencrypt_group(group, &old_counters, new_counter);
             }
-            run.push((addr, self.counters.counter(block)));
         }
-        self.seal_write_run(&items[start..], &run);
+        self.seal_write_run(items, &blocks, &counters, start..items.len());
     }
 
-    /// Seals a pending run of [`Self::write_blocks`] — `items` under
-    /// their `nonces` — through [`Self::seal_run`], and syncs the tree
-    /// once per metadata block it touched: every counter of the run was
+    /// Seals `items[range]` of [`Self::write_blocks`] under their bumped
+    /// `counters` through [`Self::seal_run`], and syncs the tree once per
+    /// metadata block of their `blocks`: every counter of the run was
     /// bumped before the first seal, so per-block syncs would all write
     /// the same images.
-    fn seal_write_run(&mut self, items: &[(u64, [u8; BLOCK_BYTES])], nonces: &[(u64, u64)]) {
-        self.seal_run(nonces, items.iter().map(|(_, plain)| plain));
-        self.stats.writes += nonces.len() as u64;
-        let metas = nonces
+    fn seal_write_run(
+        &mut self,
+        items: &[(u64, [u8; BLOCK_BYTES])],
+        blocks: &[u64],
+        counters: &[u64],
+        range: std::ops::Range<usize>,
+    ) {
+        let items = &items[range.clone()];
+        let nonces: Vec<(u64, u64)> = items
             .iter()
-            .map(|&(addr, _)| self.counters.metadata_block_of(Self::block_index(addr)))
+            .zip(&counters[range.clone()])
+            .map(|(&(addr, _), &counter)| (addr, counter))
             .collect();
-        self.sync_tree_metas(metas);
+        self.seal_run(&nonces, items.iter().map(|(_, plain)| plain));
+        self.stats.writes += items.len() as u64;
+        self.sync_tree_metas(&blocks[range]);
     }
 
     /// Reads and verifies one 64-byte block at a block-aligned address.
@@ -836,7 +921,7 @@ impl MemoryEncryptionEngine {
 
         // 1. Fetch + verify the counter through the Bonsai Merkle tree,
         // 2. then open the block under it.
-        let meta = self.counters.metadata_block_of(block);
+        let meta = self.meta_of(block);
         let opened = match self.tree.read_counter_block(meta) {
             Ok(verified_image) => {
                 // The engine's counter state must match the verified
@@ -859,8 +944,10 @@ impl MemoryEncryptionEngine {
     /// behaviourally identical to calling [`Self::read_block`] once per
     /// address in order and stopping at the first error — but on the fast
     /// path the run costs one verified counter-block fetch per *distinct*
-    /// metadata block it touches (instead of one per block) and one
-    /// pipelined [`MemoryCipher::keystream_batch`] call for all decrypts.
+    /// metadata block it touches (instead of one per block), one counter
+    /// group visit and one DRAM page visit per stretch of consecutive
+    /// blocks sharing them, and one pipelined
+    /// [`MemoryCipher::keystream_batch`] call for all decrypts.
     ///
     /// Verify-before-release: the fast path checks every block's MAC (and
     /// side-band parity/SEC-DED) before decrypting anything. Any anomaly —
@@ -891,59 +978,42 @@ impl MemoryEncryptionEngine {
     /// any anomaly, *before* mutating stats or storage, so the sequential
     /// fallback replays the run from scratch.
     fn try_read_blocks_fast(&mut self, addrs: &[u64]) -> Option<ReadRun> {
-        // Every block must already be sealed. Initializing a missing
-        // block here would sync its (shared) counter leaf back to the
-        // tree — and that must not happen before neighbouring blocks are
-        // verified, or it could launder a tampered off-chip leaf that the
-        // sequential path would have caught. One lookup per block: the
-        // stored bits gathered here are the ones verified below.
-        let stored: Vec<StoredBlock> = addrs
-            .iter()
-            .map(|&a| self.storage.get(a))
-            .collect::<Option<_>>()?;
+        // Every block must already be sealed: the load refuses a missing
+        // one rather than initializing it, since a first touch syncs its
+        // (shared) counter leaf back to the tree — and that must not
+        // happen before neighbouring blocks are verified, or it could
+        // launder a tampered off-chip leaf that the sequential path would
+        // have caught. The load reads storage only, so a run it refuses
+        // (a missing block, a side-band error) costs no counter fetch.
+        let loaded = self.load_run(addrs.iter().copied())?;
+        let blocks: Vec<u64> = addrs.iter().map(|&addr| Self::block_index(addr)).collect();
 
         // One verified tree fetch per distinct metadata block in the run.
-        let mut fetched: Vec<u64> = Vec::new();
+        let mut metas = self.distinct_metas(&blocks);
         if self.config.prefetch_counters {
             // Prefetch: resolve the run's 4 KB group boundaries up-front
-            // and issue every verified counter fetch before the first
-            // data block is touched, instead of discovering each
-            // boundary as the run walks into it.
-            let mut metas: Vec<u64> = addrs
-                .iter()
-                .map(|&addr| self.counters.metadata_block_of(Self::block_index(addr)))
-                .collect();
+            // and issue every verified counter fetch in address order
+            // before the first data block is touched, instead of
+            // discovering each boundary as the run walks into it.
             metas.sort_unstable();
-            metas.dedup();
-            for &meta in &metas {
-                let verified_image = self.tree.read_counter_block(meta).ok()?;
-                debug_assert_eq!(verified_image, self.counters.metadata_block_image(meta));
-            }
-            fetched = metas;
-        } else {
-            for &addr in addrs {
-                let meta = self.counters.metadata_block_of(Self::block_index(addr));
-                if !fetched.contains(&meta) {
-                    let verified_image = self.tree.read_counter_block(meta).ok()?;
-                    debug_assert_eq!(verified_image, self.counters.metadata_block_image(meta));
-                    fetched.push(meta);
-                }
-            }
         }
-        let nonces: Vec<(u64, u64)> = addrs
-            .iter()
-            .map(|&addr| (addr, self.counters.counter(Self::block_index(addr))))
-            .collect();
+        for &meta in &metas {
+            let verified_image = self.tree.read_counter_block(meta).ok()?;
+            debug_assert_eq!(verified_image, self.counters.metadata_block_image(meta));
+        }
+        let mut counters = vec![0; addrs.len()];
+        self.counters.counters(&blocks, &mut counters);
+        let nonces: Vec<(u64, u64)> = addrs.iter().copied().zip(counters).collect();
 
         // Any anomaly abandons the batch with nothing mutated, so the
         // sequential fallback re-derives attribution, flip-and-check
         // correction, and quarantine bit-identically.
-        let blocks = self.open_run(&nonces, &stored)?;
+        let plains = self.open_run(&nonces, loaded)?;
         self.stats.reads += addrs.len() as u64;
         Some(ReadRun {
-            blocks,
+            blocks: plains,
             failed: None,
-            counter_fetches: fetched.len() as u64,
+            counter_fetches: metas.len() as u64,
         })
     }
 
@@ -1001,7 +1071,7 @@ impl MemoryEncryptionEngine {
                 // place would accumulate with the next one into an
                 // uncorrectable double error (Section 3.3's scrubbing
                 // argument applies to the MAC's own bits too).
-                self.store_sealed(addr, stored.data, tag);
+                self.store_sealed([(addr, stored.data, tag)]);
             }
             return Ok(self.cipher.decrypt_block(addr, counter, &stored.data));
         }
@@ -1019,7 +1089,7 @@ impl MemoryEncryptionEngine {
         self.flip_check_dist.record(outcome.checks);
         if let Some(fixed) = outcome.corrected {
             // Scrub the repaired block back to memory.
-            self.store_sealed(addr, fixed, tag);
+            self.store_sealed([(addr, fixed, tag)]);
             self.stats.data_corrections += 1;
             return Ok(self.cipher.decrypt_block(addr, counter, &fixed));
         }
@@ -1042,7 +1112,7 @@ impl MemoryEncryptionEngine {
         if decoded.any_error() {
             self.stats.data_corrections += 1;
             // Scrub the corrected data back.
-            self.store_sealed(addr, ct, tag);
+            self.store_sealed([(addr, ct, tag)]);
         }
         if self.cipher.verify_block(addr, counter, &ct, tag) {
             Ok(self.cipher.decrypt_block(addr, counter, &ct))
@@ -1071,7 +1141,7 @@ impl MemoryEncryptionEngine {
     pub fn snapshot_block(&mut self, addr: u64) -> BlockSnapshot {
         self.ensure_initialized(addr);
         let block = Self::block_index(addr);
-        let meta = self.counters.metadata_block_of(block);
+        let meta = self.meta_of(block);
         BlockSnapshot {
             addr,
             stored: self.storage.read(addr),
@@ -1086,7 +1156,7 @@ impl MemoryEncryptionEngine {
     /// tree root is out of reach, so a stale replay is detected.
     pub fn replay_block(&mut self, snapshot: &BlockSnapshot) {
         let block = Self::block_index(snapshot.addr);
-        let meta = self.counters.metadata_block_of(block);
+        let meta = self.meta_of(block);
         self.storage.write(snapshot.addr, snapshot.stored);
         if let Some(tag) = snapshot.mac_entry {
             self.mac_region.insert(block, tag);
@@ -1414,8 +1484,7 @@ impl SealedReplay<'_> {
         }
         let engine = &mut *self.engine;
         let block = MemoryEncryptionEngine::block_index(addr);
-        self.dirty
-            .insert(engine.counters.metadata_block_of(block), ());
+        self.dirty.insert(engine.meta_of(block), ());
         engine.counters.force_counter(block, state.counter)?;
         if let Some(tag) = state.mac {
             engine.mac_region.insert(block, tag);
