@@ -7,11 +7,25 @@
 //! blocks; a store fuses about two operations per run, so the short
 //! runs are the ones it pays for.
 //!
+//! Beneath the engine it prices the two layers a run pays per block:
+//! the crypto of a seal (`xor_keystream` + `tags_into` in the run's own
+//! buffer) and of an open (`tags_into`, the tag compare, `xor_keystream`)
+//! at run lengths 1, 2, 8 and 64, next to the 64-block seal through the
+//! allocating wrappers (`keystream_batch`, an XOR pass, `mac_batch`);
+//! and `record_writes` over one whole 64-block group, for the delta and
+//! the dual-length scheme. The wide tier's shortest zmm run
+//! (`wide::MIN_RUN`) and the delta schemes' shortest unpacked stretch
+//! are read off these numbers.
+//!
 //! The last line is JSON, `{"write": {"scalar": .., "run1": ..,
-//! "run2": .., "run64": ..}, "read": {..}}` in ns per block, for a
-//! check to read.
+//! "run2": .., "run64": ..}, "read": {..}, "seal": {"run1": .., "run2":
+//! .., "run8": .., "run64": .., "wrappers64": ..}, "open": {"run1": ..,
+//! ..}, "record_writes": {"delta64": .., "dual64": ..}}` in ns per
+//! block, for a check to read.
 
 use ame_bench::micro::bench;
+use ame_counters::{delta::DeltaCounters, dual::DualLengthDeltaCounters, CounterScheme};
+use ame_crypto::MemoryCipher;
 use ame_engine::{CounterSchemeKind, EngineConfig, MacPlacement, MemoryEncryptionEngine};
 use ame_prng::StdRng;
 use std::hint::black_box;
@@ -84,6 +98,17 @@ fn main() {
         read.push((name, ns / len as f64));
     }
     assert_eq!(engine.stats().failed_reads, 0, "every read verified");
+    let (seal, open) = crypto_legs();
+    let record_writes = vec![
+        (
+            "delta64",
+            record_writes_leg("delta", DeltaCounters::default()),
+        ),
+        (
+            "dual64",
+            record_writes_leg("dual", DualLengthDeltaCounters::default()),
+        ),
+    ];
     let json = |cases: &[(&str, f64)]| {
         let fields: Vec<String> = cases
             .iter()
@@ -91,5 +116,85 @@ fn main() {
             .collect();
         format!("{{{}}}", fields.join(", "))
     };
-    println!("{{\"write\": {}, \"read\": {}}}", json(&write), json(&read));
+    println!(
+        "{{\"write\": {}, \"read\": {}, \"seal\": {}, \"open\": {}, \"record_writes\": {}}}",
+        json(&write),
+        json(&read),
+        json(&seal),
+        json(&open),
+        json(&record_writes)
+    );
+}
+
+/// Named ns-per-block results.
+type Legs = Vec<(&'static str, f64)>;
+
+/// ns per block of the seal and the open crypto of a run, in the run's
+/// own buffer, at each run length; and of the 64-block seal through the
+/// allocating wrappers.
+fn crypto_legs() -> (Legs, Legs) {
+    let cipher = MemoryCipher::from_seed(40);
+    let (mut seal, mut open) = (Vec::new(), Vec::new());
+    let mut counter = 0u64;
+    for (name, len) in [("run1", 1), ("run2", 2), ("run8", 8), ("run64", 64)] {
+        let plains: Vec<[u8; 64]> = (0..len).map(|b| [b as u8; 64]).collect();
+        let mut nonces: Vec<(u64, u64)> = (0..len as u64).map(|b| (b * 64, 0)).collect();
+        let mut tags = vec![0; len];
+        let ns = bench(&format!("runs/seal_crypto/{len}"), || {
+            counter += 1;
+            nonces.iter_mut().for_each(|nonce| nonce.1 = counter);
+            let mut blocks = plains.clone();
+            cipher.xor_keystream(&nonces, &mut blocks);
+            cipher.tags_into(&nonces, &blocks, &mut tags);
+            black_box((blocks, &tags));
+        });
+        seal.push((name, ns / len as f64));
+        let mut sealed = plains.clone();
+        cipher.xor_keystream(&nonces, &mut sealed);
+        let stored = cipher.mac_batch(&nonces, &sealed);
+        let ns = bench(&format!("runs/open_crypto/{len}"), || {
+            let mut blocks = sealed.clone();
+            cipher.tags_into(&nonces, &blocks, &mut tags);
+            assert_eq!(tags, stored, "every tag verified");
+            cipher.xor_keystream(&nonces, &mut blocks);
+            black_box(blocks);
+        });
+        open.push((name, ns / len as f64));
+        if len == 64 {
+            let ns = bench("runs/seal_crypto/64/wrappers", || {
+                counter += 1;
+                nonces.iter_mut().for_each(|nonce| nonce.1 = counter);
+                let mut blocks = cipher.keystream_batch(&nonces);
+                for (block, plain) in blocks.iter_mut().zip(&plains) {
+                    block.iter_mut().zip(plain).for_each(|(c, p)| *c ^= p);
+                }
+                black_box(cipher.mac_batch(&nonces, &blocks));
+            });
+            seal.push(("wrappers64", ns / len as f64));
+        }
+    }
+    (seal, open)
+}
+
+/// ns per block of `record_writes` over one whole 64-block group: a
+/// sequential sweep of a group, as `engine_stream` writes, cycling
+/// through 64 groups so the sweeps meet resets and re-encodes as a
+/// stream does.
+fn record_writes_leg(name: &str, mut scheme: impl CounterScheme) -> f64 {
+    let sweeps: Vec<Vec<u64>> = (0..64u64)
+        .map(|g| (g * 64..g * 64 + 64).collect())
+        .collect();
+    let mut counters = [0u64; 64];
+    let mut g = 0;
+    let ns = bench(&format!("runs/record_writes/{name}/64"), || {
+        g = (g + 1) % sweeps.len();
+        let mut done = 0;
+        while done < 64 {
+            done += scheme
+                .record_writes(&sweeps[g][done..], &mut counters[done..])
+                .0;
+        }
+        black_box(&counters);
+    });
+    ns / 64.0
 }

@@ -16,7 +16,7 @@
 //! Only when both fail does the group get re-encrypted under a fresh
 //! counter (Figure 5a).
 
-use crate::deltas::{self, Group, Tally};
+use crate::deltas::{self, Deltas, Group, Rules, Tally, Unpacked};
 use crate::packing::{FlatLayout, LINE_BITS};
 use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
 use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
@@ -141,72 +141,6 @@ impl DeltaCounters {
         out
     }
 
-    /// Figure 5's increment of block `i` of group `g`, held in `grp`:
-    /// the one copy of the delta, reset, re-encode and overflow rules,
-    /// behind both [`CounterScheme::record_write`] and its run form.
-    fn bump(
-        cfg: &DeltaConfig,
-        layout: &FlatLayout,
-        g: u64,
-        grp: &mut Group,
-        i: usize,
-    ) -> WriteOutcome {
-        let n = cfg.blocks_per_group;
-        let d = layout.delta(&grp.line, i);
-        if d < cfg.delta_max() {
-            layout.set_delta(&mut grp.line, i, d + 1);
-            grp.tally.bumped(d + 1);
-            // Figure 5b: fold converged deltas into the reference.
-            match grp.tally.converged(n) {
-                Some(common) if cfg.reset_enabled => {
-                    let reference = layout.reference(&grp.line) + common;
-                    *grp = Group::zeroed(layout.zeroed(reference), n);
-                    WriteOutcome::Reset
-                }
-                _ => WriteOutcome::Incremented,
-            }
-        } else {
-            Self::overflow(cfg, layout, g, grp, i)
-        }
-    }
-
-    /// The rare half of [`Self::bump`], out of its way: delta `i` is at
-    /// its maximum, so the whole group is unpacked once and re-packed.
-    #[cold]
-    #[inline(never)]
-    fn overflow(
-        cfg: &DeltaConfig,
-        layout: &FlatLayout,
-        g: u64,
-        grp: &mut Group,
-        i: usize,
-    ) -> WriteOutcome {
-        let n = cfg.blocks_per_group;
-        let mut deltas = [0u64; LINE_BITS as usize];
-        let deltas = &mut deltas[..n];
-        let reference = layout.unpack(&grp.line, deltas);
-        // Figure 5c: re-encode with a larger reference if every delta
-        // is positive.
-        let min = deltas.iter().copied().min().unwrap_or(0);
-        if cfg.reencode_enabled && min > 0 {
-            deltas.iter_mut().for_each(|d| *d -= min);
-            deltas[i] += 1;
-            *grp = Group::packed(layout.pack(reference + min, deltas), deltas);
-            WriteOutcome::Reencoded
-        } else {
-            // Figure 5a: re-encrypt the group under the largest
-            // counter (the overflowing one, incremented).
-            let old_counters = deltas.iter().map(|d| reference + d).collect();
-            let new_counter = reference + cfg.delta_max() + 1;
-            *grp = Group::zeroed(layout.zeroed(new_counter), n);
-            WriteOutcome::Reencrypted {
-                group: g,
-                old_counters,
-                new_counter,
-            }
-        }
-    }
-
     /// Current delta of `block` (for inspection/ablation experiments).
     #[must_use]
     pub fn delta(&self, block: u64) -> u64 {
@@ -223,6 +157,147 @@ impl DeltaCounters {
         self.groups
             .get(&g)
             .map_or(0, |grp| self.layout.reference(&grp.line))
+    }
+}
+
+/// The flat scheme's rules over its configuration and line layout.
+struct Flat<'a> {
+    cfg: &'a DeltaConfig,
+    layout: &'a FlatLayout,
+}
+
+/// A flat group in its packed line, bumped in place.
+struct Packed<'a> {
+    layout: &'a FlatLayout,
+    n: usize,
+    grp: &'a mut Group,
+}
+
+impl Deltas for Packed<'_> {
+    #[inline]
+    fn reference(&self) -> u64 {
+        self.layout.reference(&self.grp.line)
+    }
+
+    #[inline]
+    fn expanded(&self) -> Option<usize> {
+        None
+    }
+
+    #[inline]
+    fn delta(&self, i: usize, _widened: bool) -> u64 {
+        self.layout.delta(&self.grp.line, i)
+    }
+
+    #[inline]
+    fn raise(&mut self, i: usize, d: u64, _widened: bool) {
+        self.layout.set_delta(&mut self.grp.line, i, d);
+        self.grp.tally.bumped(d);
+    }
+
+    #[inline]
+    fn expand(&mut self, _i: usize, _d: u64) {
+        unreachable!("a flat group has no extension slots")
+    }
+
+    #[inline]
+    fn tally(&self) -> &Tally {
+        &self.grp.tally
+    }
+
+    #[inline]
+    fn reset(&mut self, reference: u64) {
+        *self.grp = Group::zeroed(self.layout.zeroed(reference), self.n);
+    }
+
+    fn unpack(&self, deltas: &mut [u64]) -> u64 {
+        self.layout.unpack(&self.grp.line, deltas)
+    }
+
+    fn repack(&mut self, reference: u64, deltas: &[u64]) {
+        *self.grp = Group::packed(self.layout.pack(reference, deltas), deltas);
+    }
+
+    #[inline]
+    fn counter(&self, i: usize) -> u64 {
+        self.layout.counter(&self.grp.line, i)
+    }
+}
+
+impl Rules for Flat<'_> {
+    /// Figure 5's increment: the one copy of the delta, reset,
+    /// re-encode and overflow rules, behind [`CounterScheme::record_write`]
+    /// and both forms of its run.
+    #[inline]
+    fn bump(&self, g: u64, d: &mut impl Deltas, i: usize) -> WriteOutcome {
+        let cfg = self.cfg;
+        let delta = d.delta(i, false);
+        if delta < cfg.delta_max() {
+            d.raise(i, delta + 1, false);
+            // Figure 5b: fold converged deltas into the reference.
+            match d.tally().converged(cfg.blocks_per_group) {
+                Some(common) if cfg.reset_enabled => {
+                    d.reset(d.reference() + common);
+                    WriteOutcome::Reset
+                }
+                _ => WriteOutcome::Incremented,
+            }
+        } else {
+            self.overflow(g, d, i)
+        }
+    }
+
+    fn packed<'a>(&'a self, grp: &'a mut Group) -> impl Deltas + 'a {
+        let (layout, n) = (self.layout, self.cfg.blocks_per_group);
+        Packed { layout, n, grp }
+    }
+
+    fn unpack(&self, grp: &Group) -> Unpacked {
+        let n = self.cfg.blocks_per_group;
+        Unpacked::of(grp, n, n, |line, deltas| {
+            (self.layout.unpack(line, deltas), None)
+        })
+    }
+
+    fn repack(&self, u: &Unpacked) -> Group {
+        let line = self.layout.pack(u.reference, u.deltas());
+        Group {
+            line,
+            tally: u.tally,
+        }
+    }
+}
+
+impl Flat<'_> {
+    /// The rare half of [`Rules::bump`], out of its way: delta `i` is at
+    /// its maximum, so the whole group is unpacked once and rewritten.
+    #[cold]
+    #[inline(never)]
+    fn overflow(&self, g: u64, d: &mut impl Deltas, i: usize) -> WriteOutcome {
+        let cfg = self.cfg;
+        let mut deltas = [0u64; LINE_BITS as usize];
+        let deltas = &mut deltas[..cfg.blocks_per_group];
+        let reference = d.unpack(deltas);
+        // Figure 5c: re-encode with a larger reference if every delta
+        // is positive.
+        let min = deltas.iter().copied().min().unwrap_or(0);
+        if cfg.reencode_enabled && min > 0 {
+            deltas.iter_mut().for_each(|d| *d -= min);
+            deltas[i] += 1;
+            d.repack(reference + min, deltas);
+            WriteOutcome::Reencoded
+        } else {
+            // Figure 5a: re-encrypt the group under the largest
+            // counter (the overflowing one, incremented).
+            let old_counters = deltas.iter().map(|d| reference + d).collect();
+            let new_counter = reference + cfg.delta_max() + 1;
+            d.reset(new_counter);
+            WriteOutcome::Reencrypted {
+                group: g,
+                old_counters,
+                new_counter,
+            }
+        }
     }
 }
 
@@ -244,7 +319,11 @@ impl CounterScheme for DeltaCounters {
         let (g, i) = split_block(block, self.config.blocks_per_group);
         let n = self.config.blocks_per_group;
         let grp = self.groups.entry(g).or_insert_with(|| Group::new(n));
-        let outcome = Self::bump(&self.config, &self.layout, g, grp, i);
+        let rules = Flat {
+            cfg: &self.config,
+            layout: &self.layout,
+        };
+        let outcome = rules.bump(g, &mut rules.packed(grp), i);
         self.stats.record(&outcome);
         outcome
     }
@@ -254,18 +333,18 @@ impl CounterScheme for DeltaCounters {
         blocks: &[u64],
         counters: &mut [u64],
     ) -> (usize, Option<WriteOutcome>) {
-        let (cfg, layout) = (&self.config, &self.layout);
-        let n = cfg.blocks_per_group;
+        let rules = Flat {
+            cfg: &self.config,
+            layout: &self.layout,
+        };
+        let n = self.config.blocks_per_group;
         deltas::write_run(
             &mut self.groups,
             n,
             &mut self.stats,
             blocks,
             counters,
-            |g, grp, i| {
-                let outcome = Self::bump(cfg, layout, g, grp, i);
-                (outcome, layout.counter(&grp.line, i))
-            },
+            &rules,
         )
     }
 

@@ -14,7 +14,7 @@
 //! is why Table 2 shows dual-length doing *worse* than flat 7-bit deltas
 //! there — this implementation reproduces that behaviour.
 
-use crate::deltas::{self, Group};
+use crate::deltas::{self, Deltas, Group, Rules, Tally, Unpacked};
 use crate::packing::{DualLayout, LINE_BITS};
 use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
 use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
@@ -163,89 +163,6 @@ impl DualLengthDeltaCounters {
         out
     }
 
-    /// Figure 6's increment of block `i` of group `g`, held in `grp`:
-    /// the one copy of the delta, reset, expansion, re-encode and
-    /// overflow rules, behind both [`CounterScheme::record_write`] and
-    /// its run form.
-    fn bump(
-        cfg: &DualLengthConfig,
-        layout: &DualLayout,
-        g: u64,
-        grp: &mut Group,
-        i: usize,
-    ) -> WriteOutcome {
-        let n = cfg.blocks_per_group;
-        let expanded = layout.expanded(&grp.line);
-        let widened = expanded == Some(layout.delta_group(i));
-        let d = layout.delta(&grp.line, i, widened);
-        let cap = if widened {
-            cfg.expanded_max()
-        } else {
-            cfg.base_max()
-        };
-        if d < cap {
-            layout.set_delta(&mut grp.line, i, d + 1, widened);
-            grp.tally.bumped(d + 1);
-            match grp.tally.converged(n) {
-                Some(common) if cfg.reset_enabled => {
-                    // All deltas fit base width again: the expansion goes.
-                    let reference = layout.reference(&grp.line) + common;
-                    *grp = Group::zeroed(layout.zeroed(reference), n);
-                    WriteOutcome::Reset
-                }
-                _ => WriteOutcome::Incremented,
-            }
-        } else if expanded.is_none() {
-            // Assign the shared overflow bits to this delta-group.
-            layout.expand(&mut grp.line, i, d + 1);
-            grp.tally.bumped(d + 1);
-            WriteOutcome::Expanded
-        } else {
-            Self::overflow(cfg, layout, g, grp, i, expanded)
-        }
-    }
-
-    /// The rare half of [`Self::bump`], out of its way: delta `i` is at
-    /// its capacity and the overflow bits are taken (`expanded`).
-    #[cold]
-    #[inline(never)]
-    fn overflow(
-        cfg: &DualLengthConfig,
-        layout: &DualLayout,
-        g: u64,
-        grp: &mut Group,
-        i: usize,
-        expanded: Option<usize>,
-    ) -> WriteOutcome {
-        let n = cfg.blocks_per_group;
-        // Overflow bits already taken (possibly by this very group at
-        // its widened capacity): try re-encoding, then re-encrypt.
-        // The whole group is unpacked once and re-packed.
-        let mut deltas = [0u64; LINE_BITS as usize];
-        let deltas = &mut deltas[..n];
-        let (reference, _) = layout.unpack(&grp.line, deltas);
-        let min = deltas.iter().copied().min().unwrap_or(0);
-        if cfg.reencode_enabled && min > 0 {
-            deltas.iter_mut().for_each(|d| *d -= min);
-            deltas[i] += 1;
-            let line = layout.pack(reference + min, expanded, deltas);
-            *grp = Group::packed(line, deltas);
-            WriteOutcome::Reencoded
-        } else {
-            let old_counters = deltas.iter().map(|d| reference + d).collect();
-            // Every block must jump strictly above its old counter;
-            // with a widened group the largest delta may exceed the
-            // overflowing one, so take the true maximum.
-            let new_counter = reference + grp.tally.max() + 1;
-            *grp = Group::zeroed(layout.zeroed(new_counter), n);
-            WriteOutcome::Reencrypted {
-                group: g,
-                old_counters,
-                new_counter,
-            }
-        }
-    }
-
     /// The delta-group index of `block` within its block-group.
     #[must_use]
     pub fn delta_group_of(&self, block: u64) -> usize {
@@ -260,6 +177,165 @@ impl DualLengthDeltaCounters {
         self.groups
             .get(&g)
             .and_then(|grp| self.layout.expanded(&grp.line))
+    }
+}
+
+/// The dual-length scheme's rules over its configuration and line
+/// layout.
+struct Dual<'a> {
+    cfg: &'a DualLengthConfig,
+    layout: &'a DualLayout,
+}
+
+/// A dual-length group in its packed line, bumped in place.
+struct Packed<'a> {
+    layout: &'a DualLayout,
+    n: usize,
+    grp: &'a mut Group,
+}
+
+impl Deltas for Packed<'_> {
+    #[inline]
+    fn reference(&self) -> u64 {
+        self.layout.reference(&self.grp.line)
+    }
+
+    #[inline]
+    fn expanded(&self) -> Option<usize> {
+        self.layout.expanded(&self.grp.line)
+    }
+
+    #[inline]
+    fn delta(&self, i: usize, widened: bool) -> u64 {
+        self.layout.delta(&self.grp.line, i, widened)
+    }
+
+    #[inline]
+    fn raise(&mut self, i: usize, d: u64, widened: bool) {
+        self.layout.set_delta(&mut self.grp.line, i, d, widened);
+        self.grp.tally.bumped(d);
+    }
+
+    #[inline]
+    fn expand(&mut self, i: usize, d: u64) {
+        self.layout.expand(&mut self.grp.line, i, d);
+        self.grp.tally.bumped(d);
+    }
+
+    #[inline]
+    fn tally(&self) -> &Tally {
+        &self.grp.tally
+    }
+
+    #[inline]
+    fn reset(&mut self, reference: u64) {
+        *self.grp = Group::zeroed(self.layout.zeroed(reference), self.n);
+    }
+
+    fn unpack(&self, deltas: &mut [u64]) -> u64 {
+        self.layout.unpack(&self.grp.line, deltas).0
+    }
+
+    fn repack(&mut self, reference: u64, deltas: &[u64]) {
+        let line = self.layout.pack(reference, self.expanded(), deltas);
+        *self.grp = Group::packed(line, deltas);
+    }
+
+    #[inline]
+    fn counter(&self, i: usize) -> u64 {
+        self.layout.counter(&self.grp.line, i)
+    }
+}
+
+impl Rules for Dual<'_> {
+    /// Figure 6's increment: the one copy of the delta, reset,
+    /// expansion, re-encode and overflow rules, behind
+    /// [`CounterScheme::record_write`] and both forms of its run.
+    #[inline]
+    fn bump(&self, g: u64, d: &mut impl Deltas, i: usize) -> WriteOutcome {
+        let cfg = self.cfg;
+        let expanded = d.expanded();
+        let widened = self.layout.widened(expanded, i);
+        let delta = d.delta(i, widened);
+        let cap = if widened {
+            cfg.expanded_max()
+        } else {
+            cfg.base_max()
+        };
+        if delta < cap {
+            d.raise(i, delta + 1, widened);
+            match d.tally().converged(cfg.blocks_per_group) {
+                Some(common) if cfg.reset_enabled => {
+                    // All deltas fit base width again: the expansion goes.
+                    d.reset(d.reference() + common);
+                    WriteOutcome::Reset
+                }
+                _ => WriteOutcome::Incremented,
+            }
+        } else if expanded.is_none() {
+            // Assign the shared overflow bits to this delta-group.
+            d.expand(i, delta + 1);
+            WriteOutcome::Expanded
+        } else {
+            self.overflow(g, d, i)
+        }
+    }
+
+    fn packed<'a>(&'a self, grp: &'a mut Group) -> impl Deltas + 'a {
+        let (layout, n) = (self.layout, self.cfg.blocks_per_group);
+        Packed { layout, n, grp }
+    }
+
+    fn unpack(&self, grp: &Group) -> Unpacked {
+        let cfg = self.cfg;
+        Unpacked::of(
+            grp,
+            cfg.blocks_per_group,
+            cfg.blocks_per_delta_group(),
+            |line, deltas| self.layout.unpack(line, deltas),
+        )
+    }
+
+    fn repack(&self, u: &Unpacked) -> Group {
+        let line = self.layout.pack(u.reference, u.expanded, u.deltas());
+        Group {
+            line,
+            tally: u.tally,
+        }
+    }
+}
+
+impl Dual<'_> {
+    /// The rare half of [`Rules::bump`], out of its way: delta `i` is at
+    /// its capacity and the overflow bits are taken (possibly by its own
+    /// delta-group at its widened capacity): try re-encoding, then
+    /// re-encrypt. The whole group is unpacked once and rewritten.
+    #[cold]
+    #[inline(never)]
+    fn overflow(&self, g: u64, d: &mut impl Deltas, i: usize) -> WriteOutcome {
+        let cfg = self.cfg;
+        let mut deltas = [0u64; LINE_BITS as usize];
+        let deltas = &mut deltas[..cfg.blocks_per_group];
+        let reference = d.unpack(deltas);
+        let min = deltas.iter().copied().min().unwrap_or(0);
+        if cfg.reencode_enabled && min > 0 {
+            deltas.iter_mut().for_each(|d| *d -= min);
+            deltas[i] += 1;
+            d.repack(reference + min, deltas);
+            WriteOutcome::Reencoded
+        } else {
+            let old_counters = deltas.iter().map(|d| reference + d).collect();
+            // Every block must jump strictly above its old counter;
+            // with a widened group the largest delta may exceed the
+            // overflowing one, so take the true maximum.
+            let new_counter = reference + d.tally().max() + 1;
+            d.reset(new_counter);
+            WriteOutcome::Reencrypted {
+                group: g,
+                old_counters,
+                new_counter,
+            }
+        }
     }
 }
 
@@ -281,7 +357,11 @@ impl CounterScheme for DualLengthDeltaCounters {
         let (g, i) = split_block(block, self.config.blocks_per_group);
         let n = self.config.blocks_per_group;
         let grp = self.groups.entry(g).or_insert_with(|| Group::new(n));
-        let outcome = Self::bump(&self.config, &self.layout, g, grp, i);
+        let rules = Dual {
+            cfg: &self.config,
+            layout: &self.layout,
+        };
+        let outcome = rules.bump(g, &mut rules.packed(grp), i);
         self.stats.record(&outcome);
         outcome
     }
@@ -291,18 +371,18 @@ impl CounterScheme for DualLengthDeltaCounters {
         blocks: &[u64],
         counters: &mut [u64],
     ) -> (usize, Option<WriteOutcome>) {
-        let (cfg, layout) = (&self.config, &self.layout);
-        let n = cfg.blocks_per_group;
+        let rules = Dual {
+            cfg: &self.config,
+            layout: &self.layout,
+        };
+        let n = self.config.blocks_per_group;
         deltas::write_run(
             &mut self.groups,
             n,
             &mut self.stats,
             blocks,
             counters,
-            |g, grp, i| {
-                let outcome = Self::bump(cfg, layout, g, grp, i);
-                (outcome, layout.counter(&grp.line, i))
-            },
+            &rules,
         )
     }
 

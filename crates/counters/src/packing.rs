@@ -117,6 +117,31 @@ impl Line {
         }
     }
 
+    /// ORs `fields`, each `width` bits wide, in back to back from bit
+    /// `offset` of a line whose bits there are zero: a whole group's
+    /// deltas in one pass, each word touched once per field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a field exceeds `width` bits.
+    pub(crate) fn put_fields(
+        &mut self,
+        offset: u32,
+        width: u32,
+        fields: impl IntoIterator<Item = u64>,
+    ) {
+        let mut bit = offset;
+        for (i, value) in fields.into_iter().enumerate() {
+            assert!(value <= low_mask(width), "delta {i} exceeds {width} bits");
+            let (index, shift) = ((bit / 64) as usize, bit % 64);
+            self.0[index] |= value << shift;
+            if shift + width > 64 {
+                self.0[index + 1] |= value >> (64 - shift);
+            }
+            bit += width;
+        }
+    }
+
     /// The 64-byte image: the words in little-endian byte order.
     pub(crate) fn bytes(&self) -> [u8; 64] {
         let mut image = [0u8; 64];
@@ -227,11 +252,11 @@ impl FlatLayout {
     pub(crate) fn pack(&self, reference: u64, deltas: &[u64]) -> Line {
         assert_eq!(deltas.len(), self.blocks, "one delta per block");
         let mut line = self.zeroed(reference);
-        for (i, &d) in deltas.iter().enumerate() {
-            let bits = self.delta_bits;
-            assert!(d <= low_mask(bits), "delta {i} exceeds {bits} bits");
-            self.set_delta(&mut line, i, d);
-        }
+        line.put_fields(
+            self.delta_offset(0),
+            self.delta_bits,
+            deltas.iter().copied(),
+        );
         line
     }
 
@@ -323,6 +348,13 @@ impl DualLayout {
         i / self.per_delta_group
     }
 
+    /// Whether block `i`'s delta is widened while `expanded` holds the
+    /// extension slots; no division while nothing is expanded.
+    #[inline]
+    pub(crate) fn widened(&self, expanded: Option<usize>, i: usize) -> bool {
+        expanded.is_some_and(|dg| dg == self.delta_group(i))
+    }
+
     #[inline]
     fn base_offset(&self, i: usize) -> u32 {
         self.reference_bits + 1 + self.index_bits + self.base_bits * i as u32
@@ -376,7 +408,7 @@ impl DualLayout {
     /// plus the reference.
     #[inline]
     pub(crate) fn counter(&self, line: &Line, i: usize) -> u64 {
-        let widened = self.expanded(line) == Some(self.delta_group(i));
+        let widened = self.widened(self.expanded(line), i);
         self.reference(line) + self.delta(line, i, widened)
     }
 
@@ -404,12 +436,24 @@ impl DualLayout {
         }
         let mut line = self.zeroed(reference);
         self.set_expanded(&mut line, expanded);
-        for (i, &d) in deltas.iter().enumerate() {
-            let widened = expanded == Some(self.delta_group(i));
-            let bits = self.base_bits + if widened { self.extra_bits } else { 0 };
+        // The expanded delta-group's deltas: their low bits among the
+        // base fields, their high bits in the extension slots.
+        let per = self.per_delta_group;
+        let wide = expanded.map_or(0..0, |dg| dg * per..dg * per + per);
+        let bits = self.base_bits + self.extra_bits;
+        for (i, &d) in deltas.iter().enumerate().take(wide.end).skip(wide.start) {
             assert!(d <= low_mask(bits), "delta {i} exceeds {bits} bits");
-            self.set_delta(&mut line, i, d, widened);
         }
+        let base = deltas.iter().enumerate().map(|(i, &d)| {
+            if wide.contains(&i) {
+                d & low_mask(self.base_bits)
+            } else {
+                d
+            }
+        });
+        line.put_fields(self.base_offset(0), self.base_bits, base);
+        let high = deltas[wide].iter().map(|d| d >> self.base_bits);
+        line.put_fields(self.base_offset(self.blocks), self.extra_bits, high);
         line
     }
 
@@ -418,7 +462,7 @@ impl DualLayout {
     pub(crate) fn unpack(&self, line: &Line, deltas: &mut [u64]) -> (u64, Option<usize>) {
         let expanded = self.expanded(line);
         for (i, d) in deltas[..self.blocks].iter_mut().enumerate() {
-            *d = self.delta(line, i, expanded == Some(self.delta_group(i)));
+            *d = self.delta(line, i, self.widened(expanded, i));
         }
         (self.reference(line), expanded)
     }

@@ -487,18 +487,45 @@ fn split_counters_share_one_major_per_group() {
 /// A run of writes in one of the shapes a fused run takes: an ascending
 /// or descending stretch across group boundaries, blocks scattered over
 /// three groups, or a hot block between its neighbours (overflowing its
-/// group mid-run).
-fn shaped_run(rng: &mut StdRng, bpg: u64) -> Vec<u64> {
+/// group mid-run); with `hot_stretches`, also one stretch inside one
+/// group that sweeps it around a hot block (overflowing it
+/// mid-stretch).
+fn shaped_run(rng: &mut StdRng, bpg: u64, hot_stretches: bool) -> Vec<u64> {
     let len = rng.gen_range(1u64..=3 * bpg);
     let first = rng.gen_range(0..4 * bpg);
-    match rng.gen_range(0..4) {
+    match rng.gen_range(0..4 + u32::from(hot_stretches)) {
         0 => (first..first + len).collect(),
         1 => (first..first + len).rev().collect(),
         2 => (0..len).map(|_| rng.gen_range(0..3 * bpg)).collect(),
-        _ => (0..len)
+        3 => (0..len)
             .map(|k| if k % 3 == 0 { first + k } else { bpg + 1 })
             .collect(),
+        _ => {
+            let (base, hot) = (first / bpg * bpg, rng.gen_range(0..bpg));
+            (0..len.min(bpg))
+                .map(|k| base + if k % 4 == 0 { hot } else { k })
+                .collect()
+        }
     }
+}
+
+/// The stretch length from which a delta scheme's run form bumps an
+/// unpacked copy of the group instead of its packed line.
+const UNPACK_MIN: usize = 32;
+
+/// For each write of `run[k..]`, whether it falls in a stretch (a
+/// maximal span of consecutive same-group blocks) of [`UNPACK_MIN`] or
+/// more, as `record_writes(&run[k..])` splits it.
+fn in_long_stretch(run: &[u64], k: usize, bpg: u64) -> Vec<bool> {
+    let mut long = vec![false; run.len()];
+    let mut start = k;
+    while start < run.len() {
+        let g = run[start] / bpg;
+        let end = start + run[start..].iter().take_while(|&&b| b / bpg == g).count();
+        long[start..end].fill(end - start >= UNPACK_MIN);
+        start = end;
+    }
+    long
 }
 
 /// The run forms — `record_writes` and `counters` — against per-block
@@ -506,7 +533,10 @@ fn shaped_run(rng: &mut StdRng, bpg: u64) -> Vec<u64> {
 /// its paper layout and at a narrow one that overflows often: each
 /// call records the same writes, stops after the same re-encryption
 /// with the same outcome, hands back each write's new counter, and
-/// leaves the same statistics and images.
+/// leaves the same statistics and images. The delta schemes are also
+/// run narrow at 64-block groups, so that stretches on both sides of
+/// [`UNPACK_MIN`] occur and the long ones, bumped unpacked, meet resets,
+/// re-encodes and re-encryption stops.
 #[test]
 fn run_forms_match_per_block_writes_and_reads() {
     let narrow_flat = DeltaConfig {
@@ -521,8 +551,17 @@ fn run_forms_match_per_block_writes_and_reads() {
         blocks_per_group: 8,
         ..DualLengthConfig::default()
     };
+    let narrow_flat_64 = DeltaConfig {
+        delta_bits: 2,
+        ..DeltaConfig::default()
+    };
+    let narrow_dual_64 = DualLengthConfig {
+        base_bits: 2,
+        extra_bits: 2,
+        ..DualLengthConfig::default()
+    };
     type Build<'a> = &'a dyn Fn() -> Box<dyn CounterScheme>;
-    let schemes: [(&str, Build, bool); 8] = [
+    let schemes: [(&str, Build, bool); 10] = [
         ("delta", &|| Box::new(DeltaCounters::default()), false),
         (
             "delta 2-bit",
@@ -537,6 +576,16 @@ fn run_forms_match_per_block_writes_and_reads() {
         (
             "dual 2+2",
             &|| Box::new(DualLengthDeltaCounters::new(narrow_dual)),
+            true,
+        ),
+        (
+            "delta 2-bit 64-block",
+            &|| Box::new(DeltaCounters::new(narrow_flat_64)),
+            true,
+        ),
+        (
+            "dual 2+2 64-block",
+            &|| Box::new(DualLengthDeltaCounters::new(narrow_dual_64)),
             true,
         ),
         ("split", &|| Box::new(SplitCounters::default()), false),
@@ -557,17 +606,29 @@ fn run_forms_match_per_block_writes_and_reads() {
         let bpg = by_run.blocks_per_group().max(8) as u64;
         let mut rng = StdRng::seed_from_u64(0x40_00 + n as u64);
         let mut stopped_mid_run = 0;
+        // Writes in short and in long stretches, and the long stretches'
+        // resets, re-encodes and re-encryption stops.
+        let (mut short, mut long) = (0, [0u64; 4]);
         for round in 0..2_000 {
-            let run = shaped_run(&mut rng, bpg);
+            let run = shaped_run(&mut rng, bpg, name.ends_with("64-block"));
             let what = format!("{name} round {round} run {run:?}");
             let (mut got, mut want) = (vec![0; run.len()], vec![0; run.len()]);
             let mut k = 0;
             while k < run.len() {
                 let (recorded, outcome) = by_run.record_writes(&run[k..], &mut got[k..]);
                 let mut expected = (run.len() - k, None);
+                let stretch = in_long_stretch(&run, k, bpg);
                 for j in k..run.len() {
                     let o = by_block.record_write(run[j]);
                     want[j] = by_block.counter(run[j]);
+                    if stretch[j] {
+                        long[0] += 1;
+                        long[1] += u64::from(o == WriteOutcome::Reset);
+                        long[2] += u64::from(o == WriteOutcome::Reencoded);
+                        long[3] += u64::from(o.is_reencryption());
+                    } else {
+                        short += 1;
+                    }
                     if o.is_reencryption() {
                         expected = (j + 1 - k, Some(o));
                         break;
@@ -609,6 +670,18 @@ fn run_forms_match_per_block_writes_and_reads() {
         }
         if name.starts_with("dual") {
             assert!(stats.expansions > 0, "{name}: {stats}");
+        }
+        if name.ends_with("64-block") {
+            let [writes, resets, reencodes, stops] = long;
+            assert!(
+                short > 0 && writes > 0,
+                "{name}: {short} short, {writes} long"
+            );
+            assert!(
+                resets > 0 && reencodes > 0 && stops > 0,
+                "{name}: long stretches met {resets} resets, {reencodes} re-encodes, \
+                 {stops} re-encryption stops"
+            );
         }
     }
 }

@@ -19,29 +19,21 @@
 //! tests (the crate's `crosscheck` module) enforce it.
 //!
 //! Pipelining: `aesenc` has multi-cycle latency but single-cycle
-//! throughput on every AES-NI core, so [`encrypt_blocks`] walks the
-//! input eight blocks at a time with eight independent dependency
-//! chains — that is where the batched-keystream speedup comes from.
+//! throughput on every AES-NI core, so [`encrypt_blocks`] and
+//! [`xor_keystream`] keep eight independent AES streams in flight (eight
+//! pads, or the four chunks of two memory blocks).
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
     __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si64,
-    _mm_loadl_epi64, _mm_loadu_si128, _mm_set_epi64x, _mm_setzero_si128, _mm_storeu_si128,
-    _mm_unpackhi_epi64, _mm_xor_si128,
+    _mm_loadu_si128, _mm_set_epi64x, _mm_setzero_si128, _mm_storeu_si128, _mm_unpackhi_epi64,
+    _mm_xor_si128,
 };
 
 /// How many independent AES streams we keep in flight per inner-loop
 /// iteration (matches the `aesenc` latency/throughput ratio of modern
 /// cores; more gains nothing, fewer leaves the pipeline idle).
 pub const PIPELINE_WIDTH: usize = 8;
-
-/// How many independent MAC Horner chains the batched tag kernel keeps
-/// in flight per inner-loop iteration. Each Horner step is three
-/// serially dependent PCLMULQDQ ops (product + two reduction folds), so
-/// a single chain leaves the carry-less multiplier idle for most of its
-/// latency; eight interleaved messages fill those bubbles the same way
-/// [`PIPELINE_WIDTH`] does for `aesenc`.
-pub const MAC_LANES: usize = 8;
 
 /// Low 64 bits of the GF(2^64) reduction polynomial
 /// `x^64 + x^4 + x^3 + x + 1` (kept in sync with [`crate::mac`]).
@@ -75,24 +67,18 @@ pub(crate) fn encrypt_blocks(round_keys: &[[u8; 16]; 11], blocks: &mut [[u8; 16]
     unsafe { encrypt_blocks_impl(round_keys, blocks) }
 }
 
-/// [`encrypt_blocks`] over 64-byte memory blocks in place: each block's
-/// four 16-byte chunks are encrypted where they lie, with no scratch
-/// buffer or copy-out — the zero-copy spine of the batched keystream.
-pub(crate) fn encrypt_blocks64(
+/// XORs the keystream of `nonces[k]` into `blocks[k]` in place: each
+/// block's four chunk nonces are built in registers, two blocks (eight
+/// AES streams) at a time, and the AES output is XORed into the block as
+/// it leaves the last round. The caller checked the lengths match.
+pub(crate) fn xor_keystream(
     round_keys: &[[u8; 16]; 11],
+    nonces: &[(u64, u64)],
     blocks: &mut [[u8; crate::BLOCK_BYTES]],
 ) {
-    // SAFETY: `[u8; 64]` is exactly four contiguous `[u8; 16]` chunks —
-    // same alignment (1), no padding, identical bit layout — so the
-    // reinterpreted slice covers precisely the same memory with a valid
-    // element type.
-    let chunks = unsafe {
-        core::slice::from_raw_parts_mut(
-            blocks.as_mut_ptr().cast::<[u8; 16]>(),
-            blocks.len() * (crate::BLOCK_BYTES / 16),
-        )
-    };
-    encrypt_blocks(round_keys, chunks);
+    assert_capable();
+    // SAFETY: as for `encrypt_block`.
+    unsafe { xor_keystream_impl(round_keys, nonces, blocks) }
 }
 
 /// Carry-less 64×64→128 multiply via PCLMULQDQ; returns `(high, low)`.
@@ -125,16 +111,6 @@ pub(crate) fn poly_hash_powers(powers: &[u64; 8], block: &[u8; crate::BLOCK_BYTE
     unsafe { poly_hash_powers_impl(powers, block) }
 }
 
-/// Polynomial hashes of many independent 64-byte messages under one
-/// hash key, [`MAC_LANES`] interleaved Horner chains at a time —
-/// bit-identical to evaluating [`crate::mac::poly_hash_with`] per message.
-#[must_use]
-pub(crate) fn poly_hash_batch(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> Vec<u64> {
-    assert_capable();
-    // SAFETY: as for `clmul`.
-    unsafe { poly_hash_batch_impl(h, blocks) }
-}
-
 // ---- inner implementations ----
 //
 // `#[target_feature]` makes these callable only when the named features
@@ -146,23 +122,70 @@ unsafe fn load_round_keys(round_keys: &[[u8; 16]; 11]) -> [__m128i; 11] {
     core::array::from_fn(|i| _mm_loadu_si128(round_keys[i].as_ptr().cast()))
 }
 
+#[target_feature(enable = "aes", enable = "sse2")]
+unsafe fn encrypt_block_impl(round_keys: &[[u8; 16]; 11], plain: &[u8; 16]) -> [u8; 16] {
+    let mut s = [_mm_loadu_si128(plain.as_ptr().cast())];
+    encrypt_lanes(&load_round_keys(round_keys), &mut s);
+    let mut out = [0u8; 16];
+    _mm_storeu_si128(out.as_mut_ptr().cast(), s[0]);
+    out
+}
+
+/// Four keystream streams of one block: chunk `c`'s AES input is the
+/// counter in the low word and the block's high nonce word plus `c << 48`.
+#[inline]
+#[target_feature(enable = "sse2")]
+unsafe fn keystream_nonces(&(addr, counter): &(u64, u64)) -> [__m128i; 4] {
+    let high = crate::ctr::nonce_high(addr, crate::ctr::DOMAIN_KEYSTREAM);
+    core::array::from_fn(|c| _mm_set_epi64x((high | (c as u64) << 48) as i64, counter as i64))
+}
+
+/// Runs `N` independent streams through every round, interleaved.
 #[inline]
 #[target_feature(enable = "aes", enable = "sse2")]
-unsafe fn encrypt_loaded(rk: &[__m128i; 11], mut s: __m128i) -> __m128i {
-    s = _mm_xor_si128(s, rk[0]);
-    for key in &rk[1..10] {
-        s = _mm_aesenc_si128(s, *key);
+unsafe fn encrypt_lanes<const N: usize>(rk: &[__m128i; 11], s: &mut [__m128i; N]) {
+    for lane in s.iter_mut() {
+        *lane = _mm_xor_si128(*lane, rk[0]);
     }
-    _mm_aesenclast_si128(s, rk[10])
+    for key in &rk[1..10] {
+        for lane in s.iter_mut() {
+            *lane = _mm_aesenc_si128(*lane, *key);
+        }
+    }
+    for lane in s.iter_mut() {
+        *lane = _mm_aesenclast_si128(*lane, rk[10]);
+    }
+}
+
+/// XORs `N` keystream chunks into the 16-byte chunks at `out`.
+#[inline]
+#[target_feature(enable = "sse2")]
+unsafe fn xor_into<const N: usize>(s: &[__m128i; N], out: *mut u8) {
+    for (i, lane) in s.iter().enumerate() {
+        let at = out.add(i * 16).cast();
+        _mm_storeu_si128(at, _mm_xor_si128(_mm_loadu_si128(at), *lane));
+    }
 }
 
 #[target_feature(enable = "aes", enable = "sse2")]
-unsafe fn encrypt_block_impl(round_keys: &[[u8; 16]; 11], plain: &[u8; 16]) -> [u8; 16] {
+unsafe fn xor_keystream_impl(
+    round_keys: &[[u8; 16]; 11],
+    nonces: &[(u64, u64)],
+    blocks: &mut [[u8; crate::BLOCK_BYTES]],
+) {
     let rk = load_round_keys(round_keys);
-    let s = encrypt_loaded(&rk, _mm_loadu_si128(plain.as_ptr().cast()));
-    let mut out = [0u8; 16];
-    _mm_storeu_si128(out.as_mut_ptr().cast(), s);
-    out
+    let mut pairs = blocks.chunks_exact_mut(2);
+    for (pair, nonces) in (&mut pairs).zip(nonces.chunks_exact(2)) {
+        let [a, b] = [keystream_nonces(&nonces[0]), keystream_nonces(&nonces[1])];
+        let mut s = [a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3]];
+        encrypt_lanes(&rk, &mut s);
+        xor_into(&s, pair.as_mut_ptr().cast());
+    }
+    if let [block] = pairs.into_remainder() {
+        let mut s = keystream_nonces(&nonces[nonces.len() - 1]);
+        encrypt_lanes(&rk, &mut s);
+        xor_into(&s, block.as_mut_ptr());
+    }
 }
 
 #[target_feature(enable = "aes", enable = "sse2")]
@@ -174,22 +197,15 @@ unsafe fn encrypt_blocks_impl(round_keys: &[[u8; 16]; 11], blocks: &mut [[u8; 16
         // `aesenc` units stay saturated instead of stalling on latency.
         let mut s: [__m128i; PIPELINE_WIDTH] =
             core::array::from_fn(|i| _mm_loadu_si128(group[i].as_ptr().cast()));
-        for lane in &mut s {
-            *lane = _mm_xor_si128(*lane, rk[0]);
-        }
-        for key in &rk[1..10] {
-            for lane in &mut s {
-                *lane = _mm_aesenc_si128(*lane, *key);
-            }
-        }
-        for (i, lane) in s.iter().enumerate() {
-            let last = _mm_aesenclast_si128(*lane, rk[10]);
-            _mm_storeu_si128(group[i].as_mut_ptr().cast(), last);
+        encrypt_lanes(&rk, &mut s);
+        for (block, lane) in group.iter_mut().zip(s) {
+            _mm_storeu_si128(block.as_mut_ptr().cast(), lane);
         }
     }
     for block in groups.into_remainder() {
-        let s = encrypt_loaded(&rk, _mm_loadu_si128(block.as_ptr().cast()));
-        _mm_storeu_si128(block.as_mut_ptr().cast(), s);
+        let mut s = [_mm_loadu_si128(block.as_ptr().cast())];
+        encrypt_lanes(&rk, &mut s);
+        _mm_storeu_si128(block.as_mut_ptr().cast(), s[0]);
     }
 }
 
@@ -256,46 +272,6 @@ unsafe fn poly_hash_powers_impl(powers: &[u64; 8], block: &[u8; crate::BLOCK_BYT
     reduce_deferred(_mm_xor_si128(even, odd), _mm_set_epi64x(0, POLY as i64))
 }
 
-/// One fully reduced Horner step in xmm registers: `(acc ^ m) * H mod P`.
-/// Live values ride in the low qwords; the high qwords carry fold
-/// garbage that the next step's selector-0x00 multiply never reads.
-#[inline]
-#[target_feature(enable = "pclmulqdq", enable = "sse2")]
-unsafe fn horner_step128(acc: __m128i, m: __m128i, h: __m128i, poly: __m128i) -> __m128i {
-    let t = _mm_xor_si128(acc, m);
-    let p = _mm_clmulepi64_si128::<0x00>(t, h);
-    let f1 = _mm_clmulepi64_si128::<0x01>(p, poly);
-    let f2 = _mm_clmulepi64_si128::<0x01>(f1, poly);
-    _mm_xor_si128(_mm_xor_si128(p, f1), f2)
-}
-
-#[target_feature(enable = "pclmulqdq", enable = "sse2")]
-unsafe fn poly_hash_batch_impl(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> Vec<u64> {
-    let hv = _mm_set_epi64x(0, h as i64);
-    let poly = _mm_set_epi64x(0, POLY as i64);
-    let mut out = Vec::with_capacity(blocks.len());
-    for group in blocks.chunks(MAC_LANES) {
-        // Up to eight independent Horner chains: step every chain through
-        // word `w` before any chain touches word `w + 1`, so the
-        // three-deep CLMUL dependency of one chain executes under the
-        // latency of the others. A short last group (a tree path's seven
-        // nodes) interleaves the same way with fewer lanes.
-        let mut acc = [_mm_setzero_si128(); MAC_LANES];
-        for word in 0..8 {
-            for (lane, block) in acc.iter_mut().zip(group.iter()) {
-                // Unaligned 8-byte load of little-endian word `word`;
-                // the high qword is zeroed, as `horner_step128` needs.
-                let m = _mm_loadl_epi64(block.as_ptr().add(word * 8).cast());
-                *lane = horner_step128(*lane, m, hv, poly);
-            }
-        }
-        for lane in &acc[..group.len()] {
-            out.push(_mm_cvtsi128_si64(*lane) as u64);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     //! Direct unit tests of the intrinsic paths (the broader randomized
@@ -349,18 +325,34 @@ mod tests {
         if !capable() {
             return;
         }
+        // The accelerated run tags: powers-form hashes under the AES-NI
+        // pads, at lengths straddling the eight-pad pipeline, equal the
+        // serial Horner hash XOR the portable pad.
+        use crate::backend::Backend;
+        let aes = Aes128::new(&[0x3c; 16]);
         let h = 0x9e37_79b9_7f4a_7c15u64;
-        // Lengths straddling MAC_LANES exercise full and short
-        // interleaved groups.
         for n in [0usize, 1, 7, 8, 9, 16, 23] {
             let blocks: Vec<[u8; crate::BLOCK_BYTES]> = (0..n)
                 .map(|i| core::array::from_fn(|j| (i * 67 + j * 13) as u8))
                 .collect();
-            let expected: Vec<u64> = blocks
-                .iter()
-                .map(|b| crate::mac::poly_hash_with(crate::backend::Backend::Portable, h, b))
-                .collect();
-            assert_eq!(poly_hash_batch(h, &blocks), expected, "n={n}");
+            let nonces: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 64, i * 3)).collect();
+            let mut tags = vec![0; n];
+            let powers = crate::mac::hash_powers(h);
+            crate::mac::tags_with(
+                Backend::Accelerated,
+                &aes,
+                &powers,
+                &nonces,
+                &blocks,
+                &mut tags,
+            );
+            for (k, (&(addr, counter), block)) in nonces.iter().zip(&blocks).enumerate() {
+                let nonce = crate::ctr::mac_nonce_block(addr, counter);
+                let pad = aes.encrypt_block_with(Backend::Portable, &nonce);
+                let expected = crate::mac::poly_hash_with(Backend::Portable, h, block)
+                    ^ u64::from_le_bytes(pad[..8].try_into().unwrap());
+                assert_eq!(tags[k], expected, "n={n} k={k}");
+            }
         }
     }
 

@@ -112,7 +112,7 @@ impl Aes128 {
         #[cfg(target_arch = "x86_64")]
         {
             if backend.is_wide() && crate::backend::wide_available() {
-                crate::wide::encrypt_blocks(&self.round_keys, blocks);
+                crate::wide::encrypt_blocks(crate::wide::Shape::host(), &self.round_keys, blocks);
                 return;
             }
             if backend.is_accelerated() && crate::backend::accel_available() {
@@ -123,39 +123,6 @@ impl Aes128 {
         let _ = backend;
         for block in blocks.iter_mut() {
             *block = self.encrypt_block_portable(block);
-        }
-    }
-
-    /// Encrypts every 16-byte chunk of every 64-byte memory block in
-    /// place on `backend` — the zero-copy spine of the keystream:
-    /// callers lay the AES inputs directly in the output buffer and the
-    /// hardware tiers encrypt them where they lie (a `[u8; 64]` is
-    /// exactly four contiguous `[u8; 16]` chunks), so no scratch block
-    /// array or copy-out reshape sits between the cipher and the caller.
-    pub(crate) fn encrypt_blocks64_with(
-        &self,
-        backend: Backend,
-        blocks: &mut [[u8; crate::BLOCK_BYTES]],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if backend.is_wide() && crate::backend::wide_available() {
-                crate::wide::encrypt_blocks64(&self.round_keys, blocks);
-                return;
-            }
-            if backend.is_accelerated() && crate::backend::accel_available() {
-                crate::accel::encrypt_blocks64(&self.round_keys, blocks);
-                return;
-            }
-        }
-        let _ = backend;
-        for block in blocks.iter_mut() {
-            for chunk in 0..crate::BLOCK_BYTES / 16 {
-                let mut b = [0u8; 16];
-                b.copy_from_slice(&block[chunk * 16..(chunk + 1) * 16]);
-                block[chunk * 16..(chunk + 1) * 16]
-                    .copy_from_slice(&self.encrypt_block_portable(&b));
-            }
         }
     }
 

@@ -352,42 +352,40 @@ fn self_test_accelerated() -> bool {
             return false;
         }
     }
-    // Single-message MAC hash from per-key powers, one reduction.
-    if !batched_poly_hash_matches_portable(|h, blocks| {
-        let powers = crate::mac::hash_powers(h);
-        blocks
-            .iter()
-            .map(|b| accel::poly_hash_powers(&powers, b))
-            .collect()
-    }) {
-        return false;
-    }
-    // Batched MAC hash: one full interleaved group plus a short one.
-    batched_poly_hash_matches_portable(accel::poly_hash_batch)
+    // The run kernels: the in-place keystream, and the powers-form
+    // tags over the AES-NI pads.
+    run_kernels_match_portable(Backend::Accelerated)
 }
 
-/// Shared known-answer check for the batched polynomial-hash kernels:
-/// 15 structured messages (a full group of every kernel width in use —
-/// 8 zmm or accel lanes, then 4 ymm — plus a 3-message tail, or a
-/// 7-message short group on accel) hashed under two keys must match
-/// the portable per-message evaluation.
+/// Shared known-answer check for a tier's run kernels, through the
+/// tier's dispatch (uncounted): 15 structured messages — whole groups of
+/// every kernel shape plus a short last one, and past the wide tier's
+/// shortest run — under two keys must get the portable reference's
+/// keystreams and full-width tags.
 #[cfg(target_arch = "x86_64")]
-fn batched_poly_hash_matches_portable(
-    kernel: impl Fn(u64, &[[u8; crate::BLOCK_BYTES]]) -> Vec<u64>,
-) -> bool {
-    let blocks: Vec<[u8; crate::BLOCK_BYTES]> = (0..15)
+fn run_kernels_match_portable(backend: Backend) -> bool {
+    let blocks: Vec<[u8; 64]> = (0..15)
         .map(|i| core::array::from_fn(|j| (i * 53 + j * 11 + 1) as u8))
         .collect();
-    for h in [0x9e37_79b9_7f4a_7c15u64, 0x0123_4567_89ab_cdef | 1] {
-        let expected: Vec<u64> = blocks
-            .iter()
-            .map(|b| crate::mac::poly_hash_with(Backend::Portable, h, b))
-            .collect();
-        if kernel(h, &blocks) != expected {
-            return false;
-        }
-    }
-    true
+    let nonces: Vec<(u64, u64)> = (0..15u64).map(|i| (i << 42 | i << 6, !i)).collect();
+    [0x9e37_79b9_7f4a_7c15u64, 0x0123_4567_89ab_cdef | 1]
+        .iter()
+        .all(|&h| {
+            let aes = crate::aes::Aes128::new(
+                &[h.to_le_bytes(), (!h).to_le_bytes()]
+                    .concat()
+                    .try_into()
+                    .expect("16"),
+            );
+            let run = |backend| {
+                let (mut sealed, mut tags) = (blocks.clone(), [0; 15]);
+                crate::ctr::xor_keystream_with(backend, &aes, &nonces, &mut sealed);
+                let powers = crate::mac::hash_powers(h);
+                crate::mac::tags_with(backend, &aes, &powers, &nonces, &blocks, &mut tags);
+                (sealed, tags)
+            };
+            run(backend) == run(Backend::Portable)
+        })
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -398,7 +396,7 @@ fn self_test_accelerated() -> bool {
 /// One-time power-on cross-check of the wide (VAES/VPCLMULQDQ) kernels
 /// against the portable reference: a batch long enough to exercise the
 /// four-blocks-per-instruction main loop *and* the scalar tail, plus
-/// the batched two-lane polynomial hash over structured blocks.
+/// the run kernels over structured blocks.
 #[cfg(target_arch = "x86_64")]
 fn self_test_wide() -> bool {
     use crate::wide;
@@ -412,13 +410,12 @@ fn self_test_wide() -> bool {
         .iter()
         .map(|b| aes.encrypt_block_with(Backend::Portable, b))
         .collect();
-    wide::encrypt_blocks(aes.round_keys(), &mut batch);
+    wide::encrypt_blocks(wide::Shape::host(), aes.round_keys(), &mut batch);
     if batch != expected {
         return false;
     }
-    // Batched MAC hash: full packed groups (both shapes) plus the tail
-    // handed to the AES-NI tier.
-    batched_poly_hash_matches_portable(wide::poly_hash_batch)
+    // The run kernels in the host's shape.
+    run_kernels_match_portable(Backend::Wide)
 }
 
 #[cfg(not(target_arch = "x86_64"))]

@@ -13,6 +13,8 @@
 
 use crate::aes::Aes128;
 use crate::backend::Backend;
+#[cfg(target_arch = "x86_64")]
+use crate::wide::{self, Shape};
 use crate::{ctr, mac, MemoryCipher, TAG_MASK};
 use ame_prng::StdRng;
 
@@ -26,6 +28,13 @@ fn nonces(rng: &mut StdRng, n: usize) -> Vec<(u64, u64)> {
     (0..n)
         .map(|_| (rng.next_u64() & !63, rng.next_u64()))
         .collect()
+}
+
+/// The keystream of each nonce on `backend`: its XOR into zeros.
+fn keystreams(backend: Backend, aes: &Aes128, nonces: &[(u64, u64)]) -> Vec<[u8; 64]> {
+    let mut out = vec![[0u8; 64]; nonces.len()];
+    ctr::xor_keystream_with(backend, aes, nonces, &mut out);
+    out
 }
 
 /// The full-width tag by its definition, on the portable reference: the
@@ -107,21 +116,13 @@ fn keystreams_and_batches_agree() {
     let nonces = nonces(&mut rng, 37);
     let reference: Vec<_> = nonces
         .iter()
-        .map(|&(addr, c)| ctr::keystream_with(Backend::Portable, &aes, addr, c))
+        .map(|&nonce| keystreams(Backend::Portable, &aes, &[nonce])[0])
         .collect();
     for b in Backend::ALL {
-        for (i, &(addr, c)) in nonces.iter().enumerate() {
-            assert_eq!(
-                ctr::keystream_with(b, &aes, addr, c),
-                reference[i],
-                "{b} single"
-            );
+        for (i, &nonce) in nonces.iter().enumerate() {
+            assert_eq!(keystreams(b, &aes, &[nonce])[0], reference[i], "{b} single");
         }
-        assert_eq!(
-            ctr::keystream_batch_with(b, &aes, &nonces),
-            reference,
-            "{b} batch"
-        );
+        assert_eq!(keystreams(b, &aes, &nonces), reference, "{b} batch");
     }
 }
 
@@ -212,7 +213,7 @@ fn every_memory_cipher_tag_path_matches_the_reference_tag() {
                 let mut macs = cipher.node_macs();
                 for (i, (&(addr, counter), block)) in nonces.iter().zip(&blocks).enumerate() {
                     let full =
-                        reference_tag(&cipher.mac_key, cipher.hash_key, addr, counter, block);
+                        reference_tag(&cipher.mac_key, cipher.hash_powers[7], addr, counter, block);
                     let tag = full & TAG_MASK;
                     assert_eq!(
                         cipher.mac_block(addr, counter, block),
@@ -265,9 +266,7 @@ fn tail_and_misalignment_bit_identity_across_tier_pairs() {
         // count = batch length; 4 AES blocks per nonce) and the pad
         // producer (one AES block per nonce).
         let nonces = nonces(&mut rng, n);
-        let streams: Vec<_> = Backend::ALL
-            .map(|b| ctr::keystream_batch_with(b, &aes, &nonces))
-            .into();
+        let streams: Vec<_> = Backend::ALL.map(|b| keystreams(b, &aes, &nonces)).into();
         for pair in streams.windows(2) {
             assert_eq!(pair[0], pair[1], "keystream_batch n={n}");
         }
@@ -328,6 +327,115 @@ fn batched_mac_tags_bit_identical_across_tier_pairs() {
                     "{} n={n} msg={k}",
                     cipher.backend
                 );
+            }
+        }
+    }
+}
+
+/// Every wide register shape this host runs: both on an AVX-512 host, so
+/// the ymm kernels are checked there too.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn shapes() -> Vec<Shape> {
+    match Shape::host() {
+        Shape::Zmm => vec![Shape::Zmm, Shape::Ymm],
+        Shape::Ymm => vec![Shape::Ymm],
+    }
+}
+
+/// The `n` 64-byte blocks `offset` bytes into `buffer`.
+fn run_at(buffer: &mut [u8], offset: usize, n: usize) -> &mut [[u8; 64]] {
+    buffer[offset..offset + n * 64].as_chunks_mut::<64>().0
+}
+
+#[test]
+fn run_kernels_match_the_reference_at_every_length_tier_and_shape() {
+    // Every run length 0..=70 (both sides of the wide tier's MIN_RUN and
+    // of every kernel's group width) on every tier through the cipher's
+    // run kernels, and in every wide shape this host runs by direct call
+    // (so the ymm kernels are checked on AVX-512 hosts too), with the run
+    // starting 0, 1 or 3 bytes into its buffer so that no kernel can rely
+    // on alignment. The reference is the portable per-block seal and the
+    // tag's definition.
+    let mut rng = StdRng::seed_from_u64(0xBC_0A);
+    let seed = rng.next_u64();
+    let ciphers = Backend::ALL.map(|b| MemoryCipher::on(b, seed));
+    let portable = &ciphers[0];
+    for n in 0..=70usize {
+        let nonces = nonces(&mut rng, n);
+        let plain: Vec<[u8; 64]> = (0..n).map(|_| bytes(&mut rng)).collect();
+        let sealed: Vec<[u8; 64]> = plain
+            .iter()
+            .zip(&nonces)
+            .map(|(block, &(addr, counter))| portable.encrypt_block(addr, counter, block))
+            .collect();
+        let (keys, powers) = (portable.mac_key.round_keys(), &portable.hash_powers);
+        let full: Vec<u64> = sealed
+            .iter()
+            .zip(&nonces)
+            .map(|(block, &(addr, counter))| {
+                reference_tag(&portable.mac_key, powers[7], addr, counter, block)
+            })
+            .collect();
+        let tags: Vec<u64> = full.iter().map(|tag| tag & TAG_MASK).collect();
+        for offset in [0usize, 1, 3] {
+            // The run's bytes `offset` bytes into a buffer.
+            let mut buffer = vec![0xee; offset + n * 64 + 3];
+            let placed = |buffer: &mut Vec<u8>, blocks: &[[u8; 64]]| {
+                buffer[offset..offset + n * 64].copy_from_slice(blocks.as_flattened());
+            };
+            for c in &ciphers {
+                let b = c.backend;
+                placed(&mut buffer, &plain);
+                c.xor_keystream(&nonces, run_at(&mut buffer, offset, n));
+                assert_eq!(
+                    run_at(&mut buffer, offset, n),
+                    &sealed[..],
+                    "{b} n={n} offset={offset}"
+                );
+                let mut got = vec![0; n + 1];
+                c.tags_into(&nonces, run_at(&mut buffer, offset, n), &mut got[1..]);
+                assert_eq!(got[1..], tags[..], "{b} n={n} offset={offset}");
+                c.xor_keystream(&nonces, run_at(&mut buffer, offset, n));
+                assert_eq!(
+                    run_at(&mut buffer, offset, n),
+                    &plain[..],
+                    "{b} n={n} offset={offset}"
+                );
+            }
+            #[cfg(target_arch = "x86_64")]
+            if crate::backend::wide_available() {
+                for shape in shapes() {
+                    placed(&mut buffer, &plain);
+                    let data_keys = portable.data_key.round_keys();
+                    wide::xor_keystream(shape, data_keys, &nonces, run_at(&mut buffer, offset, n));
+                    assert_eq!(
+                        run_at(&mut buffer, offset, n),
+                        &sealed[..],
+                        "{shape:?} n={n}"
+                    );
+                    // Whole register groups: four messages in zmm, two in ymm.
+                    let mut got = vec![0; n];
+                    let blocks = run_at(&mut buffer, offset, n);
+                    let done = wide::tags(shape, keys, powers, &nonces, blocks, &mut got);
+                    assert_eq!(done, n - n % if shape == Shape::Zmm { 4 } else { 2 });
+                    assert_eq!(got[..done], full[..done], "{shape:?} n={n} offset={offset}");
+                    // The 16-byte kernel over the same misaligned bytes.
+                    let mut expected = run_at(&mut buffer, offset, n).as_flattened().to_vec();
+                    let chunks = expected.as_chunks_mut::<16>().0;
+                    portable
+                        .mac_key
+                        .encrypt_blocks_with(Backend::Portable, chunks);
+                    let chunks = run_at(&mut buffer, offset, n)
+                        .as_flattened_mut()
+                        .as_chunks_mut::<16>()
+                        .0;
+                    wide::encrypt_blocks(shape, keys, chunks);
+                    assert_eq!(
+                        run_at(&mut buffer, offset, n).as_flattened(),
+                        &expected[..],
+                        "{shape:?}"
+                    );
+                }
             }
         }
     }

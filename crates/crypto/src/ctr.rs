@@ -8,14 +8,14 @@
 //! AES input; a MAC pad is one more AES block of the same nonce in a
 //! separate domain.
 //!
-//! Two crate-private kernels make every keystream, on the tier the
-//! [`crate::MemoryCipher`] chose: `keystream_with` for one block and
-//! `keystream_batch_with` for a run. Both lay the four chunk nonces of
-//! a block directly in the output and encrypt them in place, so no
-//! scratch array or copy-out sits between the cipher and the caller; a
-//! run's `4×N` chunks flow through the pipelined AES kernels back to
-//! back. The public entry points are `MemoryCipher::{encrypt_block,
-//! decrypt_block, keystream_batch}`.
+//! One crate-private kernel makes every keystream, on the tier the
+//! [`crate::MemoryCipher`] chose: `xor_keystream_with` XORs the keystreams
+//! of a run of nonces into the caller's blocks where they lie. The
+//! hardware tiers build each block's four chunk nonces in registers and
+//! XOR the AES output straight into the block, so no nonce array, no
+//! keystream buffer and no second XOR pass sit between the cipher and
+//! the caller. The public entry points are `MemoryCipher::{encrypt_block,
+//! decrypt_block, xor_keystream, keystream_batch}`.
 //!
 //! # Example
 //!
@@ -36,15 +36,12 @@ use crate::aes::Aes128;
 use crate::backend::{self, Backend};
 use crate::BLOCK_BYTES;
 
-/// Number of 16-byte AES blocks of keystream per memory block.
-const CHUNKS: usize = BLOCK_BYTES / 16;
-
 /// Domain-separation tag placed in the AES input for data keystreams, so
 /// keystream inputs can never collide with MAC-mask inputs.
-const DOMAIN_KEYSTREAM: u8 = 0x4b; // 'K'
+pub(crate) const DOMAIN_KEYSTREAM: u8 = 0x4b; // 'K'
 
 /// Domain-separation tag for MAC masks (chunk index fixed at 0).
-const DOMAIN_MAC: u8 = 0x4d; // 'M'
+pub(crate) const DOMAIN_MAC: u8 = 0x4d; // 'M'
 
 /// Exclusive upper bound on a data block address: `nonce_block` keeps
 /// only the low 48 address bits, so blocks `A` and `A + ADDR_LIMIT`
@@ -53,68 +50,61 @@ const DOMAIN_MAC: u8 = 0x4d; // 'M'
 /// accepts a data address or a region size checks against it.
 pub const ADDR_LIMIT: u64 = 1 << 48;
 
+/// The high half of the AES input of `(addr, domain)`'s chunk 0, as a
+/// little-endian word: the low 48 address bits, chunk index 0 and the
+/// domain byte. Chunk `c` adds `c << 48`; the low half is the counter.
+/// The hardware kernels build their nonces in registers from it.
+#[inline]
+pub(crate) fn nonce_high(addr: u64, domain: u8) -> u64 {
+    addr & (ADDR_LIMIT - 1) | u64::from(domain) << 56
+}
+
 /// Builds the 16-byte AES input for one keystream chunk:
 /// `counter (8 bytes LE) || address (6 low bytes LE) || chunk || domain`.
 ///
 /// Addresses are block-aligned physical addresses below [`ADDR_LIMIT`].
 #[must_use]
 fn nonce_block(addr: u64, counter: u64, chunk: u8, domain: u8) -> [u8; 16] {
+    let high = nonce_high(addr, domain) | u64::from(chunk) << 48;
     let mut inp = [0u8; 16];
     inp[..8].copy_from_slice(&counter.to_le_bytes());
-    inp[8..14].copy_from_slice(&addr.to_le_bytes()[..6]);
-    inp[14] = chunk;
-    inp[15] = domain;
+    inp[8..].copy_from_slice(&high.to_le_bytes());
     inp
 }
 
-/// Lays the four keystream chunk inputs of `(addr, counter)` into
-/// `block`, where the AES kernels encrypt them in place.
-fn lay_nonces(block: &mut [u8; BLOCK_BYTES], addr: u64, counter: u64) {
-    for chunk in 0..CHUNKS {
-        block[chunk * 16..(chunk + 1) * 16].copy_from_slice(&nonce_block(
-            addr,
-            counter,
-            chunk as u8,
-            DOMAIN_KEYSTREAM,
-        ));
-    }
-}
-
-/// The 64-byte keystream of the block at `addr` with write counter
-/// `counter`, on `backend`.
-#[must_use]
-pub(crate) fn keystream_with(
-    backend: Backend,
-    aes: &Aes128,
-    addr: u64,
-    counter: u64,
-) -> [u8; BLOCK_BYTES] {
-    let mut out = [0u8; BLOCK_BYTES];
-    lay_nonces(&mut out, addr, counter);
-    aes.encrypt_blocks64_with(backend, core::slice::from_mut(&mut out));
-    backend::count_keystream(backend, 1, CHUNKS as u64);
-    out
-}
-
-/// The keystreams of many `(addr, counter)` nonces in one pipelined pass
-/// on `backend`: the key is scheduled once and all `4×N` AES blocks flow
-/// through the cipher back to back, encrypted where they lie in the
-/// output vector ([`Aes128::encrypt_blocks64_with`]). This is the fast
-/// path for bulk work — group re-encryption, shard batch drains.
-#[must_use]
-pub(crate) fn keystream_batch_with(
+/// XORs the keystream of `nonces[k]` into `blocks[k]`, in place, on
+/// `backend`: encrypts and decrypts (counter mode is an involution). A
+/// run of `wide::MIN_RUN` blocks or more takes the wide kernels
+/// on the wide tier; shorter runs and single blocks take the AES-NI one,
+/// so a scalar call never enters zmm code. The caller counts the work.
+///
+/// # Panics
+///
+/// Panics if `nonces` and `blocks` have different lengths.
+pub(crate) fn xor_keystream_with(
     backend: Backend,
     aes: &Aes128,
     nonces: &[(u64, u64)],
-) -> Vec<[u8; BLOCK_BYTES]> {
-    let mut out = vec![[0u8; BLOCK_BYTES]; nonces.len()];
-    for (block, &(addr, counter)) in out.iter_mut().zip(nonces) {
-        lay_nonces(block, addr, counter);
+    blocks: &mut [[u8; BLOCK_BYTES]],
+) {
+    assert_eq!(nonces.len(), blocks.len(), "one nonce per block");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if backend.is_wide() && nonces.len() >= crate::wide::MIN_RUN && backend::wide_available() {
+            let shape = crate::wide::Shape::host();
+            return crate::wide::xor_keystream(shape, aes.round_keys(), nonces, blocks);
+        }
+        if backend.is_accelerated() && backend::accel_available() {
+            return crate::accel::xor_keystream(aes.round_keys(), nonces, blocks);
+        }
     }
-    aes.encrypt_blocks64_with(backend, &mut out);
-    backend::count_keystream(backend, nonces.len() as u64, (nonces.len() * CHUNKS) as u64);
-    backend::count_batch(backend);
-    out
+    for (block, &(addr, counter)) in blocks.iter_mut().zip(nonces) {
+        for (chunk, bytes) in block.chunks_exact_mut(16).enumerate() {
+            let nonce = nonce_block(addr, counter, chunk as u8, DOMAIN_KEYSTREAM);
+            let pad = aes.encrypt_block_with(Backend::Portable, &nonce);
+            bytes.iter_mut().zip(pad).for_each(|(b, k)| *b ^= k);
+        }
+    }
 }
 
 /// The AES input whose encryption is the MAC pad of `(addr, counter)`
@@ -131,6 +121,18 @@ mod tests {
         Aes128::new(&[0x42; 16])
     }
 
+    /// The keystream of one block on `backend`: its XOR into zeros.
+    fn keystream_with(backend: Backend, aes: &Aes128, addr: u64, counter: u64) -> [u8; 64] {
+        let mut out = [0u8; BLOCK_BYTES];
+        xor_keystream_with(
+            backend,
+            aes,
+            &[(addr, counter)],
+            core::slice::from_mut(&mut out),
+        );
+        out
+    }
+
     fn keystream(aes: &Aes128, addr: u64, counter: u64) -> [u8; BLOCK_BYTES] {
         keystream_with(backend::active(), aes, addr, counter)
     }
@@ -143,8 +145,8 @@ mod tests {
     #[test]
     fn keystream_chunks_differ() {
         let ks = keystream(&aes(), 64, 9);
-        for i in 0..CHUNKS {
-            for j in (i + 1)..CHUNKS {
+        for i in 0..4 {
+            for j in (i + 1)..4 {
                 assert_ne!(ks[i * 16..(i + 1) * 16], ks[j * 16..(j + 1) * 16]);
             }
         }
@@ -161,12 +163,15 @@ mod tests {
     fn batch_matches_per_block_calls() {
         let aes = aes();
         let nonces: Vec<(u64, u64)> = (0..13).map(|i| (i * 64, i ^ 5)).collect();
-        let batch = keystream_batch_with(backend::active(), &aes, &nonces);
-        assert_eq!(batch.len(), nonces.len());
+        let blocks: Vec<[u8; 64]> = (0..13).map(|i| [i as u8; 64]).collect();
+        let mut batch = blocks.clone();
+        xor_keystream_with(backend::active(), &aes, &nonces, &mut batch);
         for (i, &(addr, ctr)) in nonces.iter().enumerate() {
-            assert_eq!(batch[i], keystream(&aes, addr, ctr), "nonce {i}");
+            let mut expected = keystream(&aes, addr, ctr);
+            expected.iter_mut().for_each(|k| *k ^= i as u8);
+            assert_eq!(batch[i], expected, "nonce {i}");
         }
-        assert!(keystream_batch_with(backend::active(), &aes, &[]).is_empty());
+        xor_keystream_with(backend::active(), &aes, &[], &mut []);
     }
 
     #[test]

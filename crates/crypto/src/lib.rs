@@ -69,7 +69,8 @@ pub const TAG_MASK: u64 = (1u64 << TAG_BITS) - 1;
 
 /// The complete per-boot cryptographic state of the memory encryption
 /// engine: an AES-128 data key, an AES-128 MAC-masking key and a GF(2^64)
-/// hash key, and the crypto tier every operation runs on.
+/// hash key `H` (held as its powers), and the crypto tier every operation
+/// runs on.
 ///
 /// All keys are derived deterministically from a seed so simulations are
 /// reproducible; a real engine would draw them from a hardware RNG at boot.
@@ -80,10 +81,9 @@ pub struct MemoryCipher {
     backend: Backend,
     data_key: Aes128,
     mac_key: Aes128,
-    hash_key: u64,
     /// The hash key's word multipliers `[H⁸, …, H]`, derived once so
-    /// every single-message tag is eight independent products and one
-    /// reduction.
+    /// every tag, single or in a run, is eight independent products and
+    /// one reduction.
     hash_powers: [u64; 8],
     /// Per-hash-key flip-and-check contribution table, computed once at
     /// key derivation and shared by every [`mac::MacProbe`] this cipher
@@ -118,7 +118,6 @@ impl MemoryCipher {
             backend,
             data_key,
             mac_key,
-            hash_key,
             hash_powers: mac::hash_powers(hash_key),
             probe_table: mac::probe_contributions(backend, hash_key),
         }
@@ -133,10 +132,10 @@ impl MemoryCipher {
         counter: u64,
         plain: &[u8; BLOCK_BYTES],
     ) -> [u8; BLOCK_BYTES] {
-        let mut out = ctr::keystream_with(self.backend, &self.data_key, addr, counter);
-        for (o, p) in out.iter_mut().zip(plain) {
-            *o ^= p;
-        }
+        let mut out = *plain;
+        let run = core::slice::from_mut(&mut out);
+        ctr::xor_keystream_with(self.backend, &self.data_key, &[(addr, counter)], run);
+        backend::count_keystream(self.backend, 1, 4);
         out
     }
 
@@ -151,10 +150,27 @@ impl MemoryCipher {
         self.encrypt_block(addr, counter, ct)
     }
 
-    /// Generates the keystreams for many `(addr, counter)` nonces in one
-    /// pipelined pass — the bulk-path primitive for group re-encryption
-    /// and batched shard drains. XOR-ing a block with its keystream
-    /// encrypts *and* decrypts (counter mode is an involution).
+    /// XORs the keystream of each `(addr, counter)` nonce into the
+    /// matching block, in place: encrypts a run of plaintexts, or
+    /// decrypts a run of ciphertexts (counter mode is an involution),
+    /// in the caller's buffer. This is the run kernel behind batched
+    /// seals and opens: each block's AES inputs are built in registers
+    /// and its keystream is XORed in as it leaves the cipher, so there is
+    /// no keystream buffer and no second pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nonces` and `blocks` have different lengths.
+    pub fn xor_keystream(&self, nonces: &[(u64, u64)], blocks: &mut [[u8; BLOCK_BYTES]]) {
+        ctr::xor_keystream_with(self.backend, &self.data_key, nonces, blocks);
+        let n = nonces.len() as u64;
+        backend::count_keystream(self.backend, n, 4 * n);
+        backend::count_batch(self.backend);
+    }
+
+    /// The keystreams of many `(addr, counter)` nonces, as a vector:
+    /// [`MemoryCipher::xor_keystream`] into zeros. XOR-ing a block with
+    /// its keystream encrypts *and* decrypts.
     ///
     /// # Example
     ///
@@ -164,15 +180,16 @@ impl MemoryCipher {
     /// let cipher = MemoryCipher::from_seed(7);
     /// let nonces = [(0x0, 1), (0x40, 2)];
     /// let ks = cipher.keystream_batch(&nonces);
-    /// let mut block = [0x5au8; 64];
-    /// for (b, k) in block.iter_mut().zip(ks[1].iter()) {
-    ///     *b ^= k;
-    /// }
-    /// assert_eq!(block, cipher.encrypt_block(0x40, 2, &[0x5au8; 64]));
+    /// let mut run = [[0x5au8; 64]; 2];
+    /// cipher.xor_keystream(&nonces, &mut run);
+    /// assert_eq!(run[1], cipher.encrypt_block(0x40, 2, &[0x5au8; 64]));
+    /// assert_eq!(run[1].map(|b| b ^ 0x5a), ks[1]);
     /// ```
     #[must_use]
     pub fn keystream_batch(&self, nonces: &[(u64, u64)]) -> Vec<[u8; BLOCK_BYTES]> {
-        ctr::keystream_batch_with(self.backend, &self.data_key, nonces)
+        let mut out = vec![[0u8; BLOCK_BYTES]; nonces.len()];
+        self.xor_keystream(nonces, &mut out);
+        out
     }
 
     /// Computes the 56-bit Carter-Wegman MAC tag over a ciphertext block,
@@ -184,13 +201,27 @@ impl MemoryCipher {
         self.mac_node(addr, counter, ct) & TAG_MASK
     }
 
-    /// Computes the 56-bit Carter-Wegman tags of many independent
-    /// ciphertext blocks in one multi-message pass — bit-identical to
-    /// calling [`MemoryCipher::mac_block`] per block, but the polynomial
-    /// hashes run as interleaved Horner chains and the AES pads, XORed
-    /// straight onto them, as pipelined passes. This is the bulk-path tag
-    /// primitive that pairs with [`MemoryCipher::keystream_batch`] on
-    /// fused reads and writes.
+    /// Writes the 56-bit Carter-Wegman tag of each ciphertext block under
+    /// its nonce into `tags` — bit-identical to [`MemoryCipher::mac_block`]
+    /// per block. This is the run kernel behind batched seals and
+    /// verifies: each message is hashed in powers form against the
+    /// cipher's `[H⁸ … H]` (eight independent carry-less products and one
+    /// reduction, no serial chain), and its AES pad XORed on.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `nonces`, `blocks` and `tags` have one length.
+    pub fn tags_into(&self, nonces: &[(u64, u64)], blocks: &[[u8; BLOCK_BYTES]], tags: &mut [u64]) {
+        let (backend, powers) = (self.backend, &self.hash_powers);
+        mac::tags_with(backend, &self.mac_key, powers, nonces, blocks, tags);
+        for tag in tags.iter_mut() {
+            *tag &= TAG_MASK;
+        }
+        backend::count_mac_batch(backend, nonces.len() as u64);
+    }
+
+    /// The 56-bit tags of many ciphertext blocks, as a vector:
+    /// [`MemoryCipher::tags_into`] into a fresh one.
     ///
     /// # Panics
     ///
@@ -206,21 +237,14 @@ impl MemoryCipher {
     /// let blocks = [[0x5au8; 64], [0xa5u8; 64]];
     /// let tags = cipher.mac_batch(&nonces, &blocks);
     /// assert_eq!(tags[0], cipher.mac_block(0x0, 1, &blocks[0]));
-    /// assert_eq!(tags[1], cipher.mac_block(0x40, 2, &blocks[1]));
+    /// let mut into = [0; 2];
+    /// cipher.tags_into(&nonces, &blocks, &mut into);
+    /// assert_eq!(into[..], tags[..]);
     /// ```
     #[must_use]
     pub fn mac_batch(&self, nonces: &[(u64, u64)], blocks: &[[u8; BLOCK_BYTES]]) -> Vec<u64> {
-        assert_eq!(
-            nonces.len(),
-            blocks.len(),
-            "mac_batch: one nonce per message"
-        );
-        let mut tags = mac::poly_hash_batch_with(self.backend, self.hash_key, blocks);
-        mac::pads_with(self.backend, &self.mac_key, nonces, &mut tags);
-        backend::count_mac_batch(self.backend, nonces.len() as u64);
-        for tag in &mut tags {
-            *tag &= TAG_MASK;
-        }
+        let mut tags = vec![0; nonces.len()];
+        self.tags_into(nonces, blocks, &mut tags);
         tags
     }
 
@@ -378,7 +402,7 @@ mod tests {
             let pad = c
                 .mac_key
                 .encrypt_block_with(Backend::Portable, &ctr::mac_nonce_block(addr, ctr));
-            let reference = mac::poly_hash_with(Backend::Portable, c.hash_key, node)
+            let reference = mac::poly_hash_with(Backend::Portable, c.hash_powers[7], node)
                 ^ u64::from_le_bytes(pad[..8].try_into().unwrap());
             assert_eq!(c.mac_node(addr, ctr, node), reference, "node {i}");
             assert_eq!(macs.mac(pads[i], node), reference, "padded {i}");

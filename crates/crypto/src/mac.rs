@@ -16,11 +16,12 @@
 //! GF(2^64) is realized modulo the primitive polynomial
 //! `x^64 + x^4 + x^3 + x + 1`.
 //!
-//! Tags are made only by [`crate::MemoryCipher`], from three crate-private
+//! Tags are made only by [`crate::MemoryCipher`], from crate-private
 //! kernels run on the tier it chose at key derivation: `pads_with`
-//! produces every mask (one nonce or many, no heap allocation), a single
-//! message is hashed by `poly_hash_powers_with` and a run of messages
-//! by `poly_hash_batch_with`; a tag is the hash XOR its mask. The one
+//! produces every mask (one nonce or many, no heap allocation),
+//! `poly_hash_powers_with` hashes one message from the key's word
+//! multipliers `[H⁸ … H]`, and `tags_with` tags a run in the caller's
+//! buffer; a tag is the hash XOR its mask. The one
 //! public item here is [`MacProbe`], the flip-and-check state
 //! [`crate::MemoryCipher::mac_probe`] returns.
 //!
@@ -151,32 +152,41 @@ pub(crate) fn poly_hash_powers_with(
     poly_hash_with(backend, powers[7], block)
 }
 
-/// The hashes of a run of independent 64-byte messages under one hash
-/// key — bit-identical to [`poly_hash_with`] per message.
+/// Writes the full-width tag of each message of a run into `tags`:
+/// its hash under the word multipliers `powers` XOR the pad of its
+/// nonce, bit-identical to one [`poly_hash_powers_with`] and one
+/// [`pads_with`] per message. A run of `wide::MIN_RUN` or more on the
+/// wide tier hashes and pads its whole register groups in the same wide
+/// registers; the last few messages of such a run, shorter runs and the
+/// other tiers hash each message in powers form and XOR the pads in from
+/// [`pads_with`].
 ///
-/// On the wide tier this runs the multi-message VPCLMULQDQ kernel
-/// (several Horner chains in flight per register group, `H⁴` lane
-/// constants squared once per batch); on the accelerated tier,
-/// `accel::MAC_LANES` interleaved PCLMULQDQ chains; on
-/// portable, a plain loop.
-#[must_use]
-pub(crate) fn poly_hash_batch_with(
+/// # Panics
+///
+/// Panics unless `nonces`, `blocks` and `tags` have one length.
+pub(crate) fn tags_with(
     backend: Backend,
-    h: u64,
+    mac_key: &Aes128,
+    powers: &[u64; 8],
+    nonces: &[(u64, u64)],
     blocks: &[[u8; BLOCK_BYTES]],
-) -> Vec<u64> {
+    tags: &mut [u64],
+) {
+    assert!(
+        nonces.len() == blocks.len() && nonces.len() == tags.len(),
+        "one nonce and one tag per message"
+    );
+    let mut done = 0;
     #[cfg(target_arch = "x86_64")]
-    if backend.is_wide() && backend::wide_available() {
-        return crate::wide::poly_hash_batch(h, blocks);
+    if backend.is_wide() && nonces.len() >= crate::wide::MIN_RUN && backend::wide_available() {
+        let (shape, keys) = (crate::wide::Shape::host(), mac_key.round_keys());
+        done = crate::wide::tags(shape, keys, powers, nonces, blocks, tags);
     }
-    #[cfg(target_arch = "x86_64")]
-    if backend.is_accelerated() && backend::accel_available() {
-        return crate::accel::poly_hash_batch(h, blocks);
+    let (nonces, tags) = (&nonces[done..], &mut tags[done..]);
+    for (tag, block) in tags.iter_mut().zip(&blocks[done..]) {
+        *tag = poly_hash_powers_with(backend, powers, block);
     }
-    blocks
-        .iter()
-        .map(|block| poly_hash_with(backend, h, block))
-        .collect()
+    pads_with(backend, mac_key, nonces, tags);
 }
 
 /// XORs the tag mask of each `(addr, counter)` nonce in `nonces` into
@@ -491,7 +501,7 @@ mod tests {
         let a = c.mac_probe(0x80, 3, &block);
         let b = c.mac_probe(0xc0, 4, &block);
         assert!(Arc::ptr_eq(&a.contributions, &b.contributions));
-        let fresh = probe_contributions(Backend::Portable, c.hash_key);
+        let fresh = probe_contributions(Backend::Portable, c.hash_powers[7]);
         assert_eq!(a.contributions[..], fresh[..]);
     }
 

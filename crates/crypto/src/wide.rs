@@ -1,5 +1,5 @@
-//! VAES + VPCLMULQDQ implementations of the batched hot primitives —
-//! the `Backend::Wide` tier.
+//! VAES + VPCLMULQDQ implementations of the run kernels — the
+//! `Backend::Wide` tier.
 //!
 //! **This module is one of the crate's two `unsafe` surfaces** (the
 //! other is [`crate::accel`]). Every function here is a safe wrapper
@@ -10,171 +10,144 @@
 //! [`Backend::Wide`](crate::backend::Backend::Wide) unless
 //! `is_x86_feature_detected!` confirmed `vaes`, `vpclmulqdq` and `avx2`
 //! (plus the `aes`/`pclmulqdq` baseline the tail paths delegate to).
-//! Each wrapper additionally `debug_assert!`s that capability.
+//! Each wrapper additionally `debug_assert!`s that capability, and
+//! asserts `avx512f` before it runs the zmm [`Shape`].
 //!
-//! Two register shapes, chosen per process by CPU probe:
+//! Two register shapes, chosen per process by CPU probe ([`Shape::host`]):
+//! zmm (AVX-512F), where one register holds four AES blocks — one 64-byte
+//! memory block, or four messages' MAC pads — and ymm (AVX2), two. Three
+//! kernels, each over a caller's buffers:
 //!
-//! * **vaes512** (AVX-512F): round keys broadcast into zmm registers
-//!   with `_mm512_broadcast_i32x4`; each `_mm512_aesenc_epi128`
-//!   advances **four** AES blocks one round. Four zmm accumulators stay
-//!   in flight, so one inner-loop iteration carries 16 blocks.
-//! * **vaes256** (AVX2 fallback): the same structure over ymm registers
-//!   (`_mm256_aesenc_epi128`, two blocks per instruction), eight
-//!   accumulators in flight — still 16 blocks per iteration, matching
-//!   the `aesenc` latency/throughput ratio.
+//! * [`encrypt_blocks`]: 16-byte blocks in place, sixteen per iteration
+//!   (the MAC pads of a tree walk); the tail runs on [`crate::accel`].
+//! * [`xor_keystream`]: each block's four chunk nonces built in one
+//!   register from its `(addr, counter)` — a broadcast and an OR — and
+//!   the AES output XORed into the block as it leaves the last round.
+//! * [`tags`]: Carter-Wegman tags in powers form. A message's hash is
+//!   `Σ m_w · H^(8-w)`, so one load of it against one of `[H⁸ … H]` and
+//!   two carry-less multiplies (selectors `0x00`, `0x11`) give its eight
+//!   products in four 128-bit lanes. Two shuffle-and-XOR steps fold four
+//!   messages' lanes into one register, one reduction serves all four,
+//!   and their pads, encrypted in one register beside them, are XORed on:
+//!   no serial chain and no scalar gather.
 //!
-//! Batch tails (fewer than 16 blocks remaining) and all single-block
-//! work go through [`crate::accel`] — `wide_available()` implies
-//! `accel_available()`, making the wide tier a strict superset.
-//!
-//! The Carter-Wegman polynomial hash is GF(2^64) Horner evaluation,
-//! which is serial in the message words. [`poly_hash_batch`] splits a
-//! message's eight-word chain into two four-word chains run in the two
-//! 128-bit lanes of one lane pair (`_mm256_clmulepi64_epi128` multiplies
-//! both lanes per instruction) and recombines as `A·H⁴ ^ B` — halving
-//! the serial carry-less-multiply depth per block. The recombination
-//! itself stays in the vector domain: one selector-`0x00` multiply
-//! against the `[H⁴, 1]` lane constants produces `A·H⁴` and `B` side by
-//! side, their 128-bit products are XORed while still unreduced, and a
-//! single deferred reduction finishes the tag — no scalar GF multiply
-//! on the path.
-//!
-//! It runs N independent messages at once: each
-//! accumulator register carries whole messages per 128-bit lane pair
-//! (four in-flight messages in the ymm shape, eight in the zmm shape),
-//! so the three-deep CLMUL dependency of one message's Horner step
-//! executes under the latency of its neighbours'. The `H⁴` lane
-//! constants are squared once per batch and shared by every
-//! recombination. A message without neighbours has nothing to hide that
-//! latency under and pays the recombination besides, so single messages
-//! — and the last `len % 4` of a batch — run on the AES-NI tier's chain.
+//! Runs shorter than [`MIN_RUN`] and every single block stay on the
+//! AES-NI tier: a zmm prologue costs a short run more than it saves, and
+//! slows the scalar code after it.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m128i, __m256i, __m512i, _mm256_aesenc_epi128, _mm256_aesenclast_epi128,
-    _mm256_broadcastsi128_si256, _mm256_clmulepi64_epi128, _mm256_extracti128_si256,
-    _mm256_loadu_si256, _mm256_set_epi64x, _mm256_setzero_si256, _mm256_storeu_si256,
-    _mm256_xor_si256, _mm512_aesenc_epi128, _mm512_aesenclast_epi128, _mm512_broadcast_i32x4,
-    _mm512_clmulepi64_epi128, _mm512_extracti32x4_epi32, _mm512_loadu_si512, _mm512_set_epi64,
-    _mm512_setzero_si512, _mm512_storeu_si512, _mm512_xor_si512, _mm_loadu_si128, _mm_set_epi64x,
-    _mm_xor_si128,
+    __m256i, __m512i, _mm256_aesenc_epi128, _mm256_aesenclast_epi128, _mm256_broadcastsi128_si256,
+    _mm256_castsi256_si128, _mm256_clmulepi64_epi128, _mm256_loadu_si256, _mm256_or_si256,
+    _mm256_permute2x128_si256, _mm256_permute4x64_epi64, _mm256_set1_epi64x, _mm256_set_epi64x,
+    _mm256_setzero_si256, _mm256_storeu_si256, _mm256_xor_si256, _mm512_aesenc_epi128,
+    _mm512_aesenclast_epi128, _mm512_broadcast_i32x4, _mm512_castsi512_si256,
+    _mm512_clmulepi64_epi128, _mm512_loadu_si512, _mm512_or_si512, _mm512_permutexvar_epi64,
+    _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512, _mm512_shuffle_i64x2,
+    _mm512_storeu_si512, _mm512_xor_si512, _mm_loadu_si128, _mm_set_epi64x, _mm_storeu_si128,
 };
 
-/// Blocks advanced by one wide inner-loop iteration (both shapes).
+use crate::ctr::{nonce_high, DOMAIN_KEYSTREAM, DOMAIN_MAC};
+use crate::BLOCK_BYTES;
+
+/// Blocks advanced by one [`encrypt_blocks`] inner-loop iteration (both
+/// shapes).
 pub const GROUP_BLOCKS: usize = 16;
 
-/// Messages advanced per batched-MAC inner-loop iteration in the ymm
-/// shape: four independent two-lane Horner chains in flight.
-pub const MAC_GROUP_256: usize = 4;
-
-/// Messages advanced per batched-MAC inner-loop iteration in the zmm
-/// shape: four zmm accumulators × two messages each.
-pub const MAC_GROUP_512: usize = 8;
+/// The shortest run the run kernels take on this tier; shorter runs of
+/// keystreams or tags go to the AES-NI kernels.
+pub const MIN_RUN: usize = 8;
 
 /// Low 64 bits of the GF(2^64) reduction polynomial
 /// `x^64 + x^4 + x^3 + x + 1` (kept in sync with [`crate::mac`]).
 const POLY: u64 = 0x1b;
 
-#[inline]
-fn assert_capable() {
-    debug_assert!(
-        crate::backend::wide_available(),
-        "wide entered without vaes+vpclmulqdq+avx2 (backend dispatch bug)"
-    );
+/// The register shape a wide kernel runs in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// 512-bit registers (needs AVX-512F).
+    Zmm,
+    /// 256-bit registers (the AVX2 baseline of the tier).
+    Ymm,
 }
 
-/// `true` when the 512-bit shape is usable (AVX-512F on top of the
-/// wide baseline). Probed per call site; the detection macro caches.
-#[inline]
-fn shape_512() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
+impl Shape {
+    /// The widest shape this host runs. The detection macro caches.
+    pub(crate) fn host() -> Self {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            Shape::Zmm
+        } else {
+            Shape::Ymm
+        }
+    }
+
+    /// Checks the tier's capability, and AVX-512F for zmm: what makes
+    /// every `unsafe` call below sound.
+    fn check(self) {
+        debug_assert!(
+            crate::backend::wide_available(),
+            "wide entered without vaes+vpclmulqdq+avx2 (backend dispatch bug)"
+        );
+        assert!(
+            self == Shape::Ymm || Self::host() == Shape::Zmm,
+            "zmm kernel entered without avx512f"
+        );
+    }
 }
 
-/// Encrypts every 16-byte block in `blocks` in place, four blocks per
-/// AES instruction, sixteen blocks per inner-loop iteration. The tail
-/// (fewer than [`GROUP_BLOCKS`] blocks) runs on the AES-NI path.
-pub(crate) fn encrypt_blocks(round_keys: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
-    assert_capable();
+/// Encrypts every 16-byte block in `blocks` in place in `shape`, sixteen
+/// blocks per inner-loop iteration. The tail (fewer than
+/// [`GROUP_BLOCKS`] blocks) runs on the AES-NI path.
+pub(crate) fn encrypt_blocks(shape: Shape, round_keys: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
+    shape.check();
     let tail_start = blocks.len() - blocks.len() % GROUP_BLOCKS;
     let (groups, tail) = blocks.split_at_mut(tail_start);
-    if !groups.is_empty() {
-        if shape_512() {
-            // SAFETY: reached only via `Backend::Wide` dispatch (or the
-            // backend self-test), both gated on `wide_available()`, and
-            // `shape_512` just confirmed `avx512f`.
-            unsafe { encrypt_groups_512(round_keys, groups) }
-        } else {
-            // SAFETY: as above — `wide_available()` guarantees
-            // `vaes`+`avx2`.
-            unsafe { encrypt_groups_256(round_keys, groups) }
-        }
+    // SAFETY: `check` confirmed the tier's features, and `avx512f` for
+    // zmm.
+    match shape {
+        Shape::Zmm => unsafe { encrypt_groups_512(round_keys, groups) },
+        Shape::Ymm => unsafe { encrypt_groups_256(round_keys, groups) },
     }
     if !tail.is_empty() {
         crate::accel::encrypt_blocks(round_keys, tail);
     }
 }
 
-/// [`encrypt_blocks`] over 64-byte memory blocks in place — the wide
-/// tier's zero-copy batched-keystream entry point. Each 64-byte block
-/// is four 16-byte AES chunks laid out contiguously, so a batch of `n`
-/// memory blocks is one `4n`-chunk run for the VAES kernel: no scratch
-/// buffer, no copy-out.
-pub(crate) fn encrypt_blocks64(
+/// XORs the keystream of `nonces[k]` into `blocks[k]` in place, in
+/// `shape`. The caller checked the lengths match.
+pub(crate) fn xor_keystream(
+    shape: Shape,
     round_keys: &[[u8; 16]; 11],
-    blocks: &mut [[u8; crate::BLOCK_BYTES]],
+    nonces: &[(u64, u64)],
+    blocks: &mut [[u8; BLOCK_BYTES]],
 ) {
-    // SAFETY: `[u8; 64]` is exactly four contiguous `[u8; 16]` chunks —
-    // same alignment (1), no padding, identical bit layout — so the
-    // reinterpreted slice covers precisely the same memory with a valid
-    // element type.
-    let chunks = unsafe {
-        core::slice::from_raw_parts_mut(
-            blocks.as_mut_ptr().cast::<[u8; 16]>(),
-            blocks.len() * (crate::BLOCK_BYTES / 16),
-        )
-    };
-    encrypt_blocks(round_keys, chunks);
+    shape.check();
+    // SAFETY: as for `encrypt_blocks`.
+    match shape {
+        Shape::Zmm => unsafe { xor_keystream_512(round_keys, nonces, blocks) },
+        Shape::Ymm => unsafe { xor_keystream_256(round_keys, nonces, blocks) },
+    }
 }
 
-/// Polynomial hashes of many independent 64-byte messages under one
-/// hash key — bit-identical to evaluating
-/// [`crate::mac::poly_hash_with`] per message on the portable backend.
-///
-/// The `H²`/`H⁴` squarings run once per call and the lane constants are
-/// shared by every message's recombination, so their cost vanishes as
-/// the batch grows; the Horner chains themselves run [`MAC_GROUP_512`]
-/// (zmm, where available) and then [`MAC_GROUP_256`] (ymm) messages at a
-/// time, and the last `len % 4` messages run on the AES-NI tier.
-#[must_use]
-pub(crate) fn poly_hash_batch(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> Vec<u64> {
-    assert_capable();
-    let mut out = Vec::with_capacity(blocks.len());
-    // Precompute the H⁴ lane constant by two squarings, amortized over
-    // the whole batch.
-    let h2 = crate::accel::gf64_mul(h, h);
-    let h4 = crate::accel::gf64_mul(h2, h2);
-    // Widest kernel first, then the ymm kernel over what is left (a run
-    // shorter than a zmm group — a tree path's seven nodes — still gets
-    // four chains in flight), then the AES-NI tier. A kernel is entered
-    // only when it has a group to run: its prologue alone executes wide
-    // vector instructions, and a zmm one taxes the scalar code after it.
-    let mut rest = blocks;
-    if shape_512() && rest.len() >= MAC_GROUP_512 {
-        let (groups, tail) = rest.split_at(rest.len() - rest.len() % MAC_GROUP_512);
-        // SAFETY: reached only via `Backend::Wide` dispatch (or the
-        // backend self-test), both gated on `wide_available()`, and
-        // `shape_512` just confirmed `avx512f`.
-        unsafe { poly_hash_groups_512(h, h4, groups, &mut out) }
-        rest = tail;
+/// Writes the full-width tag of each message of the run's whole groups
+/// (four in zmm, two in ymm) — its hash under the word multipliers
+/// `powers` ([`crate::mac::hash_powers`]) XOR its pad under `round_keys`
+/// — into `tags`, in `shape`, and returns how many it wrote: the last
+/// few messages are the caller's. The caller checked the lengths match.
+pub(crate) fn tags(
+    shape: Shape,
+    round_keys: &[[u8; 16]; 11],
+    powers: &[u64; 8],
+    nonces: &[(u64, u64)],
+    blocks: &[[u8; BLOCK_BYTES]],
+    tags: &mut [u64],
+) -> usize {
+    shape.check();
+    // SAFETY: as for `encrypt_blocks`.
+    match shape {
+        Shape::Zmm => unsafe { tags_512(round_keys, powers, nonces, blocks, tags) },
+        Shape::Ymm => unsafe { tags_256(round_keys, powers, nonces, blocks, tags) },
     }
-    let (groups, tail) = rest.split_at(rest.len() - rest.len() % MAC_GROUP_256);
-    if !groups.is_empty() {
-        // SAFETY: as above — `wide_available()` guarantees
-        // `vpclmulqdq`+`avx2` plus the `pclmulqdq` baseline.
-        unsafe { poly_hash_groups_256(h, h4, groups, &mut out) }
-    }
-    out.extend(crate::accel::poly_hash_batch(h, tail));
-    out
 }
 
 // ---- inner implementations ----
@@ -182,213 +155,259 @@ pub(crate) fn poly_hash_batch(h: u64, blocks: &[[u8; crate::BLOCK_BYTES]]) -> Ve
 // `#[target_feature]` makes these callable only when the named features
 // are known present; the safe wrappers above carry the proof.
 
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn round_keys_512(round_keys: &[[u8; 16]; 11]) -> [__m512i; 11] {
+    // Each round key broadcast to all four 128-bit lanes, once per call.
+    let mut rk = [_mm512_setzero_si512(); 11];
+    for (k, key) in rk.iter_mut().zip(round_keys) {
+        *k = _mm512_broadcast_i32x4(_mm_loadu_si128(key.as_ptr().cast()));
+    }
+    rk
+}
+
+/// Runs `N` independent zmm registers through every round, interleaved
+/// so the VAES units stay busy instead of stalling on `aesenc` latency.
+#[inline]
+#[target_feature(enable = "avx512f", enable = "vaes")]
+unsafe fn encrypt_512<const N: usize>(rk: &[__m512i; 11], s: &mut [__m512i; N]) {
+    for lane in s.iter_mut() {
+        *lane = _mm512_xor_si512(*lane, rk[0]);
+    }
+    for key in &rk[1..10] {
+        for lane in s.iter_mut() {
+            *lane = _mm512_aesenc_epi128(*lane, *key);
+        }
+    }
+    for lane in s.iter_mut() {
+        *lane = _mm512_aesenclast_epi128(*lane, rk[10]);
+    }
+}
+
 #[target_feature(enable = "avx512f", enable = "vaes")]
 unsafe fn encrypt_groups_512(round_keys: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
-    debug_assert_eq!(blocks.len() % GROUP_BLOCKS, 0);
-    // Each round key broadcast to all four 128-bit lanes, once per batch.
-    let rk = core::array::from_fn::<_, 11, _>(|i| {
-        _mm512_broadcast_i32x4(_mm_loadu_si128(round_keys[i].as_ptr().cast()))
-    });
+    let rk = round_keys_512(round_keys);
     for group in blocks.chunks_exact_mut(GROUP_BLOCKS) {
-        // Four zmm accumulators = 16 independent AES streams: interleave
-        // every round so the VAES units stay saturated instead of
-        // stalling on `aesenc` latency.
         let base = group.as_mut_ptr().cast::<u8>();
-        let mut s =
-            core::array::from_fn::<_, 4, _>(|i| _mm512_loadu_si512(base.add(i * 64).cast()));
-        for lane in &mut s {
-            *lane = _mm512_xor_si512(*lane, rk[0]);
+        let mut s = [_mm512_setzero_si512(); 4];
+        for (i, lane) in s.iter_mut().enumerate() {
+            *lane = _mm512_loadu_si512(base.add(i * 64).cast());
         }
-        for key in &rk[1..10] {
-            for lane in &mut s {
-                *lane = _mm512_aesenc_epi128(*lane, *key);
-            }
+        encrypt_512(&rk, &mut s);
+        for (i, lane) in s.into_iter().enumerate() {
+            _mm512_storeu_si512(base.add(i * 64).cast(), lane);
         }
-        for (i, lane) in s.iter().enumerate() {
-            let last = _mm512_aesenclast_epi128(*lane, rk[10]);
-            _mm512_storeu_si512(base.add(i * 64).cast(), last);
+    }
+}
+
+#[target_feature(enable = "avx512f", enable = "vaes")]
+unsafe fn xor_keystream_512(
+    round_keys: &[[u8; 16]; 11],
+    nonces: &[(u64, u64)],
+    blocks: &mut [[u8; BLOCK_BYTES]],
+) {
+    let rk = round_keys_512(round_keys);
+    // Chunk `c` of a block sits in lane `c`: its nonce carries `c << 48`.
+    let chunks = _mm512_set_epi64(3 << 48, 0, 2 << 48, 0, 1 << 48, 0, 0, 0);
+    // Four blocks (sixteen AES streams) per iteration; the last
+    // iteration's missing blocks run on zeros and are not stored.
+    for (quad, nonces) in blocks.chunks_mut(4).zip(nonces.chunks(4)) {
+        let mut s = [_mm512_setzero_si512(); 4];
+        for (lane, &(addr, counter)) in s.iter_mut().zip(nonces) {
+            let nonce = _mm_set_epi64x(nonce_high(addr, DOMAIN_KEYSTREAM) as i64, counter as i64);
+            *lane = _mm512_or_si512(_mm512_broadcast_i32x4(nonce), chunks);
         }
+        encrypt_512(&rk, &mut s);
+        for (block, ks) in quad.iter_mut().zip(s) {
+            let at = block.as_mut_ptr().cast();
+            _mm512_storeu_si512(at, _mm512_xor_si512(_mm512_loadu_si512(at), ks));
+        }
+    }
+}
+
+/// Tags of whole groups of four messages, one zmm lane per message
+/// after the fold.
+#[target_feature(enable = "avx512f", enable = "vaes", enable = "vpclmulqdq")]
+unsafe fn tags_512(
+    round_keys: &[[u8; 16]; 11],
+    powers: &[u64; 8],
+    nonces: &[(u64, u64)],
+    blocks: &[[u8; BLOCK_BYTES]],
+    tags: &mut [u64],
+) -> usize {
+    let rk = round_keys_512(round_keys);
+    let p = _mm512_loadu_si512(powers.as_ptr().cast());
+    let poly = _mm512_set1_epi64(POLY as i64);
+    // Lane `j`'s low word to word `j`: the four tags side by side.
+    let low_words = _mm512_set_epi64(0, 0, 0, 0, 6, 4, 2, 0);
+    let groups = nonces.chunks_exact(4).zip(blocks.chunks_exact(4));
+    for ((nonces, blocks), tags) in groups.zip(tags.chunks_exact_mut(4)) {
+        // Words 2k and 2k+1 of a message sit in lane k, as do their
+        // multipliers: two products give all eight, unreduced.
+        let mut x = [_mm512_setzero_si512(); 4];
+        for (x, block) in x.iter_mut().zip(blocks) {
+            let m = _mm512_loadu_si512(block.as_ptr().cast());
+            *x = _mm512_xor_si512(
+                _mm512_clmulepi64_epi128::<0x00>(m, p),
+                _mm512_clmulepi64_epi128::<0x11>(m, p),
+            );
+        }
+        // Fold: lane j of `sums` is the XOR of message j's four lanes.
+        let a = _mm512_xor_si512(
+            _mm512_shuffle_i64x2::<0x44>(x[0], x[1]),
+            _mm512_shuffle_i64x2::<0xee>(x[0], x[1]),
+        );
+        let b = _mm512_xor_si512(
+            _mm512_shuffle_i64x2::<0x44>(x[2], x[3]),
+            _mm512_shuffle_i64x2::<0xee>(x[2], x[3]),
+        );
+        let sums = _mm512_xor_si512(
+            _mm512_shuffle_i64x2::<0x88>(a, b),
+            _mm512_shuffle_i64x2::<0xdd>(a, b),
+        );
+        // One deferred reduction per message, all four at once: fold
+        // each lane's high word twice by POLY.
+        let f1 = _mm512_clmulepi64_epi128::<0x01>(sums, poly);
+        let f2 = _mm512_clmulepi64_epi128::<0x01>(f1, poly);
+        let hashes = _mm512_xor_si512(_mm512_xor_si512(sums, f1), f2);
+        let n = |j: usize| {
+            (
+                nonce_high(nonces[j].0, DOMAIN_MAC) as i64,
+                nonces[j].1 as i64,
+            )
+        };
+        let [(h0, c0), (h1, c1), (h2, c2), (h3, c3)] = [n(0), n(1), n(2), n(3)];
+        let mut pads = [_mm512_set_epi64(h3, c3, h2, c2, h1, c1, h0, c0)];
+        encrypt_512(&rk, &mut pads);
+        let full = _mm512_permutexvar_epi64(low_words, _mm512_xor_si512(hashes, pads[0]));
+        _mm256_storeu_si256(tags.as_mut_ptr().cast(), _mm512_castsi512_si256(full));
+    }
+    nonces.len() / 4 * 4
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn round_keys_256(round_keys: &[[u8; 16]; 11]) -> [__m256i; 11] {
+    let mut rk = [_mm256_setzero_si256(); 11];
+    for (k, key) in rk.iter_mut().zip(round_keys) {
+        *k = _mm256_broadcastsi128_si256(_mm_loadu_si128(key.as_ptr().cast()));
+    }
+    rk
+}
+
+/// [`encrypt_512`] over ymm registers, two AES blocks each.
+#[inline]
+#[target_feature(enable = "avx2", enable = "vaes")]
+unsafe fn encrypt_256<const N: usize>(rk: &[__m256i; 11], s: &mut [__m256i; N]) {
+    for lane in s.iter_mut() {
+        *lane = _mm256_xor_si256(*lane, rk[0]);
+    }
+    for key in &rk[1..10] {
+        for lane in s.iter_mut() {
+            *lane = _mm256_aesenc_epi128(*lane, *key);
+        }
+    }
+    for lane in s.iter_mut() {
+        *lane = _mm256_aesenclast_epi128(*lane, rk[10]);
     }
 }
 
 #[target_feature(enable = "avx2", enable = "vaes")]
 unsafe fn encrypt_groups_256(round_keys: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
-    debug_assert_eq!(blocks.len() % GROUP_BLOCKS, 0);
-    let rk = core::array::from_fn::<_, 11, _>(|i| {
-        _mm256_broadcastsi128_si256(_mm_loadu_si128(round_keys[i].as_ptr().cast()))
-    });
+    let rk = round_keys_256(round_keys);
     for group in blocks.chunks_exact_mut(GROUP_BLOCKS) {
-        // Eight ymm accumulators = 16 independent AES streams, two per
-        // instruction.
         let base = group.as_mut_ptr().cast::<u8>();
-        let mut s =
-            core::array::from_fn::<_, 8, _>(|i| _mm256_loadu_si256(base.add(i * 32).cast()));
-        for lane in &mut s {
-            *lane = _mm256_xor_si256(*lane, rk[0]);
+        let mut s = [_mm256_setzero_si256(); 8];
+        for (i, lane) in s.iter_mut().enumerate() {
+            *lane = _mm256_loadu_si256(base.add(i * 32).cast());
         }
-        for key in &rk[1..10] {
-            for lane in &mut s {
-                *lane = _mm256_aesenc_epi128(*lane, *key);
-            }
-        }
-        for (i, lane) in s.iter().enumerate() {
-            let last = _mm256_aesenclast_epi128(*lane, rk[10]);
-            _mm256_storeu_si256(base.add(i * 32).cast(), last);
+        encrypt_256(&rk, &mut s);
+        for (i, lane) in s.into_iter().enumerate() {
+            _mm256_storeu_si256(base.add(i * 32).cast(), lane);
         }
     }
 }
 
-/// One two-lane Horner step: `acc ← reduce((acc ^ m) · H)` in both
-/// 128-bit lanes at once. Only the low qword of each lane is
-/// meaningful; the high qwords carry fold garbage that the next step's
-/// selector-`0x00` multiply never reads.
-#[inline]
-#[target_feature(enable = "avx2", enable = "vpclmulqdq")]
-unsafe fn horner_step(acc: __m256i, m: __m256i, h: __m256i, poly: __m256i) -> __m256i {
-    let t = _mm256_xor_si256(acc, m);
-    // Per-lane 64×64→128 product of the low qwords.
-    let p = _mm256_clmulepi64_epi128::<0x00>(t, h);
-    // Reduce modulo x^64 + x^4 + x^3 + x + 1: fold the high qword twice
-    // (selector 0x01 multiplies each lane's *high* qword by POLY). The
-    // first fold's high part has at most 4 bits, so the second fold's
-    // high part is zero — identical to the portable reduction.
-    let f1 = _mm256_clmulepi64_epi128::<0x01>(p, poly);
-    let f2 = _mm256_clmulepi64_epi128::<0x01>(f1, poly);
-    _mm256_xor_si256(_mm256_xor_si256(p, f1), f2)
-}
-
-/// Recombines one finished two-lane accumulator `[A, B]` into the full
-/// hash `A·H⁴ ^ B`, entirely in the vector domain: one selector-`0x00`
-/// multiply against the `[H⁴, 1]` lane constants (`A·H⁴` lands in lane
-/// 0 as an unreduced 128-bit product, `B·1 = B` in lane 1), an XOR of
-/// the two lanes while still unreduced, and one deferred reduction.
-#[inline]
-#[target_feature(
-    enable = "avx2",
-    enable = "vpclmulqdq",
-    enable = "pclmulqdq",
-    enable = "sse2"
-)]
-unsafe fn recombine_256(acc: __m256i, h4v: __m256i, poly128: __m128i) -> u64 {
-    let p = _mm256_clmulepi64_epi128::<0x00>(acc, h4v);
-    let combined = _mm_xor_si128(
-        _mm256_extracti128_si256::<0>(p),
-        _mm256_extracti128_si256::<1>(p),
-    );
-    crate::accel::reduce_deferred(combined, poly128)
-}
-
-/// Batched ymm kernel: [`MAC_GROUP_256`] messages per iteration, one
-/// two-lane accumulator each, stepped in lockstep so the four Horner
-/// chains hide each other's CLMUL latency.
-#[target_feature(
-    enable = "avx2",
-    enable = "vpclmulqdq",
-    enable = "pclmulqdq",
-    enable = "sse2"
-)]
-unsafe fn poly_hash_groups_256(h: u64, h4: u64, blocks: &[[u8; 64]], out: &mut Vec<u64>) {
-    debug_assert_eq!(blocks.len() % MAC_GROUP_256, 0);
-    let h_v = _mm256_set_epi64x(0, h as i64, 0, h as i64);
-    let poly = _mm256_set_epi64x(0, POLY as i64, 0, POLY as i64);
-    let h4v = _mm256_set_epi64x(0, 1, 0, h4 as i64);
-    let poly128 = _mm_set_epi64x(0, POLY as i64);
-    for group in blocks.chunks_exact(MAC_GROUP_256) {
-        let mut acc = [_mm256_setzero_si256(); MAC_GROUP_256];
-        // The sequential Horner result is Σ mᵢ·H^(8-i). Split at word 4:
-        //   A = Horner(m0..m3), B = Horner(m4..m7), full = A·H⁴ ^ B
-        // Lane 0 runs the A chain, lane 1 the B chain — four serial steps
-        // instead of eight.
-        for step in 0..4 {
-            for (lane, block) in acc.iter_mut().zip(group.iter()) {
-                let lo = u64::from_le_bytes(block[step * 8..step * 8 + 8].try_into().unwrap());
-                let hi =
-                    u64::from_le_bytes(block[32 + step * 8..40 + step * 8].try_into().unwrap());
-                let m = _mm256_set_epi64x(0, hi as i64, 0, lo as i64);
-                *lane = horner_step(*lane, m, h_v, poly);
+#[target_feature(enable = "avx2", enable = "vaes")]
+unsafe fn xor_keystream_256(
+    round_keys: &[[u8; 16]; 11],
+    nonces: &[(u64, u64)],
+    blocks: &mut [[u8; BLOCK_BYTES]],
+) {
+    let rk = round_keys_256(round_keys);
+    // Chunks 0 and 1 of a block in one register, 2 and 3 in the next.
+    let chunks = [
+        _mm256_set_epi64x(1 << 48, 0, 0, 0),
+        _mm256_set_epi64x(3 << 48, 0, 2 << 48, 0),
+    ];
+    for (quad, nonces) in blocks.chunks_mut(4).zip(nonces.chunks(4)) {
+        let mut s = [_mm256_setzero_si256(); 8];
+        for (lanes, &(addr, counter)) in s.chunks_exact_mut(2).zip(nonces) {
+            let nonce = _mm_set_epi64x(nonce_high(addr, DOMAIN_KEYSTREAM) as i64, counter as i64);
+            for (lane, chunks) in lanes.iter_mut().zip(chunks) {
+                *lane = _mm256_or_si256(_mm256_broadcastsi128_si256(nonce), chunks);
             }
         }
-        for lane in acc {
-            out.push(recombine_256(lane, h4v, poly128));
+        encrypt_256(&rk, &mut s);
+        for (block, ks) in quad.iter_mut().zip(s.chunks_exact(2)) {
+            for (half, k) in ks.iter().enumerate() {
+                let at = block.as_mut_ptr().add(half * 32).cast();
+                _mm256_storeu_si256(at, _mm256_xor_si256(_mm256_loadu_si256(at), *k));
+            }
         }
     }
 }
 
-/// One fully reduced Horner step across all four 128-bit lanes of a zmm
-/// register — two messages' A/B chains per register. Same algebra as
-/// [`horner_step`], twice as wide.
-#[inline]
-#[target_feature(enable = "avx512f", enable = "vpclmulqdq")]
-unsafe fn horner_step_512(acc: __m512i, m: __m512i, h: __m512i, poly: __m512i) -> __m512i {
-    let t = _mm512_xor_si512(acc, m);
-    let p = _mm512_clmulepi64_epi128::<0x00>(t, h);
-    let f1 = _mm512_clmulepi64_epi128::<0x01>(p, poly);
-    let f2 = _mm512_clmulepi64_epi128::<0x01>(f1, poly);
-    _mm512_xor_si512(_mm512_xor_si512(p, f1), f2)
-}
-
-/// Batched zmm kernel: [`MAC_GROUP_512`] messages per iteration. Each
-/// zmm accumulator carries two messages as lanes `[A₀, B₀, A₁, B₁]`;
-/// four accumulators keep eight messages in flight. The recombination
-/// multiplies against `[H⁴, 1, H⁴, 1]` lane constants, XORs each
-/// message's lane pair unreduced, and defers to one reduction per
-/// message.
-#[target_feature(
-    enable = "avx512f",
-    enable = "vpclmulqdq",
-    enable = "pclmulqdq",
-    enable = "sse2"
-)]
-unsafe fn poly_hash_groups_512(h: u64, h4: u64, blocks: &[[u8; 64]], out: &mut Vec<u64>) {
-    debug_assert_eq!(blocks.len() % MAC_GROUP_512, 0);
-    let h_v = _mm512_set_epi64(0, h as i64, 0, h as i64, 0, h as i64, 0, h as i64);
-    let poly = _mm512_set_epi64(
-        0,
-        POLY as i64,
-        0,
-        POLY as i64,
-        0,
-        POLY as i64,
-        0,
-        POLY as i64,
-    );
-    let h4v = _mm512_set_epi64(0, 1, 0, h4 as i64, 0, 1, 0, h4 as i64);
-    let poly128 = _mm_set_epi64x(0, POLY as i64);
-    for group in blocks.chunks_exact(MAC_GROUP_512) {
-        let mut acc = [_mm512_setzero_si512(); MAC_GROUP_512 / 2];
-        for step in 0..4 {
-            for (reg, pair) in acc.iter_mut().zip(group.chunks_exact(2)) {
-                let lo0 = u64::from_le_bytes(pair[0][step * 8..step * 8 + 8].try_into().unwrap());
-                let hi0 =
-                    u64::from_le_bytes(pair[0][32 + step * 8..40 + step * 8].try_into().unwrap());
-                let lo1 = u64::from_le_bytes(pair[1][step * 8..step * 8 + 8].try_into().unwrap());
-                let hi1 =
-                    u64::from_le_bytes(pair[1][32 + step * 8..40 + step * 8].try_into().unwrap());
-                let m =
-                    _mm512_set_epi64(0, hi1 as i64, 0, lo1 as i64, 0, hi0 as i64, 0, lo0 as i64);
-                *reg = horner_step_512(*reg, m, h_v, poly);
+/// [`tags_512`] in ymm registers: whole pairs of messages, one lane per
+/// message after the fold.
+#[target_feature(enable = "avx2", enable = "vaes", enable = "vpclmulqdq")]
+unsafe fn tags_256(
+    round_keys: &[[u8; 16]; 11],
+    powers: &[u64; 8],
+    nonces: &[(u64, u64)],
+    blocks: &[[u8; BLOCK_BYTES]],
+    tags: &mut [u64],
+) -> usize {
+    let rk = round_keys_256(round_keys);
+    let p = [
+        _mm256_loadu_si256(powers.as_ptr().cast()),
+        _mm256_loadu_si256(powers.as_ptr().add(4).cast()),
+    ];
+    let poly = _mm256_set1_epi64x(POLY as i64);
+    let groups = nonces.chunks_exact(2).zip(blocks.chunks_exact(2));
+    for ((nonces, blocks), tags) in groups.zip(tags.chunks_exact_mut(2)) {
+        let mut x = [_mm256_setzero_si256(); 2];
+        for (x, block) in x.iter_mut().zip(blocks) {
+            for (half, p) in p.iter().enumerate() {
+                let m = _mm256_loadu_si256(block.as_ptr().add(half * 32).cast());
+                *x = _mm256_xor_si256(*x, _mm256_clmulepi64_epi128::<0x00>(m, *p));
+                *x = _mm256_xor_si256(*x, _mm256_clmulepi64_epi128::<0x11>(m, *p));
             }
         }
-        for reg in acc {
-            let p = _mm512_clmulepi64_epi128::<0x00>(reg, h4v);
-            let m0 = _mm_xor_si128(
-                _mm512_extracti32x4_epi32::<0>(p),
-                _mm512_extracti32x4_epi32::<1>(p),
-            );
-            let m1 = _mm_xor_si128(
-                _mm512_extracti32x4_epi32::<2>(p),
-                _mm512_extracti32x4_epi32::<3>(p),
-            );
-            out.push(crate::accel::reduce_deferred(m0, poly128));
-            out.push(crate::accel::reduce_deferred(m1, poly128));
-        }
+        let sums = _mm256_xor_si256(
+            _mm256_permute2x128_si256::<0x20>(x[0], x[1]),
+            _mm256_permute2x128_si256::<0x31>(x[0], x[1]),
+        );
+        let f1 = _mm256_clmulepi64_epi128::<0x01>(sums, poly);
+        let f2 = _mm256_clmulepi64_epi128::<0x01>(f1, poly);
+        let hashes = _mm256_xor_si256(_mm256_xor_si256(sums, f1), f2);
+        let mut pads = [_mm256_set_epi64x(
+            nonce_high(nonces[1].0, DOMAIN_MAC) as i64,
+            nonces[1].1 as i64,
+            nonce_high(nonces[0].0, DOMAIN_MAC) as i64,
+            nonces[0].1 as i64,
+        )];
+        encrypt_256(&rk, &mut pads);
+        let full = _mm256_permute4x64_epi64::<0b1000>(_mm256_xor_si256(hashes, pads[0]));
+        _mm_storeu_si128(tags.as_mut_ptr().cast(), _mm256_castsi256_si128(full));
     }
+    nonces.len() / 2 * 2
 }
 
 #[cfg(test)]
 mod tests {
-    //! Direct unit tests of the wide intrinsic paths (the broader
-    //! randomized tier-pair equivalence lives in
+    //! Direct unit tests of the wide intrinsic paths, in every shape the
+    //! host runs (the broader randomized tier-pair equivalence lives in
     //! `crosscheck`).
     use super::*;
     use crate::aes::Aes128;
@@ -406,16 +425,18 @@ mod tests {
         let aes = Aes128::new(&[0x77; 16]);
         // Lengths straddling the 16-block group width exercise both the
         // wide main loop and the AES-NI tail.
-        for n in [0usize, 1, 15, 16, 17, 31, 32, 33, 48, 100] {
-            let mut batch: Vec<[u8; 16]> = (0..n)
-                .map(|i| core::array::from_fn(|j| (i * 37 + j * 5) as u8))
-                .collect();
-            let expected: Vec<[u8; 16]> = batch
-                .iter()
-                .map(|b| aes.encrypt_block_with(Backend::Portable, b))
-                .collect();
-            encrypt_blocks(aes.round_keys(), &mut batch);
-            assert_eq!(batch, expected, "n={n}");
+        for shape in crate::crosscheck::shapes() {
+            for n in [0usize, 1, 15, 16, 17, 31, 32, 33, 48, 100] {
+                let mut batch: Vec<[u8; 16]> = (0..n)
+                    .map(|i| core::array::from_fn(|j| (i * 37 + j * 5) as u8))
+                    .collect();
+                let expected: Vec<[u8; 16]> = batch
+                    .iter()
+                    .map(|b| aes.encrypt_block_with(Backend::Portable, b))
+                    .collect();
+                encrypt_blocks(shape, aes.round_keys(), &mut batch);
+                assert_eq!(batch, expected, "{shape:?} n={n}");
+            }
         }
     }
 
@@ -424,18 +445,28 @@ mod tests {
         if !capable() {
             return;
         }
+        // The powers-form run tags of every whole register group: with
+        // the pads XORed back off, each is the serial Horner hash, at
+        // lengths straddling both group widths (2 for ymm, 4 for zmm).
+        let aes = Aes128::new(&[0x2d; 16]);
         let h = 0x0123_4567_89ab_cdefu64 | 1;
-        // Lengths straddling both group widths (4 for ymm, 8 for zmm)
-        // exercise the packed kernels and the AES-NI tail.
-        for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 64] {
-            let blocks: Vec<[u8; 64]> = (0..n)
-                .map(|i| core::array::from_fn(|j| (i * 73 + j * 29 + 1) as u8))
-                .collect();
-            let expected: Vec<u64> = blocks
-                .iter()
-                .map(|b| crate::mac::poly_hash_with(Backend::Portable, h, b))
-                .collect();
-            assert_eq!(poly_hash_batch(h, &blocks), expected, "n={n}");
+        for shape in crate::crosscheck::shapes() {
+            for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 64] {
+                let blocks: Vec<[u8; 64]> = (0..n)
+                    .map(|i| core::array::from_fn(|j| (i * 73 + j * 29 + 1) as u8))
+                    .collect();
+                let nonces: Vec<(u64, u64)> = (0..n as u64).map(|i| (i << 20, !i)).collect();
+                let mut got = vec![0; n];
+                let powers = crate::mac::hash_powers(h);
+                let done = tags(shape, aes.round_keys(), &powers, &nonces, &blocks, &mut got);
+                assert_eq!(done, n - n % if shape == Shape::Zmm { 4 } else { 2 });
+                let mut pads = vec![0; n];
+                crate::mac::pads_with(Backend::Portable, &aes, &nonces, &mut pads);
+                for (k, block) in blocks.iter().enumerate().take(done) {
+                    let horner = crate::mac::poly_hash_with(Backend::Portable, h, block);
+                    assert_eq!(got[k] ^ pads[k], horner, "{shape:?} n={n} k={k}");
+                }
+            }
         }
     }
 
@@ -446,5 +477,6 @@ mod tests {
         }
         let shape = crate::backend::wide_shape();
         assert!(shape == "vaes512" || shape == "vaes256", "{shape}");
+        assert_eq!(shape == "vaes512", Shape::host() == Shape::Zmm);
     }
 }

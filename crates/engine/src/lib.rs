@@ -547,30 +547,22 @@ impl MemoryEncryptionEngine {
             }));
     }
 
-    /// The batched sealer: encrypts `plains` under `nonces` from one
-    /// pipelined keystream batch, tags the run with one multi-message
-    /// MAC batch and stores it through [`Self::store_sealed`]. Stats and
-    /// tree syncs are the caller's.
-    fn seal_run<'p>(
-        &mut self,
-        nonces: &[(u64, u64)],
-        plains: impl IntoIterator<Item = &'p [u8; BLOCK_BYTES]>,
-    ) {
+    /// The batched sealer: encrypts the plaintext `blocks` under
+    /// `nonces` in place with one [`MemoryCipher::xor_keystream`], tags
+    /// the run with one [`MemoryCipher::tags_into`] and stores it through
+    /// [`Self::store_sealed`]. Stats and tree syncs are the caller's.
+    fn seal_run(&mut self, nonces: &[(u64, u64)], mut blocks: Vec<[u8; BLOCK_BYTES]>) {
         if nonces.is_empty() {
             return;
         }
-        let mut sealed = self.cipher.keystream_batch(nonces);
-        for (ct, plain) in sealed.iter_mut().zip(plains) {
-            for (c, p) in ct.iter_mut().zip(plain) {
-                *c ^= p;
-            }
-        }
-        let tags = self.cipher.mac_batch(nonces, &sealed);
-        self.mac_batch_dist.record(sealed.len() as u64);
+        self.cipher.xor_keystream(nonces, &mut blocks);
+        let mut tags = vec![0; blocks.len()];
+        self.cipher.tags_into(nonces, &blocks, &mut tags);
+        self.mac_batch_dist.record(blocks.len() as u64);
         self.store_sealed(
             nonces
                 .iter()
-                .zip(sealed)
+                .zip(blocks)
                 .zip(tags)
                 .map(|((&(addr, _), ct), tag)| (addr, ct, tag)),
         );
@@ -616,8 +608,8 @@ impl MemoryEncryptionEngine {
 
     /// The batched verified opener: checks every block of a
     /// [`Self::load_run`] against its `(addr, counter)` nonce with one
-    /// multi-message MAC batch, then decrypts the run from one pipelined
-    /// keystream batch.
+    /// [`MemoryCipher::tags_into`], then decrypts the run in its own
+    /// buffer with one [`MemoryCipher::xor_keystream`].
     ///
     /// Verify-before-release: only blocks whose side-band decoded clean
     /// were loaded, and every tag is checked before anything is
@@ -633,7 +625,8 @@ impl MemoryEncryptionEngine {
         run: LoadedRun,
     ) -> Option<Vec<[u8; BLOCK_BYTES]>> {
         let LoadedRun { mut blocks, tags } = run;
-        let computed = self.cipher.mac_batch(nonces, &blocks);
+        let mut computed = vec![0; blocks.len()];
+        self.cipher.tags_into(nonces, &blocks, &mut computed);
         self.mac_batch_dist.record(computed.len() as u64);
         if computed
             .iter()
@@ -642,12 +635,7 @@ impl MemoryEncryptionEngine {
         {
             return None;
         }
-        let keystreams = self.cipher.keystream_batch(nonces);
-        for (ct, ks) in blocks.iter_mut().zip(&keystreams) {
-            for (c, k) in ct.iter_mut().zip(ks.iter()) {
-                *c ^= k;
-            }
-        }
+        self.cipher.xor_keystream(nonces, &mut blocks);
         Some(blocks)
     }
 
@@ -773,7 +761,7 @@ impl MemoryEncryptionEngine {
                 })
                 .unzip(),
         };
-        self.seal_run(&resealed, &plains);
+        self.seal_run(&resealed, plains);
         self.stats.reencrypted_blocks += resealed.len() as u64;
     }
 
@@ -806,9 +794,9 @@ impl MemoryEncryptionEngine {
     /// Writes a batch of block-aligned full-block stores, behaviourally
     /// identical to calling [`Self::write_block`] once per item in order
     /// (duplicate addresses included: each store bumps the counter, the
-    /// last one survives), but sealing every overflow-free run with one
-    /// pipelined [`MemoryCipher::keystream_batch`] and one
-    /// [`MemoryCipher::mac_batch`] call instead of a per-block AES
+    /// last one survives), but sealing every overflow-free run in its own
+    /// buffer with one [`MemoryCipher::xor_keystream`] and one
+    /// [`MemoryCipher::tags_into`] call instead of a per-block AES
     /// invocation and tag. A batch of one item is [`Self::write_block`].
     ///
     /// The counters are bumped through the scheme's run form, which
@@ -886,7 +874,7 @@ impl MemoryEncryptionEngine {
             .zip(&counters[range.clone()])
             .map(|(&(addr, _), &counter)| (addr, counter))
             .collect();
-        self.seal_run(&nonces, items.iter().map(|(_, plain)| plain));
+        self.seal_run(&nonces, items.iter().map(|&(_, plain)| plain).collect());
         self.stats.writes += items.len() as u64;
         self.sync_tree_metas(&blocks[range]);
     }
@@ -946,8 +934,9 @@ impl MemoryEncryptionEngine {
     /// path the run costs one verified counter-block fetch per *distinct*
     /// metadata block it touches (instead of one per block), one counter
     /// group visit and one DRAM page visit per stretch of consecutive
-    /// blocks sharing them, and one pipelined
-    /// [`MemoryCipher::keystream_batch`] call for all decrypts.
+    /// blocks sharing them, one [`MemoryCipher::tags_into`] for all
+    /// verifies and one in-place [`MemoryCipher::xor_keystream`] for all
+    /// decrypts.
     ///
     /// Verify-before-release: the fast path checks every block's MAC (and
     /// side-band parity/SEC-DED) before decrypting anything. Any anomaly —

@@ -1,7 +1,7 @@
 //! Fault-injection parity between the batched and scalar verify paths.
 //!
 //! The fused read path ([`MemoryEncryptionEngine::read_blocks`]) checks a
-//! run's tags with one multi-message `mac_batch` call and promises to be
+//! run's tags with one multi-message `tags_into` call and promises to be
 //! *behaviourally identical* to a loop of sequential
 //! [`MemoryEncryptionEngine::read_block`] calls: same released plaintext
 //! prefix, same error attribution, same flip-and-check corrections, same

@@ -7,12 +7,12 @@
 //! *service batch*: runs of
 //! consecutive full-block writes — regardless of whether they arrived as
 //! individual submissions or [`submit_batch`] operations — are fused into a
-//! single engine-level [`write_blocks`] call, so their seal keystreams
-//! come from one pipelined `keystream_batch` and channel/scheduling costs
+//! single engine-level [`write_blocks`] call, so the run is sealed in
+//! its own buffer by one `xor_keystream` and one `tags_into`, and channel/scheduling costs
 //! amortize over the whole wakeup. Reads (and the read half of RMWs) fuse
 //! symmetrically into one engine-level [`read_blocks`] call: the run pays
 //! one verified counter fetch per distinct metadata block instead of one
-//! per block, and decrypts from one pipelined keystream batch, with the
+//! per block, and verifies and decrypts the run in place, with the
 //! engine falling back to per-block reads on any anomaly so failure
 //! semantics stay bit-identical to sequential service. That is the one
 //! way a data operation is served — a lone operation is a run of one —
