@@ -17,11 +17,16 @@
 //! (`wide::MIN_RUN`) and the delta schemes' shortest unpacked stretch
 //! are read off these numbers.
 //!
+//! Last, it runs a one-block seal on one thread and on two threads at
+//! once, each thread with a cipher of its own: a cipher's counts are its
+//! own, so the second thread must not slow the first.
+//!
 //! The last line is JSON, `{"write": {"scalar": .., "run1": ..,
 //! "run2": .., "run64": ..}, "read": {..}, "seal": {"run1": .., "run2":
 //! .., "run8": .., "run64": .., "wrappers64": ..}, "open": {"run1": ..,
-//! ..}, "record_writes": {"delta64": .., "dual64": ..}}` in ns per
-//! block, for a check to read.
+//! ..}, "record_writes": {"delta64": .., "dual64": ..}, "threads":
+//! {"one": .., "two": ..}}` in ns per block (per iteration of each
+//! thread for `threads`), for a check to read.
 
 use ame_bench::micro::bench;
 use ame_counters::{delta::DeltaCounters, dual::DualLengthDeltaCounters, CounterScheme};
@@ -29,6 +34,8 @@ use ame_crypto::MemoryCipher;
 use ame_engine::{CounterSchemeKind, EngineConfig, MacPlacement, MemoryEncryptionEngine};
 use ame_prng::StdRng;
 use std::hint::black_box;
+use std::sync::Barrier;
+use std::time::Instant;
 
 /// Blocks of the footprint: 4 MiB.
 const BLOCKS: u64 = 1 << 16;
@@ -109,6 +116,7 @@ fn main() {
             record_writes_leg("dual", DualLengthDeltaCounters::default()),
         ),
     ];
+    let threads = vec![("one", seal_threads(1)), ("two", seal_threads(2))];
     let json = |cases: &[(&str, f64)]| {
         let fields: Vec<String> = cases
             .iter()
@@ -117,12 +125,14 @@ fn main() {
         format!("{{{}}}", fields.join(", "))
     };
     println!(
-        "{{\"write\": {}, \"read\": {}, \"seal\": {}, \"open\": {}, \"record_writes\": {}}}",
+        "{{\"write\": {}, \"read\": {}, \"seal\": {}, \"open\": {}, \"record_writes\": {}, \
+         \"threads\": {}}}",
         json(&write),
         json(&read),
         json(&seal),
         json(&open),
-        json(&record_writes)
+        json(&record_writes),
+        json(&threads)
     );
 }
 
@@ -197,4 +207,45 @@ fn record_writes_leg(name: &str, mut scheme: impl CounterScheme) -> f64 {
         black_box(&counters);
     });
     ns / 64.0
+}
+
+/// ns per iteration of a one-block seal (`xor_keystream` + `tags_into`)
+/// on each of `threads` threads at once, each with a cipher of its own:
+/// the slowest thread's, best of five rounds.
+fn seal_threads(threads: u64) -> f64 {
+    const ITERS: u64 = 500_000;
+    let best = (0..5)
+        .map(|_| {
+            let start = Barrier::new(threads as usize);
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let start = &start;
+                        s.spawn(move || {
+                            let cipher = MemoryCipher::from_seed(41 + t);
+                            let (mut block, mut tag) = ([[t as u8; 64]], [0]);
+                            start.wait();
+                            let began = Instant::now();
+                            for counter in 0..ITERS {
+                                let nonce = [(t * 64, counter)];
+                                cipher.xor_keystream(&nonce, &mut block);
+                                cipher.tags_into(&nonce, &block, &mut tag);
+                                black_box(tag);
+                            }
+                            began.elapsed().as_nanos() as f64 / ITERS as f64
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().unwrap())
+                    .fold(0.0, f64::max)
+            })
+        })
+        .fold(f64::INFINITY, f64::min);
+    println!(
+        "{:<44} {best:>14.1} ns/iter   (each of {threads})",
+        format!("runs/seal_threads/{threads}")
+    );
+    best
 }

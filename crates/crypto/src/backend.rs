@@ -1,4 +1,4 @@
-//! Crypto backend selection and per-backend operation accounting.
+//! Crypto backend selection, and each tier's operation totals.
 //!
 //! The crate ships three interchangeable implementations of its hot
 //! primitives (AES-128 rounds, carry-less multiplication):
@@ -12,10 +12,11 @@
 //!   of the paper's single-cycle hardware GF multipliers (Section 3.2).
 //! * **Wide** — VAES + VPCLMULQDQ kernels (the `wide` module) that push
 //!   four AES blocks through every instruction (512-bit registers when
-//!   AVX-512F is present, 2×128-bit AVX2 lanes otherwise) and run the
-//!   Carter-Wegman polynomial hash as two parallel Horner chains. A
-//!   strict superset of Accelerated: single-block and scalar-GF calls
-//!   under this tier use the AES-NI/PCLMULQDQ path.
+//!   AVX-512F is present, 2×128-bit AVX2 lanes otherwise) and hash
+//!   several messages of a run per VPCLMULQDQ register, each in powers
+//!   form. A strict superset of Accelerated: single blocks, runs shorter
+//!   than the wide kernels' shortest and scalar-GF calls under this tier
+//!   use the AES-NI/PCLMULQDQ path.
 //!
 //! Selection happens **once per process** (a [`OnceLock`]): the CPU is
 //! probed, the `AME_CRYPTO_BACKEND` override is honoured, and a
@@ -25,6 +26,12 @@
 //! process, never per key-schedule construction. The resolved tier is
 //! logged to stderr exactly once, so process logs and result JSON can
 //! always be reconciled.
+//!
+//! Each [`crate::MemoryCipher`] counts its own work in cells of its own.
+//! [`ops`] sums a tier's: every cipher joins a ledger once, when it is
+//! built, and a dropped cipher's final counts fold into its tier's
+//! retired totals, so the sum stays exact while the datapath shares no
+//! cache line and takes no lock.
 //!
 //! # Environment override
 //!
@@ -36,7 +43,7 @@
 //! fallback: a bench that claims `wide` must have run `wide`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Which implementation of the hot crypto primitives is in use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -423,89 +430,106 @@ fn self_test_wide() -> bool {
     false
 }
 
-/// Lock-free per-backend operation counters (process-global, updated
-/// with relaxed atomics on the hot paths).
-#[derive(Default)]
-struct OpCells {
-    keystream_calls: AtomicU64,
-    keystream_blocks: AtomicU64,
-    batched_calls: AtomicU64,
-    mac_tags: AtomicU64,
-    mac_batch_calls: AtomicU64,
-    mac_batch_tags: AtomicU64,
+/// One cipher's operation counts, and the tier it runs on. Only the
+/// cipher and its clones write them, so the relaxed cells stay
+/// uncontended; the alignment keeps two ciphers' counts off one cache
+/// line.
+#[derive(Debug)]
+#[repr(align(64))]
+pub(crate) struct CipherCounts {
+    tier: Backend,
+    pub(crate) keystream_calls: AtomicU64,
+    /// Tags made one at a time (node MACs, scalar MACs and verifies).
+    pub(crate) single_tags: AtomicU64,
+    /// Tags made by the run kernel.
+    pub(crate) batch_tags: AtomicU64,
 }
 
-impl OpCells {
-    const fn new() -> Self {
-        Self {
+impl CipherCounts {
+    /// Fresh cells for a cipher on `tier`, entered in the ledger [`ops`]
+    /// reads.
+    pub(crate) fn register(tier: Backend) -> Arc<Self> {
+        let counts = Arc::new(Self {
+            tier,
             keystream_calls: AtomicU64::new(0),
-            keystream_blocks: AtomicU64::new(0),
-            batched_calls: AtomicU64::new(0),
-            mac_tags: AtomicU64::new(0),
-            mac_batch_calls: AtomicU64::new(0),
-            mac_batch_tags: AtomicU64::new(0),
+            single_tags: AtomicU64::new(0),
+            batch_tags: AtomicU64::new(0),
+        });
+        ledger().live.push(Arc::clone(&counts));
+        counts
+    }
+
+    pub(crate) fn snapshot(&self) -> OpsSnapshot {
+        let batch = self.batch_tags.load(Ordering::Relaxed);
+        OpsSnapshot {
+            keystream_calls: self.keystream_calls.load(Ordering::Relaxed),
+            mac_tags: self.single_tags.load(Ordering::Relaxed) + batch,
+            mac_batch_tags: batch,
         }
     }
 }
 
-static OPS: [OpCells; Backend::ALL.len()] = [OpCells::new(), OpCells::new(), OpCells::new()];
-
-/// Snapshot of one backend's lifetime operation counts.
+/// Operation counts: of one cipher ([`crate::MemoryCipher::ops`]), or of
+/// every cipher a tier has served in this process ([`ops`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpsSnapshot {
     /// Keystream generations (one 64-byte block each).
     pub keystream_calls: u64,
-    /// 16-byte AES blocks produced for keystreams (4 per 64-byte block).
-    pub keystream_blocks: u64,
-    /// Multi-block `keystream_batch` invocations.
-    pub batched_calls: u64,
     /// Carter-Wegman tags computed (MAC or verify), scalar *and*
     /// batched — the total tag volume.
     pub mac_tags: u64,
-    /// Multi-message `MemoryCipher::mac_batch` invocations.
-    pub mac_batch_calls: u64,
-    /// Carter-Wegman tags produced by batched calls (a subset of
+    /// Carter-Wegman tags produced by the run kernel (a subset of
     /// [`OpsSnapshot::mac_tags`]).
     pub mac_batch_tags: u64,
 }
 
-/// Lifetime operation counts of `backend` in this process.
-#[must_use]
-pub fn ops(backend: Backend) -> OpsSnapshot {
-    let c = &OPS[backend.index()];
-    OpsSnapshot {
-        keystream_calls: c.keystream_calls.load(Ordering::Relaxed),
-        keystream_blocks: c.keystream_blocks.load(Ordering::Relaxed),
-        batched_calls: c.batched_calls.load(Ordering::Relaxed),
-        mac_tags: c.mac_tags.load(Ordering::Relaxed),
-        mac_batch_calls: c.mac_batch_calls.load(Ordering::Relaxed),
-        mac_batch_tags: c.mac_batch_tags.load(Ordering::Relaxed),
+impl std::ops::AddAssign for OpsSnapshot {
+    fn add_assign(&mut self, other: Self) {
+        self.keystream_calls += other.keystream_calls;
+        self.mac_tags += other.mac_tags;
+        self.mac_batch_tags += other.mac_batch_tags;
     }
 }
 
-pub(crate) fn count_keystream(backend: Backend, calls: u64, aes_blocks: u64) {
-    let c = &OPS[backend.index()];
-    c.keystream_calls.fetch_add(calls, Ordering::Relaxed);
-    c.keystream_blocks.fetch_add(aes_blocks, Ordering::Relaxed);
+/// Every live cipher's counts, and per tier the final counts of the
+/// ciphers dropped since. The datapath never takes its lock: a cipher
+/// joins once, when it is built.
+#[derive(Default)]
+struct Ledger {
+    live: Vec<Arc<CipherCounts>>,
+    retired: [OpsSnapshot; Backend::ALL.len()],
 }
 
-pub(crate) fn count_batch(backend: Backend) {
-    OPS[backend.index()]
-        .batched_calls
-        .fetch_add(1, Ordering::Relaxed);
+static LEDGER: LazyLock<Mutex<Ledger>> = LazyLock::new(Mutex::default);
+
+/// The ledger, locked, with the counts no cipher holds any more moved
+/// into the retired totals: `Arc::get_mut` succeeds only on those, and
+/// its acquire makes their final counts visible.
+fn ledger() -> MutexGuard<'static, Ledger> {
+    // Each update under the lock is one push or one cell's fold, so a
+    // poisoned ledger is still a whole one.
+    let mut ledger = LEDGER.lock().unwrap_or_else(PoisonError::into_inner);
+    let Ledger { live, retired } = &mut *ledger;
+    live.retain_mut(|counts| match Arc::get_mut(counts) {
+        Some(dropped) => {
+            retired[dropped.tier.index()] += dropped.snapshot();
+            false
+        }
+        None => true,
+    });
+    ledger
 }
 
-pub(crate) fn count_macs(backend: Backend, tags: u64) {
-    OPS[backend.index()]
-        .mac_tags
-        .fetch_add(tags, Ordering::Relaxed);
-}
-
-pub(crate) fn count_mac_batch(backend: Backend, tags: u64) {
-    let c = &OPS[backend.index()];
-    c.mac_batch_calls.fetch_add(1, Ordering::Relaxed);
-    c.mac_batch_tags.fetch_add(tags, Ordering::Relaxed);
-    c.mac_tags.fetch_add(tags, Ordering::Relaxed);
+/// Lifetime operation counts of every cipher built on `backend` in this
+/// process, live or dropped.
+#[must_use]
+pub fn ops(backend: Backend) -> OpsSnapshot {
+    let ledger = ledger();
+    let mut sum = ledger.retired[backend.index()];
+    for counts in ledger.live.iter().filter(|c| c.tier == backend) {
+        sum += counts.snapshot();
+    }
+    sum
 }
 
 #[cfg(test)]
@@ -616,28 +640,49 @@ mod tests {
 
     #[test]
     fn ops_accumulate() {
+        // The cipher's own counts are exact; its tier's sum moves by at
+        // least as much (this crate's other tests count beside it) and
+        // keeps the counts once the cipher is dropped.
         let before = ops(Backend::Portable);
-        count_keystream(Backend::Portable, 1, 4);
-        count_macs(Backend::Portable, 1);
-        count_batch(Backend::Portable);
-        count_mac_batch(Backend::Portable, 16);
+        let cipher = crate::MemoryCipher::on(Backend::Portable, 5);
+        let ct = cipher.encrypt_block(0, 1, &[3; 64]);
+        assert!(cipher.verify_block(0, 1, &ct, cipher.mac_block(0, 1, &ct)));
+        let nonces = [(0x40, 1), (0x80, 1)];
+        let mut run = [[3; 64]; 2];
+        cipher.xor_keystream(&nonces, &mut run);
+        let mut tags = [0; 2];
+        cipher.tags_into(&nonces, &run, &mut tags);
+        // One scalar keystream and a two-block run; two scalar tags and
+        // a two-tag run.
+        let own = OpsSnapshot {
+            keystream_calls: 3,
+            mac_tags: 4,
+            mac_batch_tags: 2,
+        };
+        assert_eq!(cipher.ops(), own);
+        drop(cipher);
         let after = ops(Backend::Portable);
-        assert!(after.keystream_calls > before.keystream_calls);
-        assert!(after.keystream_blocks >= before.keystream_blocks + 4);
-        // One scalar tag plus a 16-tag batch: the total grows by 17 and
-        // the batched subset by 16.
-        assert!(after.mac_tags >= before.mac_tags + 17);
-        assert!(after.batched_calls > before.batched_calls);
-        assert!(after.mac_batch_calls > before.mac_batch_calls);
-        assert!(after.mac_batch_tags >= before.mac_batch_tags + 16);
+        assert!(after.keystream_calls >= before.keystream_calls + own.keystream_calls);
+        assert!(after.mac_tags >= before.mac_tags + own.mac_tags);
+        assert!(after.mac_batch_tags >= before.mac_batch_tags + own.mac_batch_tags);
     }
 
     #[test]
     fn wide_ops_have_their_own_cells() {
+        // Two ciphers never share cells, a clone shares its cipher's,
+        // and each cipher's counts are filed under its own tier.
         let before = ops(Backend::Wide);
-        count_keystream(Backend::Wide, 2, 8);
-        let after = ops(Backend::Wide);
-        assert!(after.keystream_blocks >= before.keystream_blocks + 8);
+        let wide = crate::MemoryCipher::on(Backend::Wide, 6);
+        let portable = crate::MemoryCipher::on(Backend::Portable, 6);
+        let clone = wide.clone();
+        let _ = clone.encrypt_block(0, 1, &[0; 64]);
+        let _ = wide.keystream_batch(&[(0x40, 1), (0x80, 1)]);
+        assert_eq!(wide.ops().keystream_calls, 3);
+        assert_eq!(portable.ops(), OpsSnapshot::default());
+        assert!(!std::ptr::eq(&*wide.counts, &*portable.counts));
+        assert_eq!(std::mem::align_of::<CipherCounts>(), 64);
+        drop((wide, clone));
+        assert!(ops(Backend::Wide).keystream_calls >= before.keystream_calls + 3);
     }
 
     #[test]

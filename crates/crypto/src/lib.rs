@@ -16,11 +16,13 @@
 //!   an AES-generated pad bound to the same (address, counter) nonce, and
 //!   truncated to **56 bits** as in Intel SGX.
 //! * [`backend`] — which implementation tier (portable, AES-NI, VAES)
-//!   serves the process, and per-tier operation counters.
+//!   serves the process, and each tier's operation totals, summed over
+//!   its ciphers.
 //!
 //! [`MemoryCipher`] is the one door into all of it: it derives the keys,
-//! reads the tier once, and makes every keystream, MAC pad and tag
-//! through one crate-private kernel per job on that tier.
+//! reads the tier once, makes every keystream, MAC pad and tag through
+//! one crate-private kernel per job on that tier, and counts the work
+//! it did ([`MemoryCipher::ops`]).
 //!
 //! # Example
 //!
@@ -55,7 +57,8 @@ pub mod mac;
 pub(crate) mod wide;
 
 use aes::Aes128;
-use backend::Backend;
+use backend::{Backend, CipherCounts, OpsSnapshot};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// Size of a protected memory block in bytes.
@@ -76,6 +79,9 @@ pub const TAG_MASK: u64 = (1u64 << TAG_BITS) - 1;
 /// reproducible; a real engine would draw them from a hardware RNG at boot.
 /// The tier is [`backend::active`], read once when the keys are derived:
 /// no method dispatches on the process-wide selection again.
+///
+/// The cipher counts its own keystreams and tags ([`Self::ops`]); a clone
+/// shares its cipher's counts.
 #[derive(Debug, Clone)]
 pub struct MemoryCipher {
     backend: Backend,
@@ -89,6 +95,7 @@ pub struct MemoryCipher {
     /// key derivation and shared by every [`mac::MacProbe`] this cipher
     /// builds (512 GF multiplies saved per probe).
     probe_table: Arc<[u64; 512]>,
+    counts: Arc<CipherCounts>,
 }
 
 impl MemoryCipher {
@@ -120,7 +127,14 @@ impl MemoryCipher {
             mac_key,
             hash_powers: mac::hash_powers(hash_key),
             probe_table: mac::probe_contributions(backend, hash_key),
+            counts: CipherCounts::register(backend),
         }
+    }
+
+    /// The keystreams and tags this cipher and its clones have made.
+    #[must_use]
+    pub fn ops(&self) -> OpsSnapshot {
+        self.counts.snapshot()
     }
 
     /// Encrypts one 64-byte block in counter mode under nonce
@@ -135,7 +149,7 @@ impl MemoryCipher {
         let mut out = *plain;
         let run = core::slice::from_mut(&mut out);
         ctr::xor_keystream_with(self.backend, &self.data_key, &[(addr, counter)], run);
-        backend::count_keystream(self.backend, 1, 4);
+        self.counts.keystream_calls.fetch_add(1, Relaxed);
         out
     }
 
@@ -163,9 +177,9 @@ impl MemoryCipher {
     /// Panics if `nonces` and `blocks` have different lengths.
     pub fn xor_keystream(&self, nonces: &[(u64, u64)], blocks: &mut [[u8; BLOCK_BYTES]]) {
         ctr::xor_keystream_with(self.backend, &self.data_key, nonces, blocks);
-        let n = nonces.len() as u64;
-        backend::count_keystream(self.backend, n, 4 * n);
-        backend::count_batch(self.backend);
+        self.counts
+            .keystream_calls
+            .fetch_add(nonces.len() as u64, Relaxed);
     }
 
     /// The keystreams of many `(addr, counter)` nonces, as a vector:
@@ -217,7 +231,9 @@ impl MemoryCipher {
         for tag in tags.iter_mut() {
             *tag &= TAG_MASK;
         }
-        backend::count_mac_batch(backend, nonces.len() as u64);
+        self.counts
+            .batch_tags
+            .fetch_add(nonces.len() as u64, Relaxed);
     }
 
     /// The 56-bit tags of many ciphertext blocks, as a vector:
@@ -303,8 +319,9 @@ impl MemoryCipher {
 
 /// The node MACs of one integrity-tree walk, each finished under a mask
 /// from [`MemoryCipher::mac_node_pads`], on the cipher's tier. The walk's
-/// tags are counted once, when it is dropped, so a tag costs its hash
-/// kernel and one XOR — no per-tag dispatch and no per-tag atomic.
+/// tags are counted into the cipher once, when it is dropped, so a tag
+/// costs its hash kernel and one XOR — no per-tag dispatch and no
+/// per-tag atomic.
 #[derive(Debug)]
 pub struct NodeMacs<'a> {
     cipher: &'a MemoryCipher,
@@ -323,7 +340,7 @@ impl NodeMacs<'_> {
 
 impl Drop for NodeMacs<'_> {
     fn drop(&mut self) {
-        backend::count_macs(self.cipher.backend, self.tags);
+        self.cipher.counts.single_tags.fetch_add(self.tags, Relaxed);
     }
 }
 

@@ -353,9 +353,12 @@ impl BlockSnapshot {
 }
 
 /// The whole functional engine reports as one scope: its own event
-/// counters at the root, the counter scheme under `counters/`, the
-/// metadata cache (when configured) under `metadata_cache/`, and the
-/// flip-and-check cost distribution as `flip_check_distribution`.
+/// counters at the root, the counter scheme under `counters/`, its two
+/// ciphers' work under `crypto/data/` (keystreams and tags) and
+/// `crypto/tree/` (tags), the metadata cache (when configured) under
+/// `metadata_cache/`, and the flip-and-check cost distribution as
+/// `flip_check_distribution`. Re-keying starts the `counters/` and the
+/// `crypto/` counts over: both belong to the state it replaces.
 impl ame_telemetry::Metrics for MemoryEncryptionEngine {
     fn record(&self, sink: &mut dyn ame_telemetry::MetricSink) {
         ame_telemetry::Metrics::record(&self.stats, sink);
@@ -365,6 +368,10 @@ impl ame_telemetry::Metrics for MemoryEncryptionEngine {
         sink.counter("counters/reencodes", counters.reencodes);
         sink.counter("counters/expansions", counters.expansions);
         sink.counter("counters/reencryptions", counters.reencryptions);
+        let (data, tree) = (self.cipher.ops(), self.tree.tree().cipher().ops());
+        sink.counter("crypto/data/keystream_calls", data.keystream_calls);
+        sink.counter("crypto/data/mac_tags", data.mac_tags);
+        sink.counter("crypto/tree/mac_tags", tree.mac_tags);
         if let Some(cache) = self.counter_cache_stats() {
             sink.counter("metadata_cache/hits", cache.hits);
             sink.counter("metadata_cache/misses", cache.misses);
@@ -1792,6 +1799,10 @@ mod tests {
         }
         let old_ct = e.snapshot_block(0);
         e.rekey(0xfeed).unwrap();
+        // The crypto counts start over with the keys: the new data
+        // cipher has sealed the eight blocks once each.
+        assert_eq!(e.cipher.ops().keystream_calls, 8);
+        assert_eq!(e.cipher.ops().mac_tags, 8);
         // Contents survive under the new keys.
         for b in 0..8u64 {
             assert_eq!(

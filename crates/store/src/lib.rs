@@ -767,33 +767,17 @@ impl SecureStore {
     /// `fused_reads`/`counter_fetch_amortization`/
     /// `queue_depth_seen` histograms, the instantaneous `queue_depth`
     /// gauge, the `overloads` and `wake_rings` counters, and the shard
-    /// engine's own metrics under
-    /// `<scope>/shard<N>/engine/...`.
+    /// engine's own metrics — its ciphers' keystreams and tags among
+    /// them — under `<scope>/shard<N>/engine/...`.
     ///
-    /// Process-wide crypto-backend state (which implementation is
-    /// serving, per-backend operation counts) is recorded once under
-    /// `<scope>/crypto/...` — the counters are global across shards, so
-    /// per-shard attribution would double-count them.
+    /// Which crypto tier serves the process is recorded once, as the
+    /// `<scope>/crypto/backend_tier` gauge.
     pub fn collect(&self, registry: &mut StatsRegistry, scope: &str) {
-        registry.set_gauge(
-            &format!("{scope}/crypto/backend_accelerated"),
-            u64::from(ame_crypto::backend::active().is_accelerated()) as f64,
-        );
         // Tier index contract: 0 = portable, 1 = accelerated, 2 = wide.
         registry.set_gauge(
             &format!("{scope}/crypto/backend_tier"),
             ame_crypto::backend::active().index() as f64,
         );
-        for backend in ame_crypto::backend::Backend::ALL {
-            let ops = ame_crypto::backend::ops(backend);
-            let prefix = format!("{scope}/crypto/{backend}");
-            registry.set_counter(&format!("{prefix}/keystream_calls"), ops.keystream_calls);
-            registry.set_counter(&format!("{prefix}/keystream_blocks"), ops.keystream_blocks);
-            registry.set_counter(&format!("{prefix}/batched_calls"), ops.batched_calls);
-            registry.set_counter(&format!("{prefix}/mac_tags"), ops.mac_tags);
-            registry.set_counter(&format!("{prefix}/mac_batch_calls"), ops.mac_batch_calls);
-            registry.set_counter(&format!("{prefix}/mac_batch_tags"), ops.mac_batch_tags);
-        }
         for shard in 0..self.config.shards {
             let (reply, response) = sync_channel(1);
             if self.senders[shard]
@@ -1127,37 +1111,20 @@ mod tests {
             // The shard's engine telemetry is nested underneath.
             assert!(snap.counter(&p("engine/reads")).unwrap() >= 16);
         }
-        // Process-wide crypto-backend telemetry appears once, not per
-        // shard, and the active backend has served this test's traffic.
-        assert!(snap.gauge("store/crypto/backend_accelerated").is_some());
-        let active = ame_crypto::backend::active();
-        // The backend tier gauge mirrors the process-wide active tier.
+        // The tier gauge mirrors the process-wide active tier.
         assert_eq!(
             snap.gauge("store/crypto/backend_tier"),
-            Some(active.index() as f64)
+            Some(ame_crypto::backend::active().index() as f64)
         );
-        assert!(
-            snap.counter(&format!("store/crypto/{active}/keystream_calls"))
-                .unwrap()
-                > 0
-        );
-        assert!(
-            snap.counter(&format!("store/crypto/{active}/mac_tags"))
-                .unwrap()
-                > 0
-        );
-        // The fused read/write paths issue multi-message MAC batches;
-        // the per-backend batched-tag counters must surface them.
-        assert!(
-            snap.counter(&format!("store/crypto/{active}/mac_batch_calls"))
-                .unwrap()
-                > 0
-        );
-        assert!(
-            snap.counter(&format!("store/crypto/{active}/mac_batch_tags"))
-                .unwrap()
-                > 0
-        );
+        // Each shard's engine reports its own ciphers' work: the fused
+        // read/write paths seal, open and tag runs, and the tree tags
+        // its counter blocks.
+        for shard in 0..2 {
+            let p = |name: &str| format!("store/shard{shard}/engine/crypto/{name}");
+            assert!(snap.counter(&p("data/keystream_calls")).unwrap() >= 16);
+            assert!(snap.counter(&p("data/mac_tags")).unwrap() >= 16);
+            assert!(snap.counter(&p("tree/mac_tags")).unwrap() > 0);
+        }
         let _ = store.shutdown();
     }
 

@@ -132,6 +132,13 @@ impl BonsaiTree {
         self.off_chip_levels
     }
 
+    /// The cipher that makes the tree's MACs (its counts are the tree's
+    /// tags).
+    #[must_use]
+    pub fn cipher(&self) -> &MemoryCipher {
+        &self.cipher
+    }
+
     /// The `(address, counter)` nonce of a node's MAC: (level, index) in
     /// the address input so identical content at different tree
     /// positions yields different MACs.
