@@ -19,7 +19,9 @@
 use crate::deltas::{self, Deltas, Group, Rules, Tally, Unpacked};
 use crate::packing::{FlatLayout, LINE_BITS};
 use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
-use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
+use ame_persist::{
+    invalid_data, put_sorted_table, put_u32, put_u64, read_index_table, ByteReader, IndexMap,
+};
 use std::io;
 
 /// Configuration of a flat (single-width) delta-encoding scheme.
@@ -393,17 +395,13 @@ impl CounterScheme for DeltaCounters {
     fn encode_state(&self, out: &mut Vec<u8>) {
         let mut body = codec::begin_state(out, self.name(), &self.layout_bytes());
         codec::put_stats(&mut body, &self.stats);
-        let mut indices: Vec<u64> = self.groups.keys().copied().collect();
-        indices.sort_unstable();
-        put_u64(&mut body, indices.len() as u64);
-        for idx in indices {
+        put_sorted_table(&mut body, self.groups.keys().copied(), |body, idx| {
             let line = &self.groups[&idx].line;
-            put_u64(&mut body, idx);
-            put_u64(&mut body, self.layout.reference(line));
+            put_u64(body, self.layout.reference(line));
             for i in 0..self.config.blocks_per_group {
-                put_u64(&mut body, self.layout.delta(line, i));
+                put_u64(body, self.layout.delta(line, i));
             }
-        }
+        });
         body.finish();
     }
 

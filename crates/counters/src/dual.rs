@@ -17,7 +17,9 @@
 use crate::deltas::{self, Deltas, Group, Rules, Tally, Unpacked};
 use crate::packing::{DualLayout, LINE_BITS};
 use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
-use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
+use ame_persist::{
+    invalid_data, put_sorted_table, put_u32, put_u64, read_index_table, ByteReader, IndexMap,
+};
 use std::io;
 
 /// Configuration of the dual-length delta scheme.
@@ -438,21 +440,17 @@ impl CounterScheme for DualLengthDeltaCounters {
     fn encode_state(&self, out: &mut Vec<u8>) {
         let mut body = codec::begin_state(out, self.name(), &self.layout_bytes());
         codec::put_stats(&mut body, &self.stats);
-        let mut indices: Vec<u64> = self.groups.keys().copied().collect();
-        indices.sort_unstable();
-        put_u64(&mut body, indices.len() as u64);
         let mut deltas = [0u64; LINE_BITS as usize];
         let deltas = &mut deltas[..self.config.blocks_per_group];
-        for idx in indices {
+        put_sorted_table(&mut body, self.groups.keys().copied(), |body, idx| {
             let (reference, expanded) = self.layout.unpack(&self.groups[&idx].line, deltas);
-            put_u64(&mut body, idx);
-            put_u64(&mut body, reference);
+            put_u64(body, reference);
             body.push(u8::from(expanded.is_some()));
-            put_u64(&mut body, expanded.unwrap_or(0) as u64);
+            put_u64(body, expanded.unwrap_or(0) as u64);
             for &d in deltas.iter() {
-                put_u64(&mut body, d);
+                put_u64(body, d);
             }
-        }
+        });
         body.finish();
     }
 

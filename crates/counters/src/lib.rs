@@ -88,12 +88,7 @@ pub(crate) mod codec {
         name: &str,
         layout: &[u8],
     ) -> io::Result<ByteReader<'a>> {
-        let (version, mut payload) = read_section(r, MAGIC)?;
-        if version != VERSION {
-            return Err(invalid_data(format!(
-                "unsupported counter state version {version}"
-            )));
-        }
+        let mut payload = read_section(r, MAGIC, VERSION)?;
         let n = payload.u8()? as usize;
         let found = payload.take(n)?;
         if found != name.as_bytes() {

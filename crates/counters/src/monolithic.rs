@@ -2,7 +2,9 @@
 //! 56-bit counters, incurring ~11% storage overhead — Section 2.1).
 
 use crate::{codec, CounterScheme, CounterStats, WriteOutcome};
-use ame_persist::{invalid_data, put_u64, read_index_table, ByteReader, IndexMap};
+use ame_persist::{
+    invalid_data, put_sorted_table, put_u64, read_index_table, ByteReader, IndexMap,
+};
 use std::io;
 
 /// Full-width per-block counters. Never re-encrypts: a 56-bit counter
@@ -124,13 +126,9 @@ impl CounterScheme for MonolithicCounters {
     fn encode_state(&self, out: &mut Vec<u8>) {
         let mut body = codec::begin_state(out, self.name(), &self.bits.to_le_bytes());
         codec::put_stats(&mut body, &self.stats);
-        let mut blocks: Vec<u64> = self.counters.keys().copied().collect();
-        blocks.sort_unstable();
-        put_u64(&mut body, blocks.len() as u64);
-        for block in blocks {
-            put_u64(&mut body, block);
-            put_u64(&mut body, self.counters[&block]);
-        }
+        put_sorted_table(&mut body, self.counters.keys().copied(), |body, block| {
+            put_u64(body, self.counters[&block]);
+        });
         body.finish();
     }
 

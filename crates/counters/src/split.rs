@@ -12,7 +12,9 @@
 //! measures.
 
 use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
-use ame_persist::{invalid_data, put_u32, put_u64, read_index_table, ByteReader, IndexMap};
+use ame_persist::{
+    invalid_data, put_sorted_table, put_u32, put_u64, read_index_table, ByteReader, IndexMap,
+};
 use std::collections::hash_map::Entry;
 use std::io;
 
@@ -183,17 +185,13 @@ impl CounterScheme for SplitCounters {
     fn encode_state(&self, out: &mut Vec<u8>) {
         let mut body = codec::begin_state(out, self.name(), &self.layout());
         codec::put_stats(&mut body, &self.stats);
-        let mut indices: Vec<u64> = self.groups.keys().copied().collect();
-        indices.sort_unstable();
-        put_u64(&mut body, indices.len() as u64);
-        for idx in indices {
+        put_sorted_table(&mut body, self.groups.keys().copied(), |body, idx| {
             let grp = &self.groups[&idx];
-            put_u64(&mut body, idx);
-            put_u64(&mut body, grp.major);
+            put_u64(body, grp.major);
             for &m in &grp.minors {
-                put_u64(&mut body, m);
+                put_u64(body, m);
             }
-        }
+        });
         body.finish();
     }
 

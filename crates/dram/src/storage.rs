@@ -5,7 +5,9 @@
 //! this module answers *what bits* come back, including the side-band the
 //! paper repurposes for MACs.
 
-use ame_persist::{invalid_data, put_u64, read_section, ByteReader, IndexMap, SectionWriter};
+use ame_persist::{
+    invalid_data, put_u64, read_section, read_sorted_table, ByteReader, IndexMap, SectionWriter,
+};
 use std::io;
 
 /// Size of one data block in bytes.
@@ -240,9 +242,9 @@ impl DramStorage {
     }
 
     /// Decodes a section produced by [`DramStorage::encode`], advancing
-    /// the reader past it. Only the canonical form is accepted: the
-    /// count matches the payload exactly and addresses are block-aligned
-    /// and strictly ascending — what `encode` has always produced.
+    /// the reader past it. Only the canonical form is accepted (see
+    /// [`read_sorted_table`]), with every address block-aligned — what
+    /// `encode` has always produced.
     ///
     /// # Errors
     ///
@@ -250,29 +252,12 @@ impl DramStorage {
     /// mismatch, truncated or over-long payload, or a stored address
     /// that is unaligned, repeated or out of order.
     pub fn decode(r: &mut ByteReader<'_>) -> io::Result<Self> {
-        let (version, mut payload) = read_section(r, Self::MAGIC)?;
-        if version != Self::VERSION {
-            return Err(invalid_data(format!(
-                "unsupported dram storage version {version}"
-            )));
-        }
-        let count = payload.u64()?;
-        // The count is checked against the bytes that are actually
-        // there before anything is sized by it.
-        if u64::try_from(payload.remaining()).ok() != count.checked_mul(ENTRY_BYTES as u64) {
-            return Err(invalid_data("block count disagrees with payload length"));
-        }
+        let mut payload = read_section(r, Self::MAGIC, Self::VERSION)?;
         let mut pages: Vec<(u64, Box<Page>)> = Vec::new();
-        let mut previous = None;
-        for _ in 0..count {
-            let addr = payload.u64()?;
+        let resident = read_sorted_table(&mut payload, ENTRY_BYTES, |addr, payload| {
             if !addr.is_multiple_of(BLOCK_BYTES as u64) {
                 return Err(invalid_data("unaligned stored block address"));
             }
-            if previous.is_some_and(|p| addr <= p) {
-                return Err(invalid_data("stored block addresses not ascending"));
-            }
-            previous = Some(addr);
             let (page, slot) = Self::locate(addr);
             if pages.last().is_none_or(|&(last, _)| last != page) {
                 pages.push((page, Page::empty()));
@@ -283,10 +268,12 @@ impl DramStorage {
                 data: payload.array()?,
                 sideband: payload.array()?,
             };
-        }
+            Ok(())
+        })?;
+        payload.end()?;
         Ok(Self {
             pages: pages.into_iter().collect(),
-            resident: count as usize,
+            resident,
         })
     }
 

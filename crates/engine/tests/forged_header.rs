@@ -4,7 +4,8 @@
 //! to all-ones, with every enclosing checksum recomputed, must be refused
 //! by `region::thaw` with `InvalidData`: for each counter scheme and MAC
 //! placement, and without a panic. Thaw builds the configured engine and
-//! sizes nothing from the image, so no such forgery gets in.
+//! sizes nothing from the image, so no such forgery gets in. Every
+//! section's version, set to 0, 2 or all-ones, is refused the same way.
 
 use ame_engine::{region, CounterSchemeKind, EngineConfig, MacPlacement};
 use std::io::ErrorKind;
@@ -196,20 +197,73 @@ fn every_configuration_field_forged_under_valid_checksums_is_refused() {
             swept += 1;
             for value in forgeries(&image, &field) {
                 let forged = forged(&image, &field, value);
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| region::thaw(&forged, &config, SIZE)));
-                match outcome {
-                    Ok(Err(e)) if e.kind() == ErrorKind::InvalidData => {}
-                    Ok(Err(e)) => panic!("{what}: {} = {value:#x}: {e}", field.name),
-                    Ok(Ok(_)) => panic!("{what}: {} = {value:#x} accepted", field.name),
-                    Err(_) => panic!("{what}: {} = {value:#x} panicked", field.name),
-                }
+                let case = format!("{what}: {} = {value:#x}", field.name);
+                assert_refused_without_panic(&forged, &config, &case);
             }
         }
     }
     // Size, 6 header and 2 tree fields per image, plus 1, 2, 5 and 7
     // layout fields for the four schemes; each under both placements.
     assert_eq!(swept, 2 * (4 * 9 + 15));
+}
+
+/// Thaws `forged` under `config` and fails the test, naming `case`,
+/// unless thaw refuses it with `InvalidData` and does not panic.
+fn assert_refused_without_panic(forged: &[u8], config: &EngineConfig, case: &str) {
+    match catch_unwind(AssertUnwindSafe(|| region::thaw(forged, config, SIZE))) {
+        Ok(Err(e)) if e.kind() == ErrorKind::InvalidData => {}
+        Ok(Err(e)) => panic!("{case}: {e}"),
+        Ok(Ok(_)) => panic!("{case} accepted"),
+        Err(_) => panic!("{case} panicked"),
+    }
+}
+
+/// The version field of every section of `image`, with the sections
+/// whose CRCs cover it: its own and each enclosing one.
+fn version_fields(image: &[u8]) -> Vec<Field> {
+    let [region, engine, dram, counters, tree] = sections(image);
+    [
+        ("AMEREGN version", vec![region]),
+        ("AMEENGIN version", vec![engine, region]),
+        ("AMEDRAM version", vec![dram, engine, region]),
+        ("AMECTRS version", vec![counters, engine, region]),
+        ("AMETREE version", vec![tree, engine, region]),
+    ]
+    .into_iter()
+    .map(|(name, sections)| Field {
+        name,
+        at: sections[0] + 8,
+        width: 4,
+        sections,
+    })
+    .collect()
+}
+
+/// A section of another version is refused under valid checksums, at
+/// every depth of the image: the version gate in `ame_persist` is the
+/// one every decoder goes through.
+#[test]
+fn every_section_version_forged_under_valid_checksums_is_refused() {
+    let mut swept = 0;
+    for (config, image) in golden_images() {
+        let what = format!("{:?}/{:?}", config.counter_scheme, config.mac_placement);
+        for field in version_fields(&image) {
+            assert_eq!(stored(&image, &field), 1, "{what}: {}", field.name);
+            let values = forgeries(&image, &field);
+            assert_eq!(
+                values,
+                [0, 2, u64::from(u32::MAX)],
+                "{what}: {}",
+                field.name
+            );
+            for value in values {
+                let case = format!("{what}: {} = {value:#x}", field.name);
+                assert_refused_without_panic(&forged(&image, &field, value), &config, &case);
+                swept += 1;
+            }
+        }
+    }
+    assert_eq!(swept, 8 * 5 * 3, "every image, section and forged version");
 }
 
 /// A counter cache at the ceiling `new` accepts is no longer adopted

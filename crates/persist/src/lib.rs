@@ -20,10 +20,13 @@
 //! ([`SectionWriter`]): an image of nested sections is appended into one
 //! buffer and every byte of it is checksummed once.
 //!
-//! The crate also holds [`IndexMap`], the integer-keyed hash map that
-//! the dram, counters, tree and engine crates share for their per-block
-//! lookups, and [`read_index_table`], the one canonical-form decoder for
-//! the sorted tables they serialize from it.
+//! [`read_section`] is the one place a stored section version is
+//! compared. The crate also holds [`IndexMap`], the integer-keyed hash
+//! map that the dram, counters, tree and engine crates share for their
+//! per-block lookups, and the one codec for the key-sorted tables they
+//! serialize: [`put_sorted_table`] writes one and [`read_sorted_table`]
+//! (or [`read_index_table`], into an `IndexMap`) reads it back, in
+//! canonical form only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -322,17 +325,21 @@ impl DerefMut for SectionWriter<'_> {
     }
 }
 
-/// Reads one section, verifying magic and checksum; the cursor advances
-/// past the section. Returns the stored version and a sub-reader over the
-/// payload — version checking is the caller's (per-format) business.
+/// Reads one section, verifying magic, checksum and version; the cursor
+/// advances past the section. `version` is the one the caller writes.
+/// This is the one place a stored section version is compared: an
+/// intact section of any other version is refused here, by its magic,
+/// before its payload reaches a decoder.
 ///
 /// # Errors
 ///
-/// `InvalidData` for a wrong magic, truncated body, or checksum mismatch.
+/// `InvalidData` for a wrong magic, truncated body, checksum mismatch,
+/// or a version other than `version`.
 pub fn read_section<'a>(
     r: &mut ByteReader<'a>,
     magic: &[u8; 8],
-) -> io::Result<(u32, ByteReader<'a>)> {
+    version: u32,
+) -> io::Result<ByteReader<'a>> {
     let start = r.pos;
     let found: [u8; 8] = r
         .array()
@@ -342,7 +349,7 @@ pub fn read_section<'a>(
             "bad section magic: expected {magic:?}, found {found:?}"
         )));
     }
-    let version = r.u32().map_err(|_| invalid_data("truncated section"))?;
+    let stored_version = r.u32().map_err(|_| invalid_data("truncated section"))?;
     let len = r.u64().map_err(|_| invalid_data("truncated section"))? as usize;
     let payload = r.take(len).map_err(|_| invalid_data("truncated section"))?;
     let covered = &r.buf[start..r.pos];
@@ -350,31 +357,56 @@ pub fn read_section<'a>(
     if crc64(covered) != stored {
         return Err(invalid_data("section checksum mismatch"));
     }
-    Ok((version, ByteReader::new(payload)))
+    if stored_version != version {
+        let name = String::from_utf8_lossy(magic);
+        return Err(invalid_data(format!(
+            "{} section version {stored_version} is not the supported {version}",
+            name.trim_end_matches('\0')
+        )));
+    }
+    Ok(ByteReader::new(payload))
 }
 
-/// Reads a table of index-keyed entries that fills the rest of `r`: a
-/// `u64` count, then per entry a `u64` key followed by the value
-/// `read_value` decodes, `entry_bytes` in all. Only the canonical form a
-/// key-sorting encoder writes is accepted: the count must match the
-/// bytes actually there — checked before anything is sized by it — and
-/// the keys must be strictly ascending, so no duplicate can silently
-/// overwrite an earlier entry.
+/// Appends a table in the canonical form [`read_sorted_table`] accepts:
+/// a `u64` count, then, in ascending key order, each `u64` key followed
+/// by whatever `put_entry` appends for it. Only the keys are collected
+/// and sorted; every entry is written straight into `out`.
+pub fn put_sorted_table(
+    out: &mut Vec<u8>,
+    keys: impl IntoIterator<Item = u64>,
+    mut put_entry: impl FnMut(&mut Vec<u8>, u64),
+) {
+    let mut keys: Vec<u64> = keys.into_iter().collect();
+    keys.sort_unstable();
+    put_u64(out, keys.len() as u64);
+    for key in keys {
+        put_u64(out, key);
+        put_entry(out, key);
+    }
+}
+
+/// Reads a table [`put_sorted_table`] wrote, handing each key to
+/// `read_entry` with the reader positioned at its entry: a `u64` count,
+/// then per entry its `u64` key and the entry, `entry_bytes` in all.
+/// Only the canonical form is accepted: the count must fit in the bytes
+/// left — checked before anything is sized by it — and the keys must be
+/// strictly ascending, so no duplicate can silently overwrite an earlier
+/// entry. Returns the count. A table that ends its payload is followed
+/// by the caller's [`ByteReader::end`], which refuses trailing bytes.
 ///
 /// # Errors
 ///
-/// `InvalidData` for a count that disagrees with the remaining bytes or
-/// a repeated or out-of-order key; whatever `read_value` returns.
-pub fn read_index_table<'a, V>(
+/// `InvalidData` for a count larger than the remaining bytes hold or a
+/// repeated or out-of-order key; whatever `read_entry` returns.
+pub fn read_sorted_table<'a>(
     r: &mut ByteReader<'a>,
     entry_bytes: usize,
-    mut read_value: impl FnMut(&mut ByteReader<'a>) -> io::Result<V>,
-) -> io::Result<IndexMap<V>> {
+    mut read_entry: impl FnMut(u64, &mut ByteReader<'a>) -> io::Result<()>,
+) -> io::Result<usize> {
     let count = r.u64()?;
-    if u64::try_from(r.remaining()).ok() != count.checked_mul(entry_bytes as u64) {
-        return Err(invalid_data("table count disagrees with payload length"));
+    if count > (r.remaining() / entry_bytes) as u64 {
+        return Err(invalid_data("table count exceeds its payload"));
     }
-    let mut table = IndexMap::with_capacity_and_hasher(count as usize, Default::default());
     let mut previous = None;
     for _ in 0..count {
         let key = r.u64()?;
@@ -382,9 +414,31 @@ pub fn read_index_table<'a, V>(
             return Err(invalid_data("table keys not strictly ascending"));
         }
         previous = Some(key);
-        table.insert(key, read_value(r)?);
+        read_entry(key, r)?;
     }
-    debug_assert!(r.is_empty(), "entries shorter than entry_bytes");
+    Ok(count as usize)
+}
+
+/// Reads a [`read_sorted_table`] table that fills the rest of `r` into
+/// an [`IndexMap`], one value per key as `read_value` decodes it.
+///
+/// # Errors
+///
+/// Whatever [`read_sorted_table`] refuses, any byte after the table, or
+/// whatever `read_value` returns.
+pub fn read_index_table<'a, V>(
+    r: &mut ByteReader<'a>,
+    entry_bytes: usize,
+    mut read_value: impl FnMut(&mut ByteReader<'a>) -> io::Result<V>,
+) -> io::Result<IndexMap<V>> {
+    // Sized by the bytes that are there, never by the stored count.
+    let mut table =
+        IndexMap::with_capacity_and_hasher(r.remaining() / entry_bytes, Default::default());
+    read_sorted_table(r, entry_bytes, |key, r| {
+        table.insert(key, read_value(r)?);
+        Ok(())
+    })?;
+    r.end()?;
     Ok(table)
 }
 
@@ -650,8 +704,7 @@ mod tests {
         write_section(&mut buf, b"AMETEST\0", 3, b"hello");
         put_u64(&mut buf, 42); // trailing data after the section
         let mut r = ByteReader::new(&buf);
-        let (version, mut payload) = read_section(&mut r, b"AMETEST\0").unwrap();
-        assert_eq!(version, 3);
+        let mut payload = read_section(&mut r, b"AMETEST\0", 3).unwrap();
         assert_eq!(payload.take(5).unwrap(), b"hello");
         assert!(payload.is_empty());
         assert_eq!(r.u64().unwrap(), 42, "cursor sits after the section");
@@ -661,7 +714,7 @@ mod tests {
     fn section_rejects_wrong_magic() {
         let mut buf = Vec::new();
         write_section(&mut buf, b"AMETEST\0", 1, b"x");
-        let err = read_section(&mut ByteReader::new(&buf), b"AMEOTHER").unwrap_err();
+        let err = read_section(&mut ByteReader::new(&buf), b"AMEOTHER", 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -674,7 +727,7 @@ mod tests {
         for i in 8..buf.len() {
             let mut bad = buf.clone();
             bad[i] ^= 0x10;
-            let err = read_section(&mut ByteReader::new(&bad), b"AMETEST\0").unwrap_err();
+            let err = read_section(&mut ByteReader::new(&bad), b"AMETEST\0", 1).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {i}");
         }
     }
@@ -684,9 +737,77 @@ mod tests {
         let mut buf = Vec::new();
         write_section(&mut buf, b"AMETEST\0", 1, &[7; 16]);
         for cut in [buf.len() - 1, buf.len() - 9, 10, 3] {
-            let err = read_section(&mut ByteReader::new(&buf[..cut]), b"AMETEST\0").unwrap_err();
+            let err = read_section(&mut ByteReader::new(&buf[..cut]), b"AMETEST\0", 1).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut {cut}");
         }
+    }
+
+    #[test]
+    fn section_refuses_any_other_version_by_its_magic() {
+        for stored in [0, 2, u32::MAX] {
+            let mut buf = Vec::new();
+            write_section(&mut buf, b"AMETEST\0", stored, b"x");
+            let err = read_section(&mut ByteReader::new(&buf), b"AMETEST\0", 1).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {stored}");
+            assert!(err.to_string().starts_with("AMETEST section"), "{err}");
+        }
+    }
+
+    /// A table of `u64` values at `keys`, each value its key doubled.
+    fn table(keys: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_sorted_table(&mut out, keys.iter().copied(), |out, key| {
+            put_u64(out, 2 * key);
+        });
+        out
+    }
+
+    #[test]
+    fn sorted_table_roundtrips_in_key_order() {
+        let bytes = table(&[9, 1, 5]);
+        let mut expected = Vec::new();
+        for word in [3, 1, 2, 5, 10, 9, 18] {
+            put_u64(&mut expected, word);
+        }
+        assert_eq!(bytes, expected, "count, then ascending (key, entry)");
+        let mut r = ByteReader::new(&bytes);
+        let read = read_index_table(&mut r, 16, ByteReader::u64).unwrap();
+        assert_eq!(read.len(), 3);
+        assert!(read.iter().all(|(&key, &value)| value == 2 * key));
+        assert_eq!(table(&[]), 0u64.to_le_bytes());
+    }
+
+    #[test]
+    fn sorted_table_refuses_non_canonical_forms() {
+        let entry = |key: u64| [key.to_le_bytes(), (2 * key).to_le_bytes()].concat();
+        let forged = |count: u64, entries: &[u64]| {
+            let mut out = count.to_le_bytes().to_vec();
+            for &key in entries {
+                out.extend_from_slice(&entry(key));
+            }
+            out
+        };
+        for (what, bytes) in [
+            ("a huge count", forged(1 << 40, &[1])),
+            ("a count past the entries", forged(3, &[1, 2])),
+            ("a repeated key", forged(2, &[1, 1])),
+            ("keys out of order", forged(2, &[2, 1])),
+        ] {
+            let mut r = ByteReader::new(&bytes);
+            let err = read_sorted_table(&mut r, 16, |_, r| r.u64().map(drop)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+        }
+        // A short count leaves bytes: the table reader stops at its
+        // count, and the end of the payload refuses the rest.
+        let short = forged(1, &[1, 2]);
+        let mut r = ByteReader::new(&short);
+        assert_eq!(
+            read_sorted_table(&mut r, 16, |_, r| r.u64().map(drop)).unwrap(),
+            1
+        );
+        assert_eq!(r.end().unwrap_err().kind(), io::ErrorKind::InvalidData);
+        let err = read_index_table(&mut ByteReader::new(&short), 16, ByteReader::u64).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! detected.
 
 use ame_crypto::MemoryCipher;
-use ame_persist::{invalid_data, put_u64, read_section, ByteReader, IndexMap, SectionWriter};
+use ame_persist::{
+    invalid_data, put_sorted_table, put_u64, read_section, read_sorted_table, ByteReader, IndexMap,
+    SectionWriter,
+};
 use std::io;
 
 /// Size of a counter block / tree node in bytes.
@@ -349,51 +352,6 @@ impl BonsaiTree {
     /// Section version of the serialized form.
     const VERSION: u32 = 1;
 
-    fn put_pairs(payload: &mut Vec<u8>, mut pairs: Vec<(u64, u64)>) {
-        pairs.sort_unstable();
-        put_u64(payload, pairs.len() as u64);
-        for (k, v) in pairs {
-            put_u64(payload, k);
-            put_u64(payload, v);
-        }
-    }
-
-    /// Reads a canonical list of `entry_bytes`-byte entries, each led by
-    /// its `u64` key, handing every key and reader to `read`: the count
-    /// must fit in what is left of the payload and the keys must be
-    /// strictly ascending (what [`BonsaiTree::encode_state`] writes), so
-    /// a duplicate or reordered entry cannot silently overwrite another.
-    fn read_keyed(
-        payload: &mut ByteReader<'_>,
-        entry_bytes: usize,
-        mut read: impl FnMut(u64, &mut ByteReader<'_>) -> io::Result<()>,
-    ) -> io::Result<()> {
-        let count = payload.u64()?;
-        if count > (payload.remaining() / entry_bytes) as u64 {
-            return Err(invalid_data("tree state count exceeds its payload"));
-        }
-        let mut last = None;
-        for _ in 0..count {
-            let key = payload.u64()?;
-            if last.is_some_and(|last| key <= last) {
-                return Err(invalid_data("tree state keys not strictly ascending"));
-            }
-            last = Some(key);
-            read(key, payload)?;
-        }
-        Ok(())
-    }
-
-    fn read_pairs(
-        payload: &mut ByteReader<'_>,
-        mut insert: impl FnMut(u64, u64),
-    ) -> io::Result<()> {
-        Self::read_keyed(payload, 16, |key, payload| {
-            insert(key, payload.u64()?);
-            Ok(())
-        })
-    }
-
     /// Serializes the tree's complete state — counter blocks, every
     /// off-chip MAC level, and the on-chip root MACs — into a checksummed
     /// section (sorted, so the encoding is deterministic). The cipher is
@@ -402,29 +360,32 @@ impl BonsaiTree {
         let mut payload = SectionWriter::begin(out, Self::MAGIC, Self::VERSION);
         put_u64(&mut payload, self.arity as u64);
         put_u64(&mut payload, self.off_chip_levels as u64);
-        let mut leaves: Vec<u64> = self.counter_blocks.keys().copied().collect();
-        leaves.sort_unstable();
-        put_u64(&mut payload, leaves.len() as u64);
-        for idx in leaves {
-            put_u64(&mut payload, idx);
-            payload.extend_from_slice(&self.counter_blocks[&idx]);
-        }
+        put_sorted_table(
+            &mut payload,
+            self.counter_blocks.keys().copied(),
+            |out, idx| {
+                out.extend_from_slice(&self.counter_blocks[&idx]);
+            },
+        );
         // The v1 layout is per-child: every level lists the `(child
         // index, MAC)` pairs ever written, not node images.
         let arity = self.arity as u64;
         for level in &self.nodes {
-            let pairs = level
-                .iter()
-                .flat_map(|(&parent, node)| {
-                    (0..self.arity)
-                        .filter(|&slot| node.present >> slot & 1 == 1)
-                        .map(move |slot| (parent * arity + slot as u64, node.child_macs[slot]))
-                })
-                .collect();
-            Self::put_pairs(&mut payload, pairs);
+            let children = level.iter().flat_map(|(&parent, node)| {
+                (0..arity)
+                    .filter(|&slot| node.present >> slot & 1 == 1)
+                    .map(move |slot| parent * arity + slot)
+            });
+            put_sorted_table(&mut payload, children, |out, child| {
+                put_u64(
+                    out,
+                    level[&(child / arity)].child_macs[(child % arity) as usize],
+                );
+            });
         }
-        let roots = self.root_macs.iter().map(|(&k, &v)| (k, v)).collect();
-        Self::put_pairs(&mut payload, roots);
+        put_sorted_table(&mut payload, self.root_macs.keys().copied(), |out, node| {
+            put_u64(out, self.root_macs[&node]);
+        });
         payload.finish();
     }
 
@@ -456,12 +417,7 @@ impl BonsaiTree {
     /// ascending, or bytes after the last table. The tree is unchanged
     /// on error.
     pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
-        let (version, mut payload) = read_section(r, Self::MAGIC)?;
-        if version != Self::VERSION {
-            return Err(invalid_data(format!(
-                "unsupported tree state version {version}"
-            )));
-        }
+        let mut payload = read_section(r, Self::MAGIC, Self::VERSION)?;
         let layout = [self.arity as u64, self.off_chip_levels as u64];
         let stored = [payload.u64()?, payload.u64()?];
         if stored != layout {
@@ -470,17 +426,19 @@ impl BonsaiTree {
             )));
         }
         let mut tree = Self::new(self.cipher.clone(), self.off_chip_levels, self.arity);
-        Self::read_keyed(&mut payload, 8 + NODE_BYTES, |idx, payload| {
+        read_sorted_table(&mut payload, 8 + NODE_BYTES, |idx, payload| {
             tree.counter_blocks.insert(idx, payload.array()?);
             Ok(())
         })?;
         for level in 0..self.off_chip_levels {
-            Self::read_pairs(&mut payload, |child, mac| {
-                tree.set_stored_mac(level, child, mac);
+            read_sorted_table(&mut payload, 16, |child, payload| {
+                tree.set_stored_mac(level, child, payload.u64()?);
+                Ok(())
             })?;
         }
-        Self::read_pairs(&mut payload, |node, mac| {
-            tree.root_macs.insert(node, mac);
+        read_sorted_table(&mut payload, 16, |node, payload| {
+            tree.root_macs.insert(node, payload.u64()?);
+            Ok(())
         })?;
         payload.end()?;
         *self = tree;
