@@ -15,13 +15,15 @@
 //!
 //! Only when both fail does the group get re-encrypted under a fresh
 //! counter (Figure 5a).
+//!
+//! This module holds the flat layout's configuration; the rules run in
+//! the one delta scheme the dual-length layout shares (`deltas.rs`).
 
-use crate::deltas::{self, Deltas, Group, Rules, Tally, Unpacked};
-use crate::packing::{FlatLayout, LINE_BITS};
-use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
-use ame_persist::{
-    invalid_data, put_sorted_table, put_u32, put_u64, read_index_table, ByteReader, IndexMap,
-};
+// The crate root's items, for this module's tests as much as its code.
+use crate::deltas::{Config, DeltaScheme};
+use crate::packing::{FlatLayout, LineLayout};
+use crate::*;
+use ame_persist::{put_u32, put_u64, ByteReader};
 use std::io;
 
 /// Configuration of a flat (single-width) delta-encoding scheme.
@@ -59,9 +61,14 @@ impl DeltaConfig {
     pub fn delta_max(&self) -> u64 {
         (1u64 << self.delta_bits) - 1
     }
+}
 
-    /// Validates invariants and lays the group out in its line; called
-    /// by [`DeltaCounters::new`].
+impl Config for DeltaConfig {
+    const NAME: &'static str = "delta";
+    const EXPANDS: bool = false;
+    const EXPANSION_BYTES: usize = 0;
+    type Layout = FlatLayout;
+
     fn layout(&self) -> FlatLayout {
         assert!(
             self.delta_bits > 0 && self.delta_bits < 32,
@@ -76,6 +83,43 @@ impl DeltaConfig {
             "reference width must be 1..=64"
         );
         FlatLayout::new(self.reference_bits, self.delta_bits, self.blocks_per_group)
+    }
+
+    fn blocks_per_group(&self) -> usize {
+        self.blocks_per_group
+    }
+
+    fn cap(&self, _widened: bool) -> u64 {
+        self.delta_max()
+    }
+
+    fn reset_enabled(&self) -> bool {
+        self.reset_enabled
+    }
+
+    fn reencode_enabled(&self) -> bool {
+        self.reencode_enabled
+    }
+
+    fn layout_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, self.delta_bits);
+        put_u64(&mut out, self.blocks_per_group as u64);
+        put_u32(&mut out, self.reference_bits);
+        out.push(u8::from(self.reset_enabled));
+        out.push(u8::from(self.reencode_enabled));
+        out
+    }
+
+    fn bits_per_block(&self) -> f64 {
+        f64::from(self.delta_bits) + f64::from(self.reference_bits) / self.blocks_per_group as f64
+    }
+
+    /// A flat group has no expansion, and its entry no field for one.
+    fn put_expansion(_out: &mut Vec<u8>, _expanded: Option<usize>) {}
+
+    fn read_expansion(&self, _r: &mut ByteReader<'_>) -> io::Result<Option<usize>> {
+        Ok(None)
     }
 }
 
@@ -99,392 +143,25 @@ impl DeltaConfig {
 /// assert_eq!(ctrs.stats().resets, 1);
 /// assert_eq!(ctrs.counter(0), 1);
 /// ```
-#[derive(Debug, Clone)]
-pub struct DeltaCounters {
-    groups: IndexMap<Group>,
-    config: DeltaConfig,
-    layout: FlatLayout,
-    stats: CounterStats,
-}
+pub type DeltaCounters = DeltaScheme<DeltaConfig>;
 
 impl DeltaCounters {
-    /// Creates a delta-counter scheme from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (zero-size group, delta
-    /// width outside `1..32`, reference width outside `1..=64`) or its
-    /// reference and deltas do not fit one 64-byte metadata block.
-    #[must_use]
-    pub fn new(config: DeltaConfig) -> Self {
-        Self {
-            groups: IndexMap::default(),
-            layout: config.layout(),
-            config,
-            stats: CounterStats::default(),
-        }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &DeltaConfig {
-        &self.config
-    }
-
-    /// The configuration as a state section records it.
-    fn layout_bytes(&self) -> Vec<u8> {
-        let cfg = &self.config;
-        let mut out = Vec::new();
-        put_u32(&mut out, cfg.delta_bits);
-        put_u64(&mut out, cfg.blocks_per_group as u64);
-        put_u32(&mut out, cfg.reference_bits);
-        out.push(u8::from(cfg.reset_enabled));
-        out.push(u8::from(cfg.reencode_enabled));
-        out
-    }
-
     /// Current delta of `block` (for inspection/ablation experiments).
     #[must_use]
     pub fn delta(&self, block: u64) -> u64 {
-        let (g, i) = split_block(block, self.config.blocks_per_group);
+        let (g, i) = split_block(block, self.blocks_per_group());
         self.groups
             .get(&g)
-            .map_or(0, |grp| self.layout.delta(&grp.line, i))
+            .map_or(0, |grp| self.layout.delta(&grp.line, i, false))
     }
 
     /// Current reference value of the group containing `block`.
     #[must_use]
     pub fn reference(&self, block: u64) -> u64 {
-        let (g, _) = split_block(block, self.config.blocks_per_group);
+        let (g, _) = split_block(block, self.blocks_per_group());
         self.groups
             .get(&g)
             .map_or(0, |grp| self.layout.reference(&grp.line))
-    }
-}
-
-/// The flat scheme's rules over its configuration and line layout.
-struct Flat<'a> {
-    cfg: &'a DeltaConfig,
-    layout: &'a FlatLayout,
-}
-
-/// A flat group in its packed line, bumped in place.
-struct Packed<'a> {
-    layout: &'a FlatLayout,
-    n: usize,
-    grp: &'a mut Group,
-}
-
-impl Deltas for Packed<'_> {
-    #[inline]
-    fn reference(&self) -> u64 {
-        self.layout.reference(&self.grp.line)
-    }
-
-    #[inline]
-    fn expanded(&self) -> Option<usize> {
-        None
-    }
-
-    #[inline]
-    fn delta(&self, i: usize, _widened: bool) -> u64 {
-        self.layout.delta(&self.grp.line, i)
-    }
-
-    #[inline]
-    fn raise(&mut self, i: usize, d: u64, _widened: bool) {
-        self.layout.set_delta(&mut self.grp.line, i, d);
-        self.grp.tally.bumped(d);
-    }
-
-    #[inline]
-    fn expand(&mut self, _i: usize, _d: u64) {
-        unreachable!("a flat group has no extension slots")
-    }
-
-    #[inline]
-    fn tally(&self) -> &Tally {
-        &self.grp.tally
-    }
-
-    #[inline]
-    fn reset(&mut self, reference: u64) {
-        *self.grp = Group::zeroed(self.layout.zeroed(reference), self.n);
-    }
-
-    fn unpack(&self, deltas: &mut [u64]) -> u64 {
-        self.layout.unpack(&self.grp.line, deltas)
-    }
-
-    fn repack(&mut self, reference: u64, deltas: &[u64]) {
-        *self.grp = Group::packed(self.layout.pack(reference, deltas), deltas);
-    }
-
-    #[inline]
-    fn counter(&self, i: usize) -> u64 {
-        self.layout.counter(&self.grp.line, i)
-    }
-}
-
-impl Rules for Flat<'_> {
-    /// Figure 5's increment: the one copy of the delta, reset,
-    /// re-encode and overflow rules, behind [`CounterScheme::record_write`]
-    /// and both forms of its run.
-    #[inline]
-    fn bump(&self, g: u64, d: &mut impl Deltas, i: usize) -> WriteOutcome {
-        let cfg = self.cfg;
-        let delta = d.delta(i, false);
-        if delta < cfg.delta_max() {
-            d.raise(i, delta + 1, false);
-            // Figure 5b: fold converged deltas into the reference.
-            match d.tally().converged(cfg.blocks_per_group) {
-                Some(common) if cfg.reset_enabled => {
-                    d.reset(d.reference() + common);
-                    WriteOutcome::Reset
-                }
-                _ => WriteOutcome::Incremented,
-            }
-        } else {
-            self.overflow(g, d, i)
-        }
-    }
-
-    fn packed<'a>(&'a self, grp: &'a mut Group) -> impl Deltas + 'a {
-        let (layout, n) = (self.layout, self.cfg.blocks_per_group);
-        Packed { layout, n, grp }
-    }
-
-    fn unpack(&self, grp: &Group) -> Unpacked {
-        let n = self.cfg.blocks_per_group;
-        Unpacked::of(grp, n, n, |line, deltas| {
-            (self.layout.unpack(line, deltas), None)
-        })
-    }
-
-    fn repack(&self, u: &Unpacked) -> Group {
-        let line = self.layout.pack(u.reference, u.deltas());
-        Group {
-            line,
-            tally: u.tally,
-        }
-    }
-}
-
-impl Flat<'_> {
-    /// The rare half of [`Rules::bump`], out of its way: delta `i` is at
-    /// its maximum, so the whole group is unpacked once and rewritten.
-    #[cold]
-    #[inline(never)]
-    fn overflow(&self, g: u64, d: &mut impl Deltas, i: usize) -> WriteOutcome {
-        let cfg = self.cfg;
-        let mut deltas = [0u64; LINE_BITS as usize];
-        let deltas = &mut deltas[..cfg.blocks_per_group];
-        let reference = d.unpack(deltas);
-        // Figure 5c: re-encode with a larger reference if every delta
-        // is positive.
-        let min = deltas.iter().copied().min().unwrap_or(0);
-        if cfg.reencode_enabled && min > 0 {
-            deltas.iter_mut().for_each(|d| *d -= min);
-            deltas[i] += 1;
-            d.repack(reference + min, deltas);
-            WriteOutcome::Reencoded
-        } else {
-            // Figure 5a: re-encrypt the group under the largest
-            // counter (the overflowing one, incremented).
-            let old_counters = deltas.iter().map(|d| reference + d).collect();
-            let new_counter = reference + cfg.delta_max() + 1;
-            d.reset(new_counter);
-            WriteOutcome::Reencrypted {
-                group: g,
-                old_counters,
-                new_counter,
-            }
-        }
-    }
-}
-
-impl Default for DeltaCounters {
-    fn default() -> Self {
-        Self::new(DeltaConfig::default())
-    }
-}
-
-impl CounterScheme for DeltaCounters {
-    fn counter(&self, block: u64) -> u64 {
-        let (g, i) = split_block(block, self.config.blocks_per_group);
-        self.groups
-            .get(&g)
-            .map_or(0, |grp| self.layout.counter(&grp.line, i))
-    }
-
-    fn record_write(&mut self, block: u64) -> WriteOutcome {
-        let (g, i) = split_block(block, self.config.blocks_per_group);
-        let n = self.config.blocks_per_group;
-        let grp = self.groups.entry(g).or_insert_with(|| Group::new(n));
-        let rules = Flat {
-            cfg: &self.config,
-            layout: &self.layout,
-        };
-        let outcome = rules.bump(g, &mut rules.packed(grp), i);
-        self.stats.record(&outcome);
-        outcome
-    }
-
-    fn record_writes(
-        &mut self,
-        blocks: &[u64],
-        counters: &mut [u64],
-    ) -> (usize, Option<WriteOutcome>) {
-        let rules = Flat {
-            cfg: &self.config,
-            layout: &self.layout,
-        };
-        let n = self.config.blocks_per_group;
-        deltas::write_run(
-            &mut self.groups,
-            n,
-            &mut self.stats,
-            blocks,
-            counters,
-            &rules,
-        )
-    }
-
-    fn counters(&self, blocks: &[u64], counters: &mut [u64]) {
-        let layout = &self.layout;
-        deltas::read_run(
-            &self.groups,
-            self.config.blocks_per_group,
-            blocks,
-            counters,
-            |line, i| layout.counter(line, i),
-        );
-    }
-
-    fn bits_per_block(&self) -> f64 {
-        f64::from(self.config.delta_bits)
-            + f64::from(self.config.reference_bits) / self.config.blocks_per_group as f64
-    }
-
-    fn blocks_per_group(&self) -> usize {
-        self.config.blocks_per_group
-    }
-
-    fn stats(&self) -> CounterStats {
-        self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "delta"
-    }
-
-    fn blocks_per_metadata_block(&self) -> usize {
-        self.config.blocks_per_group
-    }
-
-    /// The group's line, `reference (reference_bits) || deltas
-    /// (delta_bits each)` — 504 bits for the paper's 7-bit/64-block
-    /// configuration — as it is held.
-    fn metadata_block_image(&self, meta_block: u64) -> [u8; 64] {
-        // A never-written group is all zeros, which is the empty image.
-        self.groups
-            .get(&meta_block)
-            .map_or([0; 64], |grp| grp.line.bytes())
-    }
-
-    fn encode_state(&self, out: &mut Vec<u8>) {
-        let mut body = codec::begin_state(out, self.name(), &self.layout_bytes());
-        codec::put_stats(&mut body, &self.stats);
-        put_sorted_table(&mut body, self.groups.keys().copied(), |body, idx| {
-            let line = &self.groups[&idx].line;
-            put_u64(body, self.layout.reference(line));
-            for i in 0..self.config.blocks_per_group {
-                put_u64(body, self.layout.delta(line, i));
-            }
-        });
-        body.finish();
-    }
-
-    fn encoded_state_len(&self) -> usize {
-        let group = 16 + 8 * self.config.blocks_per_group;
-        codec::state_len(self.name(), 4 + 8 + 4 + 2 + 8 + self.groups.len() * group)
-    }
-
-    fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
-        let mut body = codec::read_state(r, self.name(), &self.layout_bytes())?;
-        let (config, layout) = (self.config, self.layout);
-        let stats = codec::read_stats(&mut body)?;
-        let entry = 16 + 8 * config.blocks_per_group;
-        let groups = read_index_table(&mut body, entry, |body| {
-            let reference = body.u64()?;
-            if reference > layout.reference_max() {
-                return Err(invalid_data("reference exceeds its width"));
-            }
-            let mut deltas = [0u64; LINE_BITS as usize];
-            let deltas = &mut deltas[..config.blocks_per_group];
-            for d in deltas.iter_mut() {
-                *d = body.u64()?;
-                if *d > config.delta_max() {
-                    return Err(invalid_data("delta exceeds its width"));
-                }
-            }
-            Ok(Group::packed(layout.pack(reference, deltas), deltas))
-        })?;
-        self.stats = stats;
-        self.groups = groups;
-        Ok(())
-    }
-
-    /// Restores a counter *value* by re-deriving the group encoding: the
-    /// reference becomes the group's minimum counter and every delta the
-    /// offset above it. Fails only when the resulting spread exceeds the
-    /// delta width — impossible for an honest log, which rotates into a
-    /// snapshot at every re-encryption — or the minimum exceeds the
-    /// reference width.
-    ///
-    /// Replay forces one counter per logged write, so this works in
-    /// place: one pass for the spread, and the other deltas are
-    /// rewritten only when the minimum moves.
-    fn force_counter(&mut self, block: u64, value: u64) -> io::Result<()> {
-        let (g, i) = split_block(block, self.config.blocks_per_group);
-        let (cfg, layout) = (self.config, self.layout);
-        let n = cfg.blocks_per_group;
-        let grp = self.groups.entry(g).or_insert_with(|| Group::new(n));
-        let line = grp.line;
-        let reference = layout.reference(&line);
-        let counter = |j: usize| {
-            if j == i {
-                value
-            } else {
-                reference + layout.delta(&line, j)
-            }
-        };
-        let (min, max) = (0..n).fold((u64::MAX, 0), |(min, max), j| {
-            let c = counter(j);
-            (min.min(c), max.max(c))
-        });
-        if max - min > cfg.delta_max() || min > layout.reference_max() {
-            return Err(invalid_data(
-                "replayed counter not representable in its delta group",
-            ));
-        }
-        if min == reference {
-            // The other deltas already sit on this minimum.
-            let old = layout.delta(&line, i);
-            layout.set_delta(&mut grp.line, i, value - reference);
-            let line = &grp.line;
-            grp.tally.replaced(old, value - reference, || {
-                Tally::of((0..n).map(|j| layout.delta(line, j)))
-            });
-        } else {
-            let mut deltas = [0u64; LINE_BITS as usize];
-            let deltas = &mut deltas[..n];
-            for (j, d) in deltas.iter_mut().enumerate() {
-                *d = counter(j) - min;
-            }
-            *grp = Group::packed(layout.pack(min, deltas), deltas);
-        }
-        Ok(())
     }
 }
 

@@ -13,13 +13,15 @@
 //! On facesim-like workloads several delta-groups grow concurrently, which
 //! is why Table 2 shows dual-length doing *worse* than flat 7-bit deltas
 //! there — this implementation reproduces that behaviour.
+//!
+//! This module holds the dual-length layout's configuration; the rules
+//! run in the one delta scheme the flat layout shares (`deltas.rs`).
 
-use crate::deltas::{self, Deltas, Group, Rules, Tally, Unpacked};
-use crate::packing::{DualLayout, LINE_BITS};
-use crate::{codec, split_block, CounterScheme, CounterStats, WriteOutcome};
-use ame_persist::{
-    invalid_data, put_sorted_table, put_u32, put_u64, read_index_table, ByteReader, IndexMap,
-};
+// The crate root's items, for this module's tests as much as its code.
+use crate::deltas::{Config, DeltaScheme};
+use crate::packing::{DualLayout, LineLayout};
+use crate::*;
+use ame_persist::{invalid_data, put_u32, put_u64, ByteReader};
 use std::io;
 
 /// Configuration of the dual-length delta scheme.
@@ -74,9 +76,16 @@ impl DualLengthConfig {
     pub fn blocks_per_delta_group(&self) -> usize {
         self.blocks_per_group / self.delta_groups
     }
+}
 
-    /// Validates invariants and lays the group out in its line; called
-    /// by [`DualLengthDeltaCounters::new`].
+impl Config for DualLengthConfig {
+    const NAME: &'static str = "dual-length delta";
+    const EXPANDS: bool = true;
+    /// A flag byte (1 when a delta-group is expanded) and the expanded
+    /// delta-group's index as a `u64` (0 when none is).
+    const EXPANSION_BYTES: usize = 9;
+    type Layout = DualLayout;
+
     fn layout(&self) -> DualLayout {
         assert!(
             self.base_bits > 0 && self.base_bits < 32,
@@ -95,6 +104,67 @@ impl DualLengthConfig {
             self.delta_groups,
             self.blocks_per_group,
         )
+    }
+
+    fn blocks_per_group(&self) -> usize {
+        self.blocks_per_group
+    }
+
+    fn cap(&self, widened: bool) -> u64 {
+        if widened {
+            self.expanded_max()
+        } else {
+            self.base_max()
+        }
+    }
+
+    fn reset_enabled(&self) -> bool {
+        self.reset_enabled
+    }
+
+    fn reencode_enabled(&self) -> bool {
+        self.reencode_enabled
+    }
+
+    fn layout_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, self.base_bits);
+        put_u32(&mut out, self.extra_bits);
+        put_u64(&mut out, self.delta_groups as u64);
+        put_u64(&mut out, self.blocks_per_group as u64);
+        put_u32(&mut out, self.reference_bits);
+        out.push(u8::from(self.reset_enabled));
+        out.push(u8::from(self.reencode_enabled));
+        out
+    }
+
+    /// Reference + base-width deltas + shared overflow bits + 2 group
+    /// index bits, amortized over the group (507 bits for the paper's
+    /// parameters — fits one 64-byte metadata block).
+    fn bits_per_block(&self) -> f64 {
+        let overflow_bits = self.blocks_per_delta_group() as f64 * f64::from(self.extra_bits);
+        let index_bits = (self.delta_groups as f64).log2().ceil();
+        f64::from(self.base_bits)
+            + (f64::from(self.reference_bits) + overflow_bits + index_bits)
+                / self.blocks_per_group as f64
+    }
+
+    fn put_expansion(out: &mut Vec<u8>, expanded: Option<usize>) {
+        out.push(u8::from(expanded.is_some()));
+        put_u64(out, expanded.unwrap_or(0) as u64);
+    }
+
+    /// Only the two forms [`Config::put_expansion`] writes are read: flag
+    /// 0 with index 0, or flag 1 with a delta-group's index.
+    fn read_expansion(&self, r: &mut ByteReader<'_>) -> io::Result<Option<usize>> {
+        match (r.u8()?, r.u64()?) {
+            (0, 0) => Ok(None),
+            (1, dg) if dg < self.delta_groups as u64 => Ok(Some(dg as usize)),
+            (1, _) => Err(invalid_data("expanded delta-group out of range")),
+            (flag, dg) => Err(invalid_data(format!(
+                "expansion field (flag {flag}, delta-group {dg}) is not canonical"
+            ))),
+        }
     }
 }
 
@@ -119,52 +189,9 @@ impl DualLengthConfig {
 /// assert_eq!(ctrs.stats().reencryptions, 0);
 /// assert_eq!(ctrs.counter(5), 70);
 /// ```
-#[derive(Debug, Clone)]
-pub struct DualLengthDeltaCounters {
-    groups: IndexMap<Group>,
-    config: DualLengthConfig,
-    layout: DualLayout,
-    stats: CounterStats,
-}
+pub type DualLengthDeltaCounters = DeltaScheme<DualLengthConfig>;
 
 impl DualLengthDeltaCounters {
-    /// Creates a dual-length delta scheme from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent (see
-    /// [`DualLengthConfig`] field docs) or its Figure 6 layout does not
-    /// fit one 64-byte metadata block.
-    #[must_use]
-    pub fn new(config: DualLengthConfig) -> Self {
-        Self {
-            groups: IndexMap::default(),
-            layout: config.layout(),
-            config,
-            stats: CounterStats::default(),
-        }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &DualLengthConfig {
-        &self.config
-    }
-
-    /// The configuration as a state section records it.
-    fn layout_bytes(&self) -> Vec<u8> {
-        let cfg = &self.config;
-        let mut out = Vec::new();
-        put_u32(&mut out, cfg.base_bits);
-        put_u32(&mut out, cfg.extra_bits);
-        put_u64(&mut out, cfg.delta_groups as u64);
-        put_u64(&mut out, cfg.blocks_per_group as u64);
-        put_u32(&mut out, cfg.reference_bits);
-        out.push(u8::from(cfg.reset_enabled));
-        out.push(u8::from(cfg.reencode_enabled));
-        out
-    }
-
     /// The delta-group index of `block` within its block-group.
     #[must_use]
     pub fn delta_group_of(&self, block: u64) -> usize {
@@ -179,375 +206,6 @@ impl DualLengthDeltaCounters {
         self.groups
             .get(&g)
             .and_then(|grp| self.layout.expanded(&grp.line))
-    }
-}
-
-/// The dual-length scheme's rules over its configuration and line
-/// layout.
-struct Dual<'a> {
-    cfg: &'a DualLengthConfig,
-    layout: &'a DualLayout,
-}
-
-/// A dual-length group in its packed line, bumped in place.
-struct Packed<'a> {
-    layout: &'a DualLayout,
-    n: usize,
-    grp: &'a mut Group,
-}
-
-impl Deltas for Packed<'_> {
-    #[inline]
-    fn reference(&self) -> u64 {
-        self.layout.reference(&self.grp.line)
-    }
-
-    #[inline]
-    fn expanded(&self) -> Option<usize> {
-        self.layout.expanded(&self.grp.line)
-    }
-
-    #[inline]
-    fn delta(&self, i: usize, widened: bool) -> u64 {
-        self.layout.delta(&self.grp.line, i, widened)
-    }
-
-    #[inline]
-    fn raise(&mut self, i: usize, d: u64, widened: bool) {
-        self.layout.set_delta(&mut self.grp.line, i, d, widened);
-        self.grp.tally.bumped(d);
-    }
-
-    #[inline]
-    fn expand(&mut self, i: usize, d: u64) {
-        self.layout.expand(&mut self.grp.line, i, d);
-        self.grp.tally.bumped(d);
-    }
-
-    #[inline]
-    fn tally(&self) -> &Tally {
-        &self.grp.tally
-    }
-
-    #[inline]
-    fn reset(&mut self, reference: u64) {
-        *self.grp = Group::zeroed(self.layout.zeroed(reference), self.n);
-    }
-
-    fn unpack(&self, deltas: &mut [u64]) -> u64 {
-        self.layout.unpack(&self.grp.line, deltas).0
-    }
-
-    fn repack(&mut self, reference: u64, deltas: &[u64]) {
-        let line = self.layout.pack(reference, self.expanded(), deltas);
-        *self.grp = Group::packed(line, deltas);
-    }
-
-    #[inline]
-    fn counter(&self, i: usize) -> u64 {
-        self.layout.counter(&self.grp.line, i)
-    }
-}
-
-impl Rules for Dual<'_> {
-    /// Figure 6's increment: the one copy of the delta, reset,
-    /// expansion, re-encode and overflow rules, behind
-    /// [`CounterScheme::record_write`] and both forms of its run.
-    #[inline]
-    fn bump(&self, g: u64, d: &mut impl Deltas, i: usize) -> WriteOutcome {
-        let cfg = self.cfg;
-        let expanded = d.expanded();
-        let widened = self.layout.widened(expanded, i);
-        let delta = d.delta(i, widened);
-        let cap = if widened {
-            cfg.expanded_max()
-        } else {
-            cfg.base_max()
-        };
-        if delta < cap {
-            d.raise(i, delta + 1, widened);
-            match d.tally().converged(cfg.blocks_per_group) {
-                Some(common) if cfg.reset_enabled => {
-                    // All deltas fit base width again: the expansion goes.
-                    d.reset(d.reference() + common);
-                    WriteOutcome::Reset
-                }
-                _ => WriteOutcome::Incremented,
-            }
-        } else if expanded.is_none() {
-            // Assign the shared overflow bits to this delta-group.
-            d.expand(i, delta + 1);
-            WriteOutcome::Expanded
-        } else {
-            self.overflow(g, d, i)
-        }
-    }
-
-    fn packed<'a>(&'a self, grp: &'a mut Group) -> impl Deltas + 'a {
-        let (layout, n) = (self.layout, self.cfg.blocks_per_group);
-        Packed { layout, n, grp }
-    }
-
-    fn unpack(&self, grp: &Group) -> Unpacked {
-        let cfg = self.cfg;
-        Unpacked::of(
-            grp,
-            cfg.blocks_per_group,
-            cfg.blocks_per_delta_group(),
-            |line, deltas| self.layout.unpack(line, deltas),
-        )
-    }
-
-    fn repack(&self, u: &Unpacked) -> Group {
-        let line = self.layout.pack(u.reference, u.expanded, u.deltas());
-        Group {
-            line,
-            tally: u.tally,
-        }
-    }
-}
-
-impl Dual<'_> {
-    /// The rare half of [`Rules::bump`], out of its way: delta `i` is at
-    /// its capacity and the overflow bits are taken (possibly by its own
-    /// delta-group at its widened capacity): try re-encoding, then
-    /// re-encrypt. The whole group is unpacked once and rewritten.
-    #[cold]
-    #[inline(never)]
-    fn overflow(&self, g: u64, d: &mut impl Deltas, i: usize) -> WriteOutcome {
-        let cfg = self.cfg;
-        let mut deltas = [0u64; LINE_BITS as usize];
-        let deltas = &mut deltas[..cfg.blocks_per_group];
-        let reference = d.unpack(deltas);
-        let min = deltas.iter().copied().min().unwrap_or(0);
-        if cfg.reencode_enabled && min > 0 {
-            deltas.iter_mut().for_each(|d| *d -= min);
-            deltas[i] += 1;
-            d.repack(reference + min, deltas);
-            WriteOutcome::Reencoded
-        } else {
-            let old_counters = deltas.iter().map(|d| reference + d).collect();
-            // Every block must jump strictly above its old counter;
-            // with a widened group the largest delta may exceed the
-            // overflowing one, so take the true maximum.
-            let new_counter = reference + d.tally().max() + 1;
-            d.reset(new_counter);
-            WriteOutcome::Reencrypted {
-                group: g,
-                old_counters,
-                new_counter,
-            }
-        }
-    }
-}
-
-impl Default for DualLengthDeltaCounters {
-    fn default() -> Self {
-        Self::new(DualLengthConfig::default())
-    }
-}
-
-impl CounterScheme for DualLengthDeltaCounters {
-    fn counter(&self, block: u64) -> u64 {
-        let (g, i) = split_block(block, self.config.blocks_per_group);
-        self.groups
-            .get(&g)
-            .map_or(0, |grp| self.layout.counter(&grp.line, i))
-    }
-
-    fn record_write(&mut self, block: u64) -> WriteOutcome {
-        let (g, i) = split_block(block, self.config.blocks_per_group);
-        let n = self.config.blocks_per_group;
-        let grp = self.groups.entry(g).or_insert_with(|| Group::new(n));
-        let rules = Dual {
-            cfg: &self.config,
-            layout: &self.layout,
-        };
-        let outcome = rules.bump(g, &mut rules.packed(grp), i);
-        self.stats.record(&outcome);
-        outcome
-    }
-
-    fn record_writes(
-        &mut self,
-        blocks: &[u64],
-        counters: &mut [u64],
-    ) -> (usize, Option<WriteOutcome>) {
-        let rules = Dual {
-            cfg: &self.config,
-            layout: &self.layout,
-        };
-        let n = self.config.blocks_per_group;
-        deltas::write_run(
-            &mut self.groups,
-            n,
-            &mut self.stats,
-            blocks,
-            counters,
-            &rules,
-        )
-    }
-
-    fn counters(&self, blocks: &[u64], counters: &mut [u64]) {
-        let layout = &self.layout;
-        deltas::read_run(
-            &self.groups,
-            self.config.blocks_per_group,
-            blocks,
-            counters,
-            |line, i| layout.counter(line, i),
-        );
-    }
-
-    fn bits_per_block(&self) -> f64 {
-        // Reference + base-width deltas + shared overflow bits + 2 group
-        // index bits, amortized over the group (507 bits for the paper's
-        // parameters — fits one 64-byte metadata block).
-        let cfg = &self.config;
-        let overflow_bits = cfg.blocks_per_delta_group() as f64 * f64::from(cfg.extra_bits);
-        let index_bits = (cfg.delta_groups as f64).log2().ceil();
-        f64::from(cfg.base_bits)
-            + (f64::from(cfg.reference_bits) + overflow_bits + index_bits)
-                / cfg.blocks_per_group as f64
-    }
-
-    fn blocks_per_group(&self) -> usize {
-        self.config.blocks_per_group
-    }
-
-    fn stats(&self) -> CounterStats {
-        self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "dual-length delta"
-    }
-
-    fn blocks_per_metadata_block(&self) -> usize {
-        self.config.blocks_per_group
-    }
-
-    /// The group's line, the Figure 6 layout `reference || valid ||
-    /// group-index || base deltas || overflow bits` — 507 bits for the
-    /// paper's configuration — as it is held.
-    fn metadata_block_image(&self, meta_block: u64) -> [u8; 64] {
-        // A never-written group is all zeros, which is the empty image.
-        self.groups
-            .get(&meta_block)
-            .map_or([0; 64], |grp| grp.line.bytes())
-    }
-
-    fn encode_state(&self, out: &mut Vec<u8>) {
-        let mut body = codec::begin_state(out, self.name(), &self.layout_bytes());
-        codec::put_stats(&mut body, &self.stats);
-        let mut deltas = [0u64; LINE_BITS as usize];
-        let deltas = &mut deltas[..self.config.blocks_per_group];
-        put_sorted_table(&mut body, self.groups.keys().copied(), |body, idx| {
-            let (reference, expanded) = self.layout.unpack(&self.groups[&idx].line, deltas);
-            put_u64(body, reference);
-            body.push(u8::from(expanded.is_some()));
-            put_u64(body, expanded.unwrap_or(0) as u64);
-            for &d in deltas.iter() {
-                put_u64(body, d);
-            }
-        });
-        body.finish();
-    }
-
-    fn encoded_state_len(&self) -> usize {
-        let group = 16 + 9 + 8 * self.config.blocks_per_group;
-        codec::state_len(
-            self.name(),
-            4 + 4 + 8 + 8 + 4 + 2 + 8 + self.groups.len() * group,
-        )
-    }
-
-    fn decode_state(&mut self, r: &mut ByteReader<'_>) -> io::Result<()> {
-        let mut body = codec::read_state(r, self.name(), &self.layout_bytes())?;
-        let (config, layout) = (self.config, self.layout);
-        let stats = codec::read_stats(&mut body)?;
-        let entry = 16 + 9 + 8 * config.blocks_per_group;
-        let groups = read_index_table(&mut body, entry, |body| {
-            let reference = body.u64()?;
-            if reference > layout.reference_max() {
-                return Err(invalid_data("reference exceeds its width"));
-            }
-            let has_expanded = body.u8()? != 0;
-            let expanded_idx = body.u64()? as usize;
-            let expanded = if has_expanded {
-                if expanded_idx >= config.delta_groups {
-                    return Err(invalid_data("expanded delta-group out of range"));
-                }
-                Some(expanded_idx)
-            } else {
-                None
-            };
-            let mut deltas = [0u64; LINE_BITS as usize];
-            let deltas = &mut deltas[..config.blocks_per_group];
-            for (i, d) in deltas.iter_mut().enumerate() {
-                *d = body.u64()?;
-                let cap = if expanded == Some(layout.delta_group(i)) {
-                    config.expanded_max()
-                } else {
-                    config.base_max()
-                };
-                if *d > cap {
-                    return Err(invalid_data("delta exceeds its width"));
-                }
-            }
-            Ok(Group::packed(
-                layout.pack(reference, expanded, deltas),
-                deltas,
-            ))
-        })?;
-        self.stats = stats;
-        self.groups = groups;
-        Ok(())
-    }
-
-    /// Restores a counter *value* by re-deriving the group encoding: the
-    /// reference becomes the group's minimum counter, and the shared
-    /// overflow bits are re-assigned to whichever single delta-group needs
-    /// widening afterwards. Two delta-groups needing the bits at once (or
-    /// a delta beyond even the widened cap, or a minimum beyond the
-    /// reference width) is unrepresentable — evidence of a corrupt log,
-    /// since the log rotates into a snapshot at every re-encryption.
-    fn force_counter(&mut self, block: u64, value: u64) -> io::Result<()> {
-        let (g, i) = split_block(block, self.config.blocks_per_group);
-        let (cfg, layout) = (self.config, self.layout);
-        let n = cfg.blocks_per_group;
-        let grp = self.groups.entry(g).or_insert_with(|| Group::new(n));
-        let mut counters = [0u64; LINE_BITS as usize];
-        let counters = &mut counters[..n];
-        let (reference, _) = layout.unpack(&grp.line, counters);
-        counters.iter_mut().for_each(|c| *c += reference);
-        counters[i] = value;
-        let min = counters.iter().copied().min().expect("non-empty group");
-        if min > layout.reference_max() {
-            return Err(invalid_data(
-                "replayed counter not representable in its delta group",
-            ));
-        }
-        let mut need = None;
-        for (j, c) in counters.iter_mut().enumerate() {
-            *c -= min;
-            if *c > cfg.expanded_max() {
-                return Err(invalid_data(
-                    "replayed counter not representable in its delta group",
-                ));
-            }
-            if *c > cfg.base_max() {
-                let dg = layout.delta_group(j);
-                if need.is_some_and(|taken| taken != dg) {
-                    return Err(invalid_data(
-                        "replayed counter needs overflow bits in two delta-groups",
-                    ));
-                }
-                need = Some(dg);
-            }
-        }
-        *grp = Group::packed(layout.pack(min, need, counters), counters);
-        Ok(())
     }
 }
 

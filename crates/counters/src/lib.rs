@@ -19,6 +19,10 @@
 //!   variant (Figure 6): 6-bit deltas in four delta-groups, with 72 shared
 //!   overflow bits that can widen exactly one group's deltas by 4 bits.
 //!
+//! The two delta schemes are one scheme over two line layouts: the same
+//! increment, run forms, state codec and log replay, configured by
+//! [`delta::DeltaConfig`] or [`dual::DualLengthConfig`].
+//!
 //! All schemes implement [`CounterScheme`], so the encryption engine and
 //! the Table 2 experiment swap them freely.
 //!

@@ -83,12 +83,130 @@ pub fn write_bits(block: &mut [u8; 64], offset: u32, width: u32, value: u64) {
     }
 }
 
-/// One 64-byte metadata line held as eight little-endian words: bit `o`
-/// of the line is bit `o % 64` of word `o / 64`, the order
-/// [`read_bits`] and [`write_bits`] use on the byte image. A field access
-/// is one or two shifts and masks, and the image is the words' bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Line([u64; 8]);
+/// The line, its two layouts and the trait the delta scheme reads them
+/// through. The scheme's configuration trait names them, so they are
+/// `pub` in this private module: the crate can name them, other crates
+/// cannot.
+mod layouts {
+    use super::low_mask;
+    use std::fmt;
+
+    /// One 64-byte metadata line held as eight little-endian words: bit
+    /// `o` of the line is bit `o % 64` of word `o / 64`, the order
+    /// [`read_bits`](super::read_bits) and
+    /// [`write_bits`](super::write_bits) use on the byte image. A field
+    /// access is one or two shifts and masks, and the image is the
+    /// words' bytes.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Line(pub(super) [u64; 8]);
+
+    /// Where the fields of a flat delta group sit in its line (Figure 5):
+    /// `reference || delta 0 || delta 1 || ...`, zero-padded to 512 bits.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct FlatLayout {
+        pub(super) reference_bits: u32,
+        pub(super) delta_bits: u32,
+        pub(super) blocks: usize,
+    }
+
+    /// Where the fields of a dual-length group sit in its line (Figure
+    /// 6): `reference || valid || expanded index || base deltas ||
+    /// extensions`, zero-padded to 512 bits. The extension slots belong
+    /// to the expanded delta-group and are all zero while no group is
+    /// expanded.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct DualLayout {
+        pub(super) reference_bits: u32,
+        pub(super) index_bits: u32,
+        pub(super) base_bits: u32,
+        pub(super) extra_bits: u32,
+        pub(super) blocks: usize,
+        pub(super) per_delta_group: usize,
+    }
+
+    /// How a delta group's fields sit in its line: the one interface the
+    /// delta scheme reads and rewrites a line through, whichever figure
+    /// laid it out. A flat line is one delta-group that never expands.
+    pub trait LineLayout: Copy + fmt::Debug + Send {
+        /// Width of the reference field at bit 0.
+        fn reference_bits(&self) -> u32;
+
+        /// Which delta-group holds the extension slots.
+        fn expanded(&self, line: &Line) -> Option<usize>;
+
+        /// The delta-group of block `i`.
+        fn delta_group(&self, i: usize) -> usize;
+
+        /// Delta `i`: its base field, and its extension slot above it
+        /// when its delta-group is `widened` (the one expanded).
+        fn delta(&self, line: &Line, i: usize, widened: bool) -> u64;
+
+        /// Rewrites delta `i` and nothing else: its base field and, when
+        /// its delta-group is `widened`, its extension slot.
+        fn set_delta(&self, line: &mut Line, i: usize, d: u64, widened: bool);
+
+        /// Hands the extension slots to block `i`'s delta-group and
+        /// rewrites delta `i` at the widened width.
+        fn expand(&self, line: &mut Line, i: usize, d: u64);
+
+        /// Packs a whole group.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the reference exceeds its field, `expanded` is not
+        /// a delta-group, or a delta exceeds its capacity (base width,
+        /// or base plus extension width inside the expanded
+        /// delta-group).
+        fn pack(&self, reference: u64, expanded: Option<usize>, deltas: &[u64]) -> Line;
+
+        /// Unpacks a whole group: the deltas into `deltas`, and the
+        /// reference and expanded delta-group returned.
+        fn unpack(&self, line: &Line, deltas: &mut [u64]) -> (u64, Option<usize>);
+
+        /// The largest reference the line holds.
+        fn reference_max(&self) -> u64 {
+            low_mask(self.reference_bits())
+        }
+
+        /// The shared reference counter.
+        #[inline]
+        fn reference(&self, line: &Line) -> u64 {
+            line.get(0, self.reference_bits())
+        }
+
+        /// Whether block `i`'s delta is widened while `expanded` holds
+        /// the extension slots; no division while nothing is expanded.
+        #[inline]
+        fn widened(&self, expanded: Option<usize>, i: usize) -> bool {
+            expanded.is_some_and(|dg| dg == self.delta_group(i))
+        }
+
+        /// The Decode Unit: block `i`'s counter — its delta, with the
+        /// extension concatenated when its delta-group is the expanded
+        /// one, plus the reference.
+        #[inline]
+        fn counter(&self, line: &Line, i: usize) -> u64 {
+            let widened = self.widened(self.expanded(line), i);
+            self.reference(line) + self.delta(line, i, widened)
+        }
+
+        /// A line holding `reference`, all-zero deltas and no expansion.
+        /// A counter must never wrap, so a reference past its field is a
+        /// panic, never a truncation.
+        fn zeroed(&self, reference: u64) -> Line {
+            let bits = self.reference_bits();
+            assert!(
+                reference <= low_mask(bits),
+                "reference {reference} exceeds {bits} bits"
+            );
+            let mut line = Line::default();
+            line.set(0, bits, reference);
+            line
+        }
+    }
+}
+
+pub(crate) use layouts::{DualLayout, FlatLayout, Line, LineLayout};
 
 impl Line {
     /// Reads `width` bits (LSB-first) starting at bit `offset`.
@@ -143,6 +261,7 @@ impl Line {
     }
 
     /// The 64-byte image: the words in little-endian byte order.
+    #[inline]
     pub(crate) fn bytes(&self) -> [u8; 64] {
         let mut image = [0u8; 64];
         for (bytes, word) in image.chunks_exact_mut(8).zip(self.0) {
@@ -158,26 +277,6 @@ fn assert_fits(bits: u64, what: &str) {
         bits <= u64::from(LINE_BITS),
         "{what} group does not fit one metadata block ({bits} bits)"
     );
-}
-
-/// The reference field at bit 0 of `line`, checked against its width:
-/// a counter must never wrap, so a reference past its field is a
-/// panic, never a truncation.
-fn set_reference(line: &mut Line, bits: u32, reference: u64) {
-    assert!(
-        reference <= low_mask(bits),
-        "reference {reference} exceeds {bits} bits"
-    );
-    line.set(0, bits, reference);
-}
-
-/// Where the fields of a flat delta group sit in its line (Figure 5):
-/// `reference || delta 0 || delta 1 || ...`, zero-padded to 512 bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FlatLayout {
-    reference_bits: u32,
-    delta_bits: u32,
-    blocks: usize,
 }
 
 impl FlatLayout {
@@ -203,53 +302,44 @@ impl FlatLayout {
             .saturating_add(u64::from(self.delta_bits).saturating_mul(self.blocks as u64))
     }
 
-    /// The largest reference the line holds.
-    pub(crate) fn reference_max(&self) -> u64 {
-        low_mask(self.reference_bits)
-    }
-
-    /// The shared reference counter.
-    #[inline]
-    pub(crate) fn reference(&self, line: &Line) -> u64 {
-        line.get(0, self.reference_bits)
-    }
-
     #[inline]
     fn delta_offset(&self, i: usize) -> u32 {
         self.reference_bits + self.delta_bits * i as u32
     }
+}
 
-    /// Delta `i`.
+impl LineLayout for FlatLayout {
     #[inline]
-    pub(crate) fn delta(&self, line: &Line, i: usize) -> u64 {
+    fn reference_bits(&self) -> u32 {
+        self.reference_bits
+    }
+
+    #[inline]
+    fn expanded(&self, _line: &Line) -> Option<usize> {
+        None
+    }
+
+    #[inline]
+    fn delta_group(&self, _i: usize) -> usize {
+        0
+    }
+
+    #[inline]
+    fn delta(&self, line: &Line, i: usize, _widened: bool) -> u64 {
         line.get(self.delta_offset(i), self.delta_bits)
     }
 
-    /// Rewrites delta `i` and nothing else.
     #[inline]
-    pub(crate) fn set_delta(&self, line: &mut Line, i: usize, d: u64) {
+    fn set_delta(&self, line: &mut Line, i: usize, d: u64, _widened: bool) {
         line.set(self.delta_offset(i), self.delta_bits, d);
     }
 
-    /// The Decode Unit: block `i`'s counter, one extraction and an add.
-    #[inline]
-    pub(crate) fn counter(&self, line: &Line, i: usize) -> u64 {
-        self.reference(line) + self.delta(line, i)
+    fn expand(&self, _line: &mut Line, _i: usize, _d: u64) {
+        unreachable!("a flat line has no extension slots")
     }
 
-    /// A line holding `reference` and all-zero deltas.
-    pub(crate) fn zeroed(&self, reference: u64) -> Line {
-        let mut line = Line::default();
-        set_reference(&mut line, self.reference_bits, reference);
-        line
-    }
-
-    /// Packs a whole group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reference or a delta exceeds its field.
-    pub(crate) fn pack(&self, reference: u64, deltas: &[u64]) -> Line {
+    fn pack(&self, reference: u64, expanded: Option<usize>, deltas: &[u64]) -> Line {
+        assert_eq!(expanded, None, "a flat line has no extension slots");
         assert_eq!(deltas.len(), self.blocks, "one delta per block");
         let mut line = self.zeroed(reference);
         line.put_fields(
@@ -260,28 +350,12 @@ impl FlatLayout {
         line
     }
 
-    /// Unpacks a whole group: the deltas into `deltas`, and the
-    /// reference returned.
-    pub(crate) fn unpack(&self, line: &Line, deltas: &mut [u64]) -> u64 {
+    fn unpack(&self, line: &Line, deltas: &mut [u64]) -> (u64, Option<usize>) {
         for (i, d) in deltas[..self.blocks].iter_mut().enumerate() {
-            *d = self.delta(line, i);
+            *d = self.delta(line, i, false);
         }
-        self.reference(line)
+        (self.reference(line), None)
     }
-}
-
-/// Where the fields of a dual-length group sit in its line (Figure 6):
-/// `reference || valid || expanded index || base deltas || extensions`,
-/// zero-padded to 512 bits. The extension slots belong to the expanded
-/// delta-group and are all zero while no group is expanded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DualLayout {
-    reference_bits: u32,
-    index_bits: u32,
-    base_bits: u32,
-    extra_bits: u32,
-    blocks: usize,
-    per_delta_group: usize,
 }
 
 impl DualLayout {
@@ -318,41 +392,9 @@ impl DualLayout {
             .saturating_add(fields(self.extra_bits, self.per_delta_group))
     }
 
-    /// The largest reference the line holds.
-    pub(crate) fn reference_max(&self) -> u64 {
-        low_mask(self.reference_bits)
-    }
-
-    /// The shared reference counter.
-    #[inline]
-    pub(crate) fn reference(&self, line: &Line) -> u64 {
-        line.get(0, self.reference_bits)
-    }
-
-    /// Which delta-group holds the extension slots: the valid bit and
-    /// the index, read as one field.
-    #[inline]
-    pub(crate) fn expanded(&self, line: &Line) -> Option<usize> {
-        let flag = line.get(self.reference_bits, 1 + self.index_bits);
-        (flag & 1 == 1).then_some((flag >> 1) as usize)
-    }
-
     fn set_expanded(&self, line: &mut Line, expanded: Option<usize>) {
         let flag = expanded.map_or(0, |dg| (dg as u64) << 1 | 1);
         line.set(self.reference_bits, 1 + self.index_bits, flag);
-    }
-
-    /// The delta-group of block `i`.
-    #[inline]
-    pub(crate) fn delta_group(&self, i: usize) -> usize {
-        i / self.per_delta_group
-    }
-
-    /// Whether block `i`'s delta is widened while `expanded` holds the
-    /// extension slots; no division while nothing is expanded.
-    #[inline]
-    pub(crate) fn widened(&self, expanded: Option<usize>, i: usize) -> bool {
-        expanded.is_some_and(|dg| dg == self.delta_group(i))
     }
 
     #[inline]
@@ -364,11 +406,28 @@ impl DualLayout {
     fn extension_offset(&self, i: usize) -> u32 {
         self.base_offset(self.blocks) + self.extra_bits * (i % self.per_delta_group) as u32
     }
+}
 
-    /// Delta `i`: its base field, and its extension slot above it when
-    /// its delta-group is `widened` (the one expanded).
+impl LineLayout for DualLayout {
     #[inline]
-    pub(crate) fn delta(&self, line: &Line, i: usize, widened: bool) -> u64 {
+    fn reference_bits(&self) -> u32 {
+        self.reference_bits
+    }
+
+    /// The valid bit and the index, read as one field.
+    #[inline]
+    fn expanded(&self, line: &Line) -> Option<usize> {
+        let flag = line.get(self.reference_bits, 1 + self.index_bits);
+        (flag & 1 == 1).then_some((flag >> 1) as usize)
+    }
+
+    #[inline]
+    fn delta_group(&self, i: usize) -> usize {
+        i / self.per_delta_group
+    }
+
+    #[inline]
+    fn delta(&self, line: &Line, i: usize, widened: bool) -> u64 {
         let base = line.get(self.base_offset(i), self.base_bits);
         if widened {
             base | line.get(self.extension_offset(i), self.extra_bits) << self.base_bits
@@ -377,10 +436,8 @@ impl DualLayout {
         }
     }
 
-    /// Rewrites delta `i`'s base field and, when its delta-group is
-    /// `widened`, its extension slot.
     #[inline]
-    pub(crate) fn set_delta(&self, line: &mut Line, i: usize, d: u64, widened: bool) {
+    fn set_delta(&self, line: &mut Line, i: usize, d: u64, widened: bool) {
         line.set(
             self.base_offset(i),
             self.base_bits,
@@ -395,38 +452,13 @@ impl DualLayout {
         }
     }
 
-    /// Hands the extension slots to block `i`'s delta-group and rewrites
-    /// delta `i` at the widened width.
-    pub(crate) fn expand(&self, line: &mut Line, i: usize, d: u64) {
+    fn expand(&self, line: &mut Line, i: usize, d: u64) {
         debug_assert_eq!(self.expanded(line), None, "extension slots already taken");
         self.set_expanded(line, Some(self.delta_group(i)));
         self.set_delta(line, i, d, true);
     }
 
-    /// The Decode Unit: block `i`'s counter — the base delta with its
-    /// extension concatenated when its delta-group is the expanded one,
-    /// plus the reference.
-    #[inline]
-    pub(crate) fn counter(&self, line: &Line, i: usize) -> u64 {
-        let widened = self.widened(self.expanded(line), i);
-        self.reference(line) + self.delta(line, i, widened)
-    }
-
-    /// A line holding `reference`, all-zero deltas and no expansion.
-    pub(crate) fn zeroed(&self, reference: u64) -> Line {
-        let mut line = Line::default();
-        set_reference(&mut line, self.reference_bits, reference);
-        line
-    }
-
-    /// Packs a whole group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reference exceeds its field, `expanded` is not a
-    /// delta-group, or a delta exceeds its capacity (base width, or base
-    /// plus extension width inside the expanded delta-group).
-    pub(crate) fn pack(&self, reference: u64, expanded: Option<usize>, deltas: &[u64]) -> Line {
+    fn pack(&self, reference: u64, expanded: Option<usize>, deltas: &[u64]) -> Line {
         assert_eq!(deltas.len(), self.blocks, "one delta per block");
         if let Some(dg) = expanded {
             assert!(
@@ -457,9 +489,7 @@ impl DualLayout {
         line
     }
 
-    /// Unpacks a whole group: the deltas into `deltas`, and the
-    /// reference and expanded delta-group returned.
-    pub(crate) fn unpack(&self, line: &Line, deltas: &mut [u64]) -> (u64, Option<usize>) {
+    fn unpack(&self, line: &Line, deltas: &mut [u64]) -> (u64, Option<usize>) {
         let expanded = self.expanded(line);
         for (i, d) in deltas[..self.blocks].iter_mut().enumerate() {
             *d = self.delta(line, i, self.widened(expanded, i));
@@ -471,6 +501,22 @@ impl DualLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The flat layout's calls as the Figure 5 tests write them: a flat
+    /// line has no expansion to pass or to return.
+    impl FlatLayout {
+        pub(crate) fn pack(&self, reference: u64, deltas: &[u64]) -> Line {
+            LineLayout::pack(self, reference, None, deltas)
+        }
+
+        pub(crate) fn unpack(&self, line: &Line, deltas: &mut [u64]) -> u64 {
+            LineLayout::unpack(self, line, deltas).0
+        }
+
+        pub(crate) fn set_delta(&self, line: &mut Line, i: usize, d: u64) {
+            LineLayout::set_delta(self, line, i, d, false);
+        }
+    }
 
     #[test]
     fn bit_io_roundtrip() {
